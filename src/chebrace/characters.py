@@ -6,6 +6,14 @@ values are zeta^(jk) + zeta^(-jk) for zeta of order 2^(n-1).  Everything is
 kept in exact cyclotomic form so orthogonality, Frobenius-Schur sums, and
 the odd-index cancellation sum are literal identities, not float checks.
 
+A class is described by its representative a^k b^f: rotation exponent k and
+flip bit f.  The degree-1 characters are signs (-1)^(pk + qf), and psi_j is
+zeta^(jk) + zeta^(-jk) on rotations and 0 on flips, so the whole table is
+integer data: (k, f) per class and j per psi.  ``character_value`` turns it
+into one ``CycloInt``; ``class_sum_terms`` and ``difference_terms`` turn it
+into exponent arrays and reduce whole rows of sums at once with
+``cyclotomic.canonical_terms``, which is how the race layer reads it.
+
 The degree-2 value at the central involution comes out of the generic
 rotation formula at k = 2^(n-2), i.e. 2*(-1)^j.  Induction from a tower
 level and the disjointness partition of inductions are computed from the
@@ -17,11 +25,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .cyclotomic import (
     CycloInt,
     add,
+    canonical_terms,
     compress,
     conjugate,
     cos_pair,
@@ -83,42 +94,98 @@ def character_degree(cid: str) -> int:
     return 2 if cid.startswith("psi_") else 1
 
 
+# chi(a^k b^f) = (-1)^(p k + q f) for the degree-1 characters, as (p, q)
+_LINEAR_PARITIES = {"chi0": (0, 0), "chi1": (0, 1), "chi2": (1, 0), "chi3": (1, 1)}
+
+# rows x terms of one canonical_terms call stays below this many entries
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _psi_index(group: Group, cid: str) -> int:
+    """j of a degree-2 character id psi_j of the group; KeyError otherwise."""
+    if not cid.startswith("psi_"):
+        raise KeyError(cid)
+    j = int(cid[len("psi_"):])
+    if not 1 <= j < (1 << (group.n - 2)):
+        raise KeyError(cid)
+    return j
+
+
+def _linear_value(cid: str, k, f):
+    """(-1)^(pk + qf) for integer or integer-array k and f."""
+    p, q = _LINEAR_PARITIES[cid]
+    return 1 - 2 * ((p * k + q * f) % 2)
+
+
 def character_value(group: Group, cid: str, label: ClassLabel) -> CycloInt:
     """Exact table entry, evaluated lazily so huge groups never need a table.
 
-    The rotation exponent of the class representative determines everything:
-    degree-1 values are signs of the exponent / flip bits, degree-2 values
-    are zeta^(j k) + zeta^(-j k) on rotations and 0 on flips.
+    The class representative a^k b^f determines everything: degree-1
+    values are the signs (-1)^(pk + qf), degree-2 values are
+    zeta^(j k) + zeta^(-j k) on rotations and 0 on flips.
     """
     m = group.rotation_order
+    rep = group.class_representative(label)
+    if cid in _LINEAR_PARITIES:
+        return cyclo_int(m, _linear_value(cid, rep.exponent, rep.flip))
+    j = _psi_index(group, cid)
+    if rep.flip:
+        return cyclo_zero(m)
+    return cos_pair(m, j * rep.exponent)
 
-    def sign(c: int) -> CycloInt:
-        return cyclo_int(m, 1 if c % 2 == 0 else -1)
 
-    if label.kind == "power":
-        k = label.k
-    elif label.kind == "minus_one":
-        k = 1 << (group.n - 2)
-    else:
-        k = 0
-    flipped = label.kind in ("flip_even", "flip_odd")
-    parity = 0 if label.kind != "flip_odd" else 1
+def class_sum_terms(group: Group, labels: Sequence[ClassLabel],
+                    coeffs: Mapping[str, int]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact values of sum_chi coeffs[chi] chi(C) at every class C of
+    ``labels``, as the canonical (row, exponent, coefficient) terms of
+    ``cyclotomic.canonical_terms`` with one row per label.
 
-    if cid == "chi0":
-        return cyclo_int(m, 1)
-    if cid == "chi1":
-        return cyclo_int(m, -1 if flipped else 1)
-    if cid == "chi2":
-        return sign(parity) if flipped else sign(k)
-    if cid == "chi3":
-        return sign(parity + 1) if flipped else sign(k)
-    if cid.startswith("psi_"):
-        j = int(cid.split("_")[1])
-        assert 1 <= j < (1 << (group.n - 2)), cid
-        if flipped:
-            return cyclo_zero(m)
-        return cos_pair(m, j * k)
-    raise KeyError(cid)
+    Rows are reduced a chunk at a time, so memory stays O(labels +
+    characters) whatever the group order.
+    """
+    reps = [group.class_representative(lab) for lab in labels]
+    k = np.array([r.exponent for r in reps], dtype=np.int64)
+    f = np.array([r.flip for r in reps], dtype=np.int64)
+    const = np.zeros(len(labels), dtype=np.int64)
+    js, cs = [], []
+    for cid, c in coeffs.items():
+        if cid in _LINEAR_PARITIES:
+            const += c * _linear_value(cid, k, f)
+        else:
+            js.append(_psi_index(group, cid))
+            cs.append(c)
+    j = np.array(js, dtype=np.int64)
+    c = np.array(cs, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (1 + 2 * j.size))
+    parts = []
+    for lo in range(0, len(labels), step):
+        kk = k[lo:lo + step, None]
+        on = (1 - f[lo:lo + step, None]) * c  # psi vanishes on flips
+        rows, exps, vals = canonical_terms(
+            group.rotation_order,
+            np.concatenate((np.zeros_like(kk), kk * j, -kk * j), axis=1),
+            np.concatenate((const[lo:lo + step, None], on, on), axis=1))
+        parts.append((rows + lo, exps, vals))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def difference_terms(group: Group, c1: ClassLabel, c2: ClassLabel
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact chi(c2) - chi(c1) for every irreducible chi, one row per
+    character in ``character_ids`` order, as canonical terms."""
+    r1 = group.class_representative(c1)
+    r2 = group.class_representative(c2)
+    n_lin = len(_LINEAR_PARITIES)
+    j = np.arange(1, 1 << (group.n - 2), dtype=np.int64)[:, None]
+    exps = np.zeros((n_lin + j.size, 4), dtype=np.int64)
+    exps[n_lin:] = j * [r2.exponent, -r2.exponent, r1.exponent, -r1.exponent]
+    coeffs = np.zeros_like(exps)
+    coeffs[:n_lin, 0] = [_linear_value(cid, r2.exponent, r2.flip)
+                         - _linear_value(cid, r1.exponent, r1.flip)
+                         for cid in _LINEAR_PARITIES]
+    coeffs[n_lin:] = [1 - r2.flip, 1 - r2.flip, r1.flip - 1, r1.flip - 1]
+    return canonical_terms(group.rotation_order, exps, coeffs)
 
 
 def character_table(group: Group) -> CharacterTable:
@@ -326,10 +393,9 @@ def symplectic_value_sum(i: int, k: int) -> CycloInt:
     if not 1 <= k <= (1 << (i - 2)) - 1:
         raise ValueError(f"need 1 <= k <= {(1 << (i - 2)) - 1}, got {k}")
     m = 1 << (i - 1)
-    acc = cyclo_zero(m)
-    for j in range(1, 1 << (i - 2), 2):
-        acc = add(acc, cos_pair(m, j * k))
-    return acc
+    j = np.arange(1, 1 << (i - 2), 2)
+    _, exps, coeffs = canonical_terms(m, np.concatenate((j * k, -j * k))[None, :], 1)
+    return CycloInt(m, tuple(zip(exps.tolist(), coeffs.tolist())))
 
 
 def export_table_csv(table: CharacterTable, fileobj) -> None:

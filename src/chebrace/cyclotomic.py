@@ -5,12 +5,21 @@ with the single relation zeta^(m/2) = -1, so representation is unique and
 equality is literal tuple equality.  Values are stored sparsely: character
 values in this package are sums of at most two root powers, and products of
 two such stay tiny, so all table operations cost O(1) per entry.
+
+Two forms share that basis.  ``CycloInt`` is one element, for the character
+table, the orthogonality checks and the oracles.  ``canonical_terms`` is the
+array form used on the hot path: many sums of root powers, given as integer
+exponent and coefficient arrays, reduced at once to the same canonical terms
+a ``CycloInt`` would hold, and ``complex_values`` evaluates them with the
+same floating-point operations as ``CycloInt.to_complex``.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -58,15 +67,63 @@ class CycloInt:
         return self.terms[0][1]
 
     def to_complex(self) -> complex:
-        return sum(
-            (c * cmath.exp(2j * math.pi * e / self.order) for e, c in self.terms),
-            0j,
-        )
+        acc = 0j
+        for e, c in self.terms:
+            acc += c * root_value(self.order, e)
+        return acc
 
     def to_float(self) -> float:
         z = self.to_complex()
         assert abs(z.imag) < 1e-9, "value is not real"
         return z.real
+
+
+def root_value(order: int, exponent: int) -> complex:
+    """zeta^exponent as a float complex number."""
+    return cmath.exp(2j * math.pi * exponent / order)
+
+
+def canonical_terms(order: int, exponents, coeffs
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical forms of many sums of root powers at once.
+
+    Row r of ``exponents`` (rows x terms, any integers) with ``coeffs``
+    (broadcast to the same shape) stands for the element
+    sum_t coeffs[r, t] zeta^exponents[r, t].  Exponents are folded into
+    [0, m/2) by zeta^(m/2) = -1 and equal exponents merged in int64, so the
+    nonzero terms left are exactly the ``terms`` of that row's CycloInt.
+    Returns their (row, exponent, coefficient) arrays, sorted by row and
+    then by exponent.
+    """
+    half = order // 2
+    e = np.asarray(exponents, dtype=np.int64) % order
+    c = np.broadcast_to(np.asarray(coeffs, dtype=np.int64), e.shape)
+    upper = e >= half
+    c = np.where(upper, -c, c).ravel()
+    e = np.where(upper, e - half, e)
+    key = (e + half * np.arange(e.shape[0], dtype=np.int64)[:, None]).ravel()
+    if key.size == 0:
+        return key, key, key
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    merged = np.add.reduceat(c[perm], starts)
+    keep = merged != 0
+    key = key[starts][keep]
+    return key // half, key % half, merged[keep]
+
+
+def complex_values(order: int, rows, exponents, coeffs, count: int) -> list[complex]:
+    """``to_complex`` of each of ``count`` rows of canonical terms, as
+    returned by ``canonical_terms``; the terms are added in the same order
+    and with the same operations, so every value is bit-identical."""
+    exponents = np.asarray(exponents).tolist()
+    root = {e: root_value(order, e) for e in set(exponents)}
+    acc = [0j] * count
+    for r, e, c in zip(np.asarray(rows).tolist(), exponents,
+                       np.asarray(coeffs).tolist()):
+        acc[r] += c * root[e]
+    return acc
 
 
 def cyclo_zero(order: int) -> CycloInt:

@@ -49,16 +49,17 @@ from .groups import (
     power,
 )
 from .races import (
+    InternalInconsistencyError,
     RaceSpec,
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     assemble_race_model,
+    level_data,
     mean,
     mean_table,
     published_mean,
     race_mean_closed_form,
-    term_list,
     weights,
 )
 from .zeros import (
@@ -76,6 +77,8 @@ _SANDWICH_SALT = 0x5CE9A816
 
 EXPERIMENT_IDS = ("h8-table", "horizontal", "tabD", "tabQ", "monotonicity", "race")
 TABLE_IDS = ("esp-q", "esp-d", "h8")
+# largest n whose esp-q table meets the time budget stated in the README
+TABLE_MAX_N = 10
 
 # computed classification labels for a class pair at a given level
 EXACTLY_HALF = "exactly-half"
@@ -87,10 +90,6 @@ UNDETERMINED = "undetermined"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree (CLI exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def race_row(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet], samples: int,
     row["mean_published"] = pub
     row["status"] = STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION
     w_map = weights(spec)
-    model = term_list(spec, zero_sets)
+    model = assemble_race_model(m, w_map, zero_sets)
     row["variance"] = model.variance
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
@@ -574,12 +573,12 @@ def h8_table() -> list[dict]:
     group = scen0.group
     labels = group.class_labels()
     nontrivial = [cid for cid in character_ids(group) if cid != "chi0"]
+    data0, data1 = level_data(scen0, 3), level_data(scen1, 3)
     rows: list[dict] = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
             c1, c2 = labels[a], labels[b]
-            m0 = mean(RaceSpec(scen0, 3, c1, c2))
-            m1 = mean(RaceSpec(scen1, 3, c1, c2))
+            m0, m1 = data0.mean(c1, c2), data1.mean(c1, c2)
             sym = _symbolic_mean(m0, m1)
             w_map = weights(RaceSpec(scen0, 3, c1, c2))
             coeffs = {}
@@ -639,6 +638,8 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
     """
     if table_id not in TABLE_IDS:
         raise ConfigError(f"table id must be one of {TABLE_IDS}, got {table_id!r}")
+    if not 3 <= n <= TABLE_MAX_N:
+        raise ConfigError(f"n must satisfy 3 <= n <= {TABLE_MAX_N}, got {n}")
     if table_id == "h8":
         return {"experiment": "h8-table", "rows": h8_table(),
                 "open_questions": 0}
@@ -646,25 +647,21 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
     w_values = (+1, -1) if family == QUATERNION else (+1,)
     rows: list[dict] = []
     open_questions = 0
-    try:
-        for w_axiom in w_values:
-            for level in range(3, n + 1):
-                for r in mean_table(family, n, level, w_axiom):
-                    diff = (None if r.mean_formula is None or r.mean_published is None
-                            else r.mean_published - r.mean_formula)
-                    if r.status == STATUS_OPEN_QUESTION:
-                        open_questions += 1
-                    rows.append({
-                        "w_axiom": w_axiom, "level": level,
-                        "c1": str(r.c1), "c2": str(r.c2),
-                        "mean_formula": r.mean_formula,
-                        "mean_published": r.mean_published,
-                        "diff": diff,
-                        "status": r.status,
-                    })
-    except AssertionError as exc:
-        raise InternalInconsistencyError(
-            f"mean engine self-check failed: {exc}") from exc
+    for w_axiom in w_values:
+        for level in range(3, n + 1):
+            for r in mean_table(family, n, level, w_axiom):
+                diff = (None if r.mean_formula is None or r.mean_published is None
+                        else r.mean_published - r.mean_formula)
+                if r.status == STATUS_OPEN_QUESTION:
+                    open_questions += 1
+                rows.append({
+                    "w_axiom": w_axiom, "level": level,
+                    "c1": str(r.c1), "c2": str(r.c2),
+                    "mean_formula": r.mean_formula,
+                    "mean_published": r.mean_published,
+                    "diff": diff,
+                    "status": r.status,
+                })
     if family == QUATERNION and open_questions:
         raise InternalInconsistencyError(
             "quaternion mean rows must match the published table exactly")
@@ -742,14 +739,15 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    if n > 12:
-        raise ConfigError("n must stay <= 12 for tractable models")
+    if not 3 <= n <= 12:
+        raise ConfigError(f"n must satisfy 3 <= n <= 12 for tractable models, got {n}")
     if family == DIHEDRAL:
         w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
     group = scen.group
     labels = group.class_labels()
     kind = GroupKind(family, n)
+    data = level_data(scen, n)
     sets: dict[str, ZeroSet] = {}
     rows: list[dict] = []
     confirmed = True
@@ -757,14 +755,14 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
         for b in range(a + 1, len(labels)):
             c1, c2 = labels[a], labels[b]
             spec = RaceSpec(scen, n, c1, c2)
-            m = mean(spec)
+            m = data.mean(c1, c2)  # every pair is defined at the top level
             pub = published_mean(kind, w_axiom, n, c1, c2)
             w_map = weights(spec)
             needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
             fresh = [cid for cid in needed if cid not in sets]
             sets.update(provision_zero_sets(scen, fresh, seed,
                                             min_count=min_zeros))
-            model = term_list(spec, sets)
+            model = assemble_race_model(m, w_map, sets)
             est = density_fourier(model, nodes=nodes)
             computed = classify_pair(m, n)
             claim = expected_row(family, w_axiom, c1, c2)
@@ -845,13 +843,13 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     specs = {i: RaceSpec(scen, i, ONE, MINUS_ONE) for i in levels}
     means = {i: mean(specs[i]) for i in levels}
     w_map = weights(specs[n])
-    for i in levels:
+    for i in levels[:-1]:
         if weights(specs[i]) != w_map:
             raise InternalInconsistencyError(
                 "fused-pair weights must be identical across levels")
     needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
     sets = provision_zero_sets(scen, needed, seed, t_max=t_max)
-    model = term_list(specs[n], sets)
+    model = assemble_race_model(means[n], w_map, sets)
     terms = model.terms
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
@@ -1010,7 +1008,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         sets = provision_zero_sets(scen,
                                    [cid for cid, wv in w_map.items() if wv > 0],
                                    _child_seed(seed, k), t_max=t_max)
-        model = term_list(spec, sets)
+        model = assemble_race_model(mean(spec), w_map, sets)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
         qf = q_factor(w_map, n, n, 2, 2)

@@ -17,6 +17,13 @@ with the one-sided B0 convention.
 The race is undefined exactly when the fused classes coincide (the two
 counting functions are then identical); in these families that happens only
 for the two reflection classes below the top level.
+
+Everything exact here is read from the integer form of the character table
+(see ``characters``): ``level_data`` computes a level's central orders and,
+for every class at once, the constant part sqrt_density(C) + z(C) of X, so
+a mean is one subtraction; ``weights`` reduces all characters' value
+differences at a fused pair in one array pass and evaluates them with the
+same float operations as ``CycloInt.to_complex``.
 """
 from __future__ import annotations
 
@@ -30,14 +37,18 @@ from typing import Mapping
 import numpy as np
 
 from .arithmetic import ArithmeticScenario
-from .characters import character_ids, character_value, induce
-from .cyclotomic import add, cyclo_zero, scale, sub
+from .characters import character_ids, class_sum_terms, difference_terms, induce
+from .cyclotomic import complex_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 from .zeros import ZeroSet
 
 
 class RaceUndefinedError(ValueError):
     """Fused classes coincide: the two counting functions are identical."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree (CLI exit 3)."""
 
 
 @dataclass(frozen=True)
@@ -90,20 +101,28 @@ def level_orders(scenario: ArithmeticScenario, level: int) -> dict[str, int]:
     return out
 
 
-def z_value(level_group: Group, label: ClassLabel, orders: Mapping[str, int]) -> int:
-    """Exact integer 2 sum_{chi != chi0} chi(label) ord(chi).
+def z_values(level_group: Group, labels: list[ClassLabel],
+             orders: Mapping[str, int]) -> list[int]:
+    """Exact integers 2 sum_{chi != chi0} chi(C) ord(chi) for every class C
+    of ``labels``, from one array reduction over all of them.
 
-    Values are accumulated in the cyclotomic ring; the result must land in
-    the integers (it does whenever the order map is constant on each Galois
-    orbit of characters, e.g. the symplectic-block orders)."""
-    m = level_group.rotation_order
-    acc = cyclo_zero(m)
-    for cid, order in orders.items():
-        if cid == "chi0" or order == 0:
-            continue
-        acc = add(acc, scale(character_value(level_group, cid, label), order))
-    total = scale(acc, 2)
-    return total.as_int()
+    The sums live in the cyclotomic ring; each must land in the integers
+    (it does whenever the order map is constant on each Galois orbit of
+    characters, e.g. the symplectic-block orders), else ValueError."""
+    coeffs = {cid: o for cid, o in orders.items() if cid != "chi0" and o != 0}
+    rows, exps, vals = class_sum_terms(level_group, labels, coeffs)
+    if exps.any():
+        r = int(rows[exps != 0][0])
+        terms = tuple(zip(exps[rows == r].tolist(), (2 * vals[rows == r]).tolist()))
+        raise ValueError(f"not a rational integer: {terms}")
+    out = np.zeros(len(labels), dtype=np.int64)
+    out[rows] = vals
+    return [2 * v for v in out.tolist()]
+
+
+def z_value(level_group: Group, label: ClassLabel, orders: Mapping[str, int]) -> int:
+    """z(label) = 2 sum_{chi != chi0} chi(label) ord(chi); see ``z_values``."""
+    return z_values(level_group, [label], orders)[0]
 
 
 def sqrt_density(level_group: Group, label: ClassLabel) -> int:
@@ -114,30 +133,51 @@ def sqrt_density(level_group: Group, label: ClassLabel) -> int:
     return int(rho)
 
 
-def mean(spec: RaceSpec) -> int:
-    """Exact integer mean of X for the race, per the limiting formula."""
+@dataclass(frozen=True, eq=False)
+class LevelData:
+    """A tower level's exact race data, computed once for all its pairs:
+    per class C, the constant part sqrt_density(C) + z(C) of X.  A mean is
+    the difference of two."""
+
+    constant: dict[ClassLabel, int]
+
+    def mean(self, c1: ClassLabel, c2: ClassLabel) -> int:
+        """Mean of X for the race (c1, c2); the caller checks that it is
+        defined."""
+        return self.constant[c2] - self.constant[c1]
+
+
+def level_data(scenario: ArithmeticScenario, level: int) -> LevelData:
+    """Every class's sqrt_density + z at the level, from one
+    ``level_orders`` call and one ``z_values`` reduction."""
+    lg = scenario.group.level(level)
+    labels = lg.class_labels()
+    z = z_values(lg, labels, level_orders(scenario, level))
+    return LevelData({lab: sqrt_density(lg, lab) + zv
+                      for lab, zv in zip(labels, z)})
+
+
+def _check_defined(spec: RaceSpec) -> None:
     if not spec.is_defined():
         raise RaceUndefinedError(
             f"race undefined: fused classes coincide for ({spec.c1}, {spec.c2}) "
             f"at level {spec.level}; the counting functions are identical")
-    lg = spec.level_group
-    orders = level_orders(spec.scenario, spec.level)
-    return (sqrt_density(lg, spec.c2) - sqrt_density(lg, spec.c1)
-            + z_value(lg, spec.c2, orders) - z_value(lg, spec.c1, orders))
+
+
+def mean(spec: RaceSpec) -> int:
+    """Exact integer mean of X for the race, per the limiting formula."""
+    _check_defined(spec)
+    return level_data(spec.scenario, spec.level).mean(spec.c1, spec.c2)
 
 
 def weights(spec: RaceSpec) -> dict[str, float]:
     """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles."""
-    if not spec.is_defined():
-        raise RaceUndefinedError(
-            f"race undefined: fused classes coincide for ({spec.c1}, {spec.c2})")
+    _check_defined(spec)
     g = spec.group
-    f1, f2 = spec.fused_pair()
-    out: dict[str, float] = {}
-    for cid in character_ids(g):
-        diff = sub(character_value(g, cid, f2), character_value(g, cid, f1))
-        out[cid] = abs(diff.to_complex())
-    return out
+    ids = character_ids(g)
+    rows, exps, coeffs = difference_terms(g, *spec.fused_pair())
+    values = complex_values(g.rotation_order, rows, exps, coeffs, len(ids))
+    return {cid: abs(v) for cid, v in zip(ids, values)}
 
 
 def variance(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
@@ -187,8 +227,9 @@ def term_list(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
 
 def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
                         zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
-    """Materialize a RaceModel from an explicit mean and weight map; used by
-    term_list and by ad-hoc races built outside the two families."""
+    """Materialize a RaceModel from an explicit mean and weight map; the
+    drivers pass the mean and weights they already hold, and ad-hoc races
+    built outside the two families use it directly."""
     chunks: list[np.ndarray] = []
     for cid in sorted(weight_map):
         wv = weight_map[cid]
@@ -282,27 +323,26 @@ class MeanRow:
 def mean_table(family: str, n: int, level: int, w_axiom: int) -> list[MeanRow]:
     """Exact means for every unordered class pair at the level, with the
     published value alongside and a status flag; the undefined pair is
-    reported, never skipped."""
+    reported, never skipped.  Every formula mean is checked against the
+    closed form; a disagreement raises InternalInconsistencyError."""
     kind = GroupKind(family, n)
     group = Group(kind)
     labels = group.level(level).class_labels()
+    fused = [group.class_fusion(level, lab) for lab in labels]
+    data = level_data(_table_scenario(kind, w_axiom), level)
     rows: list[MeanRow] = []
-    orders = None
-    scen = _table_scenario(kind, w_axiom)
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
             c1, c2 = labels[a], labels[b]
-            spec = RaceSpec(scen, level, c1, c2)
-            if not spec.is_defined():
+            if fused[a] == fused[b]:
                 rows.append(MeanRow(c1, c2, None, None, STATUS_UNDEFINED))
                 continue
-            if orders is None:
-                orders = level_orders(scen, level)
-            lg = spec.level_group
-            formula = (sqrt_density(lg, c2) - sqrt_density(lg, c1)
-                       + z_value(lg, c2, orders) - z_value(lg, c1, orders))
+            formula = data.mean(c1, c2)
             closed = race_mean_closed_form(kind, w_axiom, level, c1, c2)
-            assert closed == formula, (c1, c2, closed, formula)
+            if closed != formula:
+                raise InternalInconsistencyError(
+                    f"mean engine self-check failed at level {level}: closed "
+                    f"form {closed} != formula {formula} for ({c1}, {c2})")
             pub = published_mean(kind, w_axiom, level, c1, c2)
             status = STATUS_MATCH if pub == formula else STATUS_OPEN_QUESTION
             rows.append(MeanRow(c1, c2, formula, pub, status))

@@ -133,3 +133,30 @@ def test_sandwich_cli_smoke(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["population_bias_above_1"] == 2
     assert payload["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--id", "esp-q", "--n", "30"],
+    ["table", "--id", "esp-q", "--n", "2"],
+    ["table", "--id", "esp-d", "--n", "11"],
+    ["tower", "--n", "2"],
+    ["tower", "--family", "dihedral", "--n", "13"],
+])
+def test_out_of_range_n_exits_2_with_a_message(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must satisfy 3 <= n <= " in captured.err
+
+
+def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
+    # mean_table compares every formula mean with the closed form; the
+    # check raises rather than asserts, so it also holds under python -O
+    from chebrace import races
+
+    monkeypatch.setattr(races, "race_mean_closed_form",
+                        lambda *args: 12345)
+    assert cli.main(["table", "--id", "esp-q", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closed form 12345 != formula" in captured.err

@@ -1,0 +1,36 @@
+"""Golden reports: the stdout JSON of a few small CLI runs, pinned by sha256.
+
+The digests were taken before the exact layer moved to integer exponent
+arrays, so a refactor of the mean/weight engine that changes any integer,
+float or key of these reports fails here.  Regenerate a digest only for a
+change that is meant to alter the report, and say so where the change is
+recorded.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from chebrace import cli
+
+GOLDEN = [
+    (["table", "--id", "esp-q", "--n", "6"],
+     "f0dbbb6147603d84c216626395c499d45f46e79fe9188f2acb35586050b1e0bd"),
+    (["table", "--id", "esp-d", "--n", "6"],
+     "bced34938a12446b28b5c33bd6aa7340f28a739a0fdf4be20cdf6a0f70ef574a"),
+    (["tower", "--family", "quaternion", "--n", "5", "--w", "-1", "--seed", "0"],
+     "c51069af8e7077320f5023290e2ff23d2a61b8d1b59e92d66a827780c95c03ea"),
+    (["tower", "--family", "dihedral", "--n", "5", "--seed", "0"],
+     "c650545641372d132f201cb93e9b0ed6bf8c391f23d50af2e10de6a9be4ab1e7"),
+    (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
+      "--samples", "2000", "--seed", "0"],
+     "58d59070af359b2919977c19de36e98da52c309189166dffe0b43fd4ce98979c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_report_digest(argv, digest, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

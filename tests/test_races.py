@@ -46,8 +46,10 @@ from chebrace.races import (
     weights,
     write_mean_table_csv,
     z_value,
+    z_values,
 )
 from chebrace.zeros import ZeroCountModel, ZeroSet, b0, sample_zero_set
+from oracles import weights_cyclo, z_value_cyclo
 
 FAMILIES = (DIHEDRAL, "quaternion")
 
@@ -167,6 +169,41 @@ def test_z_value_exact_integers():
     assert z_value(group, power(1), orders) == 0
     assert z_value(group, FLIP_EVEN, orders) == 0
     assert z_value(group, ONE, {"psi_1": 0, "chi1": 0}) == 0
+    # psi_1(power(1)) = zeta_8 + zeta_8^-1 = sqrt(2): not a rational integer
+    with pytest.raises(ValueError, match="not a rational integer"):
+        z_value(build_group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+def test_array_path_matches_cyclo_oracle(family, n):
+    # every label's z at every level (both W), and the weights of every
+    # top-level pair, which covers every fused pair of the lower levels
+    for w in (+1, -1):
+        scen = _scen(family, n, w)
+        for level in range(3, n + 1):
+            lg = scen.group.level(level)
+            orders = level_orders(scen, level)
+            labels = lg.class_labels()
+            assert z_values(lg, labels, orders) == [
+                z_value_cyclo(lg, lab, orders) for lab in labels]
+    labels = scen.group.class_labels()
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            spec = RaceSpec(scen, n, labels[a], labels[b])
+            got, want = weights(spec), weights_cyclo(spec)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def test_non_integer_z_raises_on_both_paths():
+    # orders not constant on the Galois orbit {psi_1, psi_3}
+    group = build_group(GroupKind("quaternion", 5))
+    orders = {"psi_1": 1, "psi_3": 2}
+    for z in (z_value_cyclo, z_value):
+        with pytest.raises(ValueError, match="not a rational integer"):
+            z(group, power(1), orders)
+    assert z_value(group, MINUS_ONE, orders) == -12
 
 
 def test_weights_structure_for_the_central_pair():
