@@ -8,7 +8,13 @@ phi(t) = e^(i mean t) prod_j J0(r_j t) via the Gil-Pelaez formula
     delta = 1/2 + (1/pi) Integral_0^inf Im(phi(t))/t dt.
 
 Both are deterministic (per seed / per quadrature settings) and report
-explicit error budgets.  The bound calculators implement the central-limit
+explicit error budgets.  The Monte Carlo kernel splits the pairs into chunks
+whose size depends only on the term count; chunk k draws from its own
+generator seeded by (salt, seed, k), so its noise does not depend on which
+worker thread runs it, and its indicator sums are exact (every antithetic
+indicator is 0, 1/2 or 1).  The estimate and its interval therefore depend
+only on (seed, samples), never on the worker count, the completion order or
+the block size.  The bound calculators implement the central-limit
 estimate and the exponential tail bounds in terms of the bias factor
 B = mean/sqrt(Var X), including the Montgomery-Odlyzko two-regime primitive
 and the Q factor built from character-degree data.
@@ -16,11 +22,13 @@ and the Q factor built from character-degree data.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0
 
 from .characters import character_degree
@@ -30,6 +38,9 @@ MONTECARLO = "montecarlo"
 FOURIER = "fourier"
 
 _MC_SALT = 0x5CE9A813
+# elements (256 KB of float64) drawn, transformed and reduced at a time, so
+# one block stays in the per-core cache between the passes
+_MC_BLOCK = 1 << 15
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 # Pinned default constants for the bound shapes; the source results are
@@ -52,14 +63,72 @@ class DensityEstimate:
     samples_or_nodes: int
 
     def __post_init__(self) -> None:
-        assert 0.0 <= self.value <= 1.0
-        assert self.error_bound >= 0.0
+        if not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"density must lie in [0, 1], got {self.value!r}")
+        if not self.error_bound >= 0.0:
+            raise ValueError(f"error bound must be >= 0, got {self.error_bound!r}")
 
 
-def _mc_chunk_pairs(n_terms: int) -> int:
-    """Deterministic chunk size (antithetic pairs per chunk) from the term
-    count; results must not depend on how work is split across workers."""
-    return max(128, (1 << 21) // max(n_terms, 1))
+def _mc_workers(n_chunks: int) -> int:
+    """Threads for the Monte Carlo chunks: the usable CPUs, at most one per
+    chunk."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_chunks))
+
+
+def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
+              index: int, take: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the antithetic indicator y and of y^2, per mean, over one
+    chunk of `take` pairs.
+
+    The chunk's uniforms are drawn block by block from its own generator,
+    which yields the same numbers as one (take, terms) draw.  Each row's
+    sum is numpy's pairwise sum over that row alone, so S does not depend
+    on the block size; BLAS is avoided because its dot order depends on the
+    matrix shape and its own thread pool contends with the workers.  Runs
+    on a worker thread: numpy only, which releases the interpreter lock.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([salt, seed, index]))
+    rows = max(1, _MC_BLOCK // terms.size)
+    buf = np.empty((min(rows, take), terms.size))
+    s = np.empty(take)
+    for start in range(0, take, rows):
+        block = buf[:min(rows, take - start)]
+        rng.random(out=block)
+        np.multiply(block, 2.0 * np.pi, out=block)
+        np.cos(block, out=block)
+        np.multiply(block, terms, out=block)
+        np.sum(block, axis=1, out=s[start:start + len(block)])
+    # pair (U, U + 1/2) gives (m + S, m - S): one noise draw decides every mean
+    y = 0.5 * ((s[:, None] + means > 0.0).astype(float)
+               + (means - s[:, None] > 0.0).astype(float))
+    return y.sum(axis=0), (y * y).sum(axis=0)
+
+
+def _mc_race(terms: np.ndarray, means: list[float], n_pairs: int, seed: int,
+             salt: int, chunk_floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(mean + S > 0) for each mean from one shared set of n_pairs
+    antithetic pairs, and the 99% normal half-width of each estimate.
+
+    Chunks hold max(chunk_floor, 2^21 / terms) pairs and run on a thread
+    pool; their sums are exact, so neither the split nor the order in which
+    chunks finish can change the result.
+    """
+    m = np.asarray(means, dtype=float)
+    chunk = max(chunk_floor, (1 << 21) // max(terms.size, 1))
+    takes = [min(chunk, n_pairs - start) for start in range(0, n_pairs, chunk)]
+    with ThreadPoolExecutor(_mc_workers(len(takes))) as pool:
+        parts = list(pool.map(
+            lambda k, take: _mc_chunk(terms, m, salt, seed, k, take),
+            range(len(takes)), takes))
+    sums = sum(p[0] for p in parts)
+    sumsq = sum(p[1] for p in parts)
+    deltas = sums / n_pairs
+    var_y = np.maximum(sumsq / n_pairs - deltas * deltas, 0.0)
+    return deltas, Z99 * np.sqrt(var_y / n_pairs)
 
 
 def density_montecarlo(model: RaceModel, samples: int, seed: int) -> DensityEstimate:
@@ -77,26 +146,11 @@ def density_montecarlo(model: RaceModel, samples: int, seed: int) -> DensityEsti
     if terms.size == 0:
         raise ValueError("empty term list")
     n_pairs = samples // 2
-    chunk = _mc_chunk_pairs(terms.size)
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    index = 0
-    mean = float(model.mean)
-    while done < n_pairs:
-        take = min(chunk, n_pairs - done)
-        rng = np.random.default_rng(np.random.SeedSequence([_MC_SALT, seed, index]))
-        u = rng.random((take, terms.size))
-        x = mean + np.cos(2.0 * np.pi * u) @ terms
-        y = 0.5 * ((x > 0.0).astype(float) + ((2.0 * mean - x) > 0.0))
-        s1 += float(y.sum())
-        s2 += float((y * y).sum())
-        done += take
-        index += 1
-    value = s1 / n_pairs
-    var_y = max(s2 / n_pairs - value * value, 0.0)
-    ci = Z99 * math.sqrt(var_y / n_pairs)
-    return DensityEstimate(min(max(value, 0.0), 1.0), MONTECARLO, ci, 2 * n_pairs)
+    deltas, cis = _mc_race(terms, [float(model.mean)], n_pairs, seed,
+                           _MC_SALT, 128)
+    value = float(deltas[0])
+    return DensityEstimate(min(max(value, 0.0), 1.0), MONTECARLO,
+                           float(cis[0]), 2 * n_pairs)
 
 
 def _envelope_tail(terms: np.ndarray, t: float) -> float:
@@ -155,13 +209,16 @@ def density_fourier(model: RaceModel, t_max: float | None = None,
     def integrand(t: float) -> float:
         return float(np.prod(j0(terms * t))) / t
 
-    integral, quad_err = quad(integrand, eps, t_max, weight="sin", wvar=m,
-                              limit=nodes, epsabs=1e-11, epsrel=1e-11)
+    integral, quad_err, info, *message = quad(
+        integrand, eps, t_max, weight="sin", wvar=m, limit=nodes,
+        epsabs=1e-11, epsrel=1e-11, full_output=1)
+    if message:  # full_output returns QUADPACK's warning instead of issuing it
+        warnings.warn(message[0], IntegrationWarning)
     half_gap = (series + integral) / math.pi
     budget = (series_err + quad_err + tail) / math.pi
     value_pos = min(max(0.5 + half_gap, 0.0), 1.0)
     value = value_pos if model.mean > 0 else 1.0 - value_pos
-    return DensityEstimate(value, FOURIER, budget, nodes)
+    return DensityEstimate(value, FOURIER, budget, info["neval"])
 
 
 def clt_estimate(bias: float, variance: float) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .arithmetic import (
 )
 from .characters import character_degree, character_ids, sr_partition
 from .density import (
-    Z99,
+    _mc_race,
     bound_report,
     density_fourier,
     density_montecarlo,
@@ -90,6 +90,12 @@ UNDETERMINED = "undetermined"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def _check_mc_samples(samples: int) -> None:
+    """density_montecarlo's floor, checked before any work is done."""
+    if samples < 10_000:
+        raise ConfigError(f"samples must be at least 10000, got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +691,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         raise ConfigError("f_values must be positive and strictly increasing")
     if w_axiom not in (+1, -1):
         raise ConfigError("w_axiom must be +1 or -1")
+    _check_mc_samples(samples)
     rows = []
     for index, f in enumerate(fs):
         scen = horizontal_scenario(index, float(f), w_axiom)
@@ -838,6 +845,8 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
         w_axiom = +1
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
+    if not 3 <= n <= 20:
+        raise ConfigError(f"n must satisfy 3 <= n <= 20, got {n}")
     scen = scenario_generator(family, n, w_axiom, seed)
     levels = list(range(3, n + 1))
     specs = {i: RaceSpec(scen, i, ONE, MINUS_ONE) for i in levels}
@@ -850,32 +859,11 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
     sets = provision_zero_sets(scen, needed, seed, t_max=t_max)
     model = assemble_race_model(means[n], w_map, sets)
-    terms = model.terms
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
-    m_vec = np.array([float(means[i]) for i in levels])
-    n_pairs = max(samples // 2, 1)
-    chunk = max(16, (1 << 21) // max(terms.size, 1))
-    sums = np.zeros(len(levels))
-    sumsq = np.zeros(len(levels))
-    done = 0
-    index = 0
-    while done < n_pairs:
-        take = min(chunk, n_pairs - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([_SHARED_MC_SALT, seed, index]))
-        u = rng.random((take, terms.size))
-        s = np.cos(2.0 * np.pi * u) @ terms
-        # one shared noise draw decides every level: y = P(S > -m) symmetrized
-        y = 0.5 * ((s[:, None] + m_vec[None, :] > 0.0).astype(float)
-                   + (m_vec[None, :] - s[:, None] > 0.0).astype(float))
-        sums += y.sum(axis=0)
-        sumsq += (y * y).sum(axis=0)
-        done += take
-        index += 1
-    deltas = sums / n_pairs
-    var_y = np.maximum(sumsq / n_pairs - deltas * deltas, 0.0)
-    cis = Z99 * np.sqrt(var_y / n_pairs)
+    # one shared noise draw decides every level
+    deltas, cis = _mc_race(model.terms, [float(means[i]) for i in levels],
+                           max(samples // 2, 1), seed, _SHARED_MC_SALT, 16)
 
     per_level = [{"level": i, "mean": means[i],
                   "delta_mc": float(deltas[k]), "ci": float(cis[k])}
@@ -990,6 +978,9 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
     """Tail-bound calibration: synthetic tower races aimed at bias factors
     in (1, 2.6); for each, the MC estimate of 1 - delta must lie between
     lower_bound and upper_bound with the pinned constants."""
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
+    _check_mc_samples(samples)
     rows = []
     inside = 0
     population = 0
@@ -1129,8 +1120,7 @@ class ExperimentConfig:
             raise ConfigError(f"w_axiom must be +1 or -1, got {self.w_axiom}")
         if self.level is not None and not 3 <= self.level <= self.n:
             raise ConfigError(f"level must satisfy 3 <= level <= n, got {self.level}")
-        if self.samples < 10_000:
-            raise ConfigError("samples must be at least 10000")
+        _check_mc_samples(self.samples)
         if self.zero_source not in ("synthetic", "files"):
             raise ConfigError(f"zero_source must be synthetic or files, got {self.zero_source!r}")
         if self.zero_source == "files":

@@ -160,3 +160,19 @@ def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "closed form 12345 != formula" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["horizontal", "--f-values", "1,2", "--samples", "5000"],
+     "samples must be at least 10000, got 5000"),
+    (["sandwich", "--count", "2", "--samples", "5000"],
+     "samples must be at least 10000, got 5000"),
+    (["sandwich", "--count", "0"], "count must be at least 1, got 0"),
+    (["monotonicity", "--n", "2"], "n must satisfy 3 <= n <= 20, got 2"),
+    (["monotonicity", "--n", "21"], "n must satisfy 3 <= n <= 20, got 21"),
+])
+def test_bad_monte_carlo_inputs_exit_2_with_a_message(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from chebrace import density
 from chebrace.density import (
     A1_DEFAULT,
     C1_DEFAULT,
@@ -25,8 +27,11 @@ from chebrace.density import (
     truncation_shift_bound,
     upper_bound,
 )
-from chebrace.races import assemble_race_model
+from chebrace.experiments import _SHARED_MC_SALT
+from chebrace.races import RaceModel, assemble_race_model
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
+
+from oracles import density_montecarlo_loop, shared_mc_loop
 
 
 def _zs(cid, ordinates, t_max=None):
@@ -228,10 +233,75 @@ def test_truncation_shift_bound():
 
 
 def test_density_estimate_validation():
-    with pytest.raises(AssertionError):
-        DensityEstimate(1.5, FOURIER, 0.0, 10)
-    with pytest.raises(AssertionError):
-        DensityEstimate(0.5, FOURIER, -0.1, 10)
+    # raised ValueErrors, not asserts, so the checks hold under python -O
+    for value, error_bound in [(1.5, 0.0), (-0.1, 0.0), (math.nan, 0.0),
+                               (0.5, -0.1), (0.5, math.nan)]:
+        with pytest.raises(ValueError):
+            DensityEstimate(value, FOURIER, error_bound, 10)
     est = DensityEstimate(0.25, MONTECARLO, 0.01, 10000)
     assert est.value == 0.25
     assert Z99 > 2.5
+
+
+def _amplitude_model(mean_value, n_terms, scale, seed):
+    terms = np.sort(np.random.default_rng(seed).random(n_terms) * scale)[::-1] + 1e-3
+    variance = 0.5 * float(np.sum(terms * terms))
+    return RaceModel(mean_value, variance, mean_value / math.sqrt(variance),
+                     terms, {})
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# (mean, terms, amplitude scale, samples): three chunks with a partial last
+# one, for both signs of the mean; one partial chunk at mean 0; forty chunks
+# of the 128-pair floor (past 16384 terms), the last one partial
+MC_CASES = [(2, 300, 0.3, 30_000), (-1, 301, 0.3, 30_002), (0, 300, 0.3, 10_000),
+            (3, 16_400, 0.05, 10_000)]
+
+
+@pytest.mark.parametrize("mean_value,n_terms,scale,samples", MC_CASES)
+def test_mc_kernel_matches_single_thread_loop(monkeypatch, mean_value, n_terms,
+                                              scale, samples):
+    model = _amplitude_model(mean_value, n_terms, scale, seed=n_terms)
+    want = density_montecarlo_loop(model, samples, seed=7)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        got = density_montecarlo(model, samples, seed=7)
+        assert _hex([got.value, got.error_bound]) == \
+            _hex([want.value, want.error_bound]), workers
+        assert got.samples_or_nodes == want.samples_or_nodes
+
+
+# (terms, amplitude scale, samples): four chunks with a partial last one;
+# three chunks of the 16-pair floor (past 131072 terms), partial last
+SHARED_CASES = [(3000, 0.1, 5001), (140_000, 0.01, 66)]
+
+
+@pytest.mark.parametrize("n_terms,scale,samples", SHARED_CASES)
+def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
+                                                    samples):
+    terms = _amplitude_model(0, n_terms, scale, seed=n_terms).terms
+    level_means = [-4.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
+    want_deltas, want_cis = shared_mc_loop(terms, level_means, samples, 11)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        deltas, cis = density._mc_race(terms, level_means, max(samples // 2, 1),
+                                       11, _SHARED_MC_SALT, 16)
+        assert _hex(deltas) == _hex(want_deltas), workers
+        assert _hex(cis) == _hex(want_cis), workers
+
+
+def test_fourier_reports_integrand_evaluations(monkeypatch):
+    model = _synthetic_model(2, {"psi_1": 2.0, "psi_2": 4.0})
+    calls = []
+
+    def counted_j0(x):
+        calls.append(1)
+        return special.j0(x)
+
+    monkeypatch.setattr(density, "j0", counted_j0)
+    est = density_fourier(model)
+    assert est.samples_or_nodes == len(calls) > 0
+    assert est.samples_or_nodes != 2000
