@@ -23,7 +23,7 @@ import numpy as np
 
 from .characters import character_degree, character_ids, character_value, is_symplectic
 from .cyclotomic import add, cyclo_int, cyclo_zero
-from .groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind, build_group
+from .groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 
 LOG5 = math.log(5.0)
 LOG7 = math.log(7.0)
@@ -83,7 +83,7 @@ class RamificationData:
         ps = [rp.p for rp in self.primes]
         if len(set(ps)) != len(ps):
             raise ValueError(f"ramified primes must be distinct: {ps}")
-        group = build_group(self.kind)
+        group = Group(self.kind)
         for rp in self.primes:
             if rp.inertia == group.identity():
                 raise ValueError(f"inertia at {rp.p} is trivial; prime not ramified")
@@ -199,7 +199,7 @@ def vanishing_orders(kind: GroupKind, w_axiom: int, i: int) -> dict[str, int]:
     independence axiom: W = -1 sends every symplectic character of the level
     to 2^(n-i), everything else (and the whole dihedral family) to 0."""
     assert w_axiom in (+1, -1)
-    group = build_group(kind)
+    group = Group(kind)
     if not 3 <= i <= kind.n:
         raise ValueError(f"level must satisfy 3 <= i <= {kind.n}, got {i}")
     level_ids = character_ids(group.level(i))
@@ -242,14 +242,16 @@ class ArithmeticScenario:
     regime: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        assert self.w_axiom in (+1, -1)
-        if self.kind.family == DIHEDRAL:
-            assert self.w_axiom == +1, "dihedral scenarios carry W = +1 vacuously"
-        assert self.log_disc > 0.0
+        if self.w_axiom not in (+1, -1):
+            raise ValueError(f"w_axiom must be +1 or -1, got {self.w_axiom!r}")
+        if self.kind.family == DIHEDRAL and self.w_axiom != +1:
+            raise ValueError("dihedral scenarios carry W = +1 vacuously")
+        if not self.log_disc > 0.0:
+            raise ValueError(f"log_disc must be positive, got {self.log_disc!r}")
 
     @property
     def group(self) -> Group:
-        return build_group(self.kind)
+        return Group(self.kind)
 
     def log_conductor(self, cid: str) -> float:
         group = self.group
@@ -273,7 +275,7 @@ class ArithmeticScenario:
 def explicit_scenario(ram: RamificationData, w_axiom: int = +1,
                       order_overrides: Mapping[str, int] | None = None) -> ArithmeticScenario:
     """Scenario with literal primes; log_disc is the exact conductor-discriminant value."""
-    group = build_group(ram.kind)
+    group = Group(ram.kind)
     disc = conductor_discriminant(group, ram)
     log_disc = sum(n * math.log(p) for p, n in disc.items())
     primes = tuple(
@@ -298,7 +300,7 @@ def _random_nonidentity(rng: np.random.Generator, group: Group) -> Element:
 def random_ramification(kind: GroupKind, seed: int, count: int = 2) -> RamificationData:
     """Randomized explicit tame data: distinct small odd primes, random cyclic inertia."""
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE9A810, seed]))
-    group = build_group(kind)
+    group = Group(kind)
     chosen = rng.choice(len(_SMALL_ODD_PRIMES), size=count - 1, replace=False)
     ps = [5] + [_SMALL_ODD_PRIMES[int(c)] for c in chosen]
     return RamificationData(
@@ -321,7 +323,7 @@ def scenario_generator(family: str, n: int, w_axiom: int, seed: int,
     if family == DIHEDRAL:
         w_axiom = +1
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE9A811, seed]))
-    group = build_group(kind)
+    group = Group(kind)
     g5 = _random_nonidentity(rng, group)
     gp = _random_nonidentity(rng, group)
     e5 = inertia_order(group, g5)
@@ -353,7 +355,7 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
     # flip inertia: n(psi) = 2, n(chi1) = n(chi3) = 1, so log|d| = 3 log A(psi) / ...
     gen = Element(0, 1)
     log_p = log_a_psi / 2.0
-    group = build_group(kind)
+    group = Group(kind)
     log_disc = sum(
         character_degree(cid) * conductor_exponent(group, cid, gen) * log_p
         for cid in character_ids(group)

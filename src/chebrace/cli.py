@@ -97,7 +97,14 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     return _emit(tower_experiment(args.family, args.n, args.w, args.seed), args)
 
 
+def _check_t_max(t_max: float) -> None:
+    """sample_zero_set's horizon floor, checked before any work is done."""
+    if not t_max >= 1.0:
+        raise ConfigError(f"--t-max must be at least 1, got {t_max}")
+
+
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
+    _check_t_max(args.t_max)
     return _emit(monotonicity_experiment(args.family, args.n, args.epsilon,
                                          args.w, args.seed,
                                          samples=args.samples,
@@ -105,17 +112,25 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_sandwich(args: argparse.Namespace) -> int:
+    _check_t_max(args.t_max)
     return _emit(sandwich_experiment(count=args.count, seed=args.seed,
                                      samples=args.samples,
                                      t_max=args.t_max), args)
 
 
 def _cmd_mod4(args: argparse.Namespace) -> int:
+    if args.zero_file is None:
+        _check_t_max(args.t_max)
     return _emit(mod4_experiment(zero_file=args.zero_file, seed=args.seed,
                                  t_max=args.t_max, nodes=args.nodes), args)
 
 
 def _cmd_zeros_gen(args: argparse.Namespace) -> int:
+    if not args.log_conductor >= 0:
+        raise ConfigError(f"--log-conductor must be >= 0, got {args.log_conductor}")
+    if args.degree < 1:
+        raise ConfigError(f"--degree must be at least 1, got {args.degree}")
+    _check_t_max(args.t_max)
     model = ZeroCountModel(args.log_conductor, args.degree)
     zs = sample_zero_set(model, args.t_max, args.seed,
                          character_id=args.character_id)

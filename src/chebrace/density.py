@@ -25,7 +25,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -176,9 +176,9 @@ def density_fourier(model: RaceModel, t_max: float | None = None,
     removable singularity at 0 is handled by a series segment; the main
     segment uses oscillatory-weighted adaptive quadrature; the tail beyond
     t_max is bounded by the Bessel envelope and added to the error budget.
-    A mean of zero short-circuits to exactly 1/2, and negative means are
-    computed as the exact complement of the mirrored race, so flipping the
-    mean maps delta to 1 - delta identically.
+    A mean of zero short-circuits to exactly 1/2, and a negative mean is the
+    ``complement`` of the mirrored race, so flipping the mean maps delta to
+    1 - delta identically.
     """
     terms = model.terms
     if terms.size == 0:
@@ -216,9 +216,18 @@ def density_fourier(model: RaceModel, t_max: float | None = None,
         warnings.warn(message[0], IntegrationWarning)
     half_gap = (series + integral) / math.pi
     budget = (series_err + quad_err + tail) / math.pi
-    value_pos = min(max(0.5 + half_gap, 0.0), 1.0)
-    value = value_pos if model.mean > 0 else 1.0 - value_pos
-    return DensityEstimate(value, FOURIER, budget, info["neval"])
+    est = DensityEstimate(min(max(0.5 + half_gap, 0.0), 1.0), FOURIER, budget,
+                          info["neval"])
+    return est if model.mean > 0 else complement(est)
+
+
+def complement(estimate: DensityEstimate) -> DensityEstimate:
+    """The estimate for the mirrored race, mean -> -mean.
+
+    The oscillation part is symmetric and has no atom at 0, so delta maps
+    to exactly 1 - delta; the error budget and node count carry over.
+    """
+    return replace(estimate, value=1.0 - estimate.value)
 
 
 def clt_estimate(bias: float, variance: float) -> tuple[float, float]:

@@ -31,8 +31,10 @@ from .arithmetic import (
 )
 from .characters import character_degree, character_ids, sr_partition
 from .density import (
+    DensityEstimate,
     _mc_race,
     bound_report,
+    complement,
     density_fourier,
     density_montecarlo,
     q_factor,
@@ -755,39 +757,50 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     labels = group.class_labels()
     kind = GroupKind(family, n)
     data = level_data(scen, n)
+    pairs = [(labels[a], labels[b]) for a in range(len(labels))
+             for b in range(a + 1, len(labels))]
+    means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
+    # The zero sets are fixed for the call, so pairs with equal weight maps
+    # have equal terms: one model per weight map, alive only while its pairs
+    # are done, and one inversion per (|mean|, weight map).
+    by_weights: dict[tuple, list[int]] = {}
+    for i, (c1, c2) in enumerate(pairs):
+        w_map = weights(RaceSpec(scen, n, c1, c2))
+        by_weights.setdefault(tuple(sorted(w_map.items())), []).append(i)
     sets: dict[str, ZeroSet] = {}
+    biases = [0.0] * len(pairs)
+    estimates: list[DensityEstimate | None] = [None] * len(pairs)
+    for key, members in by_weights.items():
+        fresh = [cid for cid, wv in key if wv > 0 and cid not in sets]
+        sets.update(provision_zero_sets(scen, fresh, seed, min_count=min_zeros))
+        model = assemble_race_model(0, dict(key), sets)
+        sides: dict[int, DensityEstimate] = {}
+        for i in members:
+            m = means[i]
+            if abs(m) not in sides:
+                sides[abs(m)] = density_fourier(model.with_mean(abs(m)),
+                                                nodes=nodes)
+            biases[i] = model.with_mean(m).bias_factor
+            estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
     rows: list[dict] = []
     confirmed = True
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            c1, c2 = labels[a], labels[b]
-            spec = RaceSpec(scen, n, c1, c2)
-            m = data.mean(c1, c2)  # every pair is defined at the top level
-            pub = published_mean(kind, w_axiom, n, c1, c2)
-            w_map = weights(spec)
-            needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
-            fresh = [cid for cid in needed if cid not in sets]
-            sets.update(provision_zero_sets(scen, fresh, seed,
-                                            min_count=min_zeros))
-            model = assemble_race_model(m, w_map, sets)
-            est = density_fourier(model, nodes=nodes)
-            computed = classify_pair(m, n)
-            claim = expected_row(family, w_axiom, c1, c2)
-            row = {
-                "c1": str(c1), "c2": str(c2),
-                "mean_formula": m, "mean_published": pub,
-                "mean_status": STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION,
-                "bias_factor": model.bias_factor,
-                "delta_fourier": est.value,
-                "delta_fourier_budget": est.error_bound,
-                "computed_class": computed,
-                "published_class": claim["class"],
-            }
-            checked = _check_claim(row, claim, est)
-            row.update(checked)
-            if row["comparison"] == "fails":
-                confirmed = False
-            rows.append(row)
+    for (c1, c2), m, bias, est in zip(pairs, means, biases, estimates):
+        pub = published_mean(kind, w_axiom, n, c1, c2)
+        claim = expected_row(family, w_axiom, c1, c2)
+        row = {
+            "c1": str(c1), "c2": str(c2),
+            "mean_formula": m, "mean_published": pub,
+            "mean_status": STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION,
+            "bias_factor": bias,
+            "delta_fourier": est.value,
+            "delta_fourier_budget": est.error_bound,
+            "computed_class": classify_pair(m, n),
+            "published_class": claim["class"],
+        }
+        row.update(_check_claim(row, claim, est))
+        if row["comparison"] == "fails":
+            confirmed = False
+        rows.append(row)
     return {
         "experiment": "tabD" if family == DIHEDRAL else "tabQ",
         "family": family, "n": n, "w_axiom": w_axiom, "seed": seed,
@@ -843,10 +856,13 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     ordering over qualifying (i, j) pairs with CI separation."""
     if family == DIHEDRAL:
         w_axiom = +1
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not 3 <= n <= 20:
         raise ConfigError(f"n must satisfy 3 <= n <= 20, got {n}")
+    if samples < 2:
+        raise ConfigError(f"samples must be at least 2 (one antithetic pair), "
+                          f"got {samples}")
     scen = scenario_generator(family, n, w_axiom, seed)
     levels = list(range(3, n + 1))
     specs = {i: RaceSpec(scen, i, ONE, MINUS_ONE) for i in levels}
@@ -863,7 +879,7 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
 
     # one shared noise draw decides every level
     deltas, cis = _mc_race(model.terms, [float(means[i]) for i in levels],
-                           max(samples // 2, 1), seed, _SHARED_MC_SALT, 16)
+                           samples // 2, seed, _SHARED_MC_SALT, 16)
 
     per_level = [{"level": i, "mean": means[i],
                   "delta_mc": float(deltas[k]), "ci": float(cis[k])}

@@ -227,10 +227,6 @@ class Group:
         return label
 
 
-def build_group(kind: GroupKind) -> Group:
-    return Group(kind)
-
-
 def brute_force_fusion(group: Group, i: int, label: ClassLabel) -> ClassLabel:
     """Oracle: fuse by conjugating every embedded class member by every element."""
     level = group.level(i)

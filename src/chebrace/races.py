@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -215,8 +215,15 @@ class RaceModel:
     per_character_weights: dict[str, float]
 
     def __post_init__(self) -> None:
-        assert self.variance >= 0.0
-        assert self.terms.size == 0 or float(self.terms.min()) > 0.0
+        if not self.variance >= 0.0:
+            raise ValueError(f"variance must be >= 0, got {self.variance!r}")
+        if self.terms.size and not float(self.terms.min()) > 0.0:
+            raise ValueError("amplitudes must be positive")
+
+    def with_mean(self, mean_value: int) -> RaceModel:
+        """The same oscillation part with another mean."""
+        return replace(self, mean=mean_value,
+                       bias_factor=mean_value / math.sqrt(self.variance))
 
 
 def term_list(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet]) -> RaceModel:

@@ -8,6 +8,11 @@ floats.
 The two chunked Monte Carlo loops the shared kernel in ``chebrace.density``
 replaced: ``density_montecarlo``'s and ``monotonicity_experiment``'s.  Tests
 compare the kernel against them for bit-equal estimates and intervals.
+
+``tower_experiment``'s per-pair loop from before it shared one Fourier
+inversion among the rows with equal weights and equal |mean|: every row
+assembles its own model and runs its own ``density_fourier``.  Tests
+compare the driver against it for bit-equal densities and budgets.
 """
 from __future__ import annotations
 
@@ -16,12 +21,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids, character_value
 from chebrace.cyclotomic import add, cyclo_zero, scale, sub
-from chebrace.density import _MC_SALT, MONTECARLO, Z99, DensityEstimate
-from chebrace.experiments import _SHARED_MC_SALT
-from chebrace.groups import ClassLabel, Group
-from chebrace.races import RaceModel, RaceSpec, RaceUndefinedError
+from chebrace.density import _MC_SALT, MONTECARLO, Z99, DensityEstimate, density_fourier
+from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
+from chebrace.groups import DIHEDRAL, ClassLabel, Group
+from chebrace.races import (
+    RaceModel,
+    RaceSpec,
+    RaceUndefinedError,
+    assemble_race_model,
+    level_data,
+    weights,
+)
 
 
 def z_value_cyclo(level_group: Group, label: ClassLabel,
@@ -108,3 +121,34 @@ def shared_mc_loop(terms: np.ndarray, level_means: Sequence[float], samples: int
     var_y = np.maximum(sumsq / n_pairs - deltas * deltas, 0.0)
     cis = Z99 * np.sqrt(var_y / n_pairs)
     return deltas, cis
+
+
+def tower_rows_per_pair(family: str, n: int, w_axiom: int, seed: int,
+                        min_zeros: int = 64, nodes: int = 2000) -> list[dict]:
+    """The model and density fields of every ``tower_experiment`` row, one
+    ``assemble_race_model`` and one ``density_fourier`` per class pair."""
+    if family == DIHEDRAL:
+        w_axiom = +1
+    scen = scenario_generator(family, n, w_axiom, seed)
+    labels = scen.group.class_labels()
+    data = level_data(scen, n)
+    sets: dict = {}
+    rows = []
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            c1, c2 = labels[a], labels[b]
+            spec = RaceSpec(scen, n, c1, c2)
+            m = data.mean(c1, c2)
+            w_map = weights(spec)
+            needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
+            fresh = [cid for cid in needed if cid not in sets]
+            sets.update(provision_zero_sets(scen, fresh, seed,
+                                            min_count=min_zeros))
+            model = assemble_race_model(m, w_map, sets)
+            est = density_fourier(model, nodes=nodes)
+            rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
+                         "weights": tuple(sorted(w_map.items())),
+                         "bias_factor": model.bias_factor,
+                         "delta_fourier": est.value,
+                         "delta_fourier_budget": est.error_bound})
+    return rows

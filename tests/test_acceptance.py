@@ -49,8 +49,8 @@ from chebrace.groups import (
     DIHEDRAL,
     QUATERNION,
     Element,
+    Group,
     GroupKind,
-    build_group,
 )
 from chebrace.races import assemble_race_model
 from chebrace.zeros import ZeroCountModel, sample_zero_set
@@ -72,7 +72,7 @@ def test_criterion_1_character_theory_exactness(capsys):
     t0 = time.perf_counter()
     for family in (QUATERNION, DIHEDRAL):
         for n in range(3, 9):
-            group = build_group(GroupKind(family, n))
+            group = Group(GroupKind(family, n))
             table = character_table(group)
             labels = group.class_labels()
             assert len(labels) == (1 << (n - 2)) + 3
@@ -108,7 +108,7 @@ def test_criterion_2_induction_oracle(capsys):
     checked = 0
     for family in (QUATERNION, DIHEDRAL):
         for n in range(3, 7):
-            group = build_group(GroupKind(family, n))
+            group = Group(GroupKind(family, n))
             table = character_table(group)
             top = 1 << (n - 2)
             for i in range(3, n + 1):
@@ -174,7 +174,7 @@ def test_criterion_4_conductor_discriminant(capsys):
     for family in (QUATERNION, DIHEDRAL):
         for seed in range(100):
             kind = GroupKind(family, 3 + seed % 4)
-            group = build_group(kind)
+            group = Group(kind)
             ram = random_ramification(kind, seed=seed)
             disc = conductor_discriminant(group, ram)
             report = conductor_report(group, ram)
@@ -187,7 +187,7 @@ def test_criterion_4_conductor_discriminant(capsys):
                                                                 rp.inertia)
             scenarios += 1
     # order-8 quaternion single-prime patterns and the discriminant bracket
-    group = build_group(GroupKind(QUATERNION, 3))
+    group = Group(GroupKind(QUATERNION, 3))
     central = Element(2, 0)
     axes = (Element(1, 0), Element(0, 1), Element(1, 1))
     assert [conductor_exponent(group, cid, central)

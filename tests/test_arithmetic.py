@@ -29,7 +29,7 @@ from chebrace.arithmetic import (
     vanishing_orders,
 )
 from chebrace.characters import character_degree, character_ids, degree_two_matrices
-from chebrace.groups import DIHEDRAL, QUATERNION, Element, GroupKind, build_group
+from chebrace.groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 
@@ -37,7 +37,7 @@ FAMILIES = (DIHEDRAL, QUATERNION)
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_invariant_dimension_matches_averaging_oracle(family, n):
-    group = build_group(GroupKind(family, n))
+    group = Group(GroupKind(family, n))
     gens = [g for g in group.elements() if g != group.identity()]
     for gen in gens[:: max(1, len(gens) // 24)] + [Element(1, 0), Element(0, 1)]:
         for cid in character_ids(group):
@@ -49,7 +49,7 @@ def test_invariant_dimension_matches_averaging_oracle(family, n):
 def test_invariant_dimension_matches_matrix_rank_oracle(family):
     # projector P = (1/e) sum over the inertia subgroup of the matrix model;
     # dim of invariants is its trace
-    group = build_group(GroupKind(family, 5))
+    group = Group(GroupKind(family, 5))
     for gen in (Element(1, 0), Element(2, 0), Element(4, 0),
                 Element(0, 1), Element(3, 1)):
         e = inertia_order(group, gen)
@@ -70,7 +70,7 @@ def test_invariant_dimension_matches_matrix_rank_oracle(family):
 def test_conductor_discriminant_identity_on_random_scenarios(family, seed):
     n = 3 + seed % 4
     kind = GroupKind(family, n)
-    group = build_group(kind)
+    group = Group(kind)
     ram = random_ramification(kind, seed)
     disc = conductor_discriminant(group, ram)
     report = conductor_report(group, ram)
@@ -86,7 +86,7 @@ def test_conductor_discriminant_identity_on_random_scenarios(family, seed):
 
 
 def test_conductor_exponents_are_degree_minus_invariants():
-    group = build_group(GroupKind(QUATERNION, 4))
+    group = Group(GroupKind(QUATERNION, 4))
     for gen in group.elements():
         if gen == group.identity():
             continue
@@ -98,7 +98,7 @@ def test_conductor_exponents_are_degree_minus_invariants():
 
 
 def test_order_8_conductor_pattern_and_discriminant_bracket():
-    group = build_group(GroupKind(QUATERNION, 3))
+    group = Group(GroupKind(QUATERNION, 3))
     central = Element(2, 0)
     axes = (Element(1, 0), Element(0, 1), Element(1, 1))
     # central inertia ramifies only the two-dimensional character
@@ -158,8 +158,19 @@ def test_scenario_central_orders_and_overrides():
 def test_dihedral_scenarios_reject_w_minus_one():
     kind = GroupKind(DIHEDRAL, 4)
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="W = \\+1"):
         ArithmeticScenario(kind, -1, (vp,), 10.0, explicit=False)
+
+
+def test_scenario_checks_raise_value_errors():
+    # raised, not asserted, so they also hold under python -O
+    kind = GroupKind(QUATERNION, 4)
+    vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
+    with pytest.raises(ValueError, match="w_axiom"):
+        ArithmeticScenario(kind, 0, (vp,), 10.0, explicit=False)
+    for log_disc in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="log_disc"):
+            ArithmeticScenario(kind, -1, (vp,), log_disc, explicit=False)
 
 
 def test_virtual_prime_validation():
@@ -176,7 +187,7 @@ def test_explicit_scenario_log_disc_is_exact():
     ram = RamificationData(kind, (RamifiedPrime(5, Element(1, 0)),
                                   RamifiedPrime(7, Element(0, 1))))
     scen = explicit_scenario(ram)
-    group = build_group(kind)
+    group = Group(kind)
     expected = sum(
         character_degree(cid) * scen.log_conductor(cid)
         for cid in character_ids(group)
@@ -211,7 +222,7 @@ def test_horizontal_scenario_conductor_growth():
 
 
 def test_resolve_inertia_named_subgroups():
-    group = build_group(GroupKind(QUATERNION, 4))
+    group = Group(GroupKind(QUATERNION, 4))
     assert resolve_inertia(group, Element(3, 1)) == Element(3, 1)
     assert resolve_inertia(group, "rotation") == Element(1, 0)
     assert resolve_inertia(group, "center") == Element(4, 0)

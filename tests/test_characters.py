@@ -24,13 +24,13 @@ from chebrace.characters import (
     symplectic_value_sum,
 )
 from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul, scale
-from chebrace.groups import DIHEDRAL, QUATERNION, GroupKind, build_group
+from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 
 
 def _groups(ns):
-    return [build_group(GroupKind(f, n)) for f in FAMILIES for n in ns]
+    return [Group(GroupKind(f, n)) for f in FAMILIES for n in ns]
 
 
 @pytest.mark.parametrize("group", _groups((3, 4, 5)), ids=str)
@@ -84,7 +84,7 @@ def test_frobenius_schur_classification(group):
 
 
 def test_is_symplectic_closed_form_matches_quaternion_indicator():
-    group = build_group(GroupKind(QUATERNION, 5))
+    group = Group(GroupKind(QUATERNION, 5))
     table = character_table(group)
     for chi in table.characters:
         assert is_symplectic(chi.cid) == (frobenius_schur(table, chi) == -1)
@@ -102,7 +102,7 @@ def test_faithfulness_is_exactly_the_odd_psi_block(group):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_induction_matches_brute_force(family, n):
-    group = build_group(GroupKind(family, n))
+    group = Group(GroupKind(family, n))
     table = character_table(group)
     for i in range(3, n + 1):
         level = group.level(i)
@@ -117,7 +117,7 @@ def test_induction_matches_brute_force(family, n):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_frobenius_reciprocity(family):
     n = 5
-    group = build_group(GroupKind(family, n))
+    group = Group(GroupKind(family, n))
     level_i = 3
     level = group.level(level_i)
     for src in character_ids(level):
@@ -131,7 +131,7 @@ def test_frobenius_reciprocity(family):
 
 
 def test_induced_degree_bookkeeping():
-    group = build_group(GroupKind(QUATERNION, 6))
+    group = Group(GroupKind(QUATERNION, 6))
     for i in range(3, 7):
         for cid in character_ids(group.level(i)):
             dec = induce(group, i, cid)
@@ -154,7 +154,7 @@ def test_symplectic_value_sum_rejects_bad_arguments():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sr_partition_shapes(family):
-    group = build_group(GroupKind(family, 6))
+    group = Group(GroupKind(family, 6))
     for i in range(3, 6):
         sr = sr_partition(group, i)
         if i <= 4:
@@ -183,7 +183,7 @@ def test_sr_partition_shapes(family):
 
 
 def test_induced_blocks_of_the_shared_part_overlap():
-    group = build_group(GroupKind(QUATERNION, 6))
+    group = Group(GroupKind(QUATERNION, 6))
     for i in range(3, 6):
         comp = {cid: induce(group, i, cid).component_ids()
                 for cid in ("chi0", "chi1", "chi2", "chi3")}
@@ -199,7 +199,7 @@ def test_induced_blocks_of_the_shared_part_overlap():
 
 
 def test_restriction_of_trivial_character_is_trivial():
-    group = build_group(GroupKind(DIHEDRAL, 5))
+    group = Group(GroupKind(DIHEDRAL, 5))
     res = restrict(group, 3, "chi0")
     level = group.level(3)
     for lab in level.class_labels():
@@ -207,7 +207,7 @@ def test_restriction_of_trivial_character_is_trivial():
 
 
 def test_character_ids_enumeration():
-    g = build_group(GroupKind(QUATERNION, 4))
+    g = Group(GroupKind(QUATERNION, 4))
     assert character_ids(g) == ["chi0", "chi1", "chi2", "chi3",
                                 "psi_1", "psi_2", "psi_3"]
     assert character_degree("psi_3") == 2

@@ -170,9 +170,49 @@ def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
     (["sandwich", "--count", "0"], "count must be at least 1, got 0"),
     (["monotonicity", "--n", "2"], "n must satisfy 3 <= n <= 20, got 2"),
     (["monotonicity", "--n", "21"], "n must satisfy 3 <= n <= 20, got 21"),
+    (["monotonicity", "--n", "4", "--samples", "0"],
+     "samples must be at least 2 (one antithetic pair), got 0"),
+    (["monotonicity", "--n", "4", "--samples", "-7"],
+     "samples must be at least 2 (one antithetic pair), got -7"),
+    (["monotonicity", "--n", "4", "--epsilon", "nan"],
+     "epsilon must be positive, got nan"),
 ])
 def test_bad_monte_carlo_inputs_exit_2_with_a_message(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mod4", "--t-max", "0.5"], "--t-max must be at least 1, got 0.5"),
+    (["zeros", "gen", "--log-conductor", "-1"],
+     "--log-conductor must be >= 0, got -1.0"),
+    (["zeros", "gen", "--log-conductor", "nan"],
+     "--log-conductor must be >= 0, got nan"),
+    (["zeros", "gen", "--log-conductor", "6", "--degree", "0"],
+     "--degree must be at least 1, got 0"),
+    (["zeros", "gen", "--log-conductor", "6", "--t-max", "0.5"],
+     "--t-max must be at least 1, got 0.5"),
+    (["monotonicity", "--n", "4", "--t-max", "0.5"],
+     "--t-max must be at least 1, got 0.5"),
+    (["sandwich", "--count", "1", "--t-max", "0.5"],
+     "--t-max must be at least 1, got 0.5"),
+])
+def test_bad_zero_sampling_inputs_exit_2_with_a_message(argv, message, tmp_path,
+                                                        capsys):
+    out = tmp_path / "psi.txt"
+    if argv[0] == "zeros":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_monotonicity_smallest_sample_count(capsys):
+    assert cli.main(["monotonicity", "--family", "dihedral", "--n", "4",
+                     "--samples", "2", "--t-max", "16"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["samples"] == 2

@@ -19,6 +19,7 @@ from chebrace.density import (
     Z99,
     bound_report,
     clt_estimate,
+    complement,
     density_fourier,
     density_montecarlo,
     lower_bound,
@@ -58,6 +59,17 @@ def test_mean_zero_is_exactly_half_for_both_methods():
     assert mc.error_bound == 0.0  # antithetic pairs cancel exactly at mean 0
     assert mc.method == MONTECARLO
     assert mc.samples_or_nodes == 10000
+
+
+def test_fourier_negative_mean_is_the_bitwise_complement():
+    weight_map = {"chi1": 2.0, "psi_1": 4.0, "psi_2": 1.0}
+    for m in (1, 3, 8):
+        plus = density_fourier(_synthetic_model(m, weight_map))
+        minus = density_fourier(_synthetic_model(-m, weight_map))
+        assert minus.value.hex() == (1.0 - plus.value).hex()
+        assert minus.error_bound.hex() == plus.error_bound.hex()
+        assert minus.samples_or_nodes == plus.samples_or_nodes > 0
+        assert complement(plus) == minus
 
 
 def test_montecarlo_determinism_and_seed_sensitivity():

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from chebrace import density, experiments
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_degree, character_ids
 from chebrace.density import FOURIER, DensityEstimate
@@ -52,14 +53,16 @@ from chebrace.groups import (
     MINUS_ONE,
     ONE,
     QUATERNION,
+    Group,
     GroupKind,
-    build_group,
     power,
 )
 from chebrace.races import RaceSpec
 from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_zero_set
 
 import numpy as np
+
+from oracles import tower_rows_per_pair
 
 
 # -- claims data ---------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_class_tags_and_pair_ordering():
 
 
 def test_claims_cover_every_class_pair():
-    group = build_group(GroupKind(QUATERNION, 6))
+    group = Group(GroupKind(QUATERNION, 6))
     labels = group.class_labels()
     for family, w in ((DIHEDRAL, +1), (QUATERNION, +1), (QUATERNION, -1)):
         seen = set()
@@ -434,6 +437,55 @@ def test_tower_experiment_quaternion_minus_one():
     assert rows[("power(1)", "power(2)")]["comparison"] == "undetermined-in-source"
     assert rows[("one", "minus_one")]["comparison"] == "agrees"
     assert rows[("one", "minus_one")]["computed_class"] == EXTREME_TOWARD_0
+
+
+TOWER_CASES = [(family, n, w) for n in (3, 4, 5, 6)
+               for family, w in ((DIHEDRAL, 1), (QUATERNION, 1), (QUATERNION, -1))]
+
+
+@pytest.mark.parametrize("family,n,w", TOWER_CASES)
+def test_tower_shared_inversions_match_per_pair_oracle(family, n, w):
+    # one inversion per (|mean|, weights), complemented for negative means,
+    # must give every row the bits of its own per-pair inversion
+    report = tower_experiment(family, n, w, seed=3)
+    oracle = tower_rows_per_pair(family, n, w, seed=3)
+    assert len(report["rows"]) == len(oracle)
+    for row, want in zip(report["rows"], oracle):
+        assert (row["c1"], row["c2"]) == (want["c1"], want["c2"])
+        assert row["mean_formula"] == want["mean_formula"]
+        for field in ("bias_factor", "delta_fourier", "delta_fourier_budget"):
+            assert row[field].hex() == want[field].hex(), (row["c1"], row["c2"], field)
+    if n >= 5:  # the sharing is exercised: some rows repeat a model
+        sides = {(abs(r["mean_formula"]), r["weights"]) for r in oracle}
+        assert len(sides) < len(oracle)
+
+
+@pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
+def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch):
+    inverted = []
+    quadratures = []
+    real_fourier, real_quad = experiments.density_fourier, density.quad
+
+    def counted_fourier(model, **kwargs):
+        if model.mean != 0:
+            inverted.append((model.mean,
+                             tuple(sorted(model.per_character_weights.items()))))
+        return real_fourier(model, **kwargs)
+
+    def counted_quad(*args, **kwargs):
+        quadratures.append(1)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "density_fourier", counted_fourier)
+    monkeypatch.setattr(density, "quad", counted_quad)
+    tower_experiment(family, 6, w, seed=0)
+    runs = len(quadratures)
+    oracle = tower_rows_per_pair(family, 6, w, seed=0)
+    sides = {(abs(r["mean_formula"]), r["weights"])
+             for r in oracle if r["mean_formula"] != 0}
+    assert sorted(inverted) == sorted(sides)  # each once, positive side only
+    assert runs == len(sides)
+    assert sum(r["mean_formula"] != 0 for r in oracle) > len(sides)
 
 
 def test_tower_experiment_rejects_large_n():

@@ -16,12 +16,11 @@ from chebrace.groups import (
     Group,
     GroupKind,
     brute_force_fusion,
-    build_group,
     power,
 )
 
 FAMILIES = (DIHEDRAL, QUATERNION)
-SMALL = [build_group(GroupKind(f, n)) for f in FAMILIES for n in (3, 4, 5)]
+SMALL = [Group(GroupKind(f, n)) for f in FAMILIES for n in (3, 4, 5)]
 
 
 @pytest.mark.parametrize("group", SMALL, ids=str)
@@ -93,8 +92,8 @@ def test_square_root_count_matches_brute_force(group):
 
 
 def test_square_root_density_families_differ_at_center():
-    q = build_group(GroupKind(QUATERNION, 5))
-    d = build_group(GroupKind(DIHEDRAL, 5))
+    q = Group(GroupKind(QUATERNION, 5))
+    d = Group(GroupKind(DIHEDRAL, 5))
     # flips square to the central involution in one family, to 1 in the other
     assert q.square_root_count(MINUS_ONE) == 2 + q.rotation_order
     assert q.square_root_count(ONE) == 2
@@ -105,14 +104,14 @@ def test_square_root_density_families_differ_at_center():
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_class_fusion_matches_brute_force(family, n):
-    group = build_group(GroupKind(family, n))
+    group = Group(GroupKind(family, n))
     for i in range(3, n + 1):
         for lab in group.level(i).class_labels():
             assert group.class_fusion(i, lab) == brute_force_fusion(group, i, lab)
 
 
 def test_fusion_merges_exactly_the_flip_pair_below_the_top_level():
-    group = build_group(GroupKind(QUATERNION, 6))
+    group = Group(GroupKind(QUATERNION, 6))
     for i in range(3, 6):
         labels = group.level(i).class_labels()
         fused = [group.class_fusion(i, lab) for lab in labels]
@@ -125,7 +124,7 @@ def test_fusion_merges_exactly_the_flip_pair_below_the_top_level():
 
 
 def test_level_subgroup_embedding_is_a_homomorphism():
-    group = build_group(GroupKind(QUATERNION, 6))
+    group = Group(GroupKind(QUATERNION, 6))
     level = group.level(4)
     for g in level.elements():
         for h in level.elements():
@@ -140,13 +139,13 @@ def test_kind_validation():
     with pytest.raises(Exception):
         GroupKind("cyclic", 4)
     with pytest.raises(ValueError):
-        build_group(GroupKind(QUATERNION, 4)).level(2)
+        Group(GroupKind(QUATERNION, 4)).level(2)
 
 
 def test_element_orders():
-    q = build_group(GroupKind(QUATERNION, 3))
+    q = Group(GroupKind(QUATERNION, 3))
     assert q.element_order(Element(0, 1)) == 4  # quaternion flips have order 4
-    d = build_group(GroupKind(DIHEDRAL, 3))
+    d = Group(GroupKind(DIHEDRAL, 3))
     assert d.element_order(Element(0, 1)) == 2
     assert q.element_order(Element(1, 0)) == 4
     assert q.element_order(Element(2, 0)) == 2

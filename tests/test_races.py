@@ -22,12 +22,13 @@ from chebrace.groups import (
     MINUS_ONE,
     ONE,
     Element,
+    Group,
     GroupKind,
-    build_group,
     power,
 )
 from chebrace.races import (
     MeanRow,
+    RaceModel,
     RaceSpec,
     RaceUndefinedError,
     STATUS_MATCH,
@@ -162,7 +163,7 @@ def test_level_orders_agree_with_closed_form_vanishing_orders():
 
 
 def test_z_value_exact_integers():
-    group = build_group(GroupKind("quaternion", 3))
+    group = Group(GroupKind("quaternion", 3))
     orders = {"psi_1": 1}
     assert z_value(group, ONE, orders) == 4
     assert z_value(group, MINUS_ONE, orders) == -4
@@ -171,7 +172,7 @@ def test_z_value_exact_integers():
     assert z_value(group, ONE, {"psi_1": 0, "chi1": 0}) == 0
     # psi_1(power(1)) = zeta_8 + zeta_8^-1 = sqrt(2): not a rational integer
     with pytest.raises(ValueError, match="not a rational integer"):
-        z_value(build_group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
+        z_value(Group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -198,7 +199,7 @@ def test_array_path_matches_cyclo_oracle(family, n):
 
 def test_non_integer_z_raises_on_both_paths():
     # orders not constant on the Galois orbit {psi_1, psi_3}
-    group = build_group(GroupKind("quaternion", 5))
+    group = Group(GroupKind("quaternion", 5))
     orders = {"psi_1": 1, "psi_3": 2}
     for z in (z_value_cyclo, z_value):
         with pytest.raises(ValueError, match="not a rational integer"):
@@ -292,7 +293,7 @@ def test_assemble_race_model_coverage_errors():
 def test_published_mean_rule():
     kind = GroupKind(DIHEDRAL, 5)
     for level in (3, 4, 5):
-        group = build_group(kind).level(level)
+        group = Group(kind).level(level)
         labels = group.class_labels()
         for a in range(len(labels)):
             for b in range(len(labels)):
@@ -328,3 +329,23 @@ def test_mean_table_serializations():
     by_pair = {(r["c1"], r["c2"]): r for r in payload}
     assert by_pair[("one", "minus_one")]["mean_formula"] == 4 - 16
     assert isinstance(rows[0], MeanRow)
+
+
+def test_race_model_checks_raise_value_errors():
+    # raised, not asserted, so they also hold under python -O
+    terms = np.array([2.0, 1.0])
+    with pytest.raises(ValueError, match="variance"):
+        RaceModel(1, -1.0, 0.0, terms, {})
+    with pytest.raises(ValueError, match="variance"):
+        RaceModel(1, float("nan"), 0.0, terms, {})
+    with pytest.raises(ValueError, match="amplitudes"):
+        RaceModel(1, 2.5, 0.5, np.array([2.0, 0.0]), {})
+
+
+def test_with_mean_keeps_the_oscillation_part():
+    zs = sample_zero_set(ZeroCountModel(6.0, 2), 64.0, 1, "psi_1")
+    model = assemble_race_model(3, {"psi_1": 2.0}, {"psi_1": zs})
+    other = model.with_mean(-5)
+    assert other.terms is model.terms and other.variance == model.variance
+    want = assemble_race_model(-5, {"psi_1": 2.0}, {"psi_1": zs})
+    assert (other.mean, other.bias_factor.hex()) == (-5, want.bias_factor.hex())
