@@ -9,28 +9,24 @@ carry log sizes calibrated to the towers' discriminant growth, with the
 per-prime log treated as a real number.
 
 Conductor exponents use the tame formula n(chi, p) = chi(1) - dim V^I with
-the invariant dimension evaluated exactly as the average of chi over the
-inertia subgroup; degree-1 characters reduce to kernel membership of the
-generator.
+the invariant dimension in closed form (the tests check it against the
+average of chi over the inertia subgroup); degree-1 characters reduce to
+kernel membership of the generator.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .characters import character_degree, character_ids, character_value, is_symplectic
-from .cyclotomic import add, cyclo_int, cyclo_zero
+from .cyclotomic import cyclo_int
 from .groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 
 LOG5 = math.log(5.0)
 LOG7 = math.log(7.0)
-
-
-class ScenarioFormatError(ValueError):
-    pass
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -42,24 +38,6 @@ def _is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-def resolve_inertia(group: Group, spec: Element | str) -> Element:
-    """Accept a generator element or a named subgroup; reject non-cyclic names.
-
-    Tame inertia is cyclic, so the only named subgroups allowed are the
-    cyclic ones; asking for the full group (or any flip-containing subgroup
-    beyond a single generator) is an error.
-    """
-    if isinstance(spec, Element):
-        return spec
-    if spec == "rotation":
-        return Element(1, 0)
-    if spec == "center":
-        return Element(1 << (group.n - 2), 0)
-    if spec in ("full", "klein"):
-        raise ValueError(f"inertia {spec!r} is not cyclic; tame inertia must be cyclic")
-    raise ValueError(f"unknown inertia spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -91,25 +69,6 @@ class RamificationData:
 
 def inertia_order(group: Group, generator: Element) -> int:
     return group.element_order(generator)
-
-
-def invariant_dimension_average(group: Group, cid: str, generator: Element) -> int:
-    """dim of the inertia-fixed subspace, (1/|I|) sum over <generator> of chi.
-
-    Exact cyclotomic averaging; linear in the inertia order, so only usable
-    for small groups.  Kept as the oracle the closed form is tested against.
-    """
-    order = inertia_order(group, generator)
-    acc = cyclo_zero(group.rotation_order)
-    t = group.identity()
-    for _ in range(order):
-        acc = add(acc, character_value(group, cid, group.conjugacy_class_of(t)))
-        t = group.multiply(t, generator)
-    total = acc.as_int()
-    assert total % order == 0, (cid, generator, total)
-    dim = total // order
-    assert 0 <= dim <= character_degree(cid)
-    return dim
 
 
 def invariant_dimension(group: Group, cid: str, generator: Element) -> int:
@@ -194,23 +153,6 @@ def discriminant_exponent_tame(group: Group, generator: Element) -> int:
     return (e - 1) * (group.order // e)
 
 
-def vanishing_orders(kind: GroupKind, w_axiom: int, i: int) -> dict[str, int]:
-    """Central vanishing orders for the level-i irreducibles under the
-    independence axiom: W = -1 sends every symplectic character of the level
-    to 2^(n-i), everything else (and the whole dihedral family) to 0."""
-    assert w_axiom in (+1, -1)
-    group = Group(kind)
-    if not 3 <= i <= kind.n:
-        raise ValueError(f"level must satisfy 3 <= i <= {kind.n}, got {i}")
-    level_ids = character_ids(group.level(i))
-    if kind.family == DIHEDRAL or w_axiom == +1:
-        return {cid: 0 for cid in level_ids}
-    return {
-        cid: (1 << (kind.n - i)) if is_symplectic(cid) else 0
-        for cid in level_ids
-    }
-
-
 # -- scenarios ---------------------------------------------------------------
 
 
@@ -227,8 +169,10 @@ class VirtualPrime:
         if self.p is not None:
             if not _is_odd_prime(self.p):
                 raise ValueError(f"explicit prime must be an odd prime, got {self.p}")
-            assert abs(self.log_p - math.log(self.p)) < 1e-9
-        assert self.log_p > 0.0
+            if not abs(self.log_p - math.log(self.p)) < 1e-9:
+                raise ValueError(f"log_p = {self.log_p!r} is not log({self.p})")
+        if not self.log_p > 0.0:
+            raise ValueError(f"log_p must be positive, got {self.log_p!r}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +211,6 @@ class ArithmeticScenario:
         if self.kind.family == QUATERNION and is_symplectic(cid):
             return (1 - self.w_axiom) // 2
         return 0
-
-    def central_orders(self) -> dict[str, int]:
-        return {cid: self.central_order(cid) for cid in character_ids(self.group)}
 
 
 def explicit_scenario(ram: RamificationData, w_axiom: int = +1,
@@ -365,75 +306,3 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
         (VirtualPrime(None, log_p, gen),),
         log_disc, explicit=False,
     )
-
-
-# -- scenario files ----------------------------------------------------------
-
-
-def save_scenario(scenario: ArithmeticScenario, path: str) -> None:
-    lines = [
-        f"family: {scenario.kind.family}",
-        f"n: {scenario.kind.n}",
-        f"W: {scenario.w_axiom:+d}",
-        f"explicit: {'true' if scenario.explicit else 'false'}",
-        f"log_disc: {scenario.log_disc!r}",
-    ]
-    if scenario.regime is not None:
-        lines.append(f"regime: {scenario.regime[0]!r} {scenario.regime[1]!r}")
-    for cid, order in scenario.order_overrides:
-        lines.append(f"order_override: {cid} {order}")
-    for vp in scenario.primes:
-        p_str = str(vp.p) if vp.p is not None else "-"
-        lines.append(
-            f"prime: {p_str} {vp.log_p!r} {vp.inertia.exponent} {vp.inertia.flip}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_scenario(path: str) -> ArithmeticScenario:
-    fields: dict[str, str] = {}
-    primes: list[VirtualPrime] = []
-    overrides: list[tuple[str, int]] = []
-    regime: tuple[float, float] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ScenarioFormatError(f"{path}:{lineno}: expected 'key: value'")
-            key, _, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "prime":
-                    p_str, log_p, e, f = value.split()
-                    primes.append(VirtualPrime(
-                        None if p_str == "-" else int(p_str),
-                        float(log_p), Element(int(e), int(f)),
-                    ))
-                elif key == "order_override":
-                    cid, order = value.split()
-                    overrides.append((cid, int(order)))
-                elif key == "regime":
-                    a, b = value.split()
-                    regime = (float(a), float(b))
-                else:
-                    fields[key] = value
-            except (ValueError, TypeError) as exc:
-                if isinstance(exc, ScenarioFormatError):
-                    raise
-                raise ScenarioFormatError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        kind = GroupKind(fields["family"], int(fields["n"]))
-        return ArithmeticScenario(
-            kind,
-            int(fields["W"]),
-            tuple(primes),
-            float(fields["log_disc"]),
-            explicit=fields["explicit"] == "true",
-            order_overrides=tuple(overrides),
-            regime=regime,
-        )
-    except KeyError as exc:
-        raise ScenarioFormatError(f"{path}: missing field {exc}") from exc

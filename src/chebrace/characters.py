@@ -3,8 +3,9 @@
 Both families of order 2^n have four degree-1 characters factoring through
 the Klein quotient and 2^(n-2)-1 degree-2 characters psi_j whose rotation
 values are zeta^(jk) + zeta^(-jk) for zeta of order 2^(n-1).  Everything is
-kept in exact cyclotomic form so orthogonality, Frobenius-Schur sums, and
-the odd-index cancellation sum are literal identities, not float checks.
+kept in exact cyclotomic form, so the odd-index cancellation sum is a
+literal identity, not a float check; the tests build the whole table from
+``character_value`` for the orthogonality and Frobenius-Schur checks.
 
 A class is described by its representative a^k b^f: rotation exponent k and
 flip bit f.  The degree-1 characters are signs (-1)^(pk + qf), and psi_j is
@@ -22,61 +23,13 @@ induced class functions and Frobenius reciprocity.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cyclotomic import (
-    CycloInt,
-    add,
-    canonical_terms,
-    compress,
-    conjugate,
-    cos_pair,
-    cyclo_int,
-    cyclo_zero,
-    mul,
-    promote,
-    root_power,
-    scale,
-)
+from .cyclotomic import CycloInt, canonical_terms, cos_pair, cyclo_int, cyclo_zero
 from .groups import ClassLabel, Group
-
-ORTHOGONAL = "orthogonal"
-SYMPLECTIC = "symplectic"
-UNITARY = "unitary"
-
-
-@dataclass(frozen=True, eq=False)
-class Character:
-    cid: str
-    degree: int
-    values: Mapping[ClassLabel, CycloInt]
-
-    def value(self, label: ClassLabel) -> CycloInt:
-        return self.values[label]
-
-
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    group: Group
-    characters: tuple[Character, ...]
-
-    def by_id(self, cid: str) -> Character:
-        for chi in self.characters:
-            if chi.cid == cid:
-                return chi
-        raise KeyError(cid)
-
-    @property
-    def ring_order(self) -> int:
-        return self.group.rotation_order
-
-    def ids(self) -> list[str]:
-        return [chi.cid for chi in self.characters]
 
 
 def psi_id(j: int) -> str:
@@ -188,64 +141,10 @@ def difference_terms(group: Group, c1: ClassLabel, c2: ClassLabel
     return canonical_terms(group.rotation_order, exps, coeffs)
 
 
-def character_table(group: Group) -> CharacterTable:
-    labels = group.class_labels()
-    chars = tuple(
-        Character(cid, character_degree(cid),
-                  {lab: character_value(group, cid, lab) for lab in labels})
-        for cid in character_ids(group)
-    )
-    table = CharacterTable(group, chars)
-    assert sum(c.degree**2 for c in chars) == group.order
-    return table
-
-
-def inner_product(group: Group, f: Mapping[ClassLabel, CycloInt],
-                  g: Mapping[ClassLabel, CycloInt]) -> Fraction:
-    """(1/|G|) sum_C |C| f(C) conj(g(C)), exact; raises if not rational."""
-    m = group.rotation_order
-    acc = cyclo_zero(m)
-    for lab in group.class_labels():
-        term = mul(f[lab], conjugate(g[lab]))
-        acc = add(acc, scale(term, group.class_size(lab)))
-    return Fraction(acc.as_int(), group.order)
-
-
-def frobenius_schur(table: CharacterTable, chi: Character) -> int:
-    """(1/|G|) sum_g chi(g^2), via classes: g -> g^2 is class-constant."""
-    group = table.group
-    acc = cyclo_zero(table.ring_order)
-    for lab in group.class_labels():
-        rep = group.class_representative(lab)
-        sq = group.conjugacy_class_of(group.multiply(rep, rep))
-        acc = add(acc, scale(chi.value(sq), group.class_size(lab)))
-    total = acc.as_int()
-    assert total % group.order == 0
-    ind = total // group.order
-    assert ind in (-1, 0, 1)
-    return ind
-
-
-def fs_type(table: CharacterTable, chi: Character) -> str:
-    return {1: ORTHOGONAL, -1: SYMPLECTIC, 0: UNITARY}[frobenius_schur(table, chi)]
-
-
 def is_symplectic(cid: str) -> bool:
     """Closed form for these families: exactly the odd-index psi_j are symplectic,
     and only in the quaternion family (checked against the brute sum in tests)."""
     return cid.startswith("psi_") and int(cid.split("_")[1]) % 2 == 1
-
-
-def is_faithful(table: CharacterTable, chi: Character) -> bool:
-    """True iff chi(C) = chi(1) only at the identity class."""
-    m = table.ring_order
-    top = cyclo_int(m, chi.degree)
-    for lab in table.group.class_labels():
-        if lab.kind == "one":
-            continue
-        if chi.value(lab) == top:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -306,48 +205,6 @@ def induce(group: Group, i: int, source_id: str) -> InducedDecomposition:
     return InducedDecomposition(i, source_id, tuple(sorted(comps)))
 
 
-def restrict(group: Group, i: int, cid: str) -> dict[ClassLabel, CycloInt]:
-    """Values of a full-group character on the classes of the level-i subgroup."""
-    level = group.level(i)
-    out: dict[ClassLabel, CycloInt] = {}
-    for lab in level.class_labels():
-        rep = level.class_representative(lab)
-        full_lab = group.conjugacy_class_of(group.embed(i, rep))
-        out[lab] = compress(character_value(group, cid, full_lab),
-                            level.rotation_order)
-    return out
-
-
-def brute_force_induce(table: CharacterTable, i: int,
-                       values: Mapping[ClassLabel, CycloInt]) -> dict[str, int]:
-    """Oracle: induced class function summed over the whole group, then
-    decomposed by exact inner products.  Quadratic in |G|; tests cap n."""
-    group = table.group
-    level = group.level(i)
-    m = group.rotation_order
-    member_of = {group.embed(i, h): lab
-                 for lab in level.class_labels()
-                 for h in level.class_members(lab)}
-    ind_vals: dict[ClassLabel, CycloInt] = {}
-    for lab in group.class_labels():
-        g = group.class_representative(lab)
-        acc = cyclo_zero(m)
-        for t in group.elements():
-            conj_g = group.multiply(group.multiply(t, g), group.inverse(t))
-            src = member_of.get(conj_g)
-            if src is not None:
-                acc = add(acc, promote(values[src], m))
-        ind_vals[lab] = acc  # |H| * Ind(value); divided out below
-    out: dict[str, int] = {}
-    for chi in table.characters:
-        raw = inner_product(group, ind_vals, chi.values)
-        mult = Fraction(raw, level.order)
-        assert mult.denominator == 1 and mult >= 0
-        if mult:
-            out[chi.cid] = int(mult)
-    return out
-
-
 @dataclass(frozen=True)
 class SRPartition:
     """Split of a level's irreducibles by whether their inductions stay disjoint.
@@ -398,36 +255,5 @@ def symplectic_value_sum(i: int, k: int) -> CycloInt:
     return CycloInt(m, tuple(zip(exps.tolist(), coeffs.tolist())))
 
 
-def export_table_csv(table: CharacterTable, fileobj) -> None:
-    """Classes as columns, characters as rows, float values."""
-    labels = table.group.class_labels()
-    writer = csv.writer(fileobj)
-    writer.writerow(["character"] + [str(lab) for lab in labels])
-    for chi in table.characters:
-        writer.writerow([chi.cid] + [repr(chi.value(lab).to_float()) for lab in labels])
 
 
-def degree_two_matrices(group: Group, j: int, element) -> list[list[complex]]:
-    """Explicit 2x2 matrix of psi_j at an element, for the conductor oracle.
-
-    Rotations are diag(zeta^(je), zeta^(-je)); the flip is the swap matrix in
-    the dihedral family and for even j, and the symplectic rotation for odd j
-    in the quaternion family.
-    """
-    m = group.rotation_order
-    za = root_power(m, j * element.exponent).to_complex()
-    zb = root_power(m, -j * element.exponent).to_complex()
-    rot = [[za, 0j], [0j, zb]]
-    if not element.flip:
-        return rot
-    if group.family == "quaternion" and j % 2 == 1:
-        flip = [[0j, -1 + 0j], [1 + 0j, 0j]]
-    else:
-        flip = [[0j, 1 + 0j], [1 + 0j, 0j]]
-    return [
-        [
-            rot[r][0] * flip[0][c] + rot[r][1] * flip[1][c]
-            for c in range(2)
-        ]
-        for r in range(2)
-    ]

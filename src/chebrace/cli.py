@@ -8,18 +8,20 @@ internal computations of the same quantity disagree.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from .experiments import (
     ConfigError,
-    ExperimentConfig,
     InternalInconsistencyError,
     TABLE_IDS,
+    check_seed,
     horizontal_experiment,
     mod4_experiment,
     monotonicity_experiment,
     parse_class_label,
+    read_zero_file,
     report_json,
     report_rows_csv,
     reproduce_table,
@@ -29,14 +31,10 @@ from .experiments import (
     write_report,
 )
 from .groups import DIHEDRAL, QUATERNION
-from .zeros import (
-    ParseError,
-    ValidationError,
-    ZeroCountModel,
-    load_zero_file,
-    sample_zero_set,
-    save_zero_file,
-)
+from .zeros import ZeroCountModel, sample_zero_set, save_zero_file
+
+# a race config holds run_race's keyword arguments, nothing else
+RACE_CONFIG_KEYS = tuple(inspect.signature(run_race).parameters)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> int:
@@ -63,25 +61,42 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return _emit(reproduce_table(args.id, n=args.n), args)
 
 
+def _race_config(path: str) -> dict:
+    """run_race's keyword arguments from a JSON config file; run_race
+    checks the values."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"bad config JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(data) - set(RACE_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    if "pairs" in data:
+        pairs = data["pairs"]
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2
+                and all(isinstance(c, str) for c in p) for p in pairs)):
+            raise ConfigError(f"pairs must be [[label, label], ...], got {pairs!r}")
+        data["pairs"] = [(parse_class_label(a), parse_class_label(b))
+                         for a, b in pairs]
+    return data
+
+
 def _cmd_race(args: argparse.Namespace) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config JSON: {exc}") from exc
-        config = ExperimentConfig.from_dict(data)
+        kwargs = _race_config(args.config)
     else:
-        config = ExperimentConfig(
-            experiment="race", family=args.family, n=args.n,
-            w_axiom=args.w, level=args.level,
-            pairs=tuple(_parse_pair(p) for p in args.pair),
-            seed=args.seed, samples=args.samples,
-            fourier_nodes=args.nodes,
-            zero_source="files" if args.zero_file else "synthetic",
-            zero_files=tuple(args.zero_file),
-        )
-    return _emit(run_race(config), args)
+        kwargs = dict(family=args.family, n=args.n, w_axiom=args.w,
+                      level=args.level,
+                      pairs=[_parse_pair(p) for p in args.pair],
+                      seed=args.seed, samples=args.samples,
+                      fourier_nodes=args.nodes, zero_files=args.zero_file)
+    return _emit(run_race(**kwargs), args)
 
 
 def _cmd_horizontal(args: argparse.Namespace) -> int:
@@ -141,13 +156,23 @@ def _cmd_zeros_gen(args: argparse.Namespace) -> int:
 
 def _cmd_zeros_check(args: argparse.Namespace) -> int:
     for path in args.paths:
-        try:
-            zs = load_zero_file(path)
-        except (ParseError, ValidationError, OSError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        zs = read_zero_file(path)
         print(f"{path}: {zs.character_id} {len(zs)} ordinates "
               f"t_max={zs.t_max} source={zs.source}")
     return 0
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        check_seed(value)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -175,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--pair", action="append", default=[],
                    metavar="C1:C2", help="repeatable; default all pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--nodes", type=int, default=2000)
     p.add_argument("--zero-file", action="append", default=[],
@@ -188,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="order-8 races with growing conductor")
     p.add_argument("--f-values", default="1,2,3,4")
     p.add_argument("--w", type=int, choices=(1, -1), default=-1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     _add_common(p)
     p.set_defaults(func=_cmd_horizontal)
@@ -199,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=QUATERNION)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--w", type=int, choices=(1, -1), default=-1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_tower)
 
@@ -210,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--w", type=int, choices=(1, -1), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=40_000)
     p.add_argument("--t-max", type=float, default=32.0)
     _add_common(p)
@@ -218,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sandwich", help="tail-bound calibration sweep")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--t-max", type=float, default=64.0)
     _add_common(p)
@@ -227,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mod4", help="nonresidues-vs-residues comparison "
                                     "(non-gating)")
     p.add_argument("--zero-file", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t-max", type=float, default=600.0)
     p.add_argument("--nodes", type=int, default=4000)
     _add_common(p)
@@ -239,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--log-conductor", type=float, required=True)
     g.add_argument("--degree", type=int, default=2)
     g.add_argument("--t-max", type=float, default=64.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--character-id", default="unknown")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_zeros_gen)

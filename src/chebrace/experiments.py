@@ -18,8 +18,7 @@ import csv
 import io
 import json
 import math
-import os
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +64,8 @@ from .races import (
     weights,
 )
 from .zeros import (
+    ParseError,
+    ValidationError,
     ZeroCountModel,
     ZeroSet,
     b0_tail,
@@ -77,7 +78,6 @@ _PROVISION_SALT = 0x5CE9A814
 _SHARED_MC_SALT = 0x5CE9A815
 _SANDWICH_SALT = 0x5CE9A816
 
-EXPERIMENT_IDS = ("h8-table", "horizontal", "tabD", "tabQ", "monotonicity", "race")
 TABLE_IDS = ("esp-q", "esp-d", "h8")
 # largest n whose esp-q table meets the time budget stated in the README
 TABLE_MAX_N = 10
@@ -94,10 +94,28 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-def _check_mc_samples(samples: int) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise ConfigError(f"{name} must satisfy {lo} <= {name} <= {hi}, got {value}")
+    if value < lo:
+        raise ConfigError(f"{name} must be at least {lo}, got {value}")
+
+
+def check_seed(seed) -> None:
+    """SeedSequence takes non-negative integers only."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_mc_samples(samples) -> None:
     """density_montecarlo's floor, checked before any work is done."""
-    if samples < 10_000:
-        raise ConfigError(f"samples must be at least 10000, got {samples}")
+    _check_int("samples", samples, 10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +510,42 @@ def race_row(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet], samples: int,
     return row
 
 
-def run_race(config: "ExperimentConfig") -> dict:
-    """Ad-hoc race driver over explicit class pairs at one level."""
-    config.validate()
-    kind = GroupKind(config.family, config.n)
-    w_axiom = +1 if config.family == DIHEDRAL else config.w_axiom
-    if config.zero_source == "files":
-        scen = scenario_generator(config.family, config.n, w_axiom, config.seed)
-        sets = load_zero_sets(config.zero_files)
-    else:
-        scen = scenario_generator(config.family, config.n, w_axiom, config.seed)
-        sets = {}
-    level = config.level or config.n
-    pairs = list(config.pairs)
+def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
+             level: int | None = None,
+             pairs: Sequence[tuple[ClassLabel, ClassLabel]] = (),
+             seed: int = 0, samples: int = 100_000, fourier_nodes: int = 2000,
+             zero_files: Sequence[str] = (), min_zeros: int = 64) -> dict:
+    """Ad-hoc race driver over explicit class pairs (default: all pairs) at
+    one level (default: the top).  Zero data comes from the files when any
+    are given, otherwise it is sampled.  Every argument is checked, type
+    included, before any work is done."""
+    if family not in (DIHEDRAL, QUATERNION):
+        raise ConfigError(f"family must be dihedral or quaternion, got {family!r}")
+    _check_int("n", n, 3, 20)
+    if not _is_int(w_axiom) or w_axiom not in (+1, -1):
+        raise ConfigError(f"w_axiom must be +1 or -1, got {w_axiom!r}")
+    if level is not None:
+        _check_int("level", level, 3, n)
+    if isinstance(pairs, str) or not all(
+            isinstance(p, (tuple, list)) and len(p) == 2
+            and all(isinstance(c, ClassLabel) for c in p) for p in pairs):
+        raise ConfigError(f"pairs must be class label pairs, got {pairs!r}")
+    check_seed(seed)
+    _check_mc_samples(samples)
+    _check_int("fourier_nodes", fourier_nodes, 1)  # QUADPACK's limit
+    if isinstance(zero_files, str) or not all(
+            isinstance(path, str) for path in zero_files):
+        raise ConfigError(f"zero_files must be a list of paths, got {zero_files!r}")
+    _check_int("min_zeros", min_zeros, 1)
+
+    if family == DIHEDRAL:
+        w_axiom = +1
+    scen = scenario_generator(family, n, w_axiom, seed)
+    from_files = bool(zero_files)
+    sets = load_zero_sets(zero_files)
+    if level is None:
+        level = n
+    pairs = list(pairs)
     if not pairs:
         labels = scen.group.level(level).class_labels()
         pairs = [(labels[a], labels[b]) for a in range(len(labels))
@@ -517,36 +558,46 @@ def run_race(config: "ExperimentConfig") -> dict:
             raise ConfigError(str(exc)) from exc
         if spec.is_defined():
             needed = sorted(cid for cid, wv in weights(spec).items() if wv > 0)
-            if config.zero_source == "files":
-                missing = [cid for cid in needed if cid not in sets]
-                if missing:
-                    raise ConfigError(
-                        f"zero files do not cover characters {missing} "
-                        f"needed by ({c1}, {c2})")
-            else:
-                fresh = [cid for cid in needed if cid not in sets]
-                sets.update(provision_zero_sets(scen, fresh, config.seed,
-                                                min_count=config.min_zeros))
-        rows.append(race_row(spec, sets, config.samples,
-                             _child_seed(config.seed, index),
-                             nodes=config.fourier_nodes))
+            missing = [cid for cid in needed if cid not in sets]
+            if from_files and missing:
+                raise ConfigError(
+                    f"zero files do not cover characters {missing} "
+                    f"needed by ({c1}, {c2})")
+            sets.update(provision_zero_sets(scen, missing, seed,
+                                            min_count=min_zeros))
+        rows.append(race_row(spec, sets, samples, _child_seed(seed, index),
+                             nodes=fourier_nodes))
     return {
         "experiment": "race",
-        "family": config.family,
-        "n": config.n,
+        "family": family,
+        "n": n,
         "w_axiom": w_axiom,
         "level": level,
-        "seed": config.seed,
-        "samples": config.samples,
-        "zero_source": config.zero_source,
+        "seed": seed,
+        "samples": samples,
+        "zero_source": "files" if from_files else "synthetic",
         "rows": rows,
     }
+
+
+def read_zero_file(path: str) -> ZeroSet:
+    """``load_zero_file`` with every way the file can be bad (unreadable,
+    malformed, unordered) turned into a ConfigError naming it."""
+    try:
+        return load_zero_file(path)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read zero file {path}: {exc.strerror or exc}") from exc
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        text = str(exc)
+        raise ConfigError(text if text.startswith(f"{path}:")
+                          else f"{path}: {text}") from exc
 
 
 def load_zero_sets(paths: Iterable[str]) -> dict[str, ZeroSet]:
     sets: dict[str, ZeroSet] = {}
     for path in paths:
-        zs = load_zero_file(path)
+        zs = read_zero_file(path)
         if zs.character_id in sets:
             raise ConfigError(f"duplicate zero file for {zs.character_id}: {path}")
         sets[zs.character_id] = zs
@@ -594,7 +645,10 @@ def h8_table() -> list[dict]:
                 if wv == 0.0:
                     continue
                 c = wv * wv
-                assert abs(c - round(c)) < 1e-9, (cid, wv)
+                if not abs(c - round(c)) < 1e-9:
+                    raise InternalInconsistencyError(
+                        f"order-8 variance coefficient of {cid} is {c!r}, "
+                        "not an integer")
                 coeffs[cid] = int(round(c))
             pub = _h8_published_row(c1, c2, nontrivial)
             ok_mean = sym == pub["mean"]
@@ -1063,10 +1117,9 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     Rubinstein-Sarnak value; with synthetic ordinates the difference is
     reported for calibration only.  Never gates a build.
     """
+    _check_int("nodes", nodes, 1)  # QUADPACK's limit
     if zero_file is not None:
-        if not os.path.isfile(zero_file):
-            raise ConfigError(f"zero file not found: {zero_file}")
-        zs = load_zero_file(zero_file)
+        zs = read_zero_file(zero_file)
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")
@@ -1083,90 +1136,3 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
         "difference": est.value - MOD4_PUBLISHED_DELTA,
         "gating": False,
     }
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-
-class ExperimentConfig:
-    """Plain config holder for the CLI and run_race.
-
-    Fields mirror the CLI flags; validate() raises ConfigError with a
-    message naming the offending field.  Referenced zero files must exist
-    before the run starts.
-    """
-
-    def __init__(self, experiment: str = "race", family: str = QUATERNION,
-                 n: int = 3, w_axiom: int = -1, level: int | None = None,
-                 pairs: tuple[tuple[ClassLabel, ClassLabel], ...] = (),
-                 seed: int = 0, samples: int = 100_000,
-                 fourier_nodes: int = 2000, zero_source: str = "synthetic",
-                 zero_files: tuple[str, ...] = (), epsilon: float = 0.1,
-                 f_values: tuple[int, ...] = (1, 2, 3, 4),
-                 min_zeros: int = 64,
-                 out: str | None = None, format: str = "json") -> None:
-        self.experiment = experiment
-        self.family = family
-        self.n = n
-        self.w_axiom = w_axiom
-        self.level = level
-        self.pairs = tuple(pairs)
-        self.seed = seed
-        self.samples = samples
-        self.fourier_nodes = fourier_nodes
-        self.zero_source = zero_source
-        self.zero_files = tuple(zero_files)
-        self.epsilon = epsilon
-        self.f_values = tuple(f_values)
-        self.min_zeros = min_zeros
-        self.out = out
-        self.format = format
-
-    def validate(self) -> None:
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ConfigError(
-                f"experiment must be one of {EXPERIMENT_IDS}, got {self.experiment!r}")
-        if self.family not in (DIHEDRAL, QUATERNION):
-            raise ConfigError(f"family must be dihedral or quaternion, got {self.family!r}")
-        if not 3 <= self.n <= 20:
-            raise ConfigError(f"n must satisfy 3 <= n <= 20, got {self.n}")
-        if self.w_axiom not in (+1, -1):
-            raise ConfigError(f"w_axiom must be +1 or -1, got {self.w_axiom}")
-        if self.level is not None and not 3 <= self.level <= self.n:
-            raise ConfigError(f"level must satisfy 3 <= level <= n, got {self.level}")
-        _check_mc_samples(self.samples)
-        if self.zero_source not in ("synthetic", "files"):
-            raise ConfigError(f"zero_source must be synthetic or files, got {self.zero_source!r}")
-        if self.zero_source == "files":
-            if not self.zero_files:
-                raise ConfigError("zero_source=files requires zero_files")
-            for path in self.zero_files:
-                if not os.path.isfile(path):
-                    raise ConfigError(f"zero file not found: {path}")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {"experiment", "family", "n", "w_axiom", "level", "pairs",
-                   "seed", "samples", "fourier_nodes", "zero_source",
-                   "zero_files", "epsilon", "f_values", "min_zeros",
-                   "out", "format"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        kwargs = dict(data)
-        if "pairs" in kwargs:
-            try:
-                kwargs["pairs"] = tuple(
-                    (parse_class_label(a), parse_class_label(b))
-                    for a, b in kwargs["pairs"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"pairs must be [[label, label], ...]: {exc}") from exc
-        if "zero_files" in kwargs:
-            kwargs["zero_files"] = tuple(kwargs["zero_files"])
-        if "f_values" in kwargs:
-            kwargs["f_values"] = tuple(kwargs["f_values"])
-        return cls(**kwargs)

@@ -90,9 +90,6 @@ class Group:
     def identity(self) -> Element:
         return Element(0, 0)
 
-    def element(self, exponent: int, flip: int) -> Element:
-        return Element(exponent % self.rotation_order, flip & 1)
-
     def elements(self) -> list[Element]:
         return [
             Element(e, f) for f in (0, 1) for e in range(self.rotation_order)
@@ -225,17 +222,3 @@ class Group:
         if label.kind in ("flip_even", "flip_odd"):
             return FLIP_EVEN
         return label
-
-
-def brute_force_fusion(group: Group, i: int, label: ClassLabel) -> ClassLabel:
-    """Oracle: fuse by conjugating every embedded class member by every element."""
-    level = group.level(i)
-    images = {
-        group.conjugacy_class_of(
-            group.multiply(group.multiply(t, group.embed(i, m)), group.inverse(t))
-        )
-        for m in level.class_members(label)
-        for t in group.elements()
-    }
-    assert len(images) == 1, f"fusion of {label} is not a single class: {images}"
-    return images.pop()

@@ -27,8 +27,6 @@ same float operations as ``CycloInt.to_complex``.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -62,21 +60,15 @@ class RaceSpec:
         n = self.scenario.kind.n
         if not 3 <= self.level <= n:
             raise ValueError(f"level must satisfy 3 <= level <= {n}, got {self.level}")
-        lg = self.level_group
         for lab in (self.c1, self.c2):
             if lab.kind == "power" and not 1 <= lab.k <= (1 << (self.level - 2)) - 1:
                 raise ValueError(f"{lab} out of range at level {self.level}")
         if self.c1 == self.c2:
             raise ValueError("classes must differ")
-        assert lg.order == 1 << self.level
 
     @property
     def group(self) -> Group:
         return self.scenario.group
-
-    @property
-    def level_group(self) -> Group:
-        return self.scenario.group.level(self.level)
 
     def fused_pair(self) -> tuple[ClassLabel, ClassLabel]:
         g = self.group
@@ -118,11 +110,6 @@ def z_values(level_group: Group, labels: list[ClassLabel],
     out = np.zeros(len(labels), dtype=np.int64)
     out[rows] = vals
     return [2 * v for v in out.tolist()]
-
-
-def z_value(level_group: Group, label: ClassLabel, orders: Mapping[str, int]) -> int:
-    """z(label) = 2 sum_{chi != chi0} chi(label) ord(chi); see ``z_values``."""
-    return z_values(level_group, [label], orders)[0]
 
 
 def sqrt_density(level_group: Group, label: ClassLabel) -> int:
@@ -180,28 +167,6 @@ def weights(spec: RaceSpec) -> dict[str, float]:
     return {cid: abs(v) for cid, v in zip(ids, values)}
 
 
-def variance(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
-    """2 sum_lambda |lambda(C1+)-lambda(C2+)|^2 B0(lambda); with the
-    one-sided B0 this is the actual variance of X."""
-    w = weights(spec)
-    total = 0.0
-    for cid, wv in w.items():
-        if wv == 0.0:
-            continue
-        if cid not in b0_map:
-            raise KeyError(f"b0 value missing for weighted character {cid}")
-        total += wv * wv * b0_map[cid]
-    total *= 2.0
-    if not total > 0.0:
-        raise ValueError("variance must be positive when the fused classes differ")
-    return total
-
-
-def bias_factor(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
-    """mean / sqrt(variance)."""
-    return mean(spec) / math.sqrt(variance(spec, b0_map))
-
-
 @dataclass(frozen=True, eq=False)
 class RaceModel:
     """Materialized finite model of X: integer mean, descending amplitude
@@ -224,12 +189,6 @@ class RaceModel:
         """The same oscillation part with another mean."""
         return replace(self, mean=mean_value,
                        bias_factor=mean_value / math.sqrt(self.variance))
-
-
-def term_list(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
-    """Build the RaceModel from per-character zero sets; every character with
-    nonzero weight must be covered."""
-    return assemble_race_model(mean(spec), weights(spec), zero_sets)
 
 
 def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
@@ -368,27 +327,3 @@ def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:
         kind, w_axiom,
         (VirtualPrime(5, math.log(5.0), Element(1, 0)),),
         log_disc=1.0, explicit=False)
-
-
-def write_mean_table_csv(rows: list[MeanRow], fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(["c1", "c2", "mean_formula", "mean_published", "status"])
-    for r in rows:
-        writer.writerow([
-            str(r.c1), str(r.c2),
-            "" if r.mean_formula is None else r.mean_formula,
-            "" if r.mean_published is None else r.mean_published,
-            r.status,
-        ])
-
-
-def mean_table_json(rows: list[MeanRow]) -> str:
-    return json.dumps([
-        {
-            "c1": str(r.c1), "c2": str(r.c2),
-            "mean_formula": r.mean_formula,
-            "mean_published": r.mean_published,
-            "status": r.status,
-        }
-        for r in rows
-    ], indent=2, sort_keys=True) + "\n"

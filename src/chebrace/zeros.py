@@ -32,10 +32,6 @@ class ValidationError(ValueError):
     """Ordinates violating positivity or strict monotonicity."""
 
 
-class HorizonError(ValueError):
-    """Query beyond the completeness horizon T_max."""
-
-
 @dataclass(frozen=True)
 class ZeroCountModel:
     """Counting-function main term N(T) = (T/2pi) log(A (T/2pi e)^deg)."""
@@ -138,42 +134,6 @@ def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
         ordinates = ordinates[keep]
     return ZeroSet(character_id, t_max, tuple(float(g) for g in ordinates),
                    source=f"synthetic({seed})", log_conductor=model.log_conductor)
-
-
-def b0(zs: ZeroSet, two_sided: bool = False) -> float:
-    """Sum of 1/(1/4 + gamma^2) over the stored ordinates.
-
-    Defaults to the one-sided sum over gamma > 0 as used in the variance
-    formula; two_sided doubles it to cover the conjugate zeros at -gamma.
-    """
-    g = np.asarray(zs.ordinates, dtype=float)
-    total = float(np.sum(1.0 / (0.25 + g * g))) if g.size else 0.0
-    return 2.0 * total if two_sided else total
-
-
-def partial_inverse_sum(zs: ZeroSet, t: float) -> float:
-    """Sum of 1/sqrt(1/4 + gamma^2) over ordinates with gamma <= t."""
-    if t > zs.t_max:
-        raise HorizonError(f"t = {t!r} beyond completeness horizon {zs.t_max!r}")
-    if t < 1.0:
-        raise ValueError(f"need t >= 1, got {t}")
-    g = np.asarray(zs.ordinates, dtype=float)
-    g = g[g <= t]
-    return float(np.sum(1.0 / np.sqrt(0.25 + g * g))) if g.size else 0.0
-
-
-def partial_inverse_main_term(model: ZeroCountModel, t: float) -> float:
-    """Analytic main term for partial_inverse_sum on a synthetic set:
-    (log t / 2pi) * log(A (sqrt(t)/2pi e)^deg)."""
-    return (math.log(t) / TWO_PI) * (
-        model.log_conductor
-        + model.degree_factor * (0.5 * math.log(t) - math.log(TWO_PI) - 1.0))
-
-
-def partial_inverse_tolerance(model: ZeroCountModel, t: float) -> float:
-    """Tolerance band 5 (1 + log(A (t+4)^deg)) for the main-term comparison."""
-    return 5.0 * (1.0 + model.log_conductor
-                  + model.degree_factor * math.log(t + 4.0))
 
 
 def b0_tail(model: ZeroCountModel, t: float) -> float:

@@ -13,28 +13,57 @@ compare the kernel against them for bit-equal estimates and intervals.
 inversion among the rows with equal weights and equal |mean|: every row
 assembles its own model and runs its own ``density_fourier``.  Tests
 compare the driver against it for bit-equal densities and budgets.
+
+Brute-force and second-route references for the exact layers, which the
+package itself never calls: the character table as ``CycloInt`` objects
+with inner products, Frobenius-Schur indicators and restriction; class
+fusion and induction summed over the whole group; explicit 2x2 matrices of
+the degree-2 characters; inertia invariants by averaging; the central
+vanishing orders in closed form; the race variance from B0 sums; and the
+partial inverse sums of a zero set with their analytic main term.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from chebrace.arithmetic import scenario_generator
-from chebrace.characters import character_ids, character_value
-from chebrace.cyclotomic import add, cyclo_zero, scale, sub
+from chebrace.arithmetic import inertia_order, scenario_generator
+from chebrace.characters import (
+    character_degree,
+    character_ids,
+    character_value,
+    is_symplectic,
+)
+from chebrace.cyclotomic import (
+    CycloInt,
+    add,
+    compress,
+    conjugate,
+    cyclo_int,
+    cyclo_zero,
+    mul,
+    promote,
+    root_power,
+    scale,
+    sub,
+)
 from chebrace.density import _MC_SALT, MONTECARLO, Z99, DensityEstimate, density_fourier
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
-from chebrace.groups import DIHEDRAL, ClassLabel, Group
+from chebrace.groups import DIHEDRAL, ClassLabel, Element, Group, GroupKind
 from chebrace.races import (
     RaceModel,
     RaceSpec,
     RaceUndefinedError,
     assemble_race_model,
     level_data,
+    mean,
     weights,
 )
+from chebrace.zeros import TWO_PI, ZeroCountModel, ZeroSet
 
 
 def z_value_cyclo(level_group: Group, label: ClassLabel,
@@ -152,3 +181,284 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int, seed: int,
                          "delta_fourier": est.value,
                          "delta_fourier_budget": est.error_bound})
     return rows
+
+
+# -- groups and characters --------------------------------------------------
+
+
+def brute_force_fusion(group: Group, i: int, label: ClassLabel) -> ClassLabel:
+    """Oracle: fuse by conjugating every embedded class member by every element."""
+    level = group.level(i)
+    images = {
+        group.conjugacy_class_of(
+            group.multiply(group.multiply(t, group.embed(i, m)), group.inverse(t))
+        )
+        for m in level.class_members(label)
+        for t in group.elements()
+    }
+    assert len(images) == 1, f"fusion of {label} is not a single class: {images}"
+    return images.pop()
+
+
+ORTHOGONAL = "orthogonal"
+
+
+SYMPLECTIC = "symplectic"
+
+
+UNITARY = "unitary"
+
+
+@dataclass(frozen=True, eq=False)
+class Character:
+    cid: str
+    degree: int
+    values: Mapping[ClassLabel, CycloInt]
+
+    def value(self, label: ClassLabel) -> CycloInt:
+        return self.values[label]
+
+
+@dataclass(frozen=True, eq=False)
+class CharacterTable:
+    group: Group
+    characters: tuple[Character, ...]
+
+    def by_id(self, cid: str) -> Character:
+        for chi in self.characters:
+            if chi.cid == cid:
+                return chi
+        raise KeyError(cid)
+
+    @property
+    def ring_order(self) -> int:
+        return self.group.rotation_order
+
+    def ids(self) -> list[str]:
+        return [chi.cid for chi in self.characters]
+
+
+def character_table(group: Group) -> CharacterTable:
+    labels = group.class_labels()
+    chars = tuple(
+        Character(cid, character_degree(cid),
+                  {lab: character_value(group, cid, lab) for lab in labels})
+        for cid in character_ids(group)
+    )
+    table = CharacterTable(group, chars)
+    assert sum(c.degree**2 for c in chars) == group.order
+    return table
+
+
+def inner_product(group: Group, f: Mapping[ClassLabel, CycloInt],
+                  g: Mapping[ClassLabel, CycloInt]) -> Fraction:
+    """(1/|G|) sum_C |C| f(C) conj(g(C)), exact; raises if not rational."""
+    m = group.rotation_order
+    acc = cyclo_zero(m)
+    for lab in group.class_labels():
+        term = mul(f[lab], conjugate(g[lab]))
+        acc = add(acc, scale(term, group.class_size(lab)))
+    return Fraction(acc.as_int(), group.order)
+
+
+def frobenius_schur(table: CharacterTable, chi: Character) -> int:
+    """(1/|G|) sum_g chi(g^2), via classes: g -> g^2 is class-constant."""
+    group = table.group
+    acc = cyclo_zero(table.ring_order)
+    for lab in group.class_labels():
+        rep = group.class_representative(lab)
+        sq = group.conjugacy_class_of(group.multiply(rep, rep))
+        acc = add(acc, scale(chi.value(sq), group.class_size(lab)))
+    total = acc.as_int()
+    assert total % group.order == 0
+    ind = total // group.order
+    assert ind in (-1, 0, 1)
+    return ind
+
+
+def fs_type(table: CharacterTable, chi: Character) -> str:
+    return {1: ORTHOGONAL, -1: SYMPLECTIC, 0: UNITARY}[frobenius_schur(table, chi)]
+
+
+def is_faithful(table: CharacterTable, chi: Character) -> bool:
+    """True iff chi(C) = chi(1) only at the identity class."""
+    m = table.ring_order
+    top = cyclo_int(m, chi.degree)
+    for lab in table.group.class_labels():
+        if lab.kind == "one":
+            continue
+        if chi.value(lab) == top:
+            return False
+    return True
+
+
+def restrict(group: Group, i: int, cid: str) -> dict[ClassLabel, CycloInt]:
+    """Values of a full-group character on the classes of the level-i subgroup."""
+    level = group.level(i)
+    out: dict[ClassLabel, CycloInt] = {}
+    for lab in level.class_labels():
+        rep = level.class_representative(lab)
+        full_lab = group.conjugacy_class_of(group.embed(i, rep))
+        out[lab] = compress(character_value(group, cid, full_lab),
+                            level.rotation_order)
+    return out
+
+
+def brute_force_induce(table: CharacterTable, i: int,
+                       values: Mapping[ClassLabel, CycloInt]) -> dict[str, int]:
+    """Oracle: induced class function summed over the whole group, then
+    decomposed by exact inner products.  Quadratic in |G|; tests cap n."""
+    group = table.group
+    level = group.level(i)
+    m = group.rotation_order
+    member_of = {group.embed(i, h): lab
+                 for lab in level.class_labels()
+                 for h in level.class_members(lab)}
+    ind_vals: dict[ClassLabel, CycloInt] = {}
+    for lab in group.class_labels():
+        g = group.class_representative(lab)
+        acc = cyclo_zero(m)
+        for t in group.elements():
+            conj_g = group.multiply(group.multiply(t, g), group.inverse(t))
+            src = member_of.get(conj_g)
+            if src is not None:
+                acc = add(acc, promote(values[src], m))
+        ind_vals[lab] = acc  # |H| * Ind(value); divided out below
+    out: dict[str, int] = {}
+    for chi in table.characters:
+        raw = inner_product(group, ind_vals, chi.values)
+        mult = Fraction(raw, level.order)
+        assert mult.denominator == 1 and mult >= 0
+        if mult:
+            out[chi.cid] = int(mult)
+    return out
+
+
+def degree_two_matrices(group: Group, j: int, element) -> list[list[complex]]:
+    """Explicit 2x2 matrix of psi_j at an element, for the conductor oracle.
+
+    Rotations are diag(zeta^(je), zeta^(-je)); the flip is the swap matrix in
+    the dihedral family and for even j, and the symplectic rotation for odd j
+    in the quaternion family.
+    """
+    m = group.rotation_order
+    za = root_power(m, j * element.exponent).to_complex()
+    zb = root_power(m, -j * element.exponent).to_complex()
+    rot = [[za, 0j], [0j, zb]]
+    if not element.flip:
+        return rot
+    if group.family == "quaternion" and j % 2 == 1:
+        flip = [[0j, -1 + 0j], [1 + 0j, 0j]]
+    else:
+        flip = [[0j, 1 + 0j], [1 + 0j, 0j]]
+    return [
+        [
+            rot[r][0] * flip[0][c] + rot[r][1] * flip[1][c]
+            for c in range(2)
+        ]
+        for r in range(2)
+    ]
+
+
+# -- arithmetic -------------------------------------------------------------
+
+
+def invariant_dimension_average(group: Group, cid: str, generator: Element) -> int:
+    """dim of the inertia-fixed subspace, (1/|I|) sum over <generator> of chi.
+
+    Exact cyclotomic averaging; linear in the inertia order, so only usable
+    for small groups.  Kept as the oracle the closed form is tested against.
+    """
+    order = inertia_order(group, generator)
+    acc = cyclo_zero(group.rotation_order)
+    t = group.identity()
+    for _ in range(order):
+        acc = add(acc, character_value(group, cid, group.conjugacy_class_of(t)))
+        t = group.multiply(t, generator)
+    total = acc.as_int()
+    assert total % order == 0, (cid, generator, total)
+    dim = total // order
+    assert 0 <= dim <= character_degree(cid)
+    return dim
+
+
+def vanishing_orders(kind: GroupKind, w_axiom: int, i: int) -> dict[str, int]:
+    """Central vanishing orders for the level-i irreducibles under the
+    independence axiom: W = -1 sends every symplectic character of the level
+    to 2^(n-i), everything else (and the whole dihedral family) to 0."""
+    assert w_axiom in (+1, -1)
+    group = Group(kind)
+    if not 3 <= i <= kind.n:
+        raise ValueError(f"level must satisfy 3 <= i <= {kind.n}, got {i}")
+    level_ids = character_ids(group.level(i))
+    if kind.family == DIHEDRAL or w_axiom == +1:
+        return {cid: 0 for cid in level_ids}
+    return {
+        cid: (1 << (kind.n - i)) if is_symplectic(cid) else 0
+        for cid in level_ids
+    }
+
+
+# -- races and zeros --------------------------------------------------------
+
+
+def variance(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
+    """2 sum_lambda |lambda(C1+)-lambda(C2+)|^2 B0(lambda); with the
+    one-sided B0 this is the actual variance of X."""
+    w = weights(spec)
+    total = 0.0
+    for cid, wv in w.items():
+        if wv == 0.0:
+            continue
+        if cid not in b0_map:
+            raise KeyError(f"b0 value missing for weighted character {cid}")
+        total += wv * wv * b0_map[cid]
+    total *= 2.0
+    if not total > 0.0:
+        raise ValueError("variance must be positive when the fused classes differ")
+    return total
+
+
+def bias_factor(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
+    """mean / sqrt(variance)."""
+    return mean(spec) / math.sqrt(variance(spec, b0_map))
+
+
+class HorizonError(ValueError):
+    """Query beyond the completeness horizon T_max."""
+
+
+def b0(zs: ZeroSet, two_sided: bool = False) -> float:
+    """Sum of 1/(1/4 + gamma^2) over the stored ordinates.
+
+    Defaults to the one-sided sum over gamma > 0 as used in the variance
+    formula; two_sided doubles it to cover the conjugate zeros at -gamma.
+    """
+    g = np.asarray(zs.ordinates, dtype=float)
+    total = float(np.sum(1.0 / (0.25 + g * g))) if g.size else 0.0
+    return 2.0 * total if two_sided else total
+
+
+def partial_inverse_sum(zs: ZeroSet, t: float) -> float:
+    """Sum of 1/sqrt(1/4 + gamma^2) over ordinates with gamma <= t."""
+    if t > zs.t_max:
+        raise HorizonError(f"t = {t!r} beyond completeness horizon {zs.t_max!r}")
+    if t < 1.0:
+        raise ValueError(f"need t >= 1, got {t}")
+    g = np.asarray(zs.ordinates, dtype=float)
+    g = g[g <= t]
+    return float(np.sum(1.0 / np.sqrt(0.25 + g * g))) if g.size else 0.0
+
+
+def partial_inverse_main_term(model: ZeroCountModel, t: float) -> float:
+    """Analytic main term for partial_inverse_sum on a synthetic set:
+    (log t / 2pi) * log(A (sqrt(t)/2pi e)^deg)."""
+    return (math.log(t) / TWO_PI) * (
+        model.log_conductor
+        + model.degree_factor * (0.5 * math.log(t) - math.log(TWO_PI) - 1.0))
+
+
+def partial_inverse_tolerance(model: ZeroCountModel, t: float) -> float:
+    """Tolerance band 5 (1 + log(A (t+4)^deg)) for the main-term comparison."""
+    return 5.0 * (1.0 + model.log_conductor
+                  + model.degree_factor * math.log(t + 4.0))

@@ -17,25 +17,14 @@ from chebrace.arithmetic import (
     random_ramification,
 )
 from chebrace.characters import (
-    ORTHOGONAL,
-    SYMPLECTIC,
-    add,
-    brute_force_induce,
     character_degree,
     character_ids,
-    character_table,
     character_value,
-    conjugate,
-    cyclo_zero,
-    frobenius_schur,
-    fs_type,
     induce,
-    inner_product,
-    is_faithful,
-    mul,
     psi_id,
     symplectic_value_sum,
 )
+from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul
 from chebrace.density import density_fourier, density_montecarlo
 from chebrace.experiments import (
     horizontal_experiment,
@@ -54,6 +43,16 @@ from chebrace.groups import (
 )
 from chebrace.races import assemble_race_model
 from chebrace.zeros import ZeroCountModel, sample_zero_set
+from oracles import (
+    ORTHOGONAL,
+    SYMPLECTIC,
+    brute_force_induce,
+    character_table,
+    frobenius_schur,
+    fs_type,
+    inner_product,
+    is_faithful,
+)
 
 ELAPSED: dict[str, float] = {}
 

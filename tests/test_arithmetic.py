@@ -10,7 +10,6 @@ from chebrace.arithmetic import (
     ArithmeticScenario,
     RamificationData,
     RamifiedPrime,
-    ScenarioFormatError,
     VirtualPrime,
     conductor_discriminant,
     conductor_exponent,
@@ -20,16 +19,12 @@ from chebrace.arithmetic import (
     horizontal_scenario,
     inertia_order,
     invariant_dimension,
-    invariant_dimension_average,
-    load_scenario,
     random_ramification,
-    resolve_inertia,
-    save_scenario,
     scenario_generator,
-    vanishing_orders,
 )
-from chebrace.characters import character_degree, character_ids, degree_two_matrices
+from chebrace.characters import character_degree, character_ids
 from chebrace.groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
+from oracles import degree_two_matrices, invariant_dimension_average, vanishing_orders
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 
@@ -174,12 +169,16 @@ def test_scenario_checks_raise_value_errors():
 
 
 def test_virtual_prime_validation():
-    with pytest.raises(Exception):
+    # raised, not asserted, so they also hold under python -O
+    with pytest.raises(ValueError, match="is not log"):
         VirtualPrime(5, 0.0, Element(1, 0))  # log must be positive
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="odd prime"):
         VirtualPrime(4, math.log(4.0), Element(1, 0))  # not an odd prime
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="is not log"):
         VirtualPrime(5, math.log(7.0), Element(1, 0))  # log mismatch
+    for log_p in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="log_p must be positive"):
+            VirtualPrime(None, log_p, Element(1, 0))
 
 
 def test_explicit_scenario_log_disc_is_exact():
@@ -221,16 +220,6 @@ def test_horizontal_scenario_conductor_growth():
         horizontal_scenario(0, 0.0, +1)
 
 
-def test_resolve_inertia_named_subgroups():
-    group = Group(GroupKind(QUATERNION, 4))
-    assert resolve_inertia(group, Element(3, 1)) == Element(3, 1)
-    assert resolve_inertia(group, "rotation") == Element(1, 0)
-    assert resolve_inertia(group, "center") == Element(4, 0)
-    for bad in ("full", "klein", "mystery"):
-        with pytest.raises(ValueError):
-            resolve_inertia(group, bad)
-
-
 def test_ramification_data_validation():
     kind = GroupKind(DIHEDRAL, 4)
     with pytest.raises(ValueError):
@@ -242,32 +231,3 @@ def test_ramification_data_validation():
                                 RamifiedPrime(5, Element(0, 1))))
     with pytest.raises(ValueError):
         RamificationData(kind, (RamifiedPrime(5, Element(0, 0)),))
-
-
-def test_scenario_save_load_round_trip(tmp_path):
-    scen = scenario_generator(QUATERNION, 5, -1, seed=9)
-    path = tmp_path / "scenario.txt"
-    save_scenario(scen, str(path))
-    back = load_scenario(str(path))
-    assert back.kind == scen.kind
-    assert back.w_axiom == scen.w_axiom
-    assert math.isclose(back.log_disc, scen.log_disc, rel_tol=1e-12)
-    assert len(back.primes) == len(scen.primes)
-    for vp_a, vp_b in zip(back.primes, scen.primes):
-        assert vp_a.p == vp_b.p
-        assert vp_a.inertia == vp_b.inertia
-        assert math.isclose(vp_a.log_p, vp_b.log_p, rel_tol=1e-12)
-
-
-def test_load_scenario_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not: a\nscenario: file\n")
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(str(path))
-    path.write_text("family: quaternion\nn: 4\nW: +1\nexplicit: false\n"
-                    "log_disc: 10.0\nprime: x y\n")
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(str(path))
-    path.write_text("no separator here\n")
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(str(path))

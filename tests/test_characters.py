@@ -7,24 +7,26 @@ from fractions import Fraction
 import pytest
 
 from chebrace.characters import (
-    brute_force_induce,
     character_degree,
     character_ids,
-    character_table,
     character_value,
-    degree_two_matrices,
-    frobenius_schur,
     induce,
-    inner_product,
-    is_faithful,
     is_symplectic,
     psi_id,
-    restrict,
     sr_partition,
     symplectic_value_sum,
 )
-from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul, scale
+from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul
 from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind
+from oracles import (
+    brute_force_induce,
+    character_table,
+    degree_two_matrices,
+    frobenius_schur,
+    inner_product,
+    is_faithful,
+    restrict,
+)
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 

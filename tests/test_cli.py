@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,73 @@ def test_monotonicity_smallest_sample_count(capsys):
                      "--samples", "2", "--t-max", "16"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == 2
+
+
+def _exit_code(argv) -> int:
+    """cli.main's return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+NAN_ZERO_FILE = "# character: psi_1\n1.5\nnan\n"
+ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["race"], {"n": "4"}, "n must be an integer, got '4'"),
+    (["race"], {"experiment": "race"}, "unknown config keys: ['experiment']"),
+    (["race"], {"epsilon": 0.1}, "unknown config keys: ['epsilon']"),
+    (["race"], {"f_values": [1, 2]}, "unknown config keys: ['f_values']"),
+    (["race"], {"out": "x.json"}, "unknown config keys: ['out']"),
+    (["race"], {"format": "json"}, "unknown config keys: ['format']"),
+    (["race"], {"zero_source": "synthetic"},
+     "unknown config keys: ['zero_source']"),
+    (["race"], {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    (["race"], {"fourier_nodes": 0}, "fourier_nodes must be at least 1, got 0"),
+    (["race"], {"zero_files": [ZF]}, "non-finite ordinate 'nan'"),
+    (["tower", "--n", "3", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    (["horizontal", "--seed", "-2"], None,
+     "seed must be a non-negative integer, got -2"),
+    (["race", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    (["race", "--nodes", "0"], None, "fourier_nodes must be at least 1, got 0"),
+    (["mod4", "--nodes", "0"], None, "nodes must be at least 1, got 0"),
+    (["race", "--zero-file", ZF], None, "non-finite ordinate 'nan'"),
+    (["mod4", "--zero-file", ZF], None, "non-finite ordinate 'nan'"),
+])
+def test_bad_race_and_mod4_inputs_exit_2(argv, config, message, tmp_path,
+                                         capsys):
+    zero_file = tmp_path / "nan.txt"
+    zero_file.write_text(NAN_ZERO_FILE)
+    argv = [a.replace(ZF, str(zero_file)) for a in argv]
+    if config is not None:
+        path = tmp_path / "race.json"
+        path.write_text(json.dumps(config).replace(ZF, str(zero_file)))
+        argv += ["--config", str(path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    if "ordinate" in message:
+        assert f"{zero_file}:3:" in captured.err
+
+
+def test_bad_inputs_exit_2_under_python_O(tmp_path):
+    # no check on these paths is an assert that -O would strip
+    config = tmp_path / "race.json"
+    config.write_text(json.dumps({"n": "4"}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, message in (
+            (["race", "--config", str(config)], "n must be an integer"),
+            (["mod4", "--nodes", "0"], "nodes must be at least 1")):
+        proc = subprocess.run([sys.executable, "-O", "-m", "chebrace.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -8,13 +8,12 @@ import math
 
 import pytest
 
-from chebrace import density, experiments
+from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
-from chebrace.characters import character_degree, character_ids
+from chebrace.characters import character_degree
 from chebrace.density import FOURIER, DensityEstimate
 from chebrace.experiments import (
     EXACTLY_HALF,
-    EXPERIMENT_IDS,
     EXTREME_TOWARD_0,
     EXTREME_TOWARD_1,
     MODERATE,
@@ -23,7 +22,6 @@ from chebrace.experiments import (
     TABLE_IDS,
     UNDETERMINED,
     ConfigError,
-    ExperimentConfig,
     InternalInconsistencyError,
     _check_claim,
     class_tag,
@@ -247,11 +245,11 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
 
 
 def test_run_race_reports_are_reproducible():
-    config = ExperimentConfig(
+    config = dict(
         family=QUATERNION, n=3, w_axiom=-1, seed=11, samples=10000,
         pairs=((ONE, MINUS_ONE), (power(1), FLIP_EVEN)))
-    a = run_race(config)
-    b = run_race(config)
+    a = run_race(**config)
+    b = run_race(**config)
     assert report_json(a) == report_json(b)
     assert a["level"] == 3
     assert a["w_axiom"] == -1
@@ -260,9 +258,8 @@ def test_run_race_reports_are_reproducible():
 
 
 def test_run_race_default_pairs_include_the_undefined_row():
-    config = ExperimentConfig(family=DIHEDRAL, n=4, w_axiom=+1, level=3,
-                              seed=2, samples=10000)
-    report = run_race(config)
+    report = run_race(family=DIHEDRAL, n=4, w_axiom=+1, level=3, seed=2,
+                      samples=10000)
     classes = (1 << (3 - 2)) + 3
     assert len(report["rows"]) == classes * (classes - 1) // 2
     undefined = [r for r in report["rows"] if r["status"] == "undefined"]
@@ -271,25 +268,19 @@ def test_run_race_default_pairs_include_the_undefined_row():
 
 
 def test_run_race_rejects_bad_pairs_and_uncovered_files(tmp_path):
-    bad = ExperimentConfig(family=QUATERNION, n=3, samples=10000,
-                           pairs=((ONE, power(2)),))  # out of range at level 3
+    with pytest.raises(ConfigError):  # out of range at level 3
+        run_race(family=QUATERNION, n=3, samples=10000, pairs=((ONE, power(2)),))
     with pytest.raises(ConfigError):
-        run_race(bad)
-    same = ExperimentConfig(family=QUATERNION, n=3, samples=10000,
-                            pairs=((ONE, ONE),))
-    with pytest.raises(ConfigError):
-        run_race(same)
+        run_race(family=QUATERNION, n=3, samples=10000, pairs=((ONE, ONE),))
     # a files run whose zero data does not cover the weighted characters
     zs = sample_zero_set(ZeroCountModel(4.0, 1), 32.0, 0, character_id="chi1")
     path = tmp_path / "chi1.txt"
     from chebrace.zeros import save_zero_file
 
     save_zero_file(zs, str(path))
-    config = ExperimentConfig(family=QUATERNION, n=3, samples=10000,
-                              zero_source="files", zero_files=(str(path),),
-                              pairs=((ONE, MINUS_ONE),))
-    with pytest.raises(ConfigError):
-        run_race(config)  # needs psi_1, only chi1 was supplied
+    with pytest.raises(ConfigError):  # needs psi_1, only chi1 was supplied
+        run_race(family=QUATERNION, n=3, samples=10000, zero_files=(str(path),),
+                 pairs=((ONE, MINUS_ONE),))
 
 
 def test_load_zero_sets_rejects_duplicates(tmp_path):
@@ -570,46 +561,53 @@ def test_mod4_experiment_synthetic_and_file(tmp_path):
 # -- configuration -------------------------------------------------------------------
 
 
-def test_experiment_and_table_id_inventories():
-    assert EXPERIMENT_IDS == ("h8-table", "horizontal", "tabD", "tabQ",
-                              "monotonicity", "race")
+def test_table_id_inventory():
     assert TABLE_IDS == ("esp-q", "esp-d", "h8")
 
 
 def test_config_validation_messages():
     cases = [
-        (dict(experiment="bogus"), "experiment"),
         (dict(family="cyclic"), "family"),
         (dict(n=2), "n"),
         (dict(n=21), "n"),
+        (dict(n="4"), "n must be an integer"),
         (dict(w_axiom=0), "w_axiom"),
+        (dict(w_axiom="-1"), "w_axiom"),
         (dict(level=2), "level"),
         (dict(n=4, level=5), "level"),
+        (dict(pairs=[("one", "minus_one")]), "pairs"),
+        (dict(seed=-1), "seed must be a non-negative integer"),
+        (dict(seed=1.5), "seed must be a non-negative integer"),
         (dict(samples=9999), "samples"),
-        (dict(zero_source="http"), "zero_source"),
-        (dict(zero_source="files"), "zero_files"),
-        (dict(zero_source="files", zero_files=("/no/such/file",)), "zero file"),
-        (dict(format="xml"), "format"),
+        (dict(fourier_nodes=0), "fourier_nodes must be at least 1"),
+        (dict(zero_files="a.txt"), "zero_files"),
+        (dict(zero_files=("/no/such/file",)), "zero file"),
+        (dict(min_zeros=0), "min_zeros"),
     ]
     for kwargs, needle in cases:
-        config = ExperimentConfig(**kwargs)
         with pytest.raises(ConfigError) as err:
-            config.validate()
+            run_race(**kwargs)
         assert needle in str(err.value), (kwargs, str(err.value))
-    ExperimentConfig().validate()  # defaults are valid
+    # every other default is valid
+    report = run_race(pairs=((ONE, MINUS_ONE),), samples=10000)
+    assert (report["n"], report["zero_source"]) == (3, "synthetic")
 
 
-def test_config_from_dict():
-    config = ExperimentConfig.from_dict({
-        "family": "dihedral", "n": 5, "pairs": [["one", "power(2)"]],
-        "f_values": [1, 2, 3], "zero_files": [],
-    })
-    assert config.family == DIHEDRAL
-    assert config.pairs == ((ONE, power(2)),)
-    assert config.f_values == (1, 2, 3)
+def test_config_from_dict(tmp_path):
+    path = tmp_path / "race.json"
+
+    def load(data):
+        path.write_text(json.dumps(data))
+        return cli._race_config(str(path))
+
+    config = load({"family": "dihedral", "n": 5, "pairs": [["one", "power(2)"]],
+                   "zero_files": []})
+    assert config["family"] == DIHEDRAL
+    assert config["pairs"] == [(ONE, power(2))]
+    assert config["zero_files"] == []
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"mystery": 1})
+        load({"mystery": 1})
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"pairs": [["one"]]})
+        load({"pairs": [["one"]]})
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"pairs": [["one", "power(zero)"]]})
+        load({"pairs": [["one", "power(zero)"]]})

@@ -15,9 +15,9 @@ from chebrace.groups import (
     QUATERNION,
     Group,
     GroupKind,
-    brute_force_fusion,
     power,
 )
+from oracles import brute_force_fusion
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 SMALL = [Group(GroupKind(f, n)) for f in FAMILIES for n in (3, 4, 5)]

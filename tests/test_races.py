@@ -1,19 +1,12 @@
 """Race means, weights, variance assembly, and the mean tables."""
 from __future__ import annotations
 
-import io
-import json
 import math
 
 import numpy as np
 import pytest
 
-from chebrace.arithmetic import (
-    ArithmeticScenario,
-    VirtualPrime,
-    scenario_generator,
-    vanishing_orders,
-)
+from chebrace.arithmetic import ArithmeticScenario, VirtualPrime, scenario_generator
 from chebrace.characters import character_degree, character_ids
 from chebrace.groups import (
     DIHEDRAL,
@@ -35,22 +28,16 @@ from chebrace.races import (
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     assemble_race_model,
-    bias_factor,
     level_orders,
     mean,
     mean_table,
-    mean_table_json,
     published_mean,
     race_mean_closed_form,
-    term_list,
-    variance,
     weights,
-    write_mean_table_csv,
-    z_value,
     z_values,
 )
-from chebrace.zeros import ZeroCountModel, ZeroSet, b0, sample_zero_set
-from oracles import weights_cyclo, z_value_cyclo
+from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
+from oracles import b0, bias_factor, vanishing_orders, variance, weights_cyclo, z_value_cyclo
 
 FAMILIES = (DIHEDRAL, "quaternion")
 
@@ -162,17 +149,21 @@ def test_level_orders_agree_with_closed_form_vanishing_orders():
                     scen.kind, w, i)
 
 
+def _z(level_group, label, orders):
+    return z_values(level_group, [label], orders)[0]
+
+
 def test_z_value_exact_integers():
     group = Group(GroupKind("quaternion", 3))
     orders = {"psi_1": 1}
-    assert z_value(group, ONE, orders) == 4
-    assert z_value(group, MINUS_ONE, orders) == -4
-    assert z_value(group, power(1), orders) == 0
-    assert z_value(group, FLIP_EVEN, orders) == 0
-    assert z_value(group, ONE, {"psi_1": 0, "chi1": 0}) == 0
+    assert _z(group, ONE, orders) == 4
+    assert _z(group, MINUS_ONE, orders) == -4
+    assert _z(group, power(1), orders) == 0
+    assert _z(group, FLIP_EVEN, orders) == 0
+    assert _z(group, ONE, {"psi_1": 0, "chi1": 0}) == 0
     # psi_1(power(1)) = zeta_8 + zeta_8^-1 = sqrt(2): not a rational integer
     with pytest.raises(ValueError, match="not a rational integer"):
-        z_value(Group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
+        _z(Group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -201,10 +192,10 @@ def test_non_integer_z_raises_on_both_paths():
     # orders not constant on the Galois orbit {psi_1, psi_3}
     group = Group(GroupKind("quaternion", 5))
     orders = {"psi_1": 1, "psi_3": 2}
-    for z in (z_value_cyclo, z_value):
+    for z in (z_value_cyclo, _z):
         with pytest.raises(ValueError, match="not a rational integer"):
             z(group, power(1), orders)
-    assert z_value(group, MINUS_ONE, orders) == -12
+    assert _z(group, MINUS_ONE, orders) == -12
 
 
 def test_weights_structure_for_the_central_pair():
@@ -232,7 +223,7 @@ def test_variance_and_bias_match_the_materialized_model(family):
         zs = sample_zero_set(model, 64.0, seed=ix, character_id=cid)
         zero_sets[cid] = zs
         b0_map[cid] = b0(zs)
-    race = term_list(spec, zero_sets)
+    race = assemble_race_model(mean(spec), weights(spec), zero_sets)
     assert race.mean == mean(spec)
     assert math.isclose(race.variance, variance(spec, b0_map), rel_tol=1e-12)
     assert math.isclose(race.bias_factor, bias_factor(spec, b0_map),
@@ -315,20 +306,13 @@ def test_published_mean_rule():
         race_mean_closed_form(qkind, -1, 5, ONE, MINUS_ONE)
 
 
-def test_mean_table_serializations():
+def test_mean_table_rows():
     rows = mean_table("quaternion", 4, 3, -1)
-    buf = io.StringIO()
-    write_mean_table_csv(rows, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0].strip() == "c1,c2,mean_formula,mean_published,status"
-    assert len(lines) == len(rows) + 1
-    payload = json.loads(mean_table_json(rows))
-    assert len(payload) == len(rows)
-    assert {r["status"] for r in payload} <= {
+    assert all(isinstance(r, MeanRow) for r in rows)
+    assert {r.status for r in rows} <= {
         STATUS_MATCH, STATUS_OPEN_QUESTION, STATUS_UNDEFINED}
-    by_pair = {(r["c1"], r["c2"]): r for r in payload}
-    assert by_pair[("one", "minus_one")]["mean_formula"] == 4 - 16
-    assert isinstance(rows[0], MeanRow)
+    by_pair = {(str(r.c1), str(r.c2)): r for r in rows}
+    assert by_pair[("one", "minus_one")].mean_formula == 4 - 16
 
 
 def test_race_model_checks_raise_value_errors():

@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 
 from chebrace.zeros import (
-    HorizonError,
     ParseError,
     RATE_FLOOR,
     ValidationError,
     ZeroCountModel,
     ZeroSet,
-    b0,
     b0_tail,
     expected_zero_count,
     load_zero_file,
+    sample_zero_set,
+    save_zero_file,
+)
+from oracles import (
+    HorizonError,
+    b0,
     partial_inverse_main_term,
     partial_inverse_sum,
     partial_inverse_tolerance,
-    sample_zero_set,
-    save_zero_file,
 )
 
 
