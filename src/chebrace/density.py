@@ -7,17 +7,28 @@ phi(t) = e^(i mean t) prod_j J0(r_j t) via the Gil-Pelaez formula
 
     delta = 1/2 + (1/pi) Integral_0^inf Im(phi(t))/t dt.
 
-Both are deterministic (per seed / per quadrature settings) and report
-explicit error budgets.  The Monte Carlo kernel splits the pairs into chunks
-whose size depends only on the term count; chunk k draws from its own
-generator seeded by (salt, seed, k), so its noise does not depend on which
-worker thread runs it, and its indicator sums are exact (every antithetic
-indicator is 0, 1/2 or 1).  The estimate and its interval therefore depend
-only on (seed, samples), never on the worker count, the completion order or
-the block size.  The bound calculators implement the central-limit
-estimate and the exponential tail bounds in terms of the bias factor
-B = mean/sqrt(Var X), including the Montgomery-Odlyzko two-regime primitive
-and the Q factor built from character-degree data.
+Both are deterministic (per seed / per model) and report explicit error
+budgets.  The Fourier integrand is entire, so it is integrated on [0, t_max]
+by equal Gauss-Legendre panels of 24 nodes; the ``nodes`` argument (the
+CLI's ``--nodes``) caps the number of panels.  Amplitudes with
+r t_max >= 1 go through J0 at every node; the rest enter through a
+truncated power-sum series of log J0.  The budget adds three proven parts:
+the series remainder (from the Rayleigh sums of J0's zeros), the panels'
+Bernstein-ellipse bound (Trefethen, ATAP Thm 19.3, with |J0(x+iy)| <= I0(y)),
+and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
+the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
+first-order bound on float rounding is added to it.
+
+The Monte Carlo kernel splits the pairs into chunks whose size depends only
+on the term count; chunk k draws from its own generator seeded by (salt,
+seed, k), so its noise does not depend on which worker thread runs it, and
+its indicator sums are exact (every antithetic indicator is 0, 1/2 or 1).
+The estimate and its interval therefore depend only on (seed, samples),
+never on the worker count, the completion order or the block size.  The
+bound calculators implement the central-limit estimate and the exponential
+tail bounds in terms of the bias factor B = mean/sqrt(Var X), including the
+Montgomery-Odlyzko two-regime primitive and the Q factor built from
+character-degree data.
 """
 from __future__ import annotations
 
@@ -26,10 +37,10 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import j0
+from scipy.special import i0e, j0
 
 from .characters import character_degree
 from .races import RaceModel
@@ -153,32 +164,232 @@ def density_montecarlo(model: RaceModel, samples: int, seed: int) -> DensityEsti
                            float(cis[0]), 2 * n_pairs)
 
 
-def _envelope_tail(terms: np.ndarray, t: float) -> float:
-    """Upper bound for |Integral_t^inf prod J0(r u)/u du| from the envelope
-    |J0(x)| <= min(1, sqrt(2/(pi x))): the integrand is bounded by
-    g(u) = prod_j min(1, sqrt(2/(pi r_j u)))/u which decays like u^-(k/2+1)
-    with k the number of active terms, so the tail is <= g(t) * t / (k/2)."""
-    active = terms * t > 2.0 / math.pi
-    k = int(np.count_nonzero(active))
-    if k < 3:
-        return math.inf
-    log_g = float(np.sum(0.5 * np.log(2.0 / (math.pi * terms[active] * t)))) \
-        - math.log(t)
-    return math.exp(log_g + math.log(t) - math.log(k / 2.0))
+# Gil-Pelaez on a grid, and the constants of its error budget
+J0_ZERO = 2.4048255576957724  # j_{0,1}, J0's first zero, rounded down
+# |J0| has the non-increasing majorant H: exp(-x^2/4) (Weierstrass product,
+# sum 1/j_{0,s}^2 = 1/4) up to _H_KNEE, the envelope's value at J0_ZERO
+# from there to J0_ZERO, and the envelope sqrt(2/(pi x)) beyond
+_H_FLAT = math.sqrt(2.0 / (math.pi * J0_ZERO))
+_H_KNEE = 2.0 * math.sqrt(-math.log(_H_FLAT))
+_TAIL_STEP = 2.0 ** 0.125  # geometric grid for t_max and the tail bound
+_TAIL_STEPS = 512  # 64 doublings
+_SERIES_MAX = 40  # most log-J0 orders the bulk series uses
+_GL_NODES = 24  # Gauss-Legendre nodes per panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+_U = 2.0 ** -53  # unit roundoff
+# rounding assumptions, checked against mpmath in the tests: leggauss's
+# nodes are within 2 _U and its weights within _GL_WEIGHT_ULPS _U relative
+# (the end weights are the worst, near 1100); j0(x) is within
+# (4 + sqrt(x)) _U absolute; sin and exp within one ulp
+_GL_WEIGHT_ULPS = 2048
+_J1_MAX = 0.5819  # max |J1| = max |J0'|
+_RHO = 2.0 ** np.linspace(0.25, 6.0, 24)  # Bernstein ellipse parameters tried
+# panel counts tried, growing by about 1.25 each
+_PANEL_COUNTS = tuple(sorted({round(1.25 ** k) for k in range(64)}))
+_BLOCK = 1 << 20  # most head-term Bessel values held at a time
+# targets on |integral| error (delta moves by 1/pi of it)
+_TAIL_TARGET = 1e-13
+_QUAD_TARGET = 1e-13
+_SERIES_TARGET = 1e-15
+
+
+def _log_j0_coefficients(count: int) -> np.ndarray:
+    """L_1..L_count with log J0(x) = sum_k L_k (x/2)^(2k), exactly: the
+    logarithm of J0's series sum_k (-1)^k (x/2)^(2k) / k!^2 through
+    k a_k = sum_j j L_j a_(k-j), in rationals."""
+    a = [Fraction((-1) ** k, math.factorial(k) ** 2) for k in range(count + 1)]
+    logs = [Fraction(0)] * (count + 1)
+    for k in range(1, count + 1):
+        logs[k] = a[k] - sum(j * logs[j] * a[k - j] for j in range(1, k)) / k
+    return np.array([float(c) for c in logs[1:]])
+
+
+LOG_J0 = _log_j0_coefficients(_SERIES_MAX)
+
+
+def _tail_bounds(r: np.ndarray, sq: np.ndarray, logs: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Bounds B_i >= Integral_{u_i}^inf |prod_j J0(r_j t)| / t dt over the
+    geometric grid u (ratio _TAIL_STEP), for ascending amplitudes r with
+    prefix sums sq of r^2 and logs of log r.
+
+    G(t) = prod_j H(r_j t) bounds the product and does not increase, so
+    one grid step contributes at most G(u_i) log(_TAIL_STEP).  Past u_N,
+    the k terms with r u_N >= J0_ZERO decay like t^(-1/2) each and the
+    rest do not grow, so the remainder is at most G(u_N) 2/k, taken only
+    when k >= 3 (infinite otherwise).  B_i is the best split min_{N >= i}
+    of the steps from i to N plus the remainder at N.
+    """
+    n = r.size
+    gauss = np.searchsorted(r, _H_KNEE / u, side="right")
+    flat = np.searchsorted(r, J0_ZERO / u, side="left")
+    k = n - flat
+    log_g = (-0.25 * u * u * sq[gauss] + (flat - gauss) * math.log(_H_FLAT)
+             + 0.5 * k * np.log(2.0 / (math.pi * u)) - 0.5 * (logs[n] - logs[flat]))
+    g = np.exp(log_g)
+    rest = np.full(u.size, math.inf)
+    decays = k >= 3
+    rest[decays] = 2.0 * g[decays] / k[decays]
+    steps = np.cumsum((g * math.log(_TAIL_STEP))[::-1])[::-1]  # from i on
+    return steps + np.minimum.accumulate((rest - steps)[::-1])[::-1]
+
+
+def _series_order(m: float, t_max: float, bulk: np.ndarray) -> tuple[int, float]:
+    """The fewest log-J0 orders K for the bulk, and the bound on what the
+    rest of the series moves the integral.
+
+    log J0(x) = -sum_k x^(2k) sigma_k / k with sigma_k = sum_s j_{0,s}^(-2k)
+    <= J0_ZERO^(2-2k) / 4, so for x = r t < J0_ZERO the orders past K sum
+    to at most eps(x) = (J0_ZERO^2 / (4 (K+1))) q^(K+1) / (1 - q), q =
+    (x / J0_ZERO)^2.  Over the bulk at t <= t_max that is at most
+    eps = t_max^2 P_1 q_max^K / (4 (K+1) (1 - q_max)).  The bulk's J0
+    product is at most 1, so the series moves each Phi value by at most
+    e^eps - 1 <= eps e^eps, hence the integral and every quadrature sum
+    (|sin(m t)/t| <= m, weights summing to t_max) by m t_max eps e^eps.
+    """
+    if bulk.size == 0:
+        return 1, 0.0
+    q = (bulk[-1] * t_max / J0_ZERO) ** 2
+    order = np.arange(1, _SERIES_MAX + 1)
+    eps = t_max * t_max * float(bulk @ bulk) * q ** order / (4.0 * (order + 1) * (1.0 - q))
+    err = m * t_max * eps * np.exp(eps)
+    ok = np.flatnonzero(err <= _SERIES_TARGET)
+    i = int(ok[0]) if ok.size else _SERIES_MAX - 1
+    return int(order[i]), float(err[i])
+
+
+def _quad_log_bounds(m: float, t_max, count: int, log_i0) -> np.ndarray:
+    """log of the Gauss-Legendre error bound for ``count`` equal panels on
+    [0, t_max], minimised over _RHO, given log_i0(b) >= sum_j log I0(r_j b).
+
+    On a panel of half-width h, Trefethen's Thm 19.3 (ATAP) bounds the
+    error by h (64/15) M rho^(-2n) / (rho^2 - 1), where M bounds the
+    integrand on the Bernstein ellipse E_rho, whose points have
+    |Im z| <= b = h (rho - 1/rho) / 2.  There |sin(m z)/z| <= m cosh(m b)
+    and |J0(r z)| <= I0(r b).  Every panel has the same bound, and the
+    panels' half-widths sum to t_max/2.
+    """
+    t_max = np.asarray(t_max, dtype=float)[..., None]
+    b = t_max / (2.0 * count) * (0.5 * (_RHO - 1.0 / _RHO))
+    log_err = (np.log(32.0 / 15.0 * t_max) - 2 * _GL_NODES * np.log(_RHO)
+               - np.log(_RHO * _RHO - 1.0) + math.log(m)
+               + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0(b))
+    return log_err.min(axis=-1)
+
+
+def _panel_count(m: float, t_max: float, head: np.ndarray, bulk_sq: float,
+                 cap: int) -> tuple[int, float]:
+    """The fewest equal Gauss-Legendre panels on [0, t_max], at most cap,
+    whose error bound meets _QUAD_TARGET (or cap and its bound), with i0e
+    for the head and log I0(x) <= x^2/4 for the bulk."""
+    def log_i0(b):
+        x = np.multiply.outer(b, head)
+        return 0.25 * b * b * bulk_sq + np.sum(np.log(i0e(x)) + x, axis=-1)
+
+    for count in [c for c in _PANEL_COUNTS if c < cap] + [cap]:
+        log_err = float(_quad_log_bounds(m, t_max, count, log_i0))
+        if log_err <= math.log(_QUAD_TARGET):
+            break
+    # past e^2 > pi the budget is at its cap of 1 anyway
+    return count, math.exp(min(log_err, 2.0))
+
+
+def _t_max_and_tail(r: np.ndarray, t_max: float | None, m: float,
+                    cap: int) -> tuple[float, float]:
+    """t_max, unless given, and the bound on the integral beyond it.
+
+    t_max is the smallest grid point whose tail bound meets _TAIL_TARGET,
+    provided ``cap`` panels can meet _QUAD_TARGET there, judged with
+    sum log I0(r_j b) <= min(b^2 sum r^2 / 4, b sum r).  Models with few
+    terms may fail that; they take the grid point that minimises tail plus
+    quadrature bound instead.
+    """
+    sq = np.concatenate(([0.0], np.cumsum(r * r)))
+    logs = np.concatenate(([0.0], np.cumsum(np.log(r))))
+    steps = _TAIL_STEP ** np.arange(_TAIL_STEPS)
+    if t_max is not None:
+        tail = float(_tail_bounds(r, sq, logs, t_max * steps)[0])
+        return t_max, tail if math.isfinite(tail) else 1.0
+    u = steps / math.sqrt(sq[-1])
+    bounds = _tail_bounds(r, sq, logs, u)
+    ok = np.flatnonzero(bounds <= _TAIL_TARGET)
+    total = float(r.sum())
+
+    def quad(t):
+        return _quad_log_bounds(
+            m, t, cap, lambda b: np.minimum(0.25 * b * b * sq[-1], b * total))
+
+    if ok.size and quad(u[ok[0]]) <= math.log(_QUAD_TARGET):
+        i = int(ok[0])
+    elif np.isfinite(bounds).any():
+        with np.errstate(divide="ignore"):  # a tail bound may underflow to 0
+            i = int(np.argmin(np.logaddexp(np.log(bounds), quad(u))))
+    else:  # fewer than 3 terms: no tail bound; stop at 1024 / |r|
+        return float(u[80]), 1.0
+    return float(u[i]), float(bounds[i])
+
+
+def _grid_integral(m: float, t_max: float, panels: int, order: int,
+                   bulk: np.ndarray, head: np.ndarray) -> tuple[float, float]:
+    """Integral_0^t_max sin(m t) Phi(t) / t dt by Gauss-Legendre on equal
+    panels, Phi being exp(bulk series to ``order``) times the head's J0
+    product, and a first-order bound on its floating-point rounding.  The
+    head's Bessel values are taken a block of nodes at a time and never
+    for every term at every node.
+
+    Rounding, per node, in units of _U (standard model, Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3): each power sum is off by
+    (bulk + k + 2) relative, so the series S, whose terms share one sign,
+    by (bulk + 3 order + 3) |S|; the head's j0 values and products by
+    5 head + sqrt(head t sum r) absolute; sin(m t)/t by m absolute; the
+    nodes by 4 t_max absolute, which moves f by at most |f'| 4 t_max with
+    |f'| <= B (m^2/2 + m (|S'| + _J1_MAX sum r)), B = e^S; the weights and
+    the N-term sum by _GL_WEIGHT_ULPS + N + 8 relative.
+    """
+    r2 = bulk * bulk
+    power = r2.copy()
+    power_sums = np.empty(order)
+    for k in range(order):
+        power_sums[k] = power.sum()
+        power *= r2
+    half = t_max / (2.0 * panels)
+    t = (np.arange(1, 2 * panels, 2)[:, None] * half + half * _GL_X).ravel()
+    y = np.cumprod(np.broadcast_to((0.5 * t)[:, None], (t.size, order)) ** 2, axis=1)
+    coef = LOG_J0[:order] * power_sums
+    series = y @ coef
+    slope = y @ (2.0 * np.arange(1, order + 1) * coef) / t  # S'(t)
+    bulk_phi = np.exp(series)
+    head_phi = np.ones(t.size)
+    block = max(1, _BLOCK // max(head.size, 1))
+    for start in range(0, t.size, block):
+        part = slice(start, start + block)
+        head_phi[part] = np.prod(j0(np.multiply.outer(head, t[part])), axis=0)
+    g = np.sin(m * t) / t
+    f = g * bulk_phi * head_phi
+    weights = np.tile(half * _GL_W, panels)
+    head_sum = float(head.sum())
+    ulps = (bulk_phi * (np.abs(g) * (5 * head.size + np.sqrt(head.size * head_sum * t))
+                        + m + 4.0 * t_max * (0.5 * m * m + m * (np.abs(slope)
+                                                                  + _J1_MAX * head_sum)))
+            + np.abs(f) * ((bulk.size + 3 * order + 3) * np.abs(series)
+                           + _GL_WEIGHT_ULPS + t.size + 8))
+    return float(f @ weights), _U * float(ulps @ weights)
 
 
 def density_fourier(model: RaceModel, t_max: float | None = None,
                     nodes: int = 2000) -> DensityEstimate:
     """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
 
-    The imaginary part of phi is sin(mean*t) prod J0(r_j t), so delta is
-    1/2 + (1/pi) Integral_0^inf sin(mean*t) prod_j J0(r_j t) / t dt.  The
-    removable singularity at 0 is handled by a series segment; the main
-    segment uses oscillatory-weighted adaptive quadrature; the tail beyond
-    t_max is bounded by the Bessel envelope and added to the error budget.
-    A mean of zero short-circuits to exactly 1/2, and a negative mean is the
-    ``complement`` of the mirrored race, so flipping the mean maps delta to
-    1 - delta identically.
+    delta = 1/2 + (1/pi) Integral_0^inf sin(mean*t) Phi(t) / t dt with
+    Phi(t) = prod_j J0(r_j t), an entire integrand, integrated on [0, t_max]
+    by equal Gauss-Legendre panels (at most ``nodes`` of them).  Terms with
+    r t_max >= 1 (the head) go through ``j0``; the rest (the bulk) enter as
+    exp(sum_k L_k (t/2)^(2k) P_k) with power sums P_k = sum r^(2k).  The
+    budget adds three proven parts: the bulk series remainder, the panels'
+    Bernstein-ellipse bound, and the tail beyond t_max, which also picks
+    t_max when it is not given; and a first-order bound on rounding.  A mean of zero short-circuits to exactly
+    1/2, and a negative mean is the ``complement`` of the mirrored race, so
+    flipping the mean maps delta to 1 - delta identically.
     """
     terms = model.terms
     if terms.size == 0:
@@ -189,35 +400,18 @@ def density_fourier(model: RaceModel, t_max: float | None = None,
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
                       "slowly; consider raising t_max", stacklevel=2)
     m = abs(float(model.mean))
-    sum_r2 = float(np.sum(terms * terms))
-
-    # series segment on [0, eps]: sin(mt) prod J0 / t = m (1 - c t^2 + O(t^4))
-    scale = math.sqrt(m * m / 6.0 + sum_r2 / 4.0)
-    eps = min(1e-4, 1e-3 / scale) if scale > 0 else 1e-4
-    c2 = m * (m * m / 6.0 + sum_r2 / 4.0)
-    series = m * eps - c2 * eps**3 / 3.0
-    series_err = m * (scale * eps) ** 4 * eps  # next even order, crude bound
-
-    if t_max is None:
-        t_max = 1.0
-        while _envelope_tail(terms, t_max) > 1e-13 and t_max < 2.0**40:
-            t_max *= 2.0
-    tail = _envelope_tail(terms, t_max)
-    if not math.isfinite(tail):
-        tail = 1.0  # fewer than 3 active terms even at t_max; budget stays honest
-
-    def integrand(t: float) -> float:
-        return float(np.prod(j0(terms * t))) / t
-
-    integral, quad_err, info, *message = quad(
-        integrand, eps, t_max, weight="sin", wvar=m, limit=nodes,
-        epsabs=1e-11, epsrel=1e-11, full_output=1)
-    if message:  # full_output returns QUADPACK's warning instead of issuing it
-        warnings.warn(message[0], IntegrationWarning)
-    half_gap = (series + integral) / math.pi
-    budget = (series_err + quad_err + tail) / math.pi
-    est = DensityEstimate(min(max(0.5 + half_gap, 0.0), 1.0), FOURIER, budget,
-                          info["neval"])
+    r = np.sort(terms)
+    t_max, tail = _t_max_and_tail(r, t_max, m, nodes)
+    split = int(np.searchsorted(r, 1.0 / t_max, side="left"))
+    bulk, head = r[:split], r[split:]
+    order, series_err = _series_order(m, t_max, bulk)
+    panels, quad_err = _panel_count(m, t_max, head, float(bulk @ bulk), nodes)
+    integral, rounding = _grid_integral(m, t_max, panels, order, bulk, head)
+    # 2 _U for 1/2 + integral/pi; delta and its estimate both lie in [0, 1],
+    # so 1 always bounds the error
+    budget = min((series_err + quad_err + tail + rounding) / math.pi + 2 * _U, 1.0)
+    est = DensityEstimate(min(max(0.5 + integral / math.pi, 0.0), 1.0), FOURIER,
+                          budget, panels * _GL_NODES)
     return est if model.mean > 0 else complement(est)
 
 

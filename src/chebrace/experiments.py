@@ -303,8 +303,9 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
             while expected_zero_count(model, horizon) < min_count:
                 horizon *= 2.0
                 if horizon > float(1 << 20):
-                    raise InternalInconsistencyError(
-                        f"zero horizon runaway for {cid}")
+                    raise ConfigError(
+                        f"min_zeros {min_count} is out of reach for {cid}: "
+                        f"its zero horizon would pass the 2^20 limit")
         child = _child_seed(_PROVISION_SALT, seed, all_ids.index(cid))
         sets[cid] = sample_zero_set(model, horizon, child, character_id=cid)
     return sets
@@ -532,7 +533,7 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
         raise ConfigError(f"pairs must be class label pairs, got {pairs!r}")
     check_seed(seed)
     _check_mc_samples(samples)
-    _check_int("fourier_nodes", fourier_nodes, 1)  # QUADPACK's limit
+    _check_int("fourier_nodes", fourier_nodes, 1)  # the Fourier panel cap
     if isinstance(zero_files, str) or not all(
             isinstance(path, str) for path in zero_files):
         raise ConfigError(f"zero_files must be a list of paths, got {zero_files!r}")
@@ -543,6 +544,7 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
     scen = scenario_generator(family, n, w_axiom, seed)
     from_files = bool(zero_files)
     sets = load_zero_sets(zero_files)
+    paths = dict(zip(sets, zero_files))  # load_zero_sets keeps file order
     if level is None:
         level = n
     pairs = list(pairs)
@@ -563,6 +565,10 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
                 raise ConfigError(
                     f"zero files do not cover characters {missing} "
                     f"needed by ({c1}, {c2})")
+            if from_files and not any(len(sets[cid]) for cid in needed):
+                raise ConfigError(
+                    f"zero files {[paths[cid] for cid in needed]} hold no "
+                    f"ordinates for ({c1}, {c2})")
             sets.update(provision_zero_sets(scen, missing, seed,
                                             min_count=min_zeros))
         rows.append(race_row(spec, sets, samples, _child_seed(seed, index),
@@ -802,8 +808,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    if not 3 <= n <= 12:
-        raise ConfigError(f"n must satisfy 3 <= n <= 12 for tractable models, got {n}")
+    if not 3 <= n <= 10:  # n = 10 takes under 3 min; n = 11 ~8x that
+        raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
     if family == DIHEDRAL:
         w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
@@ -1117,9 +1123,11 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     Rubinstein-Sarnak value; with synthetic ordinates the difference is
     reported for calibration only.  Never gates a build.
     """
-    _check_int("nodes", nodes, 1)  # QUADPACK's limit
+    _check_int("nodes", nodes, 1)  # the Fourier panel cap
     if zero_file is not None:
         zs = read_zero_file(zero_file)
+        if not zs.ordinates:
+            raise ConfigError(f"zero file {zero_file} holds no ordinates")
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")

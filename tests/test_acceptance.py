@@ -48,6 +48,7 @@ from oracles import (
     SYMPLECTIC,
     brute_force_induce,
     character_table,
+    density_fourier_quadpack,
     frobenius_schur,
     fs_type,
     inner_product,
@@ -279,6 +280,18 @@ def test_criterion_6_density_cross_validation(capsys):
             f"50 models >=200 terms, worst gap {worst:.2f} of tolerance, "
             f"{zero_mean_models} mean-0 models exactly half, complementarity "
             f"exact, {elapsed:.0f}s < 600s")
+
+
+def test_fourier_grid_matches_quadpack_on_criterion_6_models():
+    for k in range(50):
+        model = _random_race_model(k)
+        for mean in ({model.mean, -model.mean} if k % 5 == 0 else {model.mean}):
+            side = dataclasses.replace(model, mean=mean)
+            grid = density_fourier(side)
+            oracle = density_fourier_quadpack(side)
+            assert grid.error_bound <= 1e-11, k
+            assert abs(grid.value - oracle.value) <= \
+                grid.error_bound + oracle.error_bound, k
 
 
 def test_criterion_7a_growing_conductor(capsys):

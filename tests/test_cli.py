@@ -246,6 +246,9 @@ ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
     (["race"], {"seed": -1}, "seed must be a non-negative integer, got -1"),
     (["race"], {"fourier_nodes": 0}, "fourier_nodes must be at least 1, got 0"),
     (["race"], {"zero_files": [ZF]}, "non-finite ordinate 'nan'"),
+    (["race"], {"min_zeros": 1_000_000_000},
+     "min_zeros 1000000000 is out of reach for psi_1: its zero horizon "
+     "would pass the 2^20 limit"),
     (["tower", "--n", "3", "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
     (["horizontal", "--seed", "-2"], None,
@@ -272,6 +275,34 @@ def test_bad_race_and_mod4_inputs_exit_2(argv, config, message, tmp_path,
     assert message in captured.err
     if "ordinate" in message:
         assert f"{zero_file}:3:" in captured.err
+
+
+@pytest.mark.parametrize("argv,cid", [
+    (["mod4"], "chi4"),
+    (["race", "--n", "3", "--pair", "one:minus_one", "--samples", "10000"],
+     "psi_1"),  # psi_1 is the race's only weighted character
+])
+def test_zero_file_without_ordinates_exits_2(argv, cid, tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text(f"# character: {cid}\n# T_max: 50\n")
+    assert cli.main(argv + ["--zero-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "hold" in captured.err
+    assert "no ordinates" in captured.err
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # its import takes about 0.3 s, which every verb would pay at startup
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import chebrace.cli, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_bad_inputs_exit_2_under_python_O(tmp_path):

@@ -306,14 +306,115 @@ def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
 
 
 def test_fourier_reports_integrand_evaluations(monkeypatch):
+    # the grid's nodes, read from the shape of the head terms' j0 calls
     model = _synthetic_model(2, {"psi_1": 2.0, "psi_2": 4.0})
-    calls = []
+    nodes = []
 
     def counted_j0(x):
-        calls.append(1)
+        nodes.append(x.shape[-1])
         return special.j0(x)
 
     monkeypatch.setattr(density, "j0", counted_j0)
     est = density_fourier(model)
-    assert est.samples_or_nodes == len(calls) > 0
-    assert est.samples_or_nodes != 2000
+    assert est.samples_or_nodes == sum(nodes) > 0
+    assert est.samples_or_nodes % 24 == 0  # whole panels
+
+
+def test_log_j0_series_matches_scipy_below_one():
+    assert list(density.LOG_J0[:4]) == [-1.0, -0.25, -1.0 / 9.0, -11.0 / 192.0]
+    x = np.linspace(1e-3, 1.0, 4001)[:-1]
+    series = np.polynomial.polynomial.polyval(
+        (x / 2.0) ** 2, np.concatenate(([0.0], density.LOG_J0)))
+    assert np.max(np.abs(series - np.log(special.j0(x)))) <= 1e-15
+
+
+def test_j0_bounds_behind_the_fourier_budget():
+    # j_{0,1} = 2.40482555769577276862..., rounded down keeps every bound safe
+    assert density.J0_ZERO == special.jn_zeros(0, 1)[0]
+    assert special.j0(density.J0_ZERO) > 0.0
+    # the tail's majorants: Gaussian up to the first zero, envelope beyond
+    x = np.linspace(0.0, density.J0_ZERO, 200_001)
+    assert np.all(np.abs(special.j0(x)) <= np.exp(-x * x / 4.0) * (1.0 + 2.0**-51))
+    x = np.linspace(1e-3, 200.0, 200_001)
+    assert np.all(np.abs(special.j0(x)) <= np.sqrt(2.0 / (np.pi * x)) * (1.0 + 2.0**-51))
+    # the quadrature's: |J0(x + iy)| <= I0(y) on the Bernstein ellipses
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-60.0, 60.0, 20_000) + 1j * rng.uniform(-12.0, 12.0, 20_000)
+    assert np.all(np.abs(special.jv(0, z)) <= special.i0(z.imag) * (1.0 + 1e-12))
+
+
+def test_rounding_assumptions_behind_the_fourier_budget():
+    # leggauss's nodes and weights, and j0, as accurate as the rounding
+    # bound of density._grid_integral takes them to be
+    mp = pytest.importorskip("mpmath")
+    ulp = density._U
+    n = density._GL_NODES
+    with mp.workdps(40):
+        for x, w in zip(density._GL_X, density._GL_W):
+            root = mp.findroot(lambda z: mp.legendre(n, z), mp.mpf(float(x)))
+            exact = 2 * (1 - root**2) / (n * mp.legendre(n - 1, root)) ** 2
+            assert abs(mp.mpf(float(x)) - root) <= 2 * ulp
+            assert abs(mp.mpf(float(w)) / exact - 1) <= density._GL_WEIGHT_ULPS * ulp
+        rng = np.random.default_rng(11)
+        for x in np.concatenate([rng.uniform(0.0, 30.0, 300),
+                                 rng.uniform(30.0, 5000.0, 300)]):
+            err = abs(mp.besselj(0, mp.mpf(float(x))) - mp.mpf(float(special.j0(x))))
+            assert err <= (4.0 + math.sqrt(x)) * ulp, x
+
+
+def test_fourier_grid_matches_an_mpmath_evaluation():
+    # the grid, rounding included, against the same Gil-Pelaez integral
+    # over [0, t_max] in 25-digit arithmetic with exact Gauss-Legendre
+    # nodes, twice as many panels and twice the nodes per panel
+    mp = pytest.importorskip("mpmath")
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0}, t_max=24.0)
+    assert model.terms.size >= 100
+    est = density_fourier(model)
+    t_max, _ = density._t_max_and_tail(np.sort(model.terms), None, model.mean, 2000)
+    panels = 2 * est.samples_or_nodes // 24
+    with mp.workdps(25):
+        rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)  # 48 nodes
+        amplitudes = [mp.mpf(float(r)) for r in model.terms]
+        half = mp.mpf(t_max) / (2 * panels)
+        total = mp.mpf(0)
+        for p in range(panels):
+            for x, w in rule:
+                t = (2 * p + 1 + x) * half
+                total += (w * half * mp.sin(model.mean * t) / t
+                          * mp.fprod(mp.besselj(0, r * t) for r in amplitudes))
+        exact = float(0.5 + total / mp.pi)
+    assert abs(est.value - exact) <= est.error_bound
+
+
+def test_fourier_t_max_may_fall_below_one_and_its_tail_is_honest():
+    model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0},
+                             t_max=200.0)
+    t_max, tail = density._t_max_and_tail(np.sort(model.terms), None, model.mean, 2000)
+    assert t_max < 1.0 and tail <= 1e-13
+    est = density_fourier(model)
+    longer = density_fourier(model, t_max=4.0 * t_max)
+    assert longer.samples_or_nodes > est.samples_or_nodes
+    assert abs(est.value - longer.value) <= est.error_bound + longer.error_bound
+
+
+def test_fourier_panel_cap_reports_the_larger_bound():
+    model = _synthetic_model(40, {"chi1": 2.0, "psi_1": 4.0})
+    full = density_fourier(model)
+    assert full.samples_or_nodes > 24 and full.error_bound <= 1e-11
+    capped = density_fourier(model, nodes=1)
+    assert capped.samples_or_nodes == 24
+    assert capped.error_bound > full.error_bound
+    assert abs(capped.value - full.value) <= capped.error_bound + full.error_bound
+
+
+def test_fourier_few_terms_trade_tail_against_panels():
+    # three cosines never meet the tail target with a panel count the cap
+    # allows, so t_max minimises the sum of the two bounds instead
+    terms = np.array([1.7, 1.1, 0.6])
+    model = RaceModel(1, 0.5 * float(terms @ terms), 0.0, terms, {})
+    est = density_fourier(model)
+    assert est.error_bound <= 1e-6
+    mc = density_montecarlo(model, 200_000, seed=4)
+    assert abs(est.value - mc.value) <= 3.0 * mc.error_bound + est.error_bound

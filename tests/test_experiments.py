@@ -60,7 +60,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_
 
 import numpy as np
 
-from oracles import tower_rows_per_pair
+from oracles import density_fourier_quadpack, tower_rows_per_pair
 
 
 # -- claims data ---------------------------------------------------------------
@@ -454,8 +454,8 @@ def test_tower_shared_inversions_match_per_pair_oracle(family, n, w):
 @pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
 def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch):
     inverted = []
-    quadratures = []
-    real_fourier, real_quad = experiments.density_fourier, density.quad
+    grids = []
+    real_fourier, real_grid = experiments.density_fourier, density._grid_integral
 
     def counted_fourier(model, **kwargs):
         if model.mean != 0:
@@ -463,14 +463,14 @@ def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch
                              tuple(sorted(model.per_character_weights.items()))))
         return real_fourier(model, **kwargs)
 
-    def counted_quad(*args, **kwargs):
-        quadratures.append(1)
-        return real_quad(*args, **kwargs)
+    def counted_grid(*args, **kwargs):
+        grids.append(1)
+        return real_grid(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "density_fourier", counted_fourier)
-    monkeypatch.setattr(density, "quad", counted_quad)
+    monkeypatch.setattr(density, "_grid_integral", counted_grid)
     tower_experiment(family, 6, w, seed=0)
-    runs = len(quadratures)
+    runs = len(grids)
     oracle = tower_rows_per_pair(family, 6, w, seed=0)
     sides = {(abs(r["mean_formula"]), r["weights"])
              for r in oracle if r["mean_formula"] != 0}
@@ -479,9 +479,35 @@ def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch
     assert sum(r["mean_formula"] != 0 for r in oracle) > len(sides)
 
 
+@pytest.mark.parametrize("family,w", [(QUATERNION, 1), (QUATERNION, -1),
+                                      (DIHEDRAL, 1)])
+def test_fourier_grid_matches_quadpack_on_tower_models(family, w, monkeypatch):
+    # every inversion tower makes at n = 3..6, which gives every row its
+    # density; mean-0 rows are exactly 1/2 either way
+    models = []
+    real_fourier = experiments.density_fourier
+
+    def recorded(model, **kwargs):
+        models.append(model)
+        return real_fourier(model, **kwargs)
+
+    monkeypatch.setattr(experiments, "density_fourier", recorded)
+    for n in range(3, 7):
+        tower_experiment(family, n, w, seed=0)
+    assert len(models) > 100
+    for model in models:
+        grid = real_fourier(model)
+        oracle = density_fourier_quadpack(model)
+        assert grid.error_bound <= 1e-11
+        assert abs(grid.value - oracle.value) <= \
+            grid.error_bound + oracle.error_bound, \
+            (model.mean, model.terms.size, grid, oracle)
+
+
 def test_tower_experiment_rejects_large_n():
-    with pytest.raises(ConfigError):
-        tower_experiment(QUATERNION, 13, +1, seed=0)
+    for n in (11, 13):
+        with pytest.raises(ConfigError, match="3 <= n <= 10"):
+            tower_experiment(QUATERNION, n, +1, seed=0)
 
 
 def test_monotonicity_dihedral_holds():

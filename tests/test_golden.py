@@ -1,14 +1,16 @@
 """Golden reports: the stdout JSON of a few small CLI runs, pinned by sha256.
 
-The table, tower and monotonicity digests were taken before the exact layer
-moved to integer exponent arrays, the sandwich and horizontal ones before
-the two Monte Carlo loops became one chunk-parallel kernel, and the race
-one before the race config became run_race's keyword arguments: the flags
-and a config file naming every one of them must give that same report.  So a refactor
-of the mean/weight engine or of the Monte Carlo kernel that changes any
-integer, float or key of these reports fails here.  Regenerate a digest only for a
-change that is meant to alter the report, and say so where the change is
-recorded.
+The table and monotonicity digests were taken before the exact layer moved
+to integer exponent arrays, and the sandwich one before the two Monte Carlo
+loops became one chunk-parallel kernel.  The tower, horizontal and race
+digests were re-taken when the Fourier engine moved from QUADPACK to the
+Gauss-Legendre grid, which moves delta_fourier in its last bits and the
+fields printed from it; the flags and a race config file naming every one
+of run_race's arguments must give that same race report.  So a refactor of
+the mean/weight engine, the Monte Carlo kernel or the Fourier grid that
+changes any integer, float or key of these reports fails here.  Regenerate
+a digest only for a change that is meant to alter the report, and say so
+where the change is recorded.
 """
 from __future__ import annotations
 
@@ -25,18 +27,18 @@ GOLDEN = [
     (["table", "--id", "esp-d", "--n", "6"],
      "bced34938a12446b28b5c33bd6aa7340f28a739a0fdf4be20cdf6a0f70ef574a"),
     (["tower", "--family", "quaternion", "--n", "5", "--w", "-1", "--seed", "0"],
-     "c51069af8e7077320f5023290e2ff23d2a61b8d1b59e92d66a827780c95c03ea"),
+     "ee08761118023d00732afe7bd5649dd7b5976ebe77c1259d9eea34d1a561c296"),
     (["tower", "--family", "dihedral", "--n", "5", "--seed", "0"],
-     "c650545641372d132f201cb93e9b0ed6bf8c391f23d50af2e10de6a9be4ab1e7"),
+     "5f8e95ddf338202b935a3153b6e60ea1756538d476d73b4d6b9792f8be2d01d9"),
     (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
       "--samples", "2000", "--seed", "0"],
      "58d59070af359b2919977c19de36e98da52c309189166dffe0b43fd4ce98979c"),
     (["sandwich", "--count", "2", "--samples", "10000", "--seed", "0"],
      "79e65141cd4af191fba33055b368ee5af5a0ad030070110b3c04acda7d6f7063"),
     (["horizontal", "--f-values", "1,2", "--samples", "10000", "--seed", "0"],
-     "1514f64f9cf10ddc4c69bd7c91fc077ada274235c9920b60293a0e9faf4cad72"),
+     "1d0f039352ef3c7a26f500c722971b5c51a3726f20c0c834ba68172d1a2b61da"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
-     "615b838c0d633cb8a859a67b90911d7eb61ab69c305f1543440863b0b339c520"),
+     "4aeece58b4af84d3f3303738e2537bd38e1e43178bde1027a9f4cab030658eb9"),
 ]
 
 # the race flags above as a config file, with every default spelled out

@@ -5,7 +5,7 @@ outside its own definition.  Code only the tests call belongs in
 
 A reference is a name token of the source, so words in docstrings and
 comments do not count, while a local variable of the same name does (that
-is why ``cyclotomic.sub`` and ``scale`` need no entry).  ALLOWED lists the
+is why ``cyclotomic.sub`` needs no entry).  ALLOWED lists the
 few unreferenced names that are kept on purpose; each must still be
 defined and still unreferenced, so the list cannot go stale.
 """
@@ -35,6 +35,7 @@ ALLOWED = {
     "conjugate",
     "mul",
     "promote",
+    "scale",
 }
 
 
