@@ -31,7 +31,7 @@ from .experiments import (
     write_report,
 )
 from .groups import DIHEDRAL, QUATERNION
-from .zeros import ZeroCountModel, sample_zero_set, save_zero_file
+from .zeros import HORIZON_LIMIT, ZeroCountModel, sample_zero_set, save_zero_file
 
 # a race config holds run_race's keyword arguments, nothing else
 RACE_CONFIG_KEYS = tuple(inspect.signature(run_race).parameters)
@@ -113,9 +113,11 @@ def _cmd_tower(args: argparse.Namespace) -> int:
 
 
 def _check_t_max(t_max: float) -> None:
-    """sample_zero_set's horizon floor, checked before any work is done."""
+    """sample_zero_set's horizon range, checked before any work is done."""
     if not t_max >= 1.0:
         raise ConfigError(f"--t-max must be at least 1, got {t_max}")
+    if not t_max <= HORIZON_LIMIT:
+        raise ConfigError(f"--t-max must be at most 2^20 = 1048576, got {t_max}")
 
 
 def _cmd_monotonicity(args: argparse.Namespace) -> int:

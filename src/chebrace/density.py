@@ -23,12 +23,20 @@ The Monte Carlo kernel splits the pairs into chunks whose size depends only
 on the term count; chunk k draws from its own generator seeded by (salt,
 seed, k), so its noise does not depend on which worker thread runs it, and
 its indicator sums are exact (every antithetic indicator is 0, 1/2 or 1).
-The estimate and its interval therefore depend only on (seed, samples),
-never on the worker count, the completion order or the block size.  The
-bound calculators implement the central-limit estimate and the exponential
-tail bounds in terms of the bias factor B = mean/sqrt(Var X), including the
-Montgomery-Odlyzko two-regime primitive and the Q factor built from
-character-degree data.
+Each indicator is decided by the sign of m + S or m - S, S being the row's
+float64 sum of r_j cos(2 pi u_j).  The kernel first forms a float32 S',
+which is within a proven window W of S (W ~ 2^-20 sum r_j, given float32
+cos within _COS32_ULPS units of 2^-24, which the tests check); only rows
+where some |m +- S'| <= W are summed again in float64.  The indicators,
+hence the estimate, are those of the float64 sums.  The estimate and its
+interval therefore depend only on (seed, samples), never on the worker
+count, the completion order, the block size or float32 cos's accuracy
+within that bound.
+
+The bound calculators implement the central-limit estimate and the
+exponential tail bounds in terms of the bias factor B = mean/sqrt(Var X),
+including the Montgomery-Odlyzko two-regime primitive and the Q factor
+built from character-degree data.
 """
 from __future__ import annotations
 
@@ -49,9 +57,13 @@ MONTECARLO = "montecarlo"
 FOURIER = "fourier"
 
 _MC_SALT = 0x5CE9A813
+_U = 2.0 ** -53  # unit roundoff
 # elements (256 KB of float64) drawn, transformed and reduced at a time, so
 # one block stays in the per-core cache between the passes
 _MC_BLOCK = 1 << 15
+# assumed bound on |float32 cos(x) - cos(x)| in units of 2^-24 for float32
+# x in [0, fl32(2 pi)]; the tests sweep it (numpy 2.4 on x86-64: 1.2)
+_COS32_ULPS = 8
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 # Pinned default constants for the bound shapes; the source results are
@@ -96,23 +108,60 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
     chunk of `take` pairs.
 
     The chunk's uniforms are drawn block by block from its own generator,
-    which yields the same numbers as one (take, terms) draw.  Each row's
-    sum is numpy's pairwise sum over that row alone, so S does not depend
-    on the block size; BLAS is avoided because its dot order depends on the
-    matrix shape and its own thread pool contends with the workers.  Runs
-    on a worker thread: numpy only, which releases the interpreter lock.
+    which yields the same numbers as one (take, terms) draw.  The exact
+    S of a row is numpy's pairwise sum of r_j cos(2 pi u_j) in float64
+    over that row alone, so it does not depend on the block size; BLAS is
+    avoided because its dot order depends on the matrix shape and its own
+    thread pool contends with the workers.
+
+    A fast S' takes the angles fl32(2 pi u), cos and the products in
+    float32, and the row sum in float64.  It is within
+
+        W = sum r_j [(2 pi + _COS32_ULPS + 4) 2^-24 + 2 n 2^-53] + n 2^-149
+
+    of S: 2 pi 2^-24 for the rounded angle, _COS32_ULPS 2^-24 for the
+    float32 cos (checked in the tests), 2^-24 each for r and the product
+    in float32, the two n-term float64 sums, and float32 underflow; the
+    spare 2 units cover float64 cos and products and second-order terms.
+    A term that overflows float32 makes W infinite.  Where the computed
+    |m + S'| and |m - S'| exceed W for every mean m, so do the exact ones
+    (rounding is monotone), m + S and m - S have the signs of m + S' and
+    m - S', and rounding keeps the sign of a sum, so each indicator is the
+    one S gives.  The other rows, exact ties m + S = 0 among them, are
+    summed again in float64 as above.  The sums are therefore those of the
+    exact S.  Runs on a worker thread: numpy only, which releases the
+    interpreter lock.
     """
     rng = np.random.default_rng(np.random.SeedSequence([salt, seed, index]))
-    rows = max(1, _MC_BLOCK // terms.size)
-    buf = np.empty((min(rows, take), terms.size))
+    n = terms.size
+    rows = min(max(1, _MC_BLOCK // n), take)
+    terms32 = terms.astype(np.float32)
+    window = (float(terms.sum()) * ((2.0 * np.pi + _COS32_ULPS + 4) * 2.0 ** -24
+                                    + 2 * n * _U) + n * 2.0 ** -149)
+    if not np.isfinite(terms32).all():
+        window = math.inf
+    abs_means = np.abs(means)
+    buf = np.empty((rows, n))
+    fast = np.empty((rows, n), dtype=np.float32)
     s = np.empty(take)
     for start in range(0, take, rows):
         block = buf[:min(rows, take - start)]
+        part = s[start:start + len(block)]
         rng.random(out=block)
-        np.multiply(block, 2.0 * np.pi, out=block)
-        np.cos(block, out=block)
-        np.multiply(block, terms, out=block)
-        np.sum(block, axis=1, out=s[start:start + len(block)])
+        f = fast[:len(block)]
+        np.multiply(block, 2.0 * np.pi, out=f, casting="same_kind")
+        np.cos(f, out=f)
+        np.multiply(f, terms32, out=f)
+        np.sum(f, axis=1, dtype=np.float64, out=part)
+        # min(|m + S'|, |m - S'|) = ||m| - |S'||; NaN counts as undecided
+        near = np.flatnonzero(
+            ~(np.abs(np.abs(part)[:, None] - abs_means) > window).all(axis=1))
+        if near.size:
+            exact = block[near]
+            np.multiply(exact, 2.0 * np.pi, out=exact)
+            np.cos(exact, out=exact)
+            np.multiply(exact, terms, out=exact)
+            part[near] = np.sum(exact, axis=1)
     # pair (U, U + 1/2) gives (m + S, m - S): one noise draw decides every mean
     y = 0.5 * ((s[:, None] + means > 0.0).astype(float)
                + (means - s[:, None] > 0.0).astype(float))
@@ -176,7 +225,6 @@ _TAIL_STEPS = 512  # 64 doublings
 _SERIES_MAX = 40  # most log-J0 orders the bulk series uses
 _GL_NODES = 24  # Gauss-Legendre nodes per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
-_U = 2.0 ** -53  # unit roundoff
 # rounding assumptions, checked against mpmath in the tests: leggauss's
 # nodes are within 2 _U and its weights within _GL_WEIGHT_ULPS _U relative
 # (the end weights are the worst, near 1100); j0(x) is within

@@ -64,6 +64,7 @@ from .races import (
     weights,
 )
 from .zeros import (
+    HORIZON_LIMIT,
     ParseError,
     ValidationError,
     ZeroCountModel,
@@ -302,7 +303,7 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
             horizon = 16.0
             while expected_zero_count(model, horizon) < min_count:
                 horizon *= 2.0
-                if horizon > float(1 << 20):
+                if horizon > HORIZON_LIMIT:
                     raise ConfigError(
                         f"min_zeros {min_count} is out of reach for {cid}: "
                         f"its zero horizon would pass the 2^20 limit")

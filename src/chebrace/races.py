@@ -203,9 +203,9 @@ def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
             continue
         if cid not in zero_sets:
             raise KeyError(f"zero set missing for weighted character {cid}")
-        g = np.asarray(zero_sets[cid].ordinates, dtype=float)
-        if g.size:
-            chunks.append(2.0 * wv / np.sqrt(0.25 + g * g))
+        moduli = zero_sets[cid].moduli
+        if moduli.size:
+            chunks.append(2.0 * wv / moduli)
     terms = np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
     var = 0.5 * float(np.sum(terms * terms))
     if not var > 0.0:

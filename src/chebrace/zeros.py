@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 RATE_FLOOR = 1e-6
 _SAMPLE_SALT = 0x5CE9A812
+# the largest horizon sampled: 2^20 (several million zeros at the largest
+# conductors); past it sampling would not finish in practice
+HORIZON_LIMIT = float(1 << 20)
 
 
 class ParseError(ValueError):
@@ -90,6 +94,15 @@ class ZeroSet:
     def __len__(self) -> int:
         return len(self.ordinates)
 
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """|1/2 + i gamma| = sqrt(1/4 + gamma^2) per ordinate, read-only and
+        computed once: every race model over this set divides by it."""
+        g = np.asarray(self.ordinates, dtype=float)
+        moduli = np.sqrt(0.25 + g * g)
+        moduli.flags.writeable = False
+        return moduli
+
 
 def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
                     character_id: str = "unknown") -> ZeroSet:
@@ -103,8 +116,8 @@ def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
     Independent gaps model the ordinate-independence axiom; ordinates are
     distinct with probability one.  Deterministic per (seed, model, t_max).
     """
-    if t_max < 1.0:
-        raise ValueError(f"need t_max >= 1, got {t_max}")
+    if not 1.0 <= t_max <= HORIZON_LIMIT:
+        raise ValueError(f"need 1 <= t_max <= 2^20, got {t_max}")
     rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SALT, seed]))
     log_c, deg = model.log_conductor, model.degree_factor
     majorant = max(model.rate(t_max), RATE_FLOOR)

@@ -109,7 +109,9 @@ def weights_cyclo(spec: RaceSpec) -> dict[str, float]:
 
 def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> DensityEstimate:
     """``density_montecarlo`` as one chunk at a time on one thread, each
-    chunk drawn as a single (take, terms) array."""
+    chunk drawn as a single (take, terms) array, in float64 throughout.
+    S is each row's own pairwise sum, the kernel's exact S, so even a mean
+    at an exact tie m + S = 0 is decided as the kernel decides it."""
     if samples < 10_000:
         raise ValueError(f"need samples >= 10000, got {samples}")
     terms = model.terms
@@ -126,7 +128,7 @@ def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> Densit
         take = min(chunk, n_pairs - done)
         rng = np.random.default_rng(np.random.SeedSequence([_MC_SALT, seed, index]))
         u = rng.random((take, terms.size))
-        x = mean + np.cos(2.0 * np.pi * u) @ terms
+        x = mean + np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
         y = 0.5 * ((x > 0.0).astype(float) + ((2.0 * mean - x) > 0.0))
         s1 += float(y.sum())
         s2 += float((y * y).sum())
@@ -141,7 +143,8 @@ def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> Densit
 def shared_mc_loop(terms: np.ndarray, level_means: Sequence[float], samples: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The per-level delta and 99% half-width of ``monotonicity_experiment``
-    from one shared noise sample, one chunk at a time on one thread."""
+    from one shared noise sample, one chunk at a time on one thread, in
+    float64 throughout, with S as in ``density_montecarlo_loop``."""
     m_vec = np.array([float(m) for m in level_means])
     n_pairs = max(samples // 2, 1)
     chunk = max(16, (1 << 21) // max(terms.size, 1))
@@ -154,7 +157,7 @@ def shared_mc_loop(terms: np.ndarray, level_means: Sequence[float], samples: int
         rng = np.random.default_rng(
             np.random.SeedSequence([_SHARED_MC_SALT, seed, index]))
         u = rng.random((take, terms.size))
-        s = np.cos(2.0 * np.pi * u) @ terms
+        s = np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
         # one shared noise draw decides every level: y = P(S > -m) symmetrized
         y = 0.5 * ((s[:, None] + m_vec[None, :] > 0.0).astype(float)
                    + (m_vec[None, :] - s[:, None] > 0.0).astype(float))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chebrace import cli
+from chebrace import cli, experiments
 from chebrace.experiments import InternalInconsistencyError
 
 
@@ -212,6 +212,32 @@ def test_bad_zero_sampling_inputs_exit_2_with_a_message(argv, message, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["inf", "1e308", "1048577"])
+@pytest.mark.parametrize("argv", [
+    ["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
+     "--samples", "10", "--seed", "0"],
+    ["sandwich", "--count", "1", "--samples", "10000", "--seed", "0"],
+    ["mod4", "--seed", "0"],
+    ["zeros", "gen", "--log-conductor", "6"],
+])
+def test_t_max_past_the_horizon_limit_exits_2_before_sampling(argv, t_max, tmp_path,
+                                                              monkeypatch, capsys):
+    # an unbounded horizon would never finish sampling: refused up front
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_zero_set", no_sampling)
+    monkeypatch.setattr(experiments, "sample_zero_set", no_sampling)
+    out = tmp_path / "psi.txt"
+    if argv[0] == "zeros":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv + ["--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--t-max must be at most 2^20 = 1048576, got {float(t_max)}" in captured.err
     assert not out.exists()
 
 

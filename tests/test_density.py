@@ -305,6 +305,100 @@ def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
         assert _hex(cis) == _hex(want_cis), workers
 
 
+def _row_sums(terms, salt, seed, rows):
+    """The kernel's exact S and its float32 estimate S' for the first rows
+    of chunk 0."""
+    rng = np.random.default_rng(np.random.SeedSequence([salt, seed, 0]))
+    u = rng.random((rows, terms.size))
+    exact = np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
+    fast = np.sum(np.cos((2.0 * np.pi * u).astype(np.float32))
+                  * terms.astype(np.float32), axis=1, dtype=np.float64)
+    return exact, fast
+
+
+def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
+    # means at an exact tie m + S = 0 with a drawn row, and one ulp either
+    # side of it; S' lies on the wrong side of the tie, so deciding with
+    # S' alone would move the estimate
+    terms = _amplitude_model(0, 300, 0.3, seed=300).terms
+    exact, fast = _row_sums(terms, _SHARED_MC_SALT, 11, 16)
+    k = int(np.flatnonzero(fast > exact)[0])
+    tie = -float(exact[k])
+    level_means = [tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
+                   -tie, 1.0]
+    want = shared_mc_loop(terms, level_means, 2 * 16, 11)
+    for workers in (1, 2):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        got = density._mc_race(terms, level_means, 16, 11, _SHARED_MC_SALT, 16)
+        assert _hex(got[0]) == _hex(want[0]) and _hex(got[1]) == _hex(want[1])
+    # m + S of the tied row is 0 at the tie and positive one ulp above it,
+    # which moves its antithetic mean y by 1/2
+    assert got[0][2] - got[0][0] == 0.5 / 16
+
+    exact, fast = _row_sums(terms, density._MC_SALT, 5, 64)
+    k = int(np.flatnonzero(fast > exact)[0])
+    model = RaceModel(-float(exact[k]), 1.0, 0.0, terms, {})
+    got = density_montecarlo(model, 10_000, seed=5)
+    want = density_montecarlo_loop(model, 10_000, seed=5)
+    assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
+
+
+def test_mc_kernel_decides_exact_zero_sums_at_mean_zero(monkeypatch):
+    # half-turn angles and paired amplitudes make S exactly 0 on many rows;
+    # at mean 0 those rows score 0, the others 1/2
+    real_rng = np.random.default_rng
+
+    class HalfTurns:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def random(self, size=None, out=None):
+            u = self._rng.random(size, out=out)
+            u[...] = 0.5 * (u >= 0.5)
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", HalfTurns)
+    terms = np.repeat([0.75, 0.5, 0.375, 0.125], 2)
+    model = RaceModel(0, 1.0, 0.0, terms, {})
+    got = density_montecarlo(model, 10_000, seed=3)
+    want = density_montecarlo_loop(model, 10_000, seed=3)
+    assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
+    assert 0.0 < got.value < 0.5
+    deltas, cis = density._mc_race(terms, [0.0, 0.25, -0.25], 5000, 3,
+                                   _SHARED_MC_SALT, 16)
+    want_deltas, want_cis = shared_mc_loop(terms, [0.0, 0.25, -0.25], 10_000, 3)
+    assert _hex(deltas) == _hex(want_deltas) and _hex(cis) == _hex(want_cis)
+
+
+def test_mc_kernel_recomputes_few_rows_on_a_sandwich_sized_model(monkeypatch):
+    # exact recomputes are float64 cos calls; every row goes through one
+    # float32 cos call first
+    cos = np.cos
+    elements = {np.dtype(np.float32): 0, np.dtype(np.float64): 0}
+
+    def counted_cos(x, *args, **kwargs):
+        elements[x.dtype] += x.size
+        return cos(x, *args, **kwargs)
+
+    model = _amplitude_model(1, 1000, 0.1, seed=1000)
+    assert 0.2 < density_montecarlo_loop(model, 10_000, seed=0).value < 0.8
+    monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: 1)
+    monkeypatch.setattr(np, "cos", counted_cos)
+    density_montecarlo(model, 100_000, seed=0)
+    assert elements[np.dtype(np.float32)] == 50_000 * 1000
+    assert elements[np.dtype(np.float64)] < 0.01 * 50_000 * 1000
+
+
+def test_float32_cos_error_behind_the_mc_window():
+    # numpy's float32 cos, on a strided sweep of every float32 angle the
+    # kernel can form, within density._COS32_ULPS units of 2^-24 of cos
+    top = np.float32(2.0 * np.pi).view(np.int32)
+    bits = np.arange(0, int(top) + 1, 997, dtype=np.int32)
+    x = np.append(bits, top).view(np.float32)
+    err = np.abs(np.cos(x).astype(np.float64) - np.cos(x.astype(np.float64)))
+    assert float(err.max()) <= density._COS32_ULPS * 2.0 ** -24 - 2.0 ** -52
+
+
 def test_fourier_reports_integrand_evaluations(monkeypatch):
     # the grid's nodes, read from the shape of the head terms' j0 calls
     model = _synthetic_model(2, {"psi_1": 2.0, "psi_2": 4.0})

@@ -83,8 +83,9 @@ def test_sampler_determinism_and_seed_sensitivity():
     assert a.source == "synthetic(7)"
     assert a.log_conductor == 20.0
     assert a.t_max == 64.0
-    with pytest.raises(ValueError):
-        sample_zero_set(model, 0.5, 1)
+    for t_max in (0.5, math.nan, math.inf, 2.0 ** 20 + 1.0):
+        with pytest.raises(ValueError, match="need 1 <= t_max <= 2"):
+            sample_zero_set(model, t_max, 1)
 
 
 def test_sampled_ordinates_are_strictly_increasing_and_bounded():
