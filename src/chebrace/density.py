@@ -48,7 +48,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import i0e, j0
 
 from .characters import character_degree
 from .races import RaceModel
@@ -241,6 +240,13 @@ _QUAD_TARGET = 1e-13
 _SERIES_TARGET = 1e-15
 
 
+def j0(x):
+    """Bessel J0, elementwise.  scipy.special loads on the first call: it
+    is most of the package's import time, and only this engine uses it."""
+    from scipy.special import j0 as bessel_j0
+    return bessel_j0(x)
+
+
 def _log_j0_coefficients(count: int) -> np.ndarray:
     """L_1..L_count with log J0(x) = sum_k L_k (x/2)^(2k), exactly: the
     logarithm of J0's series sum_k (-1)^k (x/2)^(2k) / k!^2 through
@@ -330,6 +336,8 @@ def _panel_count(m: float, t_max: float, head: np.ndarray, bulk_sq: float,
     """The fewest equal Gauss-Legendre panels on [0, t_max], at most cap,
     whose error bound meets _QUAD_TARGET (or cap and its bound), with i0e
     for the head and log I0(x) <= x^2/4 for the bulk."""
+    from scipy.special import i0e
+
     def log_i0(b):
         x = np.multiply.outer(b, head)
         return 0.25 * b * b * bulk_sq + np.sum(np.log(i0e(x)) + x, axis=-1)

@@ -15,6 +15,7 @@ races may run concurrently, assembly is single-writer.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -351,8 +352,62 @@ def _native(value):
     return value
 
 
+def _json_scalar(value):
+    """json's fallback for the numpy scalars it does not know."""
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON_CONTAINERS = (dict, list, tuple, np.ndarray)
+# exact types that are never containers: the quick test for a leaf
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """Writes a container at nesting ``depth`` whose items hold no
+    container.  json runs its C encoder only without ``indent``, so the
+    indent goes into the item separator instead."""
+    return json.JSONEncoder(sort_keys=True, default=_json_scalar,
+                            separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _json(value, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it
+    out at nesting ``depth``.  String escapes leave no newline in the
+    encoder's output but its separators' ones, so a container of leaves is
+    one encoder call plus the newlines inside its brackets; only containers
+    that hold containers are walked here."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    encoder = _json_encoder(depth)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return encoder.encode(value)
+    items = value.values() if isinstance(value, dict) else value
+    inner = "\n" + "  " * (depth + 1)
+    if (_JSON_LEAVES.issuperset(map(type, items))
+            or not any(isinstance(v, _JSON_CONTAINERS) for v in items)):
+        text = encoder.encode(value)
+        opening, body, closing = text[0], text[1:-1], text[-1]
+    elif isinstance(value, dict):
+        # encoding {key: 0} gives json's own key check and key text
+        body = ("," + inner).join(
+            encoder.encode({k: 0})[1:-4] + ": " + _json(v, depth + 1)
+            for k, v in sorted(value.items()))
+        opening, closing = "{", "}"
+    else:
+        body = ("," + inner).join(_json(v, depth + 1) for v in value)
+        opening, closing = "[", "]"
+    return opening + inner + body + "\n" + "  " * depth + closing
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(_native(report), indent=2, sort_keys=True) + "\n"
+    """The report as indented JSON with sorted keys, numpy values as plain
+    numbers and arrays as lists."""
+    return _json(report, 0) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -21,9 +21,10 @@ for the two reflection classes below the top level.
 Everything exact here is read from the integer form of the character table
 (see ``characters``): ``level_data`` computes a level's central orders and,
 for every class at once, the constant part sqrt_density(C) + z(C) of X, so
-a mean is one subtraction; ``weights`` reduces all characters' value
-differences at a fused pair in one array pass and evaluates them with the
-same float operations as ``CycloInt.to_complex``.
+a mean is one subtraction (``mean`` computes just the pair's two);
+``weights`` reduces all characters' value differences at a fused pair in
+one array pass and evaluates them with the same float operations as
+``CycloInt.to_complex``.
 """
 from __future__ import annotations
 
@@ -152,9 +153,13 @@ def _check_defined(spec: RaceSpec) -> None:
 
 
 def mean(spec: RaceSpec) -> int:
-    """Exact integer mean of X for the race, per the limiting formula."""
+    """Exact integer mean of X for the race, per the limiting formula, from
+    the constant parts of its two classes alone."""
     _check_defined(spec)
-    return level_data(spec.scenario, spec.level).mean(spec.c1, spec.c2)
+    lg = spec.group.level(spec.level)
+    pair = [spec.c1, spec.c2]
+    z1, z2 = z_values(lg, pair, level_orders(spec.scenario, spec.level))
+    return sqrt_density(lg, spec.c2) + z2 - sqrt_density(lg, spec.c1) - z1
 
 
 def weights(spec: RaceSpec) -> dict[str, float]:
@@ -290,28 +295,47 @@ def mean_table(family: str, n: int, level: int, w_axiom: int) -> list[MeanRow]:
     """Exact means for every unordered class pair at the level, with the
     published value alongside and a status flag; the undefined pair is
     reported, never skipped.  Every formula mean is checked against the
-    closed form; a disagreement raises InternalInconsistencyError."""
+    closed form; a disagreement raises InternalInconsistencyError.
+
+    The formula mean, the closed form and the published mean of a pair are
+    each a difference of one value per class, so each is taken once per
+    class (the closed and published forms as the race against the first
+    class, ``one``, which is defined for every other class) and the pairs
+    are differences of arrays, in the row order of ``np.triu_indices``."""
     kind = GroupKind(family, n)
     group = Group(kind)
     labels = group.level(level).class_labels()
-    fused = [group.class_fusion(level, lab) for lab in labels]
+    fused_index: dict[ClassLabel, int] = {}
+    fused = np.array([fused_index.setdefault(group.class_fusion(level, lab),
+                                             len(fused_index))
+                      for lab in labels])
     data = level_data(_table_scenario(kind, w_axiom), level)
+    ref, others = labels[0], labels[1:]
+    a, b = np.triu_indices(len(labels), 1)
+
+    def per_pair(values: np.ndarray) -> np.ndarray:
+        return values[b] - values[a]
+
+    defined = fused[a] != fused[b]
+    formula = per_pair(np.array([data.constant[lab] for lab in labels]))
+    closed = per_pair(np.array(
+        [0] + [race_mean_closed_form(kind, w_axiom, level, ref, lab) for lab in others]))
+    bad = np.flatnonzero(defined & (closed != formula))
+    if bad.size:
+        k = bad[0]
+        raise InternalInconsistencyError(
+            f"mean engine self-check failed at level {level}: closed form "
+            f"{closed[k]} != formula {formula[k]} for ({labels[a[k]]}, {labels[b[k]]})")
+    published = per_pair(np.array(
+        [0] + [published_mean(kind, w_axiom, level, ref, lab) for lab in others]))
     rows: list[MeanRow] = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            c1, c2 = labels[a], labels[b]
-            if fused[a] == fused[b]:
-                rows.append(MeanRow(c1, c2, None, None, STATUS_UNDEFINED))
-                continue
-            formula = data.mean(c1, c2)
-            closed = race_mean_closed_form(kind, w_axiom, level, c1, c2)
-            if closed != formula:
-                raise InternalInconsistencyError(
-                    f"mean engine self-check failed at level {level}: closed "
-                    f"form {closed} != formula {formula} for ({c1}, {c2})")
-            pub = published_mean(kind, w_axiom, level, c1, c2)
-            status = STATUS_MATCH if pub == formula else STATUS_OPEN_QUESTION
-            rows.append(MeanRow(c1, c2, formula, pub, status))
+    for i, j, ok, f, p in zip(a.tolist(), b.tolist(), defined.tolist(),
+                              formula.tolist(), published.tolist()):
+        if ok:
+            rows.append(MeanRow(labels[i], labels[j], f, p,
+                                STATUS_MATCH if p == f else STATUS_OPEN_QUESTION))
+        else:
+            rows.append(MeanRow(labels[i], labels[j], None, None, STATUS_UNDEFINED))
     return rows
 
 

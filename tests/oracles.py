@@ -19,6 +19,15 @@ inversion among the rows with equal weights and equal |mean|: every row
 assembles its own model and runs its own ``density_fourier``.  Tests
 compare the driver against it for bit-equal densities and budgets.
 
+``mean_table``'s per-pair loop from before it took the closed-form and
+published means once per class: both functions and the fused-class test
+run for every class pair.  Tests compare the table against it for equal
+rows, and pin that both functions are differences of per-class values.
+
+``report_json``'s expression from before it encoded each container of
+leaves in one call: the whole report converted to plain types, then
+json's indented encoder.  Tests require equal strings.
+
 Brute-force and second-route references for the exact layers, which the
 package itself never calls: the character table as ``CycloInt`` objects
 with inner products, Frobenius-Schur indicators and restriction; class
@@ -29,6 +38,7 @@ partial inverse sums of a zero set with their analytic main term.
 """
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,7 +80,13 @@ from chebrace.density import (
 )
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
 from chebrace.groups import DIHEDRAL, ClassLabel, Element, Group, GroupKind
+from chebrace import races
 from chebrace.races import (
+    STATUS_MATCH,
+    STATUS_OPEN_QUESTION,
+    STATUS_UNDEFINED,
+    InternalInconsistencyError,
+    MeanRow,
     RaceModel,
     RaceSpec,
     RaceUndefinedError,
@@ -268,6 +284,59 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int, seed: int,
                          "delta_fourier": est.value,
                          "delta_fourier_budget": est.error_bound})
     return rows
+
+
+def mean_table_per_pair(family: str, n: int, level: int,
+                        w_axiom: int) -> list[MeanRow]:
+    """Every unordered class pair's row, with ``race_mean_closed_form`` and
+    ``published_mean`` evaluated for that pair (looked up on the module, so
+    a patched closed form reaches it too)."""
+    kind = GroupKind(family, n)
+    group = Group(kind)
+    labels = group.level(level).class_labels()
+    fused = [group.class_fusion(level, lab) for lab in labels]
+    data = level_data(races._table_scenario(kind, w_axiom), level)
+    rows: list[MeanRow] = []
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            c1, c2 = labels[a], labels[b]
+            if fused[a] == fused[b]:
+                rows.append(MeanRow(c1, c2, None, None, STATUS_UNDEFINED))
+                continue
+            formula = data.mean(c1, c2)
+            closed = races.race_mean_closed_form(kind, w_axiom, level, c1, c2)
+            if closed != formula:
+                raise InternalInconsistencyError(
+                    f"mean engine self-check failed at level {level}: closed "
+                    f"form {closed} != formula {formula} for ({c1}, {c2})")
+            pub = races.published_mean(kind, w_axiom, level, c1, c2)
+            status = STATUS_MATCH if pub == formula else STATUS_OPEN_QUESTION
+            rows.append(MeanRow(c1, c2, formula, pub, status))
+    return rows
+
+
+# -- report plumbing ----------------------------------------------------------
+
+
+def _native(value):
+    """Recursively convert numpy scalars/arrays so json emits plain types."""
+    if isinstance(value, dict):
+        return {k: _native(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_native(v) for v in value]
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [_native(v) for v in value.tolist()]
+    return value
+
+
+def report_json_indent(report) -> str:
+    """The report as json's indent=2 encoder writes it, after a walk that
+    turns numpy scalars and arrays into plain values."""
+    return json.dumps(_native(report), indent=2, sort_keys=True) + "\n"
 
 
 # -- groups and characters --------------------------------------------------

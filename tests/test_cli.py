@@ -318,17 +318,30 @@ def test_zero_file_without_ordinates_exits_2(argv, cid, tmp_path, capsys):
     assert "no ordinates" in captured.err
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # its import takes about 0.3 s, which every verb would pay at startup
+def _loaded_scipy_parts(code: str) -> str:
+    """Which of scipy.integrate and scipy.special a fresh interpreter has
+    loaded after running ``code``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import chebrace.cli, sys; print('scipy.integrate' in sys.modules)"],
+         code + "; import sys; print(sorted({'scipy.integrate', 'scipy.special'}"
+                " & set(sys.modules)), file=sys.stderr)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stderr.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # their imports take about 0.3 s and 0.18 s, which every verb would pay
+    # at startup; only the Fourier engine loads scipy.special
+    assert _loaded_scipy_parts("import chebrace.cli") == "[]"
+
+
+def test_table_leaves_scipy_special_out():
+    assert _loaded_scipy_parts(
+        "from chebrace import cli; cli.main(['table', '--id', 'esp-q', '--n', '5'])") == "[]"
 
 
 def test_bad_inputs_exit_2_under_python_O(tmp_path):

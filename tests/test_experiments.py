@@ -7,6 +7,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
@@ -60,7 +63,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_
 
 import numpy as np
 
-from oracles import density_fourier_quadpack, tower_rows_per_pair
+from oracles import density_fourier_quadpack, report_json_indent, tower_rows_per_pair
 
 
 # -- claims data ---------------------------------------------------------------
@@ -155,6 +158,45 @@ def test_report_json_converts_numpy_types():
     }
     payload = json.loads(report_json(report))
     assert payload == {"a": 1.5, "b": [2, {"c": 0.25}], "d": [0, 1, 2]}
+
+
+_LEAF_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(["", "\n", "a\"b\\c\t", "\u00e9\u2603\U0001f600", "\x00\x1f"]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+)
+_REPORT_VALUES = st.recursive(_LEAF_VALUES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    st.dictionaries(st.integers(), kids, max_size=4),
+    st.dictionaries(st.floats(), kids, max_size=3),
+    st.dictionaries(st.sampled_from([True, False]), kids),
+    st.dictionaries(st.none(), kids),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+def test_report_json_matches_indented_json(value):
+    assert report_json(value) == report_json_indent(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPORT_VALUES, st.sampled_from([
+    np.bool_(True), {1, 2}, 1j, object(), {1: 0, "a": 0}, {(1, 2): 0},
+    {1: [0], "a": 0}, {(1, 2): [0]}, {np.int64(1): [0]},
+    {"k": np.arange(2)[None, :].astype(object) * 1j},
+]))
+def test_report_json_raises_where_json_does(value, bad):
+    for report in ({"ok": value, "bad": bad}, [value, [bad]]):
+        with pytest.raises(TypeError):
+            report_json_indent(report)
+        with pytest.raises(TypeError):
+            report_json(report)
 
 
 def test_report_rows_csv_flattens_with_stable_header():

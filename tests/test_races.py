@@ -20,6 +20,7 @@ from chebrace.groups import (
     power,
 )
 from chebrace.races import (
+    InternalInconsistencyError,
     MeanRow,
     RaceModel,
     RaceSpec,
@@ -28,6 +29,7 @@ from chebrace.races import (
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     assemble_race_model,
+    level_data,
     level_orders,
     mean,
     mean_table,
@@ -37,7 +39,15 @@ from chebrace.races import (
     z_values,
 )
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
-from oracles import b0, bias_factor, vanishing_orders, variance, weights_cyclo, z_value_cyclo
+from oracles import (
+    b0,
+    bias_factor,
+    mean_table_per_pair,
+    vanishing_orders,
+    variance,
+    weights_cyclo,
+    z_value_cyclo,
+)
 
 FAMILIES = (DIHEDRAL, "quaternion")
 
@@ -63,6 +73,60 @@ def test_mean_table_internal_closed_form_agreement(family, n):
                 assert r.mean_formula is None and r.mean_published is None
             else:
                 assert not undefined
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_mean_table_matches_per_pair_loop(family, n):
+    # mean_table reads both printed means as differences of per-class values
+    # against the first class; every pair's own value must be that difference
+    kind = GroupKind(family, n)
+    for w in ((+1,) if family == DIHEDRAL else (+1, -1)):
+        for level in range(3, n + 1):
+            labels = Group(kind).level(level).class_labels()
+            ref = labels[0]
+            for form in (race_mean_closed_form, published_mean):
+                per_class = {lab: form(kind, w, level, ref, lab) for lab in labels[1:]}
+                per_class[ref] = 0
+                for a in range(len(labels)):
+                    for b in range(a + 1, len(labels)):
+                        value = form(kind, w, level, labels[a], labels[b])
+                        assert value in (None, per_class[labels[b]] - per_class[labels[a]])
+            assert mean_table(family, n, level, w) == mean_table_per_pair(family, n, level, w)
+
+
+def test_mean_self_check_names_the_first_failing_row(monkeypatch):
+    # a closed form off by one at one class fails first at (one, that class)
+    from chebrace import races
+
+    closed_form = races.race_mean_closed_form
+
+    def off_at_power_2(kind, w, level, c1, c2):
+        value = closed_form(kind, w, level, c1, c2)
+        return value + (c2 == power(2)) - (c1 == power(2))
+
+    monkeypatch.setattr(races, "race_mean_closed_form", off_at_power_2)
+    for family in FAMILIES:
+        messages = []
+        for table in (mean_table, mean_table_per_pair):
+            with pytest.raises(InternalInconsistencyError) as err:
+                table(family, 6, 5, -1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("for (one, power(2))")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mean_reads_only_its_two_classes(family):
+    scen = _scen(family, 6, -1)
+    for level in range(3, 7):
+        data = level_data(scen, level)
+        labels = scen.group.level(level).class_labels()
+        for a in range(len(labels)):
+            for b in range(a + 1, len(labels)):
+                spec = RaceSpec(scen, level, labels[a], labels[b])
+                if spec.is_defined():
+                    assert mean(spec) == data.mean(labels[a], labels[b])
 
 
 def test_mean_table_statuses_by_family():
