@@ -11,9 +11,10 @@ A class is described by its representative a^k b^f: rotation exponent k and
 flip bit f.  The degree-1 characters are signs (-1)^(pk + qf), and psi_j is
 zeta^(jk) + zeta^(-jk) on rotations and 0 on flips, so the whole table is
 integer data: (k, f) per class and j per psi.  ``character_value`` turns it
-into one ``CycloInt``; ``class_sum_terms`` and ``difference_terms`` turn it
-into exponent arrays and reduce whole rows of sums at once with
-``cyclotomic.canonical_terms``, which is how the race layer reads it.
+into one ``CycloInt``; ``class_sum_terms`` turns it into exponent arrays and
+reduces whole rows of sums at once with ``cyclotomic.canonical_terms``, and
+``value_table`` gives each table entry as an id into the few distinct
+values the table takes, which is how the race layer reads it.
 
 The degree-2 value at the central involution comes out of the generic
 rotation formula at k = 2^(n-2), i.e. 2*(-1)^j.  Induction from a tower
@@ -123,22 +124,35 @@ def class_sum_terms(group: Group, labels: Sequence[ClassLabel],
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def difference_terms(group: Group, c1: ClassLabel, c2: ClassLabel
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact chi(c2) - chi(c1) for every irreducible chi, one row per
-    character in ``character_ids`` order, as canonical terms."""
-    r1 = group.class_representative(c1)
-    r2 = group.class_representative(c2)
-    n_lin = len(_LINEAR_PARITIES)
-    j = np.arange(1, 1 << (group.n - 2), dtype=np.int64)[:, None]
-    exps = np.zeros((n_lin + j.size, 4), dtype=np.int64)
-    exps[n_lin:] = j * [r2.exponent, -r2.exponent, r1.exponent, -r1.exponent]
+def value_table(group: Group, labels: Sequence[ClassLabel]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every irreducible's value at every class of ``labels``, as integer
+    data: ``ids`` (labels x characters, in ``character_ids`` order) indexes
+    the rows of ``exponents`` and ``coeffs`` (values x 2), row v standing
+    for sum_t coeffs[v, t] zeta^exponents[v, t] in Z[zeta_m].
+
+    Entries that are equal share one id: psi_j at a^k is
+    zeta^a + zeta^(-a) with a = jk mod m taken up to sign, so the ids are
+    a in [0, m/2], then 0 (psi on flips), +1 and -1.  Memory is O(labels x
+    characters), never m x m.
+    """
+    m = group.rotation_order
+    half = m // 2
+    zero, plus, minus = half + 1, half + 2, half + 3
+    reps = [group.class_representative(lab) for lab in labels]
+    k = np.array([r.exponent for r in reps], dtype=np.int64)[:, None]
+    f = np.array([r.flip for r in reps], dtype=np.int64)[:, None]
+    linear = np.concatenate([_linear_value(cid, k, f) for cid in _LINEAR_PARITIES],
+                            axis=1)
+    a = k * np.arange(1, 1 << (group.n - 2), dtype=np.int64) % m
+    psi = np.where(f == 1, zero, np.minimum(a, m - a))
+    ids = np.concatenate((np.where(linear == 1, plus, minus), psi), axis=1)
+    exps = np.zeros((half + 4, 2), dtype=np.int64)
+    exps[:half + 1] = np.arange(half + 1)[:, None] * [1, -1]
     coeffs = np.zeros_like(exps)
-    coeffs[:n_lin, 0] = [_linear_value(cid, r2.exponent, r2.flip)
-                         - _linear_value(cid, r1.exponent, r1.flip)
-                         for cid in _LINEAR_PARITIES]
-    coeffs[n_lin:] = [1 - r2.flip, 1 - r2.flip, r1.flip - 1, r1.flip - 1]
-    return canonical_terms(group.rotation_order, exps, coeffs)
+    coeffs[:half + 1] = 1
+    coeffs[plus, 0], coeffs[minus, 0] = 1, -1
+    return ids, exps, coeffs
 
 
 def is_symplectic(cid: str) -> bool:

@@ -149,9 +149,15 @@ def _cmd_zeros_gen(args: argparse.Namespace) -> int:
         raise ConfigError(f"--degree must be at least 1, got {args.degree}")
     _check_t_max(args.t_max)
     model = ZeroCountModel(args.log_conductor, args.degree)
-    zs = sample_zero_set(model, args.t_max, args.seed,
-                         character_id=args.character_id)
-    save_zero_file(zs, args.out)
+    try:
+        zs = sample_zero_set(model, args.t_max, args.seed,
+                             character_id=args.character_id)
+    except ValueError as exc:  # the zero count limit
+        raise ConfigError(str(exc)) from exc
+    try:
+        save_zero_file(zs, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     print(f"{args.out}: {len(zs)} ordinates up to {zs.t_max}")
     return 0
 

@@ -10,8 +10,8 @@ Two forms share that basis.  ``CycloInt`` is one element, for the character
 table, the orthogonality checks and the oracles.  ``canonical_terms`` is the
 array form used on the hot path: many sums of root powers, given as integer
 exponent and coefficient arrays, reduced at once to the same canonical terms
-a ``CycloInt`` would hold, and ``complex_values`` evaluates them with the
-same floating-point operations as ``CycloInt.to_complex``.
+a ``CycloInt`` would hold, and ``canonical_values`` evaluates them with
+the same floating-point operations as ``CycloInt.to_complex``.
 """
 from __future__ import annotations
 
@@ -113,16 +113,27 @@ def canonical_terms(order: int, exponents, coeffs
     return key // half, key % half, merged[keep]
 
 
-def complex_values(order: int, rows, exponents, coeffs, count: int) -> list[complex]:
-    """``to_complex`` of each of ``count`` rows of canonical terms, as
-    returned by ``canonical_terms``; the terms are added in the same order
-    and with the same operations, so every value is bit-identical."""
-    exponents = np.asarray(exponents).tolist()
-    root = {e: root_value(order, e) for e in set(exponents)}
-    acc = [0j] * count
-    for r, e, c in zip(np.asarray(rows).tolist(), exponents,
-                       np.asarray(coeffs).tolist()):
-        acc[r] += c * root[e]
+def canonical_values(order: int, exponents, coeffs) -> np.ndarray:
+    """``to_complex`` of every row's element, as complex128, for rows given
+    as in ``canonical_terms``.  Each row's canonical terms are added to 0j in
+    exponent order, position by position across the rows, with the same
+    complex operations as ``CycloInt.to_complex``, so every value is
+    bit-identical to it (up to the sign of a zero part)."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    rows, exps, cs = canonical_terms(order, exponents, coeffs)
+    acc = np.zeros(exponents.shape[0], dtype=complex)
+    if not rows.size:
+        return acc
+    used = np.flatnonzero(np.bincount(exps))
+    roots = np.zeros(int(used[-1]) + 1, dtype=complex)
+    roots[used] = [root_value(order, e) for e in used.tolist()]
+    # terms are sorted by row: a term's position is its offset from the
+    # first term of its row
+    pos = np.arange(rows.size) - np.searchsorted(rows, rows)
+    terms = np.zeros((acc.size, int(pos.max()) + 1), dtype=complex)
+    terms[rows, pos] = cs * roots[exps]
+    for column in terms.T:
+        acc += column
     return acc
 
 

@@ -60,6 +60,7 @@ from .races import (
     level_data,
     mean,
     mean_table,
+    pair_weights,
     published_mean,
     race_mean_closed_form,
     weights,
@@ -309,8 +310,20 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
                         f"min_zeros {min_count} is out of reach for {cid}: "
                         f"its zero horizon would pass the 2^20 limit")
         child = _child_seed(_PROVISION_SALT, seed, all_ids.index(cid))
-        sets[cid] = sample_zero_set(model, horizon, child, character_id=cid)
+        try:
+            sets[cid] = sample_zero_set(model, horizon, child, character_id=cid)
+        except ValueError as exc:  # the zero count limit
+            raise ConfigError(f"{cid}: {exc}") from exc
     return sets
+
+
+def _check_horizon(sets: Mapping[str, ZeroSet], t_max: float) -> None:
+    """A horizon below every sampled zero leaves the race no oscillation
+    terms; that is a bad input, not a race."""
+    if not any(zs.ordinates for zs in sets.values()):
+        raise ConfigError(
+            f"t_max = {t_max} lies below every sampled zero of "
+            f"{', '.join(sorted(sets))}: the race has no oscillation terms")
 
 
 def _tail_sigma(scenario: ArithmeticScenario, weight_map: Mapping[str, float],
@@ -450,16 +463,18 @@ def write_report(report: dict, out_path: str, fmt: str) -> list[str]:
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {fmt!r}")
     written = [out_path]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            fh.write(report_json(report))
-        else:
-            fh.write(report_rows_csv(report.get("rows", [])))
-    if "series" in report:
-        spath = out_path + ".series.csv"
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(series_csv(report["series"]))
-        written.append(spath)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            if fmt == "json":
+                fh.write(report_json(report))
+            else:
+                fh.write(report_rows_csv(report.get("rows", [])))
+        if "series" in report:
+            written.append(out_path + ".series.csv")
+            with open(written[-1], "w", encoding="utf-8") as fh:
+                fh.write(series_csv(report["series"]))
+    except OSError as exc:  # a missing directory, a directory, a full disk
+        raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}") from exc
     return written
 
 
@@ -864,7 +879,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    if not 3 <= n <= 10:  # n = 10 takes under 3 min; n = 11 ~8x that
+    if not 3 <= n <= 10:  # n = 10 takes about 25 s, 6x n = 9
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
     if family == DIHEDRAL:
         w_axiom = +1
@@ -876,27 +891,27 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     pairs = [(labels[a], labels[b]) for a in range(len(labels))
              for b in range(a + 1, len(labels))]
     means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
-    # The zero sets are fixed for the call, so pairs with equal weight maps
-    # have equal terms: one model per weight map, alive only while its pairs
-    # are done, and one inversion per (|mean|, weight map).
-    by_weights: dict[tuple, list[int]] = {}
-    for i, (c1, c2) in enumerate(pairs):
-        w_map = weights(RaceSpec(scen, n, c1, c2))
-        by_weights.setdefault(tuple(sorted(w_map.items())), []).append(i)
-    sets: dict[str, ZeroSet] = {}
+    # The zero sets are fixed for the call, so pairs with equal weight rows
+    # have equal terms: one model per distinct row, alive only while its
+    # pairs are done, and one inversion per (|mean|, weight row).
+    table, group_of = np.unique(pair_weights(group, pairs), axis=0,
+                                return_inverse=True)
+    order = np.argsort(group_of, kind="stable")
+    bounds = np.flatnonzero(np.diff(group_of[order])) + 1
+    ids = character_ids(group)
+    weighted = [ids[c] for c in np.flatnonzero(table.any(axis=0))]
+    sets = provision_zero_sets(scen, weighted, seed, min_count=min_zeros)
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
-    for key, members in by_weights.items():
-        fresh = [cid for cid, wv in key if wv > 0 and cid not in sets]
-        sets.update(provision_zero_sets(scen, fresh, seed, min_count=min_zeros))
-        model = assemble_race_model(0, dict(key), sets)
+    for row, members in zip(table, np.split(order, bounds)):
+        model = assemble_race_model(0, dict(zip(ids, row.tolist())), sets)
         sides: dict[int, DensityEstimate] = {}
-        for i in members:
+        for i in members.tolist():
             m = means[i]
             if abs(m) not in sides:
                 sides[abs(m)] = density_fourier(model.with_mean(abs(m)),
                                                 nodes=nodes)
-            biases[i] = model.with_mean(m).bias_factor
+            biases[i] = m / math.sqrt(model.variance)
             estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
     rows: list[dict] = []
     confirmed = True
@@ -974,6 +989,8 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
         w_axiom = +1
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):  # inf would print as invalid JSON
+        raise ConfigError(f"epsilon must be finite, got {epsilon}")
     if not 3 <= n <= 20:
         raise ConfigError(f"n must satisfy 3 <= n <= 20, got {n}")
     if samples < 2:
@@ -983,13 +1000,13 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     levels = list(range(3, n + 1))
     specs = {i: RaceSpec(scen, i, ONE, MINUS_ONE) for i in levels}
     means = {i: mean(specs[i]) for i in levels}
+    if len({specs[i].fused_pair() for i in levels}) != 1:
+        raise InternalInconsistencyError(
+            "fused pairs, hence weights, must be identical across levels")
     w_map = weights(specs[n])
-    for i in levels[:-1]:
-        if weights(specs[i]) != w_map:
-            raise InternalInconsistencyError(
-                "fused-pair weights must be identical across levels")
     needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
     sets = provision_zero_sets(scen, needed, seed, t_max=t_max)
+    _check_horizon(sets, t_max)
     model = assemble_race_model(means[n], w_map, sets)
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
@@ -1187,6 +1204,7 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")
+        _check_horizon({zs.character_id: zs}, t_max)
     model = assemble_race_model(2, {zs.character_id: 2.0},
                                 {zs.character_id: zs})
     est = density_fourier(model, nodes=nodes)

@@ -21,23 +21,25 @@ for the two reflection classes below the top level.
 Everything exact here is read from the integer form of the character table
 (see ``characters``): ``level_data`` computes a level's central orders and,
 for every class at once, the constant part sqrt_density(C) + z(C) of X, so
-a mean is one subtraction (``mean`` computes just the pair's two);
-``weights`` reduces all characters' value differences at a fused pair in
-one array pass and evaluates them with the same float operations as
-``CycloInt.to_complex``.
+a mean is one subtraction (``mean`` computes just the pair's two).
+``pair_weights`` takes the weights of many fused pairs in one pass over the
+table's value ids (``characters.value_table``): a difference depends only
+on its two ids, so only the distinct id pairs are reduced to canonical
+terms and evaluated, with the same float operations as
+``CycloInt.to_complex``; ``weights`` is its one-pair case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .arithmetic import ArithmeticScenario
-from .characters import character_ids, class_sum_terms, difference_terms, induce
-from .cyclotomic import complex_values
+from .characters import character_ids, class_sum_terms, induce, value_table
+from .cyclotomic import canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 from .zeros import ZeroSet
 
@@ -162,14 +164,54 @@ def mean(spec: RaceSpec) -> int:
     return sqrt_density(lg, spec.c2) + z2 - sqrt_density(lg, spec.c1) - z1
 
 
+# pairs x characters of one pair_weights chunk stays below this many entries
+_CHUNK_ENTRIES = 1 << 18
+
+
+def pair_weights(group: Group,
+                 fused_pairs: Sequence[tuple[ClassLabel, ClassLabel]]) -> np.ndarray:
+    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles for
+    every fused pair (C1+, C2+), as a pairs x characters array in
+    ``character_ids`` order.
+
+    Each value is abs of ``CycloInt.to_complex`` of the exact difference,
+    bit for bit.  Pairs go a chunk at a time, so temporaries stay
+    O(chunk x characters) beside the result, and each chunk reduces and
+    evaluates only its distinct (value id, value id) keys."""
+    labels = list(dict.fromkeys(lab for pair in fused_pairs for lab in pair))
+    index = {lab: i for i, lab in enumerate(labels)}
+    ids, exps, coeffs = value_table(group, labels)
+    base = exps.shape[0]
+    i1 = np.array([index[a] for a, _ in fused_pairs], dtype=np.intp)
+    i2 = np.array([index[b] for _, b in fused_pairs], dtype=np.intp)
+    out = np.empty((len(fused_pairs), ids.shape[1]))
+    step = max(1, _CHUNK_ENTRIES // ids.shape[1])
+    for lo in range(0, len(out), step):
+        key = ids[i2[lo:lo + step]] * base + ids[i1[lo:lo + step]]
+        # np.unique by hand: its int64 quicksort pages in ~0.4 MB of sort
+        # kernel that no other step of a verb runs; canonical_terms already
+        # runs the stable argsort
+        perm = np.argsort(key, axis=None, kind="stable")
+        ordered = key.ravel()[perm]
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.cumsum(first) - 1
+        v2, v1 = np.divmod(ordered[first], base)
+        values = canonical_values(
+            group.rotation_order,
+            np.concatenate((exps[v2], exps[v1]), axis=1),
+            np.concatenate((coeffs[v2], -coeffs[v1]), axis=1))
+        out[lo:lo + step] = np.abs(values)[inverse.reshape(key.shape)]
+    return out
+
+
 def weights(spec: RaceSpec) -> dict[str, float]:
-    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles."""
+    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, the
+    one-pair case of ``pair_weights``."""
     _check_defined(spec)
     g = spec.group
-    ids = character_ids(g)
-    rows, exps, coeffs = difference_terms(g, *spec.fused_pair())
-    values = complex_values(g.rotation_order, rows, exps, coeffs, len(ids))
-    return {cid: abs(v) for cid, v in zip(ids, values)}
+    row = pair_weights(g, [spec.fused_pair()])[0]
+    return dict(zip(character_ids(g), row.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,12 @@ _SAMPLE_SALT = 0x5CE9A812
 # the largest horizon sampled: 2^20 (several million zeros at the largest
 # conductors); past it sampling would not finish in practice
 HORIZON_LIMIT = float(1 << 20)
+# the largest expected zero count sampled: 2^25.  The test suite and the
+# benchmark's pinned calls sample at most 1748 per set, and every family
+# scenario stays below the limit up to HORIZON_LIMIT (about 9.1M zeros at
+# the largest conductors, n = 20).  Past it sampling would need gigabytes,
+# and once the mean gap falls below ulp(t) it would never finish
+ZERO_COUNT_LIMIT = float(1 << 25)
 
 
 class ParseError(ValueError):
@@ -118,6 +124,10 @@ def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
     """
     if not 1.0 <= t_max <= HORIZON_LIMIT:
         raise ValueError(f"need 1 <= t_max <= 2^20, got {t_max}")
+    count = expected_zero_count(model, t_max)
+    if not count <= ZERO_COUNT_LIMIT:
+        raise ValueError(f"expected {count:.4g} zeros up to t_max = {t_max}, "
+                         f"past the limit of 2^25 = {ZERO_COUNT_LIMIT:.0f}")
     rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SALT, seed]))
     log_c, deg = model.log_conductor, model.degree_factor
     majorant = max(model.rate(t_max), RATE_FLOOR)

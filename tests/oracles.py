@@ -5,6 +5,12 @@ replaced: one character value at a time, summed in the cyclotomic ring.
 Tests compare the array path against them for equal integers and bit-equal
 floats.
 
+``races.weights``' per-pair array path from before ``pair_weights`` took
+every pair of a call in one pass over the table's value ids: one
+``canonical_terms`` reduction of all characters' differences at the pair
+(``difference_terms``), then one Python ``to_complex`` loop over the terms
+(``complex_values``).  Tests require bit-equal weights.
+
 The two chunked Monte Carlo loops the shared kernel in ``chebrace.density``
 replaced: ``density_montecarlo``'s and ``monotonicity_experiment``'s.  Tests
 compare the kernel against them for bit-equal estimates and intervals.
@@ -51,6 +57,8 @@ from scipy.special import j0
 
 from chebrace.arithmetic import inertia_order, scenario_generator
 from chebrace.characters import (
+    _LINEAR_PARITIES,
+    _linear_value,
     character_degree,
     character_ids,
     character_value,
@@ -59,6 +67,7 @@ from chebrace.characters import (
 from chebrace.cyclotomic import (
     CycloInt,
     add,
+    canonical_terms,
     compress,
     conjugate,
     cyclo_int,
@@ -66,6 +75,7 @@ from chebrace.cyclotomic import (
     mul,
     promote,
     root_power,
+    root_value,
     scale,
     sub,
 )
@@ -121,6 +131,47 @@ def weights_cyclo(spec: RaceSpec) -> dict[str, float]:
     return {cid: abs(sub(character_value(g, cid, f2),
                          character_value(g, cid, f1)).to_complex())
             for cid in character_ids(g)}
+
+
+def difference_terms(group: Group, c1: ClassLabel, c2: ClassLabel
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact chi(c2) - chi(c1) for every irreducible chi, one row per
+    character in ``character_ids`` order, as canonical terms."""
+    r1 = group.class_representative(c1)
+    r2 = group.class_representative(c2)
+    n_lin = len(_LINEAR_PARITIES)
+    j = np.arange(1, 1 << (group.n - 2), dtype=np.int64)[:, None]
+    exps = np.zeros((n_lin + j.size, 4), dtype=np.int64)
+    exps[n_lin:] = j * [r2.exponent, -r2.exponent, r1.exponent, -r1.exponent]
+    coeffs = np.zeros_like(exps)
+    coeffs[:n_lin, 0] = [_linear_value(cid, r2.exponent, r2.flip)
+                         - _linear_value(cid, r1.exponent, r1.flip)
+                         for cid in _LINEAR_PARITIES]
+    coeffs[n_lin:] = [1 - r2.flip, 1 - r2.flip, r1.flip - 1, r1.flip - 1]
+    return canonical_terms(group.rotation_order, exps, coeffs)
+
+
+def complex_values(order: int, rows, exponents, coeffs, count: int) -> list[complex]:
+    """``to_complex`` of each of ``count`` rows of canonical terms, as
+    returned by ``canonical_terms``; the terms are added in the same order
+    and with the same operations, so every value is bit-identical."""
+    exponents = np.asarray(exponents).tolist()
+    root = {e: root_value(order, e) for e in set(exponents)}
+    acc = [0j] * count
+    for r, e, c in zip(np.asarray(rows).tolist(), exponents,
+                       np.asarray(coeffs).tolist()):
+        acc[r] += c * root[e]
+    return acc
+
+
+def weights_per_pair(group: Group, c1: ClassLabel, c2: ClassLabel) -> list[float]:
+    """|chi(c2) - chi(c1)| over the irreducibles, in ``character_ids``
+    order, from one pair's canonical terms and a Python ``to_complex``
+    loop."""
+    rows, exps, coeffs = difference_terms(group, c1, c2)
+    count = len(character_ids(group))
+    return [abs(v) for v in complex_values(group.rotation_order, rows, exps,
+                                           coeffs, count)]
 
 
 def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> DensityEstimate:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chebrace import cli, experiments
+from chebrace import cli, experiments, zeros
 from chebrace.experiments import InternalInconsistencyError
 
 
@@ -130,6 +130,28 @@ def test_out_writes_report_and_series(tmp_path, capsys):
     assert len(series) == len(payload["levels"]) + 1
 
 
+@pytest.mark.parametrize("argv", [["tower", "--n", "3"], ["table", "--id", "h8"],
+                                  ["zeros", "gen", "--log-conductor", "6"]])
+@pytest.mark.parametrize("target,reason", [("missing/x.json", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_out_exits_2(argv, target, reason, tmp_path, capsys):
+    path = tmp_path / target
+    assert cli.main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {path}: {reason}" in captured.err
+
+
+def test_unwritable_series_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "mono.json"
+    (tmp_path / "mono.json.series.csv").mkdir()
+    assert cli.main(["monotonicity", "--family", "dihedral", "--n", "4",
+                     "--samples", "100", "--t-max", "16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {out}.series.csv: Is a directory" in captured.err
+
+
 def test_sandwich_cli_smoke(capsys):
     code = cli.main(["sandwich", "--count", "2", "--seed", "2",
                      "--samples", "10000", "--t-max", "32"])
@@ -180,6 +202,8 @@ def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
      "samples must be at least 2 (one antithetic pair), got -7"),
     (["monotonicity", "--n", "4", "--epsilon", "nan"],
      "epsilon must be positive, got nan"),
+    (["monotonicity", "--n", "4", "--epsilon", "inf"],
+     "epsilon must be finite, got inf"),
 ])
 def test_bad_monte_carlo_inputs_exit_2_with_a_message(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -202,6 +226,10 @@ def test_bad_monte_carlo_inputs_exit_2_with_a_message(argv, message, capsys):
      "--t-max must be at least 1, got 0.5"),
     (["sandwich", "--count", "1", "--t-max", "0.5"],
      "--t-max must be at least 1, got 0.5"),
+    # horizons below every sampled zero leave no oscillation terms
+    (["monotonicity", "--n", "4", "--samples", "100", "--t-max", "1"],
+     "t_max = 1.0 lies below every sampled zero of psi_1, psi_3"),
+    (["mod4", "--t-max", "1"], "t_max = 1.0 lies below every sampled zero of chi4"),
 ])
 def test_bad_zero_sampling_inputs_exit_2_with_a_message(argv, message, tmp_path,
                                                         capsys):
@@ -238,6 +266,22 @@ def test_t_max_past_the_horizon_limit_exits_2_before_sampling(argv, t_max, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--t-max must be at most 2^20 = 1048576, got {float(t_max)}" in captured.err
+    assert not out.exists()
+
+
+def test_zero_count_past_the_limit_exits_2_before_sampling(tmp_path, monkeypatch,
+                                                          capsys):
+    # gaps 2 pi / log_c below ulp(t) would stall the sampler for good
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(zeros.np.random, "default_rng", no_sampling)
+    out = tmp_path / "z.txt"
+    assert cli.main(["zeros", "gen", "--log-conductor", "1e308", "--t-max", "1",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zeros up to t_max = 1.0, past the limit of 2^25 = 33554432" in captured.err
     assert not out.exists()
 
 

@@ -147,6 +147,17 @@ def test_provisioning_honors_min_count_and_t_max():
     assert model.degree_factor == character_degree("psi_1")
 
 
+def test_provisioning_past_the_zero_count_limit_is_a_config_error(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    scen = experiments._rotation_tower_scenario(5, 400.0)  # sandwich's top aim
+    with pytest.raises(ConfigError, match="psi_1: expected .* zeros up to "
+                                          "t_max = 1048576.0, past the limit"):
+        provision_zero_sets(scen, ["psi_1"], seed=0, t_max=float(1 << 20))
+
+
 # -- report plumbing -------------------------------------------------------------
 
 

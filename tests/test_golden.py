@@ -14,7 +14,9 @@ where the change is recorded.
 
 The esp-q table at n = 8 (6126 rows, the benchmark's size) was pinned
 before the mean table became a per-class pass and the JSON writer a C
-encoder call per container of leaves.
+encoder call per container of leaves.  The tower reports at n = 7 (595
+rows each, the benchmark's size) were pinned before the tower's weights
+became one batch over all its pairs.
 """
 from __future__ import annotations
 
@@ -36,6 +38,10 @@ GOLDEN = [
      "ee08761118023d00732afe7bd5649dd7b5976ebe77c1259d9eea34d1a561c296"),
     (["tower", "--family", "dihedral", "--n", "5", "--seed", "0"],
      "5f8e95ddf338202b935a3153b6e60ea1756538d476d73b4d6b9792f8be2d01d9"),
+    (["tower", "--family", "quaternion", "--n", "7", "--w", "-1", "--seed", "0"],
+     "d0b96b2664c6535578535a32f8eed4e37ae1518ac0be137358b863c2ca59afaf"),
+    (["tower", "--family", "dihedral", "--n", "7", "--seed", "0"],
+     "b29e777c033ffb1cb6c405948042a6085e4481d9746187b52bcd205f333208cf"),
     (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
       "--samples", "2000", "--seed", "0"],
      "58d59070af359b2919977c19de36e98da52c309189166dffe0b43fd4ce98979c"),

@@ -34,6 +34,7 @@ from chebrace.races import (
     mean,
     mean_table,
     published_mean,
+    pair_weights,
     race_mean_closed_form,
     weights,
     z_values,
@@ -46,6 +47,7 @@ from oracles import (
     vanishing_orders,
     variance,
     weights_cyclo,
+    weights_per_pair,
     z_value_cyclo,
 )
 
@@ -250,6 +252,38 @@ def test_array_path_matches_cyclo_oracle(family, n):
             got, want = weights(spec), weights_cyclo(spec)
             assert list(got) == list(want)
             assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def _assert_batch_matches_per_pair_oracle(scen, specs):
+    group = scen.group
+    fused = [spec.fused_pair() for spec in specs]
+    batch = pair_weights(group, fused)
+    want = np.array([weights_per_pair(group, c1, c2) for c1, c2 in fused])
+    assert batch.shape == (len(specs), len(character_ids(group)))
+    assert (batch == want).all()  # bit for bit: no NaN, and -0.0 never occurs
+    for spec, row in zip(specs, batch):
+        assert list(weights(spec).values()) == row.tolist()
+
+
+@pytest.mark.parametrize("family,w", ((DIHEDRAL, +1), ("quaternion", +1),
+                                      ("quaternion", -1)))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+def test_pair_weights_match_the_per_pair_oracle_at_every_level(family, w, n):
+    scen = _scen(family, n, w)
+    for level in range(3, n + 1):
+        labels = scen.group.level(level).class_labels()
+        specs = [RaceSpec(scen, level, labels[a], labels[b])
+                 for a in range(len(labels)) for b in range(a + 1, len(labels))]
+        _assert_batch_matches_per_pair_oracle(
+            scen, [spec for spec in specs if spec.is_defined()])
+
+
+def test_pair_weights_match_the_oracle_on_the_monotonicity_pair():
+    # the (one, minus_one) race of monotonicity's quaternion n = 12 run, at
+    # every level: 1023 psi characters over Z[zeta_2048]
+    scen = _scen("quaternion", 12, -1)
+    _assert_batch_matches_per_pair_oracle(
+        scen, [RaceSpec(scen, level, ONE, MINUS_ONE) for level in range(3, 13)])
 
 
 def test_non_integer_z_raises_on_both_paths():

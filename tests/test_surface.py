@@ -17,6 +17,8 @@ import tokenize
 from collections import Counter
 from pathlib import Path
 
+import oracles
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebrace"
 
 ALLOWED = {
@@ -37,6 +39,10 @@ ALLOWED = {
     "promote",
     "scale",
 }
+
+# per-pair weight paths that the batch ``races.pair_weights`` replaced; they
+# stay only as the oracle it is tested against
+ORACLE_ONLY = {"complex_values", "difference_terms"}
 
 
 def _surface() -> tuple[list[tuple[str, str]], Counter]:
@@ -76,3 +82,9 @@ def test_allowlist_is_current():
     assert ALLOWED <= names, f"allowed but not defined: {ALLOWED - names}"
     used = sorted(name for name in ALLOWED if uses[name])
     assert not used, f"allowed names that now have callers: {used}"
+
+
+def test_replaced_weight_paths_live_only_in_the_oracles():
+    defined, _ = _surface()
+    assert not ORACLE_ONLY & {name for _, name in defined}
+    assert all(callable(getattr(oracles, name, None)) for name in ORACLE_ONLY)
