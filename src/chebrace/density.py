@@ -24,14 +24,17 @@ on the term count; chunk k draws from its own generator seeded by (salt,
 seed, k), so its noise does not depend on which worker thread runs it, and
 its indicator sums are exact (every antithetic indicator is 0, 1/2 or 1).
 Each indicator is decided by the sign of m + S or m - S, S being the row's
-float64 sum of r_j cos(2 pi u_j).  The kernel first forms a float32 S',
-which is within a proven window W of S (W ~ 2^-20 sum r_j, given float32
-cos within _COS32_ULPS units of 2^-24, which the tests check); only rows
-where some |m +- S'| <= W are summed again in float64.  The indicators,
-hence the estimate, are those of the float64 sums.  The estimate and its
-interval therefore depend only on (seed, samples), never on the worker
-count, the completion order, the block size or float32 cos's accuracy
-within that bound.
+float64 sum of r_j cos(2 pi u_j).  The kernel decides it in three tiers,
+given float32 cos within _COS32_ULPS units of 2^-24 (the tests check it).
+Tier 1 is one float32 BLAS dot per block of rows, S'_1, within a proven
+window W1 of S for any summation order (W plus gamma_n sum r_j, gamma_n
+~ n 2^-24).  Rows where some |m +- S'_1| <= W1 get tier 2, a float32 S'
+with a float64 row sum, within W ~ 2^-20 sum r_j of S; rows where some
+|m +- S'| <= W get tier 3, S itself.  The indicators, hence the estimate,
+are those of the float64 sums.  The estimate and its interval therefore
+depend only on (seed, samples), never on the worker count, the completion
+order, the block size, BLAS's summation order or thread count, or float32
+cos's accuracy within that bound.
 
 The bound calculators implement the central-limit estimate and the
 exponential tail bounds in terms of the bias factor B = mean/sqrt(Var X),
@@ -57,12 +60,14 @@ FOURIER = "fourier"
 
 _MC_SALT = 0x5CE9A813
 _U = 2.0 ** -53  # unit roundoff
-# elements (256 KB of float64) drawn, transformed and reduced at a time, so
-# one block stays in the per-core cache between the passes
-_MC_BLOCK = 1 << 15
+# elements (1 MB of float64 and 0.5 MB of float32) drawn, transformed and
+# reduced at a time, so one block stays in a core's L2 cache between the
+# passes, and the generator's fixed cost per call is spread thin
+_MC_BLOCK = 1 << 17
 # assumed bound on |float32 cos(x) - cos(x)| in units of 2^-24 for float32
 # x in [0, fl32(2 pi)]; the tests sweep it (numpy 2.4 on x86-64: 1.2)
 _COS32_ULPS = 8
+_F32_MAX = float(np.finfo(np.float32).max)
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 # Pinned default constants for the bound shapes; the source results are
@@ -101,6 +106,37 @@ def _mc_workers(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks))
 
 
+def _mc_windows(terms: np.ndarray) -> tuple[float, float]:
+    """The windows W and W1 within which the kernel's float32 row sums S'
+    (float32 products, float64 sum) and S'_1 (one float32 dot) lie of the
+    exact S; see ``_mc_chunk``.  Either is infinite where its float32
+    arithmetic could overflow, and W1 also where n 2^-24 >= 1/2."""
+    n = terms.size
+    total = float(terms.sum())
+    # |c_j| <= 1 + _COS32_ULPS 2^-24 and fl32(r) <= (1 + 2^-24) r, so
+    # sum |c_j fl32(r_j)| <= bound
+    slack = 1.0 + (_COS32_ULPS + 2) * 2.0 ** -24
+    window = (total * ((2.0 * np.pi + _COS32_ULPS + 4) * 2.0 ** -24 + 2 * n * _U)
+              + n * 2.0 ** -149)
+    if not float(terms.max()) * slack < _F32_MAX:
+        window = math.inf
+    nu = n * 2.0 ** -24
+    gamma = nu / (1.0 - nu)
+    bound = total * slack
+    if nu >= 0.5 or not bound * (1.0 + gamma) < _F32_MAX:
+        return window, math.inf
+    return window, window + gamma * bound + 2 * n * 2.0 ** -149
+
+
+def _undecided(sums: np.ndarray, abs_means: np.ndarray,
+               window: float) -> np.ndarray:
+    """Indices of the rows where some |m + S| or |m - S| may be within
+    ``window``: min(|m + S|, |m - S|) = ||m| - |S||, and NaN counts as
+    undecided."""
+    return np.flatnonzero(
+        ~(np.abs(np.abs(sums)[:, None] - abs_means) > window).all(axis=1))
+
+
 def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
               index: int, take: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the antithetic indicator y and of y^2, per mean, over one
@@ -109,40 +145,67 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
     The chunk's uniforms are drawn block by block from its own generator,
     which yields the same numbers as one (take, terms) draw.  The exact
     S of a row is numpy's pairwise sum of r_j cos(2 pi u_j) in float64
-    over that row alone, so it does not depend on the block size; BLAS is
-    avoided because its dot order depends on the matrix shape and its own
-    thread pool contends with the workers.
+    over that row alone, so it does not depend on the block size.  Each
+    row's signs of m + S and m - S are decided in three tiers, each
+    computed only for the rows the one before leaves open.
 
-    A fast S' takes the angles fl32(2 pi u), cos and the products in
-    float32, and the row sum in float64.  It is within
+    Every row first gets c_j = float32 cos of fl32(2 pi u_j).  Against
+    E = sum r_j cos(2 pi u_j), c_j is off by 2 pi 2^-24 for the rounded
+    angle and _COS32_ULPS 2^-24 for float32 cos (checked in the tests);
+    fl32(r_j) by 2^-24 r_j; and S by its float64 cos, products and n-term
+    sum, within 2^-52 r_j + n 2^-53 sum r.
+
+    Tier 1 takes S'_1 = c . fl32(r), one float32 BLAS dot per row.  Any
+    summation order, with or without fused multiply-adds, is within
+    gamma_n sum |c_j fl32(r_j)| of the exact dot, gamma_n = n u / (1 - n u)
+    with u = 2^-24 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1), plus 2^-150 per underflowed product, carried through at most
+    n additions (factor (1 + u)^n < 2).  The exact dot is within W of S
+    (W, below, counts every error it carries and more), and
+    |c_j| <= 1 + _COS32_ULPS u, so |S'_1 - S| is at most
+
+        W1 = W + gamma_n (1 + (_COS32_ULPS + 2) u) sum r + 2 n 2^-149.
+
+    Half of the last term covers the dot's underflow, the other half
+    fl32(r_j) <= r_j + 2^-150 for amplitudes in float32's subnormal range.
+    W1 is infinite when n u >= 1/2, or when (1 + gamma_n) times that bound
+    on sum |c_j fl32(r_j)|, which bounds every partial sum, reaches the
+    float32 maximum, so that the dot might overflow; tier 1 is then
+    skipped.  It is also dropped for the rest of the chunk once it has left
+    more than half of the chunk's rows so far open, as it does when W1 is
+    wide against the spread of S (about 30 sigma at 848,573 terms): a
+    choice of speed, which cannot change a sum.
+
+    Tier 2 takes S' = the float64 sum of the float32 products
+    fl32(c_j fl32(r_j)), within
 
         W = sum r_j [(2 pi + _COS32_ULPS + 4) 2^-24 + 2 n 2^-53] + n 2^-149
 
-    of S: 2 pi 2^-24 for the rounded angle, _COS32_ULPS 2^-24 for the
-    float32 cos (checked in the tests), 2^-24 each for r and the product
-    in float32, the two n-term float64 sums, and float32 underflow; the
-    spare 2 units cover float64 cos and products and second-order terms.
-    A term that overflows float32 makes W infinite.  Where the computed
-    |m + S'| and |m - S'| exceed W for every mean m, so do the exact ones
-    (rounding is monotone), m + S and m - S have the signs of m + S' and
-    m - S', and rounding keeps the sign of a sum, so each indicator is the
-    one S gives.  The other rows, exact ties m + S = 0 among them, are
-    summed again in float64 as above.  The sums are therefore those of the
-    exact S.  Runs on a worker thread: numpy only, which releases the
-    interpreter lock.
+    of S: the terms above, 2^-24 for each float32 product, the float64
+    sum, and float32 underflow; the spare 2 units cover the second-order
+    terms and the float64 rounding of sum r, W and W1.  W is infinite when
+    a float32 product might overflow.
+
+    In either tier, where the computed |m + S'| and |m - S'| exceed the
+    window for every mean m, so do the exact ones (rounding is monotone),
+    m + S and m - S have the signs of m + S' and m - S', and rounding keeps
+    the sign of a sum, so each indicator is the one S gives.  Tier 3 sums
+    the rows still open, exact ties m + S = 0 among them, again in float64
+    as above.  The sums are therefore those of the exact S, whatever order
+    BLAS sums in and however many threads it uses.  Runs on a worker
+    thread: numpy only, which releases the interpreter lock.
     """
     rng = np.random.default_rng(np.random.SeedSequence([salt, seed, index]))
     n = terms.size
     rows = min(max(1, _MC_BLOCK // n), take)
     terms32 = terms.astype(np.float32)
-    window = (float(terms.sum()) * ((2.0 * np.pi + _COS32_ULPS + 4) * 2.0 ** -24
-                                    + 2 * n * _U) + n * 2.0 ** -149)
-    if not np.isfinite(terms32).all():
-        window = math.inf
+    window, window1 = _mc_windows(terms)
     abs_means = np.abs(means)
     buf = np.empty((rows, n))
     fast = np.empty((rows, n), dtype=np.float32)
     s = np.empty(take)
+    dot = window1 < math.inf
+    opened = 0
     for start in range(0, take, rows):
         block = buf[:min(rows, take - start)]
         part = s[start:start + len(block)]
@@ -150,11 +213,19 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
         f = fast[:len(block)]
         np.multiply(block, 2.0 * np.pi, out=f, casting="same_kind")
         np.cos(f, out=f)
-        np.multiply(f, terms32, out=f)
-        np.sum(f, axis=1, dtype=np.float64, out=part)
-        # min(|m + S'|, |m - S'|) = ||m| - |S'||; NaN counts as undecided
-        near = np.flatnonzero(
-            ~(np.abs(np.abs(part)[:, None] - abs_means) > window).all(axis=1))
+        if dot:
+            part[:] = f @ terms32
+            near = _undecided(part, abs_means, window1)
+            # the dot pays only while it decides most rows
+            opened += near.size
+            dot = 2 * opened <= start + len(block)
+        else:
+            near = np.arange(len(block))
+        if near.size:
+            products = f if near.size == len(block) else f[near]
+            np.multiply(products, terms32, out=products)
+            part[near] = np.sum(products, axis=1, dtype=np.float64)
+            near = near[_undecided(part[near], abs_means, window)]
         if near.size:
             exact = block[near]
             np.multiply(exact, 2.0 * np.pi, out=exact)
@@ -288,9 +359,11 @@ def _tail_bounds(r: np.ndarray, sq: np.ndarray, logs: np.ndarray,
     return steps + np.minimum.accumulate((rest - steps)[::-1])[::-1]
 
 
-def _series_order(m: float, t_max: float, bulk: np.ndarray) -> tuple[int, float]:
-    """The fewest log-J0 orders K for the bulk, and the bound on what the
-    rest of the series moves the integral.
+def _series_order(m: float, t_max: float, bulk: np.ndarray,
+                  bulk_sq: float) -> tuple[int, float]:
+    """The fewest log-J0 orders K for the bulk, whose squares sum to
+    bulk_sq = P_1, and the bound on what the rest of the series moves the
+    integral.
 
     log J0(x) = -sum_k x^(2k) sigma_k / k with sigma_k = sum_s j_{0,s}^(-2k)
     <= J0_ZERO^(2-2k) / 4, so for x = r t < J0_ZERO the orders past K sum
@@ -305,7 +378,7 @@ def _series_order(m: float, t_max: float, bulk: np.ndarray) -> tuple[int, float]
         return 1, 0.0
     q = (bulk[-1] * t_max / J0_ZERO) ** 2
     order = np.arange(1, _SERIES_MAX + 1)
-    eps = t_max * t_max * float(bulk @ bulk) * q ** order / (4.0 * (order + 1) * (1.0 - q))
+    eps = t_max * t_max * bulk_sq * q ** order / (4.0 * (order + 1) * (1.0 - q))
     err = m * t_max * eps * np.exp(eps)
     ok = np.flatnonzero(err <= _SERIES_TARGET)
     i = int(ok[0]) if ok.size else _SERIES_MAX - 1
@@ -460,8 +533,9 @@ def density_fourier(model: RaceModel, t_max: float | None = None,
     t_max, tail = _t_max_and_tail(r, t_max, m, nodes)
     split = int(np.searchsorted(r, 1.0 / t_max, side="left"))
     bulk, head = r[:split], r[split:]
-    order, series_err = _series_order(m, t_max, bulk)
-    panels, quad_err = _panel_count(m, t_max, head, float(bulk @ bulk), nodes)
+    bulk_sq = float(bulk @ bulk)
+    order, series_err = _series_order(m, t_max, bulk, bulk_sq)
+    panels, quad_err = _panel_count(m, t_max, head, bulk_sq, nodes)
     integral, rounding = _grid_integral(m, t_max, panels, order, bulk, head)
     # 2 _U for 1/2 + integral/pi; delta and its estimate both lie in [0, 1],
     # so 1 always bounds the error

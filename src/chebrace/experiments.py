@@ -295,8 +295,7 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
     index in the full id list, so adding characters never reshuffles
     previously sampled sets.
     """
-    group = scenario.group
-    all_ids = character_ids(group)
+    position = {cid: i for i, cid in enumerate(character_ids(scenario.group))}
     sets: dict[str, ZeroSet] = {}
     for cid in sorted(set(cids)):
         model = zero_count_model(scenario, cid)
@@ -309,7 +308,7 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
                     raise ConfigError(
                         f"min_zeros {min_count} is out of reach for {cid}: "
                         f"its zero horizon would pass the 2^20 limit")
-        child = _child_seed(_PROVISION_SALT, seed, all_ids.index(cid))
+        child = _child_seed(_PROVISION_SALT, seed, position[cid])
         try:
             sets[cid] = sample_zero_set(model, horizon, child, character_id=cid)
         except ValueError as exc:  # the zero count limit
@@ -894,8 +893,14 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     # The zero sets are fixed for the call, so pairs with equal weight rows
     # have equal terms: one model per distinct row, alive only while its
     # pairs are done, and one inversion per (|mean|, weight row).
-    table, group_of = np.unique(pair_weights(group, pairs), axis=0,
-                                return_inverse=True)
+    # Rows are grouped by their bytes (weights are abs values, so equal rows
+    # have equal bytes): one key per distinct row beside the table, and no
+    # sorted copy of it; the keys go once the groups are known.
+    table = pair_weights(group, pairs)
+    first: dict[bytes, int] = {}
+    group_of = np.array([first.setdefault(row.tobytes(), i)
+                         for i, row in enumerate(table)], dtype=np.intp)
+    del first
     order = np.argsort(group_of, kind="stable")
     bounds = np.flatnonzero(np.diff(group_of[order])) + 1
     ids = character_ids(group)
@@ -903,7 +908,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     sets = provision_zero_sets(scen, weighted, seed, min_count=min_zeros)
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
-    for row, members in zip(table, np.split(order, bounds)):
+    for members in np.split(order, bounds):
+        row = table[members[0]]
         model = assemble_race_model(0, dict(zip(ids, row.tolist())), sets)
         sides: dict[int, DensityEstimate] = {}
         for i in members.tolist():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from chebrace import density
@@ -287,7 +289,9 @@ def test_mc_kernel_matches_single_thread_loop(monkeypatch, mean_value, n_terms,
 
 
 # (terms, amplitude scale, samples): four chunks with a partial last one;
-# three chunks of the 16-pair floor (past 131072 terms), partial last
+# three chunks of the 16-pair floor (past 131072 terms), partial last,
+# where W1 is wide against the spread of S, so tier 1 leaves each chunk's
+# first row open and is dropped for the rest of the chunk
 SHARED_CASES = [(3000, 0.1, 5001), (140_000, 0.01, 66)]
 
 
@@ -305,15 +309,22 @@ def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
         assert _hex(cis) == _hex(want_cis), workers
 
 
-def _row_sums(terms, salt, seed, rows):
-    """The kernel's exact S and its float32 estimate S' for the first rows
-    of chunk 0."""
-    rng = np.random.default_rng(np.random.SeedSequence([salt, seed, 0]))
-    u = rng.random((rows, terms.size))
+def _row_sums(terms, u):
+    """The exact S of each row of uniforms u, the tier-2 sum S' (float32
+    products, float64 sum) and the tier-1 float32 dot S'_1, as the kernel
+    forms them."""
     exact = np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
-    fast = np.sum(np.cos((2.0 * np.pi * u).astype(np.float32))
-                  * terms.astype(np.float32), axis=1, dtype=np.float64)
-    return exact, fast
+    cos32 = np.cos((2.0 * np.pi * u).astype(np.float32))
+    terms32 = terms.astype(np.float32)
+    fast = np.sum(cos32 * terms32, axis=1, dtype=np.float64)
+    dot = (cos32 @ terms32).astype(np.float64)
+    return exact, fast, dot
+
+
+def _chunk_rows(terms, salt, seed, rows):
+    """Row sums, as ``_row_sums``, for the first rows of chunk 0."""
+    rng = np.random.default_rng(np.random.SeedSequence([salt, seed, 0]))
+    return _row_sums(terms, rng.random((rows, terms.size)))
 
 
 def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
@@ -321,7 +332,7 @@ def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
     # side of it; S' lies on the wrong side of the tie, so deciding with
     # S' alone would move the estimate
     terms = _amplitude_model(0, 300, 0.3, seed=300).terms
-    exact, fast = _row_sums(terms, _SHARED_MC_SALT, 11, 16)
+    exact, fast, _ = _chunk_rows(terms, _SHARED_MC_SALT, 11, 16)
     k = int(np.flatnonzero(fast > exact)[0])
     tie = -float(exact[k])
     level_means = [tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
@@ -335,12 +346,96 @@ def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
     # which moves its antithetic mean y by 1/2
     assert got[0][2] - got[0][0] == 0.5 / 16
 
-    exact, fast = _row_sums(terms, density._MC_SALT, 5, 64)
+    exact, fast, _ = _chunk_rows(terms, density._MC_SALT, 5, 64)
     k = int(np.flatnonzero(fast > exact)[0])
     model = RaceModel(-float(exact[k]), 1.0, 0.0, terms, {})
     got = density_montecarlo(model, 10_000, seed=5)
     want = density_montecarlo_loop(model, 10_000, seed=5)
     assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 150_000), magnitude=st.floats(-30.0, 3.0),
+       spread=st.floats(0.0, 12.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_float32_sums_lie_within_the_mc_windows(n, magnitude, spread, seed):
+    # amplitudes over up to 12 decades below 10^magnitude, down into float32
+    # underflow; a block's worth of rows
+    rng = np.random.default_rng(seed)
+    terms = 10.0 ** (magnitude - spread * rng.random(n))
+    u = rng.random((min(16, max(1, (1 << 17) // n)), n))
+    exact, fast, dot = _row_sums(terms, u)
+    window, window1 = density._mc_windows(terms)
+    assert window < window1 < math.inf
+    assert np.all(np.abs(fast - exact) <= window)
+    assert np.all(np.abs(dot - exact) <= window1)
+
+
+def test_mc_tier_1_window_is_infinite_where_the_float32_dot_may_overflow(
+        monkeypatch):
+    # each amplitude fits float32 but their sum does not, so the dot can
+    # overflow; every row then goes on to the float32 products
+    terms = np.linspace(4e37, 2e37, 20)
+    terms32 = terms.astype(np.float32)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.ones(20, dtype=np.float32) @ terms32)
+    window, window1 = density._mc_windows(terms)
+    assert window < math.inf and window1 == math.inf
+    level_means = [0.0, 1e38, -2e38, 4e38]
+    want = shared_mc_loop(terms, level_means, 2 * 3000, 2)
+    for workers in (1, 2):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        got = density._mc_race(terms, level_means, 3000, 2, _SHARED_MC_SALT, 16)
+        assert _hex(got[0]) == _hex(want[0]) and _hex(got[1]) == _hex(want[1])
+    # gamma_n is unbounded from n 2^-24 = 1/2 on
+    assert density._mc_windows(np.full(1 << 23, 1e-3))[1] == math.inf
+    assert density._mc_windows(np.full((1 << 23) - 1, 1e-3))[1] < math.inf
+
+
+def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
+    # means at -S'_1, the float32 dot of a drawn row, one ulp either side of
+    # it and mirrored, and two windows W either side of the exact S: tier 1
+    # leaves the row open for all of them, tier 2 decides the last two and
+    # tier 3 the rest
+    terms = _amplitude_model(0, 3000, 0.1, seed=3000).terms
+    window, window1 = density._mc_windows(terms)
+    exact, fast, dot = _chunk_rows(terms, _SHARED_MC_SALT, 11, 64)
+    k = int(np.argmax(np.abs(dot - exact)))
+    tie = -float(dot[k])
+    level_means = [tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf),
+                   -tie, -float(exact[k]) - 2 * window, -float(exact[k]) + 2 * window]
+    for m in level_means[-2:]:
+        assert abs(m + dot[k]) <= window1 and abs(m + fast[k]) > window
+    want = shared_mc_loop(terms, level_means, 2 * 2000, 11)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        got = density._mc_race(terms, level_means, 2000, 11, _SHARED_MC_SALT, 16)
+        assert _hex(got[0]) == _hex(want[0]) and _hex(got[1]) == _hex(want[1]), \
+            workers
+
+    exact, fast, dot = _chunk_rows(terms, density._MC_SALT, 5, 1)
+    model = RaceModel(-float(dot[0]), 1.0, 0.0, terms, {})
+    want = density_montecarlo_loop(model, 10_000, seed=5)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+        got = density_montecarlo(model, 10_000, seed=5)
+        assert _hex([got.value, got.error_bound]) == \
+            _hex([want.value, want.error_bound]), workers
+
+
+def test_mc_results_do_not_depend_on_the_block_size(monkeypatch):
+    model = _amplitude_model(1, 1000, 0.1, seed=1000)
+    terms = _amplitude_model(0, 3000, 0.1, seed=3000).terms
+    level_means = [-2.0, 0.0, 0.5, 1.0, 3.0]
+    results = []
+    for block in (1 << 10, 1 << 15, 1 << 17):
+        monkeypatch.setattr(density, "_MC_BLOCK", block)
+        est = density_montecarlo(model, 30_000, seed=4)
+        deltas, cis = density._mc_race(terms, level_means, 2500, 4,
+                                       _SHARED_MC_SALT, 16)
+        results.append(_hex([est.value, est.error_bound, *deltas, *cis]))
+    assert results[0] == results[1] == results[2]
+    want = density_montecarlo_loop(model, 30_000, seed=4)
+    assert results[0][:2] == _hex([want.value, want.error_bound])
 
 
 def test_mc_kernel_decides_exact_zero_sums_at_mean_zero(monkeypatch):

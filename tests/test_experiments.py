@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
-from chebrace.characters import character_degree
+from chebrace.characters import character_degree, character_ids
 from chebrace.density import FOURIER, DensityEstimate
 from chebrace.experiments import (
     EXACTLY_HALF,
@@ -134,6 +134,21 @@ def test_provisioning_is_deterministic_and_extension_stable():
     assert c["psi_3"] == a["psi_3"]
     d = provision_zero_sets(scen, ["psi_1"], seed=10)
     assert d["psi_1"] != a["psi_1"]
+
+
+def test_provisioning_seeds_by_position_in_the_full_id_list():
+    # the seed index is the character's position in character_ids, as the
+    # list.index form gave it
+    scen = scenario_generator(DIHEDRAL, 9, +1, seed=2)
+    ids = character_ids(scen.group)
+    cids = ids[::13] + ["psi_127", ids[-1]]
+    sets = provision_zero_sets(scen, reversed(cids), seed=4, t_max=12.0)
+    assert sorted(sets) == sorted(set(cids))
+    for cid in cids:
+        child = experiments._child_seed(experiments._PROVISION_SALT, 4,
+                                        ids.index(cid))
+        assert sets[cid] == sample_zero_set(zero_count_model(scen, cid), 12.0,
+                                            child, character_id=cid)
 
 
 def test_provisioning_honors_min_count_and_t_max():
