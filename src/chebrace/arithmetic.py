@@ -1,12 +1,14 @@
-"""Tame ramification data, Artin conductors, and simulated arithmetic scenarios.
+"""Tame conductor exponents and simulated arithmetic scenarios.
 
 A scenario stands in for a Galois extension of the dihedral or quaternion
 family: which odd primes ramify (tame, so inertia is cyclic and given by a
 generator element), the shared symplectic root number axiom W, central
-vanishing orders, and the discriminant size.  Explicit scenarios carry
-literal integer primes and exact factored conductors; scaled scenarios only
-carry log sizes calibrated to the towers' discriminant growth, with the
-per-prime log treated as a real number.
+vanishing orders, and the discriminant size.  The scenarios the verbs use
+are scaled: they carry log sizes calibrated to the towers' discriminant
+growth, with the per-prime log treated as a real number.  Explicit
+scenarios with literal primes and factored conductors, and the
+conductor-discriminant identity they satisfy, live in ``tests/oracles.py``,
+where the tests check ``conductor_exponent`` against them.
 
 Conductor exponents use the tame formula n(chi, p) = chi(1) - dim V^I with
 the invariant dimension in closed form (the tests check it against the
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -38,33 +39,6 @@ def _is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class RamifiedPrime:
-    p: int
-    inertia: Element
-
-    def __post_init__(self) -> None:
-        if not _is_odd_prime(self.p):
-            raise ValueError(f"ramified prime must be an odd prime >= 3, got {self.p}")
-
-
-@dataclass(frozen=True)
-class RamificationData:
-    kind: GroupKind
-    primes: tuple[RamifiedPrime, ...]
-    tame: bool = True
-
-    def __post_init__(self) -> None:
-        assert self.tame, "only tame ramification is modeled"
-        ps = [rp.p for rp in self.primes]
-        if len(set(ps)) != len(ps):
-            raise ValueError(f"ramified primes must be distinct: {ps}")
-        group = Group(self.kind)
-        for rp in self.primes:
-            if rp.inertia == group.identity():
-                raise ValueError(f"inertia at {rp.p} is trivial; prime not ramified")
 
 
 def inertia_order(group: Group, generator: Element) -> int:
@@ -97,60 +71,6 @@ def invariant_dimension(group: Group, cid: str, generator: Element) -> int:
 def conductor_exponent(group: Group, cid: str, generator: Element) -> int:
     """Tame n(chi, p) = chi(1) - dim V^I for inertia <generator>."""
     return character_degree(cid) - invariant_dimension(group, cid, generator)
-
-
-def artin_conductor_tame(group: Group, cid: str,
-                         ram: RamificationData) -> dict[int, int]:
-    """Exponent map p -> n(chi, p) over the ramified primes."""
-    assert ram.kind == group.kind
-    return {rp.p: conductor_exponent(group, cid, rp.inertia) for rp in ram.primes}
-
-
-@dataclass(frozen=True)
-class CharacterConductor:
-    character_id: str
-    exponents: tuple[tuple[int, int], ...]  # (p, n(chi, p)), ramified primes only
-
-    @property
-    def factored(self) -> dict[int, int]:
-        return {p: n for p, n in self.exponents if n > 0}
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, n in self.exponents:
-            out *= p**n
-        return out
-
-    @property
-    def log_value(self) -> float:
-        return sum(n * math.log(p) for p, n in self.exponents)
-
-
-def conductor_report(group: Group, ram: RamificationData) -> dict[str, CharacterConductor]:
-    return {
-        cid: CharacterConductor(
-            cid, tuple(sorted(artin_conductor_tame(group, cid, ram).items()))
-        )
-        for cid in character_ids(group)
-    }
-
-
-def conductor_discriminant(group: Group, ram: RamificationData) -> dict[int, int]:
-    """Factored |d| = prod over chi of A(chi)^chi(1), as {p: exponent}."""
-    out: dict[int, int] = {rp.p: 0 for rp in ram.primes}
-    for cid in character_ids(group):
-        deg = character_degree(cid)
-        for p, n in artin_conductor_tame(group, cid, ram).items():
-            out[p] += deg * n
-    return out
-
-
-def discriminant_exponent_tame(group: Group, generator: Element) -> int:
-    """Independent route: ord_p |d| = (e-1) * |G| / e for tame cyclic inertia of order e."""
-    e = inertia_order(group, generator)
-    assert group.order % e == 0
-    return (e - 1) * (group.order // e)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -213,23 +133,6 @@ class ArithmeticScenario:
         return 0
 
 
-def explicit_scenario(ram: RamificationData, w_axiom: int = +1,
-                      order_overrides: Mapping[str, int] | None = None) -> ArithmeticScenario:
-    """Scenario with literal primes; log_disc is the exact conductor-discriminant value."""
-    group = Group(ram.kind)
-    disc = conductor_discriminant(group, ram)
-    log_disc = sum(n * math.log(p) for p, n in disc.items())
-    primes = tuple(
-        VirtualPrime(rp.p, math.log(rp.p), rp.inertia) for rp in ram.primes
-    )
-    overrides = tuple(sorted((order_overrides or {}).items()))
-    return ArithmeticScenario(ram.kind, w_axiom, primes, log_disc,
-                              explicit=True, order_overrides=overrides)
-
-
-_SMALL_ODD_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def _random_nonidentity(rng: np.random.Generator, group: Group) -> Element:
     while True:
         e = int(rng.integers(0, group.rotation_order))
@@ -238,23 +141,11 @@ def _random_nonidentity(rng: np.random.Generator, group: Group) -> Element:
             return Element(e, f)
 
 
-def random_ramification(kind: GroupKind, seed: int, count: int = 2) -> RamificationData:
-    """Randomized explicit tame data: distinct small odd primes, random cyclic inertia."""
-    rng = np.random.default_rng(np.random.SeedSequence([0x5CE9A810, seed]))
-    group = Group(kind)
-    chosen = rng.choice(len(_SMALL_ODD_PRIMES), size=count - 1, replace=False)
-    ps = [5] + [_SMALL_ODD_PRIMES[int(c)] for c in chosen]
-    return RamificationData(
-        kind,
-        tuple(RamifiedPrime(p, _random_nonidentity(rng, group)) for p in ps),
-    )
-
-
-def scenario_generator(family: str, n: int, w_axiom: int, seed: int,
-                       c_lo: float = 0.5, c_hi: float = 1.0) -> ArithmeticScenario:
+def scenario_generator(family: str, n: int, w_axiom: int,
+                       seed: int) -> ArithmeticScenario:
     """Scaled scenario: two virtual primes mimicking 5 and p, with log_disc
-    drawn uniformly from [c_lo * 2^n, c_hi * n * 2^n] and log p solved from
-    the conductor-discriminant split so the sizes stay consistent.
+    drawn uniformly from [2^n / 2, n 2^n] and log p solved from the
+    conductor-discriminant split so the sizes stay consistent.
 
     The lower end is clamped up when the draw could force log p below log 7,
     which keeps the virtual prime larger than the literal 5; the clamp stays
@@ -271,8 +162,8 @@ def scenario_generator(family: str, n: int, w_axiom: int, seed: int,
     ep = inertia_order(group, gp)
     exp5 = (e5 - 1) * (group.order // e5)
     expp = (ep - 1) * (group.order // ep)
-    lo = max(c_lo * 2.0**n, exp5 * LOG5 + expp * LOG7)
-    hi = c_hi * n * 2.0**n
+    lo = max(0.5 * 2.0**n, exp5 * LOG5 + expp * LOG7)
+    hi = n * 2.0**n
     assert lo < hi, (lo, hi)
     log_disc = float(rng.uniform(lo, hi))
     log_p = (log_disc - exp5 * LOG5) / expp
@@ -282,7 +173,7 @@ def scenario_generator(family: str, n: int, w_axiom: int, seed: int,
         VirtualPrime(None, log_p, gp),
     )
     return ArithmeticScenario(kind, w_axiom, primes, log_disc,
-                              explicit=False, regime=(c_lo * 2.0**n, hi))
+                              explicit=False, regime=(0.5 * 2.0**n, hi))
 
 
 def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> ArithmeticScenario:

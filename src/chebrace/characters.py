@@ -3,9 +3,10 @@
 Both families of order 2^n have four degree-1 characters factoring through
 the Klein quotient and 2^(n-2)-1 degree-2 characters psi_j whose rotation
 values are zeta^(jk) + zeta^(-jk) for zeta of order 2^(n-1).  Everything is
-kept in exact cyclotomic form, so the odd-index cancellation sum is a
-literal identity, not a float check; the tests build the whole table from
-``character_value`` for the orthogonality and Frobenius-Schur checks.
+kept in exact cyclotomic form.  ``tests/oracles.py`` builds the whole table
+from ``character_value`` for the orthogonality and Frobenius-Schur checks,
+and holds the odd-index cancellation sum, a literal identity there rather
+than a float check.
 
 A class is described by its representative a^k b^f: rotation exponent k and
 flip bit f.  The degree-1 characters are signs (-1)^(pk + qf), and psi_j is
@@ -170,9 +171,6 @@ class InducedDecomposition:
     def component_ids(self) -> set[str]:
         return {cid for cid, _ in self.components}
 
-    def multiplicity(self, cid: str) -> int:
-        return dict(self.components).get(cid, 0)
-
 
 def _psi_range(n: int, residue: int, modulus: int) -> list[int]:
     start = residue % modulus
@@ -253,21 +251,3 @@ def sr_partition(group: Group, i: int) -> SRPartition:
     return SRPartition(i, s_ids, r_ids, b1, b2,
                        published_b1=2, published_b2=2,
                        published_r_ids=("chi2", "chi3"))
-
-
-def symplectic_value_sum(i: int, k: int) -> CycloInt:
-    """Sum of zeta^(jk) + zeta^(-jk) over odd j in [1, 2^(i-2)-1], zeta of
-    order 2^(i-1).  Cancels to zero exactly; asserted by tests and relied on
-    by the race mean computation."""
-    if i < 3:
-        raise ValueError(f"need i >= 3, got {i}")
-    if not 1 <= k <= (1 << (i - 2)) - 1:
-        raise ValueError(f"need 1 <= k <= {(1 << (i - 2)) - 1}, got {k}")
-    m = 1 << (i - 1)
-    j = np.arange(1, 1 << (i - 2), 2)
-    _, exps, coeffs = canonical_terms(m, np.concatenate((j * k, -j * k))[None, :], 1)
-    return CycloInt(m, tuple(zip(exps.tolist(), coeffs.tolist())))
-
-
-
-

@@ -6,12 +6,15 @@ equality is literal tuple equality.  Values are stored sparsely: character
 values in this package are sums of at most two root powers, and products of
 two such stay tiny, so all table operations cost O(1) per entry.
 
-Two forms share that basis.  ``CycloInt`` is one element, for the character
-table, the orthogonality checks and the oracles.  ``canonical_terms`` is the
-array form used on the hot path: many sums of root powers, given as integer
-exponent and coefficient arrays, reduced at once to the same canonical terms
-a ``CycloInt`` would hold, and ``canonical_values`` evaluates them with
-the same floating-point operations as ``CycloInt.to_complex``.
+Two forms share that basis.  ``CycloInt`` is one element: the package
+builds it only for single table entries (``characters.character_value``),
+and the ring operations on it (products, conjugation, change of order,
+evaluation) live in ``tests/oracles.py``, which builds the tests' character
+table from ``character_value``.  ``canonical_terms`` is the array form used
+on the hot path: many sums of root powers, given as integer exponent and
+coefficient arrays, reduced at once to the same canonical terms a
+``CycloInt`` would hold, and ``canonical_values`` evaluates them with the
+same floating-point operations as the oracles' ``to_complex``.
 """
 from __future__ import annotations
 
@@ -51,31 +54,6 @@ class CycloInt:
         half = self.order // 2
         for e, c in self.terms:
             assert 0 <= e < half and c != 0
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_rational(self) -> bool:
-        return all(e == 0 for e, _ in self.terms)
-
-    def as_int(self) -> int:
-        """The value as a rational integer; raises if irrational."""
-        if not self.terms:
-            return 0
-        if not self.is_rational():
-            raise ValueError(f"not a rational integer: {self.terms}")
-        return self.terms[0][1]
-
-    def to_complex(self) -> complex:
-        acc = 0j
-        for e, c in self.terms:
-            acc += c * root_value(self.order, e)
-        return acc
-
-    def to_float(self) -> float:
-        z = self.to_complex()
-        assert abs(z.imag) < 1e-9, "value is not real"
-        return z.real
 
 
 def root_value(order: int, exponent: int) -> complex:
@@ -117,8 +95,8 @@ def canonical_values(order: int, exponents, coeffs) -> np.ndarray:
     """``to_complex`` of every row's element, as complex128, for rows given
     as in ``canonical_terms``.  Each row's canonical terms are added to 0j in
     exponent order, position by position across the rows, with the same
-    complex operations as ``CycloInt.to_complex``, so every value is
-    bit-identical to it (up to the sign of a zero part)."""
+    complex operations as the oracles' ``to_complex`` of a ``CycloInt``, so
+    every value is bit-identical to it (up to the sign of a zero part)."""
     exponents = np.asarray(exponents, dtype=np.int64)
     rows, exps, cs = canonical_terms(order, exponents, coeffs)
     acc = np.zeros(exponents.shape[0], dtype=complex)
@@ -162,60 +140,3 @@ def add(x: CycloInt, y: CycloInt) -> CycloInt:
     for e, c in y.terms:
         acc[e] = acc.get(e, 0) + c
     return CycloInt(x.order, _canonical(x.order, acc))
-
-
-def neg(x: CycloInt) -> CycloInt:
-    return CycloInt(x.order, tuple((e, -c) for e, c in x.terms))
-
-
-def sub(x: CycloInt, y: CycloInt) -> CycloInt:
-    return add(x, neg(y))
-
-
-def scale(x: CycloInt, k: int) -> CycloInt:
-    if k == 0:
-        return cyclo_zero(x.order)
-    return CycloInt(x.order, tuple((e, k * c) for e, c in x.terms))
-
-
-def mul(x: CycloInt, y: CycloInt) -> CycloInt:
-    assert x.order == y.order
-    acc: dict[int, int] = {}
-    for e1, c1 in x.terms:
-        for e2, c2 in y.terms:
-            e, c = _fold(x.order, e1 + e2, c1 * c2)
-            acc[e] = acc.get(e, 0) + c
-    return CycloInt(x.order, _canonical(x.order, acc))
-
-
-def conjugate(x: CycloInt) -> CycloInt:
-    """Complex conjugation, zeta -> zeta^(-1)."""
-    acc: dict[int, int] = {}
-    for e, c in x.terms:
-        e2, c2 = _fold(x.order, -e, c)
-        acc[e2] = acc.get(e2, 0) + c2
-    return CycloInt(x.order, _canonical(x.order, acc))
-
-
-def promote(x: CycloInt, new_order: int) -> CycloInt:
-    """Embed Z[zeta_m] into Z[zeta_M] via zeta_m = zeta_M^(M/m); m must divide M."""
-    assert _is_power_of_two(new_order) and new_order % x.order == 0
-    step = new_order // x.order
-    acc: dict[int, int] = {}
-    for e, c in x.terms:
-        e2, c2 = _fold(new_order, e * step, c)
-        acc[e2] = acc.get(e2, 0) + c2
-    return CycloInt(new_order, _canonical(new_order, acc))
-
-
-def compress(x: CycloInt, new_order: int) -> CycloInt:
-    """Inverse of promote: rewrite over Z[zeta_new] when every exponent allows it."""
-    assert _is_power_of_two(new_order) and new_order >= 2 and x.order % new_order == 0
-    step = x.order // new_order
-    acc: dict[int, int] = {}
-    for e, c in x.terms:
-        if e % step != 0:
-            raise ValueError(f"exponent {e} not divisible by {step}")
-        e2, c2 = _fold(new_order, e // step, c)
-        acc[e2] = acc.get(e2, 0) + c2
-    return CycloInt(new_order, _canonical(new_order, acc))

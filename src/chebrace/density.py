@@ -38,8 +38,7 @@ cos's accuracy within that bound.
 
 The bound calculators implement the central-limit estimate and the
 exponential tail bounds in terms of the bias factor B = mean/sqrt(Var X),
-including the Montgomery-Odlyzko two-regime primitive and the Q factor
-built from character-degree data.
+with the Q factor built from character-degree data.
 """
 from __future__ import annotations
 
@@ -70,16 +69,14 @@ _COS32_ULPS = 8
 _F32_MAX = float(np.finfo(np.float32).max)
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-# Pinned default constants for the bound shapes; the source results are
-# shape-level with unspecified absolute constants, so reproducibility fixes
-# these once (fitted on synthetic tower data, see tests).
-C3_DEFAULT = 1.0 / 16.0
-C1_DEFAULT = 0.5
-C2_DEFAULT = 1.0
-A1_DEFAULT = 0.5
-A2_DEFAULT = 1.0
-QC_DEFAULT = 1.0
-M0_DEFAULT = 1  # maximal symplectic central order under the strong axiom
+# Pinned constants of the bound shapes; the source results are shape-level
+# with unspecified absolute constants, so reproducibility fixes these once
+# (fitted on synthetic tower data, see tests).
+C3 = 1.0 / 16.0
+C1 = 0.5
+C2 = 1.0
+QC = 1.0
+M0 = 1  # maximal symplectic central order under the strong axiom
 
 
 @dataclass(frozen=True)
@@ -562,19 +559,18 @@ def clt_estimate(bias: float, variance: float) -> tuple[float, float]:
     return 0.5 + bias / math.sqrt(2.0 * math.pi), abs(bias) ** 3 + variance ** (-1.0 / 3.0)
 
 
-def upper_bound(bias: float, c3: float = C3_DEFAULT) -> float | None:
-    """Tail bound 1 - delta < exp(-c3 B^2); None when B <= 0 (not applicable)."""
+def upper_bound(bias: float) -> float | None:
+    """Tail bound 1 - delta < exp(-C3 B^2); None when B <= 0 (not applicable)."""
     if bias <= 0:
         return None
-    return math.exp(-c3 * bias * bias)
+    return math.exp(-C3 * bias * bias)
 
 
-def lower_bound(bias: float, q: float, c1: float = C1_DEFAULT,
-                c2: float = C2_DEFAULT) -> float | None:
-    """Tail bound c1 exp(-c2 Q B^2) <= 1 - delta; None when B <= 0."""
+def lower_bound(bias: float, q: float) -> float | None:
+    """Tail bound C1 exp(-C2 Q B^2) <= 1 - delta; None when B <= 0."""
     if bias <= 0:
         return None
-    return c1 * math.exp(-c2 * q * bias * bias)
+    return C1 * math.exp(-C2 * q * bias * bias)
 
 
 @dataclass(frozen=True)
@@ -587,15 +583,14 @@ class QFactor:
 
 
 def q_factor(weights: dict[str, float], level: int, n: int,
-             b1: int, b2: int, m_bound: int = M0_DEFAULT,
-             c: float = QC_DEFAULT) -> QFactor:
+             b1: int, b2: int) -> QFactor:
     """Q(C1, C2) from the character weight extremes.
 
     b3 is the largest weight |lambda(C2+)-lambda(C1+)|, b4 the smallest
     nonzero one, lambda* the maximizing character (largest degree wins ties).
-    Over a proper base field Q = max(exp(C sqrt(M b1 b2 / (deg* b3))),
-    C b3/b4, C); over the rationals (level = n) the shared part is empty and
-    Q = C (b3/b4 + 1).
+    Over a proper base field Q = max(exp(QC sqrt(M0 b1 b2 / (deg* b3))),
+    QC b3/b4, QC); over the rationals (level = n) the shared part is empty
+    and Q = QC (b3/b4 + 1).
     """
     nonzero = {cid: w for cid, w in weights.items() if w > 0.0}
     if not nonzero:
@@ -606,50 +601,11 @@ def q_factor(weights: dict[str, float], level: int, n: int,
                   key=lambda cid: (-character_degree(cid), cid))[0]
     deg = character_degree(star)
     if level == n:
-        q = c * (b3 / b4 + 1.0)
+        q = QC * (b3 / b4 + 1.0)
     else:
-        q = max(math.exp(c * math.sqrt(m_bound * b1 * b2 / (deg * b3))),
-                c * b3 / b4, c)
+        q = max(math.exp(QC * math.sqrt(M0 * b1 * b2 / (deg * b3))),
+                QC * b3 / b4, QC)
     return QFactor(q, b3, b4, star, deg)
-
-
-@dataclass(frozen=True)
-class MoTailReport:
-    sum_large: float
-    sum_small_sq: float
-    upper_applicable: bool
-    lower_applicable: bool
-    upper_value: float | None
-    lower_value: float | None
-
-
-def mo_tail(model: RaceModel, v: float, alpha: float,
-            a1: float = A1_DEFAULT, a2: float = A2_DEFAULT) -> MoTailReport:
-    """Two-regime tail primitive for P(sum r_j cos(theta_j) > V)-type events.
-
-    With S1 = sum of amplitudes at least alpha and S2 = sum of squares of the
-    rest: the upper regime (S1 <= V/2) bounds the tail by exp(-V^2/(16 S2));
-    the lower regime (S1 >= 2V) gives a floor a1 exp(-a2 V^2 / S2).
-    """
-    if v < 0:
-        raise ValueError(f"need V >= 0, got {v}")
-    if alpha <= 0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    t = model.terms
-    large = t >= alpha
-    s1 = float(t[large].sum())
-    s2 = float(np.sum(t[~large] ** 2))
-    upper_app = s1 <= v / 2.0
-    lower_app = s1 >= 2.0 * v
-
-    def regime_value(coef: float, rate: float) -> float:
-        if s2 == 0.0:
-            return coef if v == 0.0 else 0.0
-        return coef * math.exp(-rate * v * v / s2)
-
-    upper_val = regime_value(1.0, 1.0 / 16.0) if upper_app else None
-    lower_val = regime_value(a1, a2) if lower_app else None
-    return MoTailReport(s1, s2, upper_app, lower_app, upper_val, lower_val)
 
 
 @dataclass(frozen=True)
@@ -659,22 +615,16 @@ class BoundReport:
     upper_one_minus_delta: float | None
     lower_one_minus_delta: float | None
     q: float
-    b3: float
-    b4: float
-    c1: float
-    c2: float
-    c3: float
 
 
-def bound_report(model: RaceModel, qf: QFactor, c1: float = C1_DEFAULT,
-                 c2: float = C2_DEFAULT, c3: float = C3_DEFAULT) -> BoundReport:
+def bound_report(model: RaceModel, qf: QFactor) -> BoundReport:
     est, budget = clt_estimate(model.bias_factor, model.variance)
     return BoundReport(
         clt_estimate=est,
         clt_error_budget=budget,
-        upper_one_minus_delta=upper_bound(model.bias_factor, c3),
-        lower_one_minus_delta=lower_bound(model.bias_factor, qf.q, c1, c2),
-        q=qf.q, b3=qf.b3, b4=qf.b4, c1=c1, c2=c2, c3=c3,
+        upper_one_minus_delta=upper_bound(model.bias_factor),
+        lower_one_minus_delta=lower_bound(model.bias_factor, qf.q),
+        q=qf.q,
     )
 
 

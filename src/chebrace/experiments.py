@@ -813,8 +813,7 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
 
 
 def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
-                          samples: int = 100_000, nodes: int = 2000,
-                          min_zeros: int = 512) -> dict:
+                          samples: int = 100_000, min_zeros: int = 512) -> dict:
     """Order-8 (C1, C-1) race for one scenario per f, with log A(psi)
     >= 2 f^3; checks the W-controlled side of 1/2 and that |delta - 1/2|
     decreases along f."""
@@ -831,8 +830,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         sets = provision_zero_sets(
             scen, [cid for cid, wv in weights(spec).items() if wv > 0],
             _child_seed(seed, index), min_count=min_zeros)
-        row = race_row(spec, sets, samples, _child_seed(seed, index, 1),
-                       nodes=nodes)
+        row = race_row(spec, sets, samples, _child_seed(seed, index, 1))
         log_a = scen.log_conductor("psi_1")
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -873,8 +871,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
-                     min_zeros: int = 64, nodes: int = 2000) -> dict:
+def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
@@ -905,7 +902,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
     bounds = np.flatnonzero(np.diff(group_of[order])) + 1
     ids = character_ids(group)
     weighted = [ids[c] for c in np.flatnonzero(table.any(axis=0))]
-    sets = provision_zero_sets(scen, weighted, seed, min_count=min_zeros)
+    sets = provision_zero_sets(scen, weighted, seed)
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
     for members in np.split(order, bounds):
@@ -915,8 +912,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int,
         for i in members.tolist():
             m = means[i]
             if abs(m) not in sides:
-                sides[abs(m)] = density_fourier(model.with_mean(abs(m)),
-                                                nodes=nodes)
+                sides[abs(m)] = density_fourier(model.with_mean(abs(m)))
             biases[i] = m / math.sqrt(model.variance)
             estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
     rows: list[dict] = []

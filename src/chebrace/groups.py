@@ -13,6 +13,7 @@ a group of the same family of order 2^i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DIHEDRAL = "dihedral"
@@ -85,39 +86,12 @@ class Group:
     def rotation_order(self) -> int:
         return 1 << (self.kind.n - 1)
 
-    # -- element arithmetic ------------------------------------------------
-
-    def identity(self) -> Element:
-        return Element(0, 0)
-
-    def elements(self) -> list[Element]:
-        return [
-            Element(e, f) for f in (0, 1) for e in range(self.rotation_order)
-        ]
-
-    def multiply(self, g: Element, h: Element) -> Element:
-        # a^e1 b^f1 * a^e2 b^f2: the flip inverts the exponent it passes over.
-        e = g.exponent + (-h.exponent if g.flip else h.exponent)
-        f = g.flip ^ h.flip
-        if self.family == QUATERNION and g.flip and h.flip:
-            e += 1 << (self.kind.n - 2)  # b^2 = a^(2^(n-2))
-        return Element(e % self.rotation_order, f)
-
-    def inverse(self, g: Element) -> Element:
-        if g.flip == 0:
-            return Element(-g.exponent % self.rotation_order, 0)
-        if self.family == DIHEDRAL:
-            return g  # flips are involutions
-        # (a^e b)^(-1) = a^(e + 2^(n-2)) b: flips square to a^(2^(n-2)).
-        return Element((g.exponent + (1 << (self.kind.n - 2))) % self.rotation_order, 1)
-
     def element_order(self, g: Element) -> int:
-        k = 1
-        h = g
-        while h != self.identity():
-            h = self.multiply(h, g)
-            k += 1
-        return k
+        """a^e has order 2^(n-1) / gcd(e, 2^(n-1)); a flip a^e b squares to
+        1 (dihedral) or to the central involution (quaternion)."""
+        if g.flip:
+            return 2 if self.family == DIHEDRAL else 4
+        return self.rotation_order // math.gcd(g.exponent, self.rotation_order)
 
     # -- conjugacy structure -----------------------------------------------
 
@@ -160,20 +134,6 @@ class Group:
         assert label.kind == "flip_odd"
         return Element(1, 1)
 
-    def class_members(self, label: ClassLabel) -> list[Element]:
-        if label.kind == "power":
-            return [
-                Element(label.k, 0),
-                Element(self.rotation_order - label.k, 0),
-            ]
-        if label.kind in ("flip_even", "flip_odd"):
-            parity = 0 if label.kind == "flip_even" else 1
-            return [
-                Element(e, 1)
-                for e in range(parity, self.rotation_order, 2)
-            ]
-        return [self.class_representative(label)]
-
     def square_root_count(self, label: ClassLabel) -> int:
         """|{g : g^2 in C}|, in closed form.
 
@@ -200,12 +160,6 @@ class Group:
         if not 3 <= i <= self.kind.n:
             raise ValueError(f"level must satisfy 3 <= i <= {self.kind.n}, got {i}")
         return Group(GroupKind(self.family, i))
-
-    def embed(self, i: int, g: Element) -> Element:
-        """Coordinates of a level-i element inside the full group."""
-        assert 3 <= i <= self.kind.n
-        step = 1 << (self.kind.n - i)
-        return Element((g.exponent * step) % self.rotation_order, g.flip)
 
     def class_fusion(self, i: int, label: ClassLabel) -> ClassLabel:
         """The full-group class generated by a level-i class.

@@ -25,8 +25,8 @@ a mean is one subtraction (``mean`` computes just the pair's two).
 ``pair_weights`` takes the weights of many fused pairs in one pass over the
 table's value ids (``characters.value_table``): a difference depends only
 on its two ids, so only the distinct id pairs are reduced to canonical
-terms and evaluated, with the same float operations as
-``CycloInt.to_complex``; ``weights`` is its one-pair case.
+terms and evaluated, with the same float operations as ``to_complex`` of
+a ``CycloInt`` in ``tests/oracles.py``; ``weights`` is its one-pair case.
 """
 from __future__ import annotations
 
@@ -174,8 +174,8 @@ def pair_weights(group: Group,
     every fused pair (C1+, C2+), as a pairs x characters array in
     ``character_ids`` order.
 
-    Each value is abs of ``CycloInt.to_complex`` of the exact difference,
-    bit for bit.  Pairs go a chunk at a time, so temporaries stay
+    Each value is abs of the oracles' ``to_complex`` of the exact
+    difference, bit for bit.  Pairs go a chunk at a time, so temporaries stay
     O(chunk x characters) beside the result, and each chunk reduces and
     evaluates only its distinct (value id, value id) keys."""
     labels = list(dict.fromkeys(lab for pair in fused_pairs for lab in pair))

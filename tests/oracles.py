@@ -35,12 +35,20 @@ leaves in one call: the whole report converted to plain types, then
 json's indented encoder.  Tests require equal strings.
 
 Brute-force and second-route references for the exact layers, which the
-package itself never calls: the character table as ``CycloInt`` objects
-with inner products, Frobenius-Schur indicators and restriction; class
-fusion and induction summed over the whole group; explicit 2x2 matrices of
-the degree-2 characters; inertia invariants by averaging; the central
-vanishing orders in closed form; the race variance from B0 sums; and the
-partial inverse sums of a zero set with their analytic main term.
+package itself never calls: the ring operations of ``CycloInt`` beyond the
+sums the package builds (products, conjugation, change of order, integer
+and complex values); group elements multiplied, inverted, enumerated and
+embedded one at a time, with orders found by repeated multiplication; the
+character table as ``CycloInt`` objects with inner products,
+Frobenius-Schur indicators and restriction, and its orthogonality checked
+exactly by integer matrix products modulo a prime; the odd-index
+symplectic value sums; class fusion and induction summed over the whole
+group; explicit 2x2 matrices of the degree-2 characters; inertia
+invariants by averaging; the tame-conductor layer over literal primes
+(conductor reports, the conductor-discriminant identity, explicit and
+random ramification), built on the package's ``conductor_exponent``; the
+central vanishing orders in closed form; the race variance from B0 sums;
+and the partial inverse sums of a zero set with their analytic main term.
 """
 from __future__ import annotations
 
@@ -55,10 +63,18 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0
 
-from chebrace.arithmetic import inertia_order, scenario_generator
+from chebrace.arithmetic import (
+    _is_odd_prime,
+    _random_nonidentity,
+    ArithmeticScenario,
+    VirtualPrime,
+    conductor_exponent,
+    scenario_generator,
+)
 from chebrace.characters import (
     _LINEAR_PARITIES,
     _linear_value,
+    InducedDecomposition,
     character_degree,
     character_ids,
     character_value,
@@ -66,18 +82,15 @@ from chebrace.characters import (
 )
 from chebrace.cyclotomic import (
     CycloInt,
+    _canonical,
+    _fold,
+    _is_power_of_two,
     add,
     canonical_terms,
-    compress,
-    conjugate,
     cyclo_int,
     cyclo_zero,
-    mul,
-    promote,
     root_power,
     root_value,
-    scale,
-    sub,
 )
 from chebrace.density import (
     _MC_SALT,
@@ -89,7 +102,7 @@ from chebrace.density import (
     density_fourier,
 )
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
-from chebrace.groups import DIHEDRAL, ClassLabel, Element, Group, GroupKind
+from chebrace.groups import DIHEDRAL, QUATERNION, ClassLabel, Element, Group, GroupKind
 from chebrace import races
 from chebrace.races import (
     STATUS_MATCH,
@@ -118,18 +131,18 @@ def z_value_cyclo(level_group: Group, label: ClassLabel,
         if cid == "chi0" or order == 0:
             continue
         acc = add(acc, scale(character_value(level_group, cid, label), order))
-    return scale(acc, 2).as_int()
+    return as_int(scale(acc, 2))
 
 
 def weights_cyclo(spec: RaceSpec) -> dict[str, float]:
     """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, one
-    exact difference per character, then ``CycloInt.to_complex``."""
+    exact difference per character, then ``to_complex``."""
     if not spec.is_defined():
         raise RaceUndefinedError("fused classes coincide")
     g = spec.group
     f1, f2 = spec.fused_pair()
-    return {cid: abs(sub(character_value(g, cid, f2),
-                         character_value(g, cid, f1)).to_complex())
+    return {cid: abs(to_complex(sub(character_value(g, cid, f2),
+                                    character_value(g, cid, f1))))
             for cid in character_ids(g)}
 
 
@@ -306,8 +319,8 @@ def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
     return est if model.mean > 0 else complement(est)
 
 
-def tower_rows_per_pair(family: str, n: int, w_axiom: int, seed: int,
-                        min_zeros: int = 64, nodes: int = 2000) -> list[dict]:
+def tower_rows_per_pair(family: str, n: int, w_axiom: int,
+                        seed: int) -> list[dict]:
     """The model and density fields of every ``tower_experiment`` row, one
     ``assemble_race_model`` and one ``density_fourier`` per class pair."""
     if family == DIHEDRAL:
@@ -325,10 +338,9 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int, seed: int,
             w_map = weights(spec)
             needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
             fresh = [cid for cid in needed if cid not in sets]
-            sets.update(provision_zero_sets(scen, fresh, seed,
-                                            min_count=min_zeros))
+            sets.update(provision_zero_sets(scen, fresh, seed))
             model = assemble_race_model(m, w_map, sets)
-            est = density_fourier(model, nodes=nodes)
+            est = density_fourier(model)
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
                          "weights": tuple(sorted(w_map.items())),
                          "bias_factor": model.bias_factor,
@@ -390,6 +402,151 @@ def report_json_indent(report) -> str:
     return json.dumps(_native(report), indent=2, sort_keys=True) + "\n"
 
 
+# -- the cyclotomic ring ----------------------------------------------------
+
+
+def neg(x: CycloInt) -> CycloInt:
+    return CycloInt(x.order, tuple((e, -c) for e, c in x.terms))
+
+
+def sub(x: CycloInt, y: CycloInt) -> CycloInt:
+    return add(x, neg(y))
+
+
+def scale(x: CycloInt, k: int) -> CycloInt:
+    if k == 0:
+        return cyclo_zero(x.order)
+    return CycloInt(x.order, tuple((e, k * c) for e, c in x.terms))
+
+
+def mul(x: CycloInt, y: CycloInt) -> CycloInt:
+    assert x.order == y.order
+    acc: dict[int, int] = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            e, c = _fold(x.order, e1 + e2, c1 * c2)
+            acc[e] = acc.get(e, 0) + c
+    return CycloInt(x.order, _canonical(x.order, acc))
+
+
+def conjugate(x: CycloInt) -> CycloInt:
+    """Complex conjugation, zeta -> zeta^(-1)."""
+    acc: dict[int, int] = {}
+    for e, c in x.terms:
+        e2, c2 = _fold(x.order, -e, c)
+        acc[e2] = acc.get(e2, 0) + c2
+    return CycloInt(x.order, _canonical(x.order, acc))
+
+
+def promote(x: CycloInt, new_order: int) -> CycloInt:
+    """Embed Z[zeta_m] into Z[zeta_M] via zeta_m = zeta_M^(M/m); m must divide M."""
+    assert _is_power_of_two(new_order) and new_order % x.order == 0
+    step = new_order // x.order
+    acc: dict[int, int] = {}
+    for e, c in x.terms:
+        e2, c2 = _fold(new_order, e * step, c)
+        acc[e2] = acc.get(e2, 0) + c2
+    return CycloInt(new_order, _canonical(new_order, acc))
+
+
+def compress(x: CycloInt, new_order: int) -> CycloInt:
+    """Inverse of promote: rewrite over Z[zeta_new] when every exponent allows it."""
+    assert _is_power_of_two(new_order) and new_order >= 2 and x.order % new_order == 0
+    step = x.order // new_order
+    acc: dict[int, int] = {}
+    for e, c in x.terms:
+        if e % step != 0:
+            raise ValueError(f"exponent {e} not divisible by {step}")
+        e2, c2 = _fold(new_order, e // step, c)
+        acc[e2] = acc.get(e2, 0) + c2
+    return CycloInt(new_order, _canonical(new_order, acc))
+
+
+def is_zero(x: CycloInt) -> bool:
+    return not x.terms
+
+
+def is_rational(x: CycloInt) -> bool:
+    return all(e == 0 for e, _ in x.terms)
+
+
+def as_int(x: CycloInt) -> int:
+    """The value as a rational integer; raises if irrational."""
+    if not x.terms:
+        return 0
+    if not is_rational(x):
+        raise ValueError(f"not a rational integer: {x.terms}")
+    return x.terms[0][1]
+
+
+def to_complex(x: CycloInt) -> complex:
+    acc = 0j
+    for e, c in x.terms:
+        acc += c * root_value(x.order, e)
+    return acc
+
+
+def to_float(x: CycloInt) -> float:
+    z = to_complex(x)
+    assert abs(z.imag) < 1e-9, "value is not real"
+    return z.real
+
+
+# -- group elements one at a time -------------------------------------------
+
+
+def identity() -> Element:
+    return Element(0, 0)
+
+
+def elements(group: Group) -> list[Element]:
+    return [Element(e, f) for f in (0, 1) for e in range(group.rotation_order)]
+
+
+def multiply(group: Group, g: Element, h: Element) -> Element:
+    # a^e1 b^f1 * a^e2 b^f2: the flip inverts the exponent it passes over.
+    e = g.exponent + (-h.exponent if g.flip else h.exponent)
+    f = g.flip ^ h.flip
+    if group.family == QUATERNION and g.flip and h.flip:
+        e += 1 << (group.n - 2)  # b^2 = a^(2^(n-2))
+    return Element(e % group.rotation_order, f)
+
+
+def inverse(group: Group, g: Element) -> Element:
+    if g.flip == 0:
+        return Element(-g.exponent % group.rotation_order, 0)
+    if group.family == DIHEDRAL:
+        return g  # flips are involutions
+    # (a^e b)^(-1) = a^(e + 2^(n-2)) b: flips square to a^(2^(n-2)).
+    return Element((g.exponent + (1 << (group.n - 2))) % group.rotation_order, 1)
+
+
+def brute_force_order(group: Group, g: Element) -> int:
+    """Oracle for ``Group.element_order``: multiply by g until the identity."""
+    k = 1
+    h = g
+    while h != identity():
+        h = multiply(group, h, g)
+        k += 1
+    return k
+
+
+def class_members(group: Group, label: ClassLabel) -> list[Element]:
+    if label.kind == "power":
+        return [Element(label.k, 0), Element(group.rotation_order - label.k, 0)]
+    if label.kind in ("flip_even", "flip_odd"):
+        parity = 0 if label.kind == "flip_even" else 1
+        return [Element(e, 1) for e in range(parity, group.rotation_order, 2)]
+    return [group.class_representative(label)]
+
+
+def embed(group: Group, i: int, g: Element) -> Element:
+    """Coordinates of a level-i element inside the full group."""
+    assert 3 <= i <= group.n
+    step = 1 << (group.n - i)
+    return Element((g.exponent * step) % group.rotation_order, g.flip)
+
+
 # -- groups and characters --------------------------------------------------
 
 
@@ -398,10 +555,10 @@ def brute_force_fusion(group: Group, i: int, label: ClassLabel) -> ClassLabel:
     level = group.level(i)
     images = {
         group.conjugacy_class_of(
-            group.multiply(group.multiply(t, group.embed(i, m)), group.inverse(t))
+            multiply(group, multiply(group, t, embed(group, i, m)), inverse(group, t))
         )
-        for m in level.class_members(label)
-        for t in group.elements()
+        for m in class_members(level, label)
+        for t in elements(group)
     }
     assert len(images) == 1, f"fusion of {label} is not a single class: {images}"
     return images.pop()
@@ -441,9 +598,6 @@ class CharacterTable:
     def ring_order(self) -> int:
         return self.group.rotation_order
 
-    def ids(self) -> list[str]:
-        return [chi.cid for chi in self.characters]
-
 
 def character_table(group: Group) -> CharacterTable:
     labels = group.class_labels()
@@ -465,7 +619,69 @@ def inner_product(group: Group, f: Mapping[ClassLabel, CycloInt],
     for lab in group.class_labels():
         term = mul(f[lab], conjugate(g[lab]))
         acc = add(acc, scale(term, group.class_size(lab)))
-    return Fraction(acc.as_int(), group.order)
+    return Fraction(as_int(acc), group.order)
+
+
+def _ntt_prime(m: int, bound: int) -> int:
+    """The least prime p = 1 (mod m) with p > 2 bound."""
+    p = (2 * bound // m + 1) * m + 1
+    while not _is_odd_prime(p):
+        p += m
+    return p
+
+
+def _root_of_unity(m: int, p: int) -> int:
+    """An element of order m, a power of two, in F_p for p = 1 (mod m)."""
+    for x in range(2, p):
+        w = pow(x, (p - 1) // m, p)
+        if pow(w, m // 2, p) == p - 1:
+            return w
+    raise ValueError(f"no element of order {m} modulo {p}")
+
+
+def orthogonality_mod_p(table: CharacterTable) -> tuple[bool, bool]:
+    """Whether the rows and the columns of the table are orthogonal,
+    decided exactly by integer matrix products.
+
+    Z[zeta_m] = Z[x]/(x^(m/2) + 1), and for a prime p = 1 (mod m) that
+    polynomial splits over F_p into the m/2 distinct factors x - w^(2j+1),
+    w of order m, so Z[zeta]/(p) is F_p^(m/2): one coordinate per embedding
+    zeta -> w^(2j+1), and conjugation zeta -> zeta^(-1) sends embedding j
+    to m/2 - 1 - j.  An element whose power-basis coefficients lie in
+    (-p/2, p/2) is zero iff every coordinate is.  p is chosen above twice
+    a bound on the coefficients of every difference checked, so
+
+        X diag(|C|) conj(X)^T = |G| I   and   conj(X)^T X = diag(|G|/|C|)
+
+    hold in Z[zeta] iff they hold in every coordinate, X being the
+    characters x classes table.
+    """
+    group = table.group
+    m = group.rotation_order
+    half = m // 2
+    labels = group.class_labels()
+    sizes = np.array([group.class_size(lab) for lab in labels], dtype=np.int64)
+    coeffs = np.zeros((len(table.characters), len(labels), half), dtype=np.int64)
+    for a, chi in enumerate(table.characters):
+        for b, lab in enumerate(labels):
+            for e, c in chi.value(lab).terms:
+                coeffs[a, b, e] = c
+    # a coefficient of x conj(y) is at most l1(x) l1(y) in absolute value,
+    # l1 being the sum of |coefficients|
+    l1 = np.abs(coeffs).sum(axis=2)
+    bound = max(int(sizes @ l1.max(axis=0) ** 2),
+                int((l1.max(axis=1) ** 2).sum())) + group.order
+    p = _ntt_prime(m, bound)
+    roots = [pow(_root_of_unity(m, p), 2 * j + 1, p) for j in range(half)]
+    powers = np.array([[pow(z, e, p) for z in roots] for e in range(half)],
+                      dtype=np.int64)
+    images = np.moveaxis(coeffs @ powers % p, 2, 0)  # embeddings x chars x classes
+    conj_t = np.swapaxes(images[::-1], 1, 2)
+    rows = (images * sizes % p) @ conj_t % p
+    cols = conj_t @ images % p
+    rows_want = np.eye(len(table.characters), dtype=np.int64) * group.order % p
+    cols_want = np.diag(group.order // sizes) % p
+    return bool((rows == rows_want).all()), bool((cols == cols_want).all())
 
 
 def frobenius_schur(table: CharacterTable, chi: Character) -> int:
@@ -474,9 +690,9 @@ def frobenius_schur(table: CharacterTable, chi: Character) -> int:
     acc = cyclo_zero(table.ring_order)
     for lab in group.class_labels():
         rep = group.class_representative(lab)
-        sq = group.conjugacy_class_of(group.multiply(rep, rep))
+        sq = group.conjugacy_class_of(multiply(group, rep, rep))
         acc = add(acc, scale(chi.value(sq), group.class_size(lab)))
-    total = acc.as_int()
+    total = as_int(acc)
     assert total % group.order == 0
     ind = total // group.order
     assert ind in (-1, 0, 1)
@@ -505,7 +721,7 @@ def restrict(group: Group, i: int, cid: str) -> dict[ClassLabel, CycloInt]:
     out: dict[ClassLabel, CycloInt] = {}
     for lab in level.class_labels():
         rep = level.class_representative(lab)
-        full_lab = group.conjugacy_class_of(group.embed(i, rep))
+        full_lab = group.conjugacy_class_of(embed(group, i, rep))
         out[lab] = compress(character_value(group, cid, full_lab),
                             level.rotation_order)
     return out
@@ -518,15 +734,15 @@ def brute_force_induce(table: CharacterTable, i: int,
     group = table.group
     level = group.level(i)
     m = group.rotation_order
-    member_of = {group.embed(i, h): lab
+    member_of = {embed(group, i, h): lab
                  for lab in level.class_labels()
-                 for h in level.class_members(lab)}
+                 for h in class_members(level, lab)}
     ind_vals: dict[ClassLabel, CycloInt] = {}
     for lab in group.class_labels():
         g = group.class_representative(lab)
         acc = cyclo_zero(m)
-        for t in group.elements():
-            conj_g = group.multiply(group.multiply(t, g), group.inverse(t))
+        for t in elements(group):
+            conj_g = multiply(group, multiply(group, t, g), inverse(group, t))
             src = member_of.get(conj_g)
             if src is not None:
                 acc = add(acc, promote(values[src], m))
@@ -541,6 +757,25 @@ def brute_force_induce(table: CharacterTable, i: int,
     return out
 
 
+def multiplicity(dec: InducedDecomposition, cid: str) -> int:
+    """How often ``cid`` occurs in an induced decomposition."""
+    return dict(dec.components).get(cid, 0)
+
+
+def symplectic_value_sum(i: int, k: int) -> CycloInt:
+    """Sum of zeta^(jk) + zeta^(-jk) over odd j in [1, 2^(i-2)-1], zeta of
+    order 2^(i-1): the symplectic psi_j's values at a^k.  It cancels to zero
+    exactly, which the tests assert."""
+    if i < 3:
+        raise ValueError(f"need i >= 3, got {i}")
+    if not 1 <= k <= (1 << (i - 2)) - 1:
+        raise ValueError(f"need 1 <= k <= {(1 << (i - 2)) - 1}, got {k}")
+    m = 1 << (i - 1)
+    j = np.arange(1, 1 << (i - 2), 2)
+    _, exps, coeffs = canonical_terms(m, np.concatenate((j * k, -j * k))[None, :], 1)
+    return CycloInt(m, tuple(zip(exps.tolist(), coeffs.tolist())))
+
+
 def degree_two_matrices(group: Group, j: int, element) -> list[list[complex]]:
     """Explicit 2x2 matrix of psi_j at an element, for the conductor oracle.
 
@@ -549,8 +784,8 @@ def degree_two_matrices(group: Group, j: int, element) -> list[list[complex]]:
     in the quaternion family.
     """
     m = group.rotation_order
-    za = root_power(m, j * element.exponent).to_complex()
-    zb = root_power(m, -j * element.exponent).to_complex()
+    za = to_complex(root_power(m, j * element.exponent))
+    zb = to_complex(root_power(m, -j * element.exponent))
     rot = [[za, 0j], [0j, zb]]
     if not element.flip:
         return rot
@@ -576,17 +811,112 @@ def invariant_dimension_average(group: Group, cid: str, generator: Element) -> i
     Exact cyclotomic averaging; linear in the inertia order, so only usable
     for small groups.  Kept as the oracle the closed form is tested against.
     """
-    order = inertia_order(group, generator)
+    order = brute_force_order(group, generator)
     acc = cyclo_zero(group.rotation_order)
-    t = group.identity()
+    t = identity()
     for _ in range(order):
         acc = add(acc, character_value(group, cid, group.conjugacy_class_of(t)))
-        t = group.multiply(t, generator)
-    total = acc.as_int()
+        t = multiply(group, t, generator)
+    total = as_int(acc)
     assert total % order == 0, (cid, generator, total)
     dim = total // order
     assert 0 <= dim <= character_degree(cid)
     return dim
+
+
+@dataclass(frozen=True)
+class RamifiedPrime:
+    p: int
+    inertia: Element
+
+    def __post_init__(self) -> None:
+        if not _is_odd_prime(self.p):
+            raise ValueError(f"ramified prime must be an odd prime >= 3, got {self.p}")
+
+
+@dataclass(frozen=True)
+class RamificationData:
+    """Literal ramified primes with their (tame, cyclic) inertia generators."""
+
+    kind: GroupKind
+    primes: tuple[RamifiedPrime, ...]
+
+    def __post_init__(self) -> None:
+        ps = [rp.p for rp in self.primes]
+        if len(set(ps)) != len(ps):
+            raise ValueError(f"ramified primes must be distinct: {ps}")
+        for rp in self.primes:
+            if rp.inertia == identity():
+                raise ValueError(f"inertia at {rp.p} is trivial; prime not ramified")
+
+
+def artin_conductor_tame(group: Group, cid: str,
+                         ram: RamificationData) -> dict[int, int]:
+    """Exponent map p -> n(chi, p) over the ramified primes, from the
+    package's ``conductor_exponent``."""
+    assert ram.kind == group.kind
+    return {rp.p: conductor_exponent(group, cid, rp.inertia) for rp in ram.primes}
+
+
+@dataclass(frozen=True)
+class CharacterConductor:
+    character_id: str
+    exponents: tuple[tuple[int, int], ...]  # (p, n(chi, p)), ramified primes only
+
+
+def conductor_report(group: Group, ram: RamificationData) -> dict[str, CharacterConductor]:
+    return {
+        cid: CharacterConductor(
+            cid, tuple(sorted(artin_conductor_tame(group, cid, ram).items()))
+        )
+        for cid in character_ids(group)
+    }
+
+
+def conductor_discriminant(group: Group, ram: RamificationData) -> dict[int, int]:
+    """Factored |d| = prod over chi of A(chi)^chi(1), as {p: exponent}."""
+    out: dict[int, int] = {rp.p: 0 for rp in ram.primes}
+    for cid in character_ids(group):
+        deg = character_degree(cid)
+        for p, n in artin_conductor_tame(group, cid, ram).items():
+            out[p] += deg * n
+    return out
+
+
+def discriminant_exponent_tame(group: Group, generator: Element) -> int:
+    """Second route: ord_p |d| = (e-1) |G| / e for tame cyclic inertia of
+    order e, e found by repeated multiplication."""
+    e = brute_force_order(group, generator)
+    assert group.order % e == 0
+    return (e - 1) * (group.order // e)
+
+
+def explicit_scenario(ram: RamificationData) -> ArithmeticScenario:
+    """W = +1 scenario with literal primes; log_disc is the exact
+    conductor-discriminant value."""
+    group = Group(ram.kind)
+    disc = conductor_discriminant(group, ram)
+    log_disc = sum(n * math.log(p) for p, n in disc.items())
+    primes = tuple(
+        VirtualPrime(rp.p, math.log(rp.p), rp.inertia) for rp in ram.primes
+    )
+    return ArithmeticScenario(ram.kind, +1, primes, log_disc, explicit=True)
+
+
+_SMALL_ODD_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def random_ramification(kind: GroupKind, seed: int) -> RamificationData:
+    """Randomized explicit tame data: 5 and one other small odd prime, each
+    with random cyclic inertia."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x5CE9A810, seed]))
+    group = Group(kind)
+    chosen = rng.choice(len(_SMALL_ODD_PRIMES), size=1, replace=False)
+    ps = [5] + [_SMALL_ODD_PRIMES[int(c)] for c in chosen]
+    return RamificationData(
+        kind,
+        tuple(RamifiedPrime(p, _random_nonidentity(rng, group)) for p in ps),
+    )
 
 
 def vanishing_orders(kind: GroupKind, w_axiom: int, i: int) -> dict[str, int]:

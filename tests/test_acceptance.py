@@ -3,28 +3,20 @@ PASS/FAIL line.  Budgets are wall-clock seconds measured per criterion."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chebrace.arithmetic import (
-    conductor_discriminant,
-    conductor_exponent,
-    conductor_report,
-    discriminant_exponent_tame,
-    random_ramification,
-)
+from chebrace.arithmetic import conductor_exponent
 from chebrace.characters import (
     character_degree,
     character_ids,
     character_value,
     induce,
     psi_id,
-    symplectic_value_sum,
 )
-from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul
 from chebrace.density import density_fourier, density_montecarlo
 from chebrace.experiments import (
     horizontal_experiment,
@@ -48,11 +40,18 @@ from oracles import (
     SYMPLECTIC,
     brute_force_induce,
     character_table,
+    conductor_discriminant,
+    conductor_report,
     density_fourier_quadpack,
+    discriminant_exponent_tame,
+    explicit_scenario,
     frobenius_schur,
     fs_type,
-    inner_product,
     is_faithful,
+    is_zero,
+    orthogonality_mod_p,
+    random_ramification,
+    symplectic_value_sum,
 )
 
 ELAPSED: dict[str, float] = {}
@@ -77,21 +76,11 @@ def test_criterion_1_character_theory_exactness(capsys):
             labels = group.class_labels()
             assert len(labels) == (1 << (n - 2)) + 3
             assert sum(group.class_size(lab) for lab in labels) == 1 << n
-            chars = table.characters
-            for a, ca in enumerate(chars):
-                for b in range(a, len(chars)):
-                    ip = inner_product(group, ca.values, chars[b].values)
-                    assert ip == Fraction(int(a == b)), (family, n, ca.cid)
-            # columns: sum_chi chi(la) conj(chi(lb)) = |G|/|C(la)| iff la == lb
-            for a, la in enumerate(labels):
-                for b in range(a, len(labels)):
-                    tot = cyclo_zero(table.ring_order)
-                    for chi in chars:
-                        tot = add(tot, mul(chi.values[la],
-                                           conjugate(chi.values[labels[b]])))
-                    want = group.order // group.class_size(la) if a == b else 0
-                    assert tot.as_int() == want, (family, n, la, labels[b])
-            for chi in chars:
+            # rows: sum_C |C| chi(C) conj(psi(C)) = |G| iff chi == psi;
+            # columns: sum_chi chi(la) conj(chi(lb)) = |G|/|C(la)| iff
+            # la == lb; both exact in Z[zeta], decided modulo a prime
+            assert orthogonality_mod_p(table) == (True, True), (family, n)
+            for chi in table.characters:
                 symplectic = family == QUATERNION and _is_odd_psi(chi.cid)
                 assert frobenius_schur(table, chi) == (-1 if symplectic else 1)
                 assert fs_type(table, chi) == (SYMPLECTIC if symplectic
@@ -162,7 +151,7 @@ def test_criterion_3_symplectic_value_sum(capsys):
     t0 = time.perf_counter()
     for i in range(3, 11):
         for k in range(1, 1 << (i - 2)):
-            assert symplectic_value_sum(i, k).is_zero(), (i, k)
+            assert is_zero(symplectic_value_sum(i, k)), (i, k)
     elapsed = time.perf_counter() - t0
     _report(capsys, "3 symplectic value sums vanish", elapsed < 1.0,
             f"exact zero for 3<=i<=10, all k, {elapsed:.2f}s < 1s")
@@ -185,6 +174,13 @@ def test_criterion_4_conductor_discriminant(capsys):
                 assert total == disc[rp.p]
                 assert disc[rp.p] == discriminant_exponent_tame(group,
                                                                 rp.inertia)
+            # the scenario's log conductors, summed with the degrees, give
+            # the same discriminant
+            scen = explicit_scenario(ram)
+            assert math.isclose(
+                sum(character_degree(cid) * scen.log_conductor(cid)
+                    for cid in character_ids(group)),
+                scen.log_disc, rel_tol=1e-12)
             scenarios += 1
     # order-8 quaternion single-prime patterns and the discriminant bracket
     group = Group(GroupKind(QUATERNION, 3))
@@ -205,8 +201,9 @@ def test_criterion_4_conductor_discriminant(capsys):
         assert 2 * fpsi <= d <= 3 * fpsi
     elapsed = time.perf_counter() - t0
     _report(capsys, "4 conductor-discriminant", elapsed < 10.0,
-            f"{scenarios} random tame scenarios exact, order-8 pattern and "
-            f"bracket hold, {elapsed:.1f}s < 10s")
+            f"{scenarios} random tame scenarios exact, log conductors sum "
+            f"to log|d|, order-8 pattern and bracket hold, {elapsed:.1f}s "
+            f"< 10s")
 
 
 def test_criterion_5_mean_tables(capsys):

@@ -2,6 +2,7 @@
 symplectic block structure used by the race engine."""
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,25 @@ from chebrace.characters import (
     is_symplectic,
     psi_id,
     sr_partition,
-    symplectic_value_sum,
 )
-from chebrace.cyclotomic import add, conjugate, cyclo_zero, mul
-from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind
+from chebrace.cyclotomic import add, cos_pair, cyclo_zero
+from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind, power
 from oracles import (
+    as_int,
     brute_force_induce,
     character_table,
+    conjugate,
     degree_two_matrices,
     frobenius_schur,
     inner_product,
     is_faithful,
+    is_zero,
+    mul,
+    multiplicity,
+    orthogonality_mod_p,
     restrict,
+    symplectic_value_sum,
+    to_complex,
 )
 
 FAMILIES = (DIHEDRAL, QUATERNION)
@@ -55,7 +63,31 @@ def test_column_orthogonality_exact(group):
             for chi in table.characters:
                 acc = add(acc, mul(chi.value(la), conjugate(chi.value(lb))))
             expected = group.order // group.class_size(la) if la == lb else 0
-            assert acc.as_int() == expected, (la, lb)
+            assert as_int(acc) == expected, (la, lb)
+
+
+@pytest.mark.parametrize("group", _groups((3, 4, 5)), ids=str)
+def test_orthogonality_mod_p_agrees_with_the_ring(group):
+    # the two tests above decide both identities in Z[zeta]; the modular
+    # matrix check must reach the same verdict
+    assert orthogonality_mod_p(character_table(group)) == (True, True)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_orthogonality_mod_p_rejects_a_changed_entry(family):
+    group = Group(GroupKind(family, 6))
+    table = character_table(group)
+    m = group.rotation_order
+    psi = table.by_id("psi_1")
+    # psi_1 at a^1 is zeta + zeta^-1; zeta^3 + zeta^-3 is another psi's value
+    # there, so only the orthogonality relations can tell them apart
+    values = dict(psi.values)
+    values[power(1)] = cos_pair(m, 3)
+    changed = dataclasses.replace(psi, values=values)
+    bad = dataclasses.replace(table, characters=tuple(
+        changed if chi is psi else chi for chi in table.characters))
+    rows_ok, cols_ok = orthogonality_mod_p(bad)
+    assert not rows_ok and not cols_ok
 
 
 @pytest.mark.parametrize("group", _groups((3, 4, 5, 6)), ids=str)
@@ -67,7 +99,7 @@ def test_character_values_against_matrix_models(group):
             rep = group.class_representative(lab)
             mat = degree_two_matrices(group, j, rep)
             trace = mat[0][0] + mat[1][1]
-            assert abs(character_value(group, cid, lab).to_complex() - trace) < 1e-9
+            assert abs(to_complex(character_value(group, cid, lab)) - trace) < 1e-9
 
 
 @pytest.mark.parametrize("group", _groups((3, 4, 5, 6)), ids=str)
@@ -129,7 +161,7 @@ def test_frobenius_reciprocity(family):
         for cid in character_ids(group):
             res = restrict(group, level_i, cid)
             ip = inner_product(level, res, src_values)
-            assert ip == Fraction(dec.multiplicity(cid)), (src, cid)
+            assert ip == Fraction(multiplicity(dec, cid)), (src, cid)
 
 
 def test_induced_degree_bookkeeping():
@@ -144,7 +176,7 @@ def test_induced_degree_bookkeeping():
 def test_symplectic_value_sum_vanishes():
     for i in range(3, 11):
         for k in range(1, (1 << (i - 2))):
-            assert symplectic_value_sum(i, k).is_zero(), (i, k)
+            assert is_zero(symplectic_value_sum(i, k)), (i, k)
 
 
 def test_symplectic_value_sum_rejects_bad_arguments():
@@ -205,7 +237,7 @@ def test_restriction_of_trivial_character_is_trivial():
     res = restrict(group, 3, "chi0")
     level = group.level(3)
     for lab in level.class_labels():
-        assert res[lab].as_int() == 1
+        assert as_int(res[lab]) == 1
 
 
 def test_character_ids_enumeration():

@@ -11,10 +11,9 @@ from scipy import special
 
 from chebrace import density
 from chebrace.density import (
-    A1_DEFAULT,
-    C1_DEFAULT,
-    C2_DEFAULT,
-    C3_DEFAULT,
+    C1,
+    C2,
+    C3,
     DensityEstimate,
     FOURIER,
     MONTECARLO,
@@ -25,7 +24,6 @@ from chebrace.density import (
     density_fourier,
     density_montecarlo,
     lower_bound,
-    mo_tail,
     q_factor,
     truncation_shift_bound,
     upper_bound,
@@ -148,9 +146,9 @@ def test_upper_and_lower_bounds():
     assert upper_bound(-2.0) is None
     assert lower_bound(0.0, 2.0) is None
     b = 2.0
-    assert math.isclose(upper_bound(b), math.exp(-C3_DEFAULT * 4.0), rel_tol=1e-15)
+    assert math.isclose(upper_bound(b), math.exp(-C3 * 4.0), rel_tol=1e-15)
     assert math.isclose(lower_bound(b, 3.0),
-                        C1_DEFAULT * math.exp(-C2_DEFAULT * 3.0 * 4.0),
+                        C1 * math.exp(-C2 * 3.0 * 4.0),
                         rel_tol=1e-15)
     assert upper_bound(3.0) < upper_bound(2.0)
     assert lower_bound(3.0, 2.0) < lower_bound(2.0, 2.0)
@@ -180,42 +178,6 @@ def test_q_factor_regimes():
         q_factor({"chi1": 0.0}, level=3, n=5, b1=2, b2=2)
 
 
-def test_mo_tail_regimes_and_boundaries():
-    model = assemble_race_model(
-        0, {"a": 1.0}, {"a": _zs("a", [0.32, 0.9, 2.0, 4.8], t_max=10.0)})
-    t = np.sort(model.terms)[::-1]
-    report = mo_tail(model, v=8.0, alpha=float(t[0]) - 1e-9)
-    assert report.upper_applicable and not report.lower_applicable
-    s2 = float(np.sum(t[1:] ** 2))
-    assert math.isclose(report.upper_value, math.exp(-64.0 / (16.0 * s2)),
-                        rel_tol=1e-12)
-    assert report.lower_value is None
-    low = mo_tail(model, v=float(t[0]) / 2.0, alpha=float(t[0]) - 1e-9)
-    assert low.lower_applicable
-    assert math.isclose(low.lower_value,
-                        A1_DEFAULT * math.exp(-low.sum_large ** 2 / 4.0 / s2),
-                        rel_tol=1e-12)
-    # boundary: S1 == V/2 and S1 == 2V are both applicable
-    s1 = float(t[0])
-    assert mo_tail(model, v=2.0 * s1, alpha=s1 - 1e-9).upper_applicable
-    assert mo_tail(model, v=s1 / 2.0, alpha=s1 - 1e-9).lower_applicable
-    with pytest.raises(ValueError):
-        mo_tail(model, v=-1.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        mo_tail(model, v=1.0, alpha=0.0)
-
-
-def test_mo_tail_degenerate_small_part():
-    model = assemble_race_model(0, {"a": 1.0}, {"a": _zs("a", [1.0])})
-    amp = float(model.terms[0])
-    report = mo_tail(model, v=0.0, alpha=amp / 2.0)
-    assert report.sum_small_sq == 0.0
-    assert report.lower_applicable
-    assert report.lower_value == A1_DEFAULT  # s2 == 0 and v == 0 keeps the floor
-    report = mo_tail(model, v=amp / 4.0, alpha=amp / 2.0)
-    assert report.lower_value == 0.0  # s2 == 0 and v > 0 collapses it
-
-
 def test_bound_report_wiring():
     model = _synthetic_model(40, {"psi_1": 4.0}, log_a=8.0)
     assert model.bias_factor > 1.0
@@ -227,8 +189,7 @@ def test_bound_report_wiring():
     assert rep.upper_one_minus_delta == upper_bound(model.bias_factor)
     assert rep.lower_one_minus_delta == lower_bound(model.bias_factor, qf.q)
     assert rep.lower_one_minus_delta < rep.upper_one_minus_delta
-    assert (rep.q, rep.b3, rep.b4) == (qf.q, qf.b3, qf.b4)
-    assert (rep.c1, rep.c2, rep.c3) == (C1_DEFAULT, C2_DEFAULT, C3_DEFAULT)
+    assert rep.q == qf.q
     negative = _synthetic_model(-40, {"psi_1": 4.0}, log_a=8.0)
     rep = bound_report(negative, qf)
     assert rep.upper_one_minus_delta is None

@@ -17,7 +17,16 @@ from chebrace.groups import (
     GroupKind,
     power,
 )
-from oracles import brute_force_fusion
+from oracles import (
+    brute_force_fusion,
+    brute_force_order,
+    class_members,
+    elements,
+    embed,
+    identity,
+    inverse,
+    multiply,
+)
 
 FAMILIES = (DIHEDRAL, QUATERNION)
 SMALL = [Group(GroupKind(f, n)) for f in FAMILIES for n in (3, 4, 5)]
@@ -25,15 +34,15 @@ SMALL = [Group(GroupKind(f, n)) for f in FAMILIES for n in (3, 4, 5)]
 
 @pytest.mark.parametrize("group", SMALL, ids=str)
 def test_group_axioms_exhaustively(group):
-    els = group.elements()
+    els = elements(group)
     assert len(els) == group.order == len(set(els))
-    e = group.identity()
+    e = identity()
     for g in els:
-        assert group.multiply(g, e) == group.multiply(e, g) == g
-        assert group.multiply(g, group.inverse(g)) == e
+        assert multiply(group, g, e) == multiply(group, e, g) == g
+        assert multiply(group, g, inverse(group, g)) == e
     for g, h, k in itertools.islice(itertools.product(els, els, els), 4096):
-        assert group.multiply(group.multiply(g, h), k) == \
-            group.multiply(g, group.multiply(h, k))
+        assert multiply(group, multiply(group, g, h), k) == \
+            multiply(group, g, multiply(group, h, k))
 
 
 @pytest.mark.parametrize("group", SMALL, ids=str)
@@ -42,15 +51,15 @@ def test_defining_relations(group):
     b = Element(0, 1)
     n = group.n
     # a has order 2^(n-1); b a b^-1 = a^-1
-    aa = group.identity()
+    aa = identity()
     for _ in range(group.rotation_order):
-        aa = group.multiply(aa, a)
-    assert aa == group.identity()
-    conj = group.multiply(group.multiply(b, a), group.inverse(b))
-    assert conj == group.inverse(a)
-    bb = group.multiply(b, b)
+        aa = multiply(group, aa, a)
+    assert aa == identity()
+    conj = multiply(group, multiply(group, b, a), inverse(group, b))
+    assert conj == inverse(group, a)
+    bb = multiply(group, b, b)
     if group.family == DIHEDRAL:
-        assert bb == group.identity()
+        assert bb == identity()
     else:
         assert bb == Element(1 << (n - 2), 0)  # b^2 is the central involution
 
@@ -61,7 +70,7 @@ def test_class_partition(group):
     assert len(labels) == (1 << (group.n - 2)) + 3
     seen: set[Element] = set()
     for lab in labels:
-        members = group.class_members(lab)
+        members = class_members(group, lab)
         assert len(members) == group.class_size(lab)
         for m in members:
             assert group.conjugacy_class_of(m) == lab
@@ -76,17 +85,17 @@ def test_classes_are_closed_under_conjugation(group):
     for lab in group.class_labels():
         rep = group.class_representative(lab)
         orbit = {
-            group.multiply(group.multiply(t, rep), group.inverse(t))
-            for t in group.elements()
+            multiply(group, multiply(group, t, rep), inverse(group, t))
+            for t in elements(group)
         }
-        assert orbit == set(group.class_members(lab))
+        assert orbit == set(class_members(group, lab))
 
 
 @pytest.mark.parametrize("group", SMALL, ids=str)
 def test_square_root_count_matches_brute_force(group):
     counts = {lab: 0 for lab in group.class_labels()}
-    for g in group.elements():
-        counts[group.conjugacy_class_of(group.multiply(g, g))] += 1
+    for g in elements(group):
+        counts[group.conjugacy_class_of(multiply(group, g, g))] += 1
     for lab, brute in counts.items():
         assert group.square_root_count(lab) == brute, lab
 
@@ -126,10 +135,10 @@ def test_fusion_merges_exactly_the_flip_pair_below_the_top_level():
 def test_level_subgroup_embedding_is_a_homomorphism():
     group = Group(GroupKind(QUATERNION, 6))
     level = group.level(4)
-    for g in level.elements():
-        for h in level.elements():
-            lhs = group.embed(4, level.multiply(g, h))
-            rhs = group.multiply(group.embed(4, g), group.embed(4, h))
+    for g in elements(level):
+        for h in elements(level):
+            lhs = embed(group, 4, multiply(level, g, h))
+            rhs = multiply(group, embed(group, 4, g), embed(group, 4, h))
             assert lhs == rhs
 
 
@@ -149,6 +158,21 @@ def test_element_orders():
     assert d.element_order(Element(0, 1)) == 2
     assert q.element_order(Element(1, 0)) == 4
     assert q.element_order(Element(2, 0)) == 2
+    # at the largest order, where repeated multiplication takes 2^19 steps
+    big = Group(GroupKind(QUATERNION, 20))
+    assert big.element_order(Element(1, 0)) == 1 << 19
+    assert big.element_order(Element(3 << 17, 0)) == 4
+    assert big.element_order(Element(1 << 18, 0)) == 2
+    assert big.element_order(Element(0, 0)) == 1
+    assert big.element_order(Element(5, 1)) == 4
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_element_order_closed_form_matches_repeated_multiplication(family, n):
+    group = Group(GroupKind(family, n))
+    for g in elements(group):
+        assert group.element_order(g) == brute_force_order(group, g), g
 
 
 def test_power_label_str():

@@ -1,90 +1,94 @@
 """No dead public API: every public function or class defined at the top
-level of a ``chebrace`` module is referenced somewhere in the package
-outside its own definition.  Code only the tests call belongs in
-``tests/oracles.py``; code nothing calls is deleted.
+level of a ``chebrace`` module, and every public method or property of
+those classes, is referenced somewhere in the package outside its own
+definition.  Code only the tests call belongs in ``tests/oracles.py``;
+code nothing calls is deleted.
 
 A reference is a name token of the source, so words in docstrings and
-comments do not count, while a local variable of the same name does (that
-is why ``cyclotomic.sub`` needs no entry).  ALLOWED lists the
-few unreferenced names that are kept on purpose; each must still be
-defined and still unreferenced, so the list cannot go stale.
+comments do not count, while a local variable or attribute of the same name
+does (any ``.order`` or local ``order`` keeps the property ``Group.order``
+alive).  Dunder methods and dataclass fields are not part of the surface.
+ALLOWED would list unreferenced names kept on purpose; it is empty and
+must stay so.
 """
 from __future__ import annotations
 
 import ast
 import io
 import tokenize
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebrace"
 
-ALLOWED = {
-    # the tame-conductor layer of arithmetic.py, read by acceptance
-    # criterion 4
-    "conductor_report",
-    "discriminant_exponent_tame",
-    "explicit_scenario",
-    "random_ramification",
-    # the Montgomery-Odlyzko tail shape, groundwork for a tail engine
-    "mo_tail",
-    # the odd-index cancellation sum, read by acceptance criterion 3
-    "symplectic_value_sum",
-    # the ring operations of CycloInt that only the oracles use
-    "compress",
-    "conjugate",
-    "mul",
-    "promote",
-    "scale",
+ALLOWED: frozenset[str] = frozenset()
+
+# names that moved out of the package and live only in the oracles: the
+# per-pair weight paths that the batch ``races.pair_weights`` replaced, the
+# ring operations of CycloInt beyond sums, the element-at-a-time group
+# operations, the tame-conductor layer over literal primes, and the
+# test-only character sums
+ORACLE_ONLY = {
+    "complex_values", "difference_terms",
+    "neg", "sub", "scale", "mul", "conjugate", "promote", "compress",
+    "is_zero", "is_rational", "as_int", "to_complex", "to_float",
+    "identity", "elements", "multiply", "inverse", "class_members", "embed",
+    "RamifiedPrime", "RamificationData", "artin_conductor_tame",
+    "CharacterConductor", "conductor_report", "conductor_discriminant",
+    "discriminant_exponent_tame", "explicit_scenario", "random_ramification",
+    "symplectic_value_sum", "multiplicity",
 }
 
-# per-pair weight paths that the batch ``races.pair_weights`` replaced; they
-# stay only as the oracle it is tested against
-ORACLE_ONLY = {"complex_values", "difference_terms"}
 
-
-def _surface() -> tuple[list[tuple[str, str]], Counter]:
-    """(module, name) of every public top-level def or class, and the count
-    of name tokens per name outside the definition of that name."""
-    defined = []
-    uses: Counter = Counter()
+def _surface() -> list[tuple[str, str, str, int]]:
+    """(module, qualified name, name, uses) of every public top-level def or
+    class and every public method or property of those classes; uses counts
+    the name tokens of that name in the package outside that definition."""
+    defs = []
+    tokens: dict[str, list[tuple[str, int]]] = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        spans = {}
         for node in ast.parse(text).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.append((path.name, node.name))
-                spans[node.name] = (node.lineno, node.end_lineno)
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type != tokenize.NAME:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
                 continue
-            own = spans.get(tok.string)
-            if own is None or not own[0] <= tok.start[0] <= own[1]:
-                uses[tok.string] += 1
-    return defined, uses
+            defs.append((path.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(path.name, f"{node.name}.{sub.name}", sub)
+                         for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)
+                         and not sub.name.startswith("_")]
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                tokens[tok.string].append((path.name, tok.start[0]))
+    return [(module, qualname, node.name,
+             sum(1 for where, line in tokens[node.name]
+                 if where != module or not node.lineno <= line <= node.end_lineno))
+            for module, qualname, node in defs]
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    defined, uses = _surface()
-    dead = [f"{module}: {name}" for module, name in defined
-            if not uses[name] and name not in ALLOWED]
+    dead = [f"{module}: {qualname}" for module, qualname, name, uses in _surface()
+            if not uses and name not in ALLOWED]
     assert not dead, ("public names with no reference in src/chebrace; "
                       "delete them or move test-only code to tests/oracles.py: "
                       f"{dead}")
 
 
+def test_surface_covers_methods_and_properties():
+    qualnames = {qualname for _, qualname, _, _ in _surface()}
+    assert {"Group.element_order", "Group.order", "ArithmeticScenario.group",
+            "RaceModel.with_mean"} <= qualnames
+    assert not any(q.split(".")[-1].startswith("_") for q in qualnames)
+
+
 def test_allowlist_is_current():
-    defined, uses = _surface()
-    names = {name for _, name in defined}
-    assert ALLOWED <= names, f"allowed but not defined: {ALLOWED - names}"
-    used = sorted(name for name in ALLOWED if uses[name])
-    assert not used, f"allowed names that now have callers: {used}"
+    assert not ALLOWED, f"the allowlist must stay empty: {sorted(ALLOWED)}"
 
 
-def test_replaced_weight_paths_live_only_in_the_oracles():
-    defined, _ = _surface()
-    assert not ORACLE_ONLY & {name for _, name in defined}
+def test_moved_names_live_only_in_the_oracles():
+    defined = {name for _, _, name, _ in _surface()}
+    assert not ORACLE_ONLY & defined
     assert all(callable(getattr(oracles, name, None)) for name in ORACLE_ONLY)
