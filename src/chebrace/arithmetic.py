@@ -101,9 +101,7 @@ class ArithmeticScenario:
     w_axiom: int
     primes: tuple[VirtualPrime, ...]
     log_disc: float
-    explicit: bool
     order_overrides: tuple[tuple[str, int], ...] = ()
-    regime: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.w_axiom not in (+1, -1):
@@ -172,8 +170,7 @@ def scenario_generator(family: str, n: int, w_axiom: int,
         VirtualPrime(5, LOG5, g5),
         VirtualPrime(None, log_p, gp),
     )
-    return ArithmeticScenario(kind, w_axiom, primes, log_disc,
-                              explicit=False, regime=(0.5 * 2.0**n, hi))
+    return ArithmeticScenario(kind, w_axiom, primes, log_disc)
 
 
 def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> ArithmeticScenario:
@@ -195,5 +192,5 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
     return ArithmeticScenario(
         kind, w_axiom,
         (VirtualPrime(None, log_p, gen),),
-        log_disc, explicit=False,
+        log_disc,
     )

@@ -165,7 +165,6 @@ def is_symplectic(cid: str) -> bool:
 @dataclass(frozen=True)
 class InducedDecomposition:
     level: int
-    source_id: str
     components: tuple[tuple[str, int], ...]
 
     def component_ids(self) -> set[str]:
@@ -214,29 +213,15 @@ def induce(group: Group, i: int, source_id: str) -> InducedDecomposition:
             raise KeyError(source_id)
     total = sum(mult * character_degree(cid) for cid, mult in comps)
     assert total == (1 << (n - i)) * src_degree, (source_id, i, total)
-    return InducedDecomposition(i, source_id, tuple(sorted(comps)))
+    return InducedDecomposition(i, tuple(sorted(comps)))
 
 
-@dataclass(frozen=True)
-class SRPartition:
-    """Split of a level's irreducibles by whether their inductions stay disjoint.
-
-    b1/b2 are the definition-faithful max-degree and size of the shared part;
-    published_b1/published_b2 carry the value 2 quoted alongside the towers'
-    analysis, which disagrees below the top level (see README).
-    """
-
-    level: int
-    s_ids: tuple[str, ...]
-    r_ids: tuple[str, ...]
-    b1: int
-    b2: int
-    published_b1: int
-    published_b2: int
-    published_r_ids: tuple[str, ...]
-
-
-def sr_partition(group: Group, i: int) -> SRPartition:
+def sr_partition(group: Group, i: int) -> tuple[int, int]:
+    """(b1, b2) of the split of a level's irreducibles by whether their
+    inductions stay disjoint: the largest degree and the count of the
+    entangled part R (chi0 excluded), definition-faithful.  The value 2
+    quoted for both alongside the towers' analysis disagrees below the top
+    level (see README; the tests keep the quoted values and the split)."""
     level_ids = character_ids(group.level(i))
     comps = {cid: induce(group, i, cid).component_ids() for cid in level_ids}
     s_ids = tuple(
@@ -246,8 +231,4 @@ def sr_partition(group: Group, i: int) -> SRPartition:
     )
     r_ids = tuple(cid for cid in level_ids
                   if cid not in s_ids and cid != "chi0")
-    b1 = max((character_degree(cid) for cid in r_ids), default=0)
-    b2 = len(r_ids)
-    return SRPartition(i, s_ids, r_ids, b1, b2,
-                       published_b1=2, published_b2=2,
-                       published_r_ids=("chi2", "chi3"))
+    return max((character_degree(cid) for cid in r_ids), default=0), len(r_ids)

@@ -32,12 +32,15 @@ from .arithmetic import (
 from .characters import character_degree, character_ids, sr_partition
 from .density import (
     DensityEstimate,
+    SpectralModel,
+    Spectrum,
     _mc_race,
     bound_report,
     complement,
     density_fourier,
     density_montecarlo,
     q_factor,
+    spectral_table,
     truncation_shift_bound,
 )
 from .groups import (
@@ -541,10 +544,8 @@ def race_row(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet], samples: int,
     if spec.level == kind.n:
         b1 = b2 = 2
     else:
-        sr = sr_partition(group, spec.level)
-        b1, b2 = sr.b1, sr.b2
-    qf = q_factor(w_map, spec.level, kind.n, b1, b2)
-    rep = bound_report(model, qf)
+        b1, b2 = sr_partition(group, spec.level)
+    rep = bound_report(model, q_factor(w_map, spec.level, kind.n, b1, b2))
     row["clt_estimate"] = rep.clt_estimate
     row["clt_error_budget"] = rep.clt_error_budget
     row["upper_one_minus_delta"] = rep.upper_one_minus_delta
@@ -688,8 +689,7 @@ def load_zero_sets(paths: Iterable[str]) -> dict[str, ZeroSet]:
 def _h8_scenario(o: int) -> ArithmeticScenario:
     kind = GroupKind(QUATERNION, 3)
     return ArithmeticScenario(kind, +1, (VirtualPrime(5, math.log(5.0), Element(1, 0)),),
-                              math.log(5.0) * 6, explicit=True,
-                              order_overrides=(("psi_1", o),))
+                              math.log(5.0) * 6, order_overrides=(("psi_1", o),))
 
 
 def _symbolic_mean(m0: int, m1: int) -> str:
@@ -875,7 +875,9 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    if not 3 <= n <= 10:  # n = 10 takes about 25 s, 6x n = 9
+    # n = 10 takes 10-15 s and 180 MB (bench/tower_scale.py); n = 11
+    # would hold a pairs x characters weight table of 545 MB
+    if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
     if family == DIHEDRAL:
         w_axiom = +1
@@ -888,8 +890,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
              for b in range(a + 1, len(labels))]
     means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
     # The zero sets are fixed for the call, so pairs with equal weight rows
-    # have equal terms: one model per distinct row, alive only while its
-    # pairs are done, and one inversion per (|mean|, weight row).
+    # race the same oscillation part: one spectral row per distinct weight
+    # row, and one inversion per (|mean|, weight row) with a nonzero mean.
     # Rows are grouped by their bytes (weights are abs values, so equal rows
     # have equal bytes): one key per distinct row beside the table, and no
     # sorted copy of it; the keys go once the groups are known.
@@ -901,19 +903,27 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     order = np.argsort(group_of, kind="stable")
     bounds = np.flatnonzero(np.diff(group_of[order])) + 1
     ids = character_ids(group)
-    weighted = [ids[c] for c in np.flatnonzero(table.any(axis=0))]
-    sets = provision_zero_sets(scen, weighted, seed)
+    weighted = np.flatnonzero(table.any(axis=0))
+    sets = provision_zero_sets(scen, [ids[c] for c in weighted], seed)
+    # one spectral table for the call: each weighted character's zero
+    # moduli, padded with inf to the longest
+    moduli = [sets[ids[c]].moduli for c in weighted]
+    padded = np.full((len(moduli), max(m.size for m in moduli)), np.inf)
+    for line, values in zip(padded, moduli):
+        line[:values.size] = values
+    zeros = spectral_table(padded)
+    del padded
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
     for members in np.split(order, bounds):
-        row = table[members[0]]
-        model = assemble_race_model(0, dict(zip(ids, row.tolist())), sets)
+        spectrum = Spectrum(zeros, 2.0 * table[members[0], weighted])
         sides: dict[int, DensityEstimate] = {}
         for i in members.tolist():
             m = means[i]
             if abs(m) not in sides:
-                sides[abs(m)] = density_fourier(model.with_mean(abs(m)))
-            biases[i] = m / math.sqrt(model.variance)
+                sides[abs(m)] = density_fourier(SpectralModel(abs(m), spectrum))
+            if m:  # a mean-0 row needs neither the variance nor an inversion
+                biases[i] = m / math.sqrt(spectrum.variance)
             estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
     rows: list[dict] = []
     confirmed = True
@@ -1091,7 +1101,7 @@ def _rotation_tower_scenario(n: int, log_a_psi: float) -> ArithmeticScenario:
     vp = VirtualPrime(None, log_p, Element(1, 0))
     exp_disc = (1 << n) - 2  # (e-1)|G|/e at full rotation inertia
     return ArithmeticScenario(GroupKind(QUATERNION, n), +1, (vp,),
-                              exp_disc * log_p, explicit=False)
+                              exp_disc * log_p)
 
 
 def _b0_proxy(log_a: float, t_max: float) -> float:
@@ -1153,8 +1163,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         model = assemble_race_model(mean(spec), w_map, sets)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
-        qf = q_factor(w_map, n, n, 2, 2)
-        rep = bound_report(model, qf)
+        rep = bound_report(model, q_factor(w_map, n, n, 2, 2))
         row = {
             "race": k, "n": n, "log_conductor_psi": log_a,
             "target_bias": target, "bias_factor": model.bias_factor,

@@ -31,7 +31,7 @@ a ``CycloInt`` in ``tests/oracles.py``; ``weights`` is its one-pair case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -224,18 +224,12 @@ class RaceModel:
     variance: float
     bias_factor: float
     terms: np.ndarray
-    per_character_weights: dict[str, float]
 
     def __post_init__(self) -> None:
         if not self.variance >= 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance!r}")
         if self.terms.size and not float(self.terms.min()) > 0.0:
             raise ValueError("amplitudes must be positive")
-
-    def with_mean(self, mean_value: int) -> RaceModel:
-        """The same oscillation part with another mean."""
-        return replace(self, mean=mean_value,
-                       bias_factor=mean_value / math.sqrt(self.variance))
 
 
 def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
@@ -258,8 +252,7 @@ def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
     if not var > 0.0:
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
-    return RaceModel(mean_value, var, mean_value / math.sqrt(var), terms,
-                     dict(weight_map))
+    return RaceModel(mean_value, var, mean_value / math.sqrt(var), terms)
 
 
 # -- closed-form means and published tables ------------------------------------
@@ -392,4 +385,4 @@ def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:
     return ArithmeticScenario(
         kind, w_axiom,
         (VirtualPrime(5, math.log(5.0), Element(1, 0)),),
-        log_disc=1.0, explicit=False)
+        log_disc=1.0)

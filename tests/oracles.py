@@ -22,8 +22,21 @@ the grid against it within the sum of the two error budgets.
 
 ``tower_experiment``'s per-pair loop from before it shared one Fourier
 inversion among the rows with equal weights and equal |mean|: every row
-assembles its own model and runs its own ``density_fourier``.  Tests
-compare the driver against it for bit-equal densities and budgets.
+runs its own ``density_fourier``, on a spectral table that holds only the
+characters it weights.  Tests compare the driver against it for bit-equal
+densities and budgets.
+
+``density_fourier``'s per-model path from before one spectral table per
+call: the model's terms sorted, prefix sums of r^2 and log r, the tail
+bound on all 512 grid points with every split, and the bulk's power sums
+one order at a time.  Tests require the table's classification of every
+term to be the sorted list's, its power sums to agree within the stated
+rounding bounds, and its windowed tail search to pick the same t_max.
+
+The QUADPACK reference multiplies its J0 factors in long double, from
+J0's power series up to x = 4: scipy's j0 is biased by about -0.6 ulp
+there, and over a few thousand factors that bias moved the reference
+beyond its own error estimate.
 
 ``mean_table``'s per-pair loop from before it took the closed-form and
 published means once per class: both functions and the fused-class test
@@ -78,6 +91,7 @@ from chebrace.characters import (
     character_degree,
     character_ids,
     character_value,
+    induce,
     is_symplectic,
 )
 from chebrace.cyclotomic import (
@@ -94,13 +108,15 @@ from chebrace.cyclotomic import (
 )
 from chebrace.density import (
     _MC_SALT,
-    FOURIER,
-    MONTECARLO,
     Z99,
     DensityEstimate,
+    SpectralModel,
+    Spectrum,
     complement,
     density_fourier,
+    spectral_table,
 )
+from chebrace import density
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
 from chebrace.groups import DIHEDRAL, QUATERNION, ClassLabel, Element, Group, GroupKind
 from chebrace import races
@@ -113,7 +129,6 @@ from chebrace.races import (
     RaceModel,
     RaceSpec,
     RaceUndefinedError,
-    assemble_race_model,
     level_data,
     mean,
     weights,
@@ -217,7 +232,7 @@ def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> Densit
     value = s1 / n_pairs
     var_y = max(s2 / n_pairs - value * value, 0.0)
     ci = Z99 * math.sqrt(var_y / n_pairs)
-    return DensityEstimate(min(max(value, 0.0), 1.0), MONTECARLO, ci, 2 * n_pairs)
+    return DensityEstimate(min(max(value, 0.0), 1.0), ci, 2 * n_pairs)
 
 
 def shared_mc_loop(terms: np.ndarray, level_means: Sequence[float], samples: int,
@@ -265,6 +280,27 @@ def _envelope_tail(terms: np.ndarray, t: float) -> float:
     return math.exp(log_g + math.log(t) - math.log(k / 2.0))
 
 
+# J0's power series sum_k (-1)^k (x^2/4)^k / k!^2, in long double, to k = 22
+# (past it the terms are below 2^-80 for x <= 4)
+_J0_SERIES = [np.longdouble((-1) ** k) / np.longdouble(math.factorial(k)) ** 2
+              for k in range(23)]
+
+
+def j0_product(x: np.ndarray) -> float:
+    """prod_j J0(x_j).  Factors with x <= 4 come from J0's power series in
+    long double (64-bit mantissa), the rest from scipy's j0; the product is
+    taken in long double.  scipy's j0 is biased below x = 1 (-0.58 ulp on
+    average over [0, 0.3] against mpmath), so over a few thousand factors
+    its plain float product drifts by ~1e-13 relative, far past a budget
+    of ~1e-15."""
+    small = x <= 4.0
+    z = np.asarray(x[small], dtype=np.longdouble) ** 2 / 4
+    series = np.full(z.size, _J0_SERIES[-1])
+    for c in reversed(_J0_SERIES[:-1]):
+        series = series * z + c
+    return float(np.prod(series) * np.prod(j0(x[~small]).astype(np.longdouble)))
+
+
 def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
                     nodes: int = 2000) -> DensityEstimate:
     """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
@@ -282,7 +318,7 @@ def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
     if terms.size == 0:
         raise ValueError("empty term list")
     if model.mean == 0:
-        return DensityEstimate(0.5, FOURIER, 0.0, 0)
+        return DensityEstimate(0.5, 0.0, 0)
     if terms.size < 3:
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
                       "slowly; consider raising t_max", stacklevel=2)
@@ -305,7 +341,7 @@ def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
         tail = 1.0  # fewer than 3 active terms even at t_max; budget stays honest
 
     def integrand(t: float) -> float:
-        return float(np.prod(j0(terms * t))) / t
+        return j0_product(terms * t) / t
 
     integral, quad_err, info, *message = quad(
         integrand, eps, t_max, weight="sin", wvar=m, limit=nodes,
@@ -313,8 +349,9 @@ def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
     if message:  # full_output returns QUADPACK's warning instead of issuing it
         warnings.warn(message[0], IntegrationWarning)
     half_gap = (series + integral) / math.pi
-    budget = (series_err + quad_err + tail) / math.pi
-    est = DensityEstimate(min(max(0.5 + half_gap, 0.0), 1.0), FOURIER, budget,
+    # QAWO may return its error estimate with a minus sign
+    budget = (series_err + abs(quad_err) + tail) / math.pi
+    est = DensityEstimate(min(max(0.5 + half_gap, 0.0), 1.0), budget,
                           info["neval"])
     return est if model.mean > 0 else complement(est)
 
@@ -322,11 +359,13 @@ def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
 def tower_rows_per_pair(family: str, n: int, w_axiom: int,
                         seed: int) -> list[dict]:
     """The model and density fields of every ``tower_experiment`` row, one
-    ``assemble_race_model`` and one ``density_fourier`` per class pair."""
+    inversion per class pair, each on a spectral table of its own that
+    holds only the characters the pair weights."""
     if family == DIHEDRAL:
         w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
     labels = scen.group.class_labels()
+    ids = character_ids(scen.group)
     data = level_data(scen, n)
     sets: dict = {}
     rows = []
@@ -336,17 +375,99 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
             spec = RaceSpec(scen, n, c1, c2)
             m = data.mean(c1, c2)
             w_map = weights(spec)
-            needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
+            needed = [cid for cid in ids if w_map[cid] > 0]
             fresh = [cid for cid in needed if cid not in sets]
             sets.update(provision_zero_sets(scen, fresh, seed))
-            model = assemble_race_model(m, w_map, sets)
-            est = density_fourier(model)
+            spectrum = one_row_spectrum([w_map[cid] for cid in needed],
+                                        [sets[cid].moduli for cid in needed])
+            est = density_fourier(SpectralModel(m, spectrum))
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
                          "weights": tuple(sorted(w_map.items())),
-                         "bias_factor": model.bias_factor,
+                         "bias_factor": m / math.sqrt(spectrum.variance) if m else 0.0,
                          "delta_fourier": est.value,
                          "delta_fourier_budget": est.error_bound})
     return rows
+
+
+def one_row_spectrum(weight_list: Sequence[float],
+                     moduli: Sequence[np.ndarray]) -> Spectrum:
+    """The spectrum of the race with these character weights over these
+    zero moduli, on a table of its own."""
+    padded = np.full((len(moduli), max(m.size for m in moduli)), np.inf)
+    for line, values in zip(padded, moduli):
+        line[:values.size] = values
+    return Spectrum(spectral_table(padded), 2.0 * np.asarray(weight_list))
+
+
+def spectral_terms(model: SpectralModel) -> RaceModel:
+    """The RaceModel of a spectral row: its terms s_c / b_ci, largest
+    first, as ``assemble_race_model`` would list them."""
+    table, row = model.spectrum.table, model.spectrum.row
+    chunks = [row[c] / table.bases[c, :table.sizes[c]] for c in np.flatnonzero(row)]
+    terms = np.sort(np.concatenate(chunks))[::-1]
+    var = 0.5 * float(np.sum(terms * terms))
+    return RaceModel(model.mean, var, model.mean / math.sqrt(var), terms)
+
+
+# -- the per-model Fourier path that one spectral table per call replaced ------
+# Every model sorted its own terms, took prefix sums of r^2 and log r, bounded
+# the tail on all 512 points of the grid, each split at any later point, and
+# summed the bulk's powers one order at a time.
+
+
+def sorted_tail_bounds(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tail bounds at every point of the geometric grid u for ascending
+    amplitudes r, each the best split at any later grid point."""
+    sq = np.concatenate(([0.0], np.cumsum(r * r)))
+    logs = np.concatenate(([0.0], np.cumsum(np.log(r))))
+    n = r.size
+    gauss = np.searchsorted(r, density._H_KNEE / u, side="right")
+    flat = np.searchsorted(r, density.J0_ZERO / u, side="left")
+    k = n - flat
+    log_g = (-0.25 * u * u * sq[gauss] + (flat - gauss) * math.log(density._H_FLAT)
+             + 0.5 * k * np.log(2.0 / (math.pi * u)) - 0.5 * (logs[n] - logs[flat]))
+    g = np.exp(log_g)
+    rest = np.full(u.size, math.inf)
+    decays = k >= 3
+    rest[decays] = 2.0 * g[decays] / k[decays]
+    steps = np.cumsum((g * math.log(density._TAIL_STEP))[::-1])[::-1]
+    return steps + np.minimum.accumulate((rest - steps)[::-1])[::-1]
+
+
+def sorted_t_max(r: np.ndarray, m: float, cap: int) -> tuple[int, float]:
+    """The grid index of t_max and its tail bound, chosen over the whole
+    grid for ascending amplitudes r."""
+    u = density._GRID / math.sqrt(float(np.sum(r * r)))
+    bounds = sorted_tail_bounds(r, u)
+    ok = np.flatnonzero(bounds <= density._TAIL_TARGET)
+    total = float(r.sum())
+    sq = float(np.sum(r * r))
+
+    def quad(t):
+        return density._quad_log_bounds(
+            m, t, cap, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+
+    if ok.size and quad(u[ok[0]]) <= math.log(density._QUAD_TARGET):
+        i = int(ok[0])
+    else:
+        with np.errstate(divide="ignore"):
+            i = int(np.argmin(np.logaddexp(np.log(bounds), quad(u))))
+    return i, float(bounds[i])
+
+
+def sorted_bulk_power_sums(r: np.ndarray, t_max: float,
+                           order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The head (r t_max >= 1) of ascending amplitudes r, and the bulk's
+    power sums P_1..P_order, one order at a time."""
+    split = int(np.searchsorted(r, 1.0 / t_max, side="left"))
+    bulk, head = r[:split], r[split:]
+    r2 = bulk * bulk
+    power = r2.copy()
+    power_sums = np.empty(order)
+    for k in range(order):
+        power_sums[k] = power.sum()
+        power *= r2
+    return head, power_sums
 
 
 def mean_table_per_pair(family: str, n: int, level: int,
@@ -900,7 +1021,7 @@ def explicit_scenario(ram: RamificationData) -> ArithmeticScenario:
     primes = tuple(
         VirtualPrime(rp.p, math.log(rp.p), rp.inertia) for rp in ram.primes
     )
-    return ArithmeticScenario(ram.kind, +1, primes, log_disc, explicit=True)
+    return ArithmeticScenario(ram.kind, +1, primes, log_disc)
 
 
 _SMALL_ODD_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -999,3 +1120,41 @@ def partial_inverse_tolerance(model: ZeroCountModel, t: float) -> float:
     """Tolerance band 5 (1 + log(A (t+4)^deg)) for the main-term comparison."""
     return 5.0 * (1.0 + model.log_conductor
                   + model.degree_factor * math.log(t + 4.0))
+
+
+# -- values the package computes or quotes but never reads ---------------------
+
+
+def q_factor_extremes(weights: Mapping[str, float]) -> tuple[float, float, str, int]:
+    """b3, b4, lambda* and deg lambda* of ``density.q_factor``: the largest
+    and smallest nonzero weight, and the character of the largest (largest
+    degree first, then id)."""
+    nonzero = {cid: w for cid, w in weights.items() if w > 0.0}
+    b3 = max(nonzero.values())
+    star = sorted((cid for cid, w in nonzero.items() if w == b3),
+                  key=lambda cid: (-character_degree(cid), cid))[0]
+    return b3, min(nonzero.values()), star, character_degree(star)
+
+
+def scenario_regime(n: int) -> tuple[float, float]:
+    """The bracket [2^n / 2, n 2^n] that ``scenario_generator`` draws
+    log|d| from."""
+    return 0.5 * 2.0**n, n * 2.0**n
+
+
+def sr_split(group: Group, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The level's irreducibles whose inductions are disjoint from every
+    other's (S), and the rest but chi0 (R), as ``characters.sr_partition``
+    splits them for its b1 and b2."""
+    level_ids = character_ids(group.level(i))
+    comps = {cid: induce(group, i, cid).component_ids() for cid in level_ids}
+    s_ids = tuple(cid for cid in level_ids
+                  if all(comps[cid].isdisjoint(comps[other])
+                         for other in level_ids if other != cid))
+    return s_ids, tuple(cid for cid in level_ids
+                        if cid not in s_ids and cid != "chi0")
+
+
+# b1, b2 and the entangled characters quoted alongside the towers' analysis
+# at every proper level; ``characters.sr_partition`` computes its own
+PUBLISHED_SR = (2, 2, ("chi2", "chi3"))

@@ -31,6 +31,7 @@ from oracles import (
     invariant_dimension_average,
     multiply,
     random_ramification,
+    scenario_regime,
     vanishing_orders,
 )
 
@@ -147,12 +148,12 @@ def test_vanishing_orders(family):
 def test_scenario_central_orders_and_overrides():
     kind = GroupKind(QUATERNION, 4)
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
-    scen = ArithmeticScenario(kind, -1, (vp,), 10.0, explicit=False)
+    scen = ArithmeticScenario(kind, -1, (vp,), 10.0)
     assert scen.central_order("psi_1") == 1
     assert scen.central_order("psi_3") == 1
     assert scen.central_order("psi_2") == 0
     assert scen.central_order("chi1") == 0
-    forced = ArithmeticScenario(kind, +1, (vp,), 10.0, explicit=False,
+    forced = ArithmeticScenario(kind, +1, (vp,), 10.0,
                                 order_overrides=(("psi_1", 7),))
     assert forced.central_order("psi_1") == 7
     assert forced.central_order("psi_3") == 0
@@ -162,7 +163,7 @@ def test_dihedral_scenarios_reject_w_minus_one():
     kind = GroupKind(DIHEDRAL, 4)
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
     with pytest.raises(ValueError, match="W = \\+1"):
-        ArithmeticScenario(kind, -1, (vp,), 10.0, explicit=False)
+        ArithmeticScenario(kind, -1, (vp,), 10.0)
 
 
 def test_scenario_checks_raise_value_errors():
@@ -170,10 +171,10 @@ def test_scenario_checks_raise_value_errors():
     kind = GroupKind(QUATERNION, 4)
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
     with pytest.raises(ValueError, match="w_axiom"):
-        ArithmeticScenario(kind, 0, (vp,), 10.0, explicit=False)
+        ArithmeticScenario(kind, 0, (vp,), 10.0)
     for log_disc in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="log_disc"):
-            ArithmeticScenario(kind, -1, (vp,), log_disc, explicit=False)
+            ArithmeticScenario(kind, -1, (vp,), log_disc)
 
 
 def test_virtual_prime_validation():
@@ -207,7 +208,7 @@ def test_scenario_generator_is_deterministic_and_in_regime(family):
     a = scenario_generator(family, 6, +1, seed=42)
     b = scenario_generator(family, 6, +1, seed=42)
     assert a == b
-    lo, hi = a.regime
+    lo, hi = scenario_regime(6)
     assert lo <= a.log_disc <= hi
     c = scenario_generator(family, 6, +1, seed=43)
     assert c.log_disc != a.log_disc

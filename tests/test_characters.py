@@ -19,6 +19,8 @@ from chebrace.characters import (
 from chebrace.cyclotomic import add, cos_pair, cyclo_zero
 from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind, power
 from oracles import (
+    PUBLISHED_SR,
+    sr_split,
     as_int,
     brute_force_induce,
     character_table,
@@ -190,30 +192,32 @@ def test_symplectic_value_sum_rejects_bad_arguments():
 def test_sr_partition_shapes(family):
     group = Group(GroupKind(family, 6))
     for i in range(3, 6):
-        sr = sr_partition(group, i)
+        s_ids, r_ids = sr_split(group, i)
+        assert sr_partition(group, i) == (
+            max(character_degree(cid) for cid in r_ids), len(r_ids))
         if i <= 4:
             # chi0 and chi1 share a nonempty induced psi block, so chi1 is
             # in the overlapping part too (chi0 is excluded by convention)
-            assert sr.r_ids == ("chi1", "chi2", "chi3")
-            assert (sr.b1, sr.b2) == (1, 3)
+            assert r_ids == ("chi1", "chi2", "chi3")
+            assert sr_partition(group, i) == (1, 3)
             psi_only = {cid for cid in character_ids(group.level(i))
                         if cid.startswith("psi_")}
-            assert set(sr.s_ids) == psi_only
+            assert set(s_ids) == psi_only
         else:
             # one level below the top the shared psi block is empty and
             # only the pair inducing identically remains entangled
-            assert sr.r_ids == ("chi2", "chi3")
-            assert (sr.b1, sr.b2) == (1, 2)
-            assert set(sr.s_ids) == {
+            assert r_ids == ("chi2", "chi3")
+            assert sr_partition(group, i) == (1, 2)
+            assert set(s_ids) == {
                 cid for cid in character_ids(group.level(i))
                 if cid.startswith("psi_") or cid in ("chi0", "chi1")
             }
-        assert (sr.published_b1, sr.published_b2) == (2, 2)
-        assert sr.published_r_ids == ("chi2", "chi3")
-    top = sr_partition(group, 6)
-    assert top.r_ids == ()
-    assert set(top.s_ids) == set(character_ids(group))
-    assert (top.b1, top.b2) == (0, 0)
+        # the quoted b1, b2 and entangled pair match neither shape
+        assert PUBLISHED_SR != (*sr_partition(group, i), r_ids)
+    s_ids, r_ids = sr_split(group, 6)
+    assert r_ids == ()
+    assert set(s_ids) == set(character_ids(group))
+    assert sr_partition(group, 6) == (0, 0)
 
 
 def test_induced_blocks_of_the_shared_part_overlap():

@@ -15,8 +15,6 @@ from chebrace.density import (
     C2,
     C3,
     DensityEstimate,
-    FOURIER,
-    MONTECARLO,
     Z99,
     bound_report,
     clt_estimate,
@@ -28,11 +26,28 @@ from chebrace.density import (
     truncation_shift_bound,
     upper_bound,
 )
-from chebrace.experiments import _SHARED_MC_SALT
-from chebrace.races import RaceModel, assemble_race_model
+from chebrace.arithmetic import scenario_generator
+from chebrace.characters import character_ids
+from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
+from chebrace.groups import DIHEDRAL, QUATERNION
+from chebrace.races import RaceModel, RaceSpec, assemble_race_model, weights
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 
-from oracles import density_montecarlo_loop, shared_mc_loop
+import oracles
+from oracles import (
+    density_montecarlo_loop,
+    one_row_spectrum,
+    q_factor_extremes,
+    shared_mc_loop,
+    sorted_bulk_power_sums,
+    sorted_tail_bounds,
+)
+
+
+def _term_spectrum(terms):
+    """A bare term list as density_fourier takes it: one component of base
+    1 per term."""
+    return density.Spectrum(density.spectral_table(np.ones((terms.size, 1))), terms)
 
 
 def _zs(cid, ordinates, t_max=None):
@@ -53,11 +68,9 @@ def test_mean_zero_is_exactly_half_for_both_methods():
     f = density_fourier(model)
     assert f.value == 0.5
     assert f.error_bound == 0.0
-    assert f.method == FOURIER
     mc = density_montecarlo(model, 10000, seed=3)
     assert mc.value == 0.5
     assert mc.error_bound == 0.0  # antithetic pairs cancel exactly at mean 0
-    assert mc.method == MONTECARLO
     assert mc.samples_or_nodes == 10000
 
 
@@ -159,21 +172,22 @@ def test_upper_and_lower_bounds():
 
 def test_q_factor_regimes():
     # top level, equal weights: Q = C (b3/b4 + 1) = 2
-    qf = q_factor({"psi_1": 4.0, "psi_3": 4.0}, level=5, n=5, b1=0, b2=0)
-    assert qf.q == 2.0
-    assert qf.b3 == qf.b4 == 4.0
+    weights = {"psi_1": 4.0, "psi_3": 4.0}
+    assert q_factor(weights, level=5, n=5, b1=0, b2=0) == 2.0
+    assert q_factor_extremes(weights)[:2] == (4.0, 4.0)
     # proper level: the exponential of sqrt(M b1 b2 / (deg* b3)) wins here
-    qf = q_factor({"psi_1": 4.0, "chi1": 2.0}, level=3, n=5, b1=2, b2=2)
-    assert qf.lambda_star == "psi_1"
-    assert qf.lambda_star_degree == 2
-    assert math.isclose(qf.q, math.exp(math.sqrt(0.5)), rel_tol=1e-12)
-    assert qf.q >= 1.0
-    # ties on b3 resolve toward the larger degree
-    qf = q_factor({"chi1": 4.0, "psi_1": 4.0}, level=3, n=5, b1=2, b2=2)
-    assert qf.lambda_star == "psi_1"
+    weights = {"psi_1": 4.0, "chi1": 2.0}
+    q = q_factor(weights, level=3, n=5, b1=2, b2=2)
+    assert q_factor_extremes(weights) == (4.0, 2.0, "psi_1", 2)
+    assert math.isclose(q, math.exp(math.sqrt(0.5)), rel_tol=1e-12)
+    assert q >= 1.0
+    # ties on b3 resolve toward the larger degree: deg* = 2, not 1
+    weights = {"chi1": 4.0, "psi_1": 4.0}
+    assert q_factor_extremes(weights)[2:] == ("psi_1", 2)
+    q = q_factor(weights, level=3, n=5, b1=2, b2=2)
+    assert math.isclose(q, math.exp(math.sqrt(0.5)), rel_tol=1e-12)
     # a large weight ratio makes the ratio term dominate
-    qf = q_factor({"psi_1": 16.0, "chi1": 0.25}, level=3, n=5, b1=2, b2=2)
-    assert qf.q == 64.0
+    assert q_factor({"psi_1": 16.0, "chi1": 0.25}, level=3, n=5, b1=2, b2=2) == 64.0
     with pytest.raises(ValueError):
         q_factor({"chi1": 0.0}, level=3, n=5, b1=2, b2=2)
 
@@ -181,17 +195,17 @@ def test_q_factor_regimes():
 def test_bound_report_wiring():
     model = _synthetic_model(40, {"psi_1": 4.0}, log_a=8.0)
     assert model.bias_factor > 1.0
-    qf = q_factor(model.per_character_weights, level=4, n=4, b1=0, b2=0)
-    rep = bound_report(model, qf)
+    q = q_factor({"psi_1": 4.0}, level=4, n=4, b1=0, b2=0)
+    rep = bound_report(model, q)
     est, budget = clt_estimate(model.bias_factor, model.variance)
     assert rep.clt_estimate == est
     assert rep.clt_error_budget == budget
     assert rep.upper_one_minus_delta == upper_bound(model.bias_factor)
-    assert rep.lower_one_minus_delta == lower_bound(model.bias_factor, qf.q)
+    assert rep.lower_one_minus_delta == lower_bound(model.bias_factor, q)
     assert rep.lower_one_minus_delta < rep.upper_one_minus_delta
-    assert rep.q == qf.q
+    assert rep.q == q
     negative = _synthetic_model(-40, {"psi_1": 4.0}, log_a=8.0)
-    rep = bound_report(negative, qf)
+    rep = bound_report(negative, q)
     assert rep.upper_one_minus_delta is None
     assert rep.lower_one_minus_delta is None
 
@@ -212,8 +226,8 @@ def test_density_estimate_validation():
     for value, error_bound in [(1.5, 0.0), (-0.1, 0.0), (math.nan, 0.0),
                                (0.5, -0.1), (0.5, math.nan)]:
         with pytest.raises(ValueError):
-            DensityEstimate(value, FOURIER, error_bound, 10)
-    est = DensityEstimate(0.25, MONTECARLO, 0.01, 10000)
+            DensityEstimate(value, error_bound, 10)
+    est = DensityEstimate(0.25, 0.01, 10000)
     assert est.value == 0.25
     assert Z99 > 2.5
 
@@ -222,7 +236,7 @@ def _amplitude_model(mean_value, n_terms, scale, seed):
     terms = np.sort(np.random.default_rng(seed).random(n_terms) * scale)[::-1] + 1e-3
     variance = 0.5 * float(np.sum(terms * terms))
     return RaceModel(mean_value, variance, mean_value / math.sqrt(variance),
-                     terms, {})
+                     terms)
 
 
 def _hex(values):
@@ -309,7 +323,7 @@ def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
 
     exact, fast, _ = _chunk_rows(terms, density._MC_SALT, 5, 64)
     k = int(np.flatnonzero(fast > exact)[0])
-    model = RaceModel(-float(exact[k]), 1.0, 0.0, terms, {})
+    model = RaceModel(-float(exact[k]), 1.0, 0.0, terms)
     got = density_montecarlo(model, 10_000, seed=5)
     want = density_montecarlo_loop(model, 10_000, seed=5)
     assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
@@ -374,7 +388,7 @@ def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
             workers
 
     exact, fast, dot = _chunk_rows(terms, density._MC_SALT, 5, 1)
-    model = RaceModel(-float(dot[0]), 1.0, 0.0, terms, {})
+    model = RaceModel(-float(dot[0]), 1.0, 0.0, terms)
     want = density_montecarlo_loop(model, 10_000, seed=5)
     for workers in (1, 2, 3):
         monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
@@ -415,7 +429,7 @@ def test_mc_kernel_decides_exact_zero_sums_at_mean_zero(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", HalfTurns)
     terms = np.repeat([0.75, 0.5, 0.375, 0.125], 2)
-    model = RaceModel(0, 1.0, 0.0, terms, {})
+    model = RaceModel(0, 1.0, 0.0, terms)
     got = density_montecarlo(model, 10_000, seed=3)
     want = density_montecarlo_loop(model, 10_000, seed=3)
     assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
@@ -494,17 +508,24 @@ def test_j0_bounds_behind_the_fourier_budget():
 
 
 def test_rounding_assumptions_behind_the_fourier_budget():
-    # leggauss's nodes and weights, and j0, as accurate as the rounding
-    # bound of density._grid_integral takes them to be
+    # the Gauss-Legendre nodes and weights correctly rounded, and j0, as
+    # accurate as the rounding bound of density._grid_integral takes them
     mp = pytest.importorskip("mpmath")
     ulp = density._U
     n = density._GL_NODES
-    with mp.workdps(40):
-        for x, w in zip(density._GL_X, density._GL_W):
-            root = mp.findroot(lambda z: mp.legendre(n, z), mp.mpf(float(x)))
+    assert density._GL_X.size == density._GL_W.size == n
+    assert np.all(np.diff(density._GL_X) > 0)
+    with mp.workdps(50):
+        roots = [mp.findroot(lambda z: mp.legendre(n, z), mp.mpf(float(x)))
+                 for x in density._GL_X]
+        # 24 distinct roots of P_24, so all of them
+        assert all(b - a > mp.mpf(10) ** -3 for a, b in zip(roots, roots[1:]))
+        for x, w, root in zip(density._GL_X, density._GL_W, roots):
             exact = 2 * (1 - root**2) / (n * mp.legendre(n - 1, root)) ** 2
-            assert abs(mp.mpf(float(x)) - root) <= 2 * ulp
-            assert abs(mp.mpf(float(w)) / exact - 1) <= density._GL_WEIGHT_ULPS * ulp
+            # nearest floats: within half a spacing of the exact values
+            for got, want in ((x, root), (w, exact)):
+                half = mp.mpf(float(np.spacing(abs(got)))) / 2
+                assert abs(mp.mpf(float(got)) - want) <= half, (got, want)
         rng = np.random.default_rng(11)
         for x in np.concatenate([rng.uniform(0.0, 30.0, 300),
                                  rng.uniform(30.0, 5000.0, 300)]):
@@ -522,7 +543,8 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0}, t_max=24.0)
     assert model.terms.size >= 100
     est = density_fourier(model)
-    t_max, _ = density._t_max_and_tail(np.sort(model.terms), None, model.mean, 2000)
+    t_max = density._t_max_and_tail(_term_spectrum(model.terms), None,
+                                     model.mean, 2000)[0]
     panels = 2 * est.samples_or_nodes // 24
     with mp.workdps(25):
         rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)  # 48 nodes
@@ -541,7 +563,8 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
 def test_fourier_t_max_may_fall_below_one_and_its_tail_is_honest():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0},
                              t_max=200.0)
-    t_max, tail = density._t_max_and_tail(np.sort(model.terms), None, model.mean, 2000)
+    t_max, tail, _ = density._t_max_and_tail(_term_spectrum(model.terms), None,
+                                             model.mean, 2000)
     assert t_max < 1.0 and tail <= 1e-13
     est = density_fourier(model)
     longer = density_fourier(model, t_max=4.0 * t_max)
@@ -563,8 +586,140 @@ def test_fourier_few_terms_trade_tail_against_panels():
     # three cosines never meet the tail target with a panel count the cap
     # allows, so t_max minimises the sum of the two bounds instead
     terms = np.array([1.7, 1.1, 0.6])
-    model = RaceModel(1, 0.5 * float(terms @ terms), 0.0, terms, {})
+    model = RaceModel(1, 0.5 * float(terms @ terms), 0.0, terms)
     est = density_fourier(model)
     assert est.error_bound <= 1e-6
     mc = density_montecarlo(model, 200_000, seed=4)
     assert abs(est.value - mc.value) <= 3.0 * mc.error_bound + est.error_bound
+
+
+# -- the spectral table against the sorted term list it replaces ---------------
+
+
+def _row_and_model(family, n, pick, seed):
+    """A tower pair's spectral row on its own table, and its assembled
+    model, over the zero sets the tower samples."""
+    w_axiom = -1 if family == QUATERNION else +1
+    scen = scenario_generator(family, n, w_axiom, seed)
+    labels = scen.group.class_labels()
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    w_map = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
+    needed = [cid for cid in character_ids(scen.group) if w_map[cid] > 0]
+    sets = provision_zero_sets(scen, needed, seed)
+    spectrum = one_row_spectrum([w_map[cid] for cid in needed],
+                                [sets[cid].moduli for cid in needed])
+    return spectrum, assemble_race_model(1, w_map, sets)
+
+
+def _long_power_sums(r, order):
+    """sum r^(2k), k = 1..order, in long double: within (n + 2k) 2^-64
+    relative of the exact sums of the float terms."""
+    r2 = np.asarray(r, dtype=np.longdouble) ** 2
+    out, power = [], np.ones_like(r2)
+    for _ in range(order):
+        power = power * r2
+        out.append(np.sum(power))
+    return np.array(out)
+
+
+def _assert_same_classes(top, r, u):
+    """The top terms are the largest terms of r, and every term they leave
+    out lies below each threshold the tail bound compares with at u."""
+    top = np.sort(top)
+    rest = r.size - top.size
+    assert np.array_equal(top, r[rest:])
+    for x, side in ((density._H_KNEE / u, "right"), (density.J0_ZERO / u, "left")):
+        assert np.array_equal(np.searchsorted(r, x, side=side),
+                              rest + np.searchsorted(top, x, side=side))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([DIHEDRAL, QUATERNION]), n=st.integers(3, 8),
+       pick=st.integers(0, 10**6), seed=st.integers(0, 3))
+def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
+    spectrum, model = _row_and_model(family, n, pick, seed)
+    r = np.sort(model.terms)
+    unit = density._U
+    depth = spectrum._depth
+    # the variance within (7 + depth) ulps of the terms' own
+    want = 0.5 * _long_power_sums(r, 1)[0]
+    assert abs(spectrum.variance - want) <= (7 + depth) * unit * want * (1 + 1e-6)
+    assert spectrum._count == r.size
+    # the tail bound classifies every term as the sorted list does, at every
+    # grid point of the whole grid and of the stretch past t_max
+    u, _, (top, _) = spectrum._grid
+    _assert_same_classes(top, r, u)
+    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, None, 1.0, 2000)
+    _assert_same_classes(top, r, t_max * density._GRID[:density._TAIL_AHEAD + 1])
+    # the head is the sorted list's, and the bulk's power sums lie within
+    # (7k + depth) ulps of the sums of its float terms
+    head, largest, split = density._head_and_bulk(spectrum, t_max, (top, starts))
+    power_sums = density._bulk_power_sums(spectrum, split, density._SERIES_MAX)
+    old_head, old_sums = sorted_bulk_power_sums(r, t_max, density._SERIES_MAX)
+    assert np.array_equal(head, old_head)
+    bulk = r[:r.size - head.size]
+    assert largest == (bulk[-1] if bulk.size else 0.0)
+    want = _long_power_sums(bulk, density._SERIES_MAX)
+    order = np.arange(1, density._SERIES_MAX + 1)
+    slack = (bulk.size + 2 * order) * 2.0 ** -64  # the long double sums' own
+    normal = want > 1e-290  # away from float64 underflow
+    want = want.astype(float)
+    err = np.abs(power_sums - want)
+    assert np.all((err <= ((7 * order + depth) * unit + slack) * want * (1 + 1e-6))[normal])
+    # and within both bounds of the loop over the sorted bulk, whose r^(2k)
+    # carry 2k - 1 roundings and whose sums bulk - 1 more
+    err = np.abs(power_sums - old_sums)
+    bound = (7 * order + depth + bulk.size + 2 * order) * unit * want * (1 + 1e-6)
+    assert np.all((err <= bound)[normal])
+
+
+def test_table_power_sums_do_not_depend_on_what_was_asked_before():
+    # heads past the first span of 16 bases make the table sum again over
+    # a wider span; the sums equal a fresh table's bit for bit, and those
+    # of each component's suffix within (7k + depth) ulps
+    rng = np.random.default_rng(5)
+    bases = np.sort(rng.uniform(0.3, 60.0, (3, 50)), axis=1)
+    bases[2, 30:] = np.inf  # a shorter component
+    comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
+    grown = density.spectral_table(bases)
+    grown.power(3, comps, np.array([1, 2, 3]))
+    sums = grown.power(density._SERIES_MAX, comps, starts)
+    fresh = density.spectral_table(bases).power(density._SERIES_MAX, comps, starts)
+    assert np.array_equal(sums, fresh)
+    order = np.arange(1, density._SERIES_MAX + 1)
+    for c, j in zip(comps, starts):
+        tail = bases[c, j:][np.isfinite(bases[c, j:])]
+        want = _long_power_sums(1.0 / tail, density._SERIES_MAX).astype(float)
+        bound = ((7 * order + tail.size) * density._U + 2.0 ** -60) * want
+        assert np.all(np.abs(sums[c] - want) <= bound)
+    assert np.array_equal(grown.squares[comps, starts], sums[:, 0])
+
+
+@pytest.mark.parametrize("weight_map,t_max,log_a,window", [
+    ({"psi_1": 2.0, "psi_2": 2.0, "chi1": 1.0}, 64.0, 30.0, 0),  # first window
+    ({"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0}, 200.0, 20.0, 1),  # the second
+    ({"psi_1": 4.0, "chi1": 1.0}, 32.0, 10.0, 1),
+    ({"psi_1": 4.0, "chi1": 1.0}, 8.0, 10.0, 2),  # past both: the whole grid
+    ({"psi_1": 4.0, "chi1": 1.0}, 8.0, 2.0, 2),  # 5 terms
+])
+def test_windowed_tail_bound_is_a_bound_and_picks_the_full_grid_t_max(
+        weight_map, t_max, log_a, window):
+    model = _synthetic_model(3, weight_map, t_max=t_max, log_a=log_a)
+    spectrum = _term_spectrum(model.terms)
+    r = np.sort(model.terms)
+    u = density._GRID / math.sqrt(spectrum._sq)
+    full = sorted_tail_bounds(r, u)
+    _, windowed, _ = spectrum._grid
+    # a minimum over fewer splits; the sums run in another order, which
+    # moves a bound by far less than 1e-9 relative
+    assert np.all(windowed >= full * (1 - 1e-9))
+    first = int(np.flatnonzero(u == spectrum._first[0])[0])
+    reach = 4.0 * (math.log(min(math.log(density._TAIL_STEP), 2.0 / r.size))
+                   - math.log(2.0 * density._TAIL_TARGET))
+    lo = math.ceil(4.0 * math.log2(reach)) - 1
+    assert min((first - lo) // density._TAIL_WINDOW, 2) == window
+    assert spectrum._first[1] <= density._TAIL_TARGET
+    for mean in (1, 3, 40):
+        i, tail = oracles.sorted_t_max(r, float(mean), 2000)
+        chosen, bound, _ = density._t_max_and_tail(spectrum, None, float(mean), 2000)
+        assert chosen == u[i] and bound >= tail * (1 - 1e-9)

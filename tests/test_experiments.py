@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_degree, character_ids
-from chebrace.density import FOURIER, DensityEstimate
+from chebrace.density import DensityEstimate
 from chebrace.experiments import (
     EXACTLY_HALF,
     EXTREME_TOWARD_0,
@@ -63,7 +63,14 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_
 
 import numpy as np
 
-from oracles import density_fourier_quadpack, report_json_indent, tower_rows_per_pair
+from oracles import (
+    density_fourier_quadpack,
+    report_json_indent,
+    sorted_t_max,
+    sorted_tail_bounds,
+    spectral_terms,
+    tower_rows_per_pair,
+)
 
 
 # -- claims data ---------------------------------------------------------------
@@ -418,7 +425,7 @@ def test_reproduce_table_rejects_unknown_id():
 
 
 def _est(value, budget=1e-9):
-    return DensityEstimate(value, FOURIER, budget, 100)
+    return DensityEstimate(value, budget, 100)
 
 
 def test_check_claim_exactly_half():
@@ -499,13 +506,15 @@ def test_tower_experiment_quaternion_minus_one():
 
 
 TOWER_CASES = [(family, n, w) for n in (3, 4, 5, 6)
-               for family, w in ((DIHEDRAL, 1), (QUATERNION, 1), (QUATERNION, -1))]
+               for family, w in ((DIHEDRAL, 1), (QUATERNION, 1), (QUATERNION, -1))
+               ] + [(DIHEDRAL, 7, 1), (QUATERNION, 7, -1)]
 
 
 @pytest.mark.parametrize("family,n,w", TOWER_CASES)
 def test_tower_shared_inversions_match_per_pair_oracle(family, n, w):
-    # one inversion per (|mean|, weights), complemented for negative means,
-    # must give every row the bits of its own per-pair inversion
+    # one inversion per (|mean|, weights) on the call's spectral table,
+    # complemented for negative means, must give every row the bits of its
+    # own inversion on a table that holds only that row's characters
     report = tower_experiment(family, n, w, seed=3)
     oracle = tower_rows_per_pair(family, n, w, seed=3)
     assert len(report["rows"]) == len(oracle)
@@ -527,8 +536,7 @@ def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch
 
     def counted_fourier(model, **kwargs):
         if model.mean != 0:
-            inverted.append((model.mean,
-                             tuple(sorted(model.per_character_weights.items()))))
+            inverted.append((model.mean, model.spectrum.row.tobytes()))
         return real_fourier(model, **kwargs)
 
     def counted_grid(*args, **kwargs):
@@ -542,7 +550,10 @@ def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch
     oracle = tower_rows_per_pair(family, 6, w, seed=0)
     sides = {(abs(r["mean_formula"]), r["weights"])
              for r in oracle if r["mean_formula"] != 0}
-    assert sorted(inverted) == sorted(sides)  # each once, positive side only
+    # each once, positive side only
+    assert len(set(inverted)) == len(inverted) == len(sides)
+    assert all(m > 0 for m, _ in inverted)
+    assert sorted(m for m, _ in inverted) == sorted(m for m, _ in sides)
     assert runs == len(sides)
     assert sum(r["mean_formula"] != 0 for r in oracle) > len(sides)
 
@@ -563,8 +574,9 @@ def test_fourier_grid_matches_quadpack_on_tower_models(family, w, monkeypatch):
     for n in range(3, 7):
         tower_experiment(family, n, w, seed=0)
     assert len(models) > 100
-    for model in models:
-        grid = real_fourier(model)
+    for spectral in models:
+        grid = real_fourier(spectral)
+        model = spectral_terms(spectral)
         oracle = density_fourier_quadpack(model)
         assert grid.error_bound <= 1e-11
         assert abs(grid.value - oracle.value) <= \
@@ -705,3 +717,51 @@ def test_config_from_dict(tmp_path):
         load({"pairs": [["one"]]})
     with pytest.raises(ConfigError):
         load({"pairs": [["one", "power(zero)"]]})
+
+
+@pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
+def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
+    # every inversion of the towers n = 3..8: the windowed search picks the
+    # grid point the whole grid picks, and its bound is at least the whole
+    # grid's (a minimum over fewer splits; the sums run in another order,
+    # which moves a bound by far less than 1e-9 relative)
+    searched = []
+    real = density._t_max_and_tail
+
+    def recorded(spectrum, t_max, m, cap):
+        out = real(spectrum, t_max, m, cap)
+        searched.append((spectrum, m, cap, out))
+        return out
+
+    monkeypatch.setattr(density, "_t_max_and_tail", recorded)
+    for n in range(3, 9):
+        tower_experiment(family, n, w, seed=0)
+    assert len(searched) > 900
+    for spectrum, m, cap, (t_max, tail, _) in searched:
+        r = np.sort(spectral_terms(density.SpectralModel(1, spectrum)).terms)
+        i, _ = sorted_t_max(r, m, cap)
+        u = density._GRID / math.sqrt(spectrum._sq)
+        assert t_max == u[i]
+        assert tail >= sorted_tail_bounds(r, u)[i] * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
+def test_fourier_grid_matches_quadpack_on_tower_models_up_to_n_7(family, w, monkeypatch):
+    # every 8th inversion of the towers n = 5..7
+    models = []
+    real_fourier = experiments.density_fourier
+
+    def recorded(model, **kwargs):
+        models.append(model)
+        return real_fourier(model, **kwargs)
+
+    monkeypatch.setattr(experiments, "density_fourier", recorded)
+    for n in range(5, 8):
+        tower_experiment(family, n, w, seed=0)
+    inverted = [m for m in models if m.mean != 0][::8]
+    assert len(inverted) > 30
+    for spectral in inverted:
+        grid = real_fourier(spectral)
+        oracle = density_fourier_quadpack(spectral_terms(spectral))
+        assert grid.error_bound <= 1e-11
+        assert abs(grid.value - oracle.value) <= grid.error_bound + oracle.error_bound

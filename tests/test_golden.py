@@ -4,13 +4,15 @@ The table and monotonicity digests were taken before the exact layer moved
 to integer exponent arrays, and the sandwich one before the two Monte Carlo
 loops became one chunk-parallel kernel.  The tower, horizontal and race
 digests were re-taken when the Fourier engine moved from QUADPACK to the
-Gauss-Legendre grid, which moves delta_fourier in its last bits and the
-fields printed from it; the flags and a race config file naming every one
-of run_race's arguments must give that same race report.  So a refactor of
-the mean/weight engine, the Monte Carlo kernel or the Fourier grid that
-changes any integer, float or key of these reports fails here.  Regenerate
-a digest only for a change that is meant to alter the report, and say so
-where the change is recorded.
+Gauss-Legendre grid, and again when every inversion moved onto one
+spectral table of power sums per call; each time delta_fourier, its
+budget and (the second time) the tower's bias_factor moved in their last
+bits, with the fields printed from them.  The flags and a race config file
+naming every one of run_race's arguments must give that same race report.
+So a refactor of the mean/weight engine, the Monte Carlo kernel or the
+Fourier grid that changes any integer, float or key of these reports fails
+here.  Regenerate a digest only for a change that is meant to alter the
+report, and say so where the change is recorded.
 
 The esp-q table at n = 8 (6126 rows, the benchmark's size) was pinned
 before the mean table became a per-class pass and the JSON writer a C
@@ -35,22 +37,22 @@ GOLDEN = [
     (["table", "--id", "esp-d", "--n", "6"],
      "bced34938a12446b28b5c33bd6aa7340f28a739a0fdf4be20cdf6a0f70ef574a"),
     (["tower", "--family", "quaternion", "--n", "5", "--w", "-1", "--seed", "0"],
-     "ee08761118023d00732afe7bd5649dd7b5976ebe77c1259d9eea34d1a561c296"),
+     "e2d515dea9c65d1af12c0c165cee00d8cc3149fa34b309f62d022c07650cf209"),
     (["tower", "--family", "dihedral", "--n", "5", "--seed", "0"],
-     "5f8e95ddf338202b935a3153b6e60ea1756538d476d73b4d6b9792f8be2d01d9"),
+     "3fb202218656f62abff9b3bf9263e1b34b8788d6cc571daad552365be7775653"),
     (["tower", "--family", "quaternion", "--n", "7", "--w", "-1", "--seed", "0"],
-     "d0b96b2664c6535578535a32f8eed4e37ae1518ac0be137358b863c2ca59afaf"),
+     "6c7d09fb1e9004823b815ef4905cf59554a77fafe4d32d189fd118c9f3fab6c4"),
     (["tower", "--family", "dihedral", "--n", "7", "--seed", "0"],
-     "b29e777c033ffb1cb6c405948042a6085e4481d9746187b52bcd205f333208cf"),
+     "b7ec74f2c4d821096510f642512d200d560e817fdeecde7c694bea25a4a4ca32"),
     (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
       "--samples", "2000", "--seed", "0"],
      "58d59070af359b2919977c19de36e98da52c309189166dffe0b43fd4ce98979c"),
     (["sandwich", "--count", "2", "--samples", "10000", "--seed", "0"],
      "79e65141cd4af191fba33055b368ee5af5a0ad030070110b3c04acda7d6f7063"),
     (["horizontal", "--f-values", "1,2", "--samples", "10000", "--seed", "0"],
-     "1d0f039352ef3c7a26f500c722971b5c51a3726f20c0c834ba68172d1a2b61da"),
+     "ad5fc1c2c803ce73bbcc0eca034fcbd32964ccf9c7cbd12e44e40235d44380f0"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
-     "4aeece58b4af84d3f3303738e2537bd38e1e43178bde1027a9f4cab030658eb9"),
+     "c8f4a46bcfb5d64c05f28584c438e129e6eb86582895cd79e12ea4d7fd96dcfc"),
 ]
 
 # the race flags above as a config file, with every default spelled out

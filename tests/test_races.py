@@ -168,8 +168,7 @@ def test_mean_antisymmetry_and_weight_symmetry(family):
 
 def test_quaternion_mean_depends_on_w_only_through_central_classes():
     plus = _scen("quaternion", 5, +1)
-    minus = ArithmeticScenario(plus.kind, -1, plus.primes, plus.log_disc,
-                               explicit=False)
+    minus = ArithmeticScenario(plus.kind, -1, plus.primes, plus.log_disc)
     for level in (3, 4, 5):
         lg = plus.group.level(level)
         for lab in lg.class_labels():
@@ -190,7 +189,6 @@ def test_order_8_symbolic_means_through_order_overrides():
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
     for o in (0, 1, 2):
         scen = ArithmeticScenario(kind, +1, (vp,), 6.0 * math.log(5.0),
-                                  explicit=True,
                                   order_overrides=(("psi_1", o),))
         m = {
             (c1, c2): mean(RaceSpec(scen, 3, c1, c2))
@@ -417,17 +415,8 @@ def test_race_model_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
     terms = np.array([2.0, 1.0])
     with pytest.raises(ValueError, match="variance"):
-        RaceModel(1, -1.0, 0.0, terms, {})
+        RaceModel(1, -1.0, 0.0, terms)
     with pytest.raises(ValueError, match="variance"):
-        RaceModel(1, float("nan"), 0.0, terms, {})
+        RaceModel(1, float("nan"), 0.0, terms)
     with pytest.raises(ValueError, match="amplitudes"):
-        RaceModel(1, 2.5, 0.5, np.array([2.0, 0.0]), {})
-
-
-def test_with_mean_keeps_the_oscillation_part():
-    zs = sample_zero_set(ZeroCountModel(6.0, 2), 64.0, 1, "psi_1")
-    model = assemble_race_model(3, {"psi_1": 2.0}, {"psi_1": zs})
-    other = model.with_mean(-5)
-    assert other.terms is model.terms and other.variance == model.variance
-    want = assemble_race_model(-5, {"psi_1": 2.0}, {"psi_1": zs})
-    assert (other.mean, other.bias_factor.hex()) == (-5, want.bias_factor.hex())
+        RaceModel(1, 2.5, 0.5, np.array([2.0, 0.0]))

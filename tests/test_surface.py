@@ -7,7 +7,9 @@ code nothing calls is deleted.
 A reference is a name token of the source, so words in docstrings and
 comments do not count, while a local variable or attribute of the same name
 does (any ``.order`` or local ``order`` keeps the property ``Group.order``
-alive).  Dunder methods and dataclass fields are not part of the surface.
+alive).  Dunder methods are not part of the surface.  A dataclass field is
+alive when some attribute load of its name occurs in the package or in the
+benchmark harness (``perfbench/`` reads ``DensityEstimate.samples_or_nodes``).
 ALLOWED would list unreferenced names kept on purpose; it is empty and
 must stay so.
 """
@@ -22,6 +24,7 @@ from pathlib import Path
 import oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebrace"
+BENCH = SRC.parent.parent / "perfbench"
 
 ALLOWED: frozenset[str] = frozenset()
 
@@ -80,12 +83,41 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_surface_covers_methods_and_properties():
     qualnames = {qualname for _, qualname, _, _ in _surface()}
     assert {"Group.element_order", "Group.order", "ArithmeticScenario.group",
-            "RaceModel.with_mean"} <= qualnames
+            "LevelData.mean", "Spectrum.variance"} <= qualnames
     assert not any(q.split(".")[-1].startswith("_") for q in qualnames)
 
 
 def test_allowlist_is_current():
     assert not ALLOWED, f"the allowlist must stay empty: {sorted(ALLOWED)}"
+
+
+def _unread_fields() -> list[str]:
+    """Fields of the package's dataclasses whose name is never read as an
+    attribute (``x.name`` in a load) in the package or in the benchmark
+    harness under ``perfbench/``, the package's other in-repo client.
+    Writes, constructor arguments and ``dataclasses.replace`` keywords do
+    not count."""
+    fields = []
+    reads: set[str] = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [(f"{path.name}: {node.name}.{st.target.id}", st.target.id)
+                           for st in node.body if isinstance(st, ast.AnnAssign)
+                           and isinstance(st.target, ast.Name)]
+    return [where for where, name in fields if name not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    assert not unread, ("dataclass fields nothing reads; delete them, or keep "
+                        f"what only the tests check in tests/oracles.py: {unread}")
 
 
 def test_moved_names_live_only_in_the_oracles():
