@@ -8,6 +8,7 @@ internal computations of the same quantity disagree.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -22,8 +23,8 @@ from .experiments import (
     monotonicity_experiment,
     parse_class_label,
     read_zero_file,
+    report_csv,
     report_json,
-    report_rows_csv,
     reproduce_table,
     run_race,
     sandwich_experiment,
@@ -44,7 +45,7 @@ def _emit(report: dict, args: argparse.Namespace) -> int:
         for path in write_report(report, out, fmt):
             print(path)
     elif fmt == "csv":
-        sys.stdout.write(report_rows_csv(report.get("rows", [])))
+        sys.stdout.write(report_csv(report))
     else:
         sys.stdout.write(report_json(report))
     return 0
@@ -183,12 +184,15 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: parsing leaves the parser
+    as it was, and the verbs look their drivers up when they run."""
     parser = argparse.ArgumentParser(
         prog="chebrace",
         description="prime-counting races for the two 2-group families")
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t-max", type=float, default=600.0)
     p.add_argument("--nodes", type=int, default=4000)
-    _add_common(p)
+    _add_common(p, formats=("json",))  # no row list to write as CSV
     p.set_defaults(func=_cmd_mod4)
 
     p = sub.add_parser("zeros", help="synthetic ordinate files")

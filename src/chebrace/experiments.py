@@ -379,6 +379,7 @@ def _json_scalar(value):
 _JSON_CONTAINERS = (dict, list, tuple, np.ndarray)
 # exact types that are never containers: the quick test for a leaf
 _JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+_DICT_ONLY = frozenset((dict,))
 
 
 @functools.cache
@@ -390,12 +391,92 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
                             separators=(",\n" + "  " * (depth + 1), ": "))
 
 
+def _leaves(items) -> bool:
+    return (_JSON_LEAVES.issuperset(map(type, items))
+            or not any(isinstance(v, _JSON_CONTAINERS) for v in items))
+
+
+# one column of leaves per call, one item a line
+_COLUMN_ENCODER = json.JSONEncoder(default=_json_scalar, separators=("\n", ": "))
+# rows of a list of flat dicts encoded per pass: bounds the column temporaries
+_ROW_CHUNK = 1024
+
+
+def _row_block(order: list[str], values: list[list], count: int, depth: int,
+               row_sep: str) -> str:
+    """``count`` rows with the sorted keys ``order`` and the leaf columns
+    ``values``, as dicts at nesting ``depth`` joined by ``row_sep``: one
+    encoder call per column and one join."""
+    if not order:
+        return row_sep.join(["{}"] * count)
+    indent = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "}"
+    keys = [_COLUMN_ENCODER.encode(k) + ": " for k in order]
+    # what follows each column's value: the next key, or the row's close
+    # and the next row's first key
+    after = ["," + indent + k for k in keys[1:]]
+    after.append(close + row_sep + "{" + indent + keys[0])
+    width = 2 * len(order)
+    parts = [""] * (width * count)
+    for j, column in enumerate(values):
+        parts[2 * j::width] = _COLUMN_ENCODER.encode(column)[1:-1].split("\n")
+        parts[2 * j + 1::width] = [after[j]] * count
+    parts[-1] = close
+    return "{" + indent + keys[0] + "".join(parts)
+
+
+def _flat_rows(rows: Sequence[dict], depth: int) -> str | None:
+    """The dicts ``rows``, items of a list at nesting ``depth``, joined as
+    ``_json`` joins them, encoded a column at a time; None unless every row
+    is a dict with str keys and leaf values.
+
+    Rows are grouped by their key tuple, and each group is one
+    ``_row_block``.  A column is one encoder call with a newline between
+    items; an encoded leaf holds no raw newline (strings escape it), so
+    splitting at the newlines gives back each item's text exactly.  With
+    more than one group, each group's rows are joined by NUL, which no
+    encoded text holds either, and split apart to go back in row order."""
+    if not _DICT_ONLY.issuperset(map(type, rows)):
+        return None
+    keysets = list(map(tuple, rows))
+    groups: dict[tuple, Sequence[int]] = dict.fromkeys(keysets)
+    if len(groups) == 1:
+        groups[keysets[0]] = range(len(rows))
+    else:
+        for keys in groups:
+            groups[keys] = []
+        for i, keys in enumerate(keysets):
+            groups[keys].append(i)
+    blocks = []
+    for keys, where in groups.items():
+        if not all(type(k) is str for k in keys):
+            return None
+        members = rows if len(groups) == 1 else [rows[i] for i in where]
+        order = sorted(keys)
+        values = [[row[k] for row in members] for k in order]
+        if not all(map(_leaves, values)):
+            return None
+        blocks.append((order, values, where))
+    row_sep = ",\n" + "  " * (depth + 1)
+    if len(blocks) == 1:
+        order, values, where = blocks[0]
+        return _row_block(order, values, len(where), depth + 1, row_sep)
+    texts = [""] * len(rows)
+    for order, values, where in blocks:
+        block = _row_block(order, values, len(where), depth + 1, "\0")
+        for i, text in zip(where, block.split("\0")):
+            texts[i] = text
+    return row_sep.join(texts)
+
+
 def _json(value, depth: int) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it
     out at nesting ``depth``.  String escapes leave no newline in the
     encoder's output but its separators' ones, so a container of leaves is
-    one encoder call plus the newlines inside its brackets; only containers
-    that hold containers are walked here."""
+    one encoder call plus the newlines inside its brackets.  A list of
+    dicts of leaves (a report's rows) is encoded column by column, a chunk
+    of rows at a time (``_flat_rows``); other containers that hold
+    containers are walked here."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     encoder = _json_encoder(depth)
@@ -403,8 +484,7 @@ def _json(value, depth: int) -> str:
         return encoder.encode(value)
     items = value.values() if isinstance(value, dict) else value
     inner = "\n" + "  " * (depth + 1)
-    if (_JSON_LEAVES.issuperset(map(type, items))
-            or not any(isinstance(v, _JSON_CONTAINERS) for v in items)):
+    if _leaves(items):
         text = encoder.encode(value)
         opening, body, closing = text[0], text[1:-1], text[-1]
     elif isinstance(value, dict):
@@ -414,14 +494,24 @@ def _json(value, depth: int) -> str:
             for k, v in sorted(value.items()))
         opening, closing = "{", "}"
     else:
-        body = ("," + inner).join(_json(v, depth + 1) for v in value)
+        chunks = []
+        for lo in range(0, len(value), _ROW_CHUNK):
+            chunk = value[lo:lo + _ROW_CHUNK]
+            text = _flat_rows(chunk, depth)
+            if text is None:
+                text = ("," + inner).join(_json(v, depth + 1) for v in chunk)
+            chunks.append(text)
+        body = ("," + inner).join(chunks)
         opening, closing = "[", "]"
-    return opening + inner + body + "\n" + "  " * depth + closing
+    return "".join((opening, inner, body, "\n", "  " * depth, closing))
 
 
 def report_json(report: dict) -> str:
     """The report as indented JSON with sorted keys, numpy values as plain
-    numbers and arrays as lists."""
+    numbers and arrays as lists: the layout of ``json.dumps(report,
+    indent=2, sort_keys=True)``, byte for byte.  Rows lists of flat dicts
+    take the column path of ``_flat_rows``; the newline split there is exact
+    because json escapes every newline inside a string."""
     return _json(report, 0) + "\n"
 
 
@@ -450,6 +540,17 @@ def report_rows_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def report_csv(report: dict) -> str:
+    """The report's row list as CSV: its ``rows``, or the ``levels`` of a
+    monotonicity report.  A report with neither, or with no rows, is a
+    ConfigError: CSV has nothing else to hold."""
+    rows = report.get("rows", report.get("levels"))
+    if not rows:
+        raise ConfigError(f"the {report.get('experiment', 'report')} report has "
+                          "no rows to write as CSV")
+    return report_rows_csv(rows)
+
+
 def series_csv(series: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -464,13 +565,11 @@ def write_report(report: dict, out_path: str, fmt: str) -> list[str]:
     always lands beside the main file as CSV.  Returns the written paths."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {fmt!r}")
+    text = report_json(report) if fmt == "json" else report_csv(report)
     written = [out_path]
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            if fmt == "json":
-                fh.write(report_json(report))
-            else:
-                fh.write(report_rows_csv(report.get("rows", [])))
+            fh.write(text)
         if "series" in report:
             written.append(out_path + ".series.csv")
             with open(written[-1], "w", encoding="utf-8") as fh:
@@ -768,6 +867,12 @@ def _h8_published_row(c1: ClassLabel, c2: ClassLabel,
     return {"mean": "0", "variance_coefficients": coeffs}
 
 
+# a mean-table row's status by code: 0 undefined, 1 defined, 2 defined and
+# printed as computed
+_STATUS_CODES = np.array([STATUS_UNDEFINED, STATUS_OPEN_QUESTION, STATUS_MATCH],
+                         dtype=object)
+
+
 def reproduce_table(table_id: str, n: int = 8) -> dict:
     """Computed-vs-published table with a diff column.
 
@@ -787,19 +892,26 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
     open_questions = 0
     for w_axiom in w_values:
         for level in range(3, n + 1):
-            for r in mean_table(family, n, level, w_axiom):
-                diff = (None if r.mean_formula is None or r.mean_published is None
-                        else r.mean_published - r.mean_formula)
-                if r.status == STATUS_OPEN_QUESTION:
-                    open_questions += 1
-                rows.append({
-                    "w_axiom": w_axiom, "level": level,
-                    "c1": str(r.c1), "c2": str(r.c2),
-                    "mean_formula": r.mean_formula,
-                    "mean_published": r.mean_published,
-                    "diff": diff,
-                    "status": r.status,
-                })
+            table = mean_table(family, n, level, w_axiom)
+            # report values per column: object arrays of Python ints, None
+            # off the defined pairs, and each label's text made once
+            names = np.array([str(lab) for lab in table.labels], dtype=object)
+            defined = table.defined
+            formula = table.formula.astype(object)
+            published = table.published.astype(object)
+            diff = (table.published - table.formula).astype(object)
+            for column in (formula, published, diff):
+                column[~defined] = None
+            same = table.published == table.formula
+            open_questions += int(np.count_nonzero(defined & ~same))
+            status = _STATUS_CODES[defined.astype(np.intp) + (defined & same)]
+            rows += [{"w_axiom": w_axiom, "level": level, "c1": c1, "c2": c2,
+                      "mean_formula": f, "mean_published": p, "diff": d,
+                      "status": state}
+                     for c1, c2, f, p, d, state in zip(
+                         names[table.first].tolist(), names[table.second].tolist(),
+                         formula.tolist(), published.tolist(), diff.tolist(),
+                         status.tolist())]
     if family == QUATERNION and open_questions:
         raise InternalInconsistencyError(
             "quaternion mean rows must match the published table exactly")

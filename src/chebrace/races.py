@@ -317,26 +317,32 @@ STATUS_OPEN_QUESTION = "open-question"
 STATUS_UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class MeanRow:
-    c1: ClassLabel
-    c2: ClassLabel
-    mean_formula: int | None
-    mean_published: int | None
-    status: str
+@dataclass(frozen=True, eq=False)
+class MeanTable:
+    """A level's mean table in columns, one entry per unordered class pair
+    in the row order of ``np.triu_indices``: the pair races
+    ``labels[first]`` against ``labels[second]``.  ``formula`` and
+    ``published`` are integer means, read only where ``defined``."""
+
+    labels: list[ClassLabel]
+    first: np.ndarray
+    second: np.ndarray
+    defined: np.ndarray
+    formula: np.ndarray
+    published: np.ndarray
 
 
-def mean_table(family: str, n: int, level: int, w_axiom: int) -> list[MeanRow]:
+def mean_table(family: str, n: int, level: int, w_axiom: int) -> MeanTable:
     """Exact means for every unordered class pair at the level, with the
-    published value alongside and a status flag; the undefined pair is
-    reported, never skipped.  Every formula mean is checked against the
-    closed form; a disagreement raises InternalInconsistencyError.
+    published value alongside; the undefined pair is kept, never skipped.
+    Every formula mean is checked against the closed form; a disagreement
+    raises InternalInconsistencyError.
 
     The formula mean, the closed form and the published mean of a pair are
     each a difference of one value per class, so each is taken once per
     class (the closed and published forms as the race against the first
     class, ``one``, which is defined for every other class) and the pairs
-    are differences of arrays, in the row order of ``np.triu_indices``."""
+    are differences of arrays."""
     kind = GroupKind(family, n)
     group = Group(kind)
     labels = group.level(level).class_labels()
@@ -363,15 +369,7 @@ def mean_table(family: str, n: int, level: int, w_axiom: int) -> list[MeanRow]:
             f"{closed[k]} != formula {formula[k]} for ({labels[a[k]]}, {labels[b[k]]})")
     published = per_pair(np.array(
         [0] + [published_mean(kind, w_axiom, level, ref, lab) for lab in others]))
-    rows: list[MeanRow] = []
-    for i, j, ok, f, p in zip(a.tolist(), b.tolist(), defined.tolist(),
-                              formula.tolist(), published.tolist()):
-        if ok:
-            rows.append(MeanRow(labels[i], labels[j], f, p,
-                                STATUS_MATCH if p == f else STATUS_OPEN_QUESTION))
-        else:
-            rows.append(MeanRow(labels[i], labels[j], None, None, STATUS_UNDEFINED))
-    return rows
+    return MeanTable(labels, a, b, defined, formula, published)
 
 
 def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:

@@ -40,8 +40,10 @@ beyond its own error estimate.
 
 ``mean_table``'s per-pair loop from before it took the closed-form and
 published means once per class: both functions and the fused-class test
-run for every class pair.  Tests compare the table against it for equal
-rows, and pin that both functions are differences of per-class values.
+run for every class pair, and each pair is a ``MeanRow``.  Tests compare
+the table's columns, read back as rows by ``mean_rows``, against it for
+equal rows, and pin that both functions are differences of per-class
+values.
 
 ``report_json``'s expression from before it encoded each container of
 leaves in one call: the whole report converted to plain types, then
@@ -125,7 +127,7 @@ from chebrace.races import (
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     InternalInconsistencyError,
-    MeanRow,
+    MeanTable,
     RaceModel,
     RaceSpec,
     RaceUndefinedError,
@@ -468,6 +470,31 @@ def sorted_bulk_power_sums(r: np.ndarray, t_max: float,
         power_sums[k] = power.sum()
         power *= r2
     return head, power_sums
+
+
+@dataclass(frozen=True)
+class MeanRow:
+    c1: ClassLabel
+    c2: ClassLabel
+    mean_formula: int | None
+    mean_published: int | None
+    status: str
+
+
+def mean_rows(table: MeanTable) -> list[MeanRow]:
+    """The columns of ``races.mean_table`` as one row per pair, with the
+    status ``reproduce_table`` reports."""
+    rows = []
+    for i, j, ok, f, p in zip(table.first.tolist(), table.second.tolist(),
+                              table.defined.tolist(), table.formula.tolist(),
+                              table.published.tolist()):
+        c1, c2 = table.labels[i], table.labels[j]
+        if ok:
+            rows.append(MeanRow(c1, c2, f, p,
+                                STATUS_MATCH if p == f else STATUS_OPEN_QUESTION))
+        else:
+            rows.append(MeanRow(c1, c2, None, None, STATUS_UNDEFINED))
+    return rows
 
 
 def mean_table_per_pair(family: str, n: int, level: int,

@@ -404,3 +404,44 @@ def test_bad_inputs_exit_2_under_python_O(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["table", "--id", "h8"]) == 0
+    first = capsys.readouterr().out
+    assert _exit_code(["table", "--id", "mystery"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli.main(["table", "--id", "h8"]) == 0
+    assert capsys.readouterr().out == first
+    # an appended flag leaves the shared default list empty for the next call
+    parser = cli.build_parser()
+    assert parser.parse_args(["race", "--pair", "one:minus_one"]).pair == ["one:minus_one"]
+    assert parser.parse_args(["race"]).pair == []
+
+
+def test_monotonicity_csv_writes_its_levels(tmp_path, capsys):
+    argv = ["monotonicity", "--family", "dihedral", "--n", "5", "--samples", "2",
+            "--t-max", "16"]
+    assert cli.main(argv) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert lines[0].split(",") == sorted(levels[0])
+    assert [line.split(",")[2] for line in lines[1:]] == [
+        str(row["level"]) for row in levels]
+    out = tmp_path / "mono.csv"
+    assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(out), str(out) + ".series.csv"]
+    assert out.read_text() == text
+
+
+def test_csv_of_a_report_without_rows_exits_2(tmp_path, capsys):
+    out = tmp_path / "mod4.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert _exit_code(["mod4", "--format", "csv", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'csv'" in captured.err
+    assert not out.exists()

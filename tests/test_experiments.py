@@ -232,6 +232,125 @@ def test_report_json_raises_where_json_does(value, bad):
             report_json(report)
 
 
+_ODD_TEXT = ["", "%", "%s", "a%%b", "\"q\"", "\\", "\n", "\x00", "é☃\U0001f600"]
+_FLAT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+    st.sampled_from(_ODD_TEXT + [math.nan, math.inf, -math.inf]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+# one key type per dict, so that json can sort the keys; rows of one list
+# may still mix key types, and keys such as True and 1 or 1 and 1.0 compare
+# equal across rows
+_FLAT_KEYS = st.sampled_from([
+    st.one_of(st.text(max_size=3), st.sampled_from(_ODD_TEXT)),
+    st.integers(-3, 3), st.floats(allow_nan=False), st.booleans(), st.none(),
+])
+_NESTED = st.one_of(st.lists(_FLAT_LEAVES, max_size=2), st.just({"k": [1]}),
+                    st.just(np.arange(2)), st.just(()))
+
+
+@st.composite
+def _flat_row_lists(draw):
+    """Lists of dicts of leaves, as report rows are: rows of a few shared
+    key sets, rows of their own key sets, empty rows, and at times one
+    nested value, which sends the list down the walk."""
+    shared = [draw(st.lists(st.text(max_size=3), max_size=5, unique=True))
+              for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(st.sampled_from(["shared", "shared", "own", "empty"]))
+        if how == "shared":
+            keys = draw(st.sampled_from(shared))
+            rows.append({k: draw(_FLAT_LEAVES) for k in keys})
+        elif how == "own":
+            rows.append(draw(st.dictionaries(draw(_FLAT_KEYS), _FLAT_LEAVES,
+                                             max_size=4)))
+        else:
+            rows.append({})
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), {"x": 1, "y": draw(_NESTED)})
+    return rows
+
+
+def _with_row_chunk(chunk: int, fn):
+    """``fn()`` with the writer taking ``chunk`` rows per pass."""
+    saved = experiments._ROW_CHUNK
+    experiments._ROW_CHUNK = chunk
+    try:
+        return fn()
+    finally:
+        experiments._ROW_CHUNK = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_row_lists(), st.integers(0, 2), st.sampled_from([1, 2, 5, 4096]))
+def test_report_json_matches_indented_json_on_flat_rows(rows, depth, chunk):
+    value = rows
+    for _ in range(depth):
+        value = {"rows": value, "n": 1}
+    assert _with_row_chunk(chunk, lambda: report_json(value)) == report_json_indent(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flat_row_lists(), st.sampled_from([
+    {"a": np.bool_(True)}, {"a": {1, 2}}, {"a": 1j}, {"a": object()},
+    {1: 0, "a": 0}, {(1, 2): 0}, {np.int64(1): 0}, {"a": 0, None: 1},
+]), st.sampled_from([1, 4096]))
+def test_report_json_raises_where_json_does_on_flat_rows(rows, bad, chunk):
+    report = {"rows": rows + [bad]}
+    with pytest.raises(TypeError):
+        report_json_indent(report)
+    with pytest.raises(TypeError):
+        _with_row_chunk(chunk, lambda: report_json(report))
+
+
+class _CountingEncoder(json.JSONEncoder):
+    calls = 0
+
+    def encode(self, o):
+        self.calls += 1
+        return super().encode(o)
+
+
+@pytest.mark.parametrize("make,keysets", [
+    (lambda: reproduce_table("esp-q", 6), 1),
+    (lambda: tower_experiment(QUATERNION, 5, -1, 0), 3),
+])
+def test_report_rows_take_the_column_path(make, keysets, monkeypatch):
+    # one encoder call per key of each key set (its text) and per column,
+    # and the walk enters only the report and its values, however many rows
+    report = make()
+    rows = report["rows"]
+    assert len({tuple(sorted(row)) for row in rows}) == keysets
+    columns = _CountingEncoder(default=experiments._json_scalar,
+                               separators=("\n", ": "))
+    monkeypatch.setattr(experiments, "_COLUMN_ENCODER", columns)
+    walked = []
+    walk = experiments._json
+
+    def counted(value, depth):
+        walked.append(depth)
+        return walk(value, depth)
+
+    monkeypatch.setattr(experiments, "_json", counted)
+    assert report_json(report) == report_json_indent(report)
+    keys = sum(len(k) for k in {tuple(sorted(row)) for row in rows})
+    assert columns.calls == 2 * keys
+    assert len(walked) == 1 + len(report)
+
+
+def test_report_csv_needs_a_row_list(tmp_path):
+    with pytest.raises(ConfigError, match="mod4 report has no rows"):
+        experiments.report_csv({"experiment": "mod4", "delta_fourier": 0.5})
+    levels = [{"level": 3, "delta_mc": 0.5}, {"level": 4, "delta_mc": 0.25}]
+    assert experiments.report_csv({"levels": levels}) == report_rows_csv(levels)
+    out = tmp_path / "none.csv"
+    with pytest.raises(ConfigError, match="no rows"):
+        write_report({"experiment": "race", "rows": []}, str(out), "csv")
+    assert not out.exists()
+
+
 def test_report_rows_csv_flattens_with_stable_header():
     rows = [
         {"b": 1.5, "a": None, "flag": True},

@@ -21,7 +21,7 @@ from chebrace.groups import (
 )
 from chebrace.races import (
     InternalInconsistencyError,
-    MeanRow,
+    MeanTable,
     RaceModel,
     RaceSpec,
     RaceUndefinedError,
@@ -43,6 +43,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
     b0,
     bias_factor,
+    mean_rows,
     mean_table_per_pair,
     vanishing_orders,
     variance,
@@ -64,7 +65,7 @@ def test_mean_table_internal_closed_form_agreement(family, n):
     # mean_table asserts closed form == formula evaluation for every row
     for w in ((+1,) if family == DIHEDRAL else (+1, -1)):
         for level in range(3, n + 1):
-            rows = mean_table(family, n, level, w)
+            rows = mean_rows(mean_table(family, n, level, w))
             classes = (1 << (level - 2)) + 3
             assert len(rows) == classes * (classes - 1) // 2
             undefined = [r for r in rows if r.status == STATUS_UNDEFINED]
@@ -94,7 +95,8 @@ def test_mean_table_matches_per_pair_loop(family, n):
                     for b in range(a + 1, len(labels)):
                         value = form(kind, w, level, labels[a], labels[b])
                         assert value in (None, per_class[labels[b]] - per_class[labels[a]])
-            assert mean_table(family, n, level, w) == mean_table_per_pair(family, n, level, w)
+            assert (mean_rows(mean_table(family, n, level, w))
+                    == mean_table_per_pair(family, n, level, w))
 
 
 def test_mean_self_check_names_the_first_failing_row(monkeypatch):
@@ -134,10 +136,10 @@ def test_mean_reads_only_its_two_classes(family):
 def test_mean_table_statuses_by_family():
     for level in (3, 4, 5):
         for w in (+1, -1):
-            rows = mean_table("quaternion", 5, level, w)
+            rows = mean_rows(mean_table("quaternion", 5, level, w))
             assert all(r.status in (STATUS_MATCH, STATUS_UNDEFINED)
                        for r in rows)
-        rows = mean_table(DIHEDRAL, 5, level, +1)
+        rows = mean_rows(mean_table(DIHEDRAL, 5, level, +1))
         for r in rows:
             if r.status == STATUS_UNDEFINED:
                 continue
@@ -403,8 +405,13 @@ def test_published_mean_rule():
 
 
 def test_mean_table_rows():
-    rows = mean_table("quaternion", 4, 3, -1)
-    assert all(isinstance(r, MeanRow) for r in rows)
+    table = mean_table("quaternion", 4, 3, -1)
+    assert isinstance(table, MeanTable)
+    pairs = len(table.labels) * (len(table.labels) - 1) // 2
+    for column in (table.first, table.second, table.defined, table.formula,
+                   table.published):
+        assert column.shape == (pairs,)
+    rows = mean_rows(table)
     assert {r.status for r in rows} <= {
         STATUS_MATCH, STATUS_OPEN_QUESTION, STATUS_UNDEFINED}
     by_pair = {(str(r.c1), str(r.c2)): r for r in rows}
