@@ -12,12 +12,12 @@ record per call:
 * ``phases_s``: seconds inside the verb, split by the package functions the
   child wraps: ``zeros`` (``provision_zero_sets``), ``table``
   (``spectral_table``, where the package has it; its power sums are taken
-  order by order inside the first inversions that need them), ``rows``
-  (the per-row model work outside the inversions: ``assemble_race_model``
-  where the package assembles one model per row, nothing else),
+  order by order inside the first inversions that need them),
   ``inversions`` (``density_fourier``, which includes each row's tail
-  search), ``report``
-  (``report_json``) and ``verb`` (all of ``cli.main``);
+  search), ``report`` (``report_json``) and ``verb`` (all of
+  ``cli.main``).  A row's model is a row of scales over the table and
+  has no phase of its own; older records carry a ``rows`` phase, which
+  timed a per-row model assembly;
 * ``report_sha256``: the digest of the report, to compare two checkouts.
 
 The package is imported from ``src/`` beside this script, so the same
@@ -51,7 +51,7 @@ def _child(argv: list[str]) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from chebrace import cli, experiments
 
-    phases = dict.fromkeys(("zeros", "table", "rows", "inversions", "report"), 0.0)
+    phases = dict.fromkeys(("zeros", "table", "inversions", "report"), 0.0)
 
     def timed(module, name: str, phase: str) -> None:
         fn = getattr(module, name, None)
@@ -69,7 +69,6 @@ def _child(argv: list[str]) -> None:
 
     timed(experiments, "provision_zero_sets", "zeros")
     timed(experiments, "spectral_table", "table")
-    timed(experiments, "assemble_race_model", "rows")
     timed(experiments, "density_fourier", "inversions")
     timed(cli, "report_json", "report")
     out = io.StringIO()

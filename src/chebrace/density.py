@@ -20,16 +20,18 @@ and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
 the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
 first-order bound on float rounding is added to it.
 
-The inversions of one call share a ``SpectralTable``: each zero set's
-moduli, sorted once, with suffix sums of their powers, each order and
-each stretch of the moduli summed when a model first needs it.  A model
-is a row of scales over the table (twice each character's weight; a bare
-term list is the one-row case, a component of base 1 per term), so its
-variance and bulk power sums are sums over the characters, not over the
-terms, and only the terms that reach a threshold at t_max are ever
-listed.  The tail search visits a few
-grid points past a floor that no point below can meet, each bound split
-within two doublings of its point.
+A ``RaceModel`` is an integer mean and a ``Spectrum``: a row of scales
+(twice each character's weight) over a ``SpectralTable`` of zero moduli,
+one component per character.  ``race_model`` builds one from a mean, a
+weight map and zero sets; a driver with many rows over the same zero sets
+builds one table and a spectrum per row.  The variance is a sum over the
+components, not over the terms, and the term list itself, which only the
+Monte Carlo kernel reads, is listed when first read.  The table sums the
+powers of its moduli, each order and each stretch summed when an
+inversion first needs it, so the Fourier engine lists only the terms that
+reach a threshold at t_max.  The tail search visits a few grid points past
+a floor that no point below can meet, each bound split within two
+doublings of its point.
 
 The Monte Carlo kernel splits the pairs into chunks whose size depends only
 on the term count; chunk k draws from its own generator seeded by (salt,
@@ -61,11 +63,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .characters import character_degree
-from .races import RaceModel
+from .zeros import ZeroSet
 
 _MC_SALT = 0x5CE9A813
 _U = 2.0 ** -53  # unit roundoff
@@ -373,27 +376,55 @@ class SpectralTable:
     """The zero data of a family of race models, summed once.
 
     A model of the family gives each component c a scale s_c and has the
-    amplitudes r_ci = s_c / b_ci over the component's ascending bases b_c:
-    a character's zero moduli |rho| with s_c = 2 w_c, or, for a bare term
-    list, one component per term with the single base 1.  Per component
-    the table holds the bases, padded with inf to a common width L plus
-    one; sum_i 1/b_ci; the base count; and the suffix power sums
-    sum_{i >= j} b_ci^(-2k), ``squares`` for k = 1 and every j <= L, and
-    ``power`` for k <= _SERIES_MAX.  So the terms of a row past the first
-    j_c of each component have the power sums
+    amplitudes r_ci = s_c / b_ci over the component's ascending bases b_c,
+    a character's zero moduli |rho| with s_c = 2 w_c.  The table holds the
+    bases of each component and their count.  It builds when first asked:
+    sum_i b_ci^-2 (``square_sums``) and sum_i 1/b_ci (``inverse_sums``);
+    the bases padded with inf to a common width L plus one (``bases``); and
+    the suffix power sums sum_{i >= j} b_ci^(-2k), ``squares`` for k = 1
+    and every j <= L, and ``power`` for k <= _SERIES_MAX.  So the terms of
+    a row past the first j_c of each component have the power sums
     sum_c s_c^(2k) sum_{i >= j_c} b_ci^(-2k), whatever the j_c.  Every sum
     runs along one component, from its largest base down, so no entry
-    depends on the other components or on the padding.
+    depends on the other components or on the padding, and
+    ``square_sums`` is ``squares[:, 0]`` bit for bit.  Only the Fourier
+    engine asks for the matrices: a table that only the Monte Carlo kernel
+    reads holds nothing but its components' bases.
     """
 
-    bases: np.ndarray
-    inverse: np.ndarray
+    moduli: Sequence[np.ndarray]
     sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        self._q = 1.0 / (self.bases * self.bases)  # b^-2, and 0 on the padding
-        self.squares = np.cumsum(self._q[:, ::-1], axis=1)[:, ::-1]
-        self._start(min(_HEAD_SPAN, self.bases.shape[1]))
+        self._power = None
+
+    def _down(self, f) -> np.ndarray:
+        """sum_i f(b_ci) per component, from its largest base down."""
+        return np.array([np.cumsum(f(b)[::-1])[-1] if b.size else 0.0
+                         for b in self.moduli])
+
+    @cached_property
+    def square_sums(self) -> np.ndarray:
+        return self._down(lambda b: 1.0 / (b * b))
+
+    @cached_property
+    def inverse_sums(self) -> np.ndarray:
+        return self._down(lambda b: 1.0 / b)
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        sizes = self.sizes
+        bases = np.full((sizes.size, int(sizes.max(initial=0)) + 1), math.inf)
+        bases[np.arange(bases.shape[1]) < sizes[:, None]] = np.concatenate(self.moduli)
+        return bases
+
+    @cached_property
+    def _q(self) -> np.ndarray:
+        return 1.0 / (self.bases * self.bases)  # b^-2, and 0 on the padding
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        return np.cumsum(self._q[:, ::-1], axis=1)[:, ::-1]
 
     def _start(self, span: int) -> None:
         self._power = np.empty((_SERIES_MAX, self.bases.shape[0], span))
@@ -406,13 +437,14 @@ class SpectralTable:
 
         The sums are kept for the orders and the first j that some model
         has asked for, an order after another and j over a span that
-        doubles when a start falls beyond it (the head terms, where the
-        bulk starts, are a few of each component's first bases).  The
-        orders and starts no model reaches never take memory."""
+        starts at _HEAD_SPAN and doubles when a start falls beyond it (the
+        head terms, where the bulk starts, are a few of each component's
+        first bases).  The orders and starts no model reaches never take
+        memory."""
         reach = int(starts.max(initial=0))
-        span = self._power.shape[2]
-        if reach >= span:
-            self._start(min(max(2 * span, reach + 1), self.bases.shape[1]))
+        if self._power is None or reach >= self._power.shape[2]:
+            span = _HEAD_SPAN if self._power is None else 2 * self._power.shape[2]
+            self._start(min(max(span, reach + 1), self.bases.shape[1]))
         while self._orders < order:
             self._qk *= self._q
             sums = np.cumsum(self._qk[:, ::-1], axis=1)[:, ::-1]
@@ -421,14 +453,9 @@ class SpectralTable:
         return self._power[:order, components, starts].T
 
 
-def spectral_table(bases: np.ndarray) -> SpectralTable:
-    """The table of the components whose bases are the rows of ``bases``,
-    each ascending and padded with inf."""
-    count, width = bases.shape
-    padded = np.full((count, width + 1), math.inf)
-    padded[:, :width] = bases
-    inverse = np.cumsum((1.0 / padded)[:, ::-1], axis=1)[:, -1]
-    return SpectralTable(padded, inverse, np.isfinite(padded).sum(axis=1))
+def spectral_table(moduli: Sequence[np.ndarray]) -> SpectralTable:
+    """The table whose components have these ascending bases."""
+    return SpectralTable(moduli, np.array([m.size for m in moduli], dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +480,7 @@ class Spectrum:
     def _sq(self) -> float:
         """P_1 = sum r^2 over every term."""
         s = self._scales
-        return float((s * s * self.table.squares[self._components, 0]).sum())
+        return float((s * s * self.table.square_sums[self._components]).sum())
 
     @property
     def variance(self) -> float:
@@ -499,15 +526,11 @@ class Spectrum:
         return self._stretch(0, _TAIL_STEPS)
 
     def _stretch(self, lo: int, hi: int):
-        """Grid points lo..hi-1, their tail bounds, and the top terms."""
+        """Grid points lo..hi-1, their ``_tail_bounds`` over the top terms
+        reaching the last point those bounds look at and the squares of
+        the rest, and those top terms."""
         hi = min(hi, _TAIL_STEPS)
         u = _GRID[lo:min(hi + _TAIL_AHEAD, _TAIL_STEPS)] / math.sqrt(self._sq)
-        return u[:hi - lo], *self._bounds(u, hi - lo)
-
-    def _bounds(self, u: np.ndarray, count: int):
-        """``_tail_bounds`` at the first ``count`` points of u, over the
-        top terms reaching u[-1] and the squares of the rest, and those
-        top terms."""
         top, starts = _top(self, float(u[-1]))
         comps, s = self._components, self._scales
         rest = (s * s * self.table.squares[comps, starts[1:] - starts[:-1]]).sum()
@@ -515,16 +538,55 @@ class Spectrum:
         r.sort()
         sq = np.concatenate(([rest], r * r)).cumsum()
         logs = np.concatenate(([0.0], np.log(r).cumsum()))
-        return _tail_bounds(r, sq, logs, u, count), (top, starts)
+        return u[:hi - lo], _tail_bounds(r, sq, logs, u, hi - lo), (top, starts)
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """A race model as its integer mean and its row of a spectral table:
-    what ``density_fourier`` inverts."""
+@dataclass(frozen=True, eq=False)
+class RaceModel:
+    """The race X = mean + sum_ci r_ci cos(theta_ci) with r_ci = s_c / b_ci
+    over a spectrum's components: what both density engines take."""
 
     mean: int
     spectrum: Spectrum
+
+    @property
+    def variance(self) -> float:
+        return self.spectrum.variance
+
+    @property
+    def bias_factor(self) -> float:
+        """B = mean / sqrt(Var X)."""
+        return self.mean / math.sqrt(self.variance)
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """Every amplitude r_ci, largest first, divided out one component
+        at a time, as the Monte Carlo kernel reads them; nothing the size
+        of the padded table is built."""
+        spectrum = self.spectrum
+        moduli = spectrum.table.moduli
+        chunks = [s / moduli[c] for c, s in zip(spectrum._components, spectrum._scales)]
+        return np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
+
+
+def race_model(mean: int, weight_map: Mapping[str, float],
+               zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
+    """The race of this mean and these character weights over these zero
+    sets, on a table of its own: one component per weighted character
+    with zeros, in sorted id order, of scale twice its weight.  Raises
+    KeyError when a weighted character has no zero set, and ValueError
+    when no weighted character has a zero."""
+    cids = sorted(cid for cid, w in weight_map.items() if w != 0.0)
+    for cid in cids:
+        if cid not in zero_sets:
+            raise KeyError(f"zero set missing for weighted character {cid}")
+    cids = [cid for cid in cids if zero_sets[cid].moduli.size]
+    if not cids:
+        raise ValueError("no oscillation terms: provide nonempty zero sets "
+                         "for the weighted characters")
+    table = spectral_table([zero_sets[cid].moduli for cid in cids])
+    row = 2.0 * np.array([weight_map[cid] for cid in cids])
+    return RaceModel(mean, Spectrum(table, row))
 
 
 def _top(spectrum: Spectrum, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -654,24 +716,20 @@ def _panel_count(m: float, t_max: float, head: np.ndarray, bulk_sq: float,
     return count, math.exp(min(log_err, 2.0))
 
 
-def _t_max_and_tail(spectrum: Spectrum, t_max: float | None, m: float,
+def _t_max_and_tail(spectrum: Spectrum, m: float,
                     cap: int) -> tuple[float, float, tuple]:
-    """t_max, unless given, the bound on the integral beyond it, and the
-    top terms reaching it.
+    """t_max, the bound on the integral beyond it, and the top terms
+    reaching it.
 
     t_max is the first grid point whose tail bound meets _TAIL_TARGET,
     provided ``cap`` panels can meet _QUAD_TARGET there, judged with
     sum log I0(r_j b) <= min(b^2 sum r^2 / 4, b sum r).  Models with few
     terms may fail that; they take the grid point that minimises tail plus
-    quadrature bound instead.  A given t_max gets the bound at its own
-    geometric stretch.
+    quadrature bound instead.
     """
-    if t_max is not None:
-        bounds, top = spectrum._bounds(t_max * _GRID[:_TAIL_AHEAD + 1], 1)
-        tail = float(bounds[0])
-        return t_max, tail if math.isfinite(tail) else 1.0, top
     sq = spectrum._sq
-    total = float((spectrum._scales * spectrum.table.inverse[spectrum._components]).sum())
+    inverse = spectrum.table.inverse_sums[spectrum._components]
+    total = float((spectrum._scales * inverse).sum())
 
     def quad(t):
         return _quad_log_bounds(
@@ -756,8 +814,7 @@ def _grid_integral(m: float, t_max: float, panels: int, power_sums: np.ndarray,
     return float(f @ weights), _U * float(ulps @ weights)
 
 
-def density_fourier(model: RaceModel | SpectralModel, t_max: float | None = None,
-                    nodes: int = 2000) -> DensityEstimate:
+def density_fourier(model: RaceModel, nodes: int = 2000) -> DensityEstimate:
     """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
 
     delta = 1/2 + (1/pi) Integral_0^inf sin(mean*t) Phi(t) / t dt with
@@ -767,29 +824,21 @@ def density_fourier(model: RaceModel | SpectralModel, t_max: float | None = None
     exp(sum_k L_k (t/2)^(2k) P_k) with the power sums P_k = sum r^(2k) of
     the spectral table.  The budget adds three proven parts: the bulk
     series remainder, the panels' Bernstein-ellipse bound, and the tail
-    beyond t_max, which also picks t_max when it is not given; and a
-    first-order bound on rounding.  A RaceModel is the one-row case: each
-    of its terms is a component with base 1 and its amplitude as scale.  A
-    mean of zero short-circuits to exactly 1/2, and a negative mean is the
-    ``complement`` of the mirrored race, so flipping the mean maps delta
-    to 1 - delta identically.
+    beyond t_max, which also picks t_max; and a first-order bound on
+    rounding.  A mean of zero short-circuits to exactly 1/2, and a
+    negative mean is the ``complement`` of the mirrored race, so flipping
+    the mean maps delta to 1 - delta identically.
     """
-    if isinstance(model, RaceModel) and model.terms.size == 0:
+    spectrum = model.spectrum
+    if spectrum._count == 0:
         raise ValueError("empty term list")
     if model.mean == 0:
         return DensityEstimate(0.5, 0.0, 0)
-    if isinstance(model, RaceModel):
-        spectrum = Spectrum(spectral_table(np.ones((model.terms.size, 1))),
-                            model.terms)
-    else:
-        spectrum = model.spectrum
-    if spectrum._count == 0:
-        raise ValueError("empty term list")
     if spectrum._count < 3:
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
-                      "slowly; consider raising t_max", stacklevel=2)
+                      "slowly, and the tail bound is 1", stacklevel=2)
     m = abs(float(model.mean))
-    t_max, tail, top = _t_max_and_tail(spectrum, t_max, m, nodes)
+    t_max, tail, top = _t_max_and_tail(spectrum, m, nodes)
     head, largest, split = _head_and_bulk(spectrum, t_max, top)
     bulk_sq = float(_bulk_power_sums(spectrum, split, 1)[0])
     order, series_err = _series_order(m, t_max, largest, bulk_sq)

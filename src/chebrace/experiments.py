@@ -32,7 +32,7 @@ from .arithmetic import (
 from .characters import character_degree, character_ids, sr_partition
 from .density import (
     DensityEstimate,
-    SpectralModel,
+    RaceModel,
     Spectrum,
     _mc_race,
     bound_report,
@@ -40,6 +40,7 @@ from .density import (
     density_fourier,
     density_montecarlo,
     q_factor,
+    race_model,
     spectral_table,
     truncation_shift_bound,
 )
@@ -59,7 +60,6 @@ from .races import (
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
-    assemble_race_model,
     level_data,
     mean,
     mean_table,
@@ -352,23 +352,10 @@ def _tail_sigma(scenario: ArithmeticScenario, weight_map: Mapping[str, float],
 # ---------------------------------------------------------------------------
 
 
-def _native(value):
-    """Recursively convert numpy scalars/arrays so json emits plain types."""
-    if isinstance(value, dict):
-        return {k: _native(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_native(v) for v in value.tolist()]
-    return value
-
-
 def _json_scalar(value):
-    """json's fallback for the numpy scalars it does not know."""
+    """json's fallback for the numpy scalars and arrays it does not know."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):
@@ -516,28 +503,31 @@ def report_json(report: dict) -> str:
 
 
 def _csv_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (dict, list, tuple)):
-        return json.dumps(_native(value), sort_keys=True)
+    if isinstance(value, _JSON_CONTAINERS):
+        return json.dumps(value, sort_keys=True, default=_json_scalar)
     return str(value)
+
+
+def _csv(header: list, rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def report_rows_csv(rows: list[dict]) -> str:
     """Flatten dict rows to CSV with a stable sorted header union."""
     header: list[str] = sorted({k for row in rows for k in row})
-    out = []
-    for row in rows:
-        out.append({k: _csv_cell(_native(row.get(k))) for k in header})
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(out)
-    return buf.getvalue()
+    return _csv(header, ([_csv_cell(row.get(k)) for k in header] for row in rows))
 
 
 def report_csv(report: dict) -> str:
@@ -552,12 +542,8 @@ def report_csv(report: dict) -> str:
 
 
 def series_csv(series: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([series["x"], series["y"]])
-    for x, y in series["points"]:
-        writer.writerow([_csv_cell(_native(x)), _csv_cell(_native(y))])
-    return buf.getvalue()
+    return _csv([series["x"], series["y"]],
+                ([_csv_cell(x), _csv_cell(y)] for x, y in series["points"]))
 
 
 def write_report(report: dict, out_path: str, fmt: str) -> list[str]:
@@ -605,9 +591,11 @@ def parse_class_label(text: str) -> ClassLabel:
         "flip_odd, or power(k)")
 
 
-def race_row(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet], samples: int,
-             mc_seed: int, nodes: int = 2000) -> dict:
-    """One fully populated report row; undefined pairs yield a status row."""
+def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
+             zero_sets: Mapping[str, ZeroSet], samples: int, mc_seed: int,
+             nodes: int = 2000) -> dict:
+    """One fully populated report row from the pair's weights ``w_map``;
+    undefined pairs, which have none, yield a status row."""
     kind = spec.scenario.kind
     row: dict = {"c1": str(spec.c1), "c2": str(spec.c2), "level": spec.level}
     if not spec.is_defined():
@@ -626,8 +614,7 @@ def race_row(spec: RaceSpec, zero_sets: Mapping[str, ZeroSet], samples: int,
     row["mean_formula"] = m
     row["mean_published"] = pub
     row["status"] = STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION
-    w_map = weights(spec)
-    model = assemble_race_model(m, w_map, zero_sets)
+    model = race_model(m, w_map, zero_sets)
     row["variance"] = model.variance
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
@@ -728,8 +715,9 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
             spec = RaceSpec(scen, level, c1, c2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if spec.is_defined():
-            needed = sorted(cid for cid, wv in weights(spec).items() if wv > 0)
+        w_map = weights(spec) if spec.is_defined() else None
+        if w_map is not None:
+            needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
             missing = [cid for cid in needed if cid not in sets]
             if from_files and missing:
                 raise ConfigError(
@@ -741,7 +729,7 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
                     f"ordinates for ({c1}, {c2})")
             sets.update(provision_zero_sets(scen, missing, seed,
                                             min_count=min_zeros))
-        rows.append(race_row(spec, sets, samples, _child_seed(seed, index),
+        rows.append(race_row(spec, w_map, sets, samples, _child_seed(seed, index),
                              nodes=fourier_nodes))
     return {
         "experiment": "race",
@@ -939,10 +927,11 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
     for index, f in enumerate(fs):
         scen = horizontal_scenario(index, float(f), w_axiom)
         spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
+        w_map = weights(spec)
         sets = provision_zero_sets(
-            scen, [cid for cid, wv in weights(spec).items() if wv > 0],
+            scen, [cid for cid, wv in w_map.items() if wv > 0],
             _child_seed(seed, index), min_count=min_zeros)
-        row = race_row(spec, sets, samples, _child_seed(seed, index, 1))
+        row = race_row(spec, w_map, sets, samples, _child_seed(seed, index, 1))
         log_a = scen.log_conductor("psi_1")
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -1017,14 +1006,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     ids = character_ids(group)
     weighted = np.flatnonzero(table.any(axis=0))
     sets = provision_zero_sets(scen, [ids[c] for c in weighted], seed)
-    # one spectral table for the call: each weighted character's zero
-    # moduli, padded with inf to the longest
-    moduli = [sets[ids[c]].moduli for c in weighted]
-    padded = np.full((len(moduli), max(m.size for m in moduli)), np.inf)
-    for line, values in zip(padded, moduli):
-        line[:values.size] = values
-    zeros = spectral_table(padded)
-    del padded
+    # one spectral table for the call, one component per weighted character
+    zeros = spectral_table([sets[ids[c]].moduli for c in weighted])
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
     for members in np.split(order, bounds):
@@ -1033,7 +1016,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
         for i in members.tolist():
             m = means[i]
             if abs(m) not in sides:
-                sides[abs(m)] = density_fourier(SpectralModel(abs(m), spectrum))
+                sides[abs(m)] = density_fourier(RaceModel(abs(m), spectrum))
             if m:  # a mean-0 row needs neither the variance nor an inversion
                 biases[i] = m / math.sqrt(spectrum.variance)
             estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
@@ -1131,7 +1114,7 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
     sets = provision_zero_sets(scen, needed, seed, t_max=t_max)
     _check_horizon(sets, t_max)
-    model = assemble_race_model(means[n], w_map, sets)
+    model = race_model(means[n], w_map, sets)
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
     # one shared noise draw decides every level
@@ -1272,7 +1255,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         sets = provision_zero_sets(scen,
                                    [cid for cid, wv in w_map.items() if wv > 0],
                                    _child_seed(seed, k), t_max=t_max)
-        model = assemble_race_model(mean(spec), w_map, sets)
+        model = race_model(mean(spec), w_map, sets)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
         rep = bound_report(model, q_factor(w_map, n, n, 2, 2))
@@ -1328,8 +1311,7 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")
         _check_horizon({zs.character_id: zs}, t_max)
-    model = assemble_race_model(2, {zs.character_id: 2.0},
-                                {zs.character_id: zs})
+    model = race_model(2, {zs.character_id: 2.0}, {zs.character_id: zs})
     est = density_fourier(model, nodes=nodes)
     return {
         "experiment": "mod4",

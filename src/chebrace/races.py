@@ -27,6 +27,10 @@ table's value ids (``characters.value_table``): a difference depends only
 on its two ids, so only the distinct id pairs are reduced to canonical
 terms and evaluated, with the same float operations as ``to_complex`` of
 a ``CycloInt`` in ``tests/oracles.py``; ``weights`` is its one-pair case.
+
+This module stops at the exact data: a mean and a weight map.  The
+oscillation part over zero sets, the race model the density engines take,
+is ``density.RaceModel``.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from .arithmetic import ArithmeticScenario
 from .characters import character_ids, class_sum_terms, induce, value_table
 from .cyclotomic import canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
-from .zeros import ZeroSet
 
 
 class RaceUndefinedError(ValueError):
@@ -212,47 +215,6 @@ def weights(spec: RaceSpec) -> dict[str, float]:
     g = spec.group
     row = pair_weights(g, [spec.fused_pair()])[0]
     return dict(zip(character_ids(g), row.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class RaceModel:
-    """Materialized finite model of X: integer mean, descending amplitude
-    list r = 2 w(lambda)/sqrt(1/4+gamma^2) over the provided zero sets,
-    variance = (1/2) sum r^2, and bias_factor = mean/sqrt(variance)."""
-
-    mean: int
-    variance: float
-    bias_factor: float
-    terms: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.variance >= 0.0:
-            raise ValueError(f"variance must be >= 0, got {self.variance!r}")
-        if self.terms.size and not float(self.terms.min()) > 0.0:
-            raise ValueError("amplitudes must be positive")
-
-
-def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
-                        zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
-    """Materialize a RaceModel from an explicit mean and weight map; the
-    drivers pass the mean and weights they already hold, and ad-hoc races
-    built outside the two families use it directly."""
-    chunks: list[np.ndarray] = []
-    for cid in sorted(weight_map):
-        wv = weight_map[cid]
-        if wv == 0.0:
-            continue
-        if cid not in zero_sets:
-            raise KeyError(f"zero set missing for weighted character {cid}")
-        moduli = zero_sets[cid].moduli
-        if moduli.size:
-            chunks.append(2.0 * wv / moduli)
-    terms = np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
-    var = 0.5 * float(np.sum(terms * terms))
-    if not var > 0.0:
-        raise ValueError("no oscillation terms: provide nonempty zero sets "
-                         "for the weighted characters")
-    return RaceModel(mean_value, var, mean_value / math.sqrt(var), terms)
 
 
 # -- closed-form means and published tables ------------------------------------

@@ -38,6 +38,13 @@ J0's power series up to x = 4: scipy's j0 is biased by about -0.6 ulp
 there, and over a few thousand factors that bias moved the reference
 beyond its own error estimate.
 
+``races.assemble_race_model``, the sorted term list every driver but
+``tower_experiment`` raced before each race became a row of scales over a
+spectral table: every amplitude 2 w / |rho|, a character at a time, sorted
+largest first, with the variance summed over that list.  Tests require
+``density.RaceModel.terms`` to be that list bit for bit, and its variance
+to lie within the table's stated rounding of the list's.
+
 ``mean_table``'s per-pair loop from before it took the closed-form and
 published means once per class: both functions and the fused-class test
 run for every class pair, and each pair is a ``MeanRow``.  Tests compare
@@ -112,7 +119,7 @@ from chebrace.density import (
     _MC_SALT,
     Z99,
     DensityEstimate,
-    SpectralModel,
+    RaceModel,
     Spectrum,
     complement,
     density_fourier,
@@ -128,7 +135,6 @@ from chebrace.races import (
     STATUS_UNDEFINED,
     InternalInconsistencyError,
     MeanTable,
-    RaceModel,
     RaceSpec,
     RaceUndefinedError,
     level_data,
@@ -204,7 +210,7 @@ def weights_per_pair(group: Group, c1: ClassLabel, c2: ClassLabel) -> list[float
                                            coeffs, count)]
 
 
-def density_montecarlo_loop(model: RaceModel, samples: int, seed: int) -> DensityEstimate:
+def density_montecarlo_loop(model, samples: int, seed: int) -> DensityEstimate:
     """``density_montecarlo`` as one chunk at a time on one thread, each
     chunk drawn as a single (take, terms) array, in float64 throughout.
     S is each row's own pairwise sum, the kernel's exact S, so even a mean
@@ -303,8 +309,8 @@ def j0_product(x: np.ndarray) -> float:
     return float(np.prod(series) * np.prod(j0(x[~small]).astype(np.longdouble)))
 
 
-def density_fourier_quadpack(model: RaceModel, t_max: float | None = None,
-                    nodes: int = 2000) -> DensityEstimate:
+def density_fourier_quadpack(model, t_max: float | None = None,
+                             nodes: int = 2000) -> DensityEstimate:
     """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
 
     The imaginary part of phi is sin(mean*t) prod J0(r_j t), so delta is
@@ -382,7 +388,7 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
             sets.update(provision_zero_sets(scen, fresh, seed))
             spectrum = one_row_spectrum([w_map[cid] for cid in needed],
                                         [sets[cid].moduli for cid in needed])
-            est = density_fourier(SpectralModel(m, spectrum))
+            est = density_fourier(RaceModel(m, spectrum))
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
                          "weights": tuple(sorted(w_map.items())),
                          "bias_factor": m / math.sqrt(spectrum.variance) if m else 0.0,
@@ -395,20 +401,52 @@ def one_row_spectrum(weight_list: Sequence[float],
                      moduli: Sequence[np.ndarray]) -> Spectrum:
     """The spectrum of the race with these character weights over these
     zero moduli, on a table of its own."""
-    padded = np.full((len(moduli), max(m.size for m in moduli)), np.inf)
-    for line, values in zip(padded, moduli):
-        line[:values.size] = values
-    return Spectrum(spectral_table(padded), 2.0 * np.asarray(weight_list))
+    return Spectrum(spectral_table(moduli), 2.0 * np.asarray(weight_list))
 
 
-def spectral_terms(model: SpectralModel) -> RaceModel:
-    """The RaceModel of a spectral row: its terms s_c / b_ci, largest
-    first, as ``assemble_race_model`` would list them."""
-    table, row = model.spectrum.table, model.spectrum.row
-    chunks = [row[c] / table.bases[c, :table.sizes[c]] for c in np.flatnonzero(row)]
-    terms = np.sort(np.concatenate(chunks))[::-1]
+def term_model(mean_value: int, terms: np.ndarray) -> RaceModel:
+    """The race with exactly these amplitudes: one component of base 1 per
+    term, scaled by the term."""
+    terms = np.asarray(terms, dtype=float)
+    table = spectral_table([np.ones(1)] * terms.size)
+    return RaceModel(mean_value, Spectrum(table, terms))
+
+
+# -- the sorted term list the spectral race model replaced ---------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TermModel:
+    """A race model as ``assemble_race_model`` built it: the mean, the
+    variance and bias factor from the term list, and the terms."""
+
+    mean: int
+    variance: float
+    bias_factor: float
+    terms: np.ndarray
+
+
+def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
+                        zero_sets: Mapping[str, ZeroSet]) -> TermModel:
+    """Every amplitude 2 w / |rho| of the weighted characters, a character
+    at a time in sorted id order, sorted largest first, with the variance
+    (1/2) sum r^2 over that list."""
+    chunks: list[np.ndarray] = []
+    for cid in sorted(weight_map):
+        wv = weight_map[cid]
+        if wv == 0.0:
+            continue
+        if cid not in zero_sets:
+            raise KeyError(f"zero set missing for weighted character {cid}")
+        moduli = zero_sets[cid].moduli
+        if moduli.size:
+            chunks.append(2.0 * wv / moduli)
+    terms = np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
     var = 0.5 * float(np.sum(terms * terms))
-    return RaceModel(model.mean, var, model.mean / math.sqrt(var), terms)
+    if not var > 0.0:
+        raise ValueError("no oscillation terms: provide nonempty zero sets "
+                         "for the weighted characters")
+    return TermModel(mean_value, var, mean_value / math.sqrt(var), terms)
 
 
 # -- the per-model Fourier path that one spectral table per call replaced ------

@@ -17,7 +17,7 @@ from chebrace.characters import (
     induce,
     psi_id,
 )
-from chebrace.density import density_fourier, density_montecarlo
+from chebrace.density import density_fourier, density_montecarlo, race_model
 from chebrace.experiments import (
     horizontal_experiment,
     mod4_experiment,
@@ -33,7 +33,6 @@ from chebrace.groups import (
     Group,
     GroupKind,
 )
-from chebrace.races import assemble_race_model
 from chebrace.zeros import ZeroCountModel, sample_zero_set
 from oracles import (
     ORTHOGONAL,
@@ -245,7 +244,7 @@ def _random_race_model(k: int):
         log_a = 25.0 + 12.0 * float(rng.random())
         sets[cid] = sample_zero_set(ZeroCountModel(log_a, 2), 48.0,
                                     seed=1000 * k + c, character_id=cid)
-    return assemble_race_model(mean, weights, sets)
+    return race_model(mean, weights, sets)
 
 
 def test_criterion_6_density_cross_validation(capsys):

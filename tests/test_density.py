@@ -23,6 +23,7 @@ from chebrace.density import (
     density_montecarlo,
     lower_bound,
     q_factor,
+    race_model,
     truncation_shift_bound,
     upper_bound,
 )
@@ -30,24 +31,21 @@ from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
 from chebrace.groups import DIHEDRAL, QUATERNION
-from chebrace.races import RaceModel, RaceSpec, assemble_race_model, weights
+from chebrace.races import RaceSpec, weights
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 
 import oracles
 from oracles import (
+    assemble_race_model,
+    density_fourier_quadpack,
     density_montecarlo_loop,
     one_row_spectrum,
     q_factor_extremes,
     shared_mc_loop,
     sorted_bulk_power_sums,
     sorted_tail_bounds,
+    term_model,
 )
-
-
-def _term_spectrum(terms):
-    """A bare term list as density_fourier takes it: one component of base
-    1 per term."""
-    return density.Spectrum(density.spectral_table(np.ones((terms.size, 1))), terms)
 
 
 def _zs(cid, ordinates, t_max=None):
@@ -60,7 +58,7 @@ def _synthetic_model(mean_value, weight_map, seed0=0, t_max=64.0, log_a=20.0):
         cid: sample_zero_set(ZeroCountModel(log_a, 2), t_max, seed0 + k, cid)
         for k, cid in enumerate(sorted(weight_map))
     }
-    return assemble_race_model(mean_value, weight_map, zero_sets)
+    return race_model(mean_value, weight_map, zero_sets)
 
 
 def test_mean_zero_is_exactly_half_for_both_methods():
@@ -111,10 +109,10 @@ def test_complementarity_under_mean_flip():
 
 def test_fourier_matches_the_arccos_law_for_a_single_cosine():
     # X = 1 + 2 cos(theta): P(X > 0) = 1 - arccos(1/2)/pi = 2/3 exactly
-    model = assemble_race_model(1, {"chi1": 1.0}, {"chi1": _zs("chi1", [math.sqrt(0.75)])})
+    model = race_model(1, {"chi1": 1.0}, {"chi1": _zs("chi1", [math.sqrt(0.75)])})
     assert math.isclose(model.terms[0], 2.0, rel_tol=1e-12)
     with pytest.warns(UserWarning):
-        est = density_fourier(model, t_max=2000.0)
+        est = density_fourier(model)
     assert abs(est.value - 2.0 / 3.0) < 0.02
     # the declared budget is honest about the unbounded Bessel tail
     assert est.error_bound >= 1.0 / math.pi
@@ -232,11 +230,12 @@ def test_density_estimate_validation():
     assert Z99 > 2.5
 
 
+def _amplitudes(n_terms, scale, seed):
+    return np.sort(np.random.default_rng(seed).random(n_terms) * scale)[::-1] + 1e-3
+
+
 def _amplitude_model(mean_value, n_terms, scale, seed):
-    terms = np.sort(np.random.default_rng(seed).random(n_terms) * scale)[::-1] + 1e-3
-    variance = 0.5 * float(np.sum(terms * terms))
-    return RaceModel(mean_value, variance, mean_value / math.sqrt(variance),
-                     terms)
+    return term_model(mean_value, _amplitudes(n_terms, scale, seed))
 
 
 def _hex(values):
@@ -273,7 +272,7 @@ SHARED_CASES = [(3000, 0.1, 5001), (140_000, 0.01, 66)]
 @pytest.mark.parametrize("n_terms,scale,samples", SHARED_CASES)
 def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
                                                     samples):
-    terms = _amplitude_model(0, n_terms, scale, seed=n_terms).terms
+    terms = _amplitudes(n_terms, scale, seed=n_terms)
     level_means = [-4.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
     want_deltas, want_cis = shared_mc_loop(terms, level_means, samples, 11)
     for workers in (1, 2, 3):
@@ -306,7 +305,7 @@ def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
     # means at an exact tie m + S = 0 with a drawn row, and one ulp either
     # side of it; S' lies on the wrong side of the tie, so deciding with
     # S' alone would move the estimate
-    terms = _amplitude_model(0, 300, 0.3, seed=300).terms
+    terms = _amplitudes(300, 0.3, seed=300)
     exact, fast, _ = _chunk_rows(terms, _SHARED_MC_SALT, 11, 16)
     k = int(np.flatnonzero(fast > exact)[0])
     tie = -float(exact[k])
@@ -323,7 +322,7 @@ def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
 
     exact, fast, _ = _chunk_rows(terms, density._MC_SALT, 5, 64)
     k = int(np.flatnonzero(fast > exact)[0])
-    model = RaceModel(-float(exact[k]), 1.0, 0.0, terms)
+    model = term_model(-float(exact[k]), terms)
     got = density_montecarlo(model, 10_000, seed=5)
     want = density_montecarlo_loop(model, 10_000, seed=5)
     assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
@@ -371,7 +370,7 @@ def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
     # it and mirrored, and two windows W either side of the exact S: tier 1
     # leaves the row open for all of them, tier 2 decides the last two and
     # tier 3 the rest
-    terms = _amplitude_model(0, 3000, 0.1, seed=3000).terms
+    terms = _amplitudes(3000, 0.1, seed=3000)
     window, window1 = density._mc_windows(terms)
     exact, fast, dot = _chunk_rows(terms, _SHARED_MC_SALT, 11, 64)
     k = int(np.argmax(np.abs(dot - exact)))
@@ -388,7 +387,7 @@ def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
             workers
 
     exact, fast, dot = _chunk_rows(terms, density._MC_SALT, 5, 1)
-    model = RaceModel(-float(dot[0]), 1.0, 0.0, terms)
+    model = term_model(-float(dot[0]), terms)
     want = density_montecarlo_loop(model, 10_000, seed=5)
     for workers in (1, 2, 3):
         monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
@@ -399,7 +398,7 @@ def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
 
 def test_mc_results_do_not_depend_on_the_block_size(monkeypatch):
     model = _amplitude_model(1, 1000, 0.1, seed=1000)
-    terms = _amplitude_model(0, 3000, 0.1, seed=3000).terms
+    terms = _amplitudes(3000, 0.1, seed=3000)
     level_means = [-2.0, 0.0, 0.5, 1.0, 3.0]
     results = []
     for block in (1 << 10, 1 << 15, 1 << 17):
@@ -429,7 +428,7 @@ def test_mc_kernel_decides_exact_zero_sums_at_mean_zero(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", HalfTurns)
     terms = np.repeat([0.75, 0.5, 0.375, 0.125], 2)
-    model = RaceModel(0, 1.0, 0.0, terms)
+    model = term_model(0, terms)
     got = density_montecarlo(model, 10_000, seed=3)
     want = density_montecarlo_loop(model, 10_000, seed=3)
     assert _hex([got.value, got.error_bound]) == _hex([want.value, want.error_bound])
@@ -543,8 +542,7 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0}, t_max=24.0)
     assert model.terms.size >= 100
     est = density_fourier(model)
-    t_max = density._t_max_and_tail(_term_spectrum(model.terms), None,
-                                     model.mean, 2000)[0]
+    t_max = density._t_max_and_tail(model.spectrum, model.mean, 2000)[0]
     panels = 2 * est.samples_or_nodes // 24
     with mp.workdps(25):
         rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)  # 48 nodes
@@ -563,12 +561,10 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
 def test_fourier_t_max_may_fall_below_one_and_its_tail_is_honest():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0},
                              t_max=200.0)
-    t_max, tail, _ = density._t_max_and_tail(_term_spectrum(model.terms), None,
-                                             model.mean, 2000)
+    t_max, tail, _ = density._t_max_and_tail(model.spectrum, model.mean, 2000)
     assert t_max < 1.0 and tail <= 1e-13
     est = density_fourier(model)
-    longer = density_fourier(model, t_max=4.0 * t_max)
-    assert longer.samples_or_nodes > est.samples_or_nodes
+    longer = density_fourier_quadpack(model, t_max=4.0 * t_max)
     assert abs(est.value - longer.value) <= est.error_bound + longer.error_bound
 
 
@@ -586,7 +582,7 @@ def test_fourier_few_terms_trade_tail_against_panels():
     # three cosines never meet the tail target with a panel count the cap
     # allows, so t_max minimises the sum of the two bounds instead
     terms = np.array([1.7, 1.1, 0.6])
-    model = RaceModel(1, 0.5 * float(terms @ terms), 0.0, terms)
+    model = term_model(1, terms)
     est = density_fourier(model)
     assert est.error_bound <= 1e-6
     mc = density_montecarlo(model, 200_000, seed=4)
@@ -649,7 +645,7 @@ def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
     # grid point of the whole grid and of the stretch past t_max
     u, _, (top, _) = spectrum._grid
     _assert_same_classes(top, r, u)
-    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, None, 1.0, 2000)
+    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, 1.0, 2000)
     _assert_same_classes(top, r, t_max * density._GRID[:density._TAIL_AHEAD + 1])
     # the head is the sorted list's, and the bulk's power sums lie within
     # (7k + depth) ulps of the sums of its float terms
@@ -680,11 +676,12 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
     rng = np.random.default_rng(5)
     bases = np.sort(rng.uniform(0.3, 60.0, (3, 50)), axis=1)
     bases[2, 30:] = np.inf  # a shorter component
+    moduli = [row[np.isfinite(row)] for row in bases]
     comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
-    grown = density.spectral_table(bases)
+    grown = density.spectral_table(moduli)
     grown.power(3, comps, np.array([1, 2, 3]))
     sums = grown.power(density._SERIES_MAX, comps, starts)
-    fresh = density.spectral_table(bases).power(density._SERIES_MAX, comps, starts)
+    fresh = density.spectral_table(moduli).power(density._SERIES_MAX, comps, starts)
     assert np.array_equal(sums, fresh)
     order = np.arange(1, density._SERIES_MAX + 1)
     for c, j in zip(comps, starts):
@@ -693,6 +690,24 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
         bound = ((7 * order + tail.size) * density._U + 2.0 ** -60) * want
         assert np.all(np.abs(sums[c] - want) <= bound)
     assert np.array_equal(grown.squares[comps, starts], sums[:, 0])
+
+
+def test_table_square_sums_are_its_suffix_sums_from_the_start():
+    # the variance's sums, taken without the suffix matrices, are their
+    # first column bit for bit, and the inverse sums run the same way
+    rng = np.random.default_rng(6)
+    moduli = [np.sort(rng.uniform(0.5, 80.0, size)) for size in (1, 7, 300, 0, 41)]
+    table = density.spectral_table(moduli)
+    assert np.array_equal(table.sizes, [1, 7, 300, 0, 41])
+    sums = table.square_sums
+    assert not {"bases", "squares"} & vars(table).keys() and table._power is None
+    assert table.bases.shape == (5, 301)
+    assert np.array_equal(sums, table.squares[:, 0])
+    for c, m in enumerate(moduli):
+        assert np.array_equal(table.bases[c, :m.size], m)
+        assert np.all(table.bases[c, m.size:] == math.inf)
+        want = np.cumsum((1.0 / m)[::-1])[-1] if m.size else 0.0
+        assert table.inverse_sums[c] == want
 
 
 @pytest.mark.parametrize("weight_map,t_max,log_a,window", [
@@ -705,7 +720,7 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
 def test_windowed_tail_bound_is_a_bound_and_picks_the_full_grid_t_max(
         weight_map, t_max, log_a, window):
     model = _synthetic_model(3, weight_map, t_max=t_max, log_a=log_a)
-    spectrum = _term_spectrum(model.terms)
+    spectrum = model.spectrum
     r = np.sort(model.terms)
     u = density._GRID / math.sqrt(spectrum._sq)
     full = sorted_tail_bounds(r, u)
@@ -721,5 +736,5 @@ def test_windowed_tail_bound_is_a_bound_and_picks_the_full_grid_t_max(
     assert spectrum._first[1] <= density._TAIL_TARGET
     for mean in (1, 3, 40):
         i, tail = oracles.sorted_t_max(r, float(mean), 2000)
-        chosen, bound, _ = density._t_max_and_tail(spectrum, None, float(mean), 2000)
+        chosen, bound, _ = density._t_max_and_tail(spectrum, float(mean), 2000)
         assert chosen == u[i] and bound >= tail * (1 - 1e-9)

@@ -58,17 +58,17 @@ from chebrace.groups import (
     GroupKind,
     power,
 )
-from chebrace.races import RaceSpec
+from chebrace.races import RaceSpec, weights
 from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_zero_set
 
 import numpy as np
 
 from oracles import (
+    assemble_race_model,
     density_fourier_quadpack,
     report_json_indent,
     sorted_t_max,
     sorted_tail_bounds,
-    spectral_terms,
     tower_rows_per_pair,
 )
 
@@ -401,7 +401,7 @@ def test_race_row_fields_and_flags():
     scen = scenario_generator(QUATERNION, 3, -1, seed=11)
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
     sets = provision_zero_sets(scen, ["psi_1"], seed=11)
-    row = race_row(spec, sets, samples=10000, mc_seed=1)
+    row = race_row(spec, weights(spec), sets, samples=10000, mc_seed=1)
     assert row["status"] == "match"
     assert row["mean_formula"] == row["mean_published"] == -4
     assert row["n_terms"] == len(sets["psi_1"])
@@ -415,13 +415,13 @@ def test_race_row_fields_and_flags():
 
 def test_race_row_undefined_and_half_pairs():
     scen = scenario_generator(DIHEDRAL, 4, +1, seed=3)
-    below = race_row(RaceSpec(scen, 3, FLIP_EVEN, FLIP_ODD), {}, 10000, 0)
+    below = race_row(RaceSpec(scen, 3, FLIP_EVEN, FLIP_ODD), None, {}, 10000, 0)
     assert below["status"] == "undefined"
     assert "reason" in below and "mean_formula" not in below
     spec = RaceSpec(scen, 4, FLIP_EVEN, FLIP_ODD)  # defined at the top, mean 0
     needed = ["chi1", "chi2", "chi3", "psi_1", "psi_3"]
     sets = provision_zero_sets(scen, needed, seed=3)
-    row = race_row(spec, sets, 10000, 0)
+    row = race_row(spec, weights(spec), sets, 10000, 0)
     assert row["mean_formula"] == 0
     assert row["delta_fourier"] == 0.5
     assert row["delta_mc"] == 0.5
@@ -433,8 +433,8 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     synthetic = provision_zero_sets(scen, ["psi_1"], seed=4)["psi_1"]
     file_like = ZeroSet("psi_1", synthetic.t_max, synthetic.ordinates,
                         source="file", log_conductor=None)
-    row = race_row(RaceSpec(scen, 3, ONE, MINUS_ONE), {"psi_1": file_like},
-                   10000, 2)
+    spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
+    row = race_row(spec, weights(spec), {"psi_1": file_like}, 10000, 2)
     assert row["truncation_shift_bound"] is None
 
 
@@ -693,9 +693,8 @@ def test_fourier_grid_matches_quadpack_on_tower_models(family, w, monkeypatch):
     for n in range(3, 7):
         tower_experiment(family, n, w, seed=0)
     assert len(models) > 100
-    for spectral in models:
-        grid = real_fourier(spectral)
-        model = spectral_terms(spectral)
+    for model in models:
+        grid = real_fourier(model)
         oracle = density_fourier_quadpack(model)
         assert grid.error_bound <= 1e-11
         assert abs(grid.value - oracle.value) <= \
@@ -847,8 +846,8 @@ def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
     searched = []
     real = density._t_max_and_tail
 
-    def recorded(spectrum, t_max, m, cap):
-        out = real(spectrum, t_max, m, cap)
+    def recorded(spectrum, m, cap):
+        out = real(spectrum, m, cap)
         searched.append((spectrum, m, cap, out))
         return out
 
@@ -857,7 +856,7 @@ def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
         tower_experiment(family, n, w, seed=0)
     assert len(searched) > 900
     for spectrum, m, cap, (t_max, tail, _) in searched:
-        r = np.sort(spectral_terms(density.SpectralModel(1, spectrum)).terms)
+        r = np.sort(density.RaceModel(1, spectrum).terms)
         i, _ = sorted_t_max(r, m, cap)
         u = density._GRID / math.sqrt(spectrum._sq)
         assert t_max == u[i]
@@ -879,8 +878,93 @@ def test_fourier_grid_matches_quadpack_on_tower_models_up_to_n_7(family, w, monk
         tower_experiment(family, n, w, seed=0)
     inverted = [m for m in models if m.mean != 0][::8]
     assert len(inverted) > 30
-    for spectral in inverted:
-        grid = real_fourier(spectral)
-        oracle = density_fourier_quadpack(spectral_terms(spectral))
+    for model in inverted:
+        grid = real_fourier(model)
+        oracle = density_fourier_quadpack(model)
         assert grid.error_bound <= 1e-11
         assert abs(grid.value - oracle.value) <= grid.error_bound + oracle.error_bound
+
+
+# -- every driver's race model against the sorted term list it replaced ---------
+
+
+def _driver_models(driver, family, seed):
+    """(model, weight map, zero sets) of every race model the driver
+    builds on a small run: the builder's arguments for the drivers that
+    call it, and for the tower each inverted row with its weights read back
+    from the row (scales are twice the weights, exactly)."""
+    found = []
+    real_builder, real_provision = experiments.race_model, experiments.provision_zero_sets
+    provisioned = {}
+
+    def builder(mean_value, weight_map, zero_sets):
+        model = real_builder(mean_value, weight_map, zero_sets)
+        found.append((model, dict(weight_map), dict(zero_sets)))
+        return model
+
+    def provision(scenario, cids, *args, **kwargs):
+        sets = real_provision(scenario, cids, *args, **kwargs)
+        provisioned["cids"], provisioned["sets"] = list(cids), sets
+        return sets
+
+    def fourier(model, **kwargs):
+        cids = provisioned["cids"]
+        found.append((model, dict(zip(cids, (model.spectrum.row / 2.0).tolist())),
+                      provisioned["sets"]))
+        return density.density_fourier(model, **kwargs)
+
+    w = -1 if seed % 2 else 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "race_model", builder)
+        if driver == "tower":
+            patch.setattr(experiments, "provision_zero_sets", provision)
+            patch.setattr(experiments, "density_fourier", fourier)
+            tower_experiment(family, 3 + seed % 3, w, seed)
+        elif driver == "race":
+            run_race(family=family, n=3 + seed % 2, w_axiom=w, seed=seed,
+                     samples=10_000, min_zeros=16 + seed % 64)
+        elif driver == "sandwich":
+            sandwich_experiment(count=1 + seed % 2, seed=seed, samples=10_000,
+                                t_max=16.0 + seed % 48)
+        else:
+            monotonicity_experiment(family, 3 + seed % 4, 0.25, w, seed,
+                                    samples=20, t_max=8.0 + seed % 24)
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(driver=st.sampled_from(["tower", "race", "sandwich", "monotonicity"]),
+       family=st.sampled_from([DIHEDRAL, QUATERNION]), seed=st.integers(0, 10**6))
+def test_driver_models_list_the_sorted_terms_of_their_characters(driver, family, seed):
+    # the terms are assemble_race_model's list bit for bit, order included,
+    # and the variance lies within (7 + depth) ulps of the list's own sum of
+    # squares, taken in long double (within (n + 2) 2^-64 of exact)
+    found = _driver_models(driver, family, seed)
+    assert found
+    for model, weight_map, zero_sets in found:
+        oracle = assemble_race_model(model.mean, weight_map, zero_sets)
+        assert model.terms.tobytes() == oracle.terms.tobytes()
+        r2 = np.asarray(oracle.terms, dtype=np.longdouble) ** 2
+        want = float(0.5 * np.sum(r2))
+        slack = (model.spectrum._depth + 7) * density._U + (r2.size + 2) * 2.0 ** -64
+        assert abs(model.variance - want) <= slack * want
+        assert model.bias_factor == model.mean / math.sqrt(model.variance)
+        if driver in ("sandwich", "monotonicity"):
+            # the Monte Carlo drivers never ask for the table's matrices
+            table = model.spectrum.table
+            assert not {"bases", "squares"} & vars(table).keys()
+            assert table._power is None
+
+
+def test_run_race_takes_each_pairs_weights_once(monkeypatch):
+    calls = []
+    real = experiments.weights
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(experiments, "weights", counted)
+    report = run_race(family=DIHEDRAL, n=4, level=3, samples=10_000)
+    defined = [row for row in report["rows"] if row["status"] != "undefined"]
+    assert len(calls) == len(defined) < len(report["rows"])

@@ -7,8 +7,14 @@ digests were re-taken when the Fourier engine moved from QUADPACK to the
 Gauss-Legendre grid, and again when every inversion moved onto one
 spectral table of power sums per call; each time delta_fourier, its
 budget and (the second time) the tower's bias_factor moved in their last
-bits, with the fields printed from them.  The flags and a race config file
-naming every one of run_race's arguments must give that same race report.
+bits, with the fields printed from them.  The race, horizontal, sandwich
+and monotonicity digests were re-taken when every race became a row of
+scales over a spectral table: the variance and every field computed from
+it (bias_factor, noise_variance, the CLT and tail bounds, the truncation
+bound, and the race and horizontal delta_fourier with its budget) moved
+in their last bits; the Monte Carlo fields did not.  The flags and a race
+config file naming every one of run_race's arguments must give that same
+race report.
 So a refactor of the mean/weight engine, the Monte Carlo kernel or the
 Fourier grid that changes any integer, float or key of these reports fails
 here.  Regenerate a digest only for a change that is meant to alter the
@@ -53,13 +59,13 @@ GOLDEN = [
      "b7ec74f2c4d821096510f642512d200d560e817fdeecde7c694bea25a4a4ca32"),
     (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
       "--samples", "2000", "--seed", "0"],
-     "58d59070af359b2919977c19de36e98da52c309189166dffe0b43fd4ce98979c"),
+     "cd514c596887efb7e582bac651953f57eb7489531c02a12412696be53229f37d"),
     (["sandwich", "--count", "2", "--samples", "10000", "--seed", "0"],
-     "79e65141cd4af191fba33055b368ee5af5a0ad030070110b3c04acda7d6f7063"),
+     "7abc1d66a0c6b10fe2a0f07f68d8e57c82ca5f5c9eba269916e8cf16742932eb"),
     (["horizontal", "--f-values", "1,2", "--samples", "10000", "--seed", "0"],
-     "ad5fc1c2c803ce73bbcc0eca034fcbd32964ccf9c7cbd12e44e40235d44380f0"),
+     "a19bc76ca6ce364c730c99beba2cbd35d1b4b03f8c4747685b58e9e4f9e36702"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
-     "c8f4a46bcfb5d64c05f28584c438e129e6eb86582895cd79e12ea4d7fd96dcfc"),
+     "22dba5d27aabc507ca63a58051daa97c8a8fa8f7b33eee3162b3a1635f956cf6"),
 ]
 
 # the race flags above as a config file, with every default spelled out

@@ -22,13 +22,11 @@ from chebrace.groups import (
 from chebrace.races import (
     InternalInconsistencyError,
     MeanTable,
-    RaceModel,
     RaceSpec,
     RaceUndefinedError,
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
-    assemble_race_model,
     level_data,
     level_orders,
     mean,
@@ -38,6 +36,14 @@ from chebrace.races import (
     race_mean_closed_form,
     weights,
     z_values,
+)
+from chebrace.density import (
+    RaceModel,
+    Spectrum,
+    density_fourier,
+    density_montecarlo,
+    race_model,
+    spectral_table,
 )
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
@@ -321,7 +327,7 @@ def test_variance_and_bias_match_the_materialized_model(family):
         zs = sample_zero_set(model, 64.0, seed=ix, character_id=cid)
         zero_sets[cid] = zs
         b0_map[cid] = b0(zs)
-    race = assemble_race_model(mean(spec), weights(spec), zero_sets)
+    race = race_model(mean(spec), weights(spec), zero_sets)
     assert race.mean == mean(spec)
     assert math.isclose(race.variance, variance(spec, b0_map), rel_tol=1e-12)
     assert math.isclose(race.bias_factor, bias_factor(spec, b0_map),
@@ -365,18 +371,19 @@ def test_race_spec_validation():
     assert spec.fused_pair() == (ONE, power(2))
 
 
-def test_assemble_race_model_coverage_errors():
+def test_race_model_coverage_errors():
     w = {"chi1": 2.0, "chi2": 0.0}
     zs = ZeroSet("chi1", 10.0, (1.0, 3.0), source="test")
-    model = assemble_race_model(-2, {"chi1": 2.0}, {"chi1": zs})
+    model = race_model(-2, {"chi1": 2.0}, {"chi1": zs})
     assert model.mean == -2 and model.terms.size == 2
     with pytest.raises(KeyError):
-        assemble_race_model(1, w, {"chi2": zs})  # weighted chi1 uncovered
+        race_model(1, w, {"chi2": zs})  # weighted chi1 uncovered
     # zero-weight characters need no zero set
-    assert assemble_race_model(1, w, {"chi1": zs}).terms.size == 2
-    with pytest.raises(ValueError):
-        assemble_race_model(1, {"chi1": 2.0},
-                            {"chi1": ZeroSet("chi1", 10.0, (), source="t")})
+    assert race_model(1, w, {"chi1": zs}).terms.size == 2
+    # a weighted character without zeros adds no component
+    empty = ZeroSet("chi2", 10.0, (), source="t")
+    model = race_model(1, {"chi1": 2.0, "chi2": 1.0}, {"chi1": zs, "chi2": empty})
+    assert model.spectrum.table.sizes.tolist() == [2]
 
 
 def test_published_mean_rule():
@@ -420,10 +427,16 @@ def test_mean_table_rows():
 
 def test_race_model_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
-    terms = np.array([2.0, 1.0])
-    with pytest.raises(ValueError, match="variance"):
-        RaceModel(1, -1.0, 0.0, terms)
-    with pytest.raises(ValueError, match="variance"):
-        RaceModel(1, float("nan"), 0.0, terms)
-    with pytest.raises(ValueError, match="amplitudes"):
-        RaceModel(1, 2.5, 0.5, np.array([2.0, 0.0]))
+    empty = ZeroSet("chi1", 10.0, (), source="t")
+    with pytest.raises(ValueError, match="no oscillation terms"):
+        race_model(1, {"chi1": 2.0}, {"chi1": empty})
+    with pytest.raises(ValueError, match="no oscillation terms"):
+        race_model(1, {"chi1": 0.0}, {})
+    # a row of zero scales has no terms, and neither engine takes it
+    table = spectral_table([np.array([1.0, 3.0])])
+    silent = RaceModel(0, Spectrum(table, np.zeros(1)))
+    assert silent.terms.size == 0
+    with pytest.raises(ValueError, match="empty term list"):
+        density_fourier(silent)
+    with pytest.raises(ValueError, match="empty term list"):
+        density_montecarlo(silent, 10_000, seed=0)
