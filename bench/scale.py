@@ -1,17 +1,25 @@
-"""Time and memory of `chebrace table` as the tower grows.
+"""Time and memory of `chebrace tower` or `chebrace table` as the tower grows.
 
-    python3 bench/table_scale.py [--n 7 8 9 10] [--out BENCH_table.json]
+    python3 bench/scale.py {tower,table} [--n 7 8 9 10] [--out BENCH_<verb>.json]
 
-Runs `table --id T --n N` for T = esp-q and esp-d and each N, each call in
-a fresh interpreter, and writes one JSON record per call:
+For each N, ``tower`` runs `tower --family F --n N --seed 0` for both
+families (quaternion with `--w -1`), and ``table`` runs `table --id T --n N`
+for T = esp-q and esp-d.  Each call runs in a fresh interpreter, and the
+script writes one JSON record per call:
 
 * ``wall_s``: the child's wall time, interpreter start to exit;
 * ``peak_rss_mb``: the child's peak resident set (``ru_maxrss`` of its own
   rusage, from ``os.wait4``);
 * ``phases_s``: seconds inside the verb, split by the package functions the
-  child wraps: ``means`` (``mean_table``, one call per level and root
-  number), ``rows`` (the rest of ``reproduce_table``: the report rows),
-  ``report`` (``report_json``) and ``verb`` (all of ``cli.main``);
+  child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``zeros``
+  (``provision_zero_sets``), ``table`` (building the call's
+  ``SpectralTable``, where the package has one; its sums are taken inside
+  the first inversions that need them), ``inversions``
+  (``density_fourier``, which includes each row's tail search) and
+  ``report`` (``report_json``).  Older tower records carry a ``rows``
+  phase, which timed a per-row model assembly.  ``table``: ``means``
+  (``mean_table``, one call per level and root number), ``rows`` (the rest
+  of ``reproduce_table``: the report rows) and ``report``;
 * ``report_sha256``: the digest of the report, to compare two checkouts.
 
 The package is imported from ``src/`` beside this script, so the same
@@ -32,7 +40,27 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLES = ("esp-q", "esp-d")
+
+# per verb, the timed package functions as (module, name, phase), in the
+# order the record lists the phases
+PHASES = {
+    "tower": (("experiments", "provision_zero_sets", "zeros"),
+              ("experiments", "SpectralTable", "table"),
+              ("experiments", "density_fourier", "inversions"),
+              ("cli", "report_json", "report")),
+    "table": (("experiments", "mean_table", "means"),
+              ("cli", "reproduce_table", "rows"),
+              ("cli", "report_json", "report")),
+}
+
+
+def _argvs(verb: str, n: int) -> list[list[str]]:
+    if verb == "tower":
+        return [["tower", "--family", "quaternion", "--n", str(n), "--w", "-1",
+                 "--seed", "0"],
+                ["tower", "--family", "dihedral", "--n", str(n), "--seed", "0"]]
+    return [["table", "--id", table_id, "--n", str(n)]
+            for table_id in ("esp-q", "esp-d")]
 
 
 def _child(argv: list[str]) -> None:
@@ -41,10 +69,13 @@ def _child(argv: list[str]) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from chebrace import cli, experiments
 
-    phases = dict.fromkeys(("means", "table", "report"), 0.0)
+    modules = {"cli": cli, "experiments": experiments}
+    phases = {}
 
     def timed(module, name: str, phase: str) -> None:
-        fn = getattr(module, name)
+        fn = getattr(module, name, None)
+        if fn is None:
+            return
 
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
@@ -55,19 +86,19 @@ def _child(argv: list[str]) -> None:
 
         setattr(module, name, wrapper)
 
-    timed(experiments, "mean_table", "means")
-    timed(cli, "reproduce_table", "table")
-    timed(cli, "report_json", "report")
+    for module, name, phase in PHASES[argv[0]]:
+        phases[phase] = 0.0
+        timed(modules[module], name, phase)
     out = io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out):
         code = cli.main(argv)
-    verb = time.perf_counter() - start
+    phases["verb"] = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"{argv} exited {code}")
-    split = {"means": phases["means"], "rows": phases["table"] - phases["means"],
-             "report": phases["report"], "verb": verb}
-    print(json.dumps({"phases_s": {k: round(v, 4) for k, v in split.items()},
+    if "means" in phases:  # reproduce_table's time includes mean_table's
+        phases["rows"] -= phases["means"]
+    print(json.dumps({"phases_s": {k: round(v, 4) for k, v in phases.items()},
                       "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
 
 
@@ -91,19 +122,21 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("verb", choices=tuple(PHASES))
     parser.add_argument("--n", type=int, nargs="+", default=[7, 8, 9, 10])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_table.json"))
+    parser.add_argument("--out", help="default: BENCH_<verb>.json at the repo root")
     args = parser.parse_args()
     runs = []
     for n in args.n:
-        for table_id in TABLES:
-            runs.append(_measure(["table", "--id", table_id, "--n", str(n)]))
+        for argv in _argvs(args.verb, n):
+            runs.append(_measure(argv))
             print(json.dumps(runs[-1]), file=sys.stderr)
     report = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                        "python": platform.python_version(),
                        "load_average_at_end": os.getloadavg()},
               "runs": runs}
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    out = args.out or ROOT / f"BENCH_{args.verb}.json"
+    Path(out).write_text(json.dumps(report, indent=2) + "\n")
 
 
 if __name__ == "__main__":

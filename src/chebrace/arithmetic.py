@@ -41,10 +41,6 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def inertia_order(group: Group, generator: Element) -> int:
-    return group.element_order(generator)
-
-
 def invariant_dimension(group: Group, cid: str, generator: Element) -> int:
     """Closed form for the inertia-fixed dimension, O(1) at any group size.
 
@@ -156,8 +152,8 @@ def scenario_generator(family: str, n: int, w_axiom: int,
     group = Group(kind)
     g5 = _random_nonidentity(rng, group)
     gp = _random_nonidentity(rng, group)
-    e5 = inertia_order(group, g5)
-    ep = inertia_order(group, gp)
+    e5 = group.element_order(g5)
+    ep = group.element_order(gp)
     exp5 = (e5 - 1) * (group.order // e5)
     expp = (ep - 1) * (group.order // ep)
     lo = max(0.5 * 2.0**n, exp5 * LOG5 + expp * LOG7)

@@ -96,7 +96,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
                       level=args.level,
                       pairs=[_parse_pair(p) for p in args.pair],
                       seed=args.seed, samples=args.samples,
-                      fourier_nodes=args.nodes, zero_files=args.zero_file)
+                      zero_files=args.zero_file)
     return _emit(run_race(**kwargs), args)
 
 
@@ -140,7 +140,7 @@ def _cmd_mod4(args: argparse.Namespace) -> int:
     if args.zero_file is None:
         _check_t_max(args.t_max)
     return _emit(mod4_experiment(zero_file=args.zero_file, seed=args.seed,
-                                 t_max=args.t_max, nodes=args.nodes), args)
+                                 t_max=args.t_max), args)
 
 
 def _cmd_zeros_gen(args: argparse.Namespace) -> int:
@@ -184,9 +184,9 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 @functools.cache
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="C1:C2", help="repeatable; default all pairs")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--nodes", type=int, default=2000)
     p.add_argument("--zero-file", action="append", default=[],
                    help="repeatable; use file-backed ordinates")
     p.add_argument("--config", help="JSON config file overriding all flags")
@@ -266,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-file", default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t-max", type=float, default=600.0)
-    p.add_argument("--nodes", type=int, default=4000)
-    _add_common(p, formats=("json",))  # no row list to write as CSV
+    # JSON only: the report has no row list to write as CSV
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_mod4)
 
     p = sub.add_parser("zeros", help="synthetic ordinate files")

@@ -10,10 +10,12 @@ phi(t) = e^(i mean t) prod_j J0(r_j t) via the Gil-Pelaez formula
 Both are deterministic (per seed / per model) and report explicit error
 budgets.  The Fourier integrand is entire, so it is integrated on [0, t_max]
 by equal Gauss-Legendre panels of 24 nodes, whose nodes and weights are
-the correctly rounded constants; the ``nodes`` argument (the CLI's
-``--nodes``) caps the number of panels.  Amplitudes with r t_max >= 1 go
-through J0 at every node; the rest enter through a truncated power-sum
-series of log J0.  The budget adds three proven parts: the series
+the correctly rounded constants.  It takes the fewest panels whose error
+bound meets its target, at most the fixed _PANEL_CAP = 2000: one or two
+for the verbs' models at their default sizes, hundreds up to the cap for
+a model of a few terms (``mod4`` over three to seven zeros).  Amplitudes with r t_max >= 1 go through J0 at
+every node; the rest enter through a truncated power-sum series of
+log J0.  The budget adds three proven parts: the series
 remainder (from the Rayleigh sums of J0's zeros), the panels'
 Bernstein-ellipse bound (Trefethen, ATAP Thm 19.3, with |J0(x+iy)| <= I0(y)),
 and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
@@ -23,10 +25,11 @@ first-order bound on float rounding is added to it.
 A ``RaceModel`` is an integer mean and a ``Spectrum``: a row of scales
 (twice each character's weight) over a ``SpectralTable`` of zero moduli,
 one component per character.  ``race_model`` builds one from a mean, a
-weight map and zero sets; a driver with many rows over the same zero sets
-builds one table and a spectrum per row.  The variance is a sum over the
-components, not over the terms, and the term list itself, which only the
-Monte Carlo kernel reads, is listed when first read.  The table sums the
+weight map and zero sets; a driver with many rows over the same zero
+sets builds one ``SpectralTable`` and a spectrum per row.  The variance
+is a sum over the components, not over the terms, and the term list
+itself, which only the Monte Carlo kernel reads, is listed when first
+read.  The table sums the
 powers of its moduli, each order and each stretch summed when an
 inversion first needs it, so the Fourier engine lists only the terms that
 reach a threshold at t_max.  The tail search visits a few grid points past
@@ -341,8 +344,9 @@ _RHO = 2.0 ** np.linspace(0.25, 6.0, 24)  # Bernstein ellipse parameters tried
 _RHO_HEIGHT = 0.5 * (_RHO - 1.0 / _RHO)
 _RHO_POWER = 2 * _GL_NODES * np.log(_RHO)
 _RHO_GAP = np.log(_RHO * _RHO - 1.0)
-# panel counts tried, growing by about 1.25 each
+# panel counts tried, growing by about 1.25 each, and the most taken
 _PANEL_COUNTS = tuple(sorted({round(1.25 ** k) for k in range(64)}))
+_PANEL_CAP = 2000
 _BLOCK = 1 << 20  # most head-term Bessel values held at a time
 # targets on |integral| error (delta moves by 1/pi of it)
 _TAIL_TARGET = 1e-13
@@ -393,10 +397,13 @@ class SpectralTable:
     """
 
     moduli: Sequence[np.ndarray]
-    sizes: np.ndarray
 
     def __post_init__(self) -> None:
         self._power = None
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.array([m.size for m in self.moduli], dtype=np.intp)
 
     def _down(self, f) -> np.ndarray:
         """sum_i f(b_ci) per component, from its largest base down."""
@@ -451,11 +458,6 @@ class SpectralTable:
             self._power[self._orders] = sums[:, :self._power.shape[2]]
             self._orders += 1
         return self._power[:order, components, starts].T
-
-
-def spectral_table(moduli: Sequence[np.ndarray]) -> SpectralTable:
-    """The table whose components have these ascending bases."""
-    return SpectralTable(moduli, np.array([m.size for m in moduli], dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,7 +586,7 @@ def race_model(mean: int, weight_map: Mapping[str, float],
     if not cids:
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
-    table = spectral_table([zero_sets[cid].moduli for cid in cids])
+    table = SpectralTable([zero_sets[cid].moduli for cid in cids])
     row = 2.0 * np.array([weight_map[cid] for cid in cids])
     return RaceModel(mean, Spectrum(table, row))
 
@@ -696,10 +698,11 @@ def _quad_log_bounds(m: float, t_max, count: int, log_i0) -> np.ndarray:
     return log_err.min(axis=-1)
 
 
-def _panel_count(m: float, t_max: float, head: np.ndarray, bulk_sq: float,
-                 cap: int) -> tuple[int, float]:
-    """The fewest equal Gauss-Legendre panels on [0, t_max], at most cap,
-    whose error bound meets _QUAD_TARGET (or cap and its bound), with i0e
+def _panel_count(m: float, t_max: float, head: np.ndarray,
+                 bulk_sq: float) -> tuple[int, float]:
+    """The fewest equal Gauss-Legendre panels on [0, t_max], at most
+    _PANEL_CAP, whose error bound meets _QUAD_TARGET (or the cap and its
+    bound), with i0e
     for the head and log I0(x) <= x^2/4 for the bulk."""
     from scipy.special import i0e
 
@@ -708,21 +711,20 @@ def _panel_count(m: float, t_max: float, head: np.ndarray, bulk_sq: float,
         return 0.25 * b * b * bulk_sq + (np.log(i0e(x)) + x).sum(axis=-1)
 
     for count in _PANEL_COUNTS:
-        count = min(count, cap)
+        count = min(count, _PANEL_CAP)
         log_err = float(_quad_log_bounds(m, t_max, count, log_i0))
-        if log_err <= math.log(_QUAD_TARGET) or count == cap:
+        if log_err <= math.log(_QUAD_TARGET) or count == _PANEL_CAP:
             break
     # past e^2 > pi the budget is at its cap of 1 anyway
     return count, math.exp(min(log_err, 2.0))
 
 
-def _t_max_and_tail(spectrum: Spectrum, m: float,
-                    cap: int) -> tuple[float, float, tuple]:
+def _t_max_and_tail(spectrum: Spectrum, m: float) -> tuple[float, float, tuple]:
     """t_max, the bound on the integral beyond it, and the top terms
     reaching it.
 
     t_max is the first grid point whose tail bound meets _TAIL_TARGET,
-    provided ``cap`` panels can meet _QUAD_TARGET there, judged with
+    provided _PANEL_CAP panels can meet _QUAD_TARGET there, judged with
     sum log I0(r_j b) <= min(b^2 sum r^2 / 4, b sum r).  Models with few
     terms may fail that; they take the grid point that minimises tail plus
     quadrature bound instead.
@@ -733,7 +735,7 @@ def _t_max_and_tail(spectrum: Spectrum, m: float,
 
     def quad(t):
         return _quad_log_bounds(
-            m, t, cap, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+            m, t, _PANEL_CAP, lambda b: np.minimum(0.25 * b * b * sq, b * total))
 
     first = spectrum._first
     if first is not None and quad(first[0]) <= math.log(_QUAD_TARGET):
@@ -814,12 +816,12 @@ def _grid_integral(m: float, t_max: float, panels: int, power_sums: np.ndarray,
     return float(f @ weights), _U * float(ulps @ weights)
 
 
-def density_fourier(model: RaceModel, nodes: int = 2000) -> DensityEstimate:
+def density_fourier(model: RaceModel) -> DensityEstimate:
     """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
 
     delta = 1/2 + (1/pi) Integral_0^inf sin(mean*t) Phi(t) / t dt with
     Phi(t) = prod_j J0(r_j t), an entire integrand, integrated on [0, t_max]
-    by equal Gauss-Legendre panels (at most ``nodes`` of them).  Terms with
+    by equal Gauss-Legendre panels (at most _PANEL_CAP of them).  Terms with
     r t_max >= 1 (the head) go through ``j0``; the rest (the bulk) enter as
     exp(sum_k L_k (t/2)^(2k) P_k) with the power sums P_k = sum r^(2k) of
     the spectral table.  The budget adds three proven parts: the bulk
@@ -838,11 +840,11 @@ def density_fourier(model: RaceModel, nodes: int = 2000) -> DensityEstimate:
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
                       "slowly, and the tail bound is 1", stacklevel=2)
     m = abs(float(model.mean))
-    t_max, tail, top = _t_max_and_tail(spectrum, m, nodes)
+    t_max, tail, top = _t_max_and_tail(spectrum, m)
     head, largest, split = _head_and_bulk(spectrum, t_max, top)
     bulk_sq = float(_bulk_power_sums(spectrum, split, 1)[0])
     order, series_err = _series_order(m, t_max, largest, bulk_sq)
-    panels, quad_err = _panel_count(m, t_max, head, bulk_sq, nodes)
+    panels, quad_err = _panel_count(m, t_max, head, bulk_sq)
     integral, rounding = _grid_integral(m, t_max, panels,
                                         _bulk_power_sums(spectrum, split, order),
                                         spectrum._depth, head)
@@ -909,26 +911,6 @@ def q_factor(weights: dict[str, float], level: int, n: int,
         q = max(math.exp(QC * math.sqrt(M0 * b1 * b2 / (deg * b3))),
                 QC * b3 / b4, QC)
     return q
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    clt_estimate: float
-    clt_error_budget: float
-    upper_one_minus_delta: float | None
-    lower_one_minus_delta: float | None
-    q: float
-
-
-def bound_report(model: RaceModel, q: float) -> BoundReport:
-    est, budget = clt_estimate(model.bias_factor, model.variance)
-    return BoundReport(
-        clt_estimate=est,
-        clt_error_budget=budget,
-        upper_one_minus_delta=upper_bound(model.bias_factor),
-        lower_one_minus_delta=lower_bound(model.bias_factor, q),
-        q=q,
-    )
 
 
 def truncation_shift_bound(model_sigma: float, tail_sigma: float) -> float:

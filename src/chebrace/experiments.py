@@ -5,8 +5,9 @@ weights) with synthetic or file-backed zero sets and the two density
 estimators, then emits a plain-dict report whose JSON/CSV rendering is
 byte-identical for identical (config, seed).  Expected qualitative
 outcomes for the published race tables live here as data
-(TABLE_CLAIMS, MONOTONICITY_CLAIMS, H8_PUBLISHED) so that drivers and
-acceptance checks read one source of truth.
+(TABLE_CLAIMS, MONOTONICITY_CLAIMS) so that drivers and acceptance checks
+read one source of truth; the published order-8 rows are resolved per
+pair by ``_h8_published_row``.
 
 Per-race seeds derive from (master seed, race index) through
 SeedSequence, so scheduling order cannot affect any number in a report;
@@ -19,6 +20,7 @@ import functools
 import io
 import json
 import math
+import sys
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,15 +36,17 @@ from .density import (
     DensityEstimate,
     RaceModel,
     Spectrum,
+    SpectralTable,
     _mc_race,
-    bound_report,
+    clt_estimate,
     complement,
     density_fourier,
     density_montecarlo,
+    lower_bound,
     q_factor,
     race_model,
-    spectral_table,
     truncation_shift_bound,
+    upper_bound,
 )
 from .groups import (
     DIHEDRAL,
@@ -232,18 +236,6 @@ MONOTONICITY_CLAIMS: dict[tuple[str, int], dict] = {
                  "flagged open-question"),
     },
 }
-
-# Order-8 quaternion base table: symbolic means in the central vanishing
-# order o and variance coefficients of B0 per character.  "axis" stands
-# for any of the three order-4 classes; chi_b below is the unique
-# nontrivial degree-1 character vanishing nowhere on the axis class b
-# (its weight in the race is then zero).
-H8_PUBLISHED = (
-    {"tags": ("one", "minus_one"), "mean": "4-8o", "variance": "psi-only-16"},
-    {"tags": ("one", "axis"), "mean": "-2-4o", "variance": "all-but-kernel-4"},
-    {"tags": ("minus_one", "axis"), "mean": "-6+4o", "variance": "all-but-kernel-4"},
-    {"tags": ("axis", "axis"), "mean": "0", "variance": "kernel-pair-4"},
-)
 
 MOD4_PUBLISHED_DELTA = 0.9959  # Rubinstein-Sarnak computed logarithmic density
 
@@ -592,8 +584,7 @@ def parse_class_label(text: str) -> ClassLabel:
 
 
 def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
-             zero_sets: Mapping[str, ZeroSet], samples: int, mc_seed: int,
-             nodes: int = 2000) -> dict:
+             zero_sets: Mapping[str, ZeroSet], samples: int, mc_seed: int) -> dict:
     """One fully populated report row from the pair's weights ``w_map``;
     undefined pairs, which have none, yield a status row."""
     kind = spec.scenario.kind
@@ -619,7 +610,7 @@ def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
 
-    est_f = density_fourier(model, nodes=nodes)
+    est_f = density_fourier(model)
     row["delta_fourier"] = est_f.value
     row["delta_fourier_budget"] = est_f.error_bound
     est_mc = density_montecarlo(model, samples, mc_seed)
@@ -631,12 +622,12 @@ def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
         b1 = b2 = 2
     else:
         b1, b2 = sr_partition(group, spec.level)
-    rep = bound_report(model, q_factor(w_map, spec.level, kind.n, b1, b2))
-    row["clt_estimate"] = rep.clt_estimate
-    row["clt_error_budget"] = rep.clt_error_budget
-    row["upper_one_minus_delta"] = rep.upper_one_minus_delta
-    row["lower_one_minus_delta"] = rep.lower_one_minus_delta
-    row["q"] = rep.q
+    q = q_factor(w_map, spec.level, kind.n, b1, b2)
+    row["clt_estimate"], row["clt_error_budget"] = clt_estimate(
+        model.bias_factor, model.variance)
+    row["upper_one_minus_delta"] = upper_bound(model.bias_factor)
+    row["lower_one_minus_delta"] = lower_bound(model.bias_factor, q)
+    row["q"] = q
 
     tail = _tail_sigma(spec.scenario, w_map, zero_sets)
     row["truncation_shift_bound"] = (
@@ -671,7 +662,7 @@ def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
 def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
              level: int | None = None,
              pairs: Sequence[tuple[ClassLabel, ClassLabel]] = (),
-             seed: int = 0, samples: int = 100_000, fourier_nodes: int = 2000,
+             seed: int = 0, samples: int = 100_000,
              zero_files: Sequence[str] = (), min_zeros: int = 64) -> dict:
     """Ad-hoc race driver over explicit class pairs (default: all pairs) at
     one level (default: the top).  Zero data comes from the files when any
@@ -690,7 +681,6 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
         raise ConfigError(f"pairs must be class label pairs, got {pairs!r}")
     check_seed(seed)
     _check_mc_samples(samples)
-    _check_int("fourier_nodes", fourier_nodes, 1)  # the Fourier panel cap
     if isinstance(zero_files, str) or not all(
             isinstance(path, str) for path in zero_files):
         raise ConfigError(f"zero_files must be a list of paths, got {zero_files!r}")
@@ -729,8 +719,7 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
                     f"ordinates for ({c1}, {c2})")
             sets.update(provision_zero_sets(scen, missing, seed,
                                             min_count=min_zeros))
-        rows.append(race_row(spec, w_map, sets, samples, _child_seed(seed, index),
-                             nodes=fourier_nodes))
+        rows.append(race_row(spec, w_map, sets, samples, _child_seed(seed, index)))
     return {
         "experiment": "race",
         "family": family,
@@ -913,13 +902,16 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
 
 
 def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
-                          samples: int = 100_000, min_zeros: int = 512) -> dict:
+                          samples: int = 100_000) -> dict:
     """Order-8 (C1, C-1) race for one scenario per f, with log A(psi)
-    >= 2 f^3; checks the W-controlled side of 1/2 and that |delta - 1/2|
-    decreases along f."""
+    >= 2 f^3 and at least 512 expected zeros per character; checks the
+    W-controlled side of 1/2 and that |delta - 1/2| decreases along f."""
     fs = list(f_values)
     if not fs or any(f <= 0 for f in fs) or any(b <= a for a, b in zip(fs, fs[1:])):
         raise ConfigError("f_values must be positive and strictly increasing")
+    if not 2 * fs[-1] ** 3 <= sys.float_info.max:
+        raise ConfigError("f_values must keep log A(psi) = 2 f^3 within "
+                          "float range")
     if w_axiom not in (+1, -1):
         raise ConfigError("w_axiom must be +1 or -1")
     _check_mc_samples(samples)
@@ -930,7 +922,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         w_map = weights(spec)
         sets = provision_zero_sets(
             scen, [cid for cid, wv in w_map.items() if wv > 0],
-            _child_seed(seed, index), min_count=min_zeros)
+            _child_seed(seed, index), min_count=512)
         row = race_row(spec, w_map, sets, samples, _child_seed(seed, index, 1))
         log_a = scen.log_conductor("psi_1")
         row["f"] = f
@@ -976,7 +968,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    # n = 10 takes 10-15 s and 180 MB (bench/tower_scale.py); n = 11
+    # n = 10 takes 10-15 s and 180 MB (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
     if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
@@ -1007,7 +999,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     weighted = np.flatnonzero(table.any(axis=0))
     sets = provision_zero_sets(scen, [ids[c] for c in weighted], seed)
     # one spectral table for the call, one component per weighted character
-    zeros = spectral_table([sets[ids[c]].moduli for c in weighted])
+    zeros = SpectralTable([sets[ids[c]].moduli for c in weighted])
     biases = [0.0] * len(pairs)
     estimates: list[DensityEstimate | None] = [None] * len(pairs)
     for members in np.split(order, bounds):
@@ -1258,23 +1250,22 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         model = race_model(mean(spec), w_map, sets)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
-        rep = bound_report(model, q_factor(w_map, n, n, 2, 2))
+        q = q_factor(w_map, n, n, 2, 2)
+        lower = lower_bound(model.bias_factor, q)
+        upper = upper_bound(model.bias_factor)
         row = {
             "race": k, "n": n, "log_conductor_psi": log_a,
             "target_bias": target, "bias_factor": model.bias_factor,
             "one_minus_delta_mc": one_minus, "mc_ci": est.error_bound,
-            "lower": rep.lower_one_minus_delta,
-            "upper": rep.upper_one_minus_delta,
-            "q": rep.q,
+            "lower": lower, "upper": upper, "q": q,
         }
         counted = model.bias_factor > 1.0
         row["counted"] = counted
         if counted:
             population += 1
-            ok = rep.lower_one_minus_delta <= one_minus <= rep.upper_one_minus_delta
+            ok = lower <= one_minus <= upper
             row["inside"] = ok
-            row["inequality"] = (f"{rep.lower_one_minus_delta!r} <= "
-                                 f"{one_minus!r} <= {rep.upper_one_minus_delta!r}")
+            row["inequality"] = f"{lower!r} <= {one_minus!r} <= {upper!r}"
             if ok:
                 inside += 1
         rows.append(row)
@@ -1295,14 +1286,13 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
 
 
 def mod4_experiment(zero_file: str | None = None, seed: int = 0,
-                    t_max: float = 600.0, nodes: int = 4000) -> dict:
+                    t_max: float = 600.0) -> dict:
     """Nonresidues-vs-residues race over the order-2 group of residues
     mod 4: mean +2, one weight-2 character.  With a real ordinate table
     for that character the density is comparable to the published
     Rubinstein-Sarnak value; with synthetic ordinates the difference is
     reported for calibration only.  Never gates a build.
     """
-    _check_int("nodes", nodes, 1)  # the Fourier panel cap
     if zero_file is not None:
         zs = read_zero_file(zero_file)
         if not zs.ordinates:
@@ -1312,7 +1302,7 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
                              character_id="chi4")
         _check_horizon({zs.character_id: zs}, t_max)
     model = race_model(2, {zs.character_id: 2.0}, {zs.character_id: zs})
-    est = density_fourier(model, nodes=nodes)
+    est = density_fourier(model)
     return {
         "experiment": "mod4",
         "zero_source": zs.source,

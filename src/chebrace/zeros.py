@@ -84,8 +84,9 @@ class ZeroSet:
     log_conductor: float | None = None
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0:
-            raise ValidationError(f"T_max must be positive, got {self.t_max}")
+        for key, value in (("T_max", self.t_max), ("log_conductor", self.log_conductor)):
+            if value is not None and (problem := _header_problem(key, value)):
+                raise ValidationError(problem)
         prev = 0.0
         for k, g in enumerate(self.ordinates):
             if not g > prev:
@@ -108,6 +109,18 @@ class ZeroSet:
         moduli = np.sqrt(0.25 + g * g)
         moduli.flags.writeable = False
         return moduli
+
+
+def _header_problem(key: str, value: float) -> str | None:
+    """What is wrong with a zero set's T_max (finite and > 0) or
+    log_conductor (finite and >= 0), or None."""
+    if key == "T_max":
+        if math.isfinite(value) and value > 0:
+            return None
+        return f"T_max must be finite and positive, got {value!r}"
+    if math.isfinite(value) and value >= 0:
+        return None
+    return f"log_conductor must be finite and >= 0, got {value!r}"
 
 
 def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
@@ -181,8 +194,7 @@ def save_zero_file(zs: ZeroSet, path: str) -> None:
 
 def load_zero_file(path: str) -> ZeroSet:
     character_id = "unknown"
-    t_max: float | None = None
-    log_conductor: float | None = None
+    header: dict[str, float | None] = {"T_max": None, "log_conductor": None}
     ordinates: list[float] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -197,17 +209,14 @@ def load_zero_file(path: str) -> ZeroSet:
                     continue  # plain comment
                 if key == "character":
                     character_id = value
-                elif key == "T_max":
+                elif key in header:
                     try:
-                        t_max = float(value)
+                        number = float(value)
                     except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad T_max {value!r}") from exc
-                elif key == "log_conductor":
-                    try:
-                        log_conductor = float(value)
-                    except ValueError as exc:
-                        raise ParseError(
-                            f"{path}:{lineno}: bad log_conductor {value!r}") from exc
+                        raise ParseError(f"{path}:{lineno}: bad {key} {value!r}") from exc
+                    if problem := _header_problem(key, number):
+                        raise ValidationError(f"{path}:{lineno}: {problem}")
+                    header[key] = number
                 continue
             try:
                 g = float(line)
@@ -223,9 +232,10 @@ def load_zero_file(path: str) -> ZeroSet:
                 raise ValidationError(f"{path}:{lineno}: ordinates must be strictly "
                                       f"increasing ({g!r} after {ordinates[-1]!r})")
             ordinates.append(g)
+    t_max = header["T_max"]
     if t_max is None:
         if not ordinates:
             raise ParseError(f"{path}: empty body and no T_max header")
         t_max = ordinates[-1]
     return ZeroSet(character_id, t_max, tuple(ordinates),
-                   source="file", log_conductor=log_conductor)
+                   source="file", log_conductor=header["log_conductor"])

@@ -120,10 +120,10 @@ from chebrace.density import (
     Z99,
     DensityEstimate,
     RaceModel,
+    SpectralTable,
     Spectrum,
     complement,
     density_fourier,
-    spectral_table,
 )
 from chebrace import density
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
@@ -401,14 +401,14 @@ def one_row_spectrum(weight_list: Sequence[float],
                      moduli: Sequence[np.ndarray]) -> Spectrum:
     """The spectrum of the race with these character weights over these
     zero moduli, on a table of its own."""
-    return Spectrum(spectral_table(moduli), 2.0 * np.asarray(weight_list))
+    return Spectrum(SpectralTable(moduli), 2.0 * np.asarray(weight_list))
 
 
 def term_model(mean_value: int, terms: np.ndarray) -> RaceModel:
     """The race with exactly these amplitudes: one component of base 1 per
     term, scaled by the term."""
     terms = np.asarray(terms, dtype=float)
-    table = spectral_table([np.ones(1)] * terms.size)
+    table = SpectralTable([np.ones(1)] * terms.size)
     return RaceModel(mean_value, Spectrum(table, terms))
 
 

@@ -12,7 +12,6 @@ from chebrace.arithmetic import (
     VirtualPrime,
     conductor_exponent,
     horizontal_scenario,
-    inertia_order,
     invariant_dimension,
     scenario_generator,
 )
@@ -56,7 +55,7 @@ def test_invariant_dimension_matches_matrix_rank_oracle(family):
     group = Group(GroupKind(family, 5))
     for gen in (Element(1, 0), Element(2, 0), Element(4, 0),
                 Element(0, 1), Element(3, 1)):
-        e = inertia_order(group, gen)
+        e = group.element_order(gen)
         powers = []
         g = identity()
         for _ in range(e):
@@ -84,7 +83,7 @@ def test_conductor_discriminant_identity_on_random_scenarios(family, seed):
                     for cid in character_ids(group))
         assert disc[rp.p] == total
         # and the closed form (e-1)|G|/e for tame inertia
-        e = inertia_order(group, rp.inertia)
+        e = group.element_order(rp.inertia)
         assert total == (e - 1) * (group.order // e)
         assert total == discriminant_exponent_tame(group, rp.inertia)
 

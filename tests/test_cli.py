@@ -314,7 +314,7 @@ ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
     (["race"], {"zero_source": "synthetic"},
      "unknown config keys: ['zero_source']"),
     (["race"], {"seed": -1}, "seed must be a non-negative integer, got -1"),
-    (["race"], {"fourier_nodes": 0}, "fourier_nodes must be at least 1, got 0"),
+    (["race"], {"fourier_nodes": 2000}, "unknown config keys: ['fourier_nodes']"),
     (["race"], {"zero_files": [ZF]}, "non-finite ordinate 'nan'"),
     (["race"], {"min_zeros": 1_000_000_000},
      "min_zeros 1000000000 is out of reach for psi_1: its zero horizon "
@@ -325,8 +325,8 @@ ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
      "seed must be a non-negative integer, got -2"),
     (["race", "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
-    (["race", "--nodes", "0"], None, "fourier_nodes must be at least 1, got 0"),
-    (["mod4", "--nodes", "0"], None, "nodes must be at least 1, got 0"),
+    (["race", "--nodes", "2000"], None, "unrecognized arguments: --nodes 2000"),
+    (["mod4", "--nodes", "4000"], None, "unrecognized arguments: --nodes 4000"),
     (["race", "--zero-file", ZF], None, "non-finite ordinate 'nan'"),
     (["mod4", "--zero-file", ZF], None, "non-finite ordinate 'nan'"),
 ])
@@ -360,6 +360,38 @@ def test_zero_file_without_ordinates_exits_2(argv, cid, tmp_path, capsys):
     assert captured.out == ""
     assert str(path) in captured.err and "hold" in captured.err
     assert "no ordinates" in captured.err
+
+
+@pytest.mark.parametrize("header,message", [
+    ("# log_conductor: -3", "log_conductor must be finite and >= 0, got -3.0"),
+    ("# log_conductor: nan", "log_conductor must be finite and >= 0, got nan"),
+    ("# T_max: inf", "T_max must be finite and positive, got inf"),
+    ("# T_max: nan", "T_max must be finite and positive, got nan"),
+    ("# T_max: 0", "T_max must be finite and positive, got 0.0"),
+])
+@pytest.mark.parametrize("argv", [
+    ["race", "--n", "3", "--pair", "one:minus_one", "--samples", "10000",
+     "--zero-file"],
+    ["zeros", "check"],
+])
+def test_bad_zero_file_headers_exit_2(header, message, argv, tmp_path, capsys):
+    # a header out of range would end in a traceback or in NaN report fields
+    path = tmp_path / "psi.txt"
+    path.write_text(f"# character: psi_1\n# log_conductor: 3\n{header}\n"
+                    "1.5\n2.5\n3.5\n")
+    assert cli.main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:3: {message}" in captured.err
+
+
+def test_horizontal_f_beyond_float_range_exits_2(capsys):
+    huge = "1" + "0" * 400
+    assert cli.main(["horizontal", "--f-values", f"1,{huge}",
+                     "--samples", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "f_values must keep log A(psi) = 2 f^3 within float range" in captured.err
 
 
 def _loaded_scipy_parts(code: str) -> str:
@@ -397,7 +429,7 @@ def test_bad_inputs_exit_2_under_python_O(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for argv, message in (
             (["race", "--config", str(config)], "n must be an integer"),
-            (["mod4", "--nodes", "0"], "nodes must be at least 1")):
+            (["monotonicity", "--epsilon", "-1"], "epsilon must be positive")):
         proc = subprocess.run([sys.executable, "-O", "-m", "chebrace.cli", *argv],
                               capture_output=True, text=True, env=env,
                               timeout=120)
@@ -443,5 +475,5 @@ def test_csv_of_a_report_without_rows_exits_2(tmp_path, capsys):
         assert _exit_code(["mod4", "--format", "csv", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "invalid choice: 'csv'" in captured.err
+        assert "unrecognized arguments: --format csv" in captured.err
     assert not out.exists()

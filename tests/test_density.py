@@ -16,7 +16,6 @@ from chebrace.density import (
     C3,
     DensityEstimate,
     Z99,
-    bound_report,
     clt_estimate,
     complement,
     density_fourier,
@@ -29,7 +28,12 @@ from chebrace.density import (
 )
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids
-from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
+from chebrace.experiments import (
+    _SHARED_MC_SALT,
+    provision_zero_sets,
+    run_race,
+    sandwich_experiment,
+)
 from chebrace.groups import DIHEDRAL, QUATERNION
 from chebrace.races import RaceSpec, weights
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
@@ -190,22 +194,22 @@ def test_q_factor_regimes():
         q_factor({"chi1": 0.0}, level=3, n=5, b1=2, b2=2)
 
 
-def test_bound_report_wiring():
-    model = _synthetic_model(40, {"psi_1": 4.0}, log_a=8.0)
-    assert model.bias_factor > 1.0
-    q = q_factor({"psi_1": 4.0}, level=4, n=4, b1=0, b2=0)
-    rep = bound_report(model, q)
-    est, budget = clt_estimate(model.bias_factor, model.variance)
-    assert rep.clt_estimate == est
-    assert rep.clt_error_budget == budget
-    assert rep.upper_one_minus_delta == upper_bound(model.bias_factor)
-    assert rep.lower_one_minus_delta == lower_bound(model.bias_factor, q)
-    assert rep.lower_one_minus_delta < rep.upper_one_minus_delta
-    assert rep.q == q
-    negative = _synthetic_model(-40, {"psi_1": 4.0}, log_a=8.0)
-    rep = bound_report(negative, q)
-    assert rep.upper_one_minus_delta is None
-    assert rep.lower_one_minus_delta is None
+def test_report_rows_carry_the_bounds_of_their_bias():
+    # a race row's bounds are the bound functions at the row's own bias
+    # factor, variance and Q; a row of negative bias has no tail bound
+    signs = set()
+    for row in run_race(n=3, w_axiom=+1, samples=10_000)["rows"]:
+        bias = row["bias_factor"]
+        assert (row["clt_estimate"], row["clt_error_budget"]) == clt_estimate(
+            bias, row["variance"])
+        assert row["upper_one_minus_delta"] == upper_bound(bias)
+        assert row["lower_one_minus_delta"] == lower_bound(bias, row["q"])
+        signs.add(bias > 0)
+    assert signs == {True, False}
+    (row,) = sandwich_experiment(count=1, samples=10_000)["rows"]
+    assert row["bias_factor"] > 1.0
+    assert row["upper"] == upper_bound(row["bias_factor"])
+    assert row["lower"] == lower_bound(row["bias_factor"], row["q"]) < row["upper"]
 
 
 def test_truncation_shift_bound():
@@ -542,7 +546,7 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0}, t_max=24.0)
     assert model.terms.size >= 100
     est = density_fourier(model)
-    t_max = density._t_max_and_tail(model.spectrum, model.mean, 2000)[0]
+    t_max = density._t_max_and_tail(model.spectrum, model.mean)[0]
     panels = 2 * est.samples_or_nodes // 24
     with mp.workdps(25):
         rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)  # 48 nodes
@@ -561,18 +565,19 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
 def test_fourier_t_max_may_fall_below_one_and_its_tail_is_honest():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0},
                              t_max=200.0)
-    t_max, tail, _ = density._t_max_and_tail(model.spectrum, model.mean, 2000)
+    t_max, tail, _ = density._t_max_and_tail(model.spectrum, model.mean)
     assert t_max < 1.0 and tail <= 1e-13
     est = density_fourier(model)
     longer = density_fourier_quadpack(model, t_max=4.0 * t_max)
     assert abs(est.value - longer.value) <= est.error_bound + longer.error_bound
 
 
-def test_fourier_panel_cap_reports_the_larger_bound():
+def test_fourier_panel_cap_reports_the_larger_bound(monkeypatch):
     model = _synthetic_model(40, {"chi1": 2.0, "psi_1": 4.0})
     full = density_fourier(model)
     assert full.samples_or_nodes > 24 and full.error_bound <= 1e-11
-    capped = density_fourier(model, nodes=1)
+    monkeypatch.setattr(density, "_PANEL_CAP", 1)
+    capped = density_fourier(model)
     assert capped.samples_or_nodes == 24
     assert capped.error_bound > full.error_bound
     assert abs(capped.value - full.value) <= capped.error_bound + full.error_bound
@@ -645,7 +650,7 @@ def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
     # grid point of the whole grid and of the stretch past t_max
     u, _, (top, _) = spectrum._grid
     _assert_same_classes(top, r, u)
-    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, 1.0, 2000)
+    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, 1.0)
     _assert_same_classes(top, r, t_max * density._GRID[:density._TAIL_AHEAD + 1])
     # the head is the sorted list's, and the bulk's power sums lie within
     # (7k + depth) ulps of the sums of its float terms
@@ -678,10 +683,10 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
     bases[2, 30:] = np.inf  # a shorter component
     moduli = [row[np.isfinite(row)] for row in bases]
     comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
-    grown = density.spectral_table(moduli)
+    grown = density.SpectralTable(moduli)
     grown.power(3, comps, np.array([1, 2, 3]))
     sums = grown.power(density._SERIES_MAX, comps, starts)
-    fresh = density.spectral_table(moduli).power(density._SERIES_MAX, comps, starts)
+    fresh = density.SpectralTable(moduli).power(density._SERIES_MAX, comps, starts)
     assert np.array_equal(sums, fresh)
     order = np.arange(1, density._SERIES_MAX + 1)
     for c, j in zip(comps, starts):
@@ -697,7 +702,7 @@ def test_table_square_sums_are_its_suffix_sums_from_the_start():
     # first column bit for bit, and the inverse sums run the same way
     rng = np.random.default_rng(6)
     moduli = [np.sort(rng.uniform(0.5, 80.0, size)) for size in (1, 7, 300, 0, 41)]
-    table = density.spectral_table(moduli)
+    table = density.SpectralTable(moduli)
     assert np.array_equal(table.sizes, [1, 7, 300, 0, 41])
     sums = table.square_sums
     assert not {"bases", "squares"} & vars(table).keys() and table._power is None
@@ -735,6 +740,6 @@ def test_windowed_tail_bound_is_a_bound_and_picks_the_full_grid_t_max(
     assert min((first - lo) // density._TAIL_WINDOW, 2) == window
     assert spectrum._first[1] <= density._TAIL_TARGET
     for mean in (1, 3, 40):
-        i, tail = oracles.sorted_t_max(r, float(mean), 2000)
-        chosen, bound, _ = density._t_max_and_tail(spectrum, float(mean), 2000)
+        i, tail = oracles.sorted_t_max(r, float(mean), density._PANEL_CAP)
+        chosen, bound, _ = density._t_max_and_tail(spectrum, float(mean))
         assert chosen == u[i] and bound >= tail * (1 - 1e-9)

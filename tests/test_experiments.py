@@ -587,8 +587,7 @@ def test_check_claim_open_question_rows():
 
 
 def test_horizontal_experiment_gates():
-    report = horizontal_experiment((1, 2), w_axiom=-1, seed=3, samples=10000,
-                                   min_zeros=128)
+    report = horizontal_experiment((1, 2), w_axiom=-1, seed=3, samples=10000)
     assert [r["f"] for r in report["rows"]] == [1, 2]
     for r in report["rows"]:
         assert r["flags"]["conductor_large"]["ok"]
@@ -759,7 +758,7 @@ def test_sandwich_experiment_light():
 
 
 def test_mod4_experiment_synthetic_and_file(tmp_path):
-    report = mod4_experiment(seed=1, t_max=200.0, nodes=2000)
+    report = mod4_experiment(seed=1, t_max=200.0)
     assert report["gating"] is False
     assert report["published_delta"] == MOD4_PUBLISHED_DELTA
     assert 0.9 < report["delta_fourier"] < 1.0
@@ -803,7 +802,6 @@ def test_config_validation_messages():
         (dict(seed=-1), "seed must be a non-negative integer"),
         (dict(seed=1.5), "seed must be a non-negative integer"),
         (dict(samples=9999), "samples"),
-        (dict(fourier_nodes=0), "fourier_nodes must be at least 1"),
         (dict(zero_files="a.txt"), "zero_files"),
         (dict(zero_files=("/no/such/file",)), "zero file"),
         (dict(min_zeros=0), "min_zeros"),
@@ -846,18 +844,18 @@ def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
     searched = []
     real = density._t_max_and_tail
 
-    def recorded(spectrum, m, cap):
-        out = real(spectrum, m, cap)
-        searched.append((spectrum, m, cap, out))
+    def recorded(spectrum, m):
+        out = real(spectrum, m)
+        searched.append((spectrum, m, out))
         return out
 
     monkeypatch.setattr(density, "_t_max_and_tail", recorded)
     for n in range(3, 9):
         tower_experiment(family, n, w, seed=0)
     assert len(searched) > 900
-    for spectrum, m, cap, (t_max, tail, _) in searched:
+    for spectrum, m, (t_max, tail, _) in searched:
         r = np.sort(density.RaceModel(1, spectrum).terms)
-        i, _ = sorted_t_max(r, m, cap)
+        i, _ = sorted_t_max(r, m, density._PANEL_CAP)
         u = density._GRID / math.sqrt(spectrum._sq)
         assert t_max == u[i]
         assert tail >= sorted_tail_bounds(r, u)[i] * (1 - 1e-9)

@@ -70,8 +70,8 @@ GOLDEN = [
 
 # the race flags above as a config file, with every default spelled out
 RACE_CONFIG = {"family": "quaternion", "n": 4, "w_axiom": -1, "level": None,
-               "pairs": [], "seed": 0, "samples": 10000, "fourier_nodes": 2000,
-               "zero_files": [], "min_zeros": 64}
+               "pairs": [], "seed": 0, "samples": 10000, "zero_files": [],
+               "min_zeros": 64}
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])

@@ -39,11 +39,11 @@ from chebrace.races import (
 )
 from chebrace.density import (
     RaceModel,
+    SpectralTable,
     Spectrum,
     density_fourier,
     density_montecarlo,
     race_model,
-    spectral_table,
 )
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
@@ -433,7 +433,7 @@ def test_race_model_checks_raise_value_errors():
     with pytest.raises(ValueError, match="no oscillation terms"):
         race_model(1, {"chi1": 0.0}, {})
     # a row of zero scales has no terms, and neither engine takes it
-    table = spectral_table([np.array([1.0, 3.0])])
+    table = SpectralTable([np.array([1.0, 3.0])])
     silent = RaceModel(0, Spectrum(table, np.zeros(1)))
     assert silent.terms.size == 0
     with pytest.raises(ValueError, match="empty term list"):

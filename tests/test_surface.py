@@ -1,13 +1,14 @@
-"""No dead public API: every public function or class defined at the top
-level of a ``chebrace`` module, and every public method or property of
-those classes, is referenced somewhere in the package outside its own
+"""No dead public API: every public function, class or constant defined at
+the top level of a ``chebrace`` module, and every public method or property
+of those classes, is referenced somewhere in the package outside its own
 definition.  Code only the tests call belongs in ``tests/oracles.py``;
 code nothing calls is deleted.
 
 A reference is a name token of the source, so words in docstrings and
 comments do not count, while a local variable or attribute of the same name
 does (any ``.order`` or local ``order`` keeps the property ``Group.order``
-alive).  Dunder methods are not part of the surface.  A dataclass field is
+alive).  Dunder methods and module dunders such as ``__version__`` are not
+part of the surface.  A dataclass field is
 alive when some attribute load of its name occurs in the package or in the
 benchmark harness (``perfbench/`` reads ``DensityEstimate.samples_or_nodes``).
 ALLOWED would list unreferenced names kept on purpose; it is empty and
@@ -46,30 +47,36 @@ ORACLE_ONLY = {
 
 
 def _surface() -> list[tuple[str, str, str, int]]:
-    """(module, qualified name, name, uses) of every public top-level def or
-    class and every public method or property of those classes; uses counts
-    the name tokens of that name in the package outside that definition."""
+    """(module, qualified name, name, uses) of every public top-level def,
+    class or assigned name and every public method or property of those
+    classes; uses counts the name tokens of that name in the package
+    outside that definition (for a constant, its assignment)."""
     defs = []
     tokens: dict[str, list[tuple[str, int]]] = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         for node in ast.parse(text).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(path.name, t.id, t.id, node) for t in targets
+                         if isinstance(t, ast.Name) and not t.id.startswith("_")]
+                continue
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            defs.append((path.name, node.name, node))
+            defs.append((path.name, node.name, node.name, node))
             if isinstance(node, ast.ClassDef):
-                defs += [(path.name, f"{node.name}.{sub.name}", sub)
+                defs += [(path.name, f"{node.name}.{sub.name}", sub.name, sub)
                          for sub in node.body
                          if isinstance(sub, ast.FunctionDef)
                          and not sub.name.startswith("_")]
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type == tokenize.NAME:
                 tokens[tok.string].append((path.name, tok.start[0]))
-    return [(module, qualname, node.name,
-             sum(1 for where, line in tokens[node.name]
+    return [(module, qualname, name,
+             sum(1 for where, line in tokens[name]
                  if where != module or not node.lineno <= line <= node.end_lineno))
-            for module, qualname, node in defs]
+            for module, qualname, name, node in defs]
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -83,7 +90,9 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_surface_covers_methods_and_properties():
     qualnames = {qualname for _, qualname, _, _ in _surface()}
     assert {"Group.element_order", "Group.order", "ArithmeticScenario.group",
-            "LevelData.mean", "Spectrum.variance"} <= qualnames
+            "LevelData.mean", "Spectrum.variance", "TABLE_CLAIMS",
+            "MOD4_PUBLISHED_DELTA", "RACE_CONFIG_KEYS"} <= qualnames
+    assert "__version__" not in qualnames
     assert not any(q.split(".")[-1].startswith("_") for q in qualnames)
 
 

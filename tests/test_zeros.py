@@ -167,6 +167,12 @@ def test_zero_set_validation():
         ZeroSet("chi1", 10.0, (1.0, 11.0), source="test")  # beyond horizon
     with pytest.raises(ValidationError):
         ZeroSet("chi1", 0.0, (), source="test")  # empty horizon
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="T_max must be finite"):
+            ZeroSet("chi1", t_max, (1.0,), source="test")
+    for log_a in (-3.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="log_conductor must be finite"):
+            ZeroSet("chi1", 10.0, (1.0,), source="test", log_conductor=log_a)
     assert len(ZeroSet("chi1", 10.0, (1.0, 2.0), source="test")) == 2
 
 
