@@ -15,11 +15,15 @@ script writes one JSON record per call:
   (``provision_zero_sets``), ``table`` (building the call's
   ``SpectralTable``, where the package has one; its sums are taken inside
   the first inversions that need them), ``inversions``
-  (``density_fourier``, which includes each row's tail search) and
-  ``report`` (``report_json``).  Older tower records carry a ``rows``
-  phase, which timed a per-row model assembly.  ``table``: ``means``
+  (``density_fourier_batch``, the call's one batch of inversions with
+  their tail searches; ``density_fourier``, once per inversion, in
+  checkouts from before the batch) and ``report`` (``report_json``).
+  Older tower records carry a ``rows`` phase, which timed a per-row model
+  assembly.  ``table``: ``means``
   (``mean_table``, one call per level and root number), ``rows`` (the rest
   of ``reproduce_table``: the report rows) and ``report``;
+* ``inversions`` (``tower`` only): how many races of nonzero mean the
+  call inverted, one per distinct (|mean|, weight row);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
 
 The package is imported from ``src/`` beside this script, so the same
@@ -41,16 +45,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# per verb, the timed package functions as (module, name, phase), in the
-# order the record lists the phases
+# per verb, the timed package functions as (module, names, phase), in the
+# order the record lists the phases; each phase times the first of its
+# names that the checkout has
 PHASES = {
-    "tower": (("experiments", "provision_zero_sets", "zeros"),
-              ("experiments", "SpectralTable", "table"),
-              ("experiments", "density_fourier", "inversions"),
-              ("cli", "report_json", "report")),
-    "table": (("experiments", "mean_table", "means"),
-              ("cli", "reproduce_table", "rows"),
-              ("cli", "report_json", "report")),
+    "tower": (("experiments", ("provision_zero_sets",), "zeros"),
+              ("experiments", ("SpectralTable",), "table"),
+              ("experiments", ("density_fourier_batch", "density_fourier"), "inversions"),
+              ("cli", ("report_json",), "report")),
+    "table": (("experiments", ("mean_table",), "means"),
+              ("cli", ("reproduce_table",), "rows"),
+              ("cli", ("report_json",), "report")),
 }
 
 
@@ -71,13 +76,23 @@ def _child(argv: list[str]) -> None:
 
     modules = {"cli": cli, "experiments": experiments}
     phases = {}
+    inverted = []
 
-    def timed(module, name: str, phase: str) -> None:
-        fn = getattr(module, name, None)
-        if fn is None:
+    def count(name: str, args) -> None:
+        """Races of nonzero mean handed to the inversions."""
+        if name == "density_fourier_batch":
+            inverted.extend(mean for _, mean in args[2] if mean)
+        elif name == "density_fourier" and args[0].mean:
+            inverted.append(args[0].mean)
+
+    def timed(module, names: tuple[str, ...], phase: str) -> None:
+        name = next((name for name in names if hasattr(module, name)), None)
+        if name is None:
             return
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
+            count(name, args)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -86,9 +101,9 @@ def _child(argv: list[str]) -> None:
 
         setattr(module, name, wrapper)
 
-    for module, name, phase in PHASES[argv[0]]:
+    for module, names, phase in PHASES[argv[0]]:
         phases[phase] = 0.0
-        timed(modules[module], name, phase)
+        timed(modules[module], names, phase)
     out = io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out):
@@ -98,8 +113,11 @@ def _child(argv: list[str]) -> None:
         raise SystemExit(f"{argv} exited {code}")
     if "means" in phases:  # reproduce_table's time includes mean_table's
         phases["rows"] -= phases["means"]
-    print(json.dumps({"phases_s": {k: round(v, 4) for k, v in phases.items()},
-                      "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
+    record = {"phases_s": {k: round(v, 4) for k, v in phases.items()}}
+    if argv[0] == "tower":
+        record["inversions"] = len(inverted)
+    record["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    print(json.dumps(record))
 
 
 def _measure(argv: list[str]) -> dict:

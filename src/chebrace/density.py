@@ -36,6 +36,20 @@ reach a threshold at t_max.  The tail search visits a few grid points past
 a floor that no point below can meet, each bound split within two
 doublings of its point.
 
+The Fourier engine inverts a batch: rows of scales over one table, each
+with its mean (``density_fourier_batch``; ``density_fourier`` is the batch
+of one).  Each step is a few array operations over a block of rows: the
+top terms of every row counted by one search of the table's ascending
+bases, the rows' terms sorted and their prefix sums taken along padded
+rows, one pass per panel count tried over the rows still open, and the
+grid integrals by (panel count, series order), the head terms padded with
+r = 0, whose J0 is exactly 1.  Every sum over a row's terms or components
+has the length and order it has for the row alone (rows of one length are
+summed together, as the rows of a matrix), so each estimate is bit for bit
+the one its model gets alone, whatever else is in the batch.  A block
+holds at most _ROWS_BLOCK components of nonzero scale and a working array
+at most _BLOCK values, which bounds memory and moves no estimate.
+
 The Monte Carlo kernel splits the pairs into chunks whose size depends only
 on the term count; chunk k draws from its own generator seeded by (salt,
 seed, k), so its noise does not depend on which worker thread runs it, and
@@ -347,7 +361,10 @@ _RHO_GAP = np.log(_RHO * _RHO - 1.0)
 # panel counts tried, growing by about 1.25 each, and the most taken
 _PANEL_COUNTS = tuple(sorted({round(1.25 ** k) for k in range(64)}))
 _PANEL_CAP = 2000
-_BLOCK = 1 << 20  # most head-term Bessel values held at a time
+# most values a working array of the Fourier engine holds, and most
+# components of nonzero scale a block of its rows holds
+_BLOCK = 1 << 14
+_ROWS_BLOCK = 1 << 16
 # targets on |integral| error (delta moves by 1/pi of it)
 _TAIL_TARGET = 1e-13
 _QUAD_TARGET = 1e-13
@@ -384,10 +401,13 @@ class SpectralTable:
     a character's zero moduli |rho| with s_c = 2 w_c.  The table holds the
     bases of each component and their count.  It builds when first asked:
     sum_i b_ci^-2 (``square_sums``) and sum_i 1/b_ci (``inverse_sums``);
-    the bases padded with inf to a common width L plus one (``bases``); and
-    the suffix power sums sum_{i >= j} b_ci^(-2k), ``squares`` for k = 1
-    and every j <= L, and ``power`` for k <= _SERIES_MAX.  So the terms of
-    a row past the first j_c of each component have the power sums
+    the bases padded with inf to a common width L plus one (``bases``),
+    and the same laid end to end as complex numbers c + i b_ci, so that
+    one ``searchsorted`` counts the bases of many components below many
+    limits (``_counts``); and the suffix power sums
+    sum_{i >= j} b_ci^(-2k), ``squares`` for k = 1 and every j <= L, and
+    ``power`` for k <= _SERIES_MAX and the j asked for.  So the terms of a row past the first
+    j_c of each component have the power sums
     sum_c s_c^(2k) sum_{i >= j_c} b_ci^(-2k), whatever the j_c.  Every sum
     runs along one component, from its largest base down, so no entry
     depends on the other components or on the padding, and
@@ -426,6 +446,20 @@ class SpectralTable:
         return bases
 
     @cached_property
+    def _keys(self) -> np.ndarray:
+        """The bases, component after component, as the complex numbers
+        c + 1j b_ci: ascending in the lexicographic order in which numpy
+        sorts and searches complex numbers."""
+        keys = np.empty(self.bases.shape, dtype=complex)
+        keys.real = np.arange(self.bases.shape[0])[:, None]
+        keys.imag = self.bases
+        return keys.ravel()
+
+    def _counts(self, components: np.ndarray, limits: np.ndarray) -> np.ndarray:
+        """How many bases of component components[e] are at most limits[e]."""
+        return _search_rows(self._keys, self.bases.shape[1], components, limits, "right")
+
+    @cached_property
     def _q(self) -> np.ndarray:
         return 1.0 / (self.bases * self.bases)  # b^-2, and 0 on the padding
 
@@ -433,14 +467,25 @@ class SpectralTable:
     def squares(self) -> np.ndarray:
         return np.cumsum(self._q[:, ::-1], axis=1)[:, ::-1]
 
+    def variances(self, rows: np.ndarray) -> np.ndarray:
+        """(1/2) sum r^2 of each row of scales, the variance of its race's
+        oscillation part: a sum over the row's components of nonzero scale,
+        in table order, whatever the other rows hold."""
+        rows = np.asarray(rows, dtype=float)
+        sq = np.empty(rows.shape[0])
+        for lo, hi in _ranges(np.count_nonzero(rows, axis=1), _ROWS_BLOCK):
+            sq[lo:hi] = _Rows.of(self, rows[lo:hi]).sq
+        return 0.5 * sq
+
     def _start(self, span: int) -> None:
         self._power = np.empty((_SERIES_MAX, self.bases.shape[0], span))
         self._qk = np.ones_like(self._q)
         self._orders = 0
 
-    def power(self, order: int, components: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """sum_{i >= j} b_ci^(-2k) for k = 1..order at j = starts[n] of each
-        component components[n], one row per component.
+    def power(self, order: int, starts: np.ndarray) -> np.ndarray:
+        """The kept suffix power sums, sum_{i >= j} b_ci^(-2k) at
+        [k - 1, c, j], grown to hold the orders 1..order and the starts j
+        given.
 
         The sums are kept for the orders and the first j that some model
         has asked for, an order after another and j over a span that
@@ -457,15 +502,14 @@ class SpectralTable:
             sums = np.cumsum(self._qk[:, ::-1], axis=1)[:, ::-1]
             self._power[self._orders] = sums[:, :self._power.shape[2]]
             self._orders += 1
-        return self._power[:order, components, starts].T
+        return self._power
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """One model of a SpectralTable's family: its row of scales, one per
-    component.  Its sums are taken on first use, over the components of
-    nonzero scale in table order, so they do not depend on what else the
-    table holds."""
+    component.  Its sums run over the components of nonzero scale in table
+    order, so they do not depend on what else the table holds."""
 
     table: SpectralTable
     row: np.ndarray
@@ -479,68 +523,9 @@ class Spectrum:
         return self.row[self._components]
 
     @cached_property
-    def _sq(self) -> float:
-        """P_1 = sum r^2 over every term."""
-        s = self._scales
-        return float((s * s * self.table.square_sums[self._components]).sum())
-
-    @property
     def variance(self) -> float:
         """(1/2) sum r^2, the variance of the oscillation part."""
-        return 0.5 * self._sq
-
-    @cached_property
-    def _count(self) -> int:
-        return int(self.table.sizes[self._components].sum())
-
-    @cached_property
-    def _depth(self) -> int:
-        """Most additions in a power sum: along a component, then across."""
-        sizes = self.table.sizes[self._components]
-        return int(sizes.max(initial=0)) + sizes.size
-
-    @cached_property
-    def _first(self):
-        """The first grid point u_i = _TAIL_STEP^i / sqrt(P_1) whose tail
-        bound meets _TAIL_TARGET, with its bound and the top terms reaching
-        it, or None.
-
-        G >= exp(-u^2 P_1 / 4) (each H(x) >= exp(-x^2/4)), and every split
-        in ``_tail_bounds`` pays G(u_i) log(_TAIL_STEP) or 2 G(u_i)/k_i, so
-        B_i >= exp(-2^(i/4) / 4) min(log(_TAIL_STEP), 2/n) for n terms.  No
-        point below the first where that falls to twice the target can meet
-        it; the search starts one point before, with two windows of
-        _TAIL_WINDOW points, then the whole grid.  Each B_i depends on G at
-        u_i..u_(i+_TAIL_AHEAD) alone, so the window it is taken in moves
-        it at most in its last bits (through the sum over the terms the
-        window leaves out)."""
-        floor = min(math.log(_TAIL_STEP), 2.0 / self._count)
-        reach = 4.0 * (math.log(floor) - math.log(2.0 * _TAIL_TARGET))
-        lo = max(0, math.ceil(4.0 * math.log2(reach)) - 1) if reach > 1.0 else 0
-        for start in range(lo, min(lo + 2 * _TAIL_WINDOW, _TAIL_STEPS), _TAIL_WINDOW):
-            found = _first_met(*self._stretch(start, start + _TAIL_WINDOW))
-            if found is not None:
-                return found
-        return _first_met(*self._grid)
-
-    @cached_property
-    def _grid(self):
-        return self._stretch(0, _TAIL_STEPS)
-
-    def _stretch(self, lo: int, hi: int):
-        """Grid points lo..hi-1, their ``_tail_bounds`` over the top terms
-        reaching the last point those bounds look at and the squares of
-        the rest, and those top terms."""
-        hi = min(hi, _TAIL_STEPS)
-        u = _GRID[lo:min(hi + _TAIL_AHEAD, _TAIL_STEPS)] / math.sqrt(self._sq)
-        top, starts = _top(self, float(u[-1]))
-        comps, s = self._components, self._scales
-        rest = (s * s * self.table.squares[comps, starts[1:] - starts[:-1]]).sum()
-        r = top.copy()
-        r.sort()
-        sq = np.concatenate(([rest], r * r)).cumsum()
-        logs = np.concatenate(([0.0], np.log(r).cumsum()))
-        return u[:hi - lo], _tail_bounds(r, sq, logs, u, hi - lo), (top, starts)
+        return float(self.table.variances(self.row[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,39 +576,226 @@ def race_model(mean: int, weight_map: Mapping[str, float],
     return RaceModel(mean, Spectrum(table, row))
 
 
-def _top(spectrum: Spectrum, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """The terms with r >= 1 / reach of a row, and perhaps a few just
-    below: per component the leading ones, s_c / b_ci in the model's own
-    floats.  Returns them component by component, with the offsets of
-    each component's run.  A term left out has b > s reach (1 + 2^-30), so
-    r < 1 / reach, the least threshold the tail bound (_H_KNEE / u) or the
-    head split (1 / t_max) compares with at points up to ``reach``."""
-    table = spectrum.table
-    comps, s = spectrum._components, spectrum._scales
-    limit = s * (reach * (1.0 + 2.0 ** -30))
-    counts = (table.bases[comps] <= limit[:, None]).sum(axis=1)
-    owner = np.arange(comps.size).repeat(counts)
-    starts = np.zeros(comps.size + 1, dtype=np.intp)
-    counts.cumsum(out=starts[1:])
-    index = np.arange(owner.size) - starts[owner]
-    return s[owner] / table.bases[comps[owner], index], starts
+# -- the batched Fourier engine: every step one pass over a block of rows ------
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """The offsets of runs of these lengths laid end to end, and the end."""
+    starts = np.zeros(lengths.size + 1, dtype=np.intp)
+    lengths.cumsum(out=starts[1:])
+    return starts
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i] .. starts[i] + lengths[i] - 1, run after run."""
+    return np.arange(int(lengths.sum())) + np.repeat(starts - _starts(lengths)[:-1], lengths)
+
+
+def _padded(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+            fill: float) -> np.ndarray:
+    """The runs values[starts[i]:starts[i] + lengths[i]] as the rows of a
+    matrix, each at the start of its row, filled out with ``fill``."""
+    row = np.arange(lengths.size).repeat(lengths)
+    col = np.arange(row.size) - _starts(lengths)[row]
+    out = np.full((lengths.size, int(lengths.max(initial=0))) + values.shape[1:], fill)
+    out[row, col] = values[_spans(starts, lengths)]
+    return out
+
+
+def _groups(keys: np.ndarray):
+    """(key, indices) for each distinct value of the integer array keys,
+    ascending."""
+    if not keys.size:
+        return []
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return zip(ordered[np.concatenate(([0], cuts))].tolist(), np.split(order, cuts))
+
+
+def _row_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """numpy's sum of values[starts[i]:starts[i] + lengths[i]] for every i,
+    bit for bit.  The runs of one length are summed together, one along
+    each row of a matrix, which numpy sums as it sums the run alone; so
+    every sum has its own run's length and order, whatever else is
+    summed."""
+    out = np.zeros(lengths.size)
+    for length, runs in _groups(lengths):
+        if length:
+            out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
+    return out
+
+
+def _search_rows(keys: np.ndarray, width: int, rows, x: np.ndarray,
+                 side: str) -> np.ndarray:
+    """searchsorted(row rows[e], x[e], side) over ascending rows of this
+    width laid out as the table's ``_keys``, for every e, in one search."""
+    query = np.empty(x.shape, dtype=complex)
+    query.real = rows
+    query.imag = x
+    return keys.searchsorted(query, side) - width * rows
+
+
+def _parts(rows: np.ndarray, width: int) -> list[np.ndarray]:
+    """rows split in parts of at most _BLOCK / width rows (at least one)."""
+    if not rows.size:
+        return []
+    return np.array_split(rows, min(rows.size, -(-rows.size * width // _BLOCK)))
+
+
+def _ranges(widths: np.ndarray, budget: int):
+    """Consecutive runs lo..hi - 1 of the rows, each of widths summing to
+    at most ``budget`` (or of one row)."""
+    ends = np.cumsum(widths)
+    lo = 0
+    while lo < widths.size:
+        hi = int(np.searchsorted(ends, ends[lo] - widths[lo] + budget, side="right"))
+        yield lo, max(hi, lo + 1)
+        lo = max(hi, lo + 1)
+
+
+class _Rows:
+    """Rows of scales over one SpectralTable, as the engine reads them:
+    each row's components of nonzero scale in table order, row after row.
+    Entry e is component comp[e] of row owner[e], with scale scale[e], and
+    row i holds entries first[i] .. first[i + 1] - 1.  A sum over a row's
+    entries runs along that row alone (``_row_sums``), so no row's figures
+    depend on which other rows are read with it."""
+
+    def __init__(self, table: SpectralTable, owner: np.ndarray, comp: np.ndarray,
+                 scale: np.ndarray, size: int) -> None:
+        self.table, self.owner, self.comp, self.scale = table, owner, comp, scale
+        self.size = size
+        self.ncomp = np.bincount(owner, minlength=size)
+        self.first = _starts(self.ncomp)
+
+    @classmethod
+    def of(cls, table: SpectralTable, rows: np.ndarray) -> _Rows:
+        owner, comp = np.nonzero(rows)
+        return cls(table, owner, comp, rows[owner, comp], rows.shape[0])
+
+    def take(self, rows: np.ndarray) -> _Rows:
+        """These rows alone, with the sums already taken."""
+        entries = _spans(self.first[rows], self.ncomp[rows])
+        out = _Rows(self.table, np.arange(rows.size).repeat(self.ncomp[rows]),
+                    self.comp[entries], self.scale[entries], rows.size)
+        for name in ("sq", "total", "count"):
+            if name in vars(self):
+                vars(out)[name] = vars(self)[name][rows]
+        return out
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        return _row_sums(values, self.first, self.ncomp)
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        """P_1 = sum r^2 over every term of each row."""
+        s = self.scale
+        return self.sums(s * s * self.table.square_sums[self.comp])
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """sum r over every term of each row."""
+        return self.sums(self.scale * self.table.inverse_sums[self.comp])
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        """Terms per row."""
+        sizes = _starts(self.table.sizes[self.comp])
+        return sizes[self.first[1:]] - sizes[self.first[:-1]]
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Most additions in a power sum of each row (of at least one
+        entry): along a component, then across."""
+        return np.maximum.reduceat(self.table.sizes[self.comp], self.first[:-1]) + self.ncomp
+
+
+def _top(rows: _Rows, reach: np.ndarray) -> np.ndarray:
+    """How many terms of each entry have r >= 1 / reach, and perhaps a few
+    just below: a term left out has b > s reach (1 + 2^-30), so r < 1 / reach,
+    the least threshold the tail bound (_H_KNEE / u) or the head split
+    (1 / t_max) compares with at points up to ``reach``.  The counts are
+    one search of the table's ascending bases."""
+    limit = rows.scale * (reach * (1.0 + 2.0 ** -30))[rows.owner]
+    return rows.table._counts(rows.comp, limit)
+
+
+def _terms(rows: _Rows, counts: np.ndarray, at: slice) -> np.ndarray:
+    """The leading counts[e] terms s / b of each entry e in ``at``, in the
+    rows' own floats, entry after entry."""
+    counts = counts[at]
+    entry = np.arange(at.start, at.stop).repeat(counts)
+    index = _spans(np.zeros_like(counts), counts)
+    return rows.scale[entry] / rows.table.bases[rows.comp[entry], index]
 
 
 def _run_counts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """How many terms of each component run (offsets ``starts``) are
-    marked in ``mask``."""
+    """How many terms of each run (offsets ``starts``) are marked in
+    ``mask``."""
     total = np.zeros(mask.size + 1, dtype=np.intp)
     mask.cumsum(out=total[1:])
     return total[starts[1:]] - total[starts[:-1]]
 
 
-def _tail_bounds(r: np.ndarray, sq: np.ndarray, logs: np.ndarray,
+def _ascending(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, grouped by the ascending owner, each group sorted
+    ascending: one sort of the complex numbers owner + 1j value.  (A sort
+    by value and then by owner takes about half the time, but pages in
+    numpy's vectorised sort kernels, which nothing else a verb runs
+    uses.)"""
+    keys = np.empty(values.size, dtype=complex)
+    keys.real = owner
+    keys.imag = values
+    return np.sort(keys).imag.copy()
+
+
+def _window_starts(count: np.ndarray) -> np.ndarray:
+    """The grid point where the tail search of a row of so many terms
+    starts.
+
+    G >= exp(-u^2 P_1 / 4) (each H(x) >= exp(-x^2/4)), and every split in
+    ``_tail_bounds`` pays G(u_i) log(_TAIL_STEP) or 2 G(u_i)/k_i, so
+    B_i >= exp(-2^(i/4) / 4) min(log(_TAIL_STEP), 2/n) for n terms.  No
+    point below the first where that falls to twice the target can meet
+    it; the search starts one point before.  That is point 26 at most, so
+    the two windows and the points their bounds look at lie on the grid."""
+    starts = {}
+    for n in set(count.tolist()):
+        floor = min(math.log(_TAIL_STEP), 2.0 / n)
+        reach = 4.0 * (math.log(floor) - math.log(2.0 * _TAIL_TARGET))
+        starts[n] = max(0, math.ceil(4.0 * math.log2(reach)) - 1) if reach > 1.0 else 0
+    return np.array([starts[n] for n in count.tolist()], dtype=np.intp)
+
+
+def _stretch(rows: _Rows, lo: np.ndarray, count: int,
+             span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's grid points lo .. lo + count - 1 and their
+    ``_tail_bounds``, over the top terms reaching the last of the ``span``
+    points from lo, which those bounds look at, and the squares of the
+    rest.  The rows go a run at a time, each run's top terms within
+    _BLOCK."""
+    u = _GRID[lo[:, None] + np.arange(span)] / np.sqrt(rows.sq)[:, None]
+    counts = _top(rows, u[:, -1])
+    s, first = rows.scale, rows.first
+    rest = rows.sums(s * s * rows.table.squares[rows.comp, counts])
+    n = _starts(counts)[first]
+    n = n[1:] - n[:-1]
+    bounds = np.empty((rows.size, count))
+    for a, b in _ranges(n + count * (_TAIL_AHEAD + 1), _BLOCK):
+        at = slice(first[a], first[b])
+        r = _ascending(rows.owner[at].repeat(counts[at]), _terms(rows, counts, at))
+        bounds[a:b] = _tail_bounds(r, n[a:b], rest[a:b], u[a:b], count)
+    return u[:, :count], bounds
+
+
+def _tail_bounds(r: np.ndarray, n: np.ndarray, rest: np.ndarray,
                  u: np.ndarray, count: int) -> np.ndarray:
     """Bounds B_i >= Integral_{u_i}^inf |prod_j J0(r_j t)| / t dt at the
-    first ``count`` points of the geometric stretch u (ratio _TAIL_STEP),
-    for ascending amplitudes r with prefix sums sq of r^2 and logs of
-    log r.  Smaller terms may be left out of r if none reaches _H_KNEE / u
-    at any u; sq[0] is then their sum of squares.
+    first ``count`` points of each row's geometric stretch u (ratio
+    _TAIL_STEP), for each row's n ascending amplitudes, laid row after row
+    in r.  Smaller terms may be left out of a row if none reaches
+    _H_KNEE / u at any of its u; rest is then their sum of squares.
 
     G(t) = prod_j H(r_j t) bounds the product and does not increase, so
     one grid step contributes at most G(u_i) log(_TAIL_STEP).  Past u_N,
@@ -631,35 +803,55 @@ def _tail_bounds(r: np.ndarray, sq: np.ndarray, logs: np.ndarray,
     rest do not grow, so the remainder is at most G(u_N) 2/k, taken only
     when k >= 3 (infinite otherwise).  B_i is the best split
     min_{i <= N <= i + _TAIL_AHEAD} of the steps from i to N plus the
-    remainder at N; a minimum over fewer N is still a bound.
+    remainder at N; a minimum over fewer N is still a bound.  Each row's
+    prefix sums of r^2 and log r run along its own padded row.
     """
-    n = r.size
-    gauss = r.searchsorted(_H_KNEE / u, side="right")
-    flat = r.searchsorted(J0_ZERO / u, side="left")
-    k = n - flat
-    log_g = (-0.25 * u * u * sq[gauss] + (flat - gauss) * math.log(_H_FLAT)
-             + 0.5 * k * np.log(2.0 / (math.pi * u)) - 0.5 * (logs[n] - logs[flat]))
+    size, span = u.shape
+    width = int(n.max(initial=0))
+    row = np.arange(size).repeat(n)
+    col = np.arange(r.size) - _starts(n)[row]
+    keys = np.empty((size, width), dtype=complex)  # laid out as the table's _keys
+    keys.real = np.arange(size)[:, None]
+    keys.imag = math.inf
+    keys.imag[row, col] = r
+    keys = keys.ravel()
+    sq = np.zeros((size, width + 1))
+    sq[:, 0] = rest
+    sq[row, col + 1] = r * r
+    np.cumsum(sq, axis=1, out=sq)
+    logs = np.zeros((size, width + 1))
+    logs[row, col + 1] = np.log(r)
+    np.cumsum(logs, axis=1, out=logs)
+    lines = np.arange(size)[:, None]
+    gauss = _search_rows(keys, width, lines, _H_KNEE / u, "right")
+    flat = _search_rows(keys, width, lines, J0_ZERO / u, "left")
+    k = n[:, None] - flat
+    log_g = (-0.25 * u * u * np.take_along_axis(sq, gauss, axis=1)
+             + (flat - gauss) * math.log(_H_FLAT)
+             + 0.5 * k * np.log(2.0 / (math.pi * u))
+             - 0.5 * (logs[lines, n[:, None]] - np.take_along_axis(logs, flat, axis=1)))
     g = np.exp(log_g)
-    rest = np.full(u.size + _TAIL_AHEAD, math.inf)
+    remainder = np.full((size, span + _TAIL_AHEAD), math.inf)
     decays = k >= 3
-    rest[:u.size][decays] = 2.0 * g[decays] / k[decays]
-    steps = np.zeros(u.size + _TAIL_AHEAD)
-    steps[:u.size] = g * math.log(_TAIL_STEP)
+    remainder[:, :span][decays] = 2.0 * g[decays] / k[decays]
+    steps = np.zeros((size, span + _TAIL_AHEAD))
+    steps[:, :span] = g * math.log(_TAIL_STEP)
     ahead = np.arange(count)[:, None] + np.arange(_TAIL_AHEAD + 1)
-    from_j = steps[ahead][:, ::-1].cumsum(axis=1)[:, ::-1]  # steps from j on
-    return from_j[:, 0] + (rest[ahead] - from_j).min(axis=1)
+    from_j = steps[:, ahead][:, :, ::-1].cumsum(axis=2)[:, :, ::-1]  # steps from j on
+    return from_j[:, :, 0] + (remainder[:, ahead] - from_j).min(axis=2)
 
 
-def _first_met(u: np.ndarray, bounds: np.ndarray, top: tuple):
-    ok = (bounds <= _TAIL_TARGET).nonzero()[0]
-    return (float(u[ok[0]]), float(bounds[ok[0]]), top) if ok.size else None
+def _first_met(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether some point of each row meets _TAIL_TARGET, and the first."""
+    ok = bounds <= _TAIL_TARGET
+    return ok.any(axis=1), ok.argmax(axis=1)
 
 
-def _series_order(m: float, t_max: float, largest: float,
-                  bulk_sq: float) -> tuple[int, float]:
-    """The fewest log-J0 orders K for the bulk, whose largest term is
-    ``largest`` (0 for no bulk) and whose squares sum to bulk_sq = P_1, and
-    the bound on what the rest of the series moves the integral.
+def _series_order(m: np.ndarray, t_max: np.ndarray, largest: np.ndarray,
+                  bulk_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fewest log-J0 orders K for each row's bulk, whose largest term
+    is ``largest`` (0 for no bulk) and whose squares sum to bulk_sq = P_1,
+    and the bound on what the rest of the series moves the integral.
 
     log J0(x) = -sum_k x^(2k) sigma_k / k with sigma_k = sum_s j_{0,s}^(-2k)
     <= J0_ZERO^(2-2k) / 4, so for x = r t < J0_ZERO the orders past K sum
@@ -670,19 +862,27 @@ def _series_order(m: float, t_max: float, largest: float,
     e^eps - 1 <= eps e^eps, hence the integral and every quadrature sum
     (|sin(m t)/t| <= m, weights summing to t_max) by m t_max eps e^eps.
     """
-    if largest == 0.0:
-        return 1, 0.0
-    q = (largest * t_max / J0_ZERO) ** 2
-    eps = t_max * t_max * bulk_sq * q ** _ORDERS / (4.0 * (_ORDERS + 1) * (1.0 - q))
-    err = m * t_max * eps * np.exp(eps)
-    ok = (err <= _SERIES_TARGET).nonzero()[0]
-    i = int(ok[0]) if ok.size else _SERIES_MAX - 1
-    return i + 1, float(err[i])
+    order = np.ones(m.size, dtype=np.intp)
+    err = np.zeros(m.size)
+    some = np.flatnonzero(largest != 0.0)
+    if some.size:
+        t = t_max[some, None]
+        # squared by Python's float power (the C library's pow), to which the
+        # pinned budgets hold, not by numpy's x * x
+        q = np.array([x ** 2 for x in (largest[some] * t_max[some] / J0_ZERO).tolist()])[:, None]
+        eps = t * t * bulk_sq[some, None] * q ** _ORDERS / (4.0 * (_ORDERS + 1) * (1.0 - q))
+        bound = m[some, None] * t * eps * np.exp(eps)
+        ok = bound <= _SERIES_TARGET
+        i = np.where(ok.any(axis=1), ok.argmax(axis=1), _SERIES_MAX - 1)
+        order[some] = i + 1
+        err[some] = bound[np.arange(some.size), i]
+    return order, err
 
 
-def _quad_log_bounds(m: float, t_max, count: int, log_i0) -> np.ndarray:
+def _quad_log_bounds(m, log_m, t_max, count: int, log_i0) -> np.ndarray:
     """log of the Gauss-Legendre error bound for ``count`` equal panels on
-    [0, t_max], minimised over _RHO, given log_i0(b) >= sum_j log I0(r_j b).
+    [0, t_max], minimised over _RHO, given log_i0(b) >= sum_j log I0(r_j b);
+    m and its log broadcast against t_max[..., None].
 
     On a panel of half-width h, Trefethen's Thm 19.3 (ATAP) bounds the
     error by h (64/15) M rho^(-2n) / (rho^2 - 1), where M bounds the
@@ -693,89 +893,167 @@ def _quad_log_bounds(m: float, t_max, count: int, log_i0) -> np.ndarray:
     """
     t_max = np.asarray(t_max, dtype=float)[..., None]
     b = t_max / (2.0 * count) * _RHO_HEIGHT
-    log_err = (np.log(32.0 / 15.0 * t_max) - _RHO_POWER - _RHO_GAP + math.log(m)
+    log_err = (np.log(32.0 / 15.0 * t_max) - _RHO_POWER - _RHO_GAP + log_m
                + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0(b))
     return log_err.min(axis=-1)
 
 
-def _panel_count(m: float, t_max: float, head: np.ndarray,
-                 bulk_sq: float) -> tuple[int, float]:
-    """The fewest equal Gauss-Legendre panels on [0, t_max], at most
-    _PANEL_CAP, whose error bound meets _QUAD_TARGET (or the cap and its
-    bound), with i0e
-    for the head and log I0(x) <= x^2/4 for the bulk."""
+def _panel_count(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
+                 head: np.ndarray, sizes: np.ndarray,
+                 bulk_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fewest equal Gauss-Legendre panels on [0, t_max] of each row,
+    at most _PANEL_CAP, whose error bound meets _QUAD_TARGET (or the cap),
+    and the log of that bound, with i0e for the head (``sizes`` terms per
+    row, laid in ``head``) and log I0(x) <= x^2/4 for the bulk.  Each panel
+    count tried is one pass over the rows still open, the rows of one head
+    size together."""
     from scipy.special import i0e
 
-    def log_i0(b):
-        x = np.multiply.outer(b, head)
-        return 0.25 * b * b * bulk_sq + (np.log(i0e(x)) + x).sum(axis=-1)
-
+    starts = _starts(sizes)
+    groups = [(part, head[starts[part, None] + np.arange(h)]) for h, rows in _groups(sizes)
+              for part in _parts(rows, _RHO.size * max(h, 1))]
+    panels = np.zeros(m.size, dtype=np.intp)
+    log_err = np.zeros(m.size)
+    open_rows = np.ones(m.size, dtype=bool)
     for count in _PANEL_COUNTS:
         count = min(count, _PANEL_CAP)
-        log_err = float(_quad_log_bounds(m, t_max, count, log_i0))
-        if log_err <= math.log(_QUAD_TARGET) or count == _PANEL_CAP:
+        for rows, heads in groups:
+            live = open_rows[rows]
+            if not live.any():
+                continue
+            rows, heads = rows[live], heads[live]
+            bulk = bulk_sq[rows, None]
+
+            def log_i0(b):
+                x = b[:, :, None] * heads[:, None, :]
+                return 0.25 * b * b * bulk + (np.log(i0e(x)) + x).sum(axis=-1)
+
+            bound = _quad_log_bounds(m[rows, None], log_m[rows, None], t_max[rows],
+                                     count, log_i0)
+            done = (bound <= math.log(_QUAD_TARGET)) | (count == _PANEL_CAP)
+            panels[rows[done]] = count
+            log_err[rows[done]] = bound[done]
+            open_rows[rows[done]] = False
+        if not open_rows.any():
             break
-    # past e^2 > pi the budget is at its cap of 1 anyway
-    return count, math.exp(min(log_err, 2.0))
+    return panels, log_err
 
 
-def _t_max_and_tail(spectrum: Spectrum, m: float) -> tuple[float, float, tuple]:
-    """t_max, the bound on the integral beyond it, and the top terms
-    reaching it.
+def _t_max_and_tail(rows: _Rows, m: np.ndarray,
+                    log_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's t_max and the bound on the integral beyond it.
 
-    t_max is the first grid point whose tail bound meets _TAIL_TARGET,
-    provided _PANEL_CAP panels can meet _QUAD_TARGET there, judged with
-    sum log I0(r_j b) <= min(b^2 sum r^2 / 4, b sum r).  Models with few
-    terms may fail that; they take the grid point that minimises tail plus
-    quadrature bound instead.
+    t_max is the first grid point u_i = _TAIL_STEP^i / sqrt(P_1) whose
+    tail bound meets _TAIL_TARGET, provided _PANEL_CAP panels can meet
+    _QUAD_TARGET there, judged with
+    sum log I0(r_j b) <= min(b^2 sum r^2 / 4, b sum r).  The search takes
+    two windows of _TAIL_WINDOW points from ``_window_starts``, then the
+    whole grid for the rows still open.  Each B_i depends on G at
+    u_i..u_(i+_TAIL_AHEAD) alone, so the window it is taken in moves it
+    at most in its last bits (through the sum over the terms the window
+    leaves out).  Models with few terms may fail the panel test; they take
+    the grid point that minimises tail plus quadrature bound instead.
     """
-    sq = spectrum._sq
-    inverse = spectrum.table.inverse_sums[spectrum._components]
-    total = float((spectrum._scales * inverse).sum())
+    size = rows.size
+    t_max, tail = np.zeros(size), np.zeros(size)
+    found = np.zeros(size, dtype=bool)
+    lo = _window_starts(rows.count)
+    pending = np.arange(size)
+    for window in range(2):
+        if not pending.size:
+            break
+        part = rows if pending.size == size else rows.take(pending)
+        u, bounds = _stretch(part, lo[pending] + window * _TAIL_WINDOW, _TAIL_WINDOW,
+                             _TAIL_WINDOW + _TAIL_AHEAD)
+        met, at = _first_met(bounds)
+        hit = pending[met]
+        t_max[hit], tail[hit] = u[met, at[met]], bounds[met, at[met]]
+        found[hit] = True
+        pending = pending[~met]
 
-    def quad(t):
-        return _quad_log_bounds(
-            m, t, _PANEL_CAP, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+    def quad(sel, t):
+        shape = (-1,) + (1,) * t.ndim
+        sq, total = rows.sq[sel].reshape(shape), rows.total[sel].reshape(shape)
+        return _quad_log_bounds(m[sel].reshape(shape), log_m[sel].reshape(shape), t,
+                                _PANEL_CAP, lambda b: np.minimum(0.25 * b * b * sq, b * total))
 
-    first = spectrum._first
-    if first is not None and quad(first[0]) <= math.log(_QUAD_TARGET):
-        return first
-    u, bounds, top = spectrum._grid
-    if not np.isfinite(bounds).any():  # fewer than 3 terms: stop at 1024 / |r|
-        return float(u[80]), 1.0, top
-    with np.errstate(divide="ignore"):  # a tail bound may underflow to 0
-        i = int(np.argmin(np.logaddexp(np.log(bounds), quad(u))))
-    return float(u[i]), float(bounds[i]), top
-
-
-def _head_and_bulk(spectrum: Spectrum, t_max: float,
-                   top: tuple) -> tuple[np.ndarray, float, np.ndarray]:
-    """The head terms (r t_max >= 1, ascending) from the top terms reaching
-    t_max, the largest bulk term (0 for none), and each component's head
-    count, where its bulk starts."""
-    terms, starts = top
-    is_head = terms >= 1.0 / t_max
-    split = _run_counts(is_head, starts)
-    bases = spectrum.table.bases[spectrum._components, split]
-    return np.sort(terms[is_head]), float((spectrum._scales / bases).max()), split
-
-
-def _bulk_power_sums(spectrum: Spectrum, split: np.ndarray, order: int) -> np.ndarray:
-    """The bulk's power sums P_1..P_order: sum_c s_c^(2k) sum_{i >= j_c}
-    b_ci^(-2k) over the components, from each one's head count j_c on."""
-    s = spectrum._scales
-    scale_powers = np.repeat((s * s)[:, None], order, axis=1).cumprod(axis=1)
-    sums = spectrum.table.power(order, spectrum._components, split)
-    return (scale_powers * sums).sum(axis=0)
+    target = math.log(_QUAD_TARGET)
+    ok = found.copy()
+    ok[found] = quad(np.flatnonzero(found), t_max[found]) <= target
+    redo = np.flatnonzero(~ok)
+    if not redo.size:
+        return t_max, tail
+    u, bounds = _stretch(rows.take(redo), np.zeros(redo.size, dtype=np.intp),
+                         _TAIL_STEPS, _TAIL_STEPS)
+    met, at = _first_met(bounds)
+    first = ~found[redo] & met  # the windows left them open; the grid meets the target
+    done = np.zeros(redo.size, dtype=bool)
+    done[first] = quad(redo[first], u[first, at[first]]) <= target
+    t_max[redo[done]], tail[redo[done]] = u[done, at[done]], bounds[done, at[done]]
+    left = np.flatnonzero(~done)
+    finite = np.isfinite(bounds[left]).any(axis=1)
+    slow, left = left[~finite], left[finite]  # fewer than 3 terms: stop at 1024 / |r|
+    t_max[redo[slow]], tail[redo[slow]] = u[slow, 80], 1.0
+    for part in _parts(left, _TAIL_STEPS * _RHO.size):
+        with np.errstate(divide="ignore"):  # a tail bound may underflow to 0
+            i = np.argmin(np.logaddexp(np.log(bounds[part]), quad(redo[part], u[part])), axis=1)
+        t_max[redo[part]], tail[redo[part]] = u[part, i], bounds[part, i]
+    return t_max, tail
 
 
-def _grid_integral(m: float, t_max: float, panels: int, power_sums: np.ndarray,
-                   depth: int, head: np.ndarray) -> tuple[float, float]:
+def _head_and_bulk(rows: _Rows, t_max: np.ndarray):
+    """Each row's head terms (r t_max >= 1), ascending, laid row after row,
+    and their count per row; each row's largest bulk term (0 for none);
+    and each entry's head count, where its bulk starts."""
+    counts = _top(rows, t_max)
+    terms = _terms(rows, counts, slice(0, counts.size))
+    owner = rows.owner.repeat(counts)
+    is_head = terms >= (1.0 / t_max)[owner]
+    split = _run_counts(is_head, _starts(counts))
+    bulk = rows.scale / rows.table.bases[rows.comp, split]
+    largest = np.maximum.reduceat(bulk, rows.first[:-1])
+    owner = owner[is_head]
+    head = _ascending(owner, terms[is_head])
+    return head, np.bincount(owner, minlength=rows.size), largest, split
+
+
+def _bulk_power_sums(rows: _Rows, split: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each row's bulk power sums P_1..P_K, K = order.max(), of which the
+    row reads its first ``order``: sum_c s_c^(2k) sum_{i >= j_c} b_ci^(-2k)
+    over its entries, from each one's head count j_c on, with s_c^(2k) the
+    running product of s_c^2.  A row of order 1 adds its entries as
+    numpy's pairwise sum; the others one after another, every row's j-th
+    entry in one step."""
+    most = int(order.max())
+    one = order == 1
+    s2 = rows.scale * rows.scale
+    power = rows.table.power(most, split)
+    sums = np.zeros((rows.size, most))
+    if one.any():
+        sums[one, 0] = rows.sums(s2 * power[0, rows.comp, split])[one]
+    # rows by descending component count, so the rows with a j-th entry lead
+    by_count = np.argsort(-rows.ncomp, kind="stable")
+    first, ncomp = rows.first[by_count], rows.ncomp[by_count]
+    acc = np.zeros((rows.size, most))
+    for j in range(int(ncomp[0])):
+        e = first[:np.count_nonzero(ncomp > j)] + j
+        scale = np.repeat(s2[e][:, None], most, axis=1).cumprod(axis=1)
+        acc[:e.size] += scale * power[:most, rows.comp[e], split[e]].T
+    many = np.flatnonzero(~one[by_count])
+    sums[by_count[many]] = acc[many]
+    return sums
+
+
+def _grid_integral(m: np.ndarray, t_max: np.ndarray, panels: int,
+                   power_sums: np.ndarray, depth: np.ndarray, head: np.ndarray,
+                   size: np.ndarray, head_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integral_0^t_max sin(m t) Phi(t) / t dt by Gauss-Legendre on equal
-    panels, Phi being exp(bulk series over the power sums P_1..P_order)
-    times the head's J0 product, and a first-order bound on its
-    floating-point rounding.  The head's Bessel values are taken a block
-    of nodes at a time and never for every term at every node.
+    panels for rows of one panel count and one series order, Phi being
+    exp(bulk series over the power sums P_1..P_order) times the head's J0
+    product, and a first-order bound on its floating-point rounding.  Each
+    row's ``size`` head terms lead its row of ``head``, padded with zeros,
+    whose J0 is exactly 1.  The Bessel values are taken at most _BLOCK at a
+    time.
 
     Rounding, per node, in units of _U (standard model, Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 3).  The table's P_k is off
@@ -791,33 +1069,72 @@ def _grid_integral(m: float, t_max: float, panels: int, power_sums: np.ndarray,
     B = e^S; the weights and the N-term sum by _GL_WEIGHT_ULPS + N + 8
     relative.
     """
-    order = power_sums.size
-    half = t_max / (2.0 * panels)
-    t = (np.arange(1, 2 * panels, 2)[:, None] * half + half * _GL_X).ravel()
-    y = np.repeat(((0.5 * t) ** 2)[:, None], order, axis=1).cumprod(axis=1)
+    rows, order = power_sums.shape
+    half = (t_max / (2.0 * panels))[:, None, None]
+    t = (np.arange(1, 2 * panels, 2)[:, None] * half + half * _GL_X).reshape(rows, -1)
+    nodes = t.shape[1]
+    y = np.repeat(((0.5 * t) ** 2)[:, :, None], order, axis=2).cumprod(axis=2)
     coef = LOG_J0[:order] * power_sums
-    series = y @ coef
-    slope = y @ (2.0 * _ORDERS[:order] * coef) / t  # S'(t)
+    series = np.matmul(y, coef[:, :, None])[:, :, 0]
+    slope = np.matmul(y, (2.0 * _ORDERS[:order] * coef)[:, :, None])[:, :, 0] / t  # S'(t)
     bulk_phi = np.exp(series)
-    head_phi = np.ones(t.size)
-    block = max(1, _BLOCK // max(head.size, 1))
-    for start in range(0, t.size, block):
-        part = slice(start, start + block)
-        head_phi[part] = j0(np.multiply.outer(head, t[part])).prod(axis=0)
+    head_phi = np.ones(t.shape)
+    step = max(1, _BLOCK // max(head.shape[1], 1))  # nodes per block
+    for r in range(0, rows, max(1, step // nodes)):
+        r_end = r + max(1, step // nodes)
+        for c in range(0, nodes, step):
+            head_phi[r:r_end, c:c + step] = j0(
+                head[r:r_end, :, None] * t[r:r_end, None, c:c + step]).prod(axis=1)
+    m, t_max = m[:, None], t_max[:, None]
+    size, head_sum, depth = size[:, None], head_sum[:, None], depth[:, None]
     g = np.sin(m * t) / t
     f = g * bulk_phi * head_phi
-    weights = np.concatenate([half * _GL_W] * panels)
-    head_sum = float(head.sum())
-    ulps = (bulk_phi * (np.abs(g) * (5 * head.size + np.sqrt(head.size * head_sum * t))
+    weights = np.tile(half[:, 0] * _GL_W, panels)
+    ulps = (bulk_phi * (np.abs(g) * (5 * size + np.sqrt(size * head_sum * t))
                         + m + 4.0 * t_max * (0.5 * m * m + m * (np.abs(slope)
-                                                                  + _J1_MAX * head_sum)))
+                                                                + _J1_MAX * head_sum)))
             + np.abs(f) * ((depth + 9 * order + 2) * np.abs(series)
-                           + _GL_WEIGHT_ULPS + t.size + 8))
-    return float(f @ weights), _U * float(ulps @ weights)
+                           + _GL_WEIGHT_ULPS + nodes + 8))
+    weights = weights[:, :, None]
+    return (np.matmul(f[:, None, :], weights)[:, 0, 0],
+            _U * np.matmul(ulps[:, None, :], weights)[:, 0, 0])
 
 
-def density_fourier(model: RaceModel) -> DensityEstimate:
-    """P(X > 0) by Gil-Pelaez inversion of the characteristic function.
+def _invert(rows: _Rows, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta, its budget and the node count of each row's race against
+    the positive mean m: one pass of each step over all the rows."""
+    log_m = np.array([math.log(x) for x in m.tolist()])
+    t_max, tail = _t_max_and_tail(rows, m, log_m)
+    head, sizes, largest, split = _head_and_bulk(rows, t_max)
+    bulk_sq = _bulk_power_sums(rows, split, np.ones(rows.size, dtype=np.intp))[:, 0]
+    order, series_err = _series_order(m, t_max, largest, bulk_sq)
+    panels, log_err = _panel_count(m, log_m, t_max, head, sizes, bulk_sq)
+    power_sums = _bulk_power_sums(rows, split, order)
+    starts = _starts(sizes)
+    head_sum = _row_sums(head, starts, sizes)
+    depth = rows.depth
+    integral, rounding = np.zeros(rows.size), np.zeros(rows.size)
+    for key, rows in _groups(panels * (_SERIES_MAX + 1) + order):
+        count, k = divmod(key, _SERIES_MAX + 1)
+        for idx in _parts(rows, count * _GL_NODES * k):
+            n = sizes[idx]
+            integral[idx], rounding[idx] = _grid_integral(
+                m[idx], t_max[idx], count, power_sums[idx, :k], depth[idx],
+                _padded(head, starts[idx], n, 0.0), n, head_sum[idx])
+    # past e^2 > pi the budget is at its cap of 1 anyway
+    quad_err = np.array([math.exp(min(x, 2.0)) for x in log_err.tolist()])
+    # 2 _U for 1/2 + integral/pi; delta and its estimate both lie in [0, 1],
+    # so 1 always bounds the error
+    budget = np.minimum((series_err + quad_err + tail + rounding) / math.pi + 2 * _U, 1.0)
+    value = np.minimum(np.maximum(0.5 + integral / math.pi, 0.0), 1.0)
+    return value, budget, panels * _GL_NODES
+
+
+def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
+                          models: Sequence[tuple[int, int]]) -> list[DensityEstimate]:
+    """P(X > 0) for each model (i, mean): the race of row i of scales over
+    this table against that mean, by Gil-Pelaez inversion of the
+    characteristic function.
 
     delta = 1/2 + (1/pi) Integral_0^inf sin(mean*t) Phi(t) / t dt with
     Phi(t) = prod_j J0(r_j t), an entire integrand, integrated on [0, t_max]
@@ -830,30 +1147,41 @@ def density_fourier(model: RaceModel) -> DensityEstimate:
     rounding.  A mean of zero short-circuits to exactly 1/2, and a
     negative mean is the ``complement`` of the mirrored race, so flipping
     the mean maps delta to 1 - delta identically.
+
+    The models go in blocks of at most _BLOCK entries (components of
+    nonzero scale), and each step of the engine is a few array operations
+    over a block, its wider arrays taken a part at a time.  Every sum over
+    a model's terms or components has that model's own length and order,
+    so each estimate is bit for bit the one the model gets alone, whatever
+    else is in the batch.
     """
-    spectrum = model.spectrum
-    if spectrum._count == 0:
+    rows = np.asarray(rows, dtype=float)
+    which = np.array([i for i, _ in models], dtype=np.intp)
+    counts = ((rows != 0.0) @ table.sizes)[which]
+    if not counts.all():
         raise ValueError("empty term list")
-    if model.mean == 0:
-        return DensityEstimate(0.5, 0.0, 0)
-    if spectrum._count < 3:
+    live = np.array([k for k, (_, mean) in enumerate(models) if mean != 0], dtype=np.intp)
+    if (counts[live] < 3).any():
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
                       "slowly, and the tail bound is 1", stacklevel=2)
-    m = abs(float(model.mean))
-    t_max, tail, top = _t_max_and_tail(spectrum, m)
-    head, largest, split = _head_and_bulk(spectrum, t_max, top)
-    bulk_sq = float(_bulk_power_sums(spectrum, split, 1)[0])
-    order, series_err = _series_order(m, t_max, largest, bulk_sq)
-    panels, quad_err = _panel_count(m, t_max, head, bulk_sq)
-    integral, rounding = _grid_integral(m, t_max, panels,
-                                        _bulk_power_sums(spectrum, split, order),
-                                        spectrum._depth, head)
-    # 2 _U for 1/2 + integral/pi; delta and its estimate both lie in [0, 1],
-    # so 1 always bounds the error
-    budget = min((series_err + quad_err + tail + rounding) / math.pi + 2 * _U, 1.0)
-    est = DensityEstimate(min(max(0.5 + integral / math.pi, 0.0), 1.0),
-                          budget, panels * _GL_NODES)
-    return est if model.mean > 0 else complement(est)
+    out = [DensityEstimate(0.5, 0.0, 0)] * len(models)
+    m = np.array([abs(float(models[k][1])) for k in live.tolist()])
+    entries = np.count_nonzero(rows, axis=1)[which[live]]
+    for lo, hi in _ranges(entries, _ROWS_BLOCK):
+        block = live[lo:hi]
+        values, budgets, nodes = _invert(_Rows.of(table, rows[which[block]]), m[lo:hi])
+        for k, value, budget, count in zip(block.tolist(), values.tolist(),
+                                           budgets.tolist(), nodes.tolist()):
+            est = DensityEstimate(value, budget, count)
+            out[k] = est if models[k][1] > 0 else complement(est)
+    return out
+
+
+def density_fourier(model: RaceModel) -> DensityEstimate:
+    """P(X > 0) for one race model: ``density_fourier_batch`` of one row."""
+    spectrum = model.spectrum
+    return density_fourier_batch(spectrum.table, spectrum.row[None, :],
+                                 [(0, model.mean)])[0]
 
 
 def complement(estimate: DensityEstimate) -> DensityEstimate:

@@ -33,14 +33,12 @@ from .arithmetic import (
 )
 from .characters import character_degree, character_ids, sr_partition
 from .density import (
-    DensityEstimate,
-    RaceModel,
-    Spectrum,
     SpectralTable,
     _mc_race,
     clt_estimate,
     complement,
     density_fourier,
+    density_fourier_batch,
     density_montecarlo,
     lower_bound,
     q_factor,
@@ -968,7 +966,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    # n = 10 takes 10-15 s and 180 MB (bench/scale.py tower); n = 11
+    # n = 10 takes 6-8 s and 145-176 MB (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
     if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
@@ -983,35 +981,36 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
              for b in range(a + 1, len(labels))]
     means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
     # The zero sets are fixed for the call, so pairs with equal weight rows
-    # race the same oscillation part: one spectral row per distinct weight
-    # row, and one inversion per (|mean|, weight row) with a nonzero mean.
-    # Rows are grouped by their bytes (weights are abs values, so equal rows
-    # have equal bytes): one key per distinct row beside the table, and no
-    # sorted copy of it; the keys go once the groups are known.
+    # race the same oscillation part: one inversion per distinct
+    # (|mean|, weight row), all of them one batch over one spectral table
+    # with a component per weighted character.  Rows are grouped by their
+    # bytes (weights are abs values, so equal rows have equal bytes).
     table = pair_weights(group, pairs)
     first: dict[bytes, int] = {}
     group_of = np.array([first.setdefault(row.tobytes(), i)
                          for i, row in enumerate(table)], dtype=np.intp)
     del first
-    order = np.argsort(group_of, kind="stable")
-    bounds = np.flatnonzero(np.diff(group_of[order])) + 1
-    ids = character_ids(group)
+    distinct, row_of = _distinct(group_of)
     weighted = np.flatnonzero(table.any(axis=0))
+    scales = table[np.ix_(distinct, weighted)]
+    scales *= 2.0
+    del table
+    ids = character_ids(group)
     sets = provision_zero_sets(scen, [ids[c] for c in weighted], seed)
-    # one spectral table for the call, one component per weighted character
     zeros = SpectralTable([sets[ids[c]].moduli for c in weighted])
-    biases = [0.0] * len(pairs)
-    estimates: list[DensityEstimate | None] = [None] * len(pairs)
-    for members in np.split(order, bounds):
-        spectrum = Spectrum(zeros, 2.0 * table[members[0], weighted])
-        sides: dict[int, DensityEstimate] = {}
-        for i in members.tolist():
-            m = means[i]
-            if abs(m) not in sides:
-                sides[abs(m)] = density_fourier(RaceModel(abs(m), spectrum))
-            if m:  # a mean-0 row needs neither the variance nor an inversion
-                biases[i] = m / math.sqrt(spectrum.variance)
-            estimates[i] = sides[abs(m)] if m >= 0 else complement(sides[abs(m)])
+    mean = np.array(means)
+    size = np.abs(mean)
+    models, model_of = _distinct(row_of * (int(size.max(initial=0)) + 1) + size)
+    found = density_fourier_batch(zeros, scales,
+                                  list(zip(row_of[models].tolist(), size[models].tolist())))
+    estimates = [found[k] if m >= 0 else complement(found[k])
+                 for m, k in zip(means, model_of.tolist())]
+    # a mean-0 row needs no variance
+    live = mean != 0
+    factors = np.zeros(len(pairs))
+    factors[live] = mean[live] / np.sqrt(zeros.variances(scales)[row_of[live]])
+    biases = factors.tolist()
+    del scales
     rows: list[dict] = []
     confirmed = True
     for (c1, c2), m, bias, est in zip(pairs, means, biases, estimates):
@@ -1037,6 +1036,18 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
         "rows": rows,
         "all_published_rows_confirmed": confirmed,
     }
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct value of the integer array key,
+    in ascending order of the values, and each entry's number among
+    them."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    number = np.empty_like(order)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
 
 
 def _check_claim(row: dict, claim: dict, est) -> dict:

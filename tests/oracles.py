@@ -32,6 +32,8 @@ bound on all 512 grid points with every split, and the bulk's power sums
 one order at a time.  Tests require the table's classification of every
 term to be the sorted list's, its power sums to agree within the stated
 rounding bounds, and its windowed tail search to pick the same t_max.
+The ``engine_*`` probes run one model's row through the batched engine's
+steps for those comparisons.
 
 The QUADPACK reference multiplies its J0 factors in long double, from
 J0's power series up to x = 4: scipy's j0 is biased by about -0.6 ulp
@@ -485,7 +487,7 @@ def sorted_t_max(r: np.ndarray, m: float, cap: int) -> tuple[int, float]:
 
     def quad(t):
         return density._quad_log_bounds(
-            m, t, cap, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+            m, math.log(m), t, cap, lambda b: np.minimum(0.25 * b * b * sq, b * total))
 
     if ok.size and quad(u[ok[0]]) <= math.log(density._QUAD_TARGET):
         i = int(ok[0])
@@ -508,6 +510,37 @@ def sorted_bulk_power_sums(r: np.ndarray, t_max: float,
         power_sums[k] = power.sum()
         power *= r2
     return head, power_sums
+
+
+def engine_rows(model) -> density._Rows:
+    """A model's row of scales as the batched Fourier engine reads it,
+    alone."""
+    spectrum = model.spectrum
+    return density._Rows.of(spectrum.table, spectrum.row[None, :])
+
+
+def engine_t_max(model, mean: float | None = None) -> tuple[float, float]:
+    """The t_max and tail bound the engine picks for a model against
+    |mean|, the model's own by default."""
+    m = abs(float(model.mean if mean is None else mean))
+    t_max, tail = density._t_max_and_tail(engine_rows(model), np.array([m]),
+                                           np.array([math.log(m)]))
+    return float(t_max[0]), float(tail[0])
+
+
+def engine_top(model, reach: float) -> np.ndarray:
+    """The top terms the engine lists for a model's row at this reach."""
+    rows = engine_rows(model)
+    counts = density._top(rows, np.array([reach]))
+    return density._terms(rows, counts, slice(0, counts.size))
+
+
+def engine_grid(model) -> tuple[np.ndarray, np.ndarray]:
+    """The whole grid's points and the engine's tail bounds there for a
+    model's row."""
+    u, bounds = density._stretch(engine_rows(model), np.zeros(1, dtype=np.intp),
+                                 density._TAIL_STEPS, density._TAIL_STEPS)
+    return u[0], bounds[0]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chebrace.density import (
     C2,
     C3,
     DensityEstimate,
+    RaceModel,
     Z99,
     clt_estimate,
     complement,
@@ -33,6 +35,7 @@ from chebrace.experiments import (
     provision_zero_sets,
     run_race,
     sandwich_experiment,
+    tower_experiment,
 )
 from chebrace.groups import DIHEDRAL, QUATERNION
 from chebrace.races import RaceSpec, weights
@@ -43,6 +46,10 @@ from oracles import (
     assemble_race_model,
     density_fourier_quadpack,
     density_montecarlo_loop,
+    engine_grid,
+    engine_rows,
+    engine_t_max,
+    engine_top,
     one_row_spectrum,
     q_factor_extremes,
     shared_mc_loop,
@@ -546,7 +553,7 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0}, t_max=24.0)
     assert model.terms.size >= 100
     est = density_fourier(model)
-    t_max = density._t_max_and_tail(model.spectrum, model.mean)[0]
+    t_max = engine_t_max(model)[0]
     panels = 2 * est.samples_or_nodes // 24
     with mp.workdps(25):
         rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)  # 48 nodes
@@ -565,7 +572,7 @@ def test_fourier_grid_matches_an_mpmath_evaluation():
 def test_fourier_t_max_may_fall_below_one_and_its_tail_is_honest():
     model = _synthetic_model(3, {"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0},
                              t_max=200.0)
-    t_max, tail, _ = density._t_max_and_tail(model.spectrum, model.mean)
+    t_max, tail = engine_t_max(model)
     assert t_max < 1.0 and tail <= 1e-13
     est = density_fourier(model)
     longer = density_fourier_quadpack(model, t_max=4.0 * t_max)
@@ -592,6 +599,77 @@ def test_fourier_few_terms_trade_tail_against_panels():
     assert est.error_bound <= 1e-6
     mc = density_montecarlo(model, 200_000, seed=4)
     assert abs(est.value - mc.value) <= 3.0 * mc.error_bound + est.error_bound
+
+
+# -- the batched engine: each estimate is the one its model gets alone ---------
+
+
+def _bits(est: DensityEstimate) -> tuple:
+    return est.value.hex(), est.error_bound.hex(), est.samples_or_nodes
+
+
+def _family(seed: int, count: int):
+    """A spectral table of four sampled characters and three components of
+    one base 1 each, and count rows of scales over the characters, then a
+    row of three terms over the one-base components."""
+    rng = np.random.default_rng(seed)
+    sets = [sample_zero_set(ZeroCountModel(float(rng.uniform(5.0, 25.0)), 2),
+                            float(rng.uniform(20.0, 80.0)), seed + k, f"psi_{k}")
+            for k in range(4)]
+    table = density.SpectralTable([z.moduli for z in sets] + [np.ones(1)] * 3)
+    rows = np.zeros((count + 1, 7))
+    for i in range(count):
+        weights = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4)
+        weights[rng.integers(4)] = 2.0
+        rows[i, :4] = 2.0 * weights
+    # too few terms to meet the tail target below the panel cap
+    rows[count, 4:] = [1.7, 1.1, 0.6]
+    return table, rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(2, 5), data=st.data())
+def test_fourier_batch_estimates_do_not_depend_on_the_batch(seed, count, data):
+    # each estimate bit for bit as its model gets it alone: in the whole
+    # batch, in the batch shuffled, and in the batch split in two; over
+    # means of 0 and negative means, rows of one or two panels and a row
+    # of three terms at the panel cap
+    table, rows = _family(seed, count)
+    means = data.draw(st.lists(st.integers(-40, 40), min_size=count, max_size=count))
+    models = ([(i, mean) for i, mean in enumerate(means)]
+              + [(0, 0), (1, -7), (count, 1), (count, -2)])
+    order = data.draw(st.permutations(range(len(models))))
+    half = data.draw(st.integers(1, len(models) - 1))
+    batch = density.density_fourier_batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the three-term row warns
+        alone = [_bits(batch(table, rows, [model])[0]) for model in models]
+        full = [_bits(est) for est in batch(table, rows, models)]
+        shuffled = batch(table, rows, [models[k] for k in order])
+        split = batch(table, rows, models[:half]) + batch(table, rows, models[half:])
+        single = _bits(density_fourier(RaceModel(models[1][1],
+                                                 density.Spectrum(table, rows[1]))))
+    assert full == alone
+    assert [alone[k] for k in order] == [_bits(est) for est in shuffled]
+    assert [_bits(est) for est in split] == alone
+    assert single == alone[1]
+    nodes = {bits[2] for bits in alone}
+    assert 0 in nodes and density._PANEL_CAP * density._GL_NODES in nodes
+    assert nodes & {density._GL_NODES, 2 * density._GL_NODES}
+
+
+def test_fourier_results_do_not_depend_on_the_block_size(monkeypatch):
+    # a tower call's batch and a model at the panel cap, with every working
+    # array held a few values at a time and one model a block
+    few = term_model(1, np.array([1.7, 1.1, 0.6]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        capped = _bits(density_fourier(few))
+        report = tower_experiment(QUATERNION, 6, -1, seed=1)
+        monkeypatch.setattr(density, "_BLOCK", 64)
+        monkeypatch.setattr(density, "_ROWS_BLOCK", 1)
+        assert _bits(density_fourier(few)) == capped
+        assert tower_experiment(QUATERNION, 6, -1, seed=1) == report
 
 
 # -- the spectral table against the sorted term list it replaces ---------------
@@ -641,21 +719,25 @@ def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
     spectrum, model = _row_and_model(family, n, pick, seed)
     r = np.sort(model.terms)
     unit = density._U
-    depth = spectrum._depth
+    one = RaceModel(1, spectrum)
+    rows = engine_rows(one)
+    depth = int(rows.depth[0])
     # the variance within (7 + depth) ulps of the terms' own
     want = 0.5 * _long_power_sums(r, 1)[0]
     assert abs(spectrum.variance - want) <= (7 + depth) * unit * want * (1 + 1e-6)
-    assert spectrum._count == r.size
+    assert rows.count[0] == r.size
     # the tail bound classifies every term as the sorted list does, at every
     # grid point of the whole grid and of the stretch past t_max
-    u, _, (top, _) = spectrum._grid
-    _assert_same_classes(top, r, u)
-    t_max, _, (top, starts) = density._t_max_and_tail(spectrum, 1.0)
-    _assert_same_classes(top, r, t_max * density._GRID[:density._TAIL_AHEAD + 1])
+    u = density._GRID / math.sqrt(rows.sq[0])
+    _assert_same_classes(engine_top(one, u[-1]), r, u)
+    t_max, _ = engine_t_max(one)
+    u = t_max * density._GRID[:density._TAIL_AHEAD + 1]
+    _assert_same_classes(engine_top(one, u[-1]), r, u)
     # the head is the sorted list's, and the bulk's power sums lie within
     # (7k + depth) ulps of the sums of its float terms
-    head, largest, split = density._head_and_bulk(spectrum, t_max, (top, starts))
-    power_sums = density._bulk_power_sums(spectrum, split, density._SERIES_MAX)
+    head, _, largest, split = density._head_and_bulk(rows, np.array([t_max]))
+    largest = largest[0]
+    power_sums = density._bulk_power_sums(rows, split, np.array([density._SERIES_MAX]))[0]
     old_head, old_sums = sorted_bulk_power_sums(r, t_max, density._SERIES_MAX)
     assert np.array_equal(head, old_head)
     bulk = r[:r.size - head.size]
@@ -684,9 +766,9 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
     moduli = [row[np.isfinite(row)] for row in bases]
     comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
     grown = density.SpectralTable(moduli)
-    grown.power(3, comps, np.array([1, 2, 3]))
-    sums = grown.power(density._SERIES_MAX, comps, starts)
-    fresh = density.SpectralTable(moduli).power(density._SERIES_MAX, comps, starts)
+    grown.power(3, np.array([1, 2, 3]))
+    sums = grown.power(density._SERIES_MAX, starts)[:, comps, starts].T
+    fresh = density.SpectralTable(moduli).power(density._SERIES_MAX, starts)[:, comps, starts].T
     assert np.array_equal(sums, fresh)
     order = np.arange(1, density._SERIES_MAX + 1)
     for c, j in zip(comps, starts):
@@ -725,21 +807,35 @@ def test_table_square_sums_are_its_suffix_sums_from_the_start():
 def test_windowed_tail_bound_is_a_bound_and_picks_the_full_grid_t_max(
         weight_map, t_max, log_a, window):
     model = _synthetic_model(3, weight_map, t_max=t_max, log_a=log_a)
-    spectrum = model.spectrum
+    rows = engine_rows(model)
     r = np.sort(model.terms)
-    u = density._GRID / math.sqrt(spectrum._sq)
+    u = density._GRID / math.sqrt(rows.sq[0])
     full = sorted_tail_bounds(r, u)
-    _, windowed, _ = spectrum._grid
+    grid, windowed = engine_grid(model)
+    assert np.array_equal(grid, u)
     # a minimum over fewer splits; the sums run in another order, which
     # moves a bound by far less than 1e-9 relative
     assert np.all(windowed >= full * (1 - 1e-9))
-    first = int(np.flatnonzero(u == spectrum._first[0])[0])
     reach = 4.0 * (math.log(min(math.log(density._TAIL_STEP), 2.0 / r.size))
                    - math.log(2.0 * density._TAIL_TARGET))
     lo = math.ceil(4.0 * math.log2(reach)) - 1
+    assert density._window_starts(rows.count)[0] == lo
+    # the first point meeting the target, in the window the search finds it
+    first = bound = None
+    for k in range(2):
+        start = lo + k * density._TAIL_WINDOW
+        _, bounds = density._stretch(rows, np.array([start]), density._TAIL_WINDOW,
+                                     density._TAIL_WINDOW + density._TAIL_AHEAD)
+        met = np.flatnonzero(bounds[0] <= density._TAIL_TARGET)
+        if met.size:
+            first, bound = start + int(met[0]), float(bounds[0, met[0]])
+            break
+    if first is None:
+        first = int(np.flatnonzero(windowed <= density._TAIL_TARGET)[0])
+        bound = float(windowed[first])
     assert min((first - lo) // density._TAIL_WINDOW, 2) == window
-    assert spectrum._first[1] <= density._TAIL_TARGET
+    assert bound <= density._TAIL_TARGET
     for mean in (1, 3, 40):
         i, tail = oracles.sorted_t_max(r, float(mean), density._PANEL_CAP)
-        chosen, bound, _ = density._t_max_and_tail(spectrum, float(mean))
+        chosen, bound = engine_t_max(model, mean)
         assert chosen == u[i] and bound >= tail * (1 - 1e-9)

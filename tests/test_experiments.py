@@ -66,6 +66,7 @@ import numpy as np
 from oracles import (
     assemble_race_model,
     density_fourier_quadpack,
+    engine_rows,
     report_json_indent,
     sorted_t_max,
     sorted_tail_bounds,
@@ -646,25 +647,42 @@ def test_tower_shared_inversions_match_per_pair_oracle(family, n, w):
         assert len(sides) < len(oracle)
 
 
+def _record_tower_models(monkeypatch) -> list[density.RaceModel]:
+    """Every (row, mean) the tower hands its Fourier batch from now on, as
+    a race model over the call's spectral table."""
+    models = []
+    real = experiments.density_fourier_batch
+
+    def recorded(table, rows, pairs):
+        models.extend(density.RaceModel(mean, density.Spectrum(table, rows[i]))
+                      for i, mean in pairs)
+        return real(table, rows, pairs)
+
+    monkeypatch.setattr(experiments, "density_fourier_batch", recorded)
+    return models
+
+
 @pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
 def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch):
-    inverted = []
-    grids = []
-    real_fourier, real_grid = experiments.density_fourier, density._grid_integral
+    batches, grids = [], []
+    real_batch, real_grid = experiments.density_fourier_batch, density._grid_integral
 
-    def counted_fourier(model, **kwargs):
-        if model.mean != 0:
-            inverted.append((model.mean, model.spectrum.row.tobytes()))
-        return real_fourier(model, **kwargs)
+    def counted_batch(table, rows, pairs):
+        batches.append(1)
+        return real_batch(table, rows, pairs)
 
-    def counted_grid(*args, **kwargs):
-        grids.append(1)
-        return real_grid(*args, **kwargs)
+    def counted_grid(m, *args, **kwargs):
+        grids.append(m.size)
+        return real_grid(m, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "density_fourier", counted_fourier)
+    monkeypatch.setattr(experiments, "density_fourier_batch", counted_batch)
+    models = _record_tower_models(monkeypatch)
     monkeypatch.setattr(density, "_grid_integral", counted_grid)
     tower_experiment(family, 6, w, seed=0)
-    runs = len(grids)
+    inverted = [(model.mean, model.spectrum.row.tobytes())
+                for model in models if model.mean != 0]
+    runs = sum(grids)
+    assert len(batches) == 1  # the whole call in one batch
     oracle = tower_rows_per_pair(family, 6, w, seed=0)
     sides = {(abs(r["mean_formula"]), r["weights"])
              for r in oracle if r["mean_formula"] != 0}
@@ -681,14 +699,8 @@ def test_tower_inverts_once_per_distinct_mean_and_weights(family, w, monkeypatch
 def test_fourier_grid_matches_quadpack_on_tower_models(family, w, monkeypatch):
     # every inversion tower makes at n = 3..6, which gives every row its
     # density; mean-0 rows are exactly 1/2 either way
-    models = []
-    real_fourier = experiments.density_fourier
-
-    def recorded(model, **kwargs):
-        models.append(model)
-        return real_fourier(model, **kwargs)
-
-    monkeypatch.setattr(experiments, "density_fourier", recorded)
+    models = _record_tower_models(monkeypatch)
+    real_fourier = density.density_fourier
     for n in range(3, 7):
         tower_experiment(family, n, w, seed=0)
     assert len(models) > 100
@@ -844,19 +856,23 @@ def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
     searched = []
     real = density._t_max_and_tail
 
-    def recorded(spectrum, m):
-        out = real(spectrum, m)
-        searched.append((spectrum, m, out))
-        return out
+    def recorded(rows, m, log_m):
+        t_max, tail = real(rows, m, log_m)
+        for i in range(rows.size):
+            at = slice(rows.first[i], rows.first[i + 1])
+            row = np.zeros(rows.table.sizes.size)
+            row[rows.comp[at]] = rows.scale[at]
+            searched.append((density.Spectrum(rows.table, row), m[i], t_max[i], tail[i]))
+        return t_max, tail
 
     monkeypatch.setattr(density, "_t_max_and_tail", recorded)
     for n in range(3, 9):
         tower_experiment(family, n, w, seed=0)
     assert len(searched) > 900
-    for spectrum, m, (t_max, tail, _) in searched:
+    for spectrum, m, t_max, tail in searched:
         r = np.sort(density.RaceModel(1, spectrum).terms)
         i, _ = sorted_t_max(r, m, density._PANEL_CAP)
-        u = density._GRID / math.sqrt(spectrum._sq)
+        u = density._GRID / math.sqrt(2.0 * spectrum.variance)
         assert t_max == u[i]
         assert tail >= sorted_tail_bounds(r, u)[i] * (1 - 1e-9)
 
@@ -864,14 +880,8 @@ def test_tower_tail_search_matches_the_full_grid(family, w, monkeypatch):
 @pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
 def test_fourier_grid_matches_quadpack_on_tower_models_up_to_n_7(family, w, monkeypatch):
     # every 8th inversion of the towers n = 5..7
-    models = []
-    real_fourier = experiments.density_fourier
-
-    def recorded(model, **kwargs):
-        models.append(model)
-        return real_fourier(model, **kwargs)
-
-    monkeypatch.setattr(experiments, "density_fourier", recorded)
+    models = _record_tower_models(monkeypatch)
+    real_fourier = density.density_fourier
     for n in range(5, 8):
         tower_experiment(family, n, w, seed=0)
     inverted = [m for m in models if m.mean != 0][::8]
@@ -905,18 +915,19 @@ def _driver_models(driver, family, seed):
         provisioned["cids"], provisioned["sets"] = list(cids), sets
         return sets
 
-    def fourier(model, **kwargs):
+    def fourier(table, rows, pairs):
         cids = provisioned["cids"]
-        found.append((model, dict(zip(cids, (model.spectrum.row / 2.0).tolist())),
-                      provisioned["sets"]))
-        return density.density_fourier(model, **kwargs)
+        for i, mean in pairs:
+            found.append((density.RaceModel(mean, density.Spectrum(table, rows[i])),
+                          dict(zip(cids, (rows[i] / 2.0).tolist())), provisioned["sets"]))
+        return density.density_fourier_batch(table, rows, pairs)
 
     w = -1 if seed % 2 else 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "race_model", builder)
         if driver == "tower":
             patch.setattr(experiments, "provision_zero_sets", provision)
-            patch.setattr(experiments, "density_fourier", fourier)
+            patch.setattr(experiments, "density_fourier_batch", fourier)
             tower_experiment(family, 3 + seed % 3, w, seed)
         elif driver == "race":
             run_race(family=family, n=3 + seed % 2, w_axiom=w, seed=seed,
@@ -944,7 +955,7 @@ def test_driver_models_list_the_sorted_terms_of_their_characters(driver, family,
         assert model.terms.tobytes() == oracle.terms.tobytes()
         r2 = np.asarray(oracle.terms, dtype=np.longdouble) ** 2
         want = float(0.5 * np.sum(r2))
-        slack = (model.spectrum._depth + 7) * density._U + (r2.size + 2) * 2.0 ** -64
+        slack = (engine_rows(model).depth[0] + 7) * density._U + (r2.size + 2) * 2.0 ** -64
         assert abs(model.variance - want) <= slack * want
         assert model.bias_factor == model.mean / math.sqrt(model.variance)
         if driver in ("sandwich", "monotonicity"):
