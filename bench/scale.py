@@ -1,11 +1,16 @@
-"""Time and memory of `chebrace tower` or `chebrace table` as the tower grows.
+"""Time and memory of `chebrace tower`, `table` or `monotonicity` as the
+tower grows.
 
-    python3 bench/scale.py {tower,table} [--n 7 8 9 10] [--out BENCH_<verb>.json]
+    python3 bench/scale.py {tower,table,monotonicity} [--n N ...] [--out BENCH_<verb>.json]
 
 For each N, ``tower`` runs `tower --family F --n N --seed 0` for both
-families (quaternion with `--w -1`), and ``table`` runs `table --id T --n N`
-for T = esp-q and esp-d.  Each call runs in a fresh interpreter, and the
-script writes one JSON record per call:
+families (quaternion with `--w -1`), ``table`` runs `table --id T --n N`
+for T = esp-q and esp-d, and ``monotonicity`` runs `monotonicity --family
+quaternion --n N --w -1 --seed 5 --samples 2`: one antithetic pair, so the
+Monte Carlo is a small share and the exact layer, the zero provisioning
+and the model assembly are the cost.  N defaults to 7 8 9 10 for ``tower``
+and ``table`` and to 12 14 16 18 for ``monotonicity``.  Each call runs in a
+fresh interpreter, and the script writes one JSON record per call:
 
 * ``wall_s``: the child's wall time, interpreter start to exit;
 * ``peak_rss_mb``: the child's peak resident set (``ru_maxrss`` of its own
@@ -21,7 +26,10 @@ script writes one JSON record per call:
   Older tower records carry a ``rows`` phase, which timed a per-row model
   assembly.  ``table``: ``means``
   (``mean_table``, one call per level and root number), ``rows`` (the rest
-  of ``reproduce_table``: the report rows) and ``report``;
+  of ``reproduce_table``: the report rows) and ``report``.
+  ``monotonicity``: ``means`` (``mean``, once per level), ``zeros``
+  (``provision_zero_sets``), ``model`` (``race_model``), ``mc``
+  (``_mc_race``, the shared Monte Carlo draw) and ``report``;
 * ``inversions`` (``tower`` only): how many races of nonzero mean the
   call inverted, one per distinct (|mean|, weight row);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
@@ -56,7 +64,14 @@ PHASES = {
     "table": (("experiments", ("mean_table",), "means"),
               ("cli", ("reproduce_table",), "rows"),
               ("cli", ("report_json",), "report")),
+    "monotonicity": (("experiments", ("mean",), "means"),
+                     ("experiments", ("provision_zero_sets",), "zeros"),
+                     ("experiments", ("race_model",), "model"),
+                     ("experiments", ("_mc_race",), "mc"),
+                     ("cli", ("report_json",), "report")),
 }
+DEFAULT_N = {"tower": [7, 8, 9, 10], "table": [7, 8, 9, 10],
+             "monotonicity": [12, 14, 16, 18]}
 
 
 def _argvs(verb: str, n: int) -> list[list[str]]:
@@ -64,6 +79,9 @@ def _argvs(verb: str, n: int) -> list[list[str]]:
         return [["tower", "--family", "quaternion", "--n", str(n), "--w", "-1",
                  "--seed", "0"],
                 ["tower", "--family", "dihedral", "--n", str(n), "--seed", "0"]]
+    if verb == "monotonicity":
+        return [["monotonicity", "--family", "quaternion", "--n", str(n),
+                 "--w", "-1", "--seed", "5", "--samples", "2"]]
     return [["table", "--id", table_id, "--n", str(n)]
             for table_id in ("esp-q", "esp-d")]
 
@@ -111,7 +129,7 @@ def _child(argv: list[str]) -> None:
     phases["verb"] = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"{argv} exited {code}")
-    if "means" in phases:  # reproduce_table's time includes mean_table's
+    if argv[0] == "table":  # reproduce_table's time includes mean_table's
         phases["rows"] -= phases["means"]
     record = {"phases_s": {k: round(v, 4) for k, v in phases.items()}}
     if argv[0] == "tower":
@@ -141,11 +159,12 @@ def main() -> None:
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("verb", choices=tuple(PHASES))
-    parser.add_argument("--n", type=int, nargs="+", default=[7, 8, 9, 10])
+    parser.add_argument("--n", type=int, nargs="+",
+                        help="default: 7 8 9 10, or 12 14 16 18 for monotonicity")
     parser.add_argument("--out", help="default: BENCH_<verb>.json at the repo root")
     args = parser.parse_args()
     runs = []
-    for n in args.n:
+    for n in args.n or DEFAULT_N[args.verb]:
         for argv in _argvs(args.verb, n):
             runs.append(_measure(argv))
             print(json.dumps(runs[-1]), file=sys.stderr)

@@ -3,12 +3,14 @@
 A scenario stands in for a Galois extension of the dihedral or quaternion
 family: which odd primes ramify (tame, so inertia is cyclic and given by a
 generator element), the shared symplectic root number axiom W, central
-vanishing orders, and the discriminant size.  The scenarios the verbs use
-are scaled: they carry log sizes calibrated to the towers' discriminant
-growth, with the per-prime log treated as a real number.  Explicit
-scenarios with literal primes and factored conductors, and the
-conductor-discriminant identity they satisfy, live in ``tests/oracles.py``,
-where the tests check ``conductor_exponent`` against them.
+vanishing orders, and the discriminant size.  The central orders of the
+full group's irreducibles are one integer array in ``character_ids``
+order, built once per scenario.  The scenarios the verbs use are scaled:
+they carry log sizes calibrated to the towers' discriminant growth, with
+the per-prime log treated as a real number.  Explicit scenarios with
+literal primes and factored conductors, and the conductor-discriminant
+identity they satisfy, live in ``tests/oracles.py``, where the tests check
+``conductor_exponent`` against them.
 
 Conductor exponents use the tame formula n(chi, p) = chi(1) - dim V^I with
 the invariant dimension in closed form (the tests check it against the
@@ -19,10 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .characters import character_degree, character_ids, character_value, is_symplectic
+from .characters import (
+    character_degree,
+    character_ids,
+    character_index,
+    character_value,
+    symplectic_mask,
+)
 from .cyclotomic import cyclo_int
 from .groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 
@@ -118,13 +127,17 @@ class ArithmeticScenario:
             for vp in self.primes
         )
 
-    def central_order(self, cid: str) -> int:
-        for k, v in self.order_overrides:
-            if k == cid:
-                return v
-        if self.kind.family == QUATERNION and is_symplectic(cid):
-            return (1 - self.w_axiom) // 2
-        return 0
+    @cached_property
+    def central_orders(self) -> np.ndarray:
+        """Central vanishing order of every full-group irreducible, in
+        ``character_ids`` order and read-only: (1 - W)/2 on the symplectic
+        characters, 0 elsewhere, then the ``order_overrides``."""
+        group = self.group
+        orders = np.where(symplectic_mask(group), (1 - self.w_axiom) // 2, 0)
+        for cid, order in self.order_overrides:
+            orders[character_index(group, cid)] = order
+        orders.flags.writeable = False
+        return orders
 
 
 def _random_nonidentity(rng: np.random.Generator, group: Group) -> Element:

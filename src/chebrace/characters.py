@@ -12,26 +12,26 @@ A class is described by its representative a^k b^f: rotation exponent k and
 flip bit f.  The degree-1 characters are signs (-1)^(pk + qf), and psi_j is
 zeta^(jk) + zeta^(-jk) on rotations and 0 on flips, so the whole table is
 integer data: (k, f) per class and j per psi.  ``character_value`` turns it
-into one ``CycloInt``; ``class_sum_terms`` turns it into exponent arrays and
-reduces whole rows of sums at once with ``cyclotomic.canonical_terms``, and
-``value_table`` gives each table entry as an id into the few distinct
-values the table takes, which is how the race layer reads it.
+into one ``CycloInt``; ``value_table`` gives each table entry as an id into
+the few distinct values the table takes, which is how the race layer reads
+it.
 
 The degree-2 value at the central involution comes out of the generic
 rotation formula at k = 2^(n-2), i.e. 2*(-1)^j.  Induction from a tower
-level and the disjointness partition of inductions are computed from the
-closed-form component sets, which the tests arbitrate against brute-force
-induced class functions and Frobenius reciprocity.
+level is one pair of index arrays (``induction_pairs``), and the
+disjointness partition of inductions (``sr_partition``) is read from them
+in linear time.  The tests arbitrate both against brute-force induced
+class functions, Frobenius reciprocity and the per-character
+decompositions kept in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycloInt, canonical_terms, cos_pair, cyclo_int, cyclo_zero
-from .groups import ClassLabel, Group
+from .cyclotomic import CycloInt, cos_pair, cyclo_int, cyclo_zero
+from .groups import QUATERNION, ClassLabel, Group
 
 
 def psi_id(j: int) -> str:
@@ -52,18 +52,19 @@ def character_degree(cid: str) -> int:
 # chi(a^k b^f) = (-1)^(p k + q f) for the degree-1 characters, as (p, q)
 _LINEAR_PARITIES = {"chi0": (0, 0), "chi1": (0, 1), "chi2": (1, 0), "chi3": (1, 1)}
 
-# rows x terms of one canonical_terms call stays below this many entries
-_CHUNK_ENTRIES = 1 << 16
 
-
-def _psi_index(group: Group, cid: str) -> int:
-    """j of a degree-2 character id psi_j of the group; KeyError otherwise."""
+def character_index(group: Group, cid: str) -> int:
+    """Position of ``cid`` in ``character_ids(group)``, psi_j at 3 + j.
+    KeyError if no irreducible of the group has that id, ValueError if a
+    psi id's index is not an integer."""
+    if cid in _LINEAR_PARITIES:
+        return list(_LINEAR_PARITIES).index(cid)
     if not cid.startswith("psi_"):
         raise KeyError(cid)
     j = int(cid[len("psi_"):])
     if not 1 <= j < (1 << (group.n - 2)):
         raise KeyError(cid)
-    return j
+    return 3 + j
 
 
 def _linear_value(cid: str, k, f):
@@ -83,46 +84,10 @@ def character_value(group: Group, cid: str, label: ClassLabel) -> CycloInt:
     rep = group.class_representative(label)
     if cid in _LINEAR_PARITIES:
         return cyclo_int(m, _linear_value(cid, rep.exponent, rep.flip))
-    j = _psi_index(group, cid)
+    j = character_index(group, cid) - 3
     if rep.flip:
         return cyclo_zero(m)
     return cos_pair(m, j * rep.exponent)
-
-
-def class_sum_terms(group: Group, labels: Sequence[ClassLabel],
-                    coeffs: Mapping[str, int]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact values of sum_chi coeffs[chi] chi(C) at every class C of
-    ``labels``, as the canonical (row, exponent, coefficient) terms of
-    ``cyclotomic.canonical_terms`` with one row per label.
-
-    Rows are reduced a chunk at a time, so memory stays O(labels +
-    characters) whatever the group order.
-    """
-    reps = [group.class_representative(lab) for lab in labels]
-    k = np.array([r.exponent for r in reps], dtype=np.int64)
-    f = np.array([r.flip for r in reps], dtype=np.int64)
-    const = np.zeros(len(labels), dtype=np.int64)
-    js, cs = [], []
-    for cid, c in coeffs.items():
-        if cid in _LINEAR_PARITIES:
-            const += c * _linear_value(cid, k, f)
-        else:
-            js.append(_psi_index(group, cid))
-            cs.append(c)
-    j = np.array(js, dtype=np.int64)
-    c = np.array(cs, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // (1 + 2 * j.size))
-    parts = []
-    for lo in range(0, len(labels), step):
-        kk = k[lo:lo + step, None]
-        on = (1 - f[lo:lo + step, None]) * c  # psi vanishes on flips
-        rows, exps, vals = canonical_terms(
-            group.rotation_order,
-            np.concatenate((np.zeros_like(kk), kk * j, -kk * j), axis=1),
-            np.concatenate((const[lo:lo + step, None], on, on), axis=1))
-        parts.append((rows + lo, exps, vals))
-    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def value_table(group: Group, labels: Sequence[ClassLabel]
@@ -156,79 +121,54 @@ def value_table(group: Group, labels: Sequence[ClassLabel]
     return ids, exps, coeffs
 
 
-def is_symplectic(cid: str) -> bool:
-    """Closed form for these families: exactly the odd-index psi_j are symplectic,
-    and only in the quaternion family (checked against the brute sum in tests)."""
-    return cid.startswith("psi_") and int(cid.split("_")[1]) % 2 == 1
+def symplectic_mask(group: Group) -> np.ndarray:
+    """Which irreducibles are symplectic, in ``character_ids`` order.  In
+    closed form these are exactly the odd-index psi_j, and only in the
+    quaternion family (the tests check it against the Frobenius-Schur
+    indicator)."""
+    mask = np.zeros(3 + (1 << (group.n - 2)), dtype=bool)
+    if group.family == QUATERNION:
+        mask[4::2] = True
+    return mask
 
 
-@dataclass(frozen=True)
-class InducedDecomposition:
-    level: int
-    components: tuple[tuple[str, int], ...]
+def induction_pairs(group: Group, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The induction of every level-i irreducible to the group, as arrays of
+    (level character, full-group component) index pairs, both sides in
+    ``character_ids`` order.  Every multiplicity is 1.
 
-    def component_ids(self) -> set[str]:
-        return {cid for cid, _ in self.components}
-
-
-def _psi_range(n: int, residue: int, modulus: int) -> list[int]:
-    start = residue % modulus
-    if start == 0:
-        start = modulus
-    return list(range(start, 1 << (n - 2), modulus))
-
-
-def induce(group: Group, i: int, source_id: str) -> InducedDecomposition:
-    """Decompose the induction of a level-i irreducible into the full group.
-
-    Closed components: the two relevant degree-1 characters plus psi_j for
-    j = 0 mod 2^(i-1) (sources chi0, chi1), the pure psi block at
-    j = 2^(i-2) mod 2^(i-1) (sources chi2, chi3), and the folded block
-    j = +-k mod 2^(i-1) (source psi_k).  Verified against brute-force
-    induced class functions in the tests; degree bookkeeping asserted here.
+    With step = 2^(i-1), the full-group psi_j comes from the level's psi_k
+    iff j = +-k mod step, from both chi0 and chi1 iff j = 0 mod step, and
+    from both chi2 and chi3 iff j = step/2 mod step; chi0 and chi2 come from
+    chi0, chi1 and chi3 from chi1.  At i = n the map is the identity.  The
+    tests check the pairs against brute-force induced class functions and
+    Frobenius reciprocity.
     """
     n = group.n
     if not 3 <= i <= n:
         raise ValueError(f"level must satisfy 3 <= i <= {n}, got {i}")
     if i == n:
-        comps = [(source_id, 1)]
-        src_degree = character_degree(source_id)
-    else:
-        step = 1 << (i - 1)
-        if source_id in ("chi0", "chi1"):
-            heads = ["chi0", "chi2"] if source_id == "chi0" else ["chi1", "chi3"]
-            comps = [(h, 1) for h in heads]
-            comps += [(psi_id(j), 1) for j in _psi_range(n, 0, step)]
-            src_degree = 1
-        elif source_id in ("chi2", "chi3"):
-            comps = [(psi_id(j), 1) for j in _psi_range(n, 1 << (i - 2), step)]
-            src_degree = 1
-        elif source_id.startswith("psi_"):
-            k = int(source_id.split("_")[1])
-            assert 1 <= k < (1 << (i - 2))
-            js = sorted(set(_psi_range(n, k, step)) | set(_psi_range(n, -k, step)))
-            comps = [(psi_id(j), 1) for j in js]
-            src_degree = 2
-        else:
-            raise KeyError(source_id)
-    total = sum(mult * character_degree(cid) for cid, mult in comps)
-    assert total == (1 << (n - i)) * src_degree, (source_id, i, total)
-    return InducedDecomposition(i, tuple(sorted(comps)))
+        every = np.arange(3 + (1 << (n - 2)))
+        return every, every
+    step = 1 << (i - 1)
+    j = np.arange(1, 1 << (n - 2))
+    k = j % step
+    k = np.minimum(k, step - k)
+    two = (k == 0) | (2 * k == step)  # from chi0 and chi1, or chi2 and chi3
+    first = np.where(k == 0, 0, np.where(two, 2, 3 + k))
+    return (np.concatenate(([0, 1, 0, 1], first, first[two] + 1)),
+            np.concatenate((np.arange(4), 3 + j, 3 + j[two])))
 
 
 def sr_partition(group: Group, i: int) -> tuple[int, int]:
     """(b1, b2) of the split of a level's irreducibles by whether their
     inductions stay disjoint: the largest degree and the count of the
-    entangled part R (chi0 excluded), definition-faithful.  The value 2
-    quoted for both alongside the towers' analysis disagrees below the top
-    level (see README; the tests keep the quoted values and the split)."""
-    level_ids = character_ids(group.level(i))
-    comps = {cid: induce(group, i, cid).component_ids() for cid in level_ids}
-    s_ids = tuple(
-        cid for cid in level_ids
-        if all(comps[cid].isdisjoint(comps[other])
-               for other in level_ids if other != cid)
-    )
-    r_ids = tuple(cid for cid in level_ids
-                  if cid not in s_ids and cid != "chi0")
-    return max((character_degree(cid) for cid in r_ids), default=0), len(r_ids)
+    entangled part R, definition-faithful.  A level irreducible is in R
+    when one of its components also lies in another's induction, and chi0
+    is left out of R.  The value 2 quoted for both alongside the towers'
+    analysis disagrees below the top level (see README; the tests keep the
+    quoted values and the split)."""
+    level, comp = induction_pairs(group, i)
+    shared = level[np.bincount(comp)[comp] > 1]
+    degrees = np.where(np.unique(shared[shared != 0]) < 4, 1, 2)
+    return int(degrees.max(initial=0)), int(degrees.size)

@@ -62,6 +62,7 @@ from .races import (
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
+    _distinct,
     level_data,
     mean,
     mean_table,
@@ -782,7 +783,7 @@ def h8_table() -> list[dict]:
     group = scen0.group
     labels = group.class_labels()
     nontrivial = [cid for cid in character_ids(group) if cid != "chi0"]
-    data0, data1 = level_data(scen0, 3), level_data(scen1, 3)
+    data0, data1 = level_data(scen0, 3, labels), level_data(scen1, 3, labels)
     rows: list[dict] = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
@@ -976,7 +977,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     group = scen.group
     labels = group.class_labels()
     kind = GroupKind(family, n)
-    data = level_data(scen, n)
+    data = level_data(scen, n, labels)
     pairs = [(labels[a], labels[b]) for a in range(len(labels))
              for b in range(a + 1, len(labels))]
     means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
@@ -1036,18 +1037,6 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
         "rows": rows,
         "all_published_rows_confirmed": confirmed,
     }
-
-
-def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct value of the integer array key,
-    in ascending order of the values, and each entry's number among
-    them."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    number = np.empty_like(order)
-    number[order] = np.cumsum(new) - 1
-    return order[new], number
 
 
 def _check_claim(row: dict, claim: dict, est) -> dict:

@@ -19,14 +19,18 @@ counting functions are then identical); in these families that happens only
 for the two reflection classes below the top level.
 
 Everything exact here is read from the integer form of the character table
-(see ``characters``): ``level_data`` computes a level's central orders and,
-for every class at once, the constant part sqrt_density(C) + z(C) of X, so
-a mean is one subtraction (``mean`` computes just the pair's two).
-``pair_weights`` takes the weights of many fused pairs in one pass over the
-table's value ids (``characters.value_table``): a difference depends only
-on its two ids, so only the distinct id pairs are reduced to canonical
-terms and evaluated, with the same float operations as ``to_complex`` of
-a ``CycloInt`` in ``tests/oracles.py``; ``weights`` is its one-pair case.
+(see ``characters``).  ``level_orders`` sums the scenario's central-order
+array over the index pairs of the level's induction in one ``bincount``.
+``level_data`` takes, for every class of a label set at once, the constant
+part sqrt_density(C) + z(C) of X, so a mean is one subtraction (``mean``
+asks for just the pair's two classes).  Both ``z_values`` and
+``pair_weights`` read the table's value ids (``characters.value_table``).
+``z_values`` reduces the order-weighted values of every class in one
+``canonical_terms`` call.  ``pair_weights`` takes the weights of many
+fused pairs in one pass: a difference depends only on its two ids, so only
+the distinct id pairs are reduced to canonical terms and evaluated, with
+the same float operations as ``to_complex`` of a ``CycloInt`` in
+``tests/oracles.py``; ``weights`` is its one-pair case.
 
 This module stops at the exact data: a mean and a weight map.  The
 oscillation part over zero sets, the race model the density engines take,
@@ -42,8 +46,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arithmetic import ArithmeticScenario
-from .characters import character_ids, class_sum_terms, induce, value_table
-from .cyclotomic import canonical_values
+from .characters import character_ids, character_index, induction_pairs, value_table
+from .cyclotomic import canonical_terms, canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 
 
@@ -88,34 +92,45 @@ class RaceSpec:
 
 def level_orders(scenario: ArithmeticScenario, level: int) -> dict[str, int]:
     """Central vanishing order of each level irreducible: the L-function
-    factors through the induction, so the order is the multiplicity-weighted
-    sum of full-group central orders over the components."""
+    factors through the induction, so the order is the sum of the
+    full-group central orders over the components, every multiplicity
+    being 1 (``characters.induction_pairs``)."""
     group = scenario.group
-    out: dict[str, int] = {}
-    for cid in character_ids(group.level(level)):
-        dec = induce(group, level, cid)
-        out[cid] = sum(mult * scenario.central_order(comp)
-                       for comp, mult in dec.components)
-    return out
+    ids = character_ids(group.level(level))
+    source, component = induction_pairs(group, level)
+    orders = np.bincount(source, weights=scenario.central_orders[component],
+                         minlength=len(ids))
+    return dict(zip(ids, orders.astype(np.int64).tolist()))
 
 
-def z_values(level_group: Group, labels: list[ClassLabel],
+def z_values(level_group: Group, labels: Sequence[ClassLabel],
              orders: Mapping[str, int]) -> list[int]:
     """Exact integers 2 sum_{chi != chi0} chi(C) ord(chi) for every class C
-    of ``labels``, from one array reduction over all of them.
+    of ``labels``, from one array reduction over all of them.  Ids missing
+    from ``orders`` count as order 0; a nonzero order on an id that is no
+    irreducible of the group raises (``characters.character_index``).
 
     The sums live in the cyclotomic ring; each must land in the integers
     (it does whenever the order map is constant on each Galois orbit of
-    characters, e.g. the symplectic-block orders), else ValueError."""
-    coeffs = {cid: o for cid, o in orders.items() if cid != "chi0" and o != 0}
-    rows, exps, vals = class_sum_terms(level_group, labels, coeffs)
-    if exps.any():
-        r = int(rows[exps != 0][0])
-        terms = tuple(zip(exps[rows == r].tolist(), (2 * vals[rows == r]).tolist()))
-        raise ValueError(f"not a rational integer: {terms}")
+    characters, e.g. the symplectic-block orders), else ValueError.
+    Memory is O(labels x characters), as for ``characters.value_table``."""
+    live = {character_index(level_group, cid): o for cid, o in orders.items() if o}
+    live.pop(0, None)  # chi0
+    cols = np.array(list(live), dtype=np.intp)
+    weight = np.array(list(live.values()), dtype=np.int64)[:, None]
+    ids, exps, coeffs = value_table(level_group, labels)
+    live_ids = ids[:, cols]
+    rows, terms, vals = canonical_terms(
+        level_group.rotation_order,
+        exps[live_ids].reshape(len(labels), -1),
+        (coeffs[live_ids] * weight).reshape(len(labels), -1))
+    if terms.any():
+        r = int(rows[terms != 0][0])
+        found = tuple(zip(terms[rows == r].tolist(), (2 * vals[rows == r]).tolist()))
+        raise ValueError(f"not a rational integer: {found}")
     out = np.zeros(len(labels), dtype=np.int64)
     out[rows] = vals
-    return [2 * v for v in out.tolist()]
+    return (2 * out).tolist()
 
 
 def sqrt_density(level_group: Group, label: ClassLabel) -> int:
@@ -140,11 +155,11 @@ class LevelData:
         return self.constant[c2] - self.constant[c1]
 
 
-def level_data(scenario: ArithmeticScenario, level: int) -> LevelData:
-    """Every class's sqrt_density + z at the level, from one
-    ``level_orders`` call and one ``z_values`` reduction."""
+def level_data(scenario: ArithmeticScenario, level: int,
+               labels: Sequence[ClassLabel]) -> LevelData:
+    """sqrt_density + z at the level for every class of ``labels``, from
+    one ``level_orders`` call and one ``z_values`` reduction."""
     lg = scenario.group.level(level)
-    labels = lg.class_labels()
     z = z_values(lg, labels, level_orders(scenario, level))
     return LevelData({lab: sqrt_density(lg, lab) + zv
                       for lab, zv in zip(labels, z)})
@@ -161,10 +176,8 @@ def mean(spec: RaceSpec) -> int:
     """Exact integer mean of X for the race, per the limiting formula, from
     the constant parts of its two classes alone."""
     _check_defined(spec)
-    lg = spec.group.level(spec.level)
-    pair = [spec.c1, spec.c2]
-    z1, z2 = z_values(lg, pair, level_orders(spec.scenario, spec.level))
-    return sqrt_density(lg, spec.c2) + z2 - sqrt_density(lg, spec.c1) - z1
+    pair = (spec.c1, spec.c2)
+    return level_data(spec.scenario, spec.level, pair).mean(*pair)
 
 
 # pairs x characters of one pair_weights chunk stays below this many entries
@@ -191,21 +204,30 @@ def pair_weights(group: Group,
     step = max(1, _CHUNK_ENTRIES // ids.shape[1])
     for lo in range(0, len(out), step):
         key = ids[i2[lo:lo + step]] * base + ids[i1[lo:lo + step]]
-        # np.unique by hand: its int64 quicksort pages in ~0.4 MB of sort
-        # kernel that no other step of a verb runs; canonical_terms already
-        # runs the stable argsort
-        perm = np.argsort(key, axis=None, kind="stable")
-        ordered = key.ravel()[perm]
-        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.cumsum(first) - 1
-        v2, v1 = np.divmod(ordered[first], base)
+        first, inverse = _distinct(key.ravel())
+        v2, v1 = np.divmod(key.ravel()[first], base)
         values = canonical_values(
             group.rotation_order,
             np.concatenate((exps[v2], exps[v1]), axis=1),
             np.concatenate((coeffs[v2], -coeffs[v1]), axis=1))
         out[lo:lo + step] = np.abs(values)[inverse.reshape(key.shape)]
     return out
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct value of the integer array key,
+    in ascending order of the values, and each entry's number among
+    them.
+
+    np.unique by hand: its int64 quicksort pages in ~0.4 MB of sort kernel
+    that no other step of a verb runs; canonical_terms already runs the
+    stable argsort."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    number = np.empty_like(order)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
 
 
 def weights(spec: RaceSpec) -> dict[str, float]:
@@ -312,7 +334,7 @@ def mean_table(family: str, n: int, level: int, w_axiom: int) -> MeanTable:
     fused = np.array([fused_index.setdefault(group.class_fusion(level, lab),
                                              len(fused_index))
                       for lab in labels])
-    data = level_data(_table_scenario(kind, w_axiom), level)
+    data = level_data(_table_scenario(kind, w_axiom), level, labels)
     ref, others = labels[0], labels[1:]
     a, b = np.triu_indices(len(labels), 1)
 

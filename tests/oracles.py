@@ -54,6 +54,13 @@ the table's columns, read back as rows by ``mean_rows``, against it for
 equal rows, and pin that both functions are differences of per-class
 values.
 
+The per-character induction from before ``characters.induction_pairs``:
+``induce`` decomposes one level irreducible's induction at a time, and
+``level_orders_by_induction`` sums the per-id ``central_order`` over those
+components.  Tests compare the index pairs, ``races.level_orders``,
+``ArithmeticScenario.central_orders`` and ``characters.sr_partition``
+against them.
+
 ``report_json``'s expression from before it encoded each container of
 leaves in one call: the whole report converted to plain types, then
 json's indented encoder.  Tests require equal strings.
@@ -98,12 +105,11 @@ from chebrace.arithmetic import (
 from chebrace.characters import (
     _LINEAR_PARITIES,
     _linear_value,
-    InducedDecomposition,
     character_degree,
     character_ids,
     character_value,
-    induce,
-    is_symplectic,
+    induction_pairs,
+    psi_id,
 )
 from chebrace.cyclotomic import (
     CycloInt,
@@ -376,7 +382,7 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
     scen = scenario_generator(family, n, w_axiom, seed)
     labels = scen.group.class_labels()
     ids = character_ids(scen.group)
-    data = level_data(scen, n)
+    data = level_data(scen, n, labels)
     sets: dict = {}
     rows = []
     for a in range(len(labels)):
@@ -577,7 +583,7 @@ def mean_table_per_pair(family: str, n: int, level: int,
     group = Group(kind)
     labels = group.level(level).class_labels()
     fused = [group.class_fusion(level, lab) for lab in labels]
-    data = level_data(races._table_scenario(kind, w_axiom), level)
+    data = level_data(races._table_scenario(kind, w_axiom), level, labels)
     rows: list[MeanRow] = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
@@ -944,6 +950,100 @@ def restrict(group: Group, i: int, cid: str) -> dict[ClassLabel, CycloInt]:
         out[lab] = compress(character_value(group, cid, full_lab),
                             level.rotation_order)
     return out
+
+
+def is_symplectic(cid: str) -> bool:
+    """Per-id form of ``characters.symplectic_mask`` for the quaternion
+    family: exactly the odd-index psi_j are symplectic."""
+    return cid.startswith("psi_") and int(cid.split("_")[1]) % 2 == 1
+
+
+def central_order(scenario: ArithmeticScenario, cid: str) -> int:
+    """Per-id form of ``ArithmeticScenario.central_orders``: an override
+    if one names ``cid``, else (1 - W)/2 on the quaternion family's
+    symplectic characters, else 0."""
+    for k, v in scenario.order_overrides:
+        if k == cid:
+            return v
+    if scenario.kind.family == QUATERNION and is_symplectic(cid):
+        return (1 - scenario.w_axiom) // 2
+    return 0
+
+
+@dataclass(frozen=True)
+class InducedDecomposition:
+    level: int
+    components: tuple[tuple[str, int], ...]
+
+    def component_ids(self) -> set[str]:
+        return {cid for cid, _ in self.components}
+
+
+def _psi_range(n: int, residue: int, modulus: int) -> list[int]:
+    start = residue % modulus
+    if start == 0:
+        start = modulus
+    return list(range(start, 1 << (n - 2), modulus))
+
+
+def induce(group: Group, i: int, source_id: str) -> InducedDecomposition:
+    """Decompose the induction of one level-i irreducible into the full
+    group, the per-source form of ``characters.induction_pairs``.
+
+    Closed components: the two relevant degree-1 characters plus psi_j for
+    j = 0 mod 2^(i-1) (sources chi0, chi1), the pure psi block at
+    j = 2^(i-2) mod 2^(i-1) (sources chi2, chi3), and the folded block
+    j = +-k mod 2^(i-1) (source psi_k).  Degree bookkeeping asserted here.
+    """
+    n = group.n
+    if not 3 <= i <= n:
+        raise ValueError(f"level must satisfy 3 <= i <= {n}, got {i}")
+    if i == n:
+        comps = [(source_id, 1)]
+        src_degree = character_degree(source_id)
+    else:
+        step = 1 << (i - 1)
+        if source_id in ("chi0", "chi1"):
+            heads = ["chi0", "chi2"] if source_id == "chi0" else ["chi1", "chi3"]
+            comps = [(h, 1) for h in heads]
+            comps += [(psi_id(j), 1) for j in _psi_range(n, 0, step)]
+            src_degree = 1
+        elif source_id in ("chi2", "chi3"):
+            comps = [(psi_id(j), 1) for j in _psi_range(n, 1 << (i - 2), step)]
+            src_degree = 1
+        elif source_id.startswith("psi_"):
+            k = int(source_id.split("_")[1])
+            assert 1 <= k < (1 << (i - 2))
+            js = sorted(set(_psi_range(n, k, step)) | set(_psi_range(n, -k, step)))
+            comps = [(psi_id(j), 1) for j in js]
+            src_degree = 2
+        else:
+            raise KeyError(source_id)
+    total = sum(mult * character_degree(cid) for cid, mult in comps)
+    assert total == (1 << (n - i)) * src_degree, (source_id, i, total)
+    return InducedDecomposition(i, tuple(sorted(comps)))
+
+
+def induced_components(group: Group, i: int) -> dict[str, dict[str, int]]:
+    """``characters.induction_pairs`` read back per level irreducible, as
+    {component id: multiplicity}, the form of ``brute_force_induce``."""
+    level_ids, ids = character_ids(group.level(i)), character_ids(group)
+    out: dict[str, dict[str, int]] = {cid: {} for cid in level_ids}
+    for src, comp in zip(*(a.tolist() for a in induction_pairs(group, i))):
+        parts = out[level_ids[src]]
+        parts[ids[comp]] = parts.get(ids[comp], 0) + 1
+    return out
+
+
+def level_orders_by_induction(scenario: ArithmeticScenario,
+                              level: int) -> dict[str, int]:
+    """``races.level_orders`` a character at a time: each level
+    irreducible's ``induce`` components, their ``central_order`` summed
+    with multiplicity."""
+    group = scenario.group
+    return {cid: sum(mult * central_order(scenario, comp)
+                     for comp, mult in induce(group, level, cid).components)
+            for cid in character_ids(group.level(level))}
 
 
 def brute_force_induce(table: CharacterTable, i: int,

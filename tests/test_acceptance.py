@@ -14,7 +14,6 @@ from chebrace.characters import (
     character_degree,
     character_ids,
     character_value,
-    induce,
     psi_id,
 )
 from chebrace.density import density_fourier, density_montecarlo, race_model
@@ -46,6 +45,8 @@ from oracles import (
     explicit_scenario,
     frobenius_schur,
     fs_type,
+    induce,
+    induced_components,
     is_faithful,
     is_zero,
     orthogonality_mod_p,
@@ -101,11 +102,13 @@ def test_criterion_2_induction_oracle(capsys):
             top = 1 << (n - 2)
             for i in range(3, n + 1):
                 level = group.level(i)
+                comps = induced_components(group, i)
                 for cid in character_ids(level):
                     values = {lab: character_value(level, cid, lab)
                               for lab in level.class_labels()}
                     brute = brute_force_induce(table, i, values)
                     assert dict(induce(group, i, cid).components) == brute
+                    assert comps[cid] == brute
                     checked += 1
             # the three displayed decompositions at every proper level: psi
             # folding and the pure chi2/chi3 block hold verbatim; the middle
@@ -118,18 +121,17 @@ def test_criterion_2_induction_oracle(capsys):
                 index = 1 << (n - i)
                 block0 = {psi_id(j) for j in range(half, top, half)}
                 block2 = {psi_id(j) for j in range(half // 2, top, half)}
+                comps = induced_components(group, i)
                 for k in range(1, 1 << (i - 2)):
                     want = {psi_id(j) for j in range(1, top)
                             if j % half in (k % half, (-k) % half)}
-                    dec = induce(group, i, psi_id(k))
-                    assert dec.component_ids() == want
-                    assert all(m == 1 for _, m in dec.components)
-                assert induce(group, i, "chi0").component_ids() == \
-                    {"chi0", "chi2"} | block0
-                assert induce(group, i, "chi1").component_ids() == \
-                    {"chi1", "chi3"} | block0
-                assert induce(group, i, "chi2").component_ids() == block2
-                assert induce(group, i, "chi3").component_ids() == block2
+                    dec = comps[psi_id(k)]
+                    assert set(dec) == want
+                    assert all(m == 1 for m in dec.values())
+                assert set(comps["chi0"]) == {"chi0", "chi2"} | block0
+                assert set(comps["chi1"]) == {"chi1", "chi3"} | block0
+                assert set(comps["chi2"]) == block2
+                assert set(comps["chi3"]) == block2
 
                 def total_degree(ids):
                     return sum(character_degree(c) for c in ids)

@@ -20,6 +20,7 @@ from chebrace.groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 from oracles import (
     RamificationData,
     RamifiedPrime,
+    central_order,
     conductor_discriminant,
     conductor_report,
     degree_two_matrices,
@@ -148,14 +149,22 @@ def test_scenario_central_orders_and_overrides():
     kind = GroupKind(QUATERNION, 4)
     vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
     scen = ArithmeticScenario(kind, -1, (vp,), 10.0)
-    assert scen.central_order("psi_1") == 1
-    assert scen.central_order("psi_3") == 1
-    assert scen.central_order("psi_2") == 0
-    assert scen.central_order("chi1") == 0
+    ids = character_ids(scen.group)
+    assert dict(zip(ids, scen.central_orders.tolist())) == {
+        "chi0": 0, "chi1": 0, "chi2": 0, "chi3": 0,
+        "psi_1": 1, "psi_2": 0, "psi_3": 1}
     forced = ArithmeticScenario(kind, +1, (vp,), 10.0,
                                 order_overrides=(("psi_1", 7),))
-    assert forced.central_order("psi_1") == 7
-    assert forced.central_order("psi_3") == 0
+    assert forced.central_orders.tolist() == [0, 0, 0, 0, 7, 0, 0]
+    assert not forced.central_orders.flags.writeable
+    for family in FAMILIES:
+        for n in (3, 4, 7):
+            for w in ((+1,) if family == DIHEDRAL else (+1, -1)):
+                for overrides in ((), (("psi_1", 3), ("chi2", 2))):
+                    sc = ArithmeticScenario(GroupKind(family, n), w, (vp,), 10.0,
+                                            order_overrides=overrides)
+                    assert sc.central_orders.tolist() == [
+                        central_order(sc, cid) for cid in character_ids(sc.group)]
 
 
 def test_dihedral_scenarios_reject_w_minus_one():

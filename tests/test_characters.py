@@ -11,10 +11,9 @@ from chebrace.characters import (
     character_degree,
     character_ids,
     character_value,
-    induce,
-    is_symplectic,
     psi_id,
     sr_partition,
+    symplectic_mask,
 )
 from chebrace.cyclotomic import add, cos_pair, cyclo_zero
 from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind, power
@@ -27,8 +26,11 @@ from oracles import (
     conjugate,
     degree_two_matrices,
     frobenius_schur,
+    induce,
+    induced_components,
     inner_product,
     is_faithful,
+    is_symplectic,
     is_zero,
     mul,
     multiplicity,
@@ -107,6 +109,7 @@ def test_character_values_against_matrix_models(group):
 @pytest.mark.parametrize("group", _groups((3, 4, 5, 6)), ids=str)
 def test_frobenius_schur_classification(group):
     table = character_table(group)
+    mask = symplectic_mask(group)
     for chi in table.characters:
         ind = frobenius_schur(table, chi)
         if group.family == QUATERNION and chi.cid.startswith("psi_"):
@@ -114,16 +117,18 @@ def test_frobenius_schur_classification(group):
             assert ind == (-1 if j % 2 == 1 else 1), chi.cid
         else:
             assert ind == 1, chi.cid  # all real and orthogonally realizable
-        if group.family == QUATERNION:
-            # the closed-form symplectic indicator is the FS index test
-            assert is_symplectic(chi.cid) == (ind == -1)
+        # the closed-form symplectic mask is the FS index test
+        assert mask[character_ids(group).index(chi.cid)] == (ind == -1)
 
 
 def test_is_symplectic_closed_form_matches_quaternion_indicator():
     group = Group(GroupKind(QUATERNION, 5))
     table = character_table(group)
-    for chi in table.characters:
-        assert is_symplectic(chi.cid) == (frobenius_schur(table, chi) == -1)
+    mask = symplectic_mask(group)
+    for c, chi in enumerate(table.characters):
+        assert chi.cid == character_ids(group)[c]
+        assert mask[c] == (frobenius_schur(table, chi) == -1)
+        assert is_symplectic(chi.cid) == mask[c]
 
 
 @pytest.mark.parametrize("group", _groups((3, 4, 5)), ids=str)
@@ -142,12 +147,14 @@ def test_induction_matches_brute_force(family, n):
     table = character_table(group)
     for i in range(3, n + 1):
         level = group.level(i)
+        pairs = induced_components(group, i)
         for cid in character_ids(level):
             values = {lab: character_value(level, cid, lab)
                       for lab in level.class_labels()}
             brute = brute_force_induce(table, i, values)
             closed = induce(group, i, cid)
             assert dict(closed.components) == brute, (family, n, i, cid)
+            assert pairs[cid] == brute, (family, n, i, cid)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -156,6 +163,7 @@ def test_frobenius_reciprocity(family):
     group = Group(GroupKind(family, n))
     level_i = 3
     level = group.level(level_i)
+    pairs = induced_components(group, level_i)
     for src in character_ids(level):
         dec = induce(group, level_i, src)
         src_values = {lab: character_value(level, src, lab)
@@ -164,14 +172,18 @@ def test_frobenius_reciprocity(family):
             res = restrict(group, level_i, cid)
             ip = inner_product(level, res, src_values)
             assert ip == Fraction(multiplicity(dec, cid)), (src, cid)
+            assert ip == pairs[src].get(cid, 0), (src, cid)
 
 
 def test_induced_degree_bookkeeping():
     group = Group(GroupKind(QUATERNION, 6))
     for i in range(3, 7):
+        pairs = induced_components(group, i)
         for cid in character_ids(group.level(i)):
             dec = induce(group, i, cid)
             total = sum(m * character_degree(c) for c, m in dec.components)
+            assert total == (1 << (6 - i)) * character_degree(cid)
+            total = sum(m * character_degree(c) for c, m in pairs[cid].items())
             assert total == (1 << (6 - i)) * character_degree(cid)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from chebrace.arithmetic import ArithmeticScenario, VirtualPrime, scenario_generator
-from chebrace.characters import character_degree, character_ids
+from chebrace.characters import character_degree, character_ids, sr_partition
+from chebrace.experiments import _h8_scenario
 from chebrace.groups import (
     DIHEDRAL,
     FLIP_EVEN,
@@ -49,8 +50,12 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
     b0,
     bias_factor,
+    induce,
+    induced_components,
+    level_orders_by_induction,
     mean_rows,
     mean_table_per_pair,
+    sr_split,
     vanishing_orders,
     variance,
     weights_cyclo,
@@ -130,8 +135,8 @@ def test_mean_self_check_names_the_first_failing_row(monkeypatch):
 def test_mean_reads_only_its_two_classes(family):
     scen = _scen(family, 6, -1)
     for level in range(3, 7):
-        data = level_data(scen, level)
         labels = scen.group.level(level).class_labels()
+        data = level_data(scen, level, labels)
         for a in range(len(labels)):
             for b in range(a + 1, len(labels)):
                 spec = RaceSpec(scen, level, labels[a], labels[b])
@@ -221,6 +226,44 @@ def test_level_orders_agree_with_closed_form_vanishing_orders():
                     scen.kind, w, i)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_array_induction_matches_the_per_character_reference(family, n):
+    # the index pairs against the per-source decompositions, the level
+    # orders against the per-character induce-and-sum, and the S/R split
+    # against the pairwise scan, at every level
+    group = Group(GroupKind(family, n))
+    for i in range(3, n + 1):
+        pairs = induced_components(group, i)
+        for cid in character_ids(group.level(i)):
+            assert pairs[cid] == dict(induce(group, i, cid).components), (i, cid)
+        _, r_ids = sr_split(group, i)
+        assert sr_partition(group, i) == (
+            max((character_degree(cid) for cid in r_ids), default=0), len(r_ids))
+    scenarios = [scenario_generator(family, n, w, seed)
+                 for w in ((+1,) if family == DIHEDRAL else (+1, -1))
+                 for seed in (0, 5)]
+    if (family, n) == ("quaternion", 3):
+        scenarios += [_h8_scenario(o) for o in (0, 1, 2)]
+    for scen in scenarios:
+        for i in range(3, n + 1):
+            assert level_orders(scen, i) == level_orders_by_induction(scen, i), i
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_induction_arrays_reach_n_20(family):
+    # linear in the group's characters: the pairwise scan took about an
+    # hour for one of these calls
+    group = Group(GroupKind(family, 20))
+    assert sr_partition(group, 19) == (1, 2)
+    assert sr_partition(group, 18) == (1, 3)
+    if family == DIHEDRAL:
+        return
+    scen = scenario_generator(family, 20, -1, seed=5)
+    for i in (3, 10, 19, 20):
+        assert level_orders(scen, i) == vanishing_orders(scen.kind, -1, i)
+
+
 def _z(level_group, label, orders):
     return z_values(level_group, [label], orders)[0]
 
@@ -236,6 +279,15 @@ def test_z_value_exact_integers():
     # psi_1(power(1)) = zeta_8 + zeta_8^-1 = sqrt(2): not a rational integer
     with pytest.raises(ValueError, match="not a rational integer"):
         _z(Group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
+    # a nonzero order on an id of no irreducible of the group raises; a
+    # zero order on any id is ignored
+    with pytest.raises(KeyError):
+        _z(group, ONE, {"psi_1": 1, "psi_5": 1})
+    with pytest.raises(KeyError):
+        _z(group, ONE, {"chi4": 1})
+    with pytest.raises(ValueError):
+        _z(group, ONE, {"psi_x": 1})
+    assert _z(group, ONE, {"psi_1": 1, "psi_5": 0, "psi_x": 0}) == 4
 
 
 @pytest.mark.parametrize("family", FAMILIES)

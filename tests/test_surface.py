@@ -33,7 +33,8 @@ ALLOWED: frozenset[str] = frozenset()
 # per-pair weight paths that the batch ``races.pair_weights`` replaced, the
 # ring operations of CycloInt beyond sums, the element-at-a-time group
 # operations, the tame-conductor layer over literal primes, and the
-# test-only character sums
+# test-only character sums, and the per-character induction and central
+# orders that the index-pair and array forms replaced
 ORACLE_ONLY = {
     "complex_values", "difference_terms",
     "neg", "sub", "scale", "mul", "conjugate", "promote", "compress",
@@ -43,6 +44,8 @@ ORACLE_ONLY = {
     "CharacterConductor", "conductor_report", "conductor_discriminant",
     "discriminant_exponent_tame", "explicit_scenario", "random_ramification",
     "symplectic_value_sum", "multiplicity",
+    "induce", "InducedDecomposition", "_psi_range", "central_order",
+    "is_symplectic",
 }
 
 
