@@ -1,16 +1,19 @@
-"""Time and memory of `chebrace tower`, `table` or `monotonicity` as the
-tower grows.
+"""Time and memory of `chebrace tower`, `table`, `monotonicity` or `race`
+as the tower grows.
 
-    python3 bench/scale.py {tower,table,monotonicity} [--n N ...] [--out BENCH_<verb>.json]
+    python3 bench/scale.py {tower,table,monotonicity,race} [--n N ...] [--out BENCH_<verb>.json]
 
 For each N, ``tower`` runs `tower --family F --n N --seed 0` for both
 families (quaternion with `--w -1`), ``table`` runs `table --id T --n N`
-for T = esp-q and esp-d, and ``monotonicity`` runs `monotonicity --family
+for T = esp-q and esp-d, ``monotonicity`` runs `monotonicity --family
 quaternion --n N --w -1 --seed 5 --samples 2`: one antithetic pair, so the
 Monte Carlo is a small share and the exact layer, the zero provisioning
-and the model assembly are the cost.  N defaults to 7 8 9 10 for ``tower``
-and ``table`` and to 12 14 16 18 for ``monotonicity``.  Each call runs in a
-fresh interpreter, and the script writes one JSON record per call:
+and the model assembly are the cost, and ``race`` runs `race --n N --pair
+one:minus_one --samples 10000 --seed 0`, one quaternion W=-1 pair at the
+top level, Monte Carlo included.  N defaults to 7 8 9 10 for ``tower`` and
+``table``, to 12 14 16 18 for ``monotonicity`` and to 12 14 16 for
+``race``.  Each call runs in a fresh interpreter, and the script writes one
+JSON record per call:
 
 * ``wall_s``: the child's wall time, interpreter start to exit;
 * ``peak_rss_mb``: the child's peak resident set (``ru_maxrss`` of its own
@@ -29,7 +32,10 @@ fresh interpreter, and the script writes one JSON record per call:
   of ``reproduce_table``: the report rows) and ``report``.
   ``monotonicity``: ``means`` (``mean``, once per level), ``zeros``
   (``provision_zero_sets``), ``model`` (``race_model``), ``mc``
-  (``_mc_race``, the shared Monte Carlo draw) and ``report``;
+  (``_mc_race``, the shared Monte Carlo draw) and ``report``.  ``race``:
+  ``means`` (``mean``), ``zeros`` (``provision_zero_sets``), ``model``
+  (``race_model``), ``fourier`` (``density_fourier``), ``mc``
+  (``density_montecarlo``) and ``report``;
 * ``inversions`` (``tower`` only): how many races of nonzero mean the
   call inverted, one per distinct (|mean|, weight row);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
@@ -69,9 +75,15 @@ PHASES = {
                      ("experiments", ("race_model",), "model"),
                      ("experiments", ("_mc_race",), "mc"),
                      ("cli", ("report_json",), "report")),
+    "race": (("experiments", ("mean",), "means"),
+             ("experiments", ("provision_zero_sets",), "zeros"),
+             ("experiments", ("race_model",), "model"),
+             ("experiments", ("density_fourier",), "fourier"),
+             ("experiments", ("density_montecarlo",), "mc"),
+             ("cli", ("report_json",), "report")),
 }
 DEFAULT_N = {"tower": [7, 8, 9, 10], "table": [7, 8, 9, 10],
-             "monotonicity": [12, 14, 16, 18]}
+             "monotonicity": [12, 14, 16, 18], "race": [12, 14, 16]}
 
 
 def _argvs(verb: str, n: int) -> list[list[str]]:
@@ -82,6 +94,9 @@ def _argvs(verb: str, n: int) -> list[list[str]]:
     if verb == "monotonicity":
         return [["monotonicity", "--family", "quaternion", "--n", str(n),
                  "--w", "-1", "--seed", "5", "--samples", "2"]]
+    if verb == "race":
+        return [["race", "--n", str(n), "--pair", "one:minus_one",
+                 "--samples", "10000", "--seed", "0"]]
     return [["table", "--id", table_id, "--n", str(n)]
             for table_id in ("esp-q", "esp-d")]
 
@@ -160,7 +175,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("verb", choices=tuple(PHASES))
     parser.add_argument("--n", type=int, nargs="+",
-                        help="default: 7 8 9 10, or 12 14 16 18 for monotonicity")
+                        help="default: 7 8 9 10, 12 14 16 18 for monotonicity, "
+                             "12 14 16 for race")
     parser.add_argument("--out", help="default: BENCH_<verb>.json at the repo root")
     args = parser.parse_args()
     runs = []

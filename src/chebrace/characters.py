@@ -40,9 +40,12 @@ def psi_id(j: int) -> str:
 
 def character_ids(group: Group) -> list[str]:
     """Canonical enumeration: chi0..chi3 then psi_1..psi_(2^(n-2)-1)."""
-    return ["chi0", "chi1", "chi2", "chi3"] + [
-        psi_id(j) for j in range(1, 1 << (group.n - 2))
-    ]
+    return [character_id(c) for c in range(3 + (1 << (group.n - 2)))]
+
+
+def character_id(index: int) -> str:
+    """The id at ``index`` of ``character_ids``, psi_j at 3 + j."""
+    return f"chi{index}" if index < 4 else psi_id(index - 3)
 
 
 def character_degree(cid: str) -> int:

@@ -24,12 +24,14 @@ first-order bound on float rounding is added to it.
 
 A ``RaceModel`` is an integer mean and a ``Spectrum``: a row of scales
 (twice each character's weight) over a ``SpectralTable`` of zero moduli,
-one component per character.  ``race_model`` builds one from a mean, a
-weight map and zero sets; a driver with many rows over the same zero
-sets builds one ``SpectralTable`` and a spectrum per row.  The variance
-is a sum over the components, not over the terms, and the term list
-itself, which only the Monte Carlo kernel reads, is listed when first
-read.  The table sums the
+one component per character, in ``character_ids`` order.  ``race_model``
+builds one from a mean, a weight row and zero sets keyed by column; a
+driver with many rows over the same zero sets (the tower) builds one
+``SpectralTable`` and a spectrum per row.  Both keep the components in
+column order, so a race has one model, and one estimate, whichever driver
+builds it.  The variance is a sum over the components, not over the
+terms, and the term list itself, which only the Monte Carlo kernel reads,
+is listed when first read.  The table sums the
 powers of its moduli, each order and each stretch summed when an
 inversion first needs it, so the Fourier engine lists only the terms that
 reach a threshold at t_max.  The tail search visits a few grid points past
@@ -84,7 +86,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .characters import character_degree
 from .zeros import ZeroSet
 
 _MC_SALT = 0x5CE9A813
@@ -556,24 +557,25 @@ class RaceModel:
         return np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
 
 
-def race_model(mean: int, weight_map: Mapping[str, float],
-               zero_sets: Mapping[str, ZeroSet]) -> RaceModel:
-    """The race of this mean and these character weights over these zero
-    sets, on a table of its own: one component per weighted character
-    with zeros, in sorted id order, of scale twice its weight.  Raises
-    KeyError when a weighted character has no zero set, and ValueError
-    when no weighted character has a zero."""
-    cids = sorted(cid for cid, w in weight_map.items() if w != 0.0)
-    for cid in cids:
-        if cid not in zero_sets:
-            raise KeyError(f"zero set missing for weighted character {cid}")
-    cids = [cid for cid in cids if zero_sets[cid].moduli.size]
-    if not cids:
+def race_model(mean: int, row: Sequence[float],
+               zero_sets: Mapping[int, ZeroSet]) -> RaceModel:
+    """The race of this mean and this weight row, in ``character_ids``
+    order, over these zero sets, keyed by column, on a table of its own:
+    one component per column of nonzero weight with zeros, in column order
+    (the tower's order), of scale twice its weight.  Raises KeyError when
+    a weighted column has no zero set, and ValueError when no weighted
+    column has a zero."""
+    row = np.asarray(row, dtype=float)
+    weighted = np.flatnonzero(row).tolist()
+    for c in weighted:
+        if c not in zero_sets:
+            raise KeyError(f"zero set missing for weighted column {c}")
+    cols = [c for c in weighted if zero_sets[c].moduli.size]
+    if not cols:
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
-    table = SpectralTable([zero_sets[cid].moduli for cid in cids])
-    row = 2.0 * np.array([weight_map[cid] for cid in cids])
-    return RaceModel(mean, Spectrum(table, row))
+    table = SpectralTable([zero_sets[c].moduli for c in cols])
+    return RaceModel(mean, Spectrum(table, 2.0 * row[cols]))
 
 
 # -- the batched Fourier engine: every step one pass over a block of rows ------
@@ -1215,24 +1217,21 @@ def lower_bound(bias: float, q: float) -> float | None:
     return C1 * math.exp(-C2 * q * bias * bias)
 
 
-def q_factor(weights: dict[str, float], level: int, n: int,
-             b1: int, b2: int) -> float:
-    """Q(C1, C2) from the character weight extremes.
+def q_factor(row: np.ndarray, level: int, n: int, b1: int, b2: int) -> float:
+    """Q(C1, C2) from the extremes of a weight row in ``character_ids`` order.
 
     b3 is the largest weight |lambda(C2+)-lambda(C1+)|, b4 the smallest
-    nonzero one, lambda* the maximizing character (largest degree wins ties).
-    Over a proper base field Q = max(exp(QC sqrt(M0 b1 b2 / (deg* b3))),
-    QC b3/b4, QC); over the rationals (level = n) the shared part is empty
-    and Q = QC (b3/b4 + 1).
+    nonzero one, lambda* the maximizing character (largest degree wins ties;
+    the columns from 4 on are the degree-2 psi_j).  Over a proper base
+    field Q = max(exp(QC sqrt(M0 b1 b2 / (deg* b3))), QC b3/b4, QC); over
+    the rationals (level = n) the shared part is empty and Q = QC (b3/b4 + 1).
     """
-    nonzero = {cid: w for cid, w in weights.items() if w > 0.0}
-    if not nonzero:
+    nonzero = row[row > 0.0]
+    if not nonzero.size:
         raise ValueError("all character weights vanish; race undefined")
-    b3 = max(nonzero.values())
-    b4 = min(nonzero.values())
-    star = sorted((cid for cid, w in nonzero.items() if w == b3),
-                  key=lambda cid: (-character_degree(cid), cid))[0]
-    deg = character_degree(star)
+    b3 = float(nonzero.max())
+    b4 = float(nonzero.min())
+    deg = 2 if np.flatnonzero(row == b3)[-1] >= 4 else 1
     if level == n:
         q = QC * (b3 / b4 + 1.0)
     else:

@@ -31,7 +31,13 @@ from .arithmetic import (
     horizontal_scenario,
     scenario_generator,
 )
-from .characters import character_degree, character_ids, sr_partition
+from .characters import (
+    character_degree,
+    character_id,
+    character_ids,
+    character_index,
+    sr_partition,
+)
 from .density import (
     SpectralTable,
     _mc_race,
@@ -52,6 +58,7 @@ from .groups import (
     MINUS_ONE,
     ONE,
     ClassLabel,
+    Group,
     GroupKind,
     QUATERNION,
     power,
@@ -278,20 +285,20 @@ def zero_count_model(scenario: ArithmeticScenario, cid: str) -> ZeroCountModel:
     return ZeroCountModel(scenario.log_conductor(cid), character_degree(cid))
 
 
-def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
+def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
                         seed: int, min_count: int = 64,
-                        t_max: float | None = None) -> dict[str, ZeroSet]:
-    """Sample one synthetic zero set per character id, deterministically.
+                        t_max: float | None = None) -> dict[int, ZeroSet]:
+    """Sample one synthetic zero set per character, deterministically; the
+    characters and the returned keys are indices into ``character_ids``.
 
     The horizon is t_max when given (shared zero data across every use),
     otherwise doubled from 16 until the expected count reaches min_count.
     Child seeds mix a fixed salt, the master seed, and the character's
-    index in the full id list, so adding characters never reshuffles
-    previously sampled sets.
+    index, so adding characters never reshuffles previously sampled sets.
     """
-    position = {cid: i for i, cid in enumerate(character_ids(scenario.group))}
-    sets: dict[str, ZeroSet] = {}
-    for cid in sorted(set(cids)):
+    sets: dict[int, ZeroSet] = {}
+    for c in sorted({int(c) for c in indices}):
+        cid = character_id(c)
         model = zero_count_model(scenario, cid)
         horizon = t_max
         if horizon is None:
@@ -302,38 +309,38 @@ def provision_zero_sets(scenario: ArithmeticScenario, cids: Iterable[str],
                     raise ConfigError(
                         f"min_zeros {min_count} is out of reach for {cid}: "
                         f"its zero horizon would pass the 2^20 limit")
-        child = _child_seed(_PROVISION_SALT, seed, position[cid])
+        child = _child_seed(_PROVISION_SALT, seed, c)
         try:
-            sets[cid] = sample_zero_set(model, horizon, child, character_id=cid)
+            sets[c] = sample_zero_set(model, horizon, child, character_id=cid)
         except ValueError as exc:  # the zero count limit
             raise ConfigError(f"{cid}: {exc}") from exc
     return sets
 
 
-def _check_horizon(sets: Mapping[str, ZeroSet], t_max: float) -> None:
+def _check_horizon(sets: Mapping[int, ZeroSet], t_max: float) -> None:
     """A horizon below every sampled zero leaves the race no oscillation
     terms; that is a bad input, not a race."""
     if not any(zs.ordinates for zs in sets.values()):
         raise ConfigError(
             f"t_max = {t_max} lies below every sampled zero of "
-            f"{', '.join(sorted(sets))}: the race has no oscillation terms")
+            f"{', '.join(zs.character_id for zs in sets.values())}: the race "
+            "has no oscillation terms")
 
 
-def _tail_sigma(scenario: ArithmeticScenario, weight_map: Mapping[str, float],
-                sets: Mapping[str, ZeroSet]) -> float | None:
+def _tail_sigma(scenario: ArithmeticScenario, row: np.ndarray,
+                sets: Mapping[int, ZeroSet]) -> float | None:
     """Standard deviation of the oscillation dropped beyond each horizon."""
     acc = 0.0
-    for cid, wv in weight_map.items():
-        if wv == 0.0:
-            continue
-        zs = sets[cid]
+    for c in np.flatnonzero(row).tolist():
+        wv = float(row[c])
+        zs = sets[c]
         log_a = zs.log_conductor
         if log_a is None:
             if zs.source.startswith("synthetic"):
-                log_a = scenario.log_conductor(cid)
+                log_a = scenario.log_conductor(zs.character_id)
             else:
                 return None
-        model = ZeroCountModel(log_a, character_degree(cid))
+        model = ZeroCountModel(log_a, character_degree(zs.character_id))
         acc += 2.0 * wv * wv * b0_tail(model, zs.t_max)
     return math.sqrt(acc)
 
@@ -582,10 +589,10 @@ def parse_class_label(text: str) -> ClassLabel:
         "flip_odd, or power(k)")
 
 
-def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
-             zero_sets: Mapping[str, ZeroSet], samples: int, mc_seed: int) -> dict:
-    """One fully populated report row from the pair's weights ``w_map``;
-    undefined pairs, which have none, yield a status row."""
+def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
+             zero_sets: Mapping[int, ZeroSet], samples: int, mc_seed: int) -> dict:
+    """One fully populated report row from the pair's weight row and zero
+    sets by column; undefined pairs, which have none, yield a status row."""
     kind = spec.scenario.kind
     row: dict = {"c1": str(spec.c1), "c2": str(spec.c2), "level": spec.level}
     if not spec.is_defined():
@@ -604,7 +611,7 @@ def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
     row["mean_formula"] = m
     row["mean_published"] = pub
     row["status"] = STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION
-    model = race_model(m, w_map, zero_sets)
+    model = race_model(m, weight_row, zero_sets)
     row["variance"] = model.variance
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
@@ -621,14 +628,14 @@ def race_row(spec: RaceSpec, w_map: Mapping[str, float] | None,
         b1 = b2 = 2
     else:
         b1, b2 = sr_partition(group, spec.level)
-    q = q_factor(w_map, spec.level, kind.n, b1, b2)
+    q = q_factor(weight_row, spec.level, kind.n, b1, b2)
     row["clt_estimate"], row["clt_error_budget"] = clt_estimate(
         model.bias_factor, model.variance)
     row["upper_one_minus_delta"] = upper_bound(model.bias_factor)
     row["lower_one_minus_delta"] = lower_bound(model.bias_factor, q)
     row["q"] = q
 
-    tail = _tail_sigma(spec.scenario, w_map, zero_sets)
+    tail = _tail_sigma(spec.scenario, weight_row, zero_sets)
     row["truncation_shift_bound"] = (
         None if tail is None
         else truncation_shift_bound(math.sqrt(model.variance), tail))
@@ -689,7 +696,7 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
         w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
     from_files = bool(zero_files)
-    sets = load_zero_sets(zero_files)
+    sets = load_zero_sets(zero_files, scen.group)
     paths = dict(zip(sets, zero_files))  # load_zero_sets keeps file order
     if level is None:
         level = n
@@ -704,21 +711,21 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
             spec = RaceSpec(scen, level, c1, c2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        w_map = weights(spec) if spec.is_defined() else None
-        if w_map is not None:
-            needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
-            missing = [cid for cid in needed if cid not in sets]
+        w = weights(spec) if spec.is_defined() else None
+        if w is not None:
+            needed = np.flatnonzero(w).tolist()
+            missing = [c for c in needed if c not in sets]
             if from_files and missing:
                 raise ConfigError(
-                    f"zero files do not cover characters {missing} "
-                    f"needed by ({c1}, {c2})")
-            if from_files and not any(len(sets[cid]) for cid in needed):
+                    f"zero files do not cover characters "
+                    f"{[character_id(c) for c in missing]} needed by ({c1}, {c2})")
+            if from_files and not any(len(sets[c]) for c in needed):
                 raise ConfigError(
-                    f"zero files {[paths[cid] for cid in needed]} hold no "
+                    f"zero files {[paths[c] for c in needed]} hold no "
                     f"ordinates for ({c1}, {c2})")
             sets.update(provision_zero_sets(scen, missing, seed,
                                             min_count=min_zeros))
-        rows.append(race_row(spec, w_map, sets, samples, _child_seed(seed, index)))
+        rows.append(race_row(spec, w, sets, samples, _child_seed(seed, index)))
     return {
         "experiment": "race",
         "family": family,
@@ -746,13 +753,22 @@ def read_zero_file(path: str) -> ZeroSet:
                           else f"{path}: {text}") from exc
 
 
-def load_zero_sets(paths: Iterable[str]) -> dict[str, ZeroSet]:
-    sets: dict[str, ZeroSet] = {}
+def load_zero_sets(paths: Iterable[str], group: Group) -> dict[int, ZeroSet]:
+    """The zero files' sets, in file order, keyed by their character's
+    index in ``character_ids(group)``; an id that names no irreducible of
+    the group, or names one twice, is a ConfigError naming the file."""
+    sets: dict[int, ZeroSet] = {}
     for path in paths:
         zs = read_zero_file(path)
-        if zs.character_id in sets:
+        try:
+            c = character_index(group, zs.character_id)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"{path}: {zs.character_id!r} names no irreducible of the "
+                f"{group.family} group of order 2^{group.n}") from None
+        if c in sets:
             raise ConfigError(f"duplicate zero file for {zs.character_id}: {path}")
-        sets[zs.character_id] = zs
+        sets[c] = zs
     return sets
 
 
@@ -782,17 +798,18 @@ def h8_table() -> list[dict]:
     scen0, scen1 = _h8_scenario(0), _h8_scenario(1)
     group = scen0.group
     labels = group.class_labels()
-    nontrivial = [cid for cid in character_ids(group) if cid != "chi0"]
+    ids = character_ids(group)
+    nontrivial = ids[1:]
     data0, data1 = level_data(scen0, 3, labels), level_data(scen1, 3, labels)
     rows: list[dict] = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
             c1, c2 = labels[a], labels[b]
-            m0, m1 = data0.mean(c1, c2), data1.mean(c1, c2)
+            m0, m1 = int(data0[b] - data0[a]), int(data1[b] - data1[a])
             sym = _symbolic_mean(m0, m1)
-            w_map = weights(RaceSpec(scen0, 3, c1, c2))
+            row = weights(RaceSpec(scen0, 3, c1, c2))
             coeffs = {}
-            for cid, wv in sorted(w_map.items()):
+            for cid, wv in sorted(zip(ids, row.tolist())):
                 if wv == 0.0:
                     continue
                 c = wv * wv
@@ -918,11 +935,10 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
     for index, f in enumerate(fs):
         scen = horizontal_scenario(index, float(f), w_axiom)
         spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-        w_map = weights(spec)
-        sets = provision_zero_sets(
-            scen, [cid for cid, wv in w_map.items() if wv > 0],
-            _child_seed(seed, index), min_count=512)
-        row = race_row(spec, w_map, sets, samples, _child_seed(seed, index, 1))
+        weight_row = weights(spec)
+        sets = provision_zero_sets(scen, np.flatnonzero(weight_row),
+                                   _child_seed(seed, index), min_count=512)
+        row = race_row(spec, weight_row, sets, samples, _child_seed(seed, index, 1))
         log_a = scen.log_conductor("psi_1")
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -977,10 +993,11 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     group = scen.group
     labels = group.class_labels()
     kind = GroupKind(family, n)
-    data = level_data(scen, n, labels)
-    pairs = [(labels[a], labels[b]) for a in range(len(labels))
-             for b in range(a + 1, len(labels))]
-    means = [data.mean(c1, c2) for c1, c2 in pairs]  # all defined at the top
+    constant = level_data(scen, n, labels)
+    a, b = np.triu_indices(len(labels), 1)
+    pairs = [(labels[i], labels[j]) for i, j in zip(a.tolist(), b.tolist())]
+    mean = constant[b] - constant[a]  # all defined at the top
+    means = mean.tolist()
     # The zero sets are fixed for the call, so pairs with equal weight rows
     # race the same oscillation part: one inversion per distinct
     # (|mean|, weight row), all of them one batch over one spectral table
@@ -996,10 +1013,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     scales = table[np.ix_(distinct, weighted)]
     scales *= 2.0
     del table
-    ids = character_ids(group)
-    sets = provision_zero_sets(scen, [ids[c] for c in weighted], seed)
-    zeros = SpectralTable([sets[ids[c]].moduli for c in weighted])
-    mean = np.array(means)
+    sets = provision_zero_sets(scen, weighted, seed)
+    zeros = SpectralTable([sets[c].moduli for c in weighted.tolist()])
     size = np.abs(mean)
     models, model_of = _distinct(row_of * (int(size.max(initial=0)) + 1) + size)
     found = density_fourier_batch(zeros, scales,
@@ -1102,11 +1117,10 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     if len({specs[i].fused_pair() for i in levels}) != 1:
         raise InternalInconsistencyError(
             "fused pairs, hence weights, must be identical across levels")
-    w_map = weights(specs[n])
-    needed = sorted(cid for cid, wv in w_map.items() if wv > 0)
-    sets = provision_zero_sets(scen, needed, seed, t_max=t_max)
+    weight_row = weights(specs[n])
+    sets = provision_zero_sets(scen, np.flatnonzero(weight_row), seed, t_max=t_max)
     _check_horizon(sets, t_max)
-    model = race_model(means[n], w_map, sets)
+    model = race_model(means[n], weight_row, sets)
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
     # one shared noise draw decides every level
@@ -1243,14 +1257,13 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         log_a = _aim_conductor(n, target, t_max)
         scen = _rotation_tower_scenario(n, log_a)
         spec = RaceSpec(scen, n, ONE, MINUS_ONE)
-        w_map = weights(spec)
-        sets = provision_zero_sets(scen,
-                                   [cid for cid, wv in w_map.items() if wv > 0],
+        weight_row = weights(spec)
+        sets = provision_zero_sets(scen, np.flatnonzero(weight_row),
                                    _child_seed(seed, k), t_max=t_max)
-        model = race_model(mean(spec), w_map, sets)
+        model = race_model(mean(spec), weight_row, sets)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
-        q = q_factor(w_map, n, n, 2, 2)
+        q = q_factor(weight_row, n, n, 2, 2)
         lower = lower_bound(model.bias_factor, q)
         upper = upper_bound(model.bias_factor)
         row = {
@@ -1300,8 +1313,8 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")
-        _check_horizon({zs.character_id: zs}, t_max)
-    model = race_model(2, {zs.character_id: 2.0}, {zs.character_id: zs})
+        _check_horizon({0: zs}, t_max)
+    model = race_model(2, [2.0], {0: zs})
     est = density_fourier(model)
     return {
         "experiment": "mod4",

@@ -19,10 +19,12 @@ counting functions are then identical); in these families that happens only
 for the two reflection classes below the top level.
 
 Everything exact here is read from the integer form of the character table
-(see ``characters``).  ``level_orders`` sums the scenario's central-order
-array over the index pairs of the level's induction in one ``bincount``.
-``level_data`` takes, for every class of a label set at once, the constant
-part sqrt_density(C) + z(C) of X, so a mean is one subtraction (``mean``
+(see ``characters``), and character data are arrays in ``character_ids``
+order: a character's index there is its only key.  ``level_orders`` sums
+the scenario's central-order array over the index pairs of the level's
+induction in one ``bincount``.  ``level_data`` takes, for every class of a
+label set at once, the constant part sqrt_density(C) + z(C) of X, as an
+array aligned with the labels, so a mean is one subtraction (``mean``
 asks for just the pair's two classes).  Both ``z_values`` and
 ``pair_weights`` read the table's value ids (``characters.value_table``).
 ``z_values`` reduces the order-weighted values of every class in one
@@ -32,21 +34,21 @@ the distinct id pairs are reduced to canonical terms and evaluated, with
 the same float operations as ``to_complex`` of a ``CycloInt`` in
 ``tests/oracles.py``; ``weights`` is its one-pair case.
 
-This module stops at the exact data: a mean and a weight map.  The
+This module stops at the exact data: a mean and a weight row.  The
 oscillation part over zero sets, the race model the density engines take,
-is ``density.RaceModel``.
+is ``density.race_model``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .arithmetic import ArithmeticScenario
-from .characters import character_ids, character_index, induction_pairs, value_table
+from .characters import induction_pairs, value_table
 from .cyclotomic import canonical_terms, canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 
@@ -90,34 +92,29 @@ class RaceSpec:
         return a != b
 
 
-def level_orders(scenario: ArithmeticScenario, level: int) -> dict[str, int]:
-    """Central vanishing order of each level irreducible: the L-function
-    factors through the induction, so the order is the sum of the
-    full-group central orders over the components, every multiplicity
-    being 1 (``characters.induction_pairs``)."""
-    group = scenario.group
-    ids = character_ids(group.level(level))
-    source, component = induction_pairs(group, level)
+def level_orders(scenario: ArithmeticScenario, level: int) -> np.ndarray:
+    """Central vanishing order of each level irreducible, in
+    ``character_ids`` order: the L-function factors through the induction,
+    so the order is the sum of the full-group central orders over the
+    components, every multiplicity being 1 (``characters.induction_pairs``)."""
+    source, component = induction_pairs(scenario.group, level)
     orders = np.bincount(source, weights=scenario.central_orders[component],
-                         minlength=len(ids))
-    return dict(zip(ids, orders.astype(np.int64).tolist()))
+                         minlength=3 + (1 << (level - 2)))
+    return orders.astype(np.int64)
 
 
 def z_values(level_group: Group, labels: Sequence[ClassLabel],
-             orders: Mapping[str, int]) -> list[int]:
+             orders: np.ndarray) -> list[int]:
     """Exact integers 2 sum_{chi != chi0} chi(C) ord(chi) for every class C
-    of ``labels``, from one array reduction over all of them.  Ids missing
-    from ``orders`` count as order 0; a nonzero order on an id that is no
-    irreducible of the group raises (``characters.character_index``).
+    of ``labels``, from one array reduction over all of them; ``orders``
+    holds one integer per level irreducible, in ``character_ids`` order.
 
     The sums live in the cyclotomic ring; each must land in the integers
-    (it does whenever the order map is constant on each Galois orbit of
+    (it does whenever the orders are constant on each Galois orbit of
     characters, e.g. the symplectic-block orders), else ValueError.
     Memory is O(labels x characters), as for ``characters.value_table``."""
-    live = {character_index(level_group, cid): o for cid, o in orders.items() if o}
-    live.pop(0, None)  # chi0
-    cols = np.array(list(live), dtype=np.intp)
-    weight = np.array(list(live.values()), dtype=np.int64)[:, None]
+    cols = np.flatnonzero(orders[1:]) + 1  # chi0 left out
+    weight = orders[cols][:, None]
     ids, exps, coeffs = value_table(level_group, labels)
     live_ids = ids[:, cols]
     rows, terms, vals = canonical_terms(
@@ -141,28 +138,16 @@ def sqrt_density(level_group: Group, label: ClassLabel) -> int:
     return int(rho)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelData:
-    """A tower level's exact race data, computed once for all its pairs:
-    per class C, the constant part sqrt_density(C) + z(C) of X.  A mean is
-    the difference of two."""
-
-    constant: dict[ClassLabel, int]
-
-    def mean(self, c1: ClassLabel, c2: ClassLabel) -> int:
-        """Mean of X for the race (c1, c2); the caller checks that it is
-        defined."""
-        return self.constant[c2] - self.constant[c1]
-
-
 def level_data(scenario: ArithmeticScenario, level: int,
-               labels: Sequence[ClassLabel]) -> LevelData:
-    """sqrt_density + z at the level for every class of ``labels``, from
-    one ``level_orders`` call and one ``z_values`` reduction."""
+               labels: Sequence[ClassLabel]) -> np.ndarray:
+    """The constant part sqrt_density(C) + z(C) of X at the level for every
+    class C of ``labels``, as an int64 array aligned with them, from one
+    ``level_orders`` call and one ``z_values`` reduction.  The mean of the
+    race (labels[a], labels[b]) is entry b minus entry a."""
     lg = scenario.group.level(level)
     z = z_values(lg, labels, level_orders(scenario, level))
-    return LevelData({lab: sqrt_density(lg, lab) + zv
-                      for lab, zv in zip(labels, z)})
+    return np.array([sqrt_density(lg, lab) + zv for lab, zv in zip(labels, z)],
+                    dtype=np.int64)
 
 
 def _check_defined(spec: RaceSpec) -> None:
@@ -176,8 +161,8 @@ def mean(spec: RaceSpec) -> int:
     """Exact integer mean of X for the race, per the limiting formula, from
     the constant parts of its two classes alone."""
     _check_defined(spec)
-    pair = (spec.c1, spec.c2)
-    return level_data(spec.scenario, spec.level, pair).mean(*pair)
+    first, second = level_data(spec.scenario, spec.level, (spec.c1, spec.c2)).tolist()
+    return second - first
 
 
 # pairs x characters of one pair_weights chunk stays below this many entries
@@ -230,13 +215,11 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], number
 
 
-def weights(spec: RaceSpec) -> dict[str, float]:
-    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, the
-    one-pair case of ``pair_weights``."""
+def weights(spec: RaceSpec) -> np.ndarray:
+    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, in
+    ``character_ids`` order: the one-pair case of ``pair_weights``."""
     _check_defined(spec)
-    g = spec.group
-    row = pair_weights(g, [spec.fused_pair()])[0]
-    return dict(zip(character_ids(g), row.tolist()))
+    return pair_weights(spec.group, [spec.fused_pair()])[0]
 
 
 # -- closed-form means and published tables ------------------------------------
@@ -334,7 +317,7 @@ def mean_table(family: str, n: int, level: int, w_axiom: int) -> MeanTable:
     fused = np.array([fused_index.setdefault(group.class_fusion(level, lab),
                                              len(fused_index))
                       for lab in labels])
-    data = level_data(_table_scenario(kind, w_axiom), level, labels)
+    constant = level_data(_table_scenario(kind, w_axiom), level, labels)
     ref, others = labels[0], labels[1:]
     a, b = np.triu_indices(len(labels), 1)
 
@@ -342,7 +325,7 @@ def mean_table(family: str, n: int, level: int, w_axiom: int) -> MeanTable:
         return values[b] - values[a]
 
     defined = fused[a] != fused[b]
-    formula = per_pair(np.array([data.constant[lab] for lab in labels]))
+    formula = per_pair(constant)
     closed = per_pair(np.array(
         [0] + [race_mean_closed_form(kind, w_axiom, level, ref, lab) for lab in others]))
     bad = np.flatnonzero(defined & (closed != formula))

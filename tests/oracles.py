@@ -153,12 +153,13 @@ from chebrace.zeros import TWO_PI, ZeroCountModel, ZeroSet
 
 
 def z_value_cyclo(level_group: Group, label: ClassLabel,
-                  orders: Mapping[str, int]) -> int:
-    """2 sum_{chi != chi0} chi(label) ord(chi), accumulated in Z[zeta];
-    raises ValueError when the sum is not a rational integer."""
+                  orders: np.ndarray) -> int:
+    """2 sum_{chi != chi0} chi(label) ord(chi), accumulated in Z[zeta], for
+    orders in ``character_ids`` order; raises ValueError when the sum is not
+    a rational integer."""
     m = level_group.rotation_order
     acc = cyclo_zero(m)
-    for cid, order in orders.items():
+    for cid, order in zip(character_ids(level_group), np.asarray(orders).tolist()):
         if cid == "chi0" or order == 0:
             continue
         acc = add(acc, scale(character_value(level_group, cid, label), order))
@@ -382,23 +383,23 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
     scen = scenario_generator(family, n, w_axiom, seed)
     labels = scen.group.class_labels()
     ids = character_ids(scen.group)
-    data = level_data(scen, n, labels)
+    constant = level_data(scen, n, labels).tolist()
     sets: dict = {}
     rows = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
             c1, c2 = labels[a], labels[b]
             spec = RaceSpec(scen, n, c1, c2)
-            m = data.mean(c1, c2)
-            w_map = weights(spec)
-            needed = [cid for cid in ids if w_map[cid] > 0]
-            fresh = [cid for cid in needed if cid not in sets]
+            m = constant[b] - constant[a]
+            row = weights(spec)
+            needed = np.flatnonzero(row).tolist()
+            fresh = [c for c in needed if c not in sets]
             sets.update(provision_zero_sets(scen, fresh, seed))
-            spectrum = one_row_spectrum([w_map[cid] for cid in needed],
-                                        [sets[cid].moduli for cid in needed])
+            spectrum = one_row_spectrum(row[needed],
+                                        [sets[c].moduli for c in needed])
             est = density_fourier(RaceModel(m, spectrum))
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
-                         "weights": tuple(sorted(w_map.items())),
+                         "weights": tuple(sorted(zip(ids, row.tolist()))),
                          "bias_factor": m / math.sqrt(spectrum.variance) if m else 0.0,
                          "delta_fourier": est.value,
                          "delta_fourier_budget": est.error_bound})
@@ -434,19 +435,18 @@ class TermModel:
     terms: np.ndarray
 
 
-def assemble_race_model(mean_value: int, weight_map: Mapping[str, float],
-                        zero_sets: Mapping[str, ZeroSet]) -> TermModel:
-    """Every amplitude 2 w / |rho| of the weighted characters, a character
-    at a time in sorted id order, sorted largest first, with the variance
+def assemble_race_model(mean_value: int, row: Sequence[float],
+                        zero_sets: Mapping[int, ZeroSet]) -> TermModel:
+    """Every amplitude 2 w / |rho| of the weighted columns of a weight row,
+    a column at a time, sorted largest first, with the variance
     (1/2) sum r^2 over that list."""
     chunks: list[np.ndarray] = []
-    for cid in sorted(weight_map):
-        wv = weight_map[cid]
+    for c, wv in enumerate(np.asarray(row, dtype=float).tolist()):
         if wv == 0.0:
             continue
-        if cid not in zero_sets:
-            raise KeyError(f"zero set missing for weighted character {cid}")
-        moduli = zero_sets[cid].moduli
+        if c not in zero_sets:
+            raise KeyError(f"zero set missing for weighted column {c}")
+        moduli = zero_sets[c].moduli
         if moduli.size:
             chunks.append(2.0 * wv / moduli)
     terms = np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
@@ -583,7 +583,7 @@ def mean_table_per_pair(family: str, n: int, level: int,
     group = Group(kind)
     labels = group.level(level).class_labels()
     fused = [group.class_fusion(level, lab) for lab in labels]
-    data = level_data(races._table_scenario(kind, w_axiom), level, labels)
+    constant = level_data(races._table_scenario(kind, w_axiom), level, labels)
     rows: list[MeanRow] = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
@@ -591,7 +591,7 @@ def mean_table_per_pair(family: str, n: int, level: int,
             if fused[a] == fused[b]:
                 rows.append(MeanRow(c1, c2, None, None, STATUS_UNDEFINED))
                 continue
-            formula = data.mean(c1, c2)
+            formula = int(constant[b] - constant[a])
             closed = races.race_mean_closed_form(kind, w_axiom, level, c1, c2)
             if closed != formula:
                 raise InternalInconsistencyError(
@@ -1261,9 +1261,8 @@ def vanishing_orders(kind: GroupKind, w_axiom: int, i: int) -> dict[str, int]:
 def variance(spec: RaceSpec, b0_map: Mapping[str, float]) -> float:
     """2 sum_lambda |lambda(C1+)-lambda(C2+)|^2 B0(lambda); with the
     one-sided B0 this is the actual variance of X."""
-    w = weights(spec)
     total = 0.0
-    for cid, wv in w.items():
+    for cid, wv in zip(character_ids(spec.group), weights(spec).tolist()):
         if wv == 0.0:
             continue
         if cid not in b0_map:

@@ -239,13 +239,12 @@ def test_criterion_5_mean_tables(capsys):
 def _random_race_model(k: int):
     rng = np.random.default_rng([1009, k])
     mean = 0 if k % 10 == 0 else int(rng.integers(-6, 7))
-    weights, sets = {}, {}
+    weights, sets = [], {}
     for c in range(2 + k % 3):
-        cid = f"c{c}"
-        weights[cid] = float(rng.choice([2.0, 4.0]))
+        weights.append(float(rng.choice([2.0, 4.0])))
         log_a = 25.0 + 12.0 * float(rng.random())
-        sets[cid] = sample_zero_set(ZeroCountModel(log_a, 2), 48.0,
-                                    seed=1000 * k + c, character_id=cid)
+        sets[c] = sample_zero_set(ZeroCountModel(log_a, 2), 48.0,
+                                  seed=1000 * k + c, character_id=f"c{c}")
     return race_model(mean, weights, sets)
 
 

@@ -362,8 +362,31 @@ def test_zero_file_without_ordinates_exits_2(argv, cid, tmp_path, capsys):
     assert "no ordinates" in captured.err
 
 
+@pytest.mark.parametrize("header,cid", [
+    ("# character: psi_9\n", "psi_9"),  # the order-8 group has psi_1 alone
+    ("# character: psi_x\n", "psi_x"),
+    ("", "unknown"),  # a file without the header reads as 'unknown'
+])
+def test_race_zero_file_for_a_character_the_group_lacks_exits_2(
+        header, cid, tmp_path, capsys):
+    # before, race ignored such a file and exited 0 on the psi_1 file alone
+    psi_1 = tmp_path / "psi_1.txt"
+    psi_1.write_text("# character: psi_1\n# T_max: 50\n1.5\n2.5\n3.5\n")
+    other = tmp_path / "other.txt"
+    other.write_text(f"{header}# T_max: 50\n1.5\n2.5\n3.5\n")
+    argv = ["race", "--n", "3", "--pair", "one:minus_one", "--samples", "10000",
+            "--zero-file", str(psi_1), "--zero-file", str(other)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{other}: '{cid}' names no irreducible" in captured.err
+    # mod4 races one character, whatever its id
+    assert cli.main(["mod4", "--zero-file", str(other)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_zeros"] == 3
+
+
 @pytest.mark.parametrize("header,message", [
-    ("# log_conductor: -3", "log_conductor must be finite and >= 0, got -3.0"),
+    ("# log_conductor: -3","log_conductor must be finite and >= 0, got -3.0"),
     ("# log_conductor: nan", "log_conductor must be finite and >= 0, got nan"),
     ("# T_max: inf", "T_max must be finite and positive, got inf"),
     ("# T_max: nan", "T_max must be finite and positive, got nan"),

@@ -37,7 +37,7 @@ from chebrace.experiments import (
     sandwich_experiment,
     tower_experiment,
 )
-from chebrace.groups import DIHEDRAL, QUATERNION
+from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind
 from chebrace.races import RaceSpec, weights
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 
@@ -65,11 +65,13 @@ def _zs(cid, ordinates, t_max=None):
 
 
 def _synthetic_model(mean_value, weight_map, seed0=0, t_max=64.0, log_a=20.0):
+    """The race of these weights, one column per id in sorted id order."""
+    cids = sorted(weight_map)
     zero_sets = {
-        cid: sample_zero_set(ZeroCountModel(log_a, 2), t_max, seed0 + k, cid)
-        for k, cid in enumerate(sorted(weight_map))
+        k: sample_zero_set(ZeroCountModel(log_a, 2), t_max, seed0 + k, cid)
+        for k, cid in enumerate(cids)
     }
-    return race_model(mean_value, weight_map, zero_sets)
+    return race_model(mean_value, [weight_map[cid] for cid in cids], zero_sets)
 
 
 def test_mean_zero_is_exactly_half_for_both_methods():
@@ -120,7 +122,7 @@ def test_complementarity_under_mean_flip():
 
 def test_fourier_matches_the_arccos_law_for_a_single_cosine():
     # X = 1 + 2 cos(theta): P(X > 0) = 1 - arccos(1/2)/pi = 2/3 exactly
-    model = race_model(1, {"chi1": 1.0}, {"chi1": _zs("chi1", [math.sqrt(0.75)])})
+    model = race_model(1, [1.0], {0: _zs("chi1", [math.sqrt(0.75)])})
     assert math.isclose(model.terms[0], 2.0, rel_tol=1e-12)
     with pytest.warns(UserWarning):
         est = density_fourier(model)
@@ -179,26 +181,38 @@ def test_upper_and_lower_bounds():
         assert lower_bound(bias, 2.0) < upper_bound(bias)
 
 
+def _q_row(weights):
+    """A weight row of the order-32 groups, in ``character_ids`` order."""
+    ids = character_ids(Group(GroupKind(QUATERNION, 5)))
+    return np.array([weights.get(cid, 0.0) for cid in ids])
+
+
 def test_q_factor_regimes():
     # top level, equal weights: Q = C (b3/b4 + 1) = 2
     weights = {"psi_1": 4.0, "psi_3": 4.0}
-    assert q_factor(weights, level=5, n=5, b1=0, b2=0) == 2.0
+    assert q_factor(_q_row(weights), level=5, n=5, b1=0, b2=0) == 2.0
     assert q_factor_extremes(weights)[:2] == (4.0, 4.0)
     # proper level: the exponential of sqrt(M b1 b2 / (deg* b3)) wins here
     weights = {"psi_1": 4.0, "chi1": 2.0}
-    q = q_factor(weights, level=3, n=5, b1=2, b2=2)
+    q = q_factor(_q_row(weights), level=3, n=5, b1=2, b2=2)
     assert q_factor_extremes(weights) == (4.0, 2.0, "psi_1", 2)
     assert math.isclose(q, math.exp(math.sqrt(0.5)), rel_tol=1e-12)
     assert q >= 1.0
     # ties on b3 resolve toward the larger degree: deg* = 2, not 1
     weights = {"chi1": 4.0, "psi_1": 4.0}
     assert q_factor_extremes(weights)[2:] == ("psi_1", 2)
-    q = q_factor(weights, level=3, n=5, b1=2, b2=2)
+    q = q_factor(_q_row(weights), level=3, n=5, b1=2, b2=2)
     assert math.isclose(q, math.exp(math.sqrt(0.5)), rel_tol=1e-12)
+    # a degree-1 maximum alone gives deg* = 1
+    weights = {"chi1": 4.0, "psi_1": 2.0}
+    assert q_factor_extremes(weights)[2:] == ("chi1", 1)
+    q = q_factor(_q_row(weights), level=3, n=5, b1=2, b2=2)
+    assert math.isclose(q, math.exp(1.0), rel_tol=1e-12)
     # a large weight ratio makes the ratio term dominate
-    assert q_factor({"psi_1": 16.0, "chi1": 0.25}, level=3, n=5, b1=2, b2=2) == 64.0
+    assert q_factor(_q_row({"psi_1": 16.0, "chi1": 0.25}), level=3, n=5,
+                    b1=2, b2=2) == 64.0
     with pytest.raises(ValueError):
-        q_factor({"chi1": 0.0}, level=3, n=5, b1=2, b2=2)
+        q_factor(_q_row({}), level=3, n=5, b1=2, b2=2)
 
 
 def test_report_rows_carry_the_bounds_of_their_bias():
@@ -682,12 +696,11 @@ def _row_and_model(family, n, pick, seed):
     scen = scenario_generator(family, n, w_axiom, seed)
     labels = scen.group.class_labels()
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    w_map = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
-    needed = [cid for cid in character_ids(scen.group) if w_map[cid] > 0]
+    row = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
+    needed = np.flatnonzero(row).tolist()
     sets = provision_zero_sets(scen, needed, seed)
-    spectrum = one_row_spectrum([w_map[cid] for cid in needed],
-                                [sets[cid].moduli for cid in needed])
-    return spectrum, assemble_race_model(1, w_map, sets)
+    spectrum = one_row_spectrum(row[needed], [sets[c].moduli for c in needed])
+    return spectrum, assemble_race_model(1, row, sets)
 
 
 def _long_power_sums(r, order):

@@ -133,39 +133,42 @@ def test_classify_pair_edges():
 
 def test_provisioning_is_deterministic_and_extension_stable():
     scen = scenario_generator(QUATERNION, 4, +1, seed=5)
-    a = provision_zero_sets(scen, ["psi_1", "psi_3"], seed=9)
-    b = provision_zero_sets(scen, ["psi_1", "psi_3"], seed=9)
+    psi_1, psi_3, chi1 = 4, 6, 1  # indices into character_ids
+    a = provision_zero_sets(scen, [psi_1, psi_3], seed=9)
+    b = provision_zero_sets(scen, [psi_1, psi_3], seed=9)
     assert a == b
+    assert a[psi_1].character_id == "psi_1" and a[psi_3].character_id == "psi_3"
     # adding characters never reshuffles previously sampled sets
-    c = provision_zero_sets(scen, ["psi_1", "psi_3", "chi1"], seed=9)
-    assert c["psi_1"] == a["psi_1"]
-    assert c["psi_3"] == a["psi_3"]
-    d = provision_zero_sets(scen, ["psi_1"], seed=10)
-    assert d["psi_1"] != a["psi_1"]
+    c = provision_zero_sets(scen, [psi_1, psi_3, chi1], seed=9)
+    assert c[psi_1] == a[psi_1]
+    assert c[psi_3] == a[psi_3]
+    d = provision_zero_sets(scen, [psi_1], seed=10)
+    assert d[psi_1] != a[psi_1]
 
 
 def test_provisioning_seeds_by_position_in_the_full_id_list():
     # the seed index is the character's position in character_ids, as the
-    # list.index form gave it
+    # list.index form gave it, and the key of its set
     scen = scenario_generator(DIHEDRAL, 9, +1, seed=2)
     ids = character_ids(scen.group)
     cids = ids[::13] + ["psi_127", ids[-1]]
-    sets = provision_zero_sets(scen, reversed(cids), seed=4, t_max=12.0)
-    assert sorted(sets) == sorted(set(cids))
-    for cid in cids:
-        child = experiments._child_seed(experiments._PROVISION_SALT, 4,
-                                        ids.index(cid))
-        assert sets[cid] == sample_zero_set(zero_count_model(scen, cid), 12.0,
-                                            child, character_id=cid)
+    indices = [ids.index(cid) for cid in cids]
+    sets = provision_zero_sets(scen, np.array(indices[::-1]), seed=4, t_max=12.0)
+    assert list(sets) == sorted(set(indices))
+    assert all(type(c) is int for c in sets)
+    for cid, c in zip(cids, indices):
+        child = experiments._child_seed(experiments._PROVISION_SALT, 4, c)
+        assert sets[c] == sample_zero_set(zero_count_model(scen, cid), 12.0,
+                                          child, character_id=cid)
 
 
 def test_provisioning_honors_min_count_and_t_max():
     scen = scenario_generator(QUATERNION, 4, +1, seed=5)
-    sets = provision_zero_sets(scen, ["psi_1"], seed=0, min_count=200)
+    sets = provision_zero_sets(scen, [4], seed=0, min_count=200)  # psi_1
     model = zero_count_model(scen, "psi_1")
-    assert expected_zero_count(model, sets["psi_1"].t_max) >= 200
-    fixed = provision_zero_sets(scen, ["psi_1"], seed=0, t_max=48.0)
-    assert fixed["psi_1"].t_max == 48.0
+    assert expected_zero_count(model, sets[4].t_max) >= 200
+    fixed = provision_zero_sets(scen, [4], seed=0, t_max=48.0)
+    assert fixed[4].t_max == 48.0
     assert model.log_conductor == scen.log_conductor("psi_1")
     assert model.degree_factor == character_degree("psi_1")
 
@@ -178,7 +181,7 @@ def test_provisioning_past_the_zero_count_limit_is_a_config_error(monkeypatch):
     scen = experiments._rotation_tower_scenario(5, 400.0)  # sandwich's top aim
     with pytest.raises(ConfigError, match="psi_1: expected .* zeros up to "
                                           "t_max = 1048576.0, past the limit"):
-        provision_zero_sets(scen, ["psi_1"], seed=0, t_max=float(1 << 20))
+        provision_zero_sets(scen, [4], seed=0, t_max=float(1 << 20))
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -401,11 +404,11 @@ def test_parse_class_label():
 def test_race_row_fields_and_flags():
     scen = scenario_generator(QUATERNION, 3, -1, seed=11)
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-    sets = provision_zero_sets(scen, ["psi_1"], seed=11)
+    sets = provision_zero_sets(scen, [4], seed=11)  # psi_1
     row = race_row(spec, weights(spec), sets, samples=10000, mc_seed=1)
     assert row["status"] == "match"
     assert row["mean_formula"] == row["mean_published"] == -4
-    assert row["n_terms"] == len(sets["psi_1"])
+    assert row["n_terms"] == len(sets[4])
     assert 0.0 <= row["delta_fourier"] <= 1.0
     assert row["q"] == 2.0  # top level, single weighted character
     assert row["truncation_shift_bound"] is not None
@@ -420,7 +423,7 @@ def test_race_row_undefined_and_half_pairs():
     assert below["status"] == "undefined"
     assert "reason" in below and "mean_formula" not in below
     spec = RaceSpec(scen, 4, FLIP_EVEN, FLIP_ODD)  # defined at the top, mean 0
-    needed = ["chi1", "chi2", "chi3", "psi_1", "psi_3"]
+    needed = [1, 2, 3, 4, 6]  # chi1, chi2, chi3, psi_1, psi_3
     sets = provision_zero_sets(scen, needed, seed=3)
     row = race_row(spec, weights(spec), sets, 10000, 0)
     assert row["mean_formula"] == 0
@@ -431,11 +434,11 @@ def test_race_row_undefined_and_half_pairs():
 
 def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     scen = scenario_generator(QUATERNION, 3, +1, seed=4)
-    synthetic = provision_zero_sets(scen, ["psi_1"], seed=4)["psi_1"]
+    synthetic = provision_zero_sets(scen, [4], seed=4)[4]  # psi_1
     file_like = ZeroSet("psi_1", synthetic.t_max, synthetic.ordinates,
                         source="file", log_conductor=None)
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-    row = race_row(spec, weights(spec), {"psi_1": file_like}, 10000, 2)
+    row = race_row(spec, weights(spec), {4: file_like}, 10000, 2)
     assert row["truncation_shift_bound"] is None
 
 
@@ -486,8 +489,10 @@ def test_load_zero_sets_rejects_duplicates(tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     save_zero_file(zs, str(p1))
     save_zero_file(zs, str(p2))
-    with pytest.raises(ConfigError):
-        load_zero_sets([str(p1), str(p2)])
+    group = Group(GroupKind(QUATERNION, 3))
+    assert list(load_zero_sets([str(p1)], group)) == [1]  # keyed by index
+    with pytest.raises(ConfigError, match="duplicate zero file for chi1"):
+        load_zero_sets([str(p1), str(p2)], group)
 
 
 # -- table reproduction ------------------------------------------------------------
@@ -645,6 +650,25 @@ def test_tower_shared_inversions_match_per_pair_oracle(family, n, w):
     if n >= 5:  # the sharing is exercised: some rows repeat a model
         sides = {(abs(r["mean_formula"]), r["weights"]) for r in oracle}
         assert len(sides) < len(oracle)
+
+
+@pytest.mark.parametrize("family,w", [(DIHEDRAL, 1), (QUATERNION, -1)])
+@pytest.mark.parametrize("n", (6, 7))
+def test_race_and_tower_give_one_answer(family, w, n, monkeypatch):
+    # the same pair over the same zero sets is one model, whichever driver
+    # builds it: race's model per pair against the tower's batch, bit for
+    # bit.  The Monte Carlo, which the tower does not run, is stubbed out.
+    monkeypatch.setattr(experiments, "density_montecarlo",
+                        lambda model, samples, seed: DensityEstimate(0.5, 0.0, samples))
+    for seed in (0, 3):
+        tower = tower_experiment(family, n, w, seed)["rows"]
+        race = run_race(family=family, n=n, w_axiom=w, seed=seed,
+                        samples=10_000)["rows"]
+        assert [(r["c1"], r["c2"]) for r in race] == [(r["c1"], r["c2"]) for r in tower]
+        for got, want in zip(race, tower):
+            for field in ("bias_factor", "delta_fourier", "delta_fourier_budget"):
+                assert got[field].hex() == want[field].hex(), \
+                    (seed, got["c1"], got["c2"], field)
 
 
 def _record_tower_models(monkeypatch) -> list[density.RaceModel]:
@@ -897,7 +921,7 @@ def test_fourier_grid_matches_quadpack_on_tower_models_up_to_n_7(family, w, monk
 
 
 def _driver_models(driver, family, seed):
-    """(model, weight map, zero sets) of every race model the driver
+    """(model, weight row, zero sets) of every race model the driver
     builds on a small run: the builder's arguments for the drivers that
     call it, and for the tower each inverted row with its weights read back
     from the row (scales are twice the weights, exactly)."""
@@ -905,21 +929,23 @@ def _driver_models(driver, family, seed):
     real_builder, real_provision = experiments.race_model, experiments.provision_zero_sets
     provisioned = {}
 
-    def builder(mean_value, weight_map, zero_sets):
-        model = real_builder(mean_value, weight_map, zero_sets)
-        found.append((model, dict(weight_map), dict(zero_sets)))
+    def builder(mean_value, row, zero_sets):
+        model = real_builder(mean_value, row, zero_sets)
+        found.append((model, np.array(row), dict(zero_sets)))
         return model
 
-    def provision(scenario, cids, *args, **kwargs):
-        sets = real_provision(scenario, cids, *args, **kwargs)
-        provisioned["cids"], provisioned["sets"] = list(cids), sets
+    def provision(scenario, indices, *args, **kwargs):
+        sets = real_provision(scenario, indices, *args, **kwargs)
+        provisioned["columns"], provisioned["sets"] = np.array(indices), sets
         return sets
 
     def fourier(table, rows, pairs):
-        cids = provisioned["cids"]
+        columns = provisioned["columns"]
         for i, mean in pairs:
+            row = np.zeros(columns.max() + 1)
+            row[columns] = rows[i] / 2.0
             found.append((density.RaceModel(mean, density.Spectrum(table, rows[i])),
-                          dict(zip(cids, (rows[i] / 2.0).tolist())), provisioned["sets"]))
+                          row, provisioned["sets"]))
         return density.density_fourier_batch(table, rows, pairs)
 
     w = -1 if seed % 2 else 1
@@ -950,8 +976,8 @@ def test_driver_models_list_the_sorted_terms_of_their_characters(driver, family,
     # squares, taken in long double (within (n + 2) 2^-64 of exact)
     found = _driver_models(driver, family, seed)
     assert found
-    for model, weight_map, zero_sets in found:
-        oracle = assemble_race_model(model.mean, weight_map, zero_sets)
+    for model, row, zero_sets in found:
+        oracle = assemble_race_model(model.mean, row, zero_sets)
         assert model.terms.tobytes() == oracle.terms.tobytes()
         r2 = np.asarray(oracle.terms, dtype=np.longdouble) ** 2
         want = float(0.5 * np.sum(r2))

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from chebrace.arithmetic import ArithmeticScenario, VirtualPrime, scenario_generator
-from chebrace.characters import character_degree, character_ids, sr_partition
+from chebrace.characters import (
+    character_degree,
+    character_ids,
+    character_index,
+    sr_partition,
+)
 from chebrace.experiments import _h8_scenario
 from chebrace.groups import (
     DIHEDRAL,
@@ -136,12 +141,13 @@ def test_mean_reads_only_its_two_classes(family):
     scen = _scen(family, 6, -1)
     for level in range(3, 7):
         labels = scen.group.level(level).class_labels()
-        data = level_data(scen, level, labels)
+        constant = level_data(scen, level, labels)
+        assert constant.dtype == np.int64 and constant.shape == (len(labels),)
         for a in range(len(labels)):
             for b in range(a + 1, len(labels)):
                 spec = RaceSpec(scen, level, labels[a], labels[b])
                 if spec.is_defined():
-                    assert mean(spec) == data.mean(labels[a], labels[b])
+                    assert mean(spec) == constant[b] - constant[a]
 
 
 def test_mean_table_statuses_by_family():
@@ -176,7 +182,7 @@ def test_mean_antisymmetry_and_weight_symmetry(family):
                 assert not bwd.is_defined()
                 continue
             assert mean(fwd) == -mean(bwd)
-            assert weights(fwd) == weights(bwd)
+            assert weights(fwd).tolist() == weights(bwd).tolist()
 
 
 def test_quaternion_mean_depends_on_w_only_through_central_classes():
@@ -222,8 +228,8 @@ def test_level_orders_agree_with_closed_form_vanishing_orders():
         for w in ((+1,) if family == DIHEDRAL else (+1, -1)):
             scen = _scen(family, 6, w)
             for i in range(3, 7):
-                assert level_orders(scen, i) == vanishing_orders(
-                    scen.kind, w, i)
+                assert level_orders(scen, i).tolist() == list(vanishing_orders(
+                    scen.kind, w, i).values())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -247,7 +253,8 @@ def test_array_induction_matches_the_per_character_reference(family, n):
         scenarios += [_h8_scenario(o) for o in (0, 1, 2)]
     for scen in scenarios:
         for i in range(3, n + 1):
-            assert level_orders(scen, i) == level_orders_by_induction(scen, i), i
+            assert level_orders(scen, i).tolist() == list(
+                level_orders_by_induction(scen, i).values()), i
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -261,33 +268,39 @@ def test_induction_arrays_reach_n_20(family):
         return
     scen = scenario_generator(family, 20, -1, seed=5)
     for i in (3, 10, 19, 20):
-        assert level_orders(scen, i) == vanishing_orders(scen.kind, -1, i)
+        assert level_orders(scen, i).tolist() == list(
+            vanishing_orders(scen.kind, -1, i).values())
 
 
 def _z(level_group, label, orders):
     return z_values(level_group, [label], orders)[0]
 
 
+def _orders(group, **by_id):
+    """An order array in ``character_ids`` order, zero but at the ids given."""
+    orders = np.zeros(len(character_ids(group)), dtype=np.int64)
+    for cid, order in by_id.items():
+        orders[character_index(group, cid)] = order
+    return orders
+
+
 def test_z_value_exact_integers():
+    # an id of no irreducible of the group never reaches z_values: the zero
+    # files' ids are converted at load (tests/test_cli.py) and the
+    # order_overrides' in ArithmeticScenario.central_orders
     group = Group(GroupKind("quaternion", 3))
-    orders = {"psi_1": 1}
+    orders = _orders(group, psi_1=1)
     assert _z(group, ONE, orders) == 4
     assert _z(group, MINUS_ONE, orders) == -4
     assert _z(group, power(1), orders) == 0
     assert _z(group, FLIP_EVEN, orders) == 0
-    assert _z(group, ONE, {"psi_1": 0, "chi1": 0}) == 0
+    assert _z(group, ONE, _orders(group)) == 0
+    # chi0's order never counts
+    assert _z(group, ONE, _orders(group, chi0=3, psi_1=1)) == 4
     # psi_1(power(1)) = zeta_8 + zeta_8^-1 = sqrt(2): not a rational integer
+    quartic = Group(GroupKind("quaternion", 4))
     with pytest.raises(ValueError, match="not a rational integer"):
-        _z(Group(GroupKind("quaternion", 4)), power(1), {"psi_1": 1})
-    # a nonzero order on an id of no irreducible of the group raises; a
-    # zero order on any id is ignored
-    with pytest.raises(KeyError):
-        _z(group, ONE, {"psi_1": 1, "psi_5": 1})
-    with pytest.raises(KeyError):
-        _z(group, ONE, {"chi4": 1})
-    with pytest.raises(ValueError):
-        _z(group, ONE, {"psi_x": 1})
-    assert _z(group, ONE, {"psi_1": 1, "psi_5": 0, "psi_x": 0}) == 4
+        _z(quartic, power(1), _orders(quartic, psi_1=1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -308,8 +321,8 @@ def test_array_path_matches_cyclo_oracle(family, n):
         for b in range(a + 1, len(labels)):
             spec = RaceSpec(scen, n, labels[a], labels[b])
             got, want = weights(spec), weights_cyclo(spec)
-            assert list(got) == list(want)
-            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+            assert list(want) == character_ids(scen.group)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.values()]
 
 
 def _assert_batch_matches_per_pair_oracle(scen, specs):
@@ -320,7 +333,7 @@ def _assert_batch_matches_per_pair_oracle(scen, specs):
     assert batch.shape == (len(specs), len(character_ids(group)))
     assert (batch == want).all()  # bit for bit: no NaN, and -0.0 never occurs
     for spec, row in zip(specs, batch):
-        assert list(weights(spec).values()) == row.tolist()
+        assert weights(spec).tolist() == row.tolist()
 
 
 @pytest.mark.parametrize("family,w", ((DIHEDRAL, +1), ("quaternion", +1),
@@ -347,7 +360,7 @@ def test_pair_weights_match_the_oracle_on_the_monotonicity_pair():
 def test_non_integer_z_raises_on_both_paths():
     # orders not constant on the Galois orbit {psi_1, psi_3}
     group = Group(GroupKind("quaternion", 5))
-    orders = {"psi_1": 1, "psi_3": 2}
+    orders = _orders(group, psi_1=1, psi_3=2)
     for z in (z_value_cyclo, _z):
         with pytest.raises(ValueError, match="not a rational integer"):
             z(group, power(1), orders)
@@ -357,11 +370,12 @@ def test_non_integer_z_raises_on_both_paths():
 def test_weights_structure_for_the_central_pair():
     scen = _scen("quaternion", 5, +1)
     w = weights(RaceSpec(scen, 5, ONE, MINUS_ONE))
-    for cid in character_ids(scen.group):
+    assert w.shape == (len(character_ids(scen.group)),)
+    for cid, wv in zip(character_ids(scen.group), w.tolist()):
         if cid.startswith("psi_") and int(cid.split("_")[1]) % 2 == 1:
-            assert w[cid] == 4.0
+            assert wv == 4.0
         else:
-            assert w[cid] == 0.0
+            assert wv == 0.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -371,15 +385,15 @@ def test_variance_and_bias_match_the_materialized_model(family):
     w = weights(spec)
     zero_sets = {}
     b0_map = {}
-    for ix, (cid, wv) in enumerate(sorted(w.items())):
+    for c, (cid, wv) in enumerate(zip(character_ids(scen.group), w.tolist())):
         if wv == 0.0:
             continue
         model = ZeroCountModel(max(scen.log_conductor(cid), 1.0),
                                character_degree(cid))
-        zs = sample_zero_set(model, 64.0, seed=ix, character_id=cid)
-        zero_sets[cid] = zs
+        zs = sample_zero_set(model, 64.0, seed=c, character_id=cid)
+        zero_sets[c] = zs
         b0_map[cid] = b0(zs)
-    race = race_model(mean(spec), weights(spec), zero_sets)
+    race = race_model(mean(spec), w, zero_sets)
     assert race.mean == mean(spec)
     assert math.isclose(race.variance, variance(spec, b0_map), rel_tol=1e-12)
     assert math.isclose(race.bias_factor, bias_factor(spec, b0_map),
@@ -390,7 +404,7 @@ def test_variance_and_bias_match_the_materialized_model(family):
     assert np.all(np.diff(race.terms) <= 0.0)
     assert math.isclose(0.5 * float(np.sum(race.terms**2)), race.variance,
                         rel_tol=1e-12)
-    n_zeros = sum(len(zs) for cid, zs in zero_sets.items() if w[cid] > 0)
+    n_zeros = sum(len(zs) for c, zs in zero_sets.items() if w[c] > 0)
     assert race.terms.size == n_zeros
 
 
@@ -424,18 +438,31 @@ def test_race_spec_validation():
 
 
 def test_race_model_coverage_errors():
-    w = {"chi1": 2.0, "chi2": 0.0}
+    # rows in character_ids order: column 1 is chi1, column 2 chi2
+    w = np.array([0.0, 2.0, 0.0])
     zs = ZeroSet("chi1", 10.0, (1.0, 3.0), source="test")
-    model = race_model(-2, {"chi1": 2.0}, {"chi1": zs})
+    model = race_model(-2, w, {1: zs})
     assert model.mean == -2 and model.terms.size == 2
     with pytest.raises(KeyError):
-        race_model(1, w, {"chi2": zs})  # weighted chi1 uncovered
+        race_model(1, w, {2: zs})  # weighted chi1 uncovered
     # zero-weight characters need no zero set
-    assert race_model(1, w, {"chi1": zs}).terms.size == 2
+    assert race_model(1, w, {1: zs, 0: zs}).terms.size == 2
     # a weighted character without zeros adds no component
     empty = ZeroSet("chi2", 10.0, (), source="t")
-    model = race_model(1, {"chi1": 2.0, "chi2": 1.0}, {"chi1": zs, "chi2": empty})
+    model = race_model(1, np.array([0.0, 2.0, 1.0]), {1: zs, 2: empty})
     assert model.spectrum.table.sizes.tolist() == [2]
+
+
+def test_race_model_components_follow_the_columns():
+    # column order, not id order: psi_10 (column 13) comes after psi_2
+    # (column 5), as in the tower's table
+    row = np.zeros(14)
+    row[[5, 13]] = [1.0, 3.0]
+    sets = {5: ZeroSet("psi_2", 10.0, (2.0,), source="t"),
+            13: ZeroSet("psi_10", 10.0, (1.0, 4.0), source="t")}
+    model = race_model(1, row, sets)
+    assert model.spectrum.table.sizes.tolist() == [1, 2]
+    assert model.spectrum.row.tolist() == [2.0, 6.0]
 
 
 def test_published_mean_rule():
@@ -481,9 +508,9 @@ def test_race_model_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
     empty = ZeroSet("chi1", 10.0, (), source="t")
     with pytest.raises(ValueError, match="no oscillation terms"):
-        race_model(1, {"chi1": 2.0}, {"chi1": empty})
+        race_model(1, [0.0, 2.0], {1: empty})
     with pytest.raises(ValueError, match="no oscillation terms"):
-        race_model(1, {"chi1": 0.0}, {})
+        race_model(1, [0.0, 0.0], {})
     # a row of zero scales has no terms, and neither engine takes it
     table = SpectralTable([np.array([1.0, 3.0])])
     silent = RaceModel(0, Spectrum(table, np.zeros(1)))
