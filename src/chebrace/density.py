@@ -22,12 +22,12 @@ and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
 the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
 first-order bound on float rounding is added to it.
 
-A ``RaceModel`` is an integer mean and a ``Spectrum``: a row of scales
+A ``RaceModel(mean, table, row)`` is an integer mean and a row of scales
 (twice each character's weight) over a ``SpectralTable`` of zero moduli,
 one component per character, in ``character_ids`` order.  ``race_model``
 builds one from a mean, a weight row and zero sets keyed by column; a
 driver with many rows over the same zero sets (the tower) builds one
-``SpectralTable`` and a spectrum per row.  Both keep the components in
+``SpectralTable`` and inverts its rows together.  Both keep the components in
 column order, so a race has one model, and one estimate, whichever driver
 builds it.  The variance is a sum over the components, not over the
 terms, and the term list itself, which only the Monte Carlo kernel reads,
@@ -507,39 +507,21 @@ class SpectralTable:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """One model of a SpectralTable's family: its row of scales, one per
-    component.  Its sums run over the components of nonzero scale in table
-    order, so they do not depend on what else the table holds."""
+class RaceModel:
+    """The race X = mean + sum_ci r_ci cos(theta_ci) with r_ci = s_c / b_ci,
+    s_c being the row's scale for component c of the table: what both
+    density engines take.  Its sums run over the components of nonzero
+    scale in table order, so they do not depend on what else the table
+    holds."""
 
+    mean: int
     table: SpectralTable
     row: np.ndarray
-
-    @cached_property
-    def _components(self) -> np.ndarray:
-        return np.flatnonzero(self.row)
-
-    @cached_property
-    def _scales(self) -> np.ndarray:
-        return self.row[self._components]
 
     @cached_property
     def variance(self) -> float:
         """(1/2) sum r^2, the variance of the oscillation part."""
         return float(self.table.variances(self.row[None, :])[0])
-
-
-@dataclass(frozen=True, eq=False)
-class RaceModel:
-    """The race X = mean + sum_ci r_ci cos(theta_ci) with r_ci = s_c / b_ci
-    over a spectrum's components: what both density engines take."""
-
-    mean: int
-    spectrum: Spectrum
-
-    @property
-    def variance(self) -> float:
-        return self.spectrum.variance
 
     @property
     def bias_factor(self) -> float:
@@ -551,9 +533,9 @@ class RaceModel:
         """Every amplitude r_ci, largest first, divided out one component
         at a time, as the Monte Carlo kernel reads them; nothing the size
         of the padded table is built."""
-        spectrum = self.spectrum
-        moduli = spectrum.table.moduli
-        chunks = [s / moduli[c] for c, s in zip(spectrum._components, spectrum._scales)]
+        components = np.flatnonzero(self.row)
+        moduli = self.table.moduli
+        chunks = [s / moduli[c] for c, s in zip(components, self.row[components])]
         return np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
 
 
@@ -575,7 +557,7 @@ def race_model(mean: int, row: Sequence[float],
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
     table = SpectralTable([zero_sets[c].moduli for c in cols])
-    return RaceModel(mean, Spectrum(table, 2.0 * row[cols]))
+    return RaceModel(mean, table, 2.0 * row[cols])
 
 
 # -- the batched Fourier engine: every step one pass over a block of rows ------
@@ -1181,8 +1163,7 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
 
 def density_fourier(model: RaceModel) -> DensityEstimate:
     """P(X > 0) for one race model: ``density_fourier_batch`` of one row."""
-    spectrum = model.spectrum
-    return density_fourier_batch(spectrum.table, spectrum.row[None, :],
+    return density_fourier_batch(model.table, model.row[None, :],
                                  [(0, model.mean)])[0]
 
 

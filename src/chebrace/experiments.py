@@ -10,8 +10,9 @@ read one source of truth; the published order-8 rows are resolved per
 pair by ``_h8_published_row``.
 
 Per-race seeds derive from (master seed, race index) through
-SeedSequence, so scheduling order cannot affect any number in a report;
-races may run concurrently, assembly is single-writer.
+SeedSequence, so scheduling order cannot affect any number in a report.
+Races run one after another; only the Monte Carlo kernel's chunks run on
+worker threads, and each chunk's draws depend on its seed alone.
 """
 from __future__ import annotations
 
@@ -292,7 +293,8 @@ def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
     characters and the returned keys are indices into ``character_ids``.
 
     The horizon is t_max when given (shared zero data across every use),
-    otherwise doubled from 16 until the expected count reaches min_count.
+    and a t_max below every sampled zero is a ConfigError; otherwise the
+    horizon is doubled from 16 until the expected count reaches min_count.
     Child seeds mix a fixed salt, the master seed, and the character's
     index, so adding characters never reshuffles previously sampled sets.
     """
@@ -314,13 +316,15 @@ def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
             sets[c] = sample_zero_set(model, horizon, child, character_id=cid)
         except ValueError as exc:  # the zero count limit
             raise ConfigError(f"{cid}: {exc}") from exc
+    if t_max is not None:
+        _check_horizon(sets, t_max)
     return sets
 
 
 def _check_horizon(sets: Mapping[int, ZeroSet], t_max: float) -> None:
     """A horizon below every sampled zero leaves the race no oscillation
     terms; that is a bad input, not a race."""
-    if not any(zs.ordinates for zs in sets.values()):
+    if not any(len(zs) for zs in sets.values()):
         raise ConfigError(
             f"t_max = {t_max} lies below every sampled zero of "
             f"{', '.join(zs.character_id for zs in sets.values())}: the race "
@@ -1119,7 +1123,6 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
             "fused pairs, hence weights, must be identical across levels")
     weight_row = weights(specs[n])
     sets = provision_zero_sets(scen, np.flatnonzero(weight_row), seed, t_max=t_max)
-    _check_horizon(sets, t_max)
     model = race_model(means[n], weight_row, sets)
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
@@ -1308,7 +1311,7 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     """
     if zero_file is not None:
         zs = read_zero_file(zero_file)
-        if not zs.ordinates:
+        if not len(zs):
             raise ConfigError(f"zero file {zero_file} holds no ordinates")
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,

@@ -1,7 +1,10 @@
 """Zero-ordinate data for L-functions: synthetic generation and file ingestion.
 
 A ZeroSet holds the positive imaginary parts (ordinates) of the nontrivial
-zeros of one character's L-function up to a completeness horizon T_max.
+zeros of one character's L-function up to a completeness horizon T_max, as
+one read-only float64 array, checked by array operations.  The sampler
+hands its array over and the file loader builds one; race models read the
+moduli sqrt(1/4 + gamma^2) computed from it, and no other form is kept.
 Synthetic sets are drawn from a renewal process whose local rate is the
 derivative of the Riemann-von Mangoldt main term, so counting functions,
 B0 sums, and partial inverse sums all match the classical asymptotics.
@@ -75,11 +78,17 @@ def expected_zero_count(model: ZeroCountModel, t: float) -> float:
     return max(main, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSet:
+    """One character's ordinates on (0, t_max], a read-only float64 array.
+
+    An array given as ``ordinates`` is taken over, not copied: it is made
+    read-only, as is a new array built from any other sequence.  Equality
+    is identity; compare the fields to compare two sets."""
+
     character_id: str
     t_max: float
-    ordinates: tuple[float, ...]
+    ordinates: np.ndarray
     source: str
     log_conductor: float | None = None
 
@@ -87,25 +96,29 @@ class ZeroSet:
         for key, value in (("T_max", self.t_max), ("log_conductor", self.log_conductor)):
             if value is not None and (problem := _header_problem(key, value)):
                 raise ValidationError(problem)
-        prev = 0.0
-        for k, g in enumerate(self.ordinates):
-            if not g > prev:
-                raise ValidationError(
-                    f"ordinate #{k + 1} = {g!r} not strictly above "
-                    f"{'0' if k == 0 else repr(prev)}")
-            prev = g
-        if self.ordinates and self.ordinates[-1] > self.t_max:
+        g = np.asarray(self.ordinates, dtype=np.float64)
+        # each ordinate against the one before it, the first against 0; a
+        # NaN compares false, so it fails here too
+        above = g > np.concatenate(([0.0], g))[:-1]
+        if not above.all():
+            k = int(np.argmin(above))
             raise ValidationError(
-                f"ordinate {self.ordinates[-1]!r} exceeds T_max = {self.t_max!r}")
+                f"ordinate #{k + 1} = {float(g[k])!r} not strictly above "
+                f"{'0' if k == 0 else repr(float(g[k - 1]))}")
+        if g.size and g[-1] > self.t_max:
+            raise ValidationError(
+                f"ordinate {float(g[-1])!r} exceeds T_max = {self.t_max!r}")
+        g.flags.writeable = False
+        object.__setattr__(self, "ordinates", g)
 
     def __len__(self) -> int:
-        return len(self.ordinates)
+        return self.ordinates.size
 
     @cached_property
     def moduli(self) -> np.ndarray:
         """|1/2 + i gamma| = sqrt(1/4 + gamma^2) per ordinate, read-only and
         computed once: every race model over this set divides by it."""
-        g = np.asarray(self.ordinates, dtype=float)
+        g = self.ordinates
         moduli = np.sqrt(0.25 + g * g)
         moduli.flags.writeable = False
         return moduli
@@ -168,8 +181,8 @@ def sample_zero_set(model: ZeroCountModel, t_max: float, seed: int,
         keep[0] = ordinates[0] > 0.0
         keep[1:] = np.diff(ordinates) > 0.0
         ordinates = ordinates[keep]
-    return ZeroSet(character_id, t_max, tuple(float(g) for g in ordinates),
-                   source=f"synthetic({seed})", log_conductor=model.log_conductor)
+    return ZeroSet(character_id, t_max, ordinates, source=f"synthetic({seed})",
+                   log_conductor=model.log_conductor)
 
 
 def b0_tail(model: ZeroCountModel, t: float) -> float:
@@ -187,7 +200,7 @@ def save_zero_file(zs: ZeroSet, path: str) -> None:
     lines = [f"# character: {zs.character_id}", f"# T_max: {zs.t_max:.17g}"]
     if zs.log_conductor is not None:
         lines.append(f"# log_conductor: {zs.log_conductor:.17g}")
-    lines.extend(f"{g:.17g}" for g in zs.ordinates)
+    lines.extend(f"{g:.17g}" for g in zs.ordinates.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -237,5 +250,5 @@ def load_zero_file(path: str) -> ZeroSet:
         if not ordinates:
             raise ParseError(f"{path}: empty body and no T_max header")
         t_max = ordinates[-1]
-    return ZeroSet(character_id, t_max, tuple(ordinates),
+    return ZeroSet(character_id, t_max, np.array(ordinates, dtype=np.float64),
                    source="file", log_conductor=header["log_conductor"])

@@ -129,7 +129,6 @@ from chebrace.density import (
     DensityEstimate,
     RaceModel,
     SpectralTable,
-    Spectrum,
     complement,
     density_fourier,
 )
@@ -395,22 +394,21 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
             needed = np.flatnonzero(row).tolist()
             fresh = [c for c in needed if c not in sets]
             sets.update(provision_zero_sets(scen, fresh, seed))
-            spectrum = one_row_spectrum(row[needed],
-                                        [sets[c].moduli for c in needed])
-            est = density_fourier(RaceModel(m, spectrum))
+            model = one_row_model(m, row[needed], [sets[c].moduli for c in needed])
+            est = density_fourier(model)
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
                          "weights": tuple(sorted(zip(ids, row.tolist()))),
-                         "bias_factor": m / math.sqrt(spectrum.variance) if m else 0.0,
+                         "bias_factor": m / math.sqrt(model.variance) if m else 0.0,
                          "delta_fourier": est.value,
                          "delta_fourier_budget": est.error_bound})
     return rows
 
 
-def one_row_spectrum(weight_list: Sequence[float],
-                     moduli: Sequence[np.ndarray]) -> Spectrum:
-    """The spectrum of the race with these character weights over these
-    zero moduli, on a table of its own."""
-    return Spectrum(SpectralTable(moduli), 2.0 * np.asarray(weight_list))
+def one_row_model(mean_value: int, weight_list: Sequence[float],
+                  moduli: Sequence[np.ndarray]) -> RaceModel:
+    """The race of this mean with these character weights over these zero
+    moduli, on a table of its own."""
+    return RaceModel(mean_value, SpectralTable(moduli), 2.0 * np.asarray(weight_list))
 
 
 def term_model(mean_value: int, terms: np.ndarray) -> RaceModel:
@@ -418,7 +416,7 @@ def term_model(mean_value: int, terms: np.ndarray) -> RaceModel:
     term, scaled by the term."""
     terms = np.asarray(terms, dtype=float)
     table = SpectralTable([np.ones(1)] * terms.size)
-    return RaceModel(mean_value, Spectrum(table, terms))
+    return RaceModel(mean_value, table, terms)
 
 
 # -- the sorted term list the spectral race model replaced ---------------------
@@ -521,8 +519,7 @@ def sorted_bulk_power_sums(r: np.ndarray, t_max: float,
 def engine_rows(model) -> density._Rows:
     """A model's row of scales as the batched Fourier engine reads it,
     alone."""
-    spectrum = model.spectrum
-    return density._Rows.of(spectrum.table, spectrum.row[None, :])
+    return density._Rows.of(model.table, model.row[None, :])
 
 
 def engine_t_max(model, mean: float | None = None) -> tuple[float, float]:
@@ -1283,13 +1280,38 @@ class HorizonError(ValueError):
     """Query beyond the completeness horizon T_max."""
 
 
+def zero_set_problem(ordinates: Sequence[float], t_max: float) -> str | None:
+    """What ZeroSet rejects in these ordinates, checked one Python float
+    at a time as it was before its ordinates became an array: the message
+    for the first ordinate not strictly above the one before (or above 0,
+    for the first), NaN included, then for a last ordinate past t_max; or
+    None."""
+    prev = 0.0
+    for k, g in enumerate(ordinates):
+        if not g > prev:
+            return (f"ordinate #{k + 1} = {g!r} not strictly above "
+                    f"{'0' if k == 0 else repr(prev)}")
+        prev = g
+    if ordinates and ordinates[-1] > t_max:
+        return f"ordinate {ordinates[-1]!r} exceeds T_max = {t_max!r}"
+    return None
+
+
+def same_zero_set(a: ZeroSet, b: ZeroSet) -> bool:
+    """Every field of a equals b's, the ordinates value for value (a
+    ZeroSet's own equality is identity)."""
+    return (np.array_equal(a.ordinates, b.ordinates)
+            and (a.character_id, a.t_max, a.source, a.log_conductor)
+            == (b.character_id, b.t_max, b.source, b.log_conductor))
+
+
 def b0(zs: ZeroSet, two_sided: bool = False) -> float:
     """Sum of 1/(1/4 + gamma^2) over the stored ordinates.
 
     Defaults to the one-sided sum over gamma > 0 as used in the variance
     formula; two_sided doubles it to cover the conjugate zeros at -gamma.
     """
-    g = np.asarray(zs.ordinates, dtype=float)
+    g = zs.ordinates
     total = float(np.sum(1.0 / (0.25 + g * g))) if g.size else 0.0
     return 2.0 * total if two_sided else total
 
@@ -1300,8 +1322,7 @@ def partial_inverse_sum(zs: ZeroSet, t: float) -> float:
         raise HorizonError(f"t = {t!r} beyond completeness horizon {zs.t_max!r}")
     if t < 1.0:
         raise ValueError(f"need t >= 1, got {t}")
-    g = np.asarray(zs.ordinates, dtype=float)
-    g = g[g <= t]
+    g = zs.ordinates[zs.ordinates <= t]
     return float(np.sum(1.0 / np.sqrt(0.25 + g * g))) if g.size else 0.0
 
 

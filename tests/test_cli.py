@@ -229,6 +229,9 @@ def test_bad_monte_carlo_inputs_exit_2_with_a_message(argv, message, capsys):
     # horizons below every sampled zero leave no oscillation terms
     (["monotonicity", "--n", "4", "--samples", "100", "--t-max", "1"],
      "t_max = 1.0 lies below every sampled zero of psi_1, psi_3"),
+    # the fourth race has no zero below t_max = 1; the first three have some
+    (["sandwich", "--count", "4", "--samples", "10000", "--t-max", "1",
+      "--seed", "2"], "t_max = 1.0 lies below every sampled zero of psi_1, psi_3"),
     (["mod4", "--t-max", "1"], "t_max = 1.0 lies below every sampled zero of chi4"),
 ])
 def test_bad_zero_sampling_inputs_exit_2_with_a_message(argv, message, tmp_path,

@@ -50,7 +50,7 @@ from oracles import (
     engine_rows,
     engine_t_max,
     engine_top,
-    one_row_spectrum,
+    one_row_model,
     q_factor_extremes,
     shared_mc_loop,
     sorted_bulk_power_sums,
@@ -661,8 +661,7 @@ def test_fourier_batch_estimates_do_not_depend_on_the_batch(seed, count, data):
         full = [_bits(est) for est in batch(table, rows, models)]
         shuffled = batch(table, rows, [models[k] for k in order])
         split = batch(table, rows, models[:half]) + batch(table, rows, models[half:])
-        single = _bits(density_fourier(RaceModel(models[1][1],
-                                                 density.Spectrum(table, rows[1]))))
+        single = _bits(density_fourier(RaceModel(models[1][1], table, rows[1])))
     assert full == alone
     assert [alone[k] for k in order] == [_bits(est) for est in shuffled]
     assert [_bits(est) for est in split] == alone
@@ -690,7 +689,7 @@ def test_fourier_results_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def _row_and_model(family, n, pick, seed):
-    """A tower pair's spectral row on its own table, and its assembled
+    """A tower pair's model of mean 1 on its own table, and its assembled
     model, over the zero sets the tower samples."""
     w_axiom = -1 if family == QUATERNION else +1
     scen = scenario_generator(family, n, w_axiom, seed)
@@ -699,8 +698,8 @@ def _row_and_model(family, n, pick, seed):
     row = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
     needed = np.flatnonzero(row).tolist()
     sets = provision_zero_sets(scen, needed, seed)
-    spectrum = one_row_spectrum(row[needed], [sets[c].moduli for c in needed])
-    return spectrum, assemble_race_model(1, row, sets)
+    one = one_row_model(1, row[needed], [sets[c].moduli for c in needed])
+    return one, assemble_race_model(1, row, sets)
 
 
 def _long_power_sums(r, order):
@@ -729,15 +728,14 @@ def _assert_same_classes(top, r, u):
 @given(family=st.sampled_from([DIHEDRAL, QUATERNION]), n=st.integers(3, 8),
        pick=st.integers(0, 10**6), seed=st.integers(0, 3))
 def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
-    spectrum, model = _row_and_model(family, n, pick, seed)
+    one, model = _row_and_model(family, n, pick, seed)
     r = np.sort(model.terms)
     unit = density._U
-    one = RaceModel(1, spectrum)
     rows = engine_rows(one)
     depth = int(rows.depth[0])
     # the variance within (7 + depth) ulps of the terms' own
     want = 0.5 * _long_power_sums(r, 1)[0]
-    assert abs(spectrum.variance - want) <= (7 + depth) * unit * want * (1 + 1e-6)
+    assert abs(one.variance - want) <= (7 + depth) * unit * want * (1 + 1e-6)
     assert rows.count[0] == r.size
     # the tail bound classifies every term as the sorted list does, at every
     # grid point of the whole grid and of the stretch past t_max

@@ -92,6 +92,25 @@ def test_report_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# a sampled zero file and the check of it, pinned while ZeroSet held its
+# ordinates as a tuple of Python floats
+ZERO_FILE_ARGV = ["zeros", "gen", "--log-conductor", "3", "--t-max", "300",
+                  "--seed", "7", "--character-id", "psi_1", "--out", "psi_1.txt"]
+ZERO_FILE_DIGEST = "181959fd42560d606c8ced55b2d17da9167e1430e4b35f7a0d9a53798fd7ec6f"
+ZERO_CHECK_DIGEST = "97ce56515a079346393b8df3a0277d382534168977caa0e69b8de314ff9512f7"
+
+
+def test_zero_file_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the check prints the path it was given
+    assert cli.main(ZERO_FILE_ARGV) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "psi_1.txt").read_bytes()).hexdigest() == \
+        ZERO_FILE_DIGEST
+    assert cli.main(["zeros", "check", "psi_1.txt"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ZERO_CHECK_DIGEST
+
+
 def test_race_config_digest(tmp_path, capsys):
     assert sorted(RACE_CONFIG) == sorted(cli.RACE_CONFIG_KEYS)
     path = tmp_path / "race.json"

@@ -46,7 +46,6 @@ from chebrace.races import (
 from chebrace.density import (
     RaceModel,
     SpectralTable,
-    Spectrum,
     density_fourier,
     density_montecarlo,
     race_model,
@@ -450,7 +449,7 @@ def test_race_model_coverage_errors():
     # a weighted character without zeros adds no component
     empty = ZeroSet("chi2", 10.0, (), source="t")
     model = race_model(1, np.array([0.0, 2.0, 1.0]), {1: zs, 2: empty})
-    assert model.spectrum.table.sizes.tolist() == [2]
+    assert model.table.sizes.tolist() == [2]
 
 
 def test_race_model_components_follow_the_columns():
@@ -461,8 +460,8 @@ def test_race_model_components_follow_the_columns():
     sets = {5: ZeroSet("psi_2", 10.0, (2.0,), source="t"),
             13: ZeroSet("psi_10", 10.0, (1.0, 4.0), source="t")}
     model = race_model(1, row, sets)
-    assert model.spectrum.table.sizes.tolist() == [1, 2]
-    assert model.spectrum.row.tolist() == [2.0, 6.0]
+    assert model.table.sizes.tolist() == [1, 2]
+    assert model.row.tolist() == [2.0, 6.0]
 
 
 def test_published_mean_rule():
@@ -513,7 +512,7 @@ def test_race_model_checks_raise_value_errors():
         race_model(1, [0.0, 0.0], {})
     # a row of zero scales has no terms, and neither engine takes it
     table = SpectralTable([np.array([1.0, 3.0])])
-    silent = RaceModel(0, Spectrum(table, np.zeros(1)))
+    silent = RaceModel(0, table, np.zeros(1))
     assert silent.terms.size == 0
     with pytest.raises(ValueError, match="empty term list"):
         density_fourier(silent)

@@ -93,7 +93,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_surface_covers_methods_and_properties():
     qualnames = {qualname for _, qualname, _, _ in _surface()}
     assert {"Group.element_order", "Group.order", "ArithmeticScenario.group",
-            "RaceSpec.fused_pair", "Spectrum.variance", "TABLE_CLAIMS",
+            "RaceSpec.fused_pair", "RaceModel.variance", "TABLE_CLAIMS",
             "MOD4_PUBLISHED_DELTA", "RACE_CONFIG_KEYS"} <= qualnames
     assert "__version__" not in qualnames
     assert not any(q.split(".")[-1].startswith("_") for q in qualnames)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebrace.zeros import (
     ParseError,
@@ -24,6 +26,8 @@ from oracles import (
     partial_inverse_main_term,
     partial_inverse_sum,
     partial_inverse_tolerance,
+    same_zero_set,
+    zero_set_problem,
 )
 
 
@@ -76,9 +80,9 @@ def test_sampler_determinism_and_seed_sensitivity():
     model = ZeroCountModel(20.0, 2)
     a = sample_zero_set(model, 64.0, 7, "chi1")
     b = sample_zero_set(model, 64.0, 7, "chi1")
-    assert a == b
+    assert same_zero_set(a, b)
     c = sample_zero_set(model, 64.0, 8, "chi1")
-    assert a.ordinates != c.ordinates
+    assert not np.array_equal(a.ordinates, c.ordinates)
     assert a.character_id == "chi1"
     assert a.source == "synthetic(7)"
     assert a.log_conductor == 20.0
@@ -91,8 +95,8 @@ def test_sampler_determinism_and_seed_sensitivity():
 def test_sampled_ordinates_are_strictly_increasing_and_bounded():
     model = ZeroCountModel(30.0, 2)
     zs = sample_zero_set(model, 40.0, 3)
-    arr = np.asarray(zs.ordinates)
-    assert arr.size > 0
+    arr = zs.ordinates
+    assert arr.dtype == np.float64 and arr.size > 0
     assert np.all(arr > 0.0)
     assert np.all(np.diff(arr) > 0.0)
     assert arr[-1] <= 40.0
@@ -127,7 +131,7 @@ def test_b0_tail_estimates_the_truncated_mass():
     windows = []
     for seed in range(20):
         zs = sample_zero_set(model, t_max, seed)
-        g = np.asarray(zs.ordinates)
+        g = zs.ordinates
         windows.append(float(np.sum(1.0 / (0.25 + g[g > t] ** 2))))
     estimate = b0_tail(model, t) - b0_tail(model, t_max)
     ratio = float(np.mean(windows)) / estimate
@@ -176,13 +180,54 @@ def test_zero_set_validation():
     assert len(ZeroSet("chi1", 10.0, (1.0, 2.0), source="test")) == 2
 
 
+_SPECIAL = [0.0, -0.0, -1.0, 1.0, 2.0, 9.5, 10.0, 10.5, 5e-324,
+            math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(_SPECIAL),
+                                 st.floats(-1.0, 12.0)), max_size=8),
+       ordered=st.booleans())
+def test_zero_set_checks_match_the_per_ordinate_loop(values, ordered):
+    # ties, decreasing pairs, zero, negatives, NaN, inf, values past T_max
+    # and the empty set: rejected exactly when the loop finds a problem,
+    # with its message; sorting first makes the sets that pass common
+    if ordered:
+        values = sorted(values, key=lambda g: (math.isnan(g), g))
+    want = zero_set_problem(values, 10.0)
+    if want is None:
+        zs = ZeroSet("chi1", 10.0, values, source="test")
+        assert zs.ordinates.tolist() == values
+    else:
+        with pytest.raises(ValidationError) as info:
+            ZeroSet("chi1", 10.0, values, source="test")
+        assert str(info.value) == want
+
+
+def test_ordinates_and_moduli_are_read_only(tmp_path):
+    sampled = sample_zero_set(ZeroCountModel(10.0, 2), 32.0, 1)
+    path = tmp_path / "zeros.txt"
+    save_zero_file(sampled, str(path))
+    given_array = np.array([1.0, 2.0])
+    built = [ZeroSet("chi1", 10.0, (1.0, 2.0), source="test"),
+             ZeroSet("chi1", 10.0, given_array, source="test")]
+    for zs in [sampled, load_zero_file(str(path))] + built:
+        for values in (zs.ordinates, zs.moduli):
+            assert values.dtype == np.float64 and not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 3.0
+    # an array handed over is the set's own, not a copy
+    assert built[1].ordinates is given_array
+
+
 def test_zero_file_round_trip_is_bit_exact(tmp_path):
     model = ZeroCountModel(10.0, 2)
     zs = sample_zero_set(model, 32.0, 11, "psi_3")
     path = tmp_path / "zeros.txt"
     save_zero_file(zs, str(path))
     back = load_zero_file(str(path))
-    assert back.ordinates == zs.ordinates  # %.17g round-trips float64
+    # %.17g round-trips float64: the arrays are equal value for value
+    assert np.array_equal(back.ordinates, zs.ordinates)
     assert back.t_max == zs.t_max
     assert back.character_id == "psi_3"
     assert back.log_conductor == zs.log_conductor
@@ -222,12 +267,12 @@ def test_zero_file_header_forms(tmp_path):
     assert zs.t_max == 7.25
     assert zs.character_id == "chi2"
     assert zs.log_conductor is None
-    assert zs.ordinates == (1.0, 2.5, 7.25)
+    assert zs.ordinates.tolist() == [1.0, 2.5, 7.25]
 
 
 def test_rate_floor_keeps_tiny_conductors_sampleable():
     model = ZeroCountModel(0.0, 1)
     zs = sample_zero_set(model, 4.0, 5)
     # below onset the clamped rate is RATE_FLOOR, so few but valid ordinates
-    assert all(g > 0 for g in zs.ordinates)
+    assert np.all(zs.ordinates > 0)
     assert RATE_FLOOR > 0.0
