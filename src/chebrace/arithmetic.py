@@ -3,19 +3,19 @@
 A scenario stands in for a Galois extension of the dihedral or quaternion
 family: which odd primes ramify (tame, so inertia is cyclic and given by a
 generator element), the shared symplectic root number axiom W, central
-vanishing orders, and the discriminant size.  The central orders of the
-full group's irreducibles are one integer array in ``character_ids``
-order, built once per scenario.  The scenarios the verbs use are scaled:
-they carry log sizes calibrated to the towers' discriminant growth, with
-the per-prime log treated as a real number.  Explicit scenarios with
-literal primes and factored conductors, and the conductor-discriminant
-identity they satisfy, live in ``tests/oracles.py``, where the tests check
-``conductor_exponent`` against them.
+vanishing orders, and the discriminant size.  The central orders and the
+log conductors of the full group's irreducibles are arrays in
+``character_ids`` order, built once per scenario.  The scenarios the verbs
+use are scaled: they carry log sizes calibrated to the towers' discriminant
+growth, with the per-prime log treated as a real number.  Explicit
+scenarios with literal primes and factored conductors, and the
+conductor-discriminant identity they satisfy, live in ``tests/oracles.py``,
+where the tests check ``conductor_exponents`` against them.
 
 Conductor exponents use the tame formula n(chi, p) = chi(1) - dim V^I with
-the invariant dimension in closed form (the tests check it against the
-average of chi over the inertia subgroup); degree-1 characters reduce to
-kernel membership of the generator.
+the invariant dimension in closed form, one array per inertia generator (the
+tests check it against the average of chi over the inertia subgroup);
+degree-1 characters reduce to kernel membership of the generator.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import (
-    character_degree,
-    character_ids,
+    character_id,
     character_index,
     character_value,
     symplectic_mask,
@@ -50,32 +49,28 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def invariant_dimension(group: Group, cid: str, generator: Element) -> int:
-    """Closed form for the inertia-fixed dimension, O(1) at any group size.
+def conductor_exponents(group: Group, generator: Element) -> np.ndarray:
+    """Tame n(chi, p) = chi(1) - dim V^I for inertia <generator>, of every
+    irreducible in ``character_ids`` order, as an int64 array.
 
-    Degree 1: the cyclic inertia acts through chi(generator), so the line is
-    fixed iff that value is 1.  Degree 2 at a rotation a^e: the matrix is
-    diag(zeta^(je), zeta^(-je)), fixed space has dimension 2 iff
-    je = 0 mod 2^(n-1), else 0.  Degree 2 at a reflected element: in the
-    dihedral family the element is an involution swapping the eigenlines
-    (dimension 1); in the quaternion family it generates an order-4 subgroup
-    through -1, whose average is (2 + 2(-1)^j)/4.
+    dim V^I in closed form.  Degree 1: the cyclic inertia acts through
+    chi(generator), so the line is fixed iff that value is 1.  psi_j at a
+    rotation a^e: the matrix is diag(zeta^(je), zeta^(-je)), fixed space of
+    dimension 2 iff je = 0 mod 2^(n-1), else 0.  psi_j at a reflected
+    element: in the dihedral family an involution swapping the eigenlines
+    (dimension 1); in the quaternion family it generates an order-4
+    subgroup through -1, whose average is (2 + 2(-1)^j)/4.
     """
     m = group.rotation_order
-    if character_degree(cid) == 1:
-        val = character_value(group, cid, group.conjugacy_class_of(generator))
-        return 1 if val == cyclo_int(m, 1) else 0
-    j = int(cid.split("_")[1])
-    if generator.flip:
-        if group.family == DIHEDRAL:
-            return 1
-        return 1 if j % 2 == 0 else 0
-    return 2 if (j * generator.exponent) % m == 0 else 0
-
-
-def conductor_exponent(group: Group, cid: str, generator: Element) -> int:
-    """Tame n(chi, p) = chi(1) - dim V^I for inertia <generator>."""
-    return character_degree(cid) - invariant_dimension(group, cid, generator)
+    label = group.conjugacy_class_of(generator)
+    linear = [0 if character_value(group, character_id(c), label) == cyclo_int(m, 1)
+              else 1 for c in range(4)]
+    j = np.arange(1, 1 << (group.n - 2), dtype=np.int64)
+    if not generator.flip:
+        psi = np.where(j * generator.exponent % m == 0, 0, 2)
+    else:
+        psi = np.ones_like(j) if group.family == DIHEDRAL else 1 + j % 2
+    return np.concatenate((np.array(linear, dtype=np.int64), psi))
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -120,12 +115,16 @@ class ArithmeticScenario:
     def group(self) -> Group:
         return Group(self.kind)
 
-    def log_conductor(self, cid: str) -> float:
-        group = self.group
-        return sum(
-            conductor_exponent(group, cid, vp.inertia) * vp.log_p
-            for vp in self.primes
-        )
+    @cached_property
+    def log_conductors(self) -> np.ndarray:
+        """log A(chi) = sum_p n(chi, p) log p of every full-group
+        irreducible, in ``character_ids`` order and read-only; summed prime
+        by prime in the order of ``primes``."""
+        acc = np.zeros(3 + (1 << (self.kind.n - 2)))
+        for vp in self.primes:
+            acc = acc + conductor_exponents(self.group, vp.inertia) * vp.log_p
+        acc.flags.writeable = False
+        return acc
 
     @cached_property
     def central_orders(self) -> np.ndarray:
@@ -193,11 +192,9 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
     # flip inertia: n(psi) = 2, n(chi1) = n(chi3) = 1, so log|d| = 3 log A(psi) / ...
     gen = Element(0, 1)
     log_p = log_a_psi / 2.0
-    group = Group(kind)
-    log_disc = sum(
-        character_degree(cid) * conductor_exponent(group, cid, gen) * log_p
-        for cid in character_ids(group)
-    )
+    exps = conductor_exponents(Group(kind), gen)
+    degrees = np.where(np.arange(exps.size) < 4, 1, 2)
+    log_disc = sum((degrees * exps * log_p).tolist())
     return ArithmeticScenario(
         kind, w_axiom,
         (VirtualPrime(None, log_p, gen),),

@@ -48,10 +48,6 @@ def character_id(index: int) -> str:
     return f"chi{index}" if index < 4 else psi_id(index - 3)
 
 
-def character_degree(cid: str) -> int:
-    return 2 if cid.startswith("psi_") else 1
-
-
 # chi(a^k b^f) = (-1)^(p k + q f) for the degree-1 characters, as (p, q)
 _LINEAR_PARITIES = {"chi0": (0, 0), "chi1": (0, 1), "chi2": (1, 0), "chi3": (1, 1)}
 

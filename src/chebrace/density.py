@@ -89,6 +89,7 @@ import numpy as np
 from .zeros import ZeroSet
 
 _MC_SALT = 0x5CE9A813
+MIN_MC_SAMPLES = 10_000  # the Monte Carlo floor; the drivers check it up front
 _U = 2.0 ** -53  # unit roundoff
 # elements (1 MB of float64 and 0.5 MB of float32) drawn, transformed and
 # reduced at a time, so one block stays in a core's L2 cache between the
@@ -297,8 +298,8 @@ def density_montecarlo(model: RaceModel, samples: int, seed: int) -> DensityEsti
     pair-level indicator variance.  Chunks are seeded independently from
     (seed, chunk index), so the result depends only on (seed, samples).
     """
-    if samples < 10_000:
-        raise ValueError(f"need samples >= 10000, got {samples}")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_MC_SAMPLES}, got {samples}")
     terms = model.terms
     if terms.size == 0:
         raise ValueError("empty term list")
@@ -530,13 +531,17 @@ class RaceModel:
 
     @cached_property
     def terms(self) -> np.ndarray:
-        """Every amplitude r_ci, largest first, divided out one component
-        at a time, as the Monte Carlo kernel reads them; nothing the size
-        of the padded table is built."""
+        """Every amplitude r_ci, largest first, as the Monte Carlo kernel
+        reads them: divided out one component at a time into one array,
+        sorted in place; nothing the size of the padded table is built."""
         components = np.flatnonzero(self.row)
         moduli = self.table.moduli
-        chunks = [s / moduli[c] for c, s in zip(components, self.row[components])]
-        return np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
+        ends = np.cumsum(np.r_[0, self.table.sizes[components]]).tolist()
+        terms = np.empty(ends[-1])
+        for c, s, a, b in zip(components, self.row[components], ends, ends[1:]):
+            np.divide(s, moduli[c], out=terms[a:b])
+        terms.sort()
+        return terms[::-1]
 
 
 def race_model(mean: int, row: Sequence[float],

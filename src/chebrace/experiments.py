@@ -33,13 +33,13 @@ from .arithmetic import (
     scenario_generator,
 )
 from .characters import (
-    character_degree,
     character_id,
     character_ids,
     character_index,
     sr_partition,
 )
 from .density import (
+    MIN_MC_SAMPLES,
     SpectralTable,
     _mc_race,
     clt_estimate,
@@ -132,7 +132,7 @@ def check_seed(seed) -> None:
 
 def _check_mc_samples(samples) -> None:
     """density_montecarlo's floor, checked before any work is done."""
-    _check_int("samples", samples, 10_000)
+    _check_int("samples", samples, MIN_MC_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +282,13 @@ def _child_seed(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0])
 
 
-def zero_count_model(scenario: ArithmeticScenario, cid: str) -> ZeroCountModel:
-    return ZeroCountModel(scenario.log_conductor(cid), character_degree(cid))
-
-
 def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
                         seed: int, min_count: int = 64,
                         t_max: float | None = None) -> dict[int, ZeroSet]:
     """Sample one synthetic zero set per character, deterministically; the
     characters and the returned keys are indices into ``character_ids``.
+    A character's zero count follows its entry of the scenario's
+    ``log_conductors`` and its degree (1 below column 4, 2 from there on).
 
     The horizon is t_max when given (shared zero data across every use),
     and a t_max below every sampled zero is a ConfigError; otherwise the
@@ -301,7 +299,7 @@ def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
     sets: dict[int, ZeroSet] = {}
     for c in sorted({int(c) for c in indices}):
         cid = character_id(c)
-        model = zero_count_model(scenario, cid)
+        model = ZeroCountModel(float(scenario.log_conductors[c]), 1 if c < 4 else 2)
         horizon = t_max
         if horizon is None:
             horizon = 16.0
@@ -331,20 +329,16 @@ def _check_horizon(sets: Mapping[int, ZeroSet], t_max: float) -> None:
             "has no oscillation terms")
 
 
-def _tail_sigma(scenario: ArithmeticScenario, row: np.ndarray,
-                sets: Mapping[int, ZeroSet]) -> float | None:
-    """Standard deviation of the oscillation dropped beyond each horizon."""
+def _tail_sigma(row: np.ndarray, sets: Mapping[int, ZeroSet]) -> float | None:
+    """Standard deviation of the oscillation dropped beyond each horizon,
+    or None when a set has no log conductor (a zero file without one)."""
     acc = 0.0
     for c in np.flatnonzero(row).tolist():
         wv = float(row[c])
         zs = sets[c]
-        log_a = zs.log_conductor
-        if log_a is None:
-            if zs.source.startswith("synthetic"):
-                log_a = scenario.log_conductor(zs.character_id)
-            else:
-                return None
-        model = ZeroCountModel(log_a, character_degree(zs.character_id))
+        if zs.log_conductor is None:
+            return None
+        model = ZeroCountModel(zs.log_conductor, 1 if c < 4 else 2)
         acc += 2.0 * wv * wv * b0_tail(model, zs.t_max)
     return math.sqrt(acc)
 
@@ -639,7 +633,7 @@ def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
     row["lower_one_minus_delta"] = lower_bound(model.bias_factor, q)
     row["q"] = q
 
-    tail = _tail_sigma(spec.scenario, weight_row, zero_sets)
+    tail = _tail_sigma(weight_row, zero_sets)
     row["truncation_shift_bound"] = (
         None if tail is None
         else truncation_shift_bound(math.sqrt(model.variance), tail))
@@ -943,7 +937,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         sets = provision_zero_sets(scen, np.flatnonzero(weight_row),
                                    _child_seed(seed, index), min_count=512)
         row = race_row(spec, weight_row, sets, samples, _child_seed(seed, index, 1))
-        log_a = scen.log_conductor("psi_1")
+        log_a = float(scen.log_conductors[4])  # psi_1
         row["f"] = f
         row["log_conductor_psi"] = log_a
         row["flags"]["conductor_large"] = _flag(

@@ -77,7 +77,8 @@ symplectic value sums; class fusion and induction summed over the whole
 group; explicit 2x2 matrices of the degree-2 characters; inertia
 invariants by averaging; the tame-conductor layer over literal primes
 (conductor reports, the conductor-discriminant identity, explicit and
-random ramification), built on the package's ``conductor_exponent``; the
+random ramification), built on the package's ``conductor_exponents``,
+and the per-id conductor exponents and log conductors they replaced; the
 central vanishing orders in closed form; the race variance from B0 sums;
 and the partial inverse sums of a zero set with their analytic main term.
 """
@@ -99,14 +100,14 @@ from chebrace.arithmetic import (
     _random_nonidentity,
     ArithmeticScenario,
     VirtualPrime,
-    conductor_exponent,
+    conductor_exponents,
     scenario_generator,
 )
 from chebrace.characters import (
     _LINEAR_PARITIES,
     _linear_value,
-    character_degree,
     character_ids,
+    character_index,
     character_value,
     induction_pairs,
     psi_id,
@@ -949,6 +950,12 @@ def restrict(group: Group, i: int, cid: str) -> dict[ClassLabel, CycloInt]:
     return out
 
 
+def character_degree(cid: str) -> int:
+    """Per-id degree: 2 for the psi_j, 1 for chi0..chi3 (the columns below
+    4 of ``character_ids``)."""
+    return 2 if cid.startswith("psi_") else 1
+
+
 def is_symplectic(cid: str) -> bool:
     """Per-id form of ``characters.symplectic_mask`` for the quaternion
     family: exactly the odd-index psi_j are symplectic."""
@@ -1140,6 +1147,45 @@ def invariant_dimension_average(group: Group, cid: str, generator: Element) -> i
     return dim
 
 
+def invariant_dimension(group: Group, cid: str, generator: Element) -> int:
+    """Per-id closed form for the inertia-fixed dimension, the reference
+    for ``arithmetic.conductor_exponents``.
+
+    Degree 1: the cyclic inertia acts through chi(generator), so the line is
+    fixed iff that value is 1.  Degree 2 at a rotation a^e: the matrix is
+    diag(zeta^(je), zeta^(-je)), fixed space has dimension 2 iff
+    je = 0 mod 2^(n-1), else 0.  Degree 2 at a reflected element: in the
+    dihedral family the element is an involution swapping the eigenlines
+    (dimension 1); in the quaternion family it generates an order-4 subgroup
+    through -1, whose average is (2 + 2(-1)^j)/4.
+    """
+    m = group.rotation_order
+    if character_degree(cid) == 1:
+        val = character_value(group, cid, group.conjugacy_class_of(generator))
+        return 1 if val == cyclo_int(m, 1) else 0
+    j = int(cid.split("_")[1])
+    if generator.flip:
+        if group.family == DIHEDRAL:
+            return 1
+        return 1 if j % 2 == 0 else 0
+    return 2 if (j * generator.exponent) % m == 0 else 0
+
+
+def conductor_exponent(group: Group, cid: str, generator: Element) -> int:
+    """Per-id tame n(chi, p) = chi(1) - dim V^I for inertia <generator>."""
+    return character_degree(cid) - invariant_dimension(group, cid, generator)
+
+
+def log_conductor(scenario: ArithmeticScenario, cid: str) -> float:
+    """Per-id form of ``ArithmeticScenario.log_conductors``: the sum over
+    the scenario's primes of n(chi, p) log p, one character at a time."""
+    group = scenario.group
+    return sum(
+        conductor_exponent(group, cid, vp.inertia) * vp.log_p
+        for vp in scenario.primes
+    )
+
+
 @dataclass(frozen=True)
 class RamifiedPrime:
     p: int
@@ -1168,10 +1214,11 @@ class RamificationData:
 
 def artin_conductor_tame(group: Group, cid: str,
                          ram: RamificationData) -> dict[int, int]:
-    """Exponent map p -> n(chi, p) over the ramified primes, from the
-    package's ``conductor_exponent``."""
+    """Exponent map p -> n(chi, p) over the ramified primes, read from the
+    package's ``conductor_exponents``."""
     assert ram.kind == group.kind
-    return {rp.p: conductor_exponent(group, cid, rp.inertia) for rp in ram.primes}
+    c = character_index(group, cid)
+    return {rp.p: int(conductor_exponents(group, rp.inertia)[c]) for rp in ram.primes}
 
 
 @dataclass(frozen=True)

@@ -10,25 +10,28 @@ import pytest
 from chebrace.arithmetic import (
     ArithmeticScenario,
     VirtualPrime,
-    conductor_exponent,
+    conductor_exponents,
     horizontal_scenario,
-    invariant_dimension,
     scenario_generator,
 )
-from chebrace.characters import character_degree, character_ids
+from chebrace.characters import character_ids
 from chebrace.groups import DIHEDRAL, QUATERNION, Element, Group, GroupKind
 from oracles import (
     RamificationData,
     RamifiedPrime,
     central_order,
+    character_degree,
     conductor_discriminant,
+    conductor_exponent,
     conductor_report,
     degree_two_matrices,
     discriminant_exponent_tame,
     elements,
     explicit_scenario,
     identity,
+    invariant_dimension,
     invariant_dimension_average,
+    log_conductor,
     multiply,
     random_ramification,
     scenario_regime,
@@ -39,14 +42,18 @@ FAMILIES = (DIHEDRAL, QUATERNION)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
 def test_invariant_dimension_matches_averaging_oracle(family, n):
     group = Group(GroupKind(family, n))
-    gens = [g for g in elements(group) if g != identity()]
-    for gen in gens[:: max(1, len(gens) // 24)] + [Element(1, 0), Element(0, 1)]:
-        for cid in character_ids(group):
-            assert invariant_dimension(group, cid, gen) == \
-                invariant_dimension_average(group, cid, gen), (gen, cid)
+    ids = character_ids(group)
+    for gen in elements(group):
+        if gen == identity():
+            continue
+        average = [invariant_dimension_average(group, cid, gen) for cid in ids]
+        assert conductor_exponents(group, gen).tolist() == [
+            character_degree(cid) - dim for cid, dim in zip(ids, average)], gen
+        for cid, dim in zip(ids, average):
+            assert invariant_dimension(group, cid, gen) == dim, (gen, cid)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -67,6 +74,7 @@ def test_invariant_dimension_matches_matrix_rank_oracle(family):
             proj = sum(mats) / e
             dim = int(round(np.trace(proj).real))
             assert invariant_dimension(group, f"psi_{j}", gen) == dim, (gen, j)
+            assert conductor_exponents(group, gen)[3 + j] == 2 - dim, (gen, j)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -94,11 +102,14 @@ def test_conductor_exponents_are_degree_minus_invariants():
     for gen in elements(group):
         if gen == identity():
             continue
-        for cid in character_ids(group):
+        expos = conductor_exponents(group, gen)
+        assert expos.dtype == np.int64
+        for cid, array_expo in zip(character_ids(group), expos.tolist(), strict=True):
             expo = conductor_exponent(group, cid, gen)
             assert expo == character_degree(cid) - invariant_dimension(
                 group, cid, gen)
             assert 0 <= expo <= character_degree(cid)
+            assert array_expo == expo, (gen, cid)
 
 
 def test_order_8_conductor_pattern_and_discriminant_bracket():
@@ -106,19 +117,18 @@ def test_order_8_conductor_pattern_and_discriminant_bracket():
     central = Element(2, 0)
     axes = (Element(1, 0), Element(0, 1), Element(1, 1))
     # central inertia ramifies only the two-dimensional character
-    assert [conductor_exponent(group, cid, central)
-            for cid in character_ids(group)] == [0, 0, 0, 0, 2]
+    assert conductor_exponents(group, central).tolist() == [0, 0, 0, 0, 2]
     assert discriminant_exponent_tame(group, central) == 4
     for axis in axes:
-        expos = {cid: conductor_exponent(group, cid, axis)
-                 for cid in character_ids(group)}
+        expos = dict(zip(character_ids(group),
+                         conductor_exponents(group, axis).tolist()))
         assert expos["chi0"] == 0
         assert expos["psi_1"] == 2
         assert sorted(expos[c] for c in ("chi1", "chi2", "chi3")) == [0, 1, 1]
         assert discriminant_exponent_tame(group, axis) == 6
     # A(psi)^2 <= |d| <= A(psi)^3 for every single-prime scenario
     for gen in (central,) + axes:
-        fpsi = conductor_exponent(group, "psi_1", gen)
+        fpsi = conductor_exponents(group, gen)[4]  # psi_1
         d = discriminant_exponent_tame(group, gen)
         assert 2 * fpsi <= d <= 3 * fpsi
 
@@ -204,10 +214,8 @@ def test_explicit_scenario_log_disc_is_exact():
                                   RamifiedPrime(7, Element(0, 1))))
     scen = explicit_scenario(ram)
     group = Group(kind)
-    expected = sum(
-        character_degree(cid) * scen.log_conductor(cid)
-        for cid in character_ids(group)
-    )
+    degrees = [character_degree(cid) for cid in character_ids(group)]
+    expected = float(np.dot(degrees, scen.log_conductors))
     assert math.isclose(scen.log_disc, expected, rel_tol=1e-12)
 
 
@@ -220,13 +228,23 @@ def test_scenario_generator_is_deterministic_and_in_regime(family):
     assert lo <= a.log_disc <= hi
     c = scenario_generator(family, 6, +1, seed=43)
     assert c.log_disc != a.log_disc
+    # the log conductors are the per-id sums, bit for bit, and read-only
+    for n in range(3, 13):
+        for seed in range(8):
+            for w in ((+1,) if family == DIHEDRAL else (+1, -1)):
+                scen = scenario_generator(family, n, w, seed=seed)
+                logs = scen.log_conductors
+                assert logs.dtype == np.float64 and not logs.flags.writeable
+                assert logs.tolist() == [log_conductor(scen, cid)
+                                         for cid in character_ids(scen.group)]
 
 
 def test_horizontal_scenario_conductor_growth():
     prev = None
     for idx, f in enumerate((1, 2, 3, 4)):
         scen = horizontal_scenario(idx, float(f), -1)
-        log_a = scen.log_conductor("psi_1")
+        log_a = scen.log_conductors[4]  # psi_1
+        assert log_a == log_conductor(scen, "psi_1")
         assert math.isclose(log_a, 2.0 * f**3 + math.log(2.0 + idx),
                             rel_tol=1e-12)
         assert log_a >= 2.0 * f**3

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from chebrace.characters import (
-    character_degree,
     character_ids,
     character_value,
     psi_id,
@@ -22,6 +21,7 @@ from oracles import (
     sr_split,
     as_int,
     brute_force_induce,
+    character_degree,
     character_table,
     conjugate,
     degree_two_matrices,

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
-from chebrace.characters import character_degree, character_ids
+from chebrace.characters import character_ids
 from chebrace.density import DensityEstimate
 from chebrace.experiments import (
     EXACTLY_HALF,
@@ -45,7 +45,6 @@ from chebrace.experiments import (
     series_csv,
     tower_experiment,
     write_report,
-    zero_count_model,
 )
 from chebrace.groups import (
     DIHEDRAL,
@@ -59,14 +58,23 @@ from chebrace.groups import (
     power,
 )
 from chebrace.races import RaceSpec, weights
-from chebrace.zeros import ZeroCountModel, ZeroSet, expected_zero_count, sample_zero_set
+from chebrace.zeros import (
+    ZeroCountModel,
+    ZeroSet,
+    expected_zero_count,
+    load_zero_file,
+    sample_zero_set,
+    save_zero_file,
+)
 
 import numpy as np
 
 from oracles import (
     assemble_race_model,
+    character_degree,
     density_fourier_quadpack,
     engine_rows,
+    log_conductor,
     report_json_indent,
     same_zero_set,
     sorted_t_max,
@@ -159,19 +167,20 @@ def test_provisioning_seeds_by_position_in_the_full_id_list():
     assert all(type(c) is int for c in sets)
     for cid, c in zip(cids, indices):
         child = experiments._child_seed(experiments._PROVISION_SALT, 4, c)
-        assert same_zero_set(sets[c], sample_zero_set(zero_count_model(scen, cid), 12.0,
-                                                      child, character_id=cid))
+        model = ZeroCountModel(log_conductor(scen, cid), character_degree(cid))
+        assert same_zero_set(sets[c], sample_zero_set(model, 12.0, child,
+                                                      character_id=cid))
 
 
 def test_provisioning_honors_min_count_and_t_max():
     scen = scenario_generator(QUATERNION, 4, +1, seed=5)
     sets = provision_zero_sets(scen, [4], seed=0, min_count=200)  # psi_1
-    model = zero_count_model(scen, "psi_1")
+    model = ZeroCountModel(log_conductor(scen, "psi_1"), character_degree("psi_1"))
     assert expected_zero_count(model, sets[4].t_max) >= 200
     fixed = provision_zero_sets(scen, [4], seed=0, t_max=48.0)
     assert fixed[4].t_max == 48.0
-    assert model.log_conductor == scen.log_conductor("psi_1")
-    assert model.degree_factor == character_degree("psi_1")
+    assert type(sets[4].log_conductor) is float
+    assert sets[4].log_conductor == log_conductor(scen, "psi_1")
 
 
 def test_provisioning_past_the_zero_count_limit_is_a_config_error(monkeypatch):
@@ -441,6 +450,17 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
     row = race_row(spec, weights(spec), {4: file_like}, 10000, 2)
     assert row["truncation_shift_bound"] is None
+    # with the sampled log conductor in its header, a file gives the
+    # synthetic set's bound bit for bit
+    path = tmp_path / "psi_1.txt"
+    save_zero_file(synthetic, str(path))
+    with_header = load_zero_file(str(path))
+    assert with_header.source == "file"
+    assert with_header.log_conductor == synthetic.log_conductor
+    want = race_row(spec, weights(spec), {4: synthetic}, 10000, 2)
+    got = race_row(spec, weights(spec), {4: with_header}, 10000, 2)
+    assert want["truncation_shift_bound"] is not None
+    assert got["truncation_shift_bound"] == want["truncation_shift_bound"]
 
 
 def test_run_race_reports_are_reproducible():

@@ -8,7 +8,6 @@ import pytest
 
 from chebrace.arithmetic import ArithmeticScenario, VirtualPrime, scenario_generator
 from chebrace.characters import (
-    character_degree,
     character_ids,
     character_index,
     sr_partition,
@@ -54,6 +53,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
     b0,
     bias_factor,
+    character_degree,
     induce,
     induced_components,
     level_orders_by_induction,
@@ -387,7 +387,7 @@ def test_variance_and_bias_match_the_materialized_model(family):
     for c, (cid, wv) in enumerate(zip(character_ids(scen.group), w.tolist())):
         if wv == 0.0:
             continue
-        model = ZeroCountModel(max(scen.log_conductor(cid), 1.0),
+        model = ZeroCountModel(max(float(scen.log_conductors[c]), 1.0),
                                character_degree(cid))
         zs = sample_zero_set(model, 64.0, seed=c, character_id=cid)
         zero_sets[c] = zs

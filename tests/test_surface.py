@@ -33,8 +33,9 @@ ALLOWED: frozenset[str] = frozenset()
 # per-pair weight paths that the batch ``races.pair_weights`` replaced, the
 # ring operations of CycloInt beyond sums, the element-at-a-time group
 # operations, the tame-conductor layer over literal primes, and the
-# test-only character sums, and the per-character induction and central
-# orders that the index-pair and array forms replaced
+# test-only character sums, and the per-character induction, central
+# orders, degrees, invariant dimensions, conductor exponents and log
+# conductors that the index-pair and array forms replaced
 ORACLE_ONLY = {
     "complex_values", "difference_terms",
     "neg", "sub", "scale", "mul", "conjugate", "promote", "compress",
@@ -45,7 +46,8 @@ ORACLE_ONLY = {
     "discriminant_exponent_tame", "explicit_scenario", "random_ramification",
     "symplectic_value_sum", "multiplicity",
     "induce", "InducedDecomposition", "_psi_range", "central_order",
-    "is_symplectic",
+    "is_symplectic", "character_degree", "invariant_dimension",
+    "conductor_exponent", "log_conductor",
 }
 
 
