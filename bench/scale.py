@@ -20,22 +20,23 @@ JSON record per call:
   rusage, from ``os.wait4``);
 * ``phases_s``: seconds inside the verb, split by the package functions the
   child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``zeros``
-  (``provision_zero_sets``), ``table`` (building the call's
-  ``SpectralTable``, where the package has one; its sums are taken inside
-  the first inversions that need them), ``inversions``
-  (``density_fourier_batch``, the call's one batch of inversions with
-  their tail searches; ``density_fourier``, once per inversion, in
-  checkouts from before the batch) and ``report`` (``report_json``).
-  Older tower records carry a ``rows`` phase, which timed a per-row model
-  assembly.  ``table``: ``means``
-  (``mean_table``, one call per level and root number), ``rows`` (the rest
-  of ``reproduce_table``: the report rows) and ``report``.
-  ``monotonicity``: ``means`` (``mean``, once per level), ``zeros``
-  (``provision_zero_sets``), ``model`` (``race_model``), ``mc``
+  (``provision_zero_sets``, which samples the zero sets and builds the
+  call's ``SpectralTable`` from them; its sums are taken inside the first
+  inversions that need them), ``inversions`` (``density_fourier_batch``,
+  the call's one batch of inversions with their tail searches;
+  ``density_fourier``, once per inversion, in checkouts from before the
+  batch) and ``report`` (``report_json``).  Older tower records carry a
+  ``table`` phase, which timed building the table from a list of zero
+  sets, or a ``rows`` phase, which timed a per-row model assembly.
+  ``table``: ``means`` (``mean_table``, one call per level and root
+  number), ``rows`` (the rest of ``reproduce_table``: the report rows) and
+  ``report``.  ``monotonicity``: ``means`` (``mean``, once per level),
+  ``zeros`` (``provision_zero_sets``), ``model`` (``race_model`` and the
+  first read of ``RaceModel.terms``, which lists the amplitudes), ``mc``
   (``_mc_race``, the shared Monte Carlo draw) and ``report``.  ``race``:
   ``means`` (``mean``), ``zeros`` (``provision_zero_sets``), ``model``
-  (``race_model``), ``fourier`` (``density_fourier``), ``mc``
-  (``density_montecarlo``) and ``report``;
+  (``race_model`` and ``RaceModel.terms``), ``fourier``
+  (``density_fourier``), ``mc`` (``density_montecarlo``) and ``report``;
 * ``inversions`` (``tower`` only): how many races of nonzero mean the
   call inverted, one per distinct (|mean|, weight row);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
@@ -46,6 +47,7 @@ script measures any checkout it is copied into.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -60,11 +62,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # per verb, the timed package functions as (module, names, phase), in the
-# order the record lists the phases; each phase times the first of its
-# names that the checkout has
+# order the record lists the phases; each entry times the first of its
+# names that the checkout has (a dotted name is an attribute of a class, a
+# cached property timed on its first read), and a phase sums its entries
 PHASES = {
     "tower": (("experiments", ("provision_zero_sets",), "zeros"),
-              ("experiments", ("SpectralTable",), "table"),
               ("experiments", ("density_fourier_batch", "density_fourier"), "inversions"),
               ("cli", ("report_json",), "report")),
     "table": (("experiments", ("mean_table",), "means"),
@@ -73,11 +75,13 @@ PHASES = {
     "monotonicity": (("experiments", ("mean",), "means"),
                      ("experiments", ("provision_zero_sets",), "zeros"),
                      ("experiments", ("race_model",), "model"),
+                     ("density", ("RaceModel.terms",), "model"),
                      ("experiments", ("_mc_race",), "mc"),
                      ("cli", ("report_json",), "report")),
     "race": (("experiments", ("mean",), "means"),
              ("experiments", ("provision_zero_sets",), "zeros"),
              ("experiments", ("race_model",), "model"),
+             ("density", ("RaceModel.terms",), "model"),
              ("experiments", ("density_fourier",), "fourier"),
              ("experiments", ("density_montecarlo",), "mc"),
              ("cli", ("report_json",), "report")),
@@ -105,9 +109,9 @@ def _child(argv: list[str]) -> None:
     """Run one verb call with the phase timers installed; print the
     record's phases and digest as JSON."""
     sys.path.insert(0, str(ROOT / "src"))
-    from chebrace import cli, experiments
+    from chebrace import cli, density, experiments
 
-    modules = {"cli": cli, "experiments": experiments}
+    modules = {"cli": cli, "density": density, "experiments": experiments}
     phases = {}
     inverted = []
 
@@ -119,10 +123,17 @@ def _child(argv: list[str]) -> None:
             inverted.append(args[0].mean)
 
     def timed(module, names: tuple[str, ...], phase: str) -> None:
-        name = next((name for name in names if hasattr(module, name)), None)
-        if name is None:
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            owner = getattr(module, owner, None) if owner else module
+            if hasattr(owner, attr):
+                break
+        else:
             return
-        fn = getattr(module, name)
+        fn = getattr(owner, attr)
+        prop = fn if isinstance(fn, functools.cached_property) else None
+        if prop is not None:
+            fn = prop.func
 
         def wrapper(*args, **kwargs):
             count(name, args)
@@ -132,10 +143,13 @@ def _child(argv: list[str]) -> None:
             finally:
                 phases[phase] += time.perf_counter() - start
 
-        setattr(module, name, wrapper)
+        if prop is not None:
+            wrapper = functools.cached_property(wrapper)
+            wrapper.__set_name__(owner, attr)
+        setattr(owner, attr, wrapper)
 
     for module, names, phase in PHASES[argv[0]]:
-        phases[phase] = 0.0
+        phases.setdefault(phase, 0.0)
         timed(modules[module], names, phase)
     out = io.StringIO()
     start = time.perf_counter()

@@ -26,6 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .characters import (
+    character_count,
+    character_degrees,
     character_id,
     character_index,
     character_value,
@@ -120,7 +122,7 @@ class ArithmeticScenario:
         """log A(chi) = sum_p n(chi, p) log p of every full-group
         irreducible, in ``character_ids`` order and read-only; summed prime
         by prime in the order of ``primes``."""
-        acc = np.zeros(3 + (1 << (self.kind.n - 2)))
+        acc = np.zeros(character_count(self.kind.n))
         for vp in self.primes:
             acc = acc + conductor_exponents(self.group, vp.inertia) * vp.log_p
         acc.flags.writeable = False
@@ -193,7 +195,7 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
     gen = Element(0, 1)
     log_p = log_a_psi / 2.0
     exps = conductor_exponents(Group(kind), gen)
-    degrees = np.where(np.arange(exps.size) < 4, 1, 2)
+    degrees = character_degrees(np.arange(exps.size))
     log_disc = sum((degrees * exps * log_p).tolist())
     return ArithmeticScenario(
         kind, w_axiom,

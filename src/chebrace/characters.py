@@ -38,9 +38,19 @@ def psi_id(j: int) -> str:
     return f"psi_{j}"
 
 
+def character_count(n: int) -> int:
+    """How many irreducibles the groups of order 2^n have."""
+    return 3 + (1 << (n - 2))
+
+
+def character_degrees(columns) -> np.ndarray:
+    """Degree at each column of ``character_ids``: 1 for chi0..chi3, else 2."""
+    return np.where(np.asarray(columns) < 4, 1, 2)
+
+
 def character_ids(group: Group) -> list[str]:
     """Canonical enumeration: chi0..chi3 then psi_1..psi_(2^(n-2)-1)."""
-    return [character_id(c) for c in range(3 + (1 << (group.n - 2)))]
+    return [character_id(c) for c in range(character_count(group.n))]
 
 
 def character_id(index: int) -> str:
@@ -125,7 +135,7 @@ def symplectic_mask(group: Group) -> np.ndarray:
     closed form these are exactly the odd-index psi_j, and only in the
     quaternion family (the tests check it against the Frobenius-Schur
     indicator)."""
-    mask = np.zeros(3 + (1 << (group.n - 2)), dtype=bool)
+    mask = np.zeros(character_count(group.n), dtype=bool)
     if group.family == QUATERNION:
         mask[4::2] = True
     return mask
@@ -147,7 +157,7 @@ def induction_pairs(group: Group, i: int) -> tuple[np.ndarray, np.ndarray]:
     if not 3 <= i <= n:
         raise ValueError(f"level must satisfy 3 <= i <= {n}, got {i}")
     if i == n:
-        every = np.arange(3 + (1 << (n - 2)))
+        every = np.arange(character_count(n))
         return every, every
     step = 1 << (i - 1)
     j = np.arange(1, 1 << (n - 2))
@@ -169,5 +179,5 @@ def sr_partition(group: Group, i: int) -> tuple[int, int]:
     quoted values and the split)."""
     level, comp = induction_pairs(group, i)
     shared = level[np.bincount(comp)[comp] > 1]
-    degrees = np.where(np.unique(shared[shared != 0]) < 4, 1, 2)
+    degrees = character_degrees(np.unique(shared[shared != 0]))
     return int(degrees.max(initial=0)), int(degrees.size)

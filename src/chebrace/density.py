@@ -23,12 +23,11 @@ the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
 first-order bound on float rounding is added to it.
 
 A ``RaceModel(mean, table, row)`` is an integer mean and a row of scales
-(twice each character's weight) over a ``SpectralTable`` of zero moduli,
-one component per character, in ``character_ids`` order.  ``race_model``
-builds one from a mean, a weight row and zero sets keyed by column; a
-driver with many rows over the same zero sets (the tower) builds one
-``SpectralTable`` and inverts its rows together.  Both keep the components in
-column order, so a race has one model, and one estimate, whichever driver
+(twice each character's weight) over a ``SpectralTable``: a call's zero
+moduli in one array, one component per character in ``character_ids``
+order, which every race of the call reads (the tower inverts its rows
+together).  Sums run over the components of nonzero scale in column
+order, so a race has one model, and one estimate, whichever driver
 builds it.  The variance is a sum over the components, not over the
 terms, and the term list itself, which only the Monte Carlo kernel reads,
 is listed when first read.  The table sums the
@@ -86,6 +85,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .characters import character_degrees
 from .zeros import ZeroSet
 
 _MC_SALT = 0x5CE9A813
@@ -396,41 +396,58 @@ LOG_J0 = _log_j0_coefficients(_SERIES_MAX)
 
 @dataclass(eq=False)
 class SpectralTable:
-    """The zero data of a family of race models, summed once.
+    """The zero data of a call, one component per character, summed once.
 
-    A model of the family gives each component c a scale s_c and has the
-    amplitudes r_ci = s_c / b_ci over the component's ascending bases b_c,
-    a character's zero moduli |rho| with s_c = 2 w_c.  The table holds the
-    bases of each component and their count.  It builds when first asked:
-    sum_i b_ci^-2 (``square_sums``) and sum_i 1/b_ci (``inverse_sums``);
-    the bases padded with inf to a common width L plus one (``bases``),
-    and the same laid end to end as complex numbers c + i b_ci, so that
-    one ``searchsorted`` counts the bases of many components below many
-    limits (``_counts``); and the suffix power sums
-    sum_{i >= j} b_ci^(-2k), ``squares`` for k = 1 and every j <= L, and
-    ``power`` for k <= _SERIES_MAX and the j asked for.  So the terms of a row past the first
-    j_c of each component have the power sums
-    sum_c s_c^(2k) sum_{i >= j_c} b_ci^(-2k), whatever the j_c.  Every sum
+    Component k holds the ``sizes[k]`` zero moduli |rho|, its ascending
+    bases b_ki, of the character at column ``columns[k]`` (ascending) of
+    ``character_ids``, laid end to end with the others' in the read-only
+    array ``moduli``, and its set's horizon ``t_max[k]`` and log conductor
+    (NaN for a zero file without one).  A model gives component k a scale
+    s_k (2 w_k, or 0) and has the amplitudes r_ki = s_k / b_ki.  The table
+    builds when first asked: sum_i b_ki^-2 (``square_sums``) and
+    sum_i 1/b_ki (``inverse_sums``); the bases padded with inf to a common
+    width L plus one (``bases``), and the same laid end to end as complex
+    numbers k + i b_ki, so that one ``searchsorted`` counts the bases of
+    many components below many limits (``_counts``); and the suffix power
+    sums sum_{i >= j} b_ki^(-2m), ``squares`` for m = 1 and every j <= L,
+    and ``power`` for m <= _SERIES_MAX and the j asked for.  So the terms
+    of a row past the first j_k of each component have the power sums
+    sum_k s_k^(2m) sum_{i >= j_k} b_ki^(-2m), whatever the j_k.  Every sum
     runs along one component, from its largest base down, so no entry
     depends on the other components or on the padding, and
     ``square_sums`` is ``squares[:, 0]`` bit for bit.  Only the Fourier
-    engine asks for the matrices: a table that only the Monte Carlo kernel
-    reads holds nothing but its components' bases.
+    engine asks for the matrices.
     """
 
-    moduli: Sequence[np.ndarray]
+    columns: np.ndarray
+    sizes: np.ndarray
+    moduli: np.ndarray
+    t_max: np.ndarray
+    log_conductors: np.ndarray
 
     def __post_init__(self) -> None:
         self._power = None
 
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.array([m.size for m in self.moduli], dtype=np.intp)
+    @classmethod
+    def of(cls, sets: Mapping[int, ZeroSet]) -> SpectralTable:
+        """The table of these zero sets keyed by column; the moduli
+        sqrt(1/4 + gamma^2) are taken in place over their ordinates."""
+        chosen = [sets[c] for c in sorted(sets)]
+        g = np.concatenate([np.empty(0), *(zs.ordinates for zs in chosen)])
+        g *= g
+        g += 0.25
+        np.sqrt(g, out=g)
+        g.flags.writeable = False
+        return cls(np.array(sorted(sets), dtype=np.intp),
+                   np.array([len(zs) for zs in chosen], dtype=np.intp), g,
+                   np.array([zs.t_max for zs in chosen]),
+                   np.array([zs.log_conductor for zs in chosen], dtype=float))
 
     def _down(self, f) -> np.ndarray:
-        """sum_i f(b_ci) per component, from its largest base down."""
-        return np.array([np.cumsum(f(b)[::-1])[-1] if b.size else 0.0
-                         for b in self.moduli])
+        """sum_i f(b_ki) per component, from its largest base down."""
+        ends = _starts(self.sizes).tolist()
+        return np.array([np.cumsum(f(self.moduli[a:b])[::-1])[-1] if b > a else 0.0
+                         for a, b in zip(ends, ends[1:])])
 
     @cached_property
     def square_sums(self) -> np.ndarray:
@@ -444,7 +461,7 @@ class SpectralTable:
     def bases(self) -> np.ndarray:
         sizes = self.sizes
         bases = np.full((sizes.size, int(sizes.max(initial=0)) + 1), math.inf)
-        bases[np.arange(bases.shape[1]) < sizes[:, None]] = np.concatenate(self.moduli)
+        bases[np.arange(bases.shape[1]) < sizes[:, None]] = self.moduli
         return bases
 
     @cached_property
@@ -531,38 +548,35 @@ class RaceModel:
 
     @cached_property
     def terms(self) -> np.ndarray:
-        """Every amplitude r_ci, largest first, as the Monte Carlo kernel
-        reads them: divided out one component at a time into one array,
-        sorted in place; nothing the size of the padded table is built."""
-        components = np.flatnonzero(self.row)
-        moduli = self.table.moduli
-        ends = np.cumsum(np.r_[0, self.table.sizes[components]]).tolist()
-        terms = np.empty(ends[-1])
-        for c, s, a, b in zip(components, self.row[components], ends, ends[1:]):
-            np.divide(s, moduli[c], out=terms[a:b])
+        """Every amplitude r_ki, largest first, as the Monte Carlo kernel
+        reads them: the scales repeated over the moduli, divided in place,
+        those of scale 0 left out, sorted in place."""
+        sizes = self.table.sizes
+        terms = np.repeat(self.row, sizes)
+        terms /= self.table.moduli
+        if not self.row.all():
+            terms = terms[np.repeat(self.row != 0.0, sizes)]
         terms.sort()
         return terms[::-1]
 
 
-def race_model(mean: int, row: Sequence[float],
-               zero_sets: Mapping[int, ZeroSet]) -> RaceModel:
+def race_model(mean: int, row: Sequence[float], table: SpectralTable) -> RaceModel:
     """The race of this mean and this weight row, in ``character_ids``
-    order, over these zero sets, keyed by column, on a table of its own:
-    one component per column of nonzero weight with zeros, in column order
-    (the tower's order), of scale twice its weight.  Raises KeyError when
-    a weighted column has no zero set, and ValueError when no weighted
-    column has a zero."""
+    order, over the call's table of zero data: each component's scale is
+    twice its column's weight, and 0 where the set has no zeros, so the
+    race's sums run over its weighted columns with zeros, in column order,
+    whatever else the table holds.  Raises KeyError when a weighted column
+    has no component, and ValueError when no weighted column has a zero."""
     row = np.asarray(row, dtype=float)
-    weighted = np.flatnonzero(row).tolist()
-    for c in weighted:
-        if c not in zero_sets:
-            raise KeyError(f"zero set missing for weighted column {c}")
-    cols = [c for c in weighted if zero_sets[c].moduli.size]
-    if not cols:
+    missing = set(np.flatnonzero(row).tolist()).difference(table.columns.tolist())
+    if missing:
+        raise KeyError(f"zero set missing for weighted column {min(missing)}")
+    scales = 2.0 * row[table.columns]
+    scales[table.sizes == 0] = 0.0
+    if not scales.any():
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
-    table = SpectralTable([zero_sets[c].moduli for c in cols])
-    return RaceModel(mean, table, 2.0 * row[cols])
+    return RaceModel(mean, table, scales)
 
 
 # -- the batched Fourier engine: every step one pass over a block of rows ------
@@ -1217,7 +1231,7 @@ def q_factor(row: np.ndarray, level: int, n: int, b1: int, b2: int) -> float:
         raise ValueError("all character weights vanish; race undefined")
     b3 = float(nonzero.max())
     b4 = float(nonzero.min())
-    deg = 2 if np.flatnonzero(row == b3)[-1] >= 4 else 1
+    deg = int(character_degrees(np.flatnonzero(row == b3)).max())
     if level == n:
         q = QC * (b3 / b4 + 1.0)
     else:

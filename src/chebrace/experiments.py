@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .arithmetic import (
     scenario_generator,
 )
 from .characters import (
+    character_degrees,
     character_id,
     character_ids,
     character_index,
@@ -284,11 +285,12 @@ def _child_seed(*path: int) -> int:
 
 def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
                         seed: int, min_count: int = 64,
-                        t_max: float | None = None) -> dict[int, ZeroSet]:
-    """Sample one synthetic zero set per character, deterministically; the
-    characters and the returned keys are indices into ``character_ids``.
-    A character's zero count follows its entry of the scenario's
-    ``log_conductors`` and its degree (1 below column 4, 2 from there on).
+                        t_max: float | None = None) -> SpectralTable:
+    """The call's zero data: one synthetic zero set per character, sampled
+    deterministically in the order given, as one SpectralTable whose
+    columns are these indices into ``character_ids``.  A character's zero
+    count follows its entry of the scenario's ``log_conductors`` and its
+    degree.
 
     The horizon is t_max when given (shared zero data across every use),
     and a t_max below every sampled zero is a ConfigError; otherwise the
@@ -296,10 +298,12 @@ def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
     Child seeds mix a fixed salt, the master seed, and the character's
     index, so adding characters never reshuffles previously sampled sets.
     """
+    columns = list(dict.fromkeys(int(c) for c in indices))
     sets: dict[int, ZeroSet] = {}
-    for c in sorted({int(c) for c in indices}):
+    for c, log_c, degree in zip(columns, scenario.log_conductors[columns].tolist(),
+                                character_degrees(columns).tolist()):
         cid = character_id(c)
-        model = ZeroCountModel(float(scenario.log_conductors[c]), 1 if c < 4 else 2)
+        model = ZeroCountModel(log_c, degree)
         horizon = t_max
         if horizon is None:
             horizon = 16.0
@@ -314,32 +318,28 @@ def provision_zero_sets(scenario: ArithmeticScenario, indices: Iterable[int],
             sets[c] = sample_zero_set(model, horizon, child, character_id=cid)
         except ValueError as exc:  # the zero count limit
             raise ConfigError(f"{cid}: {exc}") from exc
-    if t_max is not None:
-        _check_horizon(sets, t_max)
-    return sets
-
-
-def _check_horizon(sets: Mapping[int, ZeroSet], t_max: float) -> None:
-    """A horizon below every sampled zero leaves the race no oscillation
-    terms; that is a bad input, not a race."""
-    if not any(len(zs) for zs in sets.values()):
+    table = SpectralTable.of(sets)
+    if t_max is not None and not table.moduli.size:
         raise ConfigError(
             f"t_max = {t_max} lies below every sampled zero of "
-            f"{', '.join(zs.character_id for zs in sets.values())}: the race "
+            f"{', '.join(map(character_id, table.columns.tolist()))}: the race "
             "has no oscillation terms")
+    return table
 
 
-def _tail_sigma(row: np.ndarray, sets: Mapping[int, ZeroSet]) -> float | None:
+def _tail_sigma(row: np.ndarray, table: SpectralTable) -> float | None:
     """Standard deviation of the oscillation dropped beyond each horizon,
     or None when a set has no log conductor (a zero file without one)."""
     acc = 0.0
-    for c in np.flatnonzero(row).tolist():
-        wv = float(row[c])
-        zs = sets[c]
-        if zs.log_conductor is None:
+    cols = np.flatnonzero(row)
+    at = table.columns.searchsorted(cols)
+    for wv, degree, t_max, log_c in zip(row[cols].tolist(),
+                                        character_degrees(cols).tolist(),
+                                        table.t_max[at].tolist(),
+                                        table.log_conductors[at].tolist()):
+        if math.isnan(log_c):
             return None
-        model = ZeroCountModel(zs.log_conductor, 1 if c < 4 else 2)
-        acc += 2.0 * wv * wv * b0_tail(model, zs.t_max)
+        acc += 2.0 * wv * wv * b0_tail(ZeroCountModel(log_c, degree), t_max)
     return math.sqrt(acc)
 
 
@@ -588,9 +588,9 @@ def parse_class_label(text: str) -> ClassLabel:
 
 
 def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
-             zero_sets: Mapping[int, ZeroSet], samples: int, mc_seed: int) -> dict:
-    """One fully populated report row from the pair's weight row and zero
-    sets by column; undefined pairs, which have none, yield a status row."""
+             table: SpectralTable, samples: int, mc_seed: int) -> dict:
+    """One fully populated report row from the pair's weight row and the
+    call's zero data; undefined pairs, which have none, yield a status row."""
     kind = spec.scenario.kind
     row: dict = {"c1": str(spec.c1), "c2": str(spec.c2), "level": spec.level}
     if not spec.is_defined():
@@ -609,7 +609,7 @@ def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
     row["mean_formula"] = m
     row["mean_published"] = pub
     row["status"] = STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION
-    model = race_model(m, weight_row, zero_sets)
+    model = race_model(m, weight_row, table)
     row["variance"] = model.variance
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
@@ -633,7 +633,7 @@ def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
     row["lower_one_minus_delta"] = lower_bound(model.bias_factor, q)
     row["q"] = q
 
-    tail = _tail_sigma(weight_row, zero_sets)
+    tail = _tail_sigma(weight_row, table)
     row["truncation_shift_bound"] = (
         None if tail is None
         else truncation_shift_bound(math.sqrt(model.variance), tail))
@@ -703,8 +703,8 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
         labels = scen.group.level(level).class_labels()
         pairs = [(labels[a], labels[b]) for a in range(len(labels))
                  for b in range(a + 1, len(labels))]
-    rows = []
-    for index, (c1, c2) in enumerate(pairs):
+    races, wanted = [], []
+    for c1, c2 in pairs:
         try:
             spec = RaceSpec(scen, level, c1, c2)
         except ValueError as exc:
@@ -721,9 +721,14 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
                 raise ConfigError(
                     f"zero files {[paths[c] for c in needed]} hold no "
                     f"ordinates for ({c1}, {c2})")
-            sets.update(provision_zero_sets(scen, missing, seed,
-                                            min_count=min_zeros))
-        rows.append(race_row(spec, w, sets, samples, _child_seed(seed, index)))
+            wanted += missing
+        races.append((spec, w))
+    # every pair's characters sampled at once (a set depends on its column
+    # alone), in pair order, so a failure names the first pair's character
+    table = (SpectralTable.of(sets) if from_files
+             else provision_zero_sets(scen, wanted, seed, min_count=min_zeros))
+    rows = [race_row(spec, w, table, samples, _child_seed(seed, index))
+            for index, (spec, w) in enumerate(races)]
     return {
         "experiment": "race",
         "family": family,
@@ -934,9 +939,9 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         scen = horizontal_scenario(index, float(f), w_axiom)
         spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
         weight_row = weights(spec)
-        sets = provision_zero_sets(scen, np.flatnonzero(weight_row),
-                                   _child_seed(seed, index), min_count=512)
-        row = race_row(spec, weight_row, sets, samples, _child_seed(seed, index, 1))
+        table = provision_zero_sets(scen, np.flatnonzero(weight_row),
+                                    _child_seed(seed, index), min_count=512)
+        row = race_row(spec, weight_row, table, samples, _child_seed(seed, index, 1))
         log_a = float(scen.log_conductors[4])  # psi_1
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -1011,8 +1016,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     scales = table[np.ix_(distinct, weighted)]
     scales *= 2.0
     del table
-    sets = provision_zero_sets(scen, weighted, seed)
-    zeros = SpectralTable([sets[c].moduli for c in weighted.tolist()])
+    zeros = provision_zero_sets(scen, weighted, seed)
     size = np.abs(mean)
     models, model_of = _distinct(row_of * (int(size.max(initial=0)) + 1) + size)
     found = density_fourier_batch(zeros, scales,
@@ -1116,8 +1120,8 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
         raise InternalInconsistencyError(
             "fused pairs, hence weights, must be identical across levels")
     weight_row = weights(specs[n])
-    sets = provision_zero_sets(scen, np.flatnonzero(weight_row), seed, t_max=t_max)
-    model = race_model(means[n], weight_row, sets)
+    table = provision_zero_sets(scen, np.flatnonzero(weight_row), seed, t_max=t_max)
+    model = race_model(means[n], weight_row, table)
     noise_var = model.variance  # mean-free oscillation variance, all levels
 
     # one shared noise draw decides every level
@@ -1255,9 +1259,9 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         scen = _rotation_tower_scenario(n, log_a)
         spec = RaceSpec(scen, n, ONE, MINUS_ONE)
         weight_row = weights(spec)
-        sets = provision_zero_sets(scen, np.flatnonzero(weight_row),
-                                   _child_seed(seed, k), t_max=t_max)
-        model = race_model(mean(spec), weight_row, sets)
+        table = provision_zero_sets(scen, np.flatnonzero(weight_row),
+                                    _child_seed(seed, k), t_max=t_max)
+        model = race_model(mean(spec), weight_row, table)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
         q = q_factor(weight_row, n, n, 2, 2)
@@ -1305,13 +1309,15 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     """
     if zero_file is not None:
         zs = read_zero_file(zero_file)
-        if not len(zs):
-            raise ConfigError(f"zero file {zero_file} holds no ordinates")
+        empty = f"zero file {zero_file} holds no ordinates"
     else:
         zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
                              character_id="chi4")
-        _check_horizon({0: zs}, t_max)
-    model = race_model(2, [2.0], {0: zs})
+        empty = (f"t_max = {t_max} lies below every sampled zero of chi4: "
+                 "the race has no oscillation terms")
+    if not len(zs):
+        raise ConfigError(empty)
+    model = race_model(2, [2.0], SpectralTable.of({0: zs}))
     est = density_fourier(model)
     return {
         "experiment": "mod4",

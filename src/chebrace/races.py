@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .arithmetic import ArithmeticScenario
-from .characters import induction_pairs, value_table
+from .characters import character_count, induction_pairs, value_table
 from .cyclotomic import canonical_terms, canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 
@@ -99,7 +99,7 @@ def level_orders(scenario: ArithmeticScenario, level: int) -> np.ndarray:
     components, every multiplicity being 1 (``characters.induction_pairs``)."""
     source, component = induction_pairs(scenario.group, level)
     orders = np.bincount(source, weights=scenario.central_orders[component],
-                         minlength=3 + (1 << (level - 2)))
+                         minlength=character_count(level))
     return orders.astype(np.int64)
 
 

@@ -3,8 +3,9 @@
 A ZeroSet holds the positive imaginary parts (ordinates) of the nontrivial
 zeros of one character's L-function up to a completeness horizon T_max, as
 one read-only float64 array, checked by array operations.  The sampler
-hands its array over and the file loader builds one; race models read the
-moduli sqrt(1/4 + gamma^2) computed from it, and no other form is kept.
+hands its array over and the file loader builds one.  A call's sets go
+into one ``density.SpectralTable`` of the moduli sqrt(1/4 + gamma^2)
+that race models read.
 Synthetic sets are drawn from a renewal process whose local rate is the
 derivative of the Riemann-von Mangoldt main term, so counting functions,
 B0 sums, and partial inverse sums all match the classical asymptotics.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,15 +113,6 @@ class ZeroSet:
 
     def __len__(self) -> int:
         return self.ordinates.size
-
-    @cached_property
-    def moduli(self) -> np.ndarray:
-        """|1/2 + i gamma| = sqrt(1/4 + gamma^2) per ordinate, read-only and
-        computed once: every race model over this set divides by it."""
-        g = self.ordinates
-        moduli = np.sqrt(0.25 + g * g)
-        moduli.flags.writeable = False
-        return moduli
 
 
 def _header_problem(key: str, value: float) -> str | None:

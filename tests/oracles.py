@@ -384,7 +384,6 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
     labels = scen.group.class_labels()
     ids = character_ids(scen.group)
     constant = level_data(scen, n, labels).tolist()
-    sets: dict = {}
     rows = []
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
@@ -393,9 +392,8 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
             m = constant[b] - constant[a]
             row = weights(spec)
             needed = np.flatnonzero(row).tolist()
-            fresh = [c for c in needed if c not in sets]
-            sets.update(provision_zero_sets(scen, fresh, seed))
-            model = one_row_model(m, row[needed], [sets[c].moduli for c in needed])
+            zeros = provision_zero_sets(scen, needed, seed)
+            model = one_row_model(m, row[needed], [column_moduli(zeros, c) for c in needed])
             est = density_fourier(model)
             rows.append({"c1": str(c1), "c2": str(c2), "mean_formula": m,
                          "weights": tuple(sorted(zip(ids, row.tolist()))),
@@ -405,19 +403,38 @@ def tower_rows_per_pair(family: str, n: int, w_axiom: int,
     return rows
 
 
+def spectral_table(moduli: Sequence[np.ndarray]) -> SpectralTable:
+    """The spectral table with these moduli as its components, in columns
+    0, 1, ..., with no horizon or log conductor (NaN)."""
+    count = len(moduli)
+    flat = np.concatenate([np.empty(0), *moduli])
+    flat.flags.writeable = False
+    return SpectralTable(np.arange(count), np.array([m.size for m in moduli], dtype=np.intp),
+                         flat, np.full(count, math.nan), np.full(count, math.nan))
+
+
+def column_moduli(table: SpectralTable, c: int) -> np.ndarray:
+    """The moduli of a spectral table's component for column c, read by
+    the column's position; KeyError when the table has no such column."""
+    k = int(np.searchsorted(table.columns, c))
+    if k == table.columns.size or table.columns[k] != c:
+        raise KeyError(f"zero set missing for weighted column {c}")
+    start = int(table.sizes[:k].sum())
+    return table.moduli[start:start + int(table.sizes[k])]
+
+
 def one_row_model(mean_value: int, weight_list: Sequence[float],
                   moduli: Sequence[np.ndarray]) -> RaceModel:
     """The race of this mean with these character weights over these zero
     moduli, on a table of its own."""
-    return RaceModel(mean_value, SpectralTable(moduli), 2.0 * np.asarray(weight_list))
+    return RaceModel(mean_value, spectral_table(moduli), 2.0 * np.asarray(weight_list))
 
 
 def term_model(mean_value: int, terms: np.ndarray) -> RaceModel:
     """The race with exactly these amplitudes: one component of base 1 per
     term, scaled by the term."""
     terms = np.asarray(terms, dtype=float)
-    table = SpectralTable([np.ones(1)] * terms.size)
-    return RaceModel(mean_value, table, terms)
+    return RaceModel(mean_value, spectral_table([np.ones(1)] * terms.size), terms)
 
 
 # -- the sorted term list the spectral race model replaced ---------------------
@@ -435,17 +452,15 @@ class TermModel:
 
 
 def assemble_race_model(mean_value: int, row: Sequence[float],
-                        zero_sets: Mapping[int, ZeroSet]) -> TermModel:
-    """Every amplitude 2 w / |rho| of the weighted columns of a weight row,
-    a column at a time, sorted largest first, with the variance
-    (1/2) sum r^2 over that list."""
+                        table: SpectralTable) -> TermModel:
+    """Every amplitude 2 w / |rho| of the weighted columns of a weight row
+    over a call's spectral table, a column at a time, sorted largest
+    first, with the variance (1/2) sum r^2 over that list."""
     chunks: list[np.ndarray] = []
     for c, wv in enumerate(np.asarray(row, dtype=float).tolist()):
         if wv == 0.0:
             continue
-        if c not in zero_sets:
-            raise KeyError(f"zero set missing for weighted column {c}")
-        moduli = zero_sets[c].moduli
+        moduli = column_moduli(table, c)
         if moduli.size:
             chunks.append(2.0 * wv / moduli)
     terms = np.sort(np.concatenate(chunks))[::-1] if chunks else np.empty(0)
@@ -1350,6 +1365,22 @@ def same_zero_set(a: ZeroSet, b: ZeroSet) -> bool:
     return (np.array_equal(a.ordinates, b.ordinates)
             and (a.character_id, a.t_max, a.source, a.log_conductor)
             == (b.character_id, b.t_max, b.source, b.log_conductor))
+
+
+def column_set(table: SpectralTable, c: int) -> tuple:
+    """Column c of a spectral table as (moduli bytes, T_max, log conductor
+    or None), to compare with another table's or with ``zero_set_column``."""
+    k = int(np.searchsorted(table.columns, c))
+    log_c = float(table.log_conductors[k])
+    return (column_moduli(table, c).tobytes(), float(table.t_max[k]),
+            None if math.isnan(log_c) else log_c)
+
+
+def zero_set_column(zs: ZeroSet) -> tuple:
+    """``column_set`` of a table holding this zero set: its moduli
+    sqrt(1/4 + gamma^2) taken here, T_max and log conductor."""
+    g = zs.ordinates
+    return np.sqrt(0.25 + g * g).tobytes(), zs.t_max, zs.log_conductor
 
 
 def b0(zs: ZeroSet, two_sided: bool = False) -> float:

@@ -15,7 +15,7 @@ from chebrace.characters import (
     character_value,
     psi_id,
 )
-from chebrace.density import density_fourier, density_montecarlo, race_model
+from chebrace.density import SpectralTable, density_fourier, density_montecarlo, race_model
 from chebrace.experiments import (
     horizontal_experiment,
     mod4_experiment,
@@ -243,7 +243,7 @@ def _random_race_model(k: int):
         log_a = 25.0 + 12.0 * float(rng.random())
         sets[c] = sample_zero_set(ZeroCountModel(log_a, 2), 48.0,
                                   seed=1000 * k + c, character_id=f"c{c}")
-    return race_model(mean, weights, sets)
+    return race_model(mean, weights, SpectralTable.of(sets))
 
 
 def test_criterion_6_density_cross_validation(capsys):

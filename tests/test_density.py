@@ -17,6 +17,7 @@ from chebrace.density import (
     C3,
     DensityEstimate,
     RaceModel,
+    SpectralTable,
     Z99,
     clt_estimate,
     complement,
@@ -44,6 +45,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 import oracles
 from oracles import (
     assemble_race_model,
+    column_moduli,
     density_fourier_quadpack,
     density_montecarlo_loop,
     engine_grid,
@@ -55,6 +57,7 @@ from oracles import (
     shared_mc_loop,
     sorted_bulk_power_sums,
     sorted_tail_bounds,
+    spectral_table,
     term_model,
 )
 
@@ -71,7 +74,8 @@ def _synthetic_model(mean_value, weight_map, seed0=0, t_max=64.0, log_a=20.0):
         k: sample_zero_set(ZeroCountModel(log_a, 2), t_max, seed0 + k, cid)
         for k, cid in enumerate(cids)
     }
-    return race_model(mean_value, [weight_map[cid] for cid in cids], zero_sets)
+    return race_model(mean_value, [weight_map[cid] for cid in cids],
+                      SpectralTable.of(zero_sets))
 
 
 def test_mean_zero_is_exactly_half_for_both_methods():
@@ -122,7 +126,7 @@ def test_complementarity_under_mean_flip():
 
 def test_fourier_matches_the_arccos_law_for_a_single_cosine():
     # X = 1 + 2 cos(theta): P(X > 0) = 1 - arccos(1/2)/pi = 2/3 exactly
-    model = race_model(1, [1.0], {0: _zs("chi1", [math.sqrt(0.75)])})
+    model = race_model(1, [1.0], SpectralTable.of({0: _zs("chi1", [math.sqrt(0.75)])}))
     assert math.isclose(model.terms[0], 2.0, rel_tol=1e-12)
     with pytest.warns(UserWarning):
         est = density_fourier(model)
@@ -627,10 +631,11 @@ def _family(seed: int, count: int):
     one base 1 each, and count rows of scales over the characters, then a
     row of three terms over the one-base components."""
     rng = np.random.default_rng(seed)
-    sets = [sample_zero_set(ZeroCountModel(float(rng.uniform(5.0, 25.0)), 2),
-                            float(rng.uniform(20.0, 80.0)), seed + k, f"psi_{k}")
-            for k in range(4)]
-    table = density.SpectralTable([z.moduli for z in sets] + [np.ones(1)] * 3)
+    sets = {k: sample_zero_set(ZeroCountModel(float(rng.uniform(5.0, 25.0)), 2),
+                               float(rng.uniform(20.0, 80.0)), seed + k, f"psi_{k}")
+            for k in range(4)}
+    sampled = SpectralTable.of(sets)
+    table = spectral_table([column_moduli(sampled, k) for k in range(4)] + [np.ones(1)] * 3)
     rows = np.zeros((count + 1, 7))
     for i in range(count):
         weights = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4)
@@ -697,9 +702,9 @@ def _row_and_model(family, n, pick, seed):
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     row = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
     needed = np.flatnonzero(row).tolist()
-    sets = provision_zero_sets(scen, needed, seed)
-    one = one_row_model(1, row[needed], [sets[c].moduli for c in needed])
-    return one, assemble_race_model(1, row, sets)
+    zeros = provision_zero_sets(scen, needed, seed)
+    one = one_row_model(1, row[needed], [column_moduli(zeros, c) for c in needed])
+    return one, assemble_race_model(1, row, zeros)
 
 
 def _long_power_sums(r, order):
@@ -776,10 +781,10 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
     bases[2, 30:] = np.inf  # a shorter component
     moduli = [row[np.isfinite(row)] for row in bases]
     comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
-    grown = density.SpectralTable(moduli)
+    grown = spectral_table(moduli)
     grown.power(3, np.array([1, 2, 3]))
     sums = grown.power(density._SERIES_MAX, starts)[:, comps, starts].T
-    fresh = density.SpectralTable(moduli).power(density._SERIES_MAX, starts)[:, comps, starts].T
+    fresh = spectral_table(moduli).power(density._SERIES_MAX, starts)[:, comps, starts].T
     assert np.array_equal(sums, fresh)
     order = np.arange(1, density._SERIES_MAX + 1)
     for c, j in zip(comps, starts):
@@ -790,22 +795,37 @@ def test_table_power_sums_do_not_depend_on_what_was_asked_before():
     assert np.array_equal(grown.squares[comps, starts], sums[:, 0])
 
 
+def _square_sum_table(case: str):
+    """A spectral table and its components' moduli: five components of
+    assorted sizes, one empty; zero sets by column, one of them empty; or
+    one component of 10^5 bases between two short ones."""
+    rng = np.random.default_rng(6)
+    if case == "sets":
+        sets = {c: ZeroSet(f"psi_{c - 3}", 90.0, np.sort(rng.uniform(0.1, 90.0, size)),
+                           source="test") for c, size in ((7, 12), (4, 0), (5, 30))}
+        return SpectralTable.of(sets), [np.sqrt(0.25 + g * g) for g in
+                                        (sets[4].ordinates, sets[5].ordinates, sets[7].ordinates)]
+    sizes = (1, 7, 300, 0, 41) if case == "assorted" else (3, 100_000, 5)
+    moduli = [np.sort(rng.uniform(0.5, 80.0, size)) for size in sizes]
+    return spectral_table(moduli), moduli
+
+
 def test_table_square_sums_are_its_suffix_sums_from_the_start():
     # the variance's sums, taken without the suffix matrices, are their
     # first column bit for bit, and the inverse sums run the same way
-    rng = np.random.default_rng(6)
-    moduli = [np.sort(rng.uniform(0.5, 80.0, size)) for size in (1, 7, 300, 0, 41)]
-    table = density.SpectralTable(moduli)
-    assert np.array_equal(table.sizes, [1, 7, 300, 0, 41])
-    sums = table.square_sums
-    assert not {"bases", "squares"} & vars(table).keys() and table._power is None
-    assert table.bases.shape == (5, 301)
-    assert np.array_equal(sums, table.squares[:, 0])
-    for c, m in enumerate(moduli):
-        assert np.array_equal(table.bases[c, :m.size], m)
-        assert np.all(table.bases[c, m.size:] == math.inf)
-        want = np.cumsum((1.0 / m)[::-1])[-1] if m.size else 0.0
-        assert table.inverse_sums[c] == want
+    for case in ("assorted", "sets", "long"):
+        table, moduli = _square_sum_table(case)
+        assert np.array_equal(table.sizes, [m.size for m in moduli])
+        assert np.array_equal(table.moduli, np.concatenate(moduli))
+        sums = table.square_sums
+        assert not {"bases", "squares"} & vars(table).keys() and table._power is None
+        assert table.bases.shape == (len(moduli), max(m.size for m in moduli) + 1)
+        assert np.array_equal(sums, table.squares[:, 0])
+        for c, m in enumerate(moduli):
+            assert np.array_equal(table.bases[c, :m.size], m)
+            assert np.all(table.bases[c, m.size:] == math.inf)
+            want = np.cumsum((1.0 / m)[::-1])[-1] if m.size else 0.0
+            assert table.inverse_sums[c] == want
 
 
 @pytest.mark.parametrize("weight_map,t_max,log_a,window", [

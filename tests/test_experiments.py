@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids
-from chebrace.density import DensityEstimate
+from chebrace.density import DensityEstimate, SpectralTable
 from chebrace.experiments import (
     EXACTLY_HALF,
     EXTREME_TOWARD_0,
@@ -72,14 +72,15 @@ import numpy as np
 from oracles import (
     assemble_race_model,
     character_degree,
+    column_set,
     density_fourier_quadpack,
     engine_rows,
     log_conductor,
     report_json_indent,
-    same_zero_set,
     sorted_t_max,
     sorted_tail_bounds,
     tower_rows_per_pair,
+    zero_set_column,
 )
 
 
@@ -145,14 +146,14 @@ def test_provisioning_is_deterministic_and_extension_stable():
     psi_1, psi_3, chi1 = 4, 6, 1  # indices into character_ids
     a = provision_zero_sets(scen, [psi_1, psi_3], seed=9)
     b = provision_zero_sets(scen, [psi_1, psi_3], seed=9)
-    assert list(a) == list(b) and all(same_zero_set(a[c], b[c]) for c in a)
-    assert a[psi_1].character_id == "psi_1" and a[psi_3].character_id == "psi_3"
+    assert a.columns.tolist() == b.columns.tolist() == [psi_1, psi_3]
+    assert all(column_set(a, c) == column_set(b, c) for c in (psi_1, psi_3))
     # adding characters never reshuffles previously sampled sets
     c = provision_zero_sets(scen, [psi_1, psi_3, chi1], seed=9)
-    assert same_zero_set(c[psi_1], a[psi_1])
-    assert same_zero_set(c[psi_3], a[psi_3])
+    assert column_set(c, psi_1) == column_set(a, psi_1)
+    assert column_set(c, psi_3) == column_set(a, psi_3)
     d = provision_zero_sets(scen, [psi_1], seed=10)
-    assert not same_zero_set(d[psi_1], a[psi_1])
+    assert column_set(d, psi_1) != column_set(a, psi_1)
 
 
 def test_provisioning_seeds_by_position_in_the_full_id_list():
@@ -162,25 +163,25 @@ def test_provisioning_seeds_by_position_in_the_full_id_list():
     ids = character_ids(scen.group)
     cids = ids[::13] + ["psi_127", ids[-1]]
     indices = [ids.index(cid) for cid in cids]
-    sets = provision_zero_sets(scen, np.array(indices[::-1]), seed=4, t_max=12.0)
-    assert list(sets) == sorted(set(indices))
-    assert all(type(c) is int for c in sets)
+    zeros = provision_zero_sets(scen, np.array(indices[::-1]), seed=4, t_max=12.0)
+    assert zeros.columns.tolist() == sorted(set(indices))
+    assert zeros.columns.dtype == np.intp
     for cid, c in zip(cids, indices):
         child = experiments._child_seed(experiments._PROVISION_SALT, 4, c)
         model = ZeroCountModel(log_conductor(scen, cid), character_degree(cid))
-        assert same_zero_set(sets[c], sample_zero_set(model, 12.0, child,
-                                                      character_id=cid))
+        assert column_set(zeros, c) == zero_set_column(
+            sample_zero_set(model, 12.0, child, character_id=cid))
 
 
 def test_provisioning_honors_min_count_and_t_max():
     scen = scenario_generator(QUATERNION, 4, +1, seed=5)
-    sets = provision_zero_sets(scen, [4], seed=0, min_count=200)  # psi_1
+    zeros = provision_zero_sets(scen, [4], seed=0, min_count=200)  # psi_1
     model = ZeroCountModel(log_conductor(scen, "psi_1"), character_degree("psi_1"))
-    assert expected_zero_count(model, sets[4].t_max) >= 200
+    assert expected_zero_count(model, float(zeros.t_max[0])) >= 200
     fixed = provision_zero_sets(scen, [4], seed=0, t_max=48.0)
-    assert fixed[4].t_max == 48.0
-    assert type(sets[4].log_conductor) is float
-    assert sets[4].log_conductor == log_conductor(scen, "psi_1")
+    assert fixed.t_max.tolist() == [48.0]
+    assert zeros.log_conductors.dtype == np.float64
+    assert zeros.log_conductors.tolist() == [log_conductor(scen, "psi_1")]
 
 
 def test_provisioning_past_the_zero_count_limit_is_a_config_error(monkeypatch):
@@ -414,11 +415,11 @@ def test_parse_class_label():
 def test_race_row_fields_and_flags():
     scen = scenario_generator(QUATERNION, 3, -1, seed=11)
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-    sets = provision_zero_sets(scen, [4], seed=11)  # psi_1
-    row = race_row(spec, weights(spec), sets, samples=10000, mc_seed=1)
+    zeros = provision_zero_sets(scen, [4], seed=11)  # psi_1
+    row = race_row(spec, weights(spec), zeros, samples=10000, mc_seed=1)
     assert row["status"] == "match"
     assert row["mean_formula"] == row["mean_published"] == -4
-    assert row["n_terms"] == len(sets[4])
+    assert row["n_terms"] == zeros.sizes[0] == zeros.moduli.size
     assert 0.0 <= row["delta_fourier"] <= 1.0
     assert row["q"] == 2.0  # top level, single weighted character
     assert row["truncation_shift_bound"] is not None
@@ -429,13 +430,14 @@ def test_race_row_fields_and_flags():
 
 def test_race_row_undefined_and_half_pairs():
     scen = scenario_generator(DIHEDRAL, 4, +1, seed=3)
-    below = race_row(RaceSpec(scen, 3, FLIP_EVEN, FLIP_ODD), None, {}, 10000, 0)
+    below = race_row(RaceSpec(scen, 3, FLIP_EVEN, FLIP_ODD), None,
+                     SpectralTable.of({}), 10000, 0)
     assert below["status"] == "undefined"
     assert "reason" in below and "mean_formula" not in below
     spec = RaceSpec(scen, 4, FLIP_EVEN, FLIP_ODD)  # defined at the top, mean 0
     needed = [1, 2, 3, 4, 6]  # chi1, chi2, chi3, psi_1, psi_3
-    sets = provision_zero_sets(scen, needed, seed=3)
-    row = race_row(spec, weights(spec), sets, 10000, 0)
+    zeros = provision_zero_sets(scen, needed, seed=3)
+    row = race_row(spec, weights(spec), zeros, 10000, 0)
     assert row["mean_formula"] == 0
     assert row["delta_fourier"] == 0.5
     assert row["delta_mc"] == 0.5
@@ -444,11 +446,15 @@ def test_race_row_undefined_and_half_pairs():
 
 def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     scen = scenario_generator(QUATERNION, 3, +1, seed=4)
-    synthetic = provision_zero_sets(scen, [4], seed=4)[4]  # psi_1
+    zeros = provision_zero_sets(scen, [4], seed=4)  # psi_1
+    child = experiments._child_seed(experiments._PROVISION_SALT, 4, 4)
+    synthetic = sample_zero_set(ZeroCountModel(log_conductor(scen, "psi_1"), 2),
+                                float(zeros.t_max[0]), child, character_id="psi_1")
+    assert column_set(zeros, 4) == zero_set_column(synthetic)
     file_like = ZeroSet("psi_1", synthetic.t_max, synthetic.ordinates,
                         source="file", log_conductor=None)
     spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-    row = race_row(spec, weights(spec), {4: file_like}, 10000, 2)
+    row = race_row(spec, weights(spec), SpectralTable.of({4: file_like}), 10000, 2)
     assert row["truncation_shift_bound"] is None
     # with the sampled log conductor in its header, a file gives the
     # synthetic set's bound bit for bit
@@ -457,8 +463,8 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     with_header = load_zero_file(str(path))
     assert with_header.source == "file"
     assert with_header.log_conductor == synthetic.log_conductor
-    want = race_row(spec, weights(spec), {4: synthetic}, 10000, 2)
-    got = race_row(spec, weights(spec), {4: with_header}, 10000, 2)
+    want = race_row(spec, weights(spec), zeros, 10000, 2)
+    got = race_row(spec, weights(spec), SpectralTable.of({4: with_header}), 10000, 2)
     assert want["truncation_shift_bound"] is not None
     assert got["truncation_shift_bound"] == want["truncation_shift_bound"]
 
@@ -941,7 +947,7 @@ def test_fourier_grid_matches_quadpack_on_tower_models_up_to_n_7(family, w, monk
 
 
 def _driver_models(driver, family, seed):
-    """(model, weight row, zero sets) of every race model the driver
+    """(model, weight row, spectral table) of every race model the driver
     builds on a small run: the builder's arguments for the drivers that
     call it, and for the tower each inverted row with its weights read back
     from the row (scales are twice the weights, exactly)."""
@@ -949,15 +955,15 @@ def _driver_models(driver, family, seed):
     real_builder, real_provision = experiments.race_model, experiments.provision_zero_sets
     provisioned = {}
 
-    def builder(mean_value, row, zero_sets):
-        model = real_builder(mean_value, row, zero_sets)
-        found.append((model, np.array(row), dict(zero_sets)))
+    def builder(mean_value, row, table):
+        model = real_builder(mean_value, row, table)
+        found.append((model, np.array(row), table))
         return model
 
     def provision(scenario, indices, *args, **kwargs):
-        sets = real_provision(scenario, indices, *args, **kwargs)
-        provisioned["columns"], provisioned["sets"] = np.array(indices), sets
-        return sets
+        zeros = real_provision(scenario, indices, *args, **kwargs)
+        provisioned["columns"], provisioned["table"] = np.array(indices), zeros
+        return zeros
 
     def fourier(table, rows, pairs):
         columns = provisioned["columns"]
@@ -965,7 +971,7 @@ def _driver_models(driver, family, seed):
             row = np.zeros(columns.max() + 1)
             row[columns] = rows[i] / 2.0
             found.append((density.RaceModel(mean, table, rows[i]), row,
-                          provisioned["sets"]))
+                          provisioned["table"]))
         return density.density_fourier_batch(table, rows, pairs)
 
     w = -1 if seed % 2 else 1
@@ -996,8 +1002,8 @@ def test_driver_models_list_the_sorted_terms_of_their_characters(driver, family,
     # squares, taken in long double (within (n + 2) 2^-64 of exact)
     found = _driver_models(driver, family, seed)
     assert found
-    for model, row, zero_sets in found:
-        oracle = assemble_race_model(model.mean, row, zero_sets)
+    for model, row, zeros in found:
+        oracle = assemble_race_model(model.mean, row, zeros)
         assert model.terms.tobytes() == oracle.terms.tobytes()
         r2 = np.asarray(oracle.terms, dtype=np.longdouble) ** 2
         want = float(0.5 * np.sum(r2))

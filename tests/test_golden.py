@@ -34,7 +34,11 @@ flat rows column by column.  The tower reports at n = 7 (595
 rows each, the benchmark's size) were pinned before the tower's weights
 became one batch over all its pairs, and those at n = 8 (2211 rows, 628
 inversions, 66 of them on two panels against 34 at n = 7) before a tower
-call's Fourier inversions became one batched pass.
+call's Fourier inversions became one batched pass.  The race at n = 5 over
+three pairs that weight different characters (the odd psi_j for the
+first, chi1, chi3 and seven or six psi_j for the others) was pinned while each pair
+sampled its own zero sets, before a race call sampled the union of its
+pairs' characters once into one spectral table.
 """
 from __future__ import annotations
 
@@ -75,6 +79,9 @@ GOLDEN = [
      "7abc1d66a0c6b10fe2a0f07f68d8e57c82ca5f5c9eba269916e8cf16742932eb"),
     (["horizontal", "--f-values", "1,2", "--samples", "10000", "--seed", "0"],
      "a19bc76ca6ce364c730c99beba2cbd35d1b4b03f8c4747685b58e9e4f9e36702"),
+    (["race", "--n", "5", "--samples", "10000", "--seed", "0", "--pair", "one:minus_one",
+      "--pair", "one:flip_even", "--pair", "power(1):flip_odd"],
+     "2293ee21bbef15089f131559bf59581c8d81d314e79ff4ed7301193a890fc09b"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
      "22dba5d27aabc507ca63a58051daa97c8a8fa8f7b33eee3162b3a1635f956cf6"),
 ]

@@ -59,6 +59,7 @@ from oracles import (
     level_orders_by_induction,
     mean_rows,
     mean_table_per_pair,
+    spectral_table,
     sr_split,
     vanishing_orders,
     variance,
@@ -392,7 +393,7 @@ def test_variance_and_bias_match_the_materialized_model(family):
         zs = sample_zero_set(model, 64.0, seed=c, character_id=cid)
         zero_sets[c] = zs
         b0_map[cid] = b0(zs)
-    race = race_model(mean(spec), w, zero_sets)
+    race = race_model(mean(spec), w, SpectralTable.of(zero_sets))
     assert race.mean == mean(spec)
     assert math.isclose(race.variance, variance(spec, b0_map), rel_tol=1e-12)
     assert math.isclose(race.bias_factor, bias_factor(spec, b0_map),
@@ -440,16 +441,19 @@ def test_race_model_coverage_errors():
     # rows in character_ids order: column 1 is chi1, column 2 chi2
     w = np.array([0.0, 2.0, 0.0])
     zs = ZeroSet("chi1", 10.0, (1.0, 3.0), source="test")
-    model = race_model(-2, w, {1: zs})
+    model = race_model(-2, w, SpectralTable.of({1: zs}))
     assert model.mean == -2 and model.terms.size == 2
     with pytest.raises(KeyError):
-        race_model(1, w, {2: zs})  # weighted chi1 uncovered
-    # zero-weight characters need no zero set
-    assert race_model(1, w, {1: zs, 0: zs}).terms.size == 2
-    # a weighted character without zeros adds no component
+        race_model(1, w, SpectralTable.of({2: zs}))  # weighted chi1 uncovered
+    # zero-weight characters need no zero set, and one that has a set
+    # gets scale 0
+    model = race_model(1, w, SpectralTable.of({1: zs, 0: zs}))
+    assert model.terms.size == 2 and model.row.tolist() == [0.0, 4.0]
+    # a weighted character without zeros gets scale 0 and no terms
     empty = ZeroSet("chi2", 10.0, (), source="t")
-    model = race_model(1, np.array([0.0, 2.0, 1.0]), {1: zs, 2: empty})
-    assert model.table.sizes.tolist() == [2]
+    model = race_model(1, np.array([0.0, 2.0, 1.0]), SpectralTable.of({1: zs, 2: empty}))
+    assert model.table.sizes.tolist() == [2, 0] and model.row.tolist() == [4.0, 0.0]
+    assert model.terms.size == 2
 
 
 def test_race_model_components_follow_the_columns():
@@ -459,7 +463,8 @@ def test_race_model_components_follow_the_columns():
     row[[5, 13]] = [1.0, 3.0]
     sets = {5: ZeroSet("psi_2", 10.0, (2.0,), source="t"),
             13: ZeroSet("psi_10", 10.0, (1.0, 4.0), source="t")}
-    model = race_model(1, row, sets)
+    model = race_model(1, row, SpectralTable.of(sets))
+    assert model.table.columns.tolist() == [5, 13]
     assert model.table.sizes.tolist() == [1, 2]
     assert model.row.tolist() == [2.0, 6.0]
 
@@ -507,11 +512,11 @@ def test_race_model_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
     empty = ZeroSet("chi1", 10.0, (), source="t")
     with pytest.raises(ValueError, match="no oscillation terms"):
-        race_model(1, [0.0, 2.0], {1: empty})
+        race_model(1, [0.0, 2.0], SpectralTable.of({1: empty}))
     with pytest.raises(ValueError, match="no oscillation terms"):
-        race_model(1, [0.0, 0.0], {})
+        race_model(1, [0.0, 0.0], SpectralTable.of({}))
     # a row of zero scales has no terms, and neither engine takes it
-    table = SpectralTable([np.array([1.0, 3.0])])
+    table = spectral_table([np.array([1.0, 3.0])])
     silent = RaceModel(0, table, np.zeros(1))
     assert silent.terms.size == 0
     with pytest.raises(ValueError, match="empty term list"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebrace.density import SpectralTable
 from chebrace.zeros import (
     ParseError,
     RATE_FLOOR,
@@ -212,7 +213,7 @@ def test_ordinates_and_moduli_are_read_only(tmp_path):
     built = [ZeroSet("chi1", 10.0, (1.0, 2.0), source="test"),
              ZeroSet("chi1", 10.0, given_array, source="test")]
     for zs in [sampled, load_zero_file(str(path))] + built:
-        for values in (zs.ordinates, zs.moduli):
+        for values in (zs.ordinates, SpectralTable.of({0: zs}).moduli):
             assert values.dtype == np.float64 and not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 3.0
