@@ -19,7 +19,10 @@ JSON record per call:
 * ``peak_rss_mb``: the child's peak resident set (``ru_maxrss`` of its own
   rusage, from ``os.wait4``);
 * ``phases_s``: seconds inside the verb, split by the package functions the
-  child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``zeros``
+  child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``exact``
+  (``level_races``, the call's race table with its means, and
+  ``RaceTable.weights``, its pairs x characters weight rows; ``level_data``
+  and ``pair_weights`` in checkouts from before the race table), ``zeros``
   (``provision_zero_sets``, which samples the zero sets and builds the
   call's ``SpectralTable`` from them; its sums are taken inside the first
   inversions that need them), ``inversions`` (``density_fourier_batch``,
@@ -30,11 +33,13 @@ JSON record per call:
   sets, or a ``rows`` phase, which timed a per-row model assembly.
   ``table``: ``means`` (``mean_table``, one call per level and root
   number), ``rows`` (the rest of ``reproduce_table``: the report rows) and
-  ``report``.  ``monotonicity``: ``means`` (``mean``, once per level),
+  ``report``.  ``monotonicity``: ``means`` (``race_table``, once per
+  level; ``mean`` in checkouts from before the race table),
   ``zeros`` (``provision_zero_sets``), ``model`` (``race_model`` and the
   first read of ``RaceModel.terms``, which lists the amplitudes), ``mc``
   (``_mc_race``, the shared Monte Carlo draw) and ``report``.  ``race``:
-  ``means`` (``mean``), ``zeros`` (``provision_zero_sets``), ``model``
+  ``means`` (``race_table``, or ``mean``), ``zeros``
+  (``provision_zero_sets``), ``model``
   (``race_model`` and ``RaceModel.terms``), ``fourier``
   (``density_fourier``), ``mc`` (``density_montecarlo``) and ``report``;
 * ``inversions`` (``tower`` only): how many races of nonzero mean the
@@ -64,21 +69,24 @@ ROOT = Path(__file__).resolve().parent.parent
 # per verb, the timed package functions as (module, names, phase), in the
 # order the record lists the phases; each entry times the first of its
 # names that the checkout has (a dotted name is an attribute of a class, a
-# cached property timed on its first read), and a phase sums its entries
+# cached property timed on its first read), a checkout with none of them
+# is an error, and a phase sums its entries
 PHASES = {
-    "tower": (("experiments", ("provision_zero_sets",), "zeros"),
+    "tower": (("experiments", ("level_races", "level_data"), "exact"),
+              ("experiments", ("RaceTable.weights", "pair_weights"), "exact"),
+              ("experiments", ("provision_zero_sets",), "zeros"),
               ("experiments", ("density_fourier_batch", "density_fourier"), "inversions"),
               ("cli", ("report_json",), "report")),
     "table": (("experiments", ("mean_table",), "means"),
               ("cli", ("reproduce_table",), "rows"),
               ("cli", ("report_json",), "report")),
-    "monotonicity": (("experiments", ("mean",), "means"),
+    "monotonicity": (("experiments", ("race_table", "mean"), "means"),
                      ("experiments", ("provision_zero_sets",), "zeros"),
                      ("experiments", ("race_model",), "model"),
                      ("density", ("RaceModel.terms",), "model"),
                      ("experiments", ("_mc_race",), "mc"),
                      ("cli", ("report_json",), "report")),
-    "race": (("experiments", ("mean",), "means"),
+    "race": (("experiments", ("race_table", "mean"), "means"),
              ("experiments", ("provision_zero_sets",), "zeros"),
              ("experiments", ("race_model",), "model"),
              ("density", ("RaceModel.terms",), "model"),
@@ -129,7 +137,8 @@ def _child(argv: list[str]) -> None:
             if hasattr(owner, attr):
                 break
         else:
-            return
+            raise SystemExit(f"{module.__name__} has none of {names}: the "
+                             f"{phase} phase would read 0")
         fn = getattr(owner, attr)
         prop = fn if isinstance(fn, functools.cached_property) else None
         if prop is not None:

@@ -178,6 +178,6 @@ def sr_partition(group: Group, i: int) -> tuple[int, int]:
     analysis disagrees below the top level (see README; the tests keep the
     quoted values and the split)."""
     level, comp = induction_pairs(group, i)
-    shared = level[np.bincount(comp)[comp] > 1]
-    degrees = character_degrees(np.unique(shared[shared != 0]))
+    shared = np.bincount(level[np.bincount(comp)[comp] > 1], minlength=character_count(i))
+    degrees = character_degrees(np.flatnonzero(shared[1:]) + 1)  # chi0 left out
     return int(degrees.max(initial=0)), int(degrees.size)

@@ -1158,6 +1158,12 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
     so each estimate is bit for bit the one the model gets alone, whatever
     else is in the batch.
     """
+    return _fourier_batch(table, rows, models)
+
+
+def _fourier_batch(table: SpectralTable, rows: np.ndarray,
+                   models: Sequence[tuple[int, int]]) -> list[DensityEstimate]:
+    """Both public entries call this, so that the few-term warning names their caller."""
     rows = np.asarray(rows, dtype=float)
     which = np.array([i for i, _ in models], dtype=np.intp)
     counts = ((rows != 0.0) @ table.sizes)[which]
@@ -1166,7 +1172,7 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
     live = np.array([k for k, (_, mean) in enumerate(models) if mean != 0], dtype=np.intp)
     if (counts[live] < 3).any():
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
-                      "slowly, and the tail bound is 1", stacklevel=2)
+                      "slowly, and the tail bound is 1", stacklevel=3)
     out = [DensityEstimate(0.5, 0.0, 0)] * len(models)
     m = np.array([abs(float(models[k][1])) for k in live.tolist()])
     entries = np.count_nonzero(rows, axis=1)[which[live]]
@@ -1182,8 +1188,7 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
 
 def density_fourier(model: RaceModel) -> DensityEstimate:
     """P(X > 0) for one race model: ``density_fourier_batch`` of one row."""
-    return density_fourier_batch(model.table, model.row[None, :],
-                                 [(0, model.mean)])[0]
+    return _fourier_batch(model.table, model.row[None, :], [(0, model.mean)])[0]
 
 
 def complement(estimate: DensityEstimate) -> DensityEstimate:

@@ -1,7 +1,8 @@
 """Seeded experiment drivers producing reproducible race reports.
 
-Each driver composes the exact race engine (integer means, character
-weights) with synthetic or file-backed zero sets and the two density
+Each driver reads the exact data of its races (integer means, character
+weight rows) as a ``races.RaceTable`` of its pairs, one per level, and
+composes it with synthetic or file-backed zero sets and the two density
 estimators, then emits a plain-dict report whose JSON/CSV rendering is
 byte-identical for identical (config, seed).  Expected qualitative
 outcomes for the published race tables live here as data
@@ -67,18 +68,16 @@ from .groups import (
 )
 from .races import (
     InternalInconsistencyError,
-    RaceSpec,
+    RaceTable,
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     _distinct,
-    level_data,
-    mean,
+    level_races,
     mean_table,
-    pair_weights,
     published_mean,
     race_mean_closed_form,
-    weights,
+    race_table,
 )
 from .zeros import (
     HORIZON_LIMIT,
@@ -132,8 +131,11 @@ def check_seed(seed) -> None:
 
 
 def _check_mc_samples(samples) -> None:
-    """density_montecarlo's floor, checked before any work is done."""
+    """density_montecarlo's floor and an even count (the kernel draws
+    samples // 2 antithetic pairs), checked before any work is done."""
     _check_int("samples", samples, MIN_MC_SAMPLES)
+    if samples % 2:
+        raise ConfigError(f"samples must be even (antithetic pairs), got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +589,27 @@ def parse_class_label(text: str) -> ClassLabel:
         "flip_odd, or power(k)")
 
 
-def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
-             table: SpectralTable, samples: int, mc_seed: int) -> dict:
-    """One fully populated report row from the pair's weight row and the
-    call's zero data; undefined pairs, which have none, yield a status row."""
-    kind = spec.scenario.kind
-    row: dict = {"c1": str(spec.c1), "c2": str(spec.c2), "level": spec.level}
-    if not spec.is_defined():
+def race_row(races: RaceTable, k: int, weight_row: np.ndarray,
+             table: SpectralTable, samples: int, mc_seed: int,
+             partition: tuple[int, int]) -> dict:
+    """One fully populated report row for race k of the table, from its
+    weight row, the call's zero data and the (b1, b2) of the level's S/R
+    split that ``q_factor`` takes; an undefined race yields a status row."""
+    scen = races.scenario
+    kind, level = scen.kind, races.level
+    c1, c2 = races.labels[races.first[k]], races.labels[races.second[k]]
+    row: dict = {"c1": str(c1), "c2": str(c2), "level": level}
+    if not races.defined[k]:
         row["status"] = STATUS_UNDEFINED
         row["reason"] = ("fused classes coincide at this level; the two "
                          "counting functions are identical")
         return row
-    m = mean(spec)
-    closed = race_mean_closed_form(kind, spec.scenario.w_axiom, spec.level,
-                                   spec.c1, spec.c2)
+    m = int(races.means[k])
+    closed = race_mean_closed_form(kind, scen.w_axiom, level, c1, c2)
     if closed is not None and closed != m:
         raise InternalInconsistencyError(
             f"closed-form mean {closed} != formula mean {m} for {row}")
-    pub = published_mean(kind, spec.scenario.w_axiom, spec.level,
-                         spec.c1, spec.c2)
+    pub = published_mean(kind, scen.w_axiom, level, c1, c2)
     row["mean_formula"] = m
     row["mean_published"] = pub
     row["status"] = STATUS_MATCH if pub == m else STATUS_OPEN_QUESTION
@@ -621,12 +625,7 @@ def race_row(spec: RaceSpec, weight_row: np.ndarray | None,
     row["delta_mc"] = est_mc.value
     row["delta_mc_ci"] = est_mc.error_bound
 
-    group = spec.group
-    if spec.level == kind.n:
-        b1 = b2 = 2
-    else:
-        b1, b2 = sr_partition(group, spec.level)
-    q = q_factor(weight_row, spec.level, kind.n, b1, b2)
+    q = q_factor(weight_row, level, kind.n, *partition)
     row["clt_estimate"], row["clt_error_budget"] = clt_estimate(
         model.bias_factor, model.variance)
     row["upper_one_minus_delta"] = upper_bound(model.bias_factor)
@@ -698,37 +697,39 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
     paths = dict(zip(sets, zero_files))  # load_zero_sets keeps file order
     if level is None:
         level = n
-    pairs = list(pairs)
-    if not pairs:
-        labels = scen.group.level(level).class_labels()
-        pairs = [(labels[a], labels[b]) for a in range(len(labels))
-                 for b in range(a + 1, len(labels))]
-    races, wanted = [], []
-    for c1, c2 in pairs:
+    if pairs:
+        labels = list(dict.fromkeys(c for pair in pairs for c in pair))
+        index = {lab: i for i, lab in enumerate(labels)}
         try:
-            spec = RaceSpec(scen, level, c1, c2)
+            races = race_table(scen, level, labels, [index[c1] for c1, _ in pairs],
+                               [index[c2] for _, c2 in pairs])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        w = weights(spec) if spec.is_defined() else None
-        if w is not None:
-            needed = np.flatnonzero(w).tolist()
-            missing = [c for c in needed if c not in sets]
-            if from_files and missing:
-                raise ConfigError(
-                    f"zero files do not cover characters "
-                    f"{[character_id(c) for c in missing]} needed by ({c1}, {c2})")
-            if from_files and not any(len(sets[c]) for c in needed):
-                raise ConfigError(
-                    f"zero files {[paths[c] for c in needed]} hold no "
-                    f"ordinates for ({c1}, {c2})")
-            wanted += missing
-        races.append((spec, w))
+    else:
+        races = level_races(scen, level)
+    weight_rows = races.weights()
+    wanted = []
+    for k in np.flatnonzero(races.defined).tolist():
+        needed = np.flatnonzero(weight_rows[k]).tolist()
+        missing = [c for c in needed if c not in sets]
+        c1, c2 = races.labels[races.first[k]], races.labels[races.second[k]]
+        if from_files and missing:
+            raise ConfigError(
+                f"zero files do not cover characters "
+                f"{[character_id(c) for c in missing]} needed by ({c1}, {c2})")
+        if from_files and not any(len(sets[c]) for c in needed):
+            raise ConfigError(
+                f"zero files {[paths[c] for c in needed]} hold no "
+                f"ordinates for ({c1}, {c2})")
+        wanted += missing
     # every pair's characters sampled at once (a set depends on its column
     # alone), in pair order, so a failure names the first pair's character
     table = (SpectralTable.of(sets) if from_files
              else provision_zero_sets(scen, wanted, seed, min_count=min_zeros))
-    rows = [race_row(spec, w, table, samples, _child_seed(seed, index))
-            for index, (spec, w) in enumerate(races)]
+    partition = (2, 2) if level == n else sr_partition(scen.group, level)
+    rows = [race_row(races, k, weight_rows[k], table, samples,
+                     _child_seed(seed, k), partition)
+            for k in range(len(races.first))]
     return {
         "experiment": "race",
         "family": family,
@@ -797,46 +798,41 @@ def h8_table() -> list[dict]:
     """The ten order-8 quaternion races: symbolic means in the central
     vanishing order o and exact variance coefficients of B0 per character;
     each row is checked against the published pattern."""
-    kind = GroupKind(QUATERNION, 3)
-    scen0, scen1 = _h8_scenario(0), _h8_scenario(1)
-    group = scen0.group
-    labels = group.class_labels()
-    ids = character_ids(group)
+    at0, at1 = level_races(_h8_scenario(0), 3), level_races(_h8_scenario(1), 3)
+    labels = at0.labels
+    ids = character_ids(at0.scenario.group)
     nontrivial = ids[1:]
-    data0, data1 = level_data(scen0, 3, labels), level_data(scen1, 3, labels)
     rows: list[dict] = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            c1, c2 = labels[a], labels[b]
-            m0, m1 = int(data0[b] - data0[a]), int(data1[b] - data1[a])
-            sym = _symbolic_mean(m0, m1)
-            row = weights(RaceSpec(scen0, 3, c1, c2))
-            coeffs = {}
-            for cid, wv in sorted(zip(ids, row.tolist())):
-                if wv == 0.0:
-                    continue
-                c = wv * wv
-                if not abs(c - round(c)) < 1e-9:
-                    raise InternalInconsistencyError(
-                        f"order-8 variance coefficient of {cid} is {c!r}, "
-                        "not an integer")
-                coeffs[cid] = int(round(c))
-            pub = _h8_published_row(c1, c2, nontrivial)
-            ok_mean = sym == pub["mean"]
-            ok_var = coeffs == pub["variance_coefficients"]
-            if not (ok_mean and ok_var):
+    for a, b, m0, m1, row in zip(at0.first.tolist(), at0.second.tolist(),
+                                 at0.means.tolist(), at1.means.tolist(), at0.weights()):
+        c1, c2 = labels[a], labels[b]
+        sym = _symbolic_mean(m0, m1)
+        coeffs = {}
+        for cid, wv in sorted(zip(ids, row.tolist())):
+            if wv == 0.0:
+                continue
+            c = wv * wv
+            if not abs(c - round(c)) < 1e-9:
                 raise InternalInconsistencyError(
-                    f"order-8 row ({c1}, {c2}): computed {sym}/{coeffs} vs "
-                    f"published {pub}")
-            rows.append({
-                "c1": str(c1), "c2": str(c2),
-                "mean_symbolic": sym,
-                "mean_at_o0": m0, "mean_at_o1": m1,
-                "variance_coefficients": coeffs,
-                "published_mean": pub["mean"],
-                "published_variance_coefficients": pub["variance_coefficients"],
-                "status": STATUS_MATCH,
-            })
+                    f"order-8 variance coefficient of {cid} is {c!r}, "
+                    "not an integer")
+            coeffs[cid] = int(round(c))
+        pub = _h8_published_row(c1, c2, nontrivial)
+        ok_mean = sym == pub["mean"]
+        ok_var = coeffs == pub["variance_coefficients"]
+        if not (ok_mean and ok_var):
+            raise InternalInconsistencyError(
+                f"order-8 row ({c1}, {c2}): computed {sym}/{coeffs} vs "
+                f"published {pub}")
+        rows.append({
+            "c1": str(c1), "c2": str(c2),
+            "mean_symbolic": sym,
+            "mean_at_o0": m0, "mean_at_o1": m1,
+            "variance_coefficients": coeffs,
+            "published_mean": pub["mean"],
+            "published_variance_coefficients": pub["variance_coefficients"],
+            "status": STATUS_MATCH,
+        })
     return rows
 
 
@@ -888,24 +884,24 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
     open_questions = 0
     for w_axiom in w_values:
         for level in range(3, n + 1):
-            table = mean_table(family, n, level, w_axiom)
+            races, printed = mean_table(family, n, level, w_axiom)
             # report values per column: object arrays of Python ints, None
             # off the defined pairs, and each label's text made once
-            names = np.array([str(lab) for lab in table.labels], dtype=object)
-            defined = table.defined
-            formula = table.formula.astype(object)
-            published = table.published.astype(object)
-            diff = (table.published - table.formula).astype(object)
+            names = np.array([str(lab) for lab in races.labels], dtype=object)
+            defined = races.defined
+            formula = races.means.astype(object)
+            published = printed.astype(object)
+            diff = (printed - races.means).astype(object)
             for column in (formula, published, diff):
                 column[~defined] = None
-            same = table.published == table.formula
+            same = printed == races.means
             open_questions += int(np.count_nonzero(defined & ~same))
             status = _STATUS_CODES[defined.astype(np.intp) + (defined & same)]
             rows += [{"w_axiom": w_axiom, "level": level, "c1": c1, "c2": c2,
                       "mean_formula": f, "mean_published": p, "diff": d,
                       "status": state}
                      for c1, c2, f, p, d, state in zip(
-                         names[table.first].tolist(), names[table.second].tolist(),
+                         names[races.first].tolist(), names[races.second].tolist(),
                          formula.tolist(), published.tolist(), diff.tolist(),
                          status.tolist())]
     if family == QUATERNION and open_questions:
@@ -937,11 +933,13 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
     rows = []
     for index, f in enumerate(fs):
         scen = horizontal_scenario(index, float(f), w_axiom)
-        spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-        weight_row = weights(spec)
+        races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
+        weight_row = races.weights()[0]
         table = provision_zero_sets(scen, np.flatnonzero(weight_row),
                                     _child_seed(seed, index), min_count=512)
-        row = race_row(spec, weight_row, table, samples, _child_seed(seed, index, 1))
+        # level 3 is the top, where b1 = b2 = 2
+        row = race_row(races, 0, weight_row, table, samples,
+                       _child_seed(seed, index, 1), (2, 2))
         log_a = float(scen.log_conductors[4])  # psi_1
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -993,20 +991,16 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     if family == DIHEDRAL:
         w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
-    group = scen.group
-    labels = group.class_labels()
-    kind = GroupKind(family, n)
-    constant = level_data(scen, n, labels)
-    a, b = np.triu_indices(len(labels), 1)
-    pairs = [(labels[i], labels[j]) for i, j in zip(a.tolist(), b.tolist())]
-    mean = constant[b] - constant[a]  # all defined at the top
+    races = level_races(scen, n)
+    labels = races.labels
+    mean = races.means  # all defined at the top
     means = mean.tolist()
     # The zero sets are fixed for the call, so pairs with equal weight rows
     # race the same oscillation part: one inversion per distinct
     # (|mean|, weight row), all of them one batch over one spectral table
     # with a component per weighted character.  Rows are grouped by their
     # bytes (weights are abs values, so equal rows have equal bytes).
-    table = pair_weights(group, pairs)
+    table = races.weights()
     first: dict[bytes, int] = {}
     group_of = np.array([first.setdefault(row.tobytes(), i)
                          for i, row in enumerate(table)], dtype=np.intp)
@@ -1025,14 +1019,16 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
                  for m, k in zip(means, model_of.tolist())]
     # a mean-0 row needs no variance
     live = mean != 0
-    factors = np.zeros(len(pairs))
+    factors = np.zeros(len(means))
     factors[live] = mean[live] / np.sqrt(zeros.variances(scales)[row_of[live]])
     biases = factors.tolist()
     del scales
     rows: list[dict] = []
     confirmed = True
-    for (c1, c2), m, bias, est in zip(pairs, means, biases, estimates):
-        pub = published_mean(kind, w_axiom, n, c1, c2)
+    for a, b, m, bias, est in zip(races.first.tolist(), races.second.tolist(),
+                                  means, biases, estimates):
+        c1, c2 = labels[a], labels[b]
+        pub = published_mean(scen.kind, w_axiom, n, c1, c2)
         claim = expected_row(family, w_axiom, c1, c2)
         row = {
             "c1": str(c1), "c2": str(c2),
@@ -1112,14 +1108,16 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     if samples < 2:
         raise ConfigError(f"samples must be at least 2 (one antithetic pair), "
                           f"got {samples}")
+    if samples % 2:
+        raise ConfigError(f"samples must be even (antithetic pairs), got {samples}")
     scen = scenario_generator(family, n, w_axiom, seed)
     levels = list(range(3, n + 1))
-    specs = {i: RaceSpec(scen, i, ONE, MINUS_ONE) for i in levels}
-    means = {i: mean(specs[i]) for i in levels}
-    if len({specs[i].fused_pair() for i in levels}) != 1:
+    races = [race_table(scen, i, [ONE, MINUS_ONE], [0], [1]) for i in levels]
+    means = {i: int(r.means[0]) for i, r in zip(levels, races)}
+    if len({tuple(r.fused) for r in races}) != 1:
         raise InternalInconsistencyError(
             "fused pairs, hence weights, must be identical across levels")
-    weight_row = weights(specs[n])
+    weight_row = races[-1].weights()[0]
     table = provision_zero_sets(scen, np.flatnonzero(weight_row), seed, t_max=t_max)
     model = race_model(means[n], weight_row, table)
     noise_var = model.variance  # mean-free oscillation variance, all levels
@@ -1257,11 +1255,11 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         target = 1.4 + 1.0 * float(rng.random())
         log_a = _aim_conductor(n, target, t_max)
         scen = _rotation_tower_scenario(n, log_a)
-        spec = RaceSpec(scen, n, ONE, MINUS_ONE)
-        weight_row = weights(spec)
+        races = race_table(scen, n, [ONE, MINUS_ONE], [0], [1])
+        weight_row = races.weights()[0]
         table = provision_zero_sets(scen, np.flatnonzero(weight_row),
                                     _child_seed(seed, k), t_max=t_max)
-        model = race_model(mean(spec), weight_row, table)
+        model = race_model(int(races.means[0]), weight_row, table)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
         q = q_factor(weight_row, n, n, 2, 2)

@@ -20,21 +20,23 @@ for the two reflection classes below the top level.
 
 Everything exact here is read from the integer form of the character table
 (see ``characters``), and character data are arrays in ``character_ids``
-order: a character's index there is its only key.  ``level_orders`` sums
+order: a character's index there is its only key.  A call's races are one
+``RaceTable`` (``race_table``; ``level_races`` for every pair of a level):
+index columns into the call's labels, whether each race is defined, and
+its integer mean, with the weight rows on request.  ``level_orders`` sums
 the scenario's central-order array over the index pairs of the level's
 induction in one ``bincount``.  ``level_data`` takes, for every class of a
 label set at once, the constant part sqrt_density(C) + z(C) of X, as an
-array aligned with the labels, so a mean is one subtraction (``mean``
-asks for just the pair's two classes).  Both ``z_values`` and
-``pair_weights`` read the table's value ids (``characters.value_table``).
-``z_values`` reduces the order-weighted values of every class in one
-``canonical_terms`` call.  ``pair_weights`` takes the weights of many
-fused pairs in one pass: a difference depends only on its two ids, so only
-the distinct id pairs are reduced to canonical terms and evaluated, with
-the same float operations as ``to_complex`` of a ``CycloInt`` in
-``tests/oracles.py``; ``weights`` is its one-pair case.
+array aligned with the labels, so the means are one subtraction of
+arrays.  Both ``z_values`` and ``pair_weights`` read the table's value ids
+(``characters.value_table``).  ``z_values`` reduces the order-weighted
+values of every class in one ``canonical_terms`` call.  ``pair_weights``
+takes the weights of many fused pairs in one pass: a difference depends
+only on its two ids, so only the distinct id pairs are reduced to
+canonical terms and evaluated, with the same float operations as
+``to_complex`` of a ``CycloInt`` in ``tests/oracles.py``.
 
-This module stops at the exact data: a mean and a weight row.  The
+This module stops at the exact data: means and weight rows.  The
 oscillation part over zero sets, the race model the density engines take,
 is ``density.race_model``.
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -53,43 +54,8 @@ from .cyclotomic import canonical_terms, canonical_values
 from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
 
 
-class RaceUndefinedError(ValueError):
-    """Fused classes coincide: the two counting functions are identical."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree (CLI exit 3)."""
-
-
-@dataclass(frozen=True)
-class RaceSpec:
-    scenario: ArithmeticScenario
-    level: int
-    c1: ClassLabel
-    c2: ClassLabel
-
-    def __post_init__(self) -> None:
-        n = self.scenario.kind.n
-        if not 3 <= self.level <= n:
-            raise ValueError(f"level must satisfy 3 <= level <= {n}, got {self.level}")
-        for lab in (self.c1, self.c2):
-            if lab.kind == "power" and not 1 <= lab.k <= (1 << (self.level - 2)) - 1:
-                raise ValueError(f"{lab} out of range at level {self.level}")
-        if self.c1 == self.c2:
-            raise ValueError("classes must differ")
-
-    @property
-    def group(self) -> Group:
-        return self.scenario.group
-
-    def fused_pair(self) -> tuple[ClassLabel, ClassLabel]:
-        g = self.group
-        return (g.class_fusion(self.level, self.c1),
-                g.class_fusion(self.level, self.c2))
-
-    def is_defined(self) -> bool:
-        a, b = self.fused_pair()
-        return a != b
 
 
 def level_orders(scenario: ArithmeticScenario, level: int) -> np.ndarray:
@@ -132,10 +98,9 @@ def z_values(level_group: Group, labels: Sequence[ClassLabel],
 
 def sqrt_density(level_group: Group, label: ClassLabel) -> int:
     """|C^(1/2)|/|C| as an exact integer (it always is in these families)."""
-    rho = Fraction(level_group.square_root_count(label),
-                   level_group.class_size(label))
-    assert rho.denominator == 1, (label, rho)
-    return int(rho)
+    rho, rest = divmod(level_group.square_root_count(label), level_group.class_size(label))
+    assert rest == 0, (label, rho, rest)
+    return rho
 
 
 def level_data(scenario: ArithmeticScenario, level: int,
@@ -150,47 +115,96 @@ def level_data(scenario: ArithmeticScenario, level: int,
                     dtype=np.int64)
 
 
-def _check_defined(spec: RaceSpec) -> None:
-    if not spec.is_defined():
-        raise RaceUndefinedError(
-            f"race undefined: fused classes coincide for ({spec.c1}, {spec.c2}) "
-            f"at level {spec.level}; the counting functions are identical")
+@dataclass(frozen=True, eq=False)
+class RaceTable:
+    """The races of one call at one level, in columns: pair k races
+    ``labels[first[k]]`` against ``labels[second[k]]``.  ``fused`` holds
+    each label's class in the full group, ``defined`` marks the pairs whose
+    fused classes differ, and ``means`` holds every pair's exact integer
+    mean, read only where ``defined``."""
+
+    scenario: ArithmeticScenario
+    level: int
+    labels: list[ClassLabel]
+    fused: list[ClassLabel]
+    first: np.ndarray
+    second: np.ndarray
+    defined: np.ndarray
+    means: np.ndarray
+
+    def weights(self) -> np.ndarray:
+        """|lambda(C2+) - lambda(C1+)| of every pair over the full-group
+        irreducibles, pairs x characters in ``character_ids`` order, from one
+        ``pair_weights`` pass; an undefined pair's row is all zeros.  Not
+        kept, so a caller can drop it (69 MB for a tower at n = 10)."""
+        return pair_weights(self.scenario.group, self.fused, self.first, self.second)
 
 
-def mean(spec: RaceSpec) -> int:
-    """Exact integer mean of X for the race, per the limiting formula, from
-    the constant parts of its two classes alone."""
-    _check_defined(spec)
-    first, second = level_data(spec.scenario, spec.level, (spec.c1, spec.c2)).tolist()
-    return second - first
+def race_table(scenario: ArithmeticScenario, level: int,
+               labels: Sequence[ClassLabel], first, second) -> RaceTable:
+    """The races of ``labels[first[k]]`` against ``labels[second[k]]`` at
+    the level, for distinct labels that each lie in some pair, with every
+    mean a difference of one ``level_data`` over the labels.
+
+    ValueError for a level outside 3..n, and otherwise for the first pair
+    in order that holds a power class outside the level (its first class
+    named before its second) or races a class against itself; each label
+    is checked once."""
+    n = scenario.kind.n
+    if not 3 <= level <= n:
+        raise ValueError(f"level must satisfy 3 <= level <= {n}, got {level}")
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    top = (1 << (level - 2)) - 1
+    outside = np.array([lab.kind == "power" and not 1 <= lab.k <= top
+                        for lab in labels], dtype=bool)
+    if outside.any() or (first == second).any():
+        k = np.flatnonzero(outside[first] | outside[second] | (first == second))[0]
+        for i in (first[k], second[k]):
+            if outside[i]:
+                raise ValueError(f"{labels[i]} out of range at level {level}")
+        raise ValueError("classes must differ")
+    group = scenario.group
+    fused = [group.class_fusion(level, lab) for lab in labels]
+    number: dict[ClassLabel, int] = {}
+    fused_id = np.array([number.setdefault(f, len(number)) for f in fused],
+                        dtype=np.intp)
+    constant = level_data(scenario, level, labels)
+    return RaceTable(scenario, level, list(labels), fused, first, second,
+                     fused_id[first] != fused_id[second],
+                     constant[second] - constant[first])
+
+
+def level_races(scenario: ArithmeticScenario, level: int) -> RaceTable:
+    """Every unordered class pair of the level, in the row order of
+    ``np.triu_indices`` over its class labels."""
+    labels = scenario.group.level(level).class_labels()
+    first, second = np.triu_indices(len(labels), 1)
+    return race_table(scenario, level, labels, first, second)
 
 
 # pairs x characters of one pair_weights chunk stays below this many entries
 _CHUNK_ENTRIES = 1 << 18
 
 
-def pair_weights(group: Group,
-                 fused_pairs: Sequence[tuple[ClassLabel, ClassLabel]]) -> np.ndarray:
-    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles for
-    every fused pair (C1+, C2+), as a pairs x characters array in
-    ``character_ids`` order.
+def pair_weights(group: Group, labels: Sequence[ClassLabel],
+                 first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """|lambda(labels[second[k]]) - lambda(labels[first[k]])| over the
+    full-group irreducibles for every pair k of full-group classes, as a
+    pairs x characters array in ``character_ids`` order.
 
     Each value is abs of the oracles' ``to_complex`` of the exact
     difference, bit for bit.  Pairs go a chunk at a time, so temporaries stay
     O(chunk x characters) beside the result, and each chunk reduces and
     evaluates only its distinct (value id, value id) keys."""
-    labels = list(dict.fromkeys(lab for pair in fused_pairs for lab in pair))
-    index = {lab: i for i, lab in enumerate(labels)}
     ids, exps, coeffs = value_table(group, labels)
     base = exps.shape[0]
-    i1 = np.array([index[a] for a, _ in fused_pairs], dtype=np.intp)
-    i2 = np.array([index[b] for _, b in fused_pairs], dtype=np.intp)
-    out = np.empty((len(fused_pairs), ids.shape[1]))
+    out = np.empty((len(first), ids.shape[1]))
     step = max(1, _CHUNK_ENTRIES // ids.shape[1])
     for lo in range(0, len(out), step):
-        key = ids[i2[lo:lo + step]] * base + ids[i1[lo:lo + step]]
-        first, inverse = _distinct(key.ravel())
-        v2, v1 = np.divmod(key.ravel()[first], base)
+        key = ids[second[lo:lo + step]] * base + ids[first[lo:lo + step]]
+        first_key, inverse = _distinct(key.ravel())
+        v2, v1 = np.divmod(key.ravel()[first_key], base)
         values = canonical_values(
             group.rotation_order,
             np.concatenate((exps[v2], exps[v1]), axis=1),
@@ -213,13 +227,6 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     number = np.empty_like(order)
     number[order] = np.cumsum(new) - 1
     return order[new], number
-
-
-def weights(spec: RaceSpec) -> np.ndarray:
-    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, in
-    ``character_ids`` order: the one-pair case of ``pair_weights``."""
-    _check_defined(spec)
-    return pair_weights(spec.group, [spec.fused_pair()])[0]
 
 
 # -- closed-form means and published tables ------------------------------------
@@ -284,59 +291,37 @@ STATUS_OPEN_QUESTION = "open-question"
 STATUS_UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True, eq=False)
-class MeanTable:
-    """A level's mean table in columns, one entry per unordered class pair
-    in the row order of ``np.triu_indices``: the pair races
-    ``labels[first]`` against ``labels[second]``.  ``formula`` and
-    ``published`` are integer means, read only where ``defined``."""
+def mean_table(family: str, n: int, level: int,
+               w_axiom: int) -> tuple[RaceTable, np.ndarray]:
+    """Every unordered class pair at the level (``level_races``), with the
+    published mean of each pair alongside, read only where the race is
+    defined; the undefined pair is kept, never skipped.  Every defined
+    mean is checked against the closed form; a disagreement raises
+    InternalInconsistencyError.
 
-    labels: list[ClassLabel]
-    first: np.ndarray
-    second: np.ndarray
-    defined: np.ndarray
-    formula: np.ndarray
-    published: np.ndarray
-
-
-def mean_table(family: str, n: int, level: int, w_axiom: int) -> MeanTable:
-    """Exact means for every unordered class pair at the level, with the
-    published value alongside; the undefined pair is kept, never skipped.
-    Every formula mean is checked against the closed form; a disagreement
-    raises InternalInconsistencyError.
-
-    The formula mean, the closed form and the published mean of a pair are
-    each a difference of one value per class, so each is taken once per
-    class (the closed and published forms as the race against the first
-    class, ``one``, which is defined for every other class) and the pairs
-    are differences of arrays."""
+    The closed form and the published mean of a pair are each a difference
+    of one value per class, so each is taken once per class (as the race
+    against the first class, ``one``, which is defined for every other
+    class) and the pairs are differences of arrays."""
     kind = GroupKind(family, n)
-    group = Group(kind)
-    labels = group.level(level).class_labels()
-    fused_index: dict[ClassLabel, int] = {}
-    fused = np.array([fused_index.setdefault(group.class_fusion(level, lab),
-                                             len(fused_index))
-                      for lab in labels])
-    constant = level_data(_table_scenario(kind, w_axiom), level, labels)
-    ref, others = labels[0], labels[1:]
-    a, b = np.triu_indices(len(labels), 1)
+    races = level_races(_table_scenario(kind, w_axiom), level)
+    ref, others = races.labels[0], races.labels[1:]
 
     def per_pair(values: np.ndarray) -> np.ndarray:
-        return values[b] - values[a]
+        return values[races.second] - values[races.first]
 
-    defined = fused[a] != fused[b]
-    formula = per_pair(constant)
     closed = per_pair(np.array(
         [0] + [race_mean_closed_form(kind, w_axiom, level, ref, lab) for lab in others]))
-    bad = np.flatnonzero(defined & (closed != formula))
+    bad = np.flatnonzero(races.defined & (closed != races.means))
     if bad.size:
         k = bad[0]
         raise InternalInconsistencyError(
             f"mean engine self-check failed at level {level}: closed form "
-            f"{closed[k]} != formula {formula[k]} for ({labels[a[k]]}, {labels[b[k]]})")
+            f"{closed[k]} != formula {races.means[k]} for "
+            f"({races.labels[races.first[k]]}, {races.labels[races.second[k]]})")
     published = per_pair(np.array(
         [0] + [published_mean(kind, w_axiom, level, ref, lab) for lab in others]))
-    return MeanTable(labels, a, b, defined, formula, published)
+    return races, published
 
 
 def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:

@@ -5,7 +5,15 @@ replaced: one character value at a time, summed in the cyclotomic ring.
 Tests compare the array path against them for equal integers and bit-equal
 floats.
 
-``races.weights``' per-pair array path from before ``pair_weights`` took
+The per-pair race path from before ``races.race_table`` took a call's
+pairs as one table: ``RaceSpec`` checks one pair's level and classes and
+fuses them, and ``mean`` and ``weights`` give that pair's mean and weight
+row, raising ``RaceUndefinedError`` when the fused classes coincide.
+Tests compare the table against it for equal ``defined`` columns, means
+and error messages (the first bad pair in order named), and bit-equal
+weight rows, all-zero where the race is undefined.
+
+``weights``' per-pair array path from before ``pair_weights`` took
 every pair of a call in one pass over the table's value ids: one
 ``canonical_terms`` reduction of all characters' differences at the pair
 (``difference_terms``), then one Python ``to_complex`` loop over the terms
@@ -142,14 +150,68 @@ from chebrace.races import (
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     InternalInconsistencyError,
-    MeanTable,
-    RaceSpec,
-    RaceUndefinedError,
+    RaceTable,
     level_data,
-    mean,
-    weights,
+    pair_weights,
 )
 from chebrace.zeros import TWO_PI, ZeroCountModel, ZeroSet
+
+
+class RaceUndefinedError(ValueError):
+    """Fused classes coincide: the two counting functions are identical."""
+
+
+@dataclass(frozen=True)
+class RaceSpec:
+    scenario: ArithmeticScenario
+    level: int
+    c1: ClassLabel
+    c2: ClassLabel
+
+    def __post_init__(self) -> None:
+        n = self.scenario.kind.n
+        if not 3 <= self.level <= n:
+            raise ValueError(f"level must satisfy 3 <= level <= {n}, got {self.level}")
+        for lab in (self.c1, self.c2):
+            if lab.kind == "power" and not 1 <= lab.k <= (1 << (self.level - 2)) - 1:
+                raise ValueError(f"{lab} out of range at level {self.level}")
+        if self.c1 == self.c2:
+            raise ValueError("classes must differ")
+
+    @property
+    def group(self) -> Group:
+        return self.scenario.group
+
+    def fused_pair(self) -> tuple[ClassLabel, ClassLabel]:
+        g = self.group
+        return (g.class_fusion(self.level, self.c1),
+                g.class_fusion(self.level, self.c2))
+
+    def is_defined(self) -> bool:
+        a, b = self.fused_pair()
+        return a != b
+
+
+def _check_defined(spec: RaceSpec) -> None:
+    if not spec.is_defined():
+        raise RaceUndefinedError(
+            f"race undefined: fused classes coincide for ({spec.c1}, {spec.c2}) "
+            f"at level {spec.level}; the counting functions are identical")
+
+
+def mean(spec: RaceSpec) -> int:
+    """Exact integer mean of X for the race, per the limiting formula, from
+    the constant parts of its two classes alone."""
+    _check_defined(spec)
+    first, second = level_data(spec.scenario, spec.level, (spec.c1, spec.c2)).tolist()
+    return second - first
+
+
+def weights(spec: RaceSpec) -> np.ndarray:
+    """|lambda(C2+) - lambda(C1+)| over the full-group irreducibles, in
+    ``character_ids`` order: the one-pair case of ``pair_weights``."""
+    _check_defined(spec)
+    return pair_weights(spec.group, spec.fused_pair(), [0], [1])[0]
 
 
 def z_value_cyclo(level_group: Group, label: ClassLabel,
@@ -571,14 +633,15 @@ class MeanRow:
     status: str
 
 
-def mean_rows(table: MeanTable) -> list[MeanRow]:
-    """The columns of ``races.mean_table`` as one row per pair, with the
-    status ``reproduce_table`` reports."""
+def mean_rows(table: tuple[RaceTable, np.ndarray]) -> list[MeanRow]:
+    """The race table and published column of ``races.mean_table`` as one
+    row per pair, with the status ``reproduce_table`` reports."""
+    races, published = table
     rows = []
-    for i, j, ok, f, p in zip(table.first.tolist(), table.second.tolist(),
-                              table.defined.tolist(), table.formula.tolist(),
-                              table.published.tolist()):
-        c1, c2 = table.labels[i], table.labels[j]
+    for i, j, ok, f, p in zip(races.first.tolist(), races.second.tolist(),
+                              races.defined.tolist(), races.means.tolist(),
+                              published.tolist()):
+        c1, c2 = races.labels[i], races.labels[j]
         if ok:
             rows.append(MeanRow(c1, c2, f, p,
                                 STATUS_MATCH if p == f else STATUS_OPEN_QUESTION))

@@ -200,6 +200,16 @@ def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
      "samples must be at least 2 (one antithetic pair), got 0"),
     (["monotonicity", "--n", "4", "--samples", "-7"],
      "samples must be at least 2 (one antithetic pair), got -7"),
+    # the kernel draws samples // 2 antithetic pairs: an odd count would be
+    # reported but not drawn
+    (["race", "--n", "3", "--pair", "one:minus_one", "--samples", "10001"],
+     "samples must be even (antithetic pairs), got 10001"),
+    (["horizontal", "--f-values", "1,2", "--samples", "10001"],
+     "samples must be even (antithetic pairs), got 10001"),
+    (["sandwich", "--count", "2", "--samples", "10001"],
+     "samples must be even (antithetic pairs), got 10001"),
+    (["monotonicity", "--n", "4", "--samples", "2001"],
+     "samples must be even (antithetic pairs), got 2001"),
     (["monotonicity", "--n", "4", "--epsilon", "nan"],
      "epsilon must be positive, got nan"),
     (["monotonicity", "--n", "4", "--epsilon", "inf"],
@@ -420,15 +430,18 @@ def test_horizontal_f_beyond_float_range_exits_2(capsys):
     assert "f_values must keep log A(psi) = 2 f^3 within float range" in captured.err
 
 
-def _loaded_scipy_parts(code: str) -> str:
-    """Which of scipy.integrate and scipy.special a fresh interpreter has
-    loaded after running ``code``."""
+_SCIPY_PARTS = ("scipy.integrate", "scipy.special")
+
+
+def _loaded_parts(code: str, names: tuple[str, ...]) -> str:
+    """Which of the modules ``names`` a fresh interpreter has loaded after
+    running ``code``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
-         code + "; import sys; print(sorted({'scipy.integrate', 'scipy.special'}"
+         code + f"; import sys; print(sorted({set(names)!r}"
                 " & set(sys.modules)), file=sys.stderr)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -438,12 +451,23 @@ def _loaded_scipy_parts(code: str) -> str:
 def test_cli_import_leaves_scipy_integrate_out():
     # their imports take about 0.3 s and 0.18 s, which every verb would pay
     # at startup; only the Fourier engine loads scipy.special
-    assert _loaded_scipy_parts("import chebrace.cli") == "[]"
+    assert _loaded_parts("import chebrace.cli", _SCIPY_PARTS) == "[]"
 
 
 def test_table_leaves_scipy_special_out():
-    assert _loaded_scipy_parts(
-        "from chebrace import cli; cli.main(['table', '--id', 'esp-q', '--n', '5'])") == "[]"
+    assert _loaded_parts(
+        "from chebrace import cli; cli.main(['table', '--id', 'esp-q', '--n', '5'])",
+        _SCIPY_PARTS) == "[]"
+
+
+def test_sr_partition_leaves_numpy_ma_out():
+    # np.unique imports numpy.ma on its first call; the S/R split below the
+    # top level does without it (the Fourier engine's scipy.special still
+    # loads numpy.ma on its own)
+    assert _loaded_parts(
+        "from chebrace.characters import sr_partition; "
+        "from chebrace.groups import Group, GroupKind; "
+        "sr_partition(Group(GroupKind('quaternion', 6)), 4)", ("numpy.ma",)) == "[]"
 
 
 def test_bad_inputs_exit_2_under_python_O(tmp_path):

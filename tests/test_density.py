@@ -39,7 +39,7 @@ from chebrace.experiments import (
     tower_experiment,
 )
 from chebrace.groups import DIHEDRAL, QUATERNION, Group, GroupKind
-from chebrace.races import RaceSpec, weights
+from chebrace.races import level_races
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 
 import oracles
@@ -135,6 +135,16 @@ def test_fourier_matches_the_arccos_law_for_a_single_cosine():
     assert est.error_bound >= 1.0 / math.pi
     mc = density_montecarlo(model, 100000, seed=2)
     assert abs(mc.value - 2.0 / 3.0) <= max(3.0 * mc.error_bound, 1e-3)
+
+
+def test_few_term_warning_names_the_caller_of_the_public_entry():
+    model = race_model(1, [1.0], SpectralTable.of({0: _zs("chi1", [math.sqrt(0.75)])}))
+    for call in (lambda: density_fourier(model),
+                 lambda: density.density_fourier_batch(model.table, model.row[None, :],
+                                                       [(0, 1)])):
+        with pytest.warns(UserWarning, match="fewer than 3") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_fourier_and_montecarlo_agree_on_random_models():
@@ -698,9 +708,8 @@ def _row_and_model(family, n, pick, seed):
     model, over the zero sets the tower samples."""
     w_axiom = -1 if family == QUATERNION else +1
     scen = scenario_generator(family, n, w_axiom, seed)
-    labels = scen.group.class_labels()
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    row = weights(RaceSpec(scen, n, *pairs[pick % len(pairs)]))
+    rows = level_races(scen, n).weights()
+    row = rows[pick % len(rows)]
     needed = np.flatnonzero(row).tolist()
     zeros = provision_zero_sets(scen, needed, seed)
     one = one_row_model(1, row[needed], [column_moduli(zeros, c) for c in needed])

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
-from chebrace.characters import character_ids
+from chebrace.characters import character_ids, sr_partition
 from chebrace.density import DensityEstimate, SpectralTable
 from chebrace.experiments import (
     EXACTLY_HALF,
@@ -57,7 +57,7 @@ from chebrace.groups import (
     GroupKind,
     power,
 )
-from chebrace.races import RaceSpec, weights
+from chebrace.races import RaceTable, race_table
 from chebrace.zeros import (
     ZeroCountModel,
     ZeroSet,
@@ -414,9 +414,10 @@ def test_parse_class_label():
 
 def test_race_row_fields_and_flags():
     scen = scenario_generator(QUATERNION, 3, -1, seed=11)
-    spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
+    races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
     zeros = provision_zero_sets(scen, [4], seed=11)  # psi_1
-    row = race_row(spec, weights(spec), zeros, samples=10000, mc_seed=1)
+    row = race_row(races, 0, races.weights()[0], zeros, samples=10000, mc_seed=1,
+                   partition=(2, 2))
     assert row["status"] == "match"
     assert row["mean_formula"] == row["mean_published"] == -4
     assert row["n_terms"] == zeros.sizes[0] == zeros.moduli.size
@@ -430,14 +431,16 @@ def test_race_row_fields_and_flags():
 
 def test_race_row_undefined_and_half_pairs():
     scen = scenario_generator(DIHEDRAL, 4, +1, seed=3)
-    below = race_row(RaceSpec(scen, 3, FLIP_EVEN, FLIP_ODD), None,
-                     SpectralTable.of({}), 10000, 0)
+    flips = race_table(scen, 3, [FLIP_EVEN, FLIP_ODD], [0], [1])
+    below = race_row(flips, 0, flips.weights()[0], SpectralTable.of({}), 10000, 0,
+                     sr_partition(scen.group, 3))
     assert below["status"] == "undefined"
     assert "reason" in below and "mean_formula" not in below
-    spec = RaceSpec(scen, 4, FLIP_EVEN, FLIP_ODD)  # defined at the top, mean 0
+    # defined at the top, mean 0
+    races = race_table(scen, 4, [FLIP_EVEN, FLIP_ODD], [0], [1])
     needed = [1, 2, 3, 4, 6]  # chi1, chi2, chi3, psi_1, psi_3
     zeros = provision_zero_sets(scen, needed, seed=3)
-    row = race_row(spec, weights(spec), zeros, 10000, 0)
+    row = race_row(races, 0, races.weights()[0], zeros, 10000, 0, (2, 2))
     assert row["mean_formula"] == 0
     assert row["delta_fourier"] == 0.5
     assert row["delta_mc"] == 0.5
@@ -453,8 +456,10 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     assert column_set(zeros, 4) == zero_set_column(synthetic)
     file_like = ZeroSet("psi_1", synthetic.t_max, synthetic.ordinates,
                         source="file", log_conductor=None)
-    spec = RaceSpec(scen, 3, ONE, MINUS_ONE)
-    row = race_row(spec, weights(spec), SpectralTable.of({4: file_like}), 10000, 2)
+    races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
+    weight_row = races.weights()[0]
+    row = race_row(races, 0, weight_row, SpectralTable.of({4: file_like}), 10000, 2,
+                   (2, 2))
     assert row["truncation_shift_bound"] is None
     # with the sampled log conductor in its header, a file gives the
     # synthetic set's bound bit for bit
@@ -463,8 +468,9 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     with_header = load_zero_file(str(path))
     assert with_header.source == "file"
     assert with_header.log_conductor == synthetic.log_conductor
-    want = race_row(spec, weights(spec), zeros, 10000, 2)
-    got = race_row(spec, weights(spec), SpectralTable.of({4: with_header}), 10000, 2)
+    want = race_row(races, 0, weight_row, zeros, 10000, 2, (2, 2))
+    got = race_row(races, 0, weight_row, SpectralTable.of({4: with_header}), 10000, 2,
+                   (2, 2))
     assert want["truncation_shift_bound"] is not None
     assert got["truncation_shift_bound"] == want["truncation_shift_bound"]
 
@@ -1018,14 +1024,17 @@ def test_driver_models_list_the_sorted_terms_of_their_characters(driver, family,
 
 
 def test_run_race_takes_each_pairs_weights_once(monkeypatch):
+    # one weight row per pair, undefined ones included, from one call
     calls = []
-    real = experiments.weights
+    real = RaceTable.weights
 
-    def counted(spec):
-        calls.append(spec)
-        return real(spec)
+    def counted(self):
+        rows = real(self)
+        calls.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(experiments, "weights", counted)
+    monkeypatch.setattr(RaceTable, "weights", counted)
     report = run_race(family=DIHEDRAL, n=4, level=3, samples=10_000)
     defined = [row for row in report["rows"] if row["status"] != "undefined"]
-    assert len(calls) == len(defined) < len(report["rows"])
+    assert calls == [len(report["rows"])]
+    assert len(defined) < len(report["rows"])

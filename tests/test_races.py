@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebrace.arithmetic import ArithmeticScenario, VirtualPrime, scenario_generator
 from chebrace.characters import (
@@ -26,20 +28,17 @@ from chebrace.groups import (
 )
 from chebrace.races import (
     InternalInconsistencyError,
-    MeanTable,
-    RaceSpec,
-    RaceUndefinedError,
+    RaceTable,
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     level_data,
     level_orders,
-    mean,
     mean_table,
     published_mean,
     pair_weights,
     race_mean_closed_form,
-    weights,
+    race_table,
     z_values,
 )
 from chebrace.density import (
@@ -51,6 +50,8 @@ from chebrace.density import (
 )
 from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 from oracles import (
+    RaceSpec,
+    RaceUndefinedError,
     b0,
     bias_factor,
     character_degree,
@@ -58,11 +59,13 @@ from oracles import (
     induced_components,
     level_orders_by_induction,
     mean_rows,
+    mean,
     mean_table_per_pair,
     spectral_table,
     sr_split,
     vanishing_orders,
     variance,
+    weights,
     weights_cyclo,
     weights_per_pair,
     z_value_cyclo,
@@ -148,6 +151,68 @@ def test_mean_reads_only_its_two_classes(family):
                 spec = RaceSpec(scen, level, labels[a], labels[b])
                 if spec.is_defined():
                     assert mean(spec) == constant[b] - constant[a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(3, 8), data=st.data())
+def test_race_table_matches_the_per_pair_oracle(family, n, data):
+    # at every level, a random list of pairs (repeats allowed, the
+    # undefined flip pair always in below the top): the table's defined
+    # column, means and weight rows are the per-pair oracle's, bit for bit,
+    # and an undefined race's row is all +0.0
+    w = +1 if family == DIHEDRAL else data.draw(st.sampled_from((+1, -1)))
+    scen = _scen(family, n, w)
+    for level in range(3, n + 1):
+        labels = scen.group.level(level).class_labels()
+        index = st.integers(0, len(labels) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]),
+                                   max_size=12))
+        if level < n:
+            at = data.draw(st.integers(0, len(pairs)))
+            pairs.insert(at, data.draw(st.permutations((len(labels) - 2, len(labels) - 1))))
+        races = race_table(scen, level, labels, [a for a, _ in pairs],
+                           [b for _, b in pairs])
+        rows = races.weights()
+        assert rows.shape == (len(pairs), len(character_ids(scen.group)))
+        assert races.means.dtype == np.int64
+        for k, (a, b) in enumerate(pairs):
+            spec = RaceSpec(scen, level, labels[a], labels[b])
+            assert bool(races.defined[k]) == spec.is_defined()
+            if spec.is_defined():
+                assert races.means[k] == mean(spec)
+                assert rows[k].tobytes() == weights(spec).tobytes()
+            else:
+                assert rows[k].tobytes() == np.zeros(rows.shape[1]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(3, 8), data=st.data())
+def test_race_table_names_the_first_bad_pair_as_the_per_pair_oracle(family, n, data):
+    # pairs over the level's classes and two powers outside it, a class
+    # against itself allowed, with the labels the pairs name, as run_race
+    # takes them: the table raises the message the oracle's first failing
+    # pair raises, or nothing when every pair is good
+    scen = _scen(family, n, +1)
+    level = data.draw(st.integers(3, n))
+    top = (1 << (level - 2)) - 1
+    pool = scen.group.level(level).class_labels() + [power(top + 1), power(2 * top + 3)]
+    pick = st.sampled_from(pool)
+    pairs = data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=6))
+    want = None
+    for c1, c2 in pairs:
+        try:
+            RaceSpec(scen, level, c1, c2)
+        except ValueError as exc:
+            want = str(exc)
+            break
+    labels = list(dict.fromkeys(c for pair in pairs for c in pair))
+    try:
+        race_table(scen, level, labels, [labels.index(c1) for c1, _ in pairs],
+                   [labels.index(c2) for _, c2 in pairs])
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_mean_table_statuses_by_family():
@@ -328,7 +393,9 @@ def test_array_path_matches_cyclo_oracle(family, n):
 def _assert_batch_matches_per_pair_oracle(scen, specs):
     group = scen.group
     fused = [spec.fused_pair() for spec in specs]
-    batch = pair_weights(group, fused)
+    labels = [lab for pair in fused for lab in pair]
+    batch = pair_weights(group, labels, np.arange(0, len(labels), 2),
+                         np.arange(1, len(labels), 2))
     want = np.array([weights_per_pair(group, c1, c2) for c1, c2 in fused])
     assert batch.shape == (len(specs), len(character_ids(group)))
     assert (batch == want).all()  # bit for bit: no NaN, and -0.0 never occurs
@@ -421,20 +488,30 @@ def test_undefined_race_raises_below_top_level_only():
     assert top.is_defined()
     assert isinstance(mean(top), int)
     assert race_mean_closed_form(scen.kind, +1, 4, FLIP_EVEN, FLIP_ODD) is None
+    # the table keeps the undefined race, with an all-zero weight row
+    for level, defined in ((4, False), (5, True)):
+        races = race_table(scen, level, [FLIP_EVEN, FLIP_ODD], [0], [1])
+        assert races.defined.tolist() == [defined]
+        assert races.weights()[0].any() == defined
 
 
 def test_race_spec_validation():
     scen = _scen("quaternion", 4, +1)
-    with pytest.raises(ValueError):
-        RaceSpec(scen, 2, ONE, MINUS_ONE)  # level below 3
-    with pytest.raises(ValueError):
-        RaceSpec(scen, 5, ONE, MINUS_ONE)  # level above n
-    with pytest.raises(ValueError):
-        RaceSpec(scen, 3, ONE, ONE)  # identical classes
-    with pytest.raises(ValueError):
-        RaceSpec(scen, 3, ONE, power(2))  # power out of range at level 3
-    spec = RaceSpec(scen, 3, ONE, power(1))
-    assert spec.fused_pair() == (ONE, power(2))
+    cases = (
+        (2, [ONE, MINUS_ONE], [0], [1], "level must satisfy 3 <= level <= 4, got 2"),
+        (5, [ONE, MINUS_ONE], [0], [1], "level must satisfy 3 <= level <= 4, got 5"),
+        (3, [ONE], [0], [0], "classes must differ"),
+        (3, [ONE, power(2)], [0], [1], "power(2) out of range at level 3"),
+    )
+    for level, labels, first, second, message in cases:
+        for build in (lambda: race_table(scen, level, labels, first, second),
+                      lambda: RaceSpec(scen, level, labels[first[0]], labels[second[0]])):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+    races = race_table(scen, 3, [ONE, power(1)], [0], [1])
+    assert races.fused == [ONE, power(2)]
+    assert RaceSpec(scen, 3, ONE, power(1)).fused_pair() == (ONE, power(2))
 
 
 def test_race_model_coverage_errors():
@@ -496,11 +573,13 @@ def test_published_mean_rule():
 
 def test_mean_table_rows():
     table = mean_table("quaternion", 4, 3, -1)
-    assert isinstance(table, MeanTable)
-    pairs = len(table.labels) * (len(table.labels) - 1) // 2
-    for column in (table.first, table.second, table.defined, table.formula,
-                   table.published):
+    races, published = table
+    assert isinstance(races, RaceTable)
+    pairs = len(races.labels) * (len(races.labels) - 1) // 2
+    for column in (races.first, races.second, races.defined, races.means,
+                   published):
         assert column.shape == (pairs,)
+    assert races.means.dtype == np.int64
     rows = mean_rows(table)
     assert {r.status for r in rows} <= {
         STATUS_MATCH, STATUS_OPEN_QUESTION, STATUS_UNDEFINED}

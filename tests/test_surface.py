@@ -30,6 +30,8 @@ BENCH = SRC.parent.parent / "perfbench"
 ALLOWED: frozenset[str] = frozenset()
 
 # names that moved out of the package and live only in the oracles: the
+# per-pair race path that ``races.race_table`` replaced (its ``weights``
+# is not listed, the name living on as ``RaceTable.weights``), the
 # per-pair weight paths that the batch ``races.pair_weights`` replaced, the
 # ring operations of CycloInt beyond sums, the element-at-a-time group
 # operations, the tame-conductor layer over literal primes, and the
@@ -48,6 +50,7 @@ ORACLE_ONLY = {
     "induce", "InducedDecomposition", "_psi_range", "central_order",
     "is_symplectic", "character_degree", "invariant_dimension",
     "conductor_exponent", "log_conductor",
+    "RaceSpec", "RaceUndefinedError", "mean",
 }
 
 
@@ -95,7 +98,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_surface_covers_methods_and_properties():
     qualnames = {qualname for _, qualname, _, _ in _surface()}
     assert {"Group.element_order", "Group.order", "ArithmeticScenario.group",
-            "RaceSpec.fused_pair", "RaceModel.variance", "TABLE_CLAIMS",
+            "RaceTable.weights", "RaceModel.variance", "TABLE_CLAIMS",
             "MOD4_PUBLISHED_DELTA", "RACE_CONFIG_KEYS"} <= qualnames
     assert "__version__" not in qualnames
     assert not any(q.split(".")[-1].startswith("_") for q in qualnames)
