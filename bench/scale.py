@@ -18,6 +18,9 @@ JSON record per call:
 * ``wall_s``: the child's wall time, interpreter start to exit;
 * ``peak_rss_mb``: the child's peak resident set (``ru_maxrss`` of its own
   rusage, from ``os.wait4``);
+* ``import_rss_mb``: the child's peak resident set once the package is
+  imported, before ``cli.main`` runs; the verb's own data, and whatever
+  it imports on first use, account for the rest of ``peak_rss_mb``;
 * ``phases_s``: seconds inside the verb, split by the package functions the
   child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``exact``
   (``level_races``, the call's race table with its means, and
@@ -58,6 +61,7 @@ import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -115,10 +119,11 @@ def _argvs(verb: str, n: int) -> list[list[str]]:
 
 def _child(argv: list[str]) -> None:
     """Run one verb call with the phase timers installed; print the
-    record's phases and digest as JSON."""
+    record's import memory, phases and digest as JSON."""
     sys.path.insert(0, str(ROOT / "src"))
     from chebrace import cli, density, experiments
 
+    import_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     modules = {"cli": cli, "density": density, "experiments": experiments}
     phases = {}
     inverted = []
@@ -169,7 +174,8 @@ def _child(argv: list[str]) -> None:
         raise SystemExit(f"{argv} exited {code}")
     if argv[0] == "table":  # reproduce_table's time includes mean_table's
         phases["rows"] -= phases["means"]
-    record = {"phases_s": {k: round(v, 4) for k, v in phases.items()}}
+    record = {"import_rss_mb": round(import_rss_mb, 1),
+              "phases_s": {k: round(v, 4) for k, v in phases.items()}}
     if argv[0] == "tower":
         record["inversions"] = len(inverted)
     record["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()

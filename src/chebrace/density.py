@@ -20,7 +20,10 @@ remainder (from the Rayleigh sums of J0's zeros), the panels'
 Bernstein-ellipse bound (Trefethen, ATAP Thm 19.3, with |J0(x+iy)| <= I0(y)),
 and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
 the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
-first-order bound on float rounding is added to it.
+first-order bound on float rounding is added to it.  J0, and the
+exp(-x) I0(x) of the panel bound, are numpy kernels that perform the
+Cephes library's operations in its order (Moshier, Methods and Programs
+for Mathematical Functions, 1989), so they give Cephes' values to the bit.
 
 A ``RaceModel(mean, table, row)`` is an integer mean and a row of scales
 (twice each character's weight) over a ``SpectralTable``: a call's zero
@@ -373,11 +376,119 @@ _QUAD_TARGET = 1e-13
 _SERIES_TARGET = 1e-15
 
 
-def j0(x):
-    """Bessel J0, elementwise.  scipy.special loads on the first call: it
-    is most of the package's import time, and only this engine uses it."""
-    from scipy.special import j0 as bessel_j0
-    return bessel_j0(x)
+# Cephes' j0.c (Moshier, Methods and Programs for Mathematical Functions,
+# 1989): a rational in x^2 with J0's first two zeros squared factored out
+# up to 5, Hankel's asymptotic form in 25/x^2 beyond.  The monic QQ and RQ
+# lead with 1.0, since x * 1.0 + c is Cephes' p1evl step x + c to the bit
+_J0_PP = (7.96936729297347051624E-4, 8.28352392107440799803E-2, 1.23953371646414299388E0,
+          5.44725003058768775090E0, 8.74716500199817011941E0, 5.30324038235394892183E0,
+          9.99999999999999997821E-1)
+_J0_PQ = (9.24408810558863637013E-4, 8.56288474354474431428E-2, 1.25352743901058953537E0,
+          5.47097740330417105182E0, 8.76190883237069594232E0, 5.30605288235394617618E0,
+          1.00000000000000000218E0)
+_J0_QP = (-1.13663838898469149931E-2, -1.28252718670509318512E0, -1.95539544257735972385E1,
+          -9.32060152123768231369E1, -1.77681167980488050595E2, -1.47077505154951170175E2,
+          -5.14105326766599330220E1, -6.05014350600728481186E0)
+_J0_QQ = (1.0, 6.43178256118178023184E1, 8.56430025976980587198E2, 3.88240183605401609683E3,
+          7.24046774195652478189E3, 5.93072701187316984827E3, 2.06209331660327847417E3,
+          2.42005740240291393179E2)
+_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12, -2.49248344360967716204E14,
+          9.70862251047306323952E15)
+_J0_RQ = (1.0, 4.99563147152651017219E2, 1.73785401676374683123E5, 4.84409658339962045305E7,
+          1.11855537045356834862E10, 2.11277520115489217587E12, 3.10518229857422583814E14,
+          3.18121955943204943306E16, 1.71086294081043136091E18)
+_J0_DR1 = 5.78318596294678452118E0
+_J0_DR2 = 3.04712623436620863991E1
+_J0_SQ2OPI = 7.9788456080286535587989E-1
+_J0_PIO4 = 0.78539816339744830962
+# Cephes' i0.c: exp(-x) I0(x) as Chebyshev series in x/2 - 2 up to 8 and
+# in 32/x - 2 (times sqrt(x)) beyond
+_I0E_A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17, -2.43127984654795469359E-16,
+    1.71539128555513303061E-15, -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12, -1.72682629144155570723E-11,
+    9.67580903537323691224E-11, -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8, -2.67079385394061173391E-7,
+    1.11738753912010371815E-6, -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4, -5.76375574538582365885E-4,
+    1.63947561694133579842E-3, -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2, -9.49010970480476444210E-2,
+    1.71620901522208775349E-1, -3.04682672343198398683E-1, 6.76795274409476084995E-1)
+_I0E_B = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18, 4.46562142029675999901E-17,
+    3.46122286769746109310E-17, -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15, -9.55484669882830764870E-15,
+    -4.15056934728722208663E-14, 1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12, -1.32158118404477131188E-11,
+    -3.14991652796324136454E-11, 1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
+    2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes' polevl: coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _chbevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes' chbevl: the Chebyshev series sum' coef[-1-k] T_k(x/2) by
+    Clenshaw's recurrence b0 = x b1 - b2 + c, in three rotating arrays."""
+    b0, b1, b2 = np.full_like(x, coef[0]), np.zeros_like(x), np.empty_like(x)
+    for c in coef[1:]:
+        b2, b1, b0 = b1, b0, b2
+        np.multiply(x, b1, out=b0)
+        b0 -= b2
+        b0 += c
+    return 0.5 * (b0 - b2)
+
+
+def j0(x) -> np.ndarray:
+    """Bessel J0, elementwise, as float64 arrays: Cephes' j0, with its
+    operations in Cephes' order, so its values are Cephes' bit for bit
+    (the tests check them against a build of it).
+
+    The rational for x <= 5 is taken over the whole array and the entries
+    beyond 5 (few at the engine's nodes) and below 1e-5 (the padding
+    zeros) are replaced by index."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = np.abs(x.reshape(-1))
+    z = x * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = z - _J0_DR1
+        out *= z - _J0_DR2
+        out *= _polevl(z, _J0_RP)
+        out /= _polevl(z, _J0_RQ)
+    tiny = np.flatnonzero(x < 1e-5)
+    out[tiny] = 1.0 - z[tiny] / 4.0
+    big = np.flatnonzero(x > 5.0)
+    if big.size:
+        x = x[big]
+        w = 5.0 / x
+        q = 25.0 / (x * x)
+        p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+        q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+        xn = x - _J0_PIO4
+        out[big] = (p * np.cos(xn) - w * q * np.sin(xn)) * _J0_SQ2OPI / np.sqrt(x)
+    return out.reshape(shape)
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) I0(x), elementwise: Cephes' i0e, operation for operation,
+    so bit for bit."""
+    x = np.abs(x)
+    out = np.empty_like(x)
+    low = x <= 8.0
+    out[low] = _chbevl(x[low] / 2.0 - 2.0, _I0E_A)
+    high = x[~low]
+    out[~low] = _chbevl(32.0 / high - 2.0, _I0E_B) / np.sqrt(high)
+    return out
 
 
 def _log_j0_coefficients(count: int) -> np.ndarray:
@@ -882,9 +993,17 @@ def _series_order(m: np.ndarray, t_max: np.ndarray, largest: np.ndarray,
     return order, err
 
 
-def _quad_log_bounds(m, log_m, t_max, count: int, log_i0) -> np.ndarray:
-    """log of the Gauss-Legendre error bound for ``count`` equal panels on
-    [0, t_max], minimised over _RHO, given log_i0(b) >= sum_j log I0(r_j b);
+def _ellipse_heights(t_max, count: int) -> np.ndarray:
+    """The half-height b of each Bernstein ellipse E_rho, rho in _RHO,
+    about a panel of ``count`` equal panels on [0, t_max]: t_max[..., None]
+    against _RHO."""
+    return np.asarray(t_max, dtype=float)[..., None] / (2.0 * count) * _RHO_HEIGHT
+
+
+def _quad_log_bounds(m, log_m, t_max, b, log_i0) -> np.ndarray:
+    """log of the Gauss-Legendre error bound for equal panels on [0, t_max]
+    whose ellipses have the half-heights b (``_ellipse_heights``),
+    minimised over _RHO, given log_i0 >= sum_j log I0(r_j b) at each b;
     m and its log broadcast against t_max[..., None].
 
     On a panel of half-width h, Trefethen's Thm 19.3 (ATAP) bounds the
@@ -895,9 +1014,8 @@ def _quad_log_bounds(m, log_m, t_max, count: int, log_i0) -> np.ndarray:
     panels' half-widths sum to t_max/2.
     """
     t_max = np.asarray(t_max, dtype=float)[..., None]
-    b = t_max / (2.0 * count) * _RHO_HEIGHT
     log_err = (np.log(32.0 / 15.0 * t_max) - _RHO_POWER - _RHO_GAP + log_m
-               + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0(b))
+               + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0)
     return log_err.min(axis=-1)
 
 
@@ -909,9 +1027,8 @@ def _panel_count(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
     and the log of that bound, with i0e for the head (``sizes`` terms per
     row, laid in ``head``) and log I0(x) <= x^2/4 for the bulk.  Each panel
     count tried is one pass over the rows still open, the rows of one head
-    size together."""
-    from scipy.special import i0e
-
+    size together, and the i0e values of rows of several head sizes are
+    taken together, about _BLOCK at a time."""
     starts = _starts(sizes)
     groups = [(part, head[starts[part, None] + np.arange(h)]) for h, rows in _groups(sizes)
               for part in _parts(rows, _RHO.size * max(h, 1))]
@@ -919,27 +1036,44 @@ def _panel_count(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
     log_err = np.zeros(m.size)
     open_rows = np.ones(m.size, dtype=bool)
     for count in _PANEL_COUNTS:
-        count = min(count, _PANEL_CAP)
-        for rows, heads in groups:
-            live = open_rows[rows]
-            if not live.any():
-                continue
-            rows, heads = rows[live], heads[live]
-            bulk = bulk_sq[rows, None]
-
-            def log_i0(b):
-                x = b[:, :, None] * heads[:, None, :]
-                return 0.25 * b * b * bulk + (np.log(i0e(x)) + x).sum(axis=-1)
-
-            bound = _quad_log_bounds(m[rows, None], log_m[rows, None], t_max[rows],
-                                     count, log_i0)
-            done = (bound <= math.log(_QUAD_TARGET)) | (count == _PANEL_CAP)
-            panels[rows[done]] = count
-            log_err[rows[done]] = bound[done]
-            open_rows[rows[done]] = False
         if not open_rows.any():
             break
+        count = min(count, _PANEL_CAP)
+        live = []
+        for rows, heads in groups:
+            keep = open_rows[rows]
+            if keep.any():
+                live.append((rows[keep], heads[keep]))
+        for batch in _batches(live, [heads.size * _RHO.size for _, heads in live]):
+            heights = [_ellipse_heights(t_max[rows], count) for rows, _ in batch]
+            x = [b[:, :, None] * heads[:, None, :] for b, (_, heads) in zip(heights, batch)]
+            # log I0(x) = x + log i0e(x), over the batch's values at once
+            log_i0 = np.concatenate([v.ravel() for v in x])
+            log_i0 += np.log(_i0e(log_i0))
+            ends = np.cumsum([v.size for v in x])
+            for (rows, _), b, v, part in zip(batch, heights, x, np.split(log_i0, ends[:-1])):
+                bound = _quad_log_bounds(m[rows, None], log_m[rows, None], t_max[rows], b,
+                                         0.25 * b * b * bulk_sq[rows, None]
+                                         + part.reshape(v.shape).sum(axis=-1))
+                done = (bound <= math.log(_QUAD_TARGET)) | (count == _PANEL_CAP)
+                panels[rows[done]] = count
+                log_err[rows[done]] = bound[done]
+                open_rows[rows[done]] = False
     return panels, log_err
+
+
+def _batches(items: list, sizes: list[int]) -> list[list]:
+    """``items`` in runs of consecutive entries whose ``sizes`` sum to at
+    most _BLOCK, or of one entry."""
+    out: list[list] = []
+    total = 0
+    for item, size in zip(items, sizes):
+        if not out or total + size > _BLOCK:
+            out.append([])
+            total = 0
+        out[-1].append(item)
+        total += size
+    return out
 
 
 def _t_max_and_tail(rows: _Rows, m: np.ndarray,
@@ -977,8 +1111,9 @@ def _t_max_and_tail(rows: _Rows, m: np.ndarray,
     def quad(sel, t):
         shape = (-1,) + (1,) * t.ndim
         sq, total = rows.sq[sel].reshape(shape), rows.total[sel].reshape(shape)
-        return _quad_log_bounds(m[sel].reshape(shape), log_m[sel].reshape(shape), t,
-                                _PANEL_CAP, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+        b = _ellipse_heights(t, _PANEL_CAP)
+        return _quad_log_bounds(m[sel].reshape(shape), log_m[sel].reshape(shape), t, b,
+                                np.minimum(0.25 * b * b * sq, b * total))
 
     target = math.log(_QUAD_TARGET)
     ok = found.copy()

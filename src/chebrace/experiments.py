@@ -73,6 +73,7 @@ from .races import (
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
     _distinct,
+    class_means,
     level_races,
     mean_table,
     published_mean,
@@ -984,7 +985,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    # n = 10 takes 6-8 s and 145-176 MB (bench/scale.py tower); n = 11
+    # n = 10 takes 6.5-7.8 s and 142 MB (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
     if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
@@ -1025,10 +1026,10 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     del scales
     rows: list[dict] = []
     confirmed = True
-    for a, b, m, bias, est in zip(races.first.tolist(), races.second.tolist(),
-                                  means, biases, estimates):
+    for a, b, m, pub, bias, est in zip(races.first.tolist(), races.second.tolist(), means,
+                                       class_means(races, published_mean).tolist(),
+                                       biases, estimates):
         c1, c2 = labels[a], labels[b]
-        pub = published_mean(scen.kind, w_axiom, n, c1, c2)
         claim = expected_row(family, w_axiom, c1, c2)
         row = {
             "c1": str(c1), "c2": str(c2),

@@ -51,7 +51,7 @@ import numpy as np
 from .arithmetic import ArithmeticScenario
 from .characters import character_count, induction_pairs, value_table
 from .cyclotomic import canonical_terms, canonical_values
-from .groups import DIHEDRAL, MINUS_ONE, ONE, ClassLabel, Group, GroupKind
+from .groups import DIHEDRAL, ClassLabel, Group, GroupKind
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -247,9 +247,9 @@ def race_mean_closed_form(kind: GroupKind, w_axiom: int, level: int,
     quo = kind.family != DIHEDRAL
 
     def rho(lab: ClassLabel) -> int:
-        if lab == ONE:
+        if lab.kind == "one":
             return 2 if quo else (1 << (i - 1)) + 2
-        if lab == MINUS_ONE:
+        if lab.kind == "minus_one":
             return (1 << (i - 1)) + 2 if quo else 2
         if lab.kind == "power":
             return 2 if lab.k % 2 == 0 else 0
@@ -258,9 +258,9 @@ def race_mean_closed_form(kind: GroupKind, w_axiom: int, level: int,
     def z(lab: ClassLabel) -> int:
         if not quo:
             return 0
-        if lab == ONE:
+        if lab.kind == "one":
             return (1 << (n - 2)) * (1 - w_axiom)
-        if lab == MINUS_ONE:
+        if lab.kind == "minus_one":
             return -(1 << (n - 2)) * (1 - w_axiom)
         return 0
 
@@ -281,9 +281,22 @@ def published_mean(kind: GroupKind, w_axiom: int, level: int,
     base = race_mean_closed_form(kind, w_axiom, level, c1, c2)
     if base is None:
         return None
-    if kind.family == DIHEDRAL and ONE in (c1, c2):
-        return base + 1 if c1 == ONE else base - 1
+    if kind.family == DIHEDRAL and "one" in (c1.kind, c2.kind):
+        return base + 1 if c1.kind == "one" else base - 1
     return base
+
+
+def class_means(races: RaceTable, form) -> np.ndarray:
+    """Every pair's mean by ``form`` (``race_mean_closed_form`` or
+    ``published_mean``) in one array.  Each form is a difference of one
+    value per class, so each is taken once per class, as the race against
+    the first label, and the pairs are differences of that array.  The
+    first label must race every other one defined: ``one``, which leads
+    every level's class labels, does."""
+    scen, ref = races.scenario, races.labels[0]
+    values = np.array([0] + [form(scen.kind, scen.w_axiom, races.level, ref, lab)
+                             for lab in races.labels[1:]])
+    return values[races.second] - values[races.first]
 
 
 STATUS_MATCH = "match"
@@ -297,21 +310,9 @@ def mean_table(family: str, n: int, level: int,
     published mean of each pair alongside, read only where the race is
     defined; the undefined pair is kept, never skipped.  Every defined
     mean is checked against the closed form; a disagreement raises
-    InternalInconsistencyError.
-
-    The closed form and the published mean of a pair are each a difference
-    of one value per class, so each is taken once per class (as the race
-    against the first class, ``one``, which is defined for every other
-    class) and the pairs are differences of arrays."""
-    kind = GroupKind(family, n)
-    races = level_races(_table_scenario(kind, w_axiom), level)
-    ref, others = races.labels[0], races.labels[1:]
-
-    def per_pair(values: np.ndarray) -> np.ndarray:
-        return values[races.second] - values[races.first]
-
-    closed = per_pair(np.array(
-        [0] + [race_mean_closed_form(kind, w_axiom, level, ref, lab) for lab in others]))
+    InternalInconsistencyError.  Both printed means are ``class_means``."""
+    races = level_races(_table_scenario(GroupKind(family, n), w_axiom), level)
+    closed = class_means(races, race_mean_closed_form)
     bad = np.flatnonzero(races.defined & (closed != races.means))
     if bad.size:
         k = bad[0]
@@ -319,9 +320,7 @@ def mean_table(family: str, n: int, level: int,
             f"mean engine self-check failed at level {level}: closed form "
             f"{closed[k]} != formula {races.means[k]} for "
             f"({races.labels[races.first[k]]}, {races.labels[races.second[k]]})")
-    published = per_pair(np.array(
-        [0] + [published_mean(kind, w_axiom, level, ref, lab) for lab in others]))
-    return races, published
+    return races, class_means(races, published_mean)
 
 
 def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:

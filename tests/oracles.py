@@ -568,8 +568,9 @@ def sorted_t_max(r: np.ndarray, m: float, cap: int) -> tuple[int, float]:
     sq = float(np.sum(r * r))
 
     def quad(t):
+        b = density._ellipse_heights(t, cap)
         return density._quad_log_bounds(
-            m, math.log(m), t, cap, lambda b: np.minimum(0.25 * b * b * sq, b * total))
+            m, math.log(m), t, b, np.minimum(0.25 * b * b * sq, b * total))
 
     if ok.size and quad(u[ok[0]]) <= math.log(density._QUAD_TARGET):
         i = int(ok[0])

@@ -450,7 +450,7 @@ def _loaded_parts(code: str, names: tuple[str, ...]) -> str:
 
 def test_cli_import_leaves_scipy_integrate_out():
     # their imports take about 0.3 s and 0.18 s, which every verb would pay
-    # at startup; only the Fourier engine loads scipy.special
+    # at startup
     assert _loaded_parts("import chebrace.cli", _SCIPY_PARTS) == "[]"
 
 
@@ -460,10 +460,19 @@ def test_table_leaves_scipy_special_out():
         _SCIPY_PARTS) == "[]"
 
 
+def test_fourier_and_monte_carlo_verbs_load_no_scipy():
+    # the Fourier engine's j0 and i0e are numpy kernels: importing
+    # scipy.special would raise a verb's resident set by about 17 MB
+    assert _loaded_parts(
+        "from chebrace import cli; codes = [cli.main(argv) for argv in ("
+        "['tower', '--n', '4'], ['mod4', '--t-max', '8'], "
+        "['race', '--n', '5', '--samples', '10000'])]; "
+        "assert codes == [0, 0, 0], codes", ("scipy",)) == "[]"
+
+
 def test_sr_partition_leaves_numpy_ma_out():
     # np.unique imports numpy.ma on its first call; the S/R split below the
-    # top level does without it (the Fourier engine's scipy.special still
-    # loads numpy.ma on its own)
+    # top level does without it
     assert _loaded_parts(
         "from chebrace.characters import sr_partition; "
         "from chebrace.groups import Group, GroupKind; "

@@ -512,9 +512,11 @@ def test_fourier_reports_integrand_evaluations(monkeypatch):
     model = _synthetic_model(2, {"psi_1": 2.0, "psi_2": 4.0})
     nodes = []
 
+    j0 = density.j0
+
     def counted_j0(x):
         nodes.append(x.shape[-1])
-        return special.j0(x)
+        return j0(x)
 
     monkeypatch.setattr(density, "j0", counted_j0)
     est = density_fourier(model)
@@ -530,15 +532,33 @@ def test_log_j0_series_matches_scipy_below_one():
     assert np.max(np.abs(series - np.log(special.j0(x)))) <= 1e-15
 
 
+def test_bessel_kernels_match_scipy_bit_for_bit():
+    # density's j0 and i0e perform Cephes' operations in Cephes' order, so
+    # they are scipy.special's values to the bit, on both sides of every
+    # branch edge, and every report of the Fourier engine with them
+    grid = np.geomspace(5e-324, 1e7, 1_000_001)
+    edges = np.array([0.0, 1e-5, 5.0, 8.0])
+    x = np.concatenate((grid, edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), -grid[::1000]))
+    # in 3-D, in C order and transposed, the branches interleaved
+    rng = np.random.default_rng(3)
+    cube = rng.permutation(grid[:999_900]).reshape(99, 101, 100)
+    for ours, theirs in ((density.j0, special.j0), (density._i0e, special.i0e)):
+        for values in (x, cube, cube.transpose(2, 0, 1)):
+            got = ours(values)
+            assert got.shape == values.shape
+            assert np.array_equal(got.view(np.int64), theirs(values).view(np.int64))
+
+
 def test_j0_bounds_behind_the_fourier_budget():
     # j_{0,1} = 2.40482555769577276862..., rounded down keeps every bound safe
     assert density.J0_ZERO == special.jn_zeros(0, 1)[0]
-    assert special.j0(density.J0_ZERO) > 0.0
+    assert density.j0(density.J0_ZERO) > 0.0
     # the tail's majorants: Gaussian up to the first zero, envelope beyond
     x = np.linspace(0.0, density.J0_ZERO, 200_001)
-    assert np.all(np.abs(special.j0(x)) <= np.exp(-x * x / 4.0) * (1.0 + 2.0**-51))
+    assert np.all(np.abs(density.j0(x)) <= np.exp(-x * x / 4.0) * (1.0 + 2.0**-51))
     x = np.linspace(1e-3, 200.0, 200_001)
-    assert np.all(np.abs(special.j0(x)) <= np.sqrt(2.0 / (np.pi * x)) * (1.0 + 2.0**-51))
+    assert np.all(np.abs(density.j0(x)) <= np.sqrt(2.0 / (np.pi * x)) * (1.0 + 2.0**-51))
     # the quadrature's: |J0(x + iy)| <= I0(y) on the Bernstein ellipses
     rng = np.random.default_rng(7)
     z = rng.uniform(-60.0, 60.0, 20_000) + 1j * rng.uniform(-12.0, 12.0, 20_000)
@@ -567,7 +587,7 @@ def test_rounding_assumptions_behind_the_fourier_budget():
         rng = np.random.default_rng(11)
         for x in np.concatenate([rng.uniform(0.0, 30.0, 300),
                                  rng.uniform(30.0, 5000.0, 300)]):
-            err = abs(mp.besselj(0, mp.mpf(float(x))) - mp.mpf(float(special.j0(x))))
+            err = abs(mp.besselj(0, mp.mpf(float(x))) - mp.mpf(float(density.j0(x))))
             assert err <= (4.0 + math.sqrt(x)) * ulp, x
 
 
@@ -656,16 +676,31 @@ def _family(seed: int, count: int):
     return table, rows
 
 
+def test_fourier_batch_takes_rows_without_head_terms():
+    # 400 amplitudes of 0.02 all have r t_max < 1, so that row's head is
+    # empty; batched with a row that has head terms, every estimate is
+    # still the one its model gets alone
+    table = spectral_table([np.full(400, 100.0), np.array([2.0, 2.5, 3.3, 5.0])])
+    rows = np.array([[2.0, 0.0], [2.0, 1.0]])
+    t_max = [engine_t_max(RaceModel(1, table, row))[0] for row in rows]
+    assert 0.02 * t_max[0] < 1.0 <= 0.5 * t_max[1]
+    models = [(0, 1), (1, 1), (0, -3), (1, 2)]
+    batch = density.density_fourier_batch
+    alone = [_bits(batch(table, rows, [model])[0]) for model in models]
+    assert [_bits(est) for est in batch(table, rows, models)] == alone
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), count=st.integers(2, 5), data=st.data())
 def test_fourier_batch_estimates_do_not_depend_on_the_batch(seed, count, data):
     # each estimate bit for bit as its model gets it alone: in the whole
     # batch, in the batch shuffled, and in the batch split in two; over
-    # means of 0 and negative means, rows of one or two panels and a row
-    # of three terms at the panel cap
+    # means of 0 and negative means, rows of one or two panels (a mean of 1
+    # on every row, since the drawn means may all need more) and a row of
+    # three terms at the panel cap
     table, rows = _family(seed, count)
     means = data.draw(st.lists(st.integers(-40, 40), min_size=count, max_size=count))
-    models = ([(i, mean) for i, mean in enumerate(means)]
+    models = ([(i, mean) for i, mean in enumerate(means)] + [(i, 1) for i in range(count)]
               + [(0, 0), (1, -7), (count, 1), (count, -2)])
     order = data.draw(st.permutations(range(len(models))))
     half = data.draw(st.integers(1, len(models) - 1))
