@@ -31,7 +31,10 @@ JSON record per call:
   inversions that need them), ``inversions`` (``density_fourier_batch``,
   the call's one batch of inversions with their tail searches;
   ``density_fourier``, once per inversion, in checkouts from before the
-  batch) and ``report`` (``report_json``).  Older tower records carry a
+  batch), three parts of it, ``t_max`` (``_t_max_and_tail``, the tail
+  search), ``panels`` (``_panel_count``, the panel counts and their
+  quadrature bounds) and ``grid`` (``_grid_integral``, the integrands at
+  the nodes), and ``report`` (``report_json``).  Older tower records carry a
   ``table`` phase, which timed building the table from a list of zero
   sets, or a ``rows`` phase, which timed a per-row model assembly.
   ``table``: ``means`` (``mean_table``, one call per level and root
@@ -47,6 +50,8 @@ JSON record per call:
   (``density_fourier``), ``mc`` (``density_montecarlo``) and ``report``;
 * ``inversions`` (``tower`` only): how many races of nonzero mean the
   call inverted, one per distinct (|mean|, weight row);
+* ``i0e_values`` (``tower`` only): how many values the call handed the
+  panel bound's exp(-x) I0(x) kernel (``density._i0e``);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
 
 The package is imported from ``src/`` beside this script, so the same
@@ -80,6 +85,9 @@ PHASES = {
               ("experiments", ("RaceTable.weights", "pair_weights"), "exact"),
               ("experiments", ("provision_zero_sets",), "zeros"),
               ("experiments", ("density_fourier_batch", "density_fourier"), "inversions"),
+              ("density", ("_t_max_and_tail",), "t_max"),
+              ("density", ("_panel_count",), "panels"),
+              ("density", ("_grid_integral",), "grid"),
               ("cli", ("report_json",), "report")),
     "table": (("experiments", ("mean_table",), "means"),
               ("cli", ("reproduce_table",), "rows"),
@@ -127,6 +135,15 @@ def _child(argv: list[str]) -> None:
     modules = {"cli": cli, "density": density, "experiments": experiments}
     phases = {}
     inverted = []
+    i0e_values = [0]
+    i0e = getattr(density, "_i0e", None)  # scipy's, in checkouts from before it
+
+    def counted_i0e(x):
+        i0e_values[0] += x.size
+        return i0e(x)
+
+    if i0e is not None:
+        density._i0e = counted_i0e
 
     def count(name: str, args) -> None:
         """Races of nonzero mean handed to the inversions."""
@@ -178,6 +195,7 @@ def _child(argv: list[str]) -> None:
               "phases_s": {k: round(v, 4) for k, v in phases.items()}}
     if argv[0] == "tower":
         record["inversions"] = len(inverted)
+        record["i0e_values"] = i0e_values[0] if i0e is not None else None
     record["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     print(json.dumps(record))
 

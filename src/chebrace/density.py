@@ -13,17 +13,23 @@ by equal Gauss-Legendre panels of 24 nodes, whose nodes and weights are
 the correctly rounded constants.  It takes the fewest panels whose error
 bound meets its target, at most the fixed _PANEL_CAP = 2000: one or two
 for the verbs' models at their default sizes, hundreds up to the cap for
-a model of a few terms (``mod4`` over three to seven zeros).  Amplitudes with r t_max >= 1 go through J0 at
-every node; the rest enter through a truncated power-sum series of
-log J0.  The budget adds three proven parts: the series
-remainder (from the Rayleigh sums of J0's zeros), the panels'
-Bernstein-ellipse bound (Trefethen, ATAP Thm 19.3, with |J0(x+iy)| <= I0(y)),
-and the tail beyond t_max (|J0(x)| <= exp(-x^2/4) below J0's first zero,
-the envelope sqrt(2/(pi x)) above it), which also picks t_max.  A
-first-order bound on float rounding is added to it.  J0, and the
-exp(-x) I0(x) of the panel bound, are numpy kernels that perform the
-Cephes library's operations in its order (Moshier, Methods and Programs
-for Mathematical Functions, 1989), so they give Cephes' values to the bit.
+a model of a few terms (``mod4`` over three to seven zeros).  A panel
+count's bound is the least over 24 Bernstein ellipses; it is convex in
+the log of the ellipse parameter, so a Fibonacci search finds that least
+value in 7 evaluations, and evaluates the rest of its bracket where two
+values lie within their rounding bound of each other: the panel counts
+and bounds are the whole grid's bit for bit.  Amplitudes with
+r t_max >= 1 go through J0 at every node; the rest enter through a
+truncated power-sum series of log J0.  The budget adds three proven
+parts: the series remainder (from the Rayleigh sums of J0's zeros), the
+panels' Bernstein-ellipse bound (Trefethen, ATAP Thm 19.3, with
+|J0(x+iy)| <= I0(y)), and the tail beyond t_max (|J0(x)| <= exp(-x^2/4)
+below J0's first zero, the envelope sqrt(2/(pi x)) above it), which also
+picks t_max.  A first-order bound on float rounding is added to it.
+J0, and the exp(-x) I0(x) of the panel bound, are numpy kernels that
+perform the Cephes library's operations in its order (Moshier, Methods
+and Programs for Mathematical Functions, 1989), so they give Cephes'
+values to the bit.
 
 A ``RaceModel(mean, table, row)`` is an integer mean and a row of scales
 (twice each character's weight) over a ``SpectralTable``: a call's zero
@@ -44,10 +50,10 @@ The Fourier engine inverts a batch: rows of scales over one table, each
 with its mean (``density_fourier_batch``; ``density_fourier`` is the batch
 of one).  Each step is a few array operations over a block of rows: the
 top terms of every row counted by one search of the table's ascending
-bases, the rows' terms sorted and their prefix sums taken along padded
-rows, one pass per panel count tried over the rows still open, and the
-grid integrals by (panel count, series order), the head terms padded with
-r = 0, whose J0 is exactly 1.  Every sum over a row's terms or components
+bases, the rows' terms sorted and their prefix sums taken, both along
+padded rows, one pass per panel count tried over the rows still open,
+and the grid integrals by (panel count, series order), the head terms
+padded with r = 0, whose J0 is exactly 1.  Every sum over a row's terms or components
 has the length and order it has for the row alone (rows of one length are
 summed together, as the rows of a matrix), so each estimate is bit for bit
 the one its model gets alone, whatever else is in the batch.  A block
@@ -852,16 +858,23 @@ def _run_counts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return total[starts[1:]] - total[starts[:-1]]
 
 
-def _ascending(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values, grouped by the ascending owner, each group sorted
-    ascending: one sort of the complex numbers owner + 1j value.  (A sort
-    by value and then by owner takes about half the time, but pages in
-    numpy's vectorised sort kernels, which nothing else a verb runs
-    uses.)"""
-    keys = np.empty(values.size, dtype=complex)
-    keys.real = owner
-    keys.imag = values
-    return np.sort(keys).imag.copy()
+def _ascending(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values, laid in runs of these lengths, each run sorted ascending:
+    the runs as the rows of a matrix padded with inf, sorted along its
+    rows, at most _BLOCK values (or one run) at a time.  (numpy's float64
+    sort pages in about 0.3 MB of vectorised sort kernel that no other
+    step of a tower call runs; the call's peak RSS stays within that,
+    42.2-42.5 MB at n = 7 in ``bench/scale.py`` against 41.6-42.2 MB with
+    the sort of complex numbers owner + 1j value this replaced.)"""
+    out = np.empty_like(values)
+    starts = _starts(lengths)
+    step = max(1, _BLOCK // max(int(lengths.max(initial=0)), 1))
+    for lo in range(0, lengths.size, step):
+        run = lengths[lo:lo + step]
+        block = _padded(values, starts[lo:lo + run.size], run, math.inf)
+        block.sort(axis=1)
+        out[starts[lo]:starts[lo + run.size]] = block[np.arange(block.shape[1]) < run[:, None]]
+    return out
 
 
 def _window_starts(count: np.ndarray) -> np.ndarray:
@@ -898,7 +911,7 @@ def _stretch(rows: _Rows, lo: np.ndarray, count: int,
     bounds = np.empty((rows.size, count))
     for a, b in _ranges(n + count * (_TAIL_AHEAD + 1), _BLOCK):
         at = slice(first[a], first[b])
-        r = _ascending(rows.owner[at].repeat(counts[at]), _terms(rows, counts, at))
+        r = _ascending(_terms(rows, counts, at), n[a:b])
         bounds[a:b] = _tail_bounds(r, n[a:b], rest[a:b], u[a:b], count)
     return u[:, :count], bounds
 
@@ -1000,11 +1013,12 @@ def _ellipse_heights(t_max, count: int) -> np.ndarray:
     return np.asarray(t_max, dtype=float)[..., None] / (2.0 * count) * _RHO_HEIGHT
 
 
-def _quad_log_bounds(m, log_m, t_max, b, log_i0) -> np.ndarray:
+def _quad_log_bounds(m, log_m, t_max, b, log_i0, rho=slice(None)) -> np.ndarray:
     """log of the Gauss-Legendre error bound for equal panels on [0, t_max]
-    whose ellipses have the half-heights b (``_ellipse_heights``),
-    minimised over _RHO, given log_i0 >= sum_j log I0(r_j b) at each b;
-    m and its log broadcast against t_max[..., None].
+    at the Bernstein ellipse parameters _RHO[rho], whose half-heights are
+    b (``_ellipse_heights``), given log_i0 >= sum_j log I0(r_j b) at each
+    b; every argument broadcasts against b (t_max[..., None] against all
+    of _RHO, or one rho per entry).
 
     On a panel of half-width h, Trefethen's Thm 19.3 (ATAP) bounds the
     error by h (64/15) M rho^(-2n) / (rho^2 - 1), where M bounds the
@@ -1012,68 +1026,151 @@ def _quad_log_bounds(m, log_m, t_max, b, log_i0) -> np.ndarray:
     |Im z| <= b = h (rho - 1/rho) / 2.  There |sin(m z)/z| <= m cosh(m b)
     and |J0(r z)| <= I0(r b).  Every panel has the same bound, and the
     panels' half-widths sum to t_max/2.
+
+    In s = log rho the log bound is convex: -48 s and -log(e^(2s) - 1)
+    are, and log 2cosh(m b), b^2 P_1 / 4 and each log I0(r b) are convex
+    and non-decreasing in b (log cosh and log I0 are cumulant generating
+    functions), which is h sinh s, convex and increasing.
+    ``_panel_count`` searches it by that.  (The min(b^2 P_1 / 4, b sum r)
+    that ``_t_max_and_tail`` takes for log_i0 is not convex in s.)
     """
-    t_max = np.asarray(t_max, dtype=float)[..., None]
-    log_err = (np.log(32.0 / 15.0 * t_max) - _RHO_POWER - _RHO_GAP + log_m
-               + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0)
-    return log_err.min(axis=-1)
+    return (np.log(32.0 / 15.0 * t_max) - _RHO_POWER[rho] - _RHO_GAP[rho] + log_m
+            + np.logaddexp(m * b, -m * b) - math.log(2.0) + log_i0)
+
+
+def _search_slack(m, log_m, t_max, b, head_sum, bulk_sq, sizes) -> np.ndarray:
+    """``_panel_count``'s delta, per row: a bound on the rounding of its
+    computed log bound at any rho, from the terms' sizes at the largest
+    rho, whose half-height is b."""
+    size = (np.abs(np.log(32.0 / 15.0 * t_max)) + np.abs(log_m) + _RHO_POWER[-1]
+            + _RHO_GAP[-1] + m * b + 0.25 * b * b * bulk_sq + 2.0 * b * head_sum + sizes + 2.0)
+    return 2.0 ** -48 * (sizes + 32) * size
 
 
 def _panel_count(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
-                 head: np.ndarray, sizes: np.ndarray,
+                 head: np.ndarray, sizes: np.ndarray, head_sum: np.ndarray,
                  bulk_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fewest equal Gauss-Legendre panels on [0, t_max] of each row,
     at most _PANEL_CAP, whose error bound meets _QUAD_TARGET (or the cap),
-    and the log of that bound, with i0e for the head (``sizes`` terms per
-    row, laid in ``head``) and log I0(x) <= x^2/4 for the bulk.  Each panel
-    count tried is one pass over the rows still open, the rows of one head
-    size together, and the i0e values of rows of several head sizes are
-    taken together, about _BLOCK at a time."""
-    starts = _starts(sizes)
-    groups = [(part, head[starts[part, None] + np.arange(h)]) for h, rows in _groups(sizes)
-              for part in _parts(rows, _RHO.size * max(h, 1))]
-    panels = np.zeros(m.size, dtype=np.intp)
-    log_err = np.zeros(m.size)
-    open_rows = np.ones(m.size, dtype=bool)
+    and the log of that bound, the least over _RHO, with i0e for the head
+    (``sizes`` terms per row, laid in ``head``, summing to ``head_sum``)
+    and log I0(x) <= x^2/4 for the bulk.  Each panel count tried is one
+    pass over the rows still open.
+
+    The least bound is found by a Fibonacci search (Kiefer, Proc. AMS 4,
+    1953) over the 24 points of _RHO, padded to 33 with +inf, in 7
+    evaluations, not 24.  The exact bound F is convex in log rho
+    (``_quad_log_bounds``); let the computed f be within delta of F at
+    every rho.  Where f(rho_a) > f(rho_b) + 2 delta with a < b, then
+    F(rho_a) > F(rho_b), so F(rho_k) >= F(rho_a) for every k <= a by
+    convexity, and f(rho_k) >= f(rho_a) - 2 delta > f(rho_b): no point up
+    to a holds the least computed value, and the search drops them.
+    Likewise from b up where f(rho_b) > f(rho_a) + 2 delta.  A row whose
+    two points lie within 2 delta has every point of its bracket
+    evaluated.  Each point is the value the
+    whole grid computes there (the same operations, elementwise, each
+    head sum along its own row of length h), so the least value, the
+    panel count and the log bound are the whole grid's bit for bit.
+
+    delta (``_search_slack``), in units of u = _U.  Let S be the sum of
+    the terms' sizes at the largest rho, which bound them at every rho:
+    |log(32 t_max / 15)|, |log m|, 48 log rho and log(rho^2 - 1) (at least
+    |log(rho^2 - 1)| at every rho), m b for log 2cosh(m b), b^2 P_1 / 4,
+    2 b sum r for the h terms x_j + log i0e(x_j) (both within x_j = b r_j
+    in size), and h + 2.  The inputs the terms are computed from are
+    within 8 u relative of the exact ones: b through 1/rho and
+    rho - 1/rho, which amplifies the first by 1/(rho^2 - 1) <= 2.5, and
+    two products; b r_j; rho^2 - 1, likewise.  numpy's log, exp and
+    log1p and Cephes' i0e (measured by its author within 5.4e-16, under
+    5 u, on [0, 30]) are taken within 8 u relative.  Each term's
+    derivative in the log of its input is at most its size
+    (x I1(x) / I0(x) <= x, m b tanh(m b) <= m b, ...), so each term is
+    within 24 u of its size, and each log i0e within 8 u absolute
+    besides: 32 u S in all.  The h head terms and the seven terms of the
+    bound are summed within h u S and 7 u S.  So |f - F| <= (h + 39) u S,
+    and delta = 32 (h + 32) u S leaves a factor of at least 26 for the
+    second-order terms and the rounding of delta itself.
+    """
+    order = np.argsort(sizes, kind="stable")  # the rows by head size, each size one run
+    h = sizes[order]
+    heads = head[_spans(_starts(sizes)[order], h)]
+    first = _starts(h)
+    m, log_m, t_max, head_sum, bulk_sq = (
+        v[order] for v in (m, log_m, t_max, head_sum, bulk_sq))
+
+    def bounds(rows: np.ndarray, rho: np.ndarray, count: int) -> np.ndarray:
+        """The bound of row rows[e] at _RHO[rho[e]], the rows ascending, at
+        most _BLOCK head values at a time."""
+        out = np.empty(rows.size)
+        for lo, hi in _ranges(h[rows], _BLOCK):
+            r, k = rows[lo:hi], rho[lo:hi]
+            n = h[r]
+            b = t_max[r] / (2.0 * count) * _RHO_HEIGHT[k]  # as _ellipse_heights
+            x = np.repeat(b, n) * heads[_spans(first[r], n)]
+            x += np.log(_i0e(x))  # log I0(x) = x + log i0e(x)
+            at = _starts(n)
+            cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), r.size]
+            sums = np.zeros(r.size)
+            for a, e in zip(cuts, cuts[1:]):
+                if n[a]:
+                    sums[a:e] = x[at[a]:at[e]].reshape(e - a, n[a]).sum(axis=1)
+            out[lo:hi] = _quad_log_bounds(m[r], log_m[r], t_max[r], b,
+                                          0.25 * b * b * bulk_sq[r] + sums, k)
+        return out
+
+    def least(rows: np.ndarray, count: int) -> np.ndarray:
+        """The least bound over _RHO of each row, the rows ascending."""
+        lo = np.full(rows.size, -1)
+        slack = 2.0 * _search_slack(m[rows], log_m[rows], t_max[rows],
+                                    t_max[rows] / (2.0 * count) * _RHO_HEIGHT[-1],
+                                    head_sum[rows], bulk_sq[rows], h[rows])
+        fib = (1, 2, 3, 5, 8, 13, 21, 34)
+        out = np.empty(rows.size)
+        live = np.arange(rows.size)
+        a, b = lo + fib[5], lo + fib[6]  # the bracket (lo, lo + fib[j]) holds a < b
+        both = bounds(rows.repeat(2), np.stack((a, b), axis=1).ravel(), count)
+        fa, fb = both[0::2], both[1::2]
+        ties = []
+        for j in range(7, 1, -1):
+            right = (b >= _RHO.size) | (fb > fa + slack)  # nothing from b on is least
+            tie = ~right & ~(fa > fb + slack)  # else nothing up to a is
+            if tie.any():
+                ties.append((live[tie], lo[tie], lo[tie] + fib[j]))
+                keep = ~tie
+                live, lo, a, b, fa, fb, slack, right = (
+                    v[keep] for v in (live, lo, a, b, fa, fb, slack, right))
+            if j == 2:
+                out[live] = np.where(right, fa, fb)
+                break
+            lo = np.where(right, lo, a)
+            a, b = lo + fib[j - 3], lo + fib[j - 2]  # one of them the old a or b
+            k = np.where(right, a, b)
+            new = np.full(live.size, math.inf)
+            real = np.flatnonzero(k < _RHO.size)
+            new[real] = bounds(rows[live[real]], k[real], count)
+            fa, fb = np.where(right, new, fb), np.where(right, fa, new)
+        if ties:  # the least bound at _RHO[lo + 1 .. hi - 1] of each row
+            pos, lo, hi = (np.concatenate(v) for v in zip(*ties))
+            by = np.argsort(pos, kind="stable")  # the stable kernel a verb already runs
+            pos, lo, hi = pos[by], lo[by], hi[by]
+            n = np.minimum(hi, _RHO.size) - lo - 1
+            values = bounds(rows[pos].repeat(n), _spans(lo + 1, n), count)
+            out[pos] = np.minimum.reduceat(values, _starts(n)[:-1])
+        return out
+
+    panels = np.zeros(order.size, dtype=np.intp)
+    log_err = np.zeros(order.size)
+    pending = np.arange(order.size)
     for count in _PANEL_COUNTS:
-        if not open_rows.any():
+        if not pending.size:
             break
         count = min(count, _PANEL_CAP)
-        live = []
-        for rows, heads in groups:
-            keep = open_rows[rows]
-            if keep.any():
-                live.append((rows[keep], heads[keep]))
-        for batch in _batches(live, [heads.size * _RHO.size for _, heads in live]):
-            heights = [_ellipse_heights(t_max[rows], count) for rows, _ in batch]
-            x = [b[:, :, None] * heads[:, None, :] for b, (_, heads) in zip(heights, batch)]
-            # log I0(x) = x + log i0e(x), over the batch's values at once
-            log_i0 = np.concatenate([v.ravel() for v in x])
-            log_i0 += np.log(_i0e(log_i0))
-            ends = np.cumsum([v.size for v in x])
-            for (rows, _), b, v, part in zip(batch, heights, x, np.split(log_i0, ends[:-1])):
-                bound = _quad_log_bounds(m[rows, None], log_m[rows, None], t_max[rows], b,
-                                         0.25 * b * b * bulk_sq[rows, None]
-                                         + part.reshape(v.shape).sum(axis=-1))
-                done = (bound <= math.log(_QUAD_TARGET)) | (count == _PANEL_CAP)
-                panels[rows[done]] = count
-                log_err[rows[done]] = bound[done]
-                open_rows[rows[done]] = False
+        bound = least(pending, count)
+        done = (bound <= math.log(_QUAD_TARGET)) | (count == _PANEL_CAP)
+        panels[order[pending[done]]] = count
+        log_err[order[pending[done]]] = bound[done]
+        pending = pending[~done]
     return panels, log_err
-
-
-def _batches(items: list, sizes: list[int]) -> list[list]:
-    """``items`` in runs of consecutive entries whose ``sizes`` sum to at
-    most _BLOCK, or of one entry."""
-    out: list[list] = []
-    total = 0
-    for item, size in zip(items, sizes):
-        if not out or total + size > _BLOCK:
-            out.append([])
-            total = 0
-        out[-1].append(item)
-        total += size
-    return out
 
 
 def _t_max_and_tail(rows: _Rows, m: np.ndarray,
@@ -1112,8 +1209,8 @@ def _t_max_and_tail(rows: _Rows, m: np.ndarray,
         shape = (-1,) + (1,) * t.ndim
         sq, total = rows.sq[sel].reshape(shape), rows.total[sel].reshape(shape)
         b = _ellipse_heights(t, _PANEL_CAP)
-        return _quad_log_bounds(m[sel].reshape(shape), log_m[sel].reshape(shape), t, b,
-                                np.minimum(0.25 * b * b * sq, b * total))
+        return _quad_log_bounds(m[sel].reshape(shape), log_m[sel].reshape(shape), t[..., None],
+                                b, np.minimum(0.25 * b * b * sq, b * total)).min(axis=-1)
 
     target = math.log(_QUAD_TARGET)
     ok = found.copy()
@@ -1150,9 +1247,8 @@ def _head_and_bulk(rows: _Rows, t_max: np.ndarray):
     split = _run_counts(is_head, _starts(counts))
     bulk = rows.scale / rows.table.bases[rows.comp, split]
     largest = np.maximum.reduceat(bulk, rows.first[:-1])
-    owner = owner[is_head]
-    head = _ascending(owner, terms[is_head])
-    return head, np.bincount(owner, minlength=rows.size), largest, split
+    sizes = np.bincount(owner[is_head], minlength=rows.size)
+    return _ascending(terms[is_head], sizes), sizes, largest, split
 
 
 def _bulk_power_sums(rows: _Rows, split: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -1246,10 +1342,10 @@ def _invert(rows: _Rows, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     head, sizes, largest, split = _head_and_bulk(rows, t_max)
     bulk_sq = _bulk_power_sums(rows, split, np.ones(rows.size, dtype=np.intp))[:, 0]
     order, series_err = _series_order(m, t_max, largest, bulk_sq)
-    panels, log_err = _panel_count(m, log_m, t_max, head, sizes, bulk_sq)
-    power_sums = _bulk_power_sums(rows, split, order)
     starts = _starts(sizes)
     head_sum = _row_sums(head, starts, sizes)
+    panels, log_err = _panel_count(m, log_m, t_max, head, sizes, head_sum, bulk_sq)
+    power_sums = _bulk_power_sums(rows, split, order)
     depth = rows.depth
     integral, rounding = np.zeros(rows.size), np.zeros(rows.size)
     for key, rows in _groups(panels * (_SERIES_MAX + 1) + order):

@@ -48,6 +48,12 @@ J0's power series up to x = 4: scipy's j0 is biased by about -0.6 ulp
 there, and over a few thousand factors that bias moved the reference
 beyond its own error estimate.
 
+``density._panel_count``'s whole grid from before its Fibonacci search:
+the Gauss-Legendre bound at all 24 Bernstein ellipse parameters of every
+open row, the rows of one head size together, and its least value.
+Tests require the search's panel counts and log bounds to be the grid's
+bit for bit.
+
 ``races.assemble_race_model``, the sorted term list every driver but
 ``tower_experiment`` raced before each race became a row of scales over a
 spectral table: every amplitude 2 w / |rho|, a character at a time, sorted
@@ -570,7 +576,8 @@ def sorted_t_max(r: np.ndarray, m: float, cap: int) -> tuple[int, float]:
     def quad(t):
         b = density._ellipse_heights(t, cap)
         return density._quad_log_bounds(
-            m, math.log(m), t, b, np.minimum(0.25 * b * b * sq, b * total))
+            m, math.log(m), np.asarray(t)[..., None], b,
+            np.minimum(0.25 * b * b * sq, b * total)).min(axis=-1)
 
     if ok.size and quad(u[ok[0]]) <= math.log(density._QUAD_TARGET):
         i = int(ok[0])
@@ -593,6 +600,37 @@ def sorted_bulk_power_sums(r: np.ndarray, t_max: float,
         power_sums[k] = power.sum()
         power *= r2
     return head, power_sums
+
+
+def panel_count_grid(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
+                     head: np.ndarray, sizes: np.ndarray,
+                     bulk_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``density._panel_count`` with the bound taken at every rho of _RHO
+    and minimised: each panel count tried is one pass over the rows still
+    open, a head size at a time."""
+    starts = density._starts(sizes)
+    panels = np.zeros(m.size, dtype=np.intp)
+    log_err = np.zeros(m.size)
+    open_rows = np.ones(m.size, dtype=bool)
+    for count in density._PANEL_COUNTS:
+        count = min(count, density._PANEL_CAP)
+        for h, rows in density._groups(sizes):
+            rows = rows[open_rows[rows]]
+            if not rows.size:
+                continue
+            b = density._ellipse_heights(t_max[rows], count)
+            x = b[:, :, None] * head[starts[rows, None] + np.arange(h)][:, None, :]
+            x += np.log(density._i0e(x))
+            bound = density._quad_log_bounds(
+                m[rows, None], log_m[rows, None], t_max[rows, None], b,
+                0.25 * b * b * bulk_sq[rows, None] + x.sum(axis=-1)).min(axis=-1)
+            done = (bound <= math.log(density._QUAD_TARGET)) | (count == density._PANEL_CAP)
+            panels[rows[done]] = count
+            log_err[rows[done]] = bound[done]
+            open_rows[rows[done]] = False
+        if not open_rows.any():
+            break
+    return panels, log_err
 
 
 def engine_rows(model) -> density._Rows:

@@ -872,6 +872,101 @@ def test_table_square_sums_are_its_suffix_sums_from_the_start():
             assert table.inverse_sums[c] == want
 
 
+@pytest.mark.parametrize("block", [density._BLOCK, 4])
+def test_ascending_sorts_each_run_as_numpy_sorts_it_alone(monkeypatch, block):
+    # runs of these lengths padded to rows of one matrix and sorted along
+    # them: empty runs, duplicates, runs wider than a block (one run per
+    # block) and a single run
+    monkeypatch.setattr(density, "_BLOCK", block)
+    rng = np.random.default_rng(8)
+    for lengths in ([0, 3, 0, 0, 5, 1, 0], [9], [0], [], [2, 7, 7, 1, 12, 0, 3]):
+        lengths = np.array(lengths, dtype=np.intp)
+        values = rng.choice(np.geomspace(1e-3, 40.0, 6), int(lengths.sum()))  # many equal
+        got = density._ascending(values, lengths)
+        ends = density._starts(lengths)
+        want = [np.sort(values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        assert got.view(np.int64).tolist() == np.concatenate(
+            [np.empty(0), *want]).view(np.int64).tolist()
+
+
+@st.composite
+def _panel_rows(draw):
+    """A batch of _panel_count's inputs: rows without head terms, of one
+    head term, of a tower's few dozen, and mod4-like rows of a few terms
+    at a large t_max that run to _PANEL_CAP, against means from 1 to 2^10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["none", "one", "tower", "few"]),
+                          min_size=1, max_size=40))
+    heads, sizes, t_max, bulk_sq = [], [], [], []
+    for kind in kinds:
+        size = {"none": 0, "one": 1, "tower": int(rng.integers(2, 60)),
+                "few": int(rng.integers(1, 5))}[kind]
+        t = float(rng.uniform(100.0, 4000.0) if kind == "few" else rng.uniform(0.5, 60.0))
+        heads.append(np.sort(np.exp(rng.uniform(0.0, 3.0, size)) / t))  # r t >= 1
+        sizes.append(size)
+        t_max.append(t)
+        bulk_sq.append(0.0 if kind == "few" else float(rng.uniform(0.0, 2.0)))
+    m = np.floor(2.0 ** rng.uniform(0.0, 10.0, len(kinds)))
+    m[rng.random(len(kinds)) < 0.2] = 1.0
+    head = np.concatenate([np.empty(0), *heads])
+    sizes = np.array(sizes, dtype=np.intp)
+    return (m, np.array([math.log(x) for x in m.tolist()]), np.array(t_max), head, sizes,
+            density._row_sums(head, density._starts(sizes), sizes), np.array(bulk_sq))
+
+
+def _panel_bits(panels, log_err):
+    return panels.tolist(), log_err.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_panel_rows(), block=st.sampled_from([density._BLOCK, 512, 64]))
+def test_panel_search_is_the_whole_grid_bit_for_bit(args, block):
+    # the Fibonacci search over rho, whole or a small block at a time,
+    # gives the grid's panel counts and log bounds to the bit
+    m, log_m, t_max, head, sizes, head_sum, bulk_sq = args
+    want = _panel_bits(*oracles.panel_count_grid(m, log_m, t_max, head, sizes, bulk_sq))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_BLOCK", block)
+        assert _panel_bits(*density._panel_count(*args)) == want
+    assert max(want[0]) <= density._PANEL_CAP
+
+
+def test_panel_search_falls_back_to_the_bracket_on_near_ties(monkeypatch):
+    # a delta so wide that every comparison is a near tie sends each row
+    # to its whole bracket at the first step, one of a few units to it
+    # midway; the result is the grid's either way, and the search without
+    # ties takes fewer i0e values than either.  The last rows have their
+    # least bound at the bracket's ends: at the largest rho for a small
+    # t_max, at the smallest for few terms that run to the panel cap
+    rng = np.random.default_rng(11)
+    size = 40
+    sizes = np.concatenate((rng.integers(20, 40, size), [1, 3, 1, 2])).astype(np.intp)
+    t_max = np.concatenate((rng.uniform(2.0, 40.0, size), [0.05, 0.5, 4000.0, 400.0]))
+    head = np.concatenate([np.sort(np.exp(rng.uniform(0.0, 2.0, k)) / t)
+                           for k, t in zip(sizes.tolist(), t_max.tolist())])
+    m = np.concatenate((np.floor(2.0 ** rng.uniform(0.0, 10.0, size)), [1.0, 1.0, 512.0, 1024.0]))
+    log_m = np.log(m)
+    args = (m, log_m, t_max, head, sizes, density._row_sums(head, density._starts(sizes), sizes),
+            rng.uniform(0.0, 1.0, sizes.size))
+    want = _panel_bits(*oracles.panel_count_grid(*args[:5], args[6]))
+    values = []
+    real_i0e = density._i0e
+
+    def counted(x):
+        values[-1] += x.size
+        return real_i0e(x)
+
+    monkeypatch.setattr(density, "_i0e", counted)
+    real_slack = density._search_slack
+    for slack in (real_slack, lambda *a: np.full(a[0].shape, math.inf),
+                  lambda *a: np.full(a[0].shape, 2.0)):
+        monkeypatch.setattr(density, "_search_slack", slack)
+        values.append(0)
+        assert _panel_bits(*density._panel_count(*args)) == want
+    assert values[0] < min(values[1:])
+    assert values[1] >= density._RHO.size * sizes.sum()
+
+
 @pytest.mark.parametrize("weight_map,t_max,log_a,window", [
     ({"psi_1": 2.0, "psi_2": 2.0, "chi1": 1.0}, 64.0, 30.0, 0),  # first window
     ({"chi1": 2.0, "psi_1": 4.0, "psi_2": 4.0}, 200.0, 20.0, 1),  # the second
