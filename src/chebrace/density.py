@@ -39,12 +39,12 @@ together).  Sums run over the components of nonzero scale in column
 order, so a race has one model, and one estimate, whichever driver
 builds it.  The variance is a sum over the components, not over the
 terms, and the term list itself, which only the Monte Carlo kernel reads,
-is listed when first read.  The table sums the
-powers of its moduli, each order and each stretch summed when an
-inversion first needs it, so the Fourier engine lists only the terms that
-reach a threshold at t_max.  The tail search visits a few grid points past
-a floor that no point below can meet, each bound split within two
-doublings of its point.
+is listed when first read.  The table keeps one memo of the suffix power
+sums of its moduli, summed whole again only when an inversion needs more
+orders or starts than it holds, so the Fourier engine lists only the
+terms that reach a threshold at t_max.  The tail search visits a few grid
+points past a floor that no point below can meet, each bound split within
+two doublings of its point.
 
 The Fourier engine inverts a batch: rows of scales over one table, each
 with its mean (``density_fourier_batch``; ``density_fourier`` is the batch
@@ -333,7 +333,6 @@ _GRID = _TAIL_STEP ** np.arange(_TAIL_STEPS)  # the grid times sqrt(P_1)
 _TAIL_AHEAD = 16  # most grid steps a tail bound looks past its point
 _TAIL_WINDOW = 8  # grid points a window of the t_max search offers
 _SERIES_MAX = 40  # most log-J0 orders the bulk series uses
-_HEAD_SPAN = 16  # first bases of each component a table sums high orders for
 _ORDERS = np.arange(1.0, _SERIES_MAX + 1)  # the orders 1.._SERIES_MAX
 _GL_NODES = 24  # Gauss-Legendre nodes per panel
 # the positive nodes of the 24-point Gauss-Legendre rule and their weights,
@@ -527,7 +526,8 @@ class SpectralTable:
     numbers k + i b_ki, so that one ``searchsorted`` counts the bases of
     many components below many limits (``_counts``); and the suffix power
     sums sum_{i >= j} b_ki^(-2m), ``squares`` for m = 1 and every j <= L,
-    and ``power`` for m <= _SERIES_MAX and the j asked for.  So the terms
+    and ``power`` for the orders m and the starts j the inversions have
+    asked for so far.  So the terms
     of a row past the first j_k of each component have the power sums
     sum_k s_k^(2m) sum_{i >= j_k} b_ki^(-2m), whatever the j_k.  Every sum
     runs along one component, from its largest base down, so no entry
@@ -541,9 +541,6 @@ class SpectralTable:
     moduli: np.ndarray
     t_max: np.ndarray
     log_conductors: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._power = None
 
     @classmethod
     def of(cls, sets: Mapping[int, ZeroSet]) -> SpectralTable:
@@ -583,13 +580,7 @@ class SpectralTable:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """The bases, component after component, as the complex numbers
-        c + 1j b_ci: ascending in the lexicographic order in which numpy
-        sorts and searches complex numbers."""
-        keys = np.empty(self.bases.shape, dtype=complex)
-        keys.real = np.arange(self.bases.shape[0])[:, None]
-        keys.imag = self.bases
-        return keys.ravel()
+        return _row_keys(self.bases)
 
     def _counts(self, components: np.ndarray, limits: np.ndarray) -> np.ndarray:
         """How many bases of component components[e] are at most limits[e]."""
@@ -613,32 +604,31 @@ class SpectralTable:
             sq[lo:hi] = _Rows.of(self, rows[lo:hi]).sq
         return 0.5 * sq
 
-    def _start(self, span: int) -> None:
-        self._power = np.empty((_SERIES_MAX, self.bases.shape[0], span))
-        self._qk = np.ones_like(self._q)
-        self._orders = 0
+    def scales(self, weights: np.ndarray) -> np.ndarray:
+        """Weight rows over the table's columns (the last axis), made into
+        component scales in place: twice each weight, and 0 where the
+        column's zero set is empty."""
+        weights *= 2.0
+        weights[..., self.sizes == 0] = 0.0
+        return weights
 
-    def power(self, order: int, starts: np.ndarray) -> np.ndarray:
-        """The kept suffix power sums, sum_{i >= j} b_ci^(-2k) at
-        [k - 1, c, j], grown to hold the orders 1..order and the starts j
-        given.
-
-        The sums are kept for the orders and the first j that some model
-        has asked for, an order after another and j over a span that
-        starts at _HEAD_SPAN and doubles when a start falls beyond it (the
-        head terms, where the bulk starts, are a few of each component's
-        first bases).  The orders and starts no model reaches never take
-        memory."""
-        reach = int(starts.max(initial=0))
-        if self._power is None or reach >= self._power.shape[2]:
-            span = _HEAD_SPAN if self._power is None else 2 * self._power.shape[2]
-            self._start(min(max(span, reach + 1), self.bases.shape[1]))
-        while self._orders < order:
-            self._qk *= self._q
-            sums = np.cumsum(self._qk[:, ::-1], axis=1)[:, ::-1]
-            self._power[self._orders] = sums[:, :self._power.shape[2]]
-            self._orders += 1
-        return self._power
+    def power(self, order: int, span: int) -> np.ndarray:
+        """The suffix power sums sum_{i >= j} b_ci^(-2k) at [k - 1, c, j],
+        for at least the orders 1..order and the starts j < span: one memo
+        of the most orders and the widest span asked for so far, summed
+        whole again when a call asks for more (the bulk starts a few bases
+        in).  Each sum runs along its whole component, so no entry depends
+        on what was asked before."""
+        memo = getattr(self, "_power", np.empty((0, 0, 0)))
+        if order <= memo.shape[0] and span <= memo.shape[2]:
+            return memo
+        order, span = max(order, memo.shape[0]), max(span, memo.shape[2])
+        self._power = memo = np.empty((order, self.bases.shape[0], span))
+        qk = np.ones_like(self._q)
+        for k in range(order):
+            qk *= self._q
+            memo[k] = np.cumsum(qk[:, ::-1], axis=1)[:, ::-1][:, :span]
+        return memo
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,8 +678,7 @@ def race_model(mean: int, row: Sequence[float], table: SpectralTable) -> RaceMod
     missing = set(np.flatnonzero(row).tolist()).difference(table.columns.tolist())
     if missing:
         raise KeyError(f"zero set missing for weighted column {min(missing)}")
-    scales = 2.0 * row[table.columns]
-    scales[table.sizes == 0] = 0.0
+    scales = table.scales(row[table.columns])
     if not scales.any():
         raise ValueError("no oscillation terms: provide nonempty zero sets "
                          "for the weighted characters")
@@ -735,32 +724,38 @@ def _groups(keys: np.ndarray):
 
 def _row_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """numpy's sum of values[starts[i]:starts[i] + lengths[i]] for every i,
-    bit for bit.  The runs of one length are summed together, one along
-    each row of a matrix, which numpy sums as it sums the run alone; so
-    every sum has its own run's length and order, whatever else is
-    summed."""
-    out = np.zeros(lengths.size)
-    for length, runs in _groups(lengths):
-        if length:
-            out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
+    bit for bit.  The runs are gathered in order of length, and those of
+    one length summed together, one along each row of a matrix, which
+    numpy sums as it sums the run alone; so every sum has its own run's
+    length and order, whatever else is summed."""
+    order = np.argsort(lengths, kind="stable")
+    n = lengths[order]
+    runs = values[_spans(starts[order], n)]
+    at = _starts(n)
+    cuts = [*np.flatnonzero(np.diff(n, prepend=-1)).tolist(), n.size]
+    out = np.empty(lengths.size)
+    for a, e in zip(cuts, cuts[1:]):
+        out[order[a:e]] = runs[at[a]:at[e]].reshape(e - a, n[a]).sum(axis=1)
     return out
+
+
+def _row_keys(matrix: np.ndarray) -> np.ndarray:
+    """The ascending rows of a matrix, row after row, as the complex numbers
+    i + 1j matrix[i, j]: ascending in numpy's lexicographic complex order."""
+    keys = np.empty(matrix.shape, dtype=complex)
+    keys.real = np.arange(matrix.shape[0])[:, None]
+    keys.imag = matrix
+    return keys.ravel()
 
 
 def _search_rows(keys: np.ndarray, width: int, rows, x: np.ndarray,
                  side: str) -> np.ndarray:
     """searchsorted(row rows[e], x[e], side) over ascending rows of this
-    width laid out as the table's ``_keys``, for every e, in one search."""
+    width laid out by ``_row_keys``, for every e, in one search."""
     query = np.empty(x.shape, dtype=complex)
     query.real = rows
     query.imag = x
     return keys.searchsorted(query, side) - width * rows
-
-
-def _parts(rows: np.ndarray, width: int) -> list[np.ndarray]:
-    """rows split in parts of at most _BLOCK / width rows (at least one)."""
-    if not rows.size:
-        return []
-    return np.array_split(rows, min(rows.size, -(-rows.size * width // _BLOCK)))
 
 
 def _ranges(widths: np.ndarray, budget: int):
@@ -795,14 +790,10 @@ class _Rows:
         return cls(table, owner, comp, rows[owner, comp], rows.shape[0])
 
     def take(self, rows: np.ndarray) -> _Rows:
-        """These rows alone, with the sums already taken."""
+        """These rows alone."""
         entries = _spans(self.first[rows], self.ncomp[rows])
-        out = _Rows(self.table, np.arange(rows.size).repeat(self.ncomp[rows]),
-                    self.comp[entries], self.scale[entries], rows.size)
-        for name in ("sq", "total", "count"):
-            if name in vars(self):
-                vars(out)[name] = vars(self)[name][rows]
-        return out
+        return _Rows(self.table, np.arange(rows.size).repeat(self.ncomp[rows]),
+                     self.comp[entries], self.scale[entries], rows.size)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         return _row_sums(values, self.first, self.ncomp)
@@ -841,6 +832,11 @@ def _top(rows: _Rows, reach: np.ndarray) -> np.ndarray:
     return rows.table._counts(rows.comp, limit)
 
 
+def _suffix_squares(rows: _Rows, starts: np.ndarray) -> np.ndarray:
+    """Each row's sum of r^2 over the terms of each entry e from its starts[e]-th on."""
+    return rows.sums(rows.scale * rows.scale * rows.table.squares[rows.comp, starts])
+
+
 def _terms(rows: _Rows, counts: np.ndarray, at: slice) -> np.ndarray:
     """The leading counts[e] terms s / b of each entry e in ``at``, in the
     rows' own floats, entry after entry."""
@@ -859,13 +855,13 @@ def _run_counts(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _ascending(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """values, laid in runs of these lengths, each run sorted ascending:
-    the runs as the rows of a matrix padded with inf, sorted along its
-    rows, at most _BLOCK values (or one run) at a time.  (numpy's float64
-    sort pages in about 0.3 MB of vectorised sort kernel that no other
-    step of a tower call runs; the call's peak RSS stays within that,
-    42.2-42.5 MB at n = 7 in ``bench/scale.py`` against 41.6-42.2 MB with
-    the sort of complex numbers owner + 1j value this replaced.)"""
+    """values, laid in runs of these lengths, each run sorted ascending
+    (the head terms): the runs as the rows of a matrix padded with inf,
+    sorted along its rows, at most _BLOCK values (or one run) at a time.
+    (numpy's float64 sort, which the tail search also runs, pages in about
+    0.3 MB of vectorised sort kernel; a tower call's peak RSS stays within
+    that, 42.2-42.5 MB at n = 7 in ``bench/scale.py`` against 41.6-42.2 MB
+    with the sort of complex numbers owner + 1j value it replaced.)"""
     out = np.empty_like(values)
     starts = _starts(lengths)
     step = max(1, _BLOCK // max(int(lengths.max(initial=0)), 1))
@@ -901,17 +897,18 @@ def _stretch(rows: _Rows, lo: np.ndarray, count: int,
     ``_tail_bounds``, over the top terms reaching the last of the ``span``
     points from lo, which those bounds look at, and the squares of the
     rest.  The rows go a run at a time, each run's top terms within
-    _BLOCK."""
+    _BLOCK, as a matrix padded with inf and sorted along its rows."""
     u = _GRID[lo[:, None] + np.arange(span)] / np.sqrt(rows.sq)[:, None]
     counts = _top(rows, u[:, -1])
-    s, first = rows.scale, rows.first
-    rest = rows.sums(s * s * rows.table.squares[rows.comp, counts])
+    rest = _suffix_squares(rows, counts)
+    first = rows.first
     n = _starts(counts)[first]
     n = n[1:] - n[:-1]
     bounds = np.empty((rows.size, count))
     for a, b in _ranges(n + count * (_TAIL_AHEAD + 1), _BLOCK):
-        at = slice(first[a], first[b])
-        r = _ascending(_terms(rows, counts, at), n[a:b])
+        r = _padded(_terms(rows, counts, slice(first[a], first[b])),
+                    _starts(n[a:b])[:-1], n[a:b], math.inf)
+        r.sort(axis=1)
         bounds[a:b] = _tail_bounds(r, n[a:b], rest[a:b], u[a:b], count)
     return u[:, :count], bounds
 
@@ -920,9 +917,9 @@ def _tail_bounds(r: np.ndarray, n: np.ndarray, rest: np.ndarray,
                  u: np.ndarray, count: int) -> np.ndarray:
     """Bounds B_i >= Integral_{u_i}^inf |prod_j J0(r_j t)| / t dt at the
     first ``count`` points of each row's geometric stretch u (ratio
-    _TAIL_STEP), for each row's n ascending amplitudes, laid row after row
-    in r.  Smaller terms may be left out of a row if none reaches
-    _H_KNEE / u at any of its u; rest is then their sum of squares.
+    _TAIL_STEP), for the n[i] ascending amplitudes leading row i of r,
+    padded with inf.  Smaller terms may be left out of a row if none
+    reaches _H_KNEE / u at any of its u; rest is their sum of squares.
 
     G(t) = prod_j H(r_j t) bounds the product and does not increase, so
     one grid step contributes at most G(u_i) log(_TAIL_STEP).  Past u_N,
@@ -931,24 +928,14 @@ def _tail_bounds(r: np.ndarray, n: np.ndarray, rest: np.ndarray,
     when k >= 3 (infinite otherwise).  B_i is the best split
     min_{i <= N <= i + _TAIL_AHEAD} of the steps from i to N plus the
     remainder at N; a minimum over fewer N is still a bound.  Each row's
-    prefix sums of r^2 and log r run along its own padded row.
+    prefix sums of r^2 and log r run along its own row, read at most n[i]
+    terms in, so never past the padding.
     """
     size, span = u.shape
-    width = int(n.max(initial=0))
-    row = np.arange(size).repeat(n)
-    col = np.arange(r.size) - _starts(n)[row]
-    keys = np.empty((size, width), dtype=complex)  # laid out as the table's _keys
-    keys.real = np.arange(size)[:, None]
-    keys.imag = math.inf
-    keys.imag[row, col] = r
-    keys = keys.ravel()
-    sq = np.zeros((size, width + 1))
-    sq[:, 0] = rest
-    sq[row, col + 1] = r * r
-    np.cumsum(sq, axis=1, out=sq)
-    logs = np.zeros((size, width + 1))
-    logs[row, col + 1] = np.log(r)
-    np.cumsum(logs, axis=1, out=logs)
+    width = r.shape[1]
+    sq = np.cumsum(np.column_stack((rest, r * r)), axis=1)
+    logs = np.cumsum(np.column_stack((np.zeros(size), np.log(r))), axis=1)
+    keys = _row_keys(r)
     lines = np.arange(size)[:, None]
     gauss = _search_rows(keys, width, lines, _H_KNEE / u, "right")
     flat = _search_rows(keys, width, lines, J0_ZERO / u, "left")
@@ -1108,14 +1095,8 @@ def _panel_count(m: np.ndarray, log_m: np.ndarray, t_max: np.ndarray,
             b = t_max[r] / (2.0 * count) * _RHO_HEIGHT[k]  # as _ellipse_heights
             x = np.repeat(b, n) * heads[_spans(first[r], n)]
             x += np.log(_i0e(x))  # log I0(x) = x + log i0e(x)
-            at = _starts(n)
-            cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), r.size]
-            sums = np.zeros(r.size)
-            for a, e in zip(cuts, cuts[1:]):
-                if n[a]:
-                    sums[a:e] = x[at[a]:at[e]].reshape(e - a, n[a]).sum(axis=1)
-            out[lo:hi] = _quad_log_bounds(m[r], log_m[r], t_max[r], b,
-                                          0.25 * b * b * bulk_sq[r] + sums, k)
+            log_i0 = 0.25 * b * b * bulk_sq[r] + _row_sums(x, _starts(n), n)
+            out[lo:hi] = _quad_log_bounds(m[r], log_m[r], t_max[r], b, log_i0, k)
         return out
 
     def least(rows: np.ndarray, count: int) -> np.ndarray:
@@ -1229,7 +1210,8 @@ def _t_max_and_tail(rows: _Rows, m: np.ndarray,
     finite = np.isfinite(bounds[left]).any(axis=1)
     slow, left = left[~finite], left[finite]  # fewer than 3 terms: stop at 1024 / |r|
     t_max[redo[slow]], tail[redo[slow]] = u[slow, 80], 1.0
-    for part in _parts(left, _TAIL_STEPS * _RHO.size):
+    for lo, hi in _ranges(np.full(left.size, _TAIL_STEPS * _RHO.size), _BLOCK):
+        part = left[lo:hi]
         with np.errstate(divide="ignore"):  # a tail bound may underflow to 0
             i = np.argmin(np.logaddexp(np.log(bounds[part]), quad(redo[part], u[part])), axis=1)
         t_max[redo[part]], tail[redo[part]] = u[part, i], bounds[part, i]
@@ -1255,16 +1237,12 @@ def _bulk_power_sums(rows: _Rows, split: np.ndarray, order: np.ndarray) -> np.nd
     """Each row's bulk power sums P_1..P_K, K = order.max(), of which the
     row reads its first ``order``: sum_c s_c^(2k) sum_{i >= j_c} b_ci^(-2k)
     over its entries, from each one's head count j_c on, with s_c^(2k) the
-    running product of s_c^2.  A row of order 1 adds its entries as
-    numpy's pairwise sum; the others one after another, every row's j-th
-    entry in one step."""
+    running product of s_c^2.  Each row adds its entries one after
+    another, every row's j-th entry in one step (``_invert`` gives the rows
+    of order 1 their pairwise sums of ``_suffix_squares`` instead)."""
     most = int(order.max())
-    one = order == 1
     s2 = rows.scale * rows.scale
-    power = rows.table.power(most, split)
-    sums = np.zeros((rows.size, most))
-    if one.any():
-        sums[one, 0] = rows.sums(s2 * power[0, rows.comp, split])[one]
+    power = rows.table.power(most, int(split.max(initial=0)) + 1)
     # rows by descending component count, so the rows with a j-th entry lead
     by_count = np.argsort(-rows.ncomp, kind="stable")
     first, ncomp = rows.first[by_count], rows.ncomp[by_count]
@@ -1273,8 +1251,8 @@ def _bulk_power_sums(rows: _Rows, split: np.ndarray, order: np.ndarray) -> np.nd
         e = first[:np.count_nonzero(ncomp > j)] + j
         scale = np.repeat(s2[e][:, None], most, axis=1).cumprod(axis=1)
         acc[:e.size] += scale * power[:most, rows.comp[e], split[e]].T
-    many = np.flatnonzero(~one[by_count])
-    sums[by_count[many]] = acc[many]
+    sums = np.empty_like(acc)
+    sums[by_count] = acc
     return sums
 
 
@@ -1340,17 +1318,19 @@ def _invert(rows: _Rows, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     log_m = np.array([math.log(x) for x in m.tolist()])
     t_max, tail = _t_max_and_tail(rows, m, log_m)
     head, sizes, largest, split = _head_and_bulk(rows, t_max)
-    bulk_sq = _bulk_power_sums(rows, split, np.ones(rows.size, dtype=np.intp))[:, 0]
+    bulk_sq = _suffix_squares(rows, split)
     order, series_err = _series_order(m, t_max, largest, bulk_sq)
     starts = _starts(sizes)
     head_sum = _row_sums(head, starts, sizes)
     panels, log_err = _panel_count(m, log_m, t_max, head, sizes, head_sum, bulk_sq)
     power_sums = _bulk_power_sums(rows, split, order)
+    power_sums[order == 1, 0] = bulk_sq[order == 1]
     depth = rows.depth
     integral, rounding = np.zeros(rows.size), np.zeros(rows.size)
     for key, rows in _groups(panels * (_SERIES_MAX + 1) + order):
         count, k = divmod(key, _SERIES_MAX + 1)
-        for idx in _parts(rows, count * _GL_NODES * k):
+        for lo, hi in _ranges(np.full(rows.size, count * _GL_NODES * k), _BLOCK):
+            idx = rows[lo:hi]
             n = sizes[idx]
             integral[idx], rounding[idx] = _grid_integral(
                 m[idx], t_max[idx], count, power_sums[idx, :k], depth[idx],

@@ -251,14 +251,19 @@ MONOTONICITY_CLAIMS: dict[tuple[str, int], dict] = {
 MOD4_PUBLISHED_DELTA = 0.9959  # Rubinstein-Sarnak computed logarithmic density
 
 
+# each published table's claims keyed by their tag pair
+_CLAIMS_BY_TAGS = {key: {rec["tags"]: rec for rec in claims}
+                   for key, claims in TABLE_CLAIMS.items()}
+
+
 def expected_row(family: str, w_axiom: int, c1: ClassLabel, c2: ClassLabel) -> dict:
-    """Claims-data record for the base-field race (c1, c2)."""
+    """Claims-data record for the base-field race (c1, c2), a copy."""
     key = (family, +1 if family == DIHEDRAL else w_axiom)
     tags = pair_tags(c1, c2)
-    for rec in TABLE_CLAIMS[key]:
-        if rec["tags"] == tags:
-            return dict(rec)
-    raise InternalInconsistencyError(f"no published claim row for {tags} in {key}")
+    rec = _CLAIMS_BY_TAGS[key].get(tags)
+    if rec is None:
+        raise InternalInconsistencyError(f"no published claim row for {tags} in {key}")
+    return dict(rec)
 
 
 def classify_pair(mean_value: int, level: int) -> str:
@@ -1002,16 +1007,17 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     # with a component per weighted character.  Rows are grouped by their
     # bytes (weights are abs values, so equal rows have equal bytes).
     table = races.weights()
-    first: dict[bytes, int] = {}
-    group_of = np.array([first.setdefault(row.tobytes(), i)
-                         for i, row in enumerate(table)], dtype=np.intp)
-    del first
-    distinct, row_of = _distinct(group_of)
+    number: dict[bytes, int] = {}  # each distinct row's bytes, numbered as first met
+    row_of = np.array([number.setdefault(row.tobytes(), len(number)) for row in table],
+                      dtype=np.intp)
+    del number
+    # each distinct row's first index, where the numbers met so far grow
+    distinct = np.flatnonzero(np.diff(np.maximum.accumulate(row_of), prepend=-1))
     weighted = np.flatnonzero(table.any(axis=0))
-    scales = table[np.ix_(distinct, weighted)]
-    scales *= 2.0
-    del table
+    table = table[np.ix_(distinct, weighted)]
     zeros = provision_zero_sets(scen, weighted, seed)
+    scales = zeros.scales(table)
+    del table
     size = np.abs(mean)
     models, model_of = _distinct(row_of * (int(size.max(initial=0)) + 1) + size)
     found = density_fourier_batch(zeros, scales,
@@ -1026,11 +1032,15 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     del scales
     rows: list[dict] = []
     confirmed = True
+    tags = [class_tag(label) for label in labels]
+    claims: dict[tuple[str, str], dict] = {}  # the rows' claims by their classes' tags
     for a, b, m, pub, bias, est in zip(races.first.tolist(), races.second.tolist(), means,
                                        class_means(races, published_mean).tolist(),
                                        biases, estimates):
         c1, c2 = labels[a], labels[b]
-        claim = expected_row(family, w_axiom, c1, c2)
+        claim = claims.get((tags[a], tags[b]))
+        if claim is None:
+            claim = claims[tags[a], tags[b]] = expected_row(family, w_axiom, c1, c2)
         row = {
             "c1": str(c1), "c2": str(c2),
             "mean_formula": m, "mean_published": pub,

@@ -817,19 +817,26 @@ def test_spectral_row_matches_its_sorted_terms(family, n, pick, seed):
 
 
 def test_table_power_sums_do_not_depend_on_what_was_asked_before():
-    # heads past the first span of 16 bases make the table sum again over
-    # a wider span; the sums equal a fresh table's bit for bit, and those
-    # of each component's suffix within (7k + depth) ulps
+    # the memo is summed again for more orders, then for a wider span, and
+    # read as it is for fewer orders and a narrower span; the sums equal a
+    # fresh table's bit for bit, and those of each component's suffix lie
+    # within (7k + depth) ulps
     rng = np.random.default_rng(5)
     bases = np.sort(rng.uniform(0.3, 60.0, (3, 50)), axis=1)
     bases[2, 30:] = np.inf  # a shorter component
     moduli = [row[np.isfinite(row)] for row in bases]
     comps, starts = np.array([0, 1, 2]), np.array([40, 0, 30])
+    most, span = density._SERIES_MAX, int(starts.max()) + 1
     grown = spectral_table(moduli)
-    grown.power(3, np.array([1, 2, 3]))
-    sums = grown.power(density._SERIES_MAX, starts)[:, comps, starts].T
-    fresh = spectral_table(moduli).power(density._SERIES_MAX, starts)[:, comps, starts].T
-    assert np.array_equal(sums, fresh)
+    memos = [grown.power(order, width) for order, width in (
+        (3, 4), (1, 2), (most, 4), (2, span), (most, span))]
+    assert [m.shape[::2] for m in memos] == [(3, 4), (3, 4), (most, 4), (most, span),
+                                           (most, span)]
+    assert memos[1] is memos[0] and memos[4] is memos[3]
+    sums = memos[-1][:, comps, starts].T
+    fresh = spectral_table(moduli).power(most, span)
+    assert np.array_equal(fresh[:, comps, starts].T, sums)
+    assert np.array_equal(fresh[:, :, :4], memos[2])
     order = np.arange(1, density._SERIES_MAX + 1)
     for c, j in zip(comps, starts):
         tail = bases[c, j:][np.isfinite(bases[c, j:])]
@@ -862,7 +869,7 @@ def test_table_square_sums_are_its_suffix_sums_from_the_start():
         assert np.array_equal(table.sizes, [m.size for m in moduli])
         assert np.array_equal(table.moduli, np.concatenate(moduli))
         sums = table.square_sums
-        assert not {"bases", "squares"} & vars(table).keys() and table._power is None
+        assert not {"bases", "squares", "_power"} & vars(table).keys()
         assert table.bases.shape == (len(moduli), max(m.size for m in moduli) + 1)
         assert np.array_equal(sums, table.squares[:, 0])
         for c, m in enumerate(moduli):
@@ -876,10 +883,11 @@ def test_table_square_sums_are_its_suffix_sums_from_the_start():
 def test_ascending_sorts_each_run_as_numpy_sorts_it_alone(monkeypatch, block):
     # runs of these lengths padded to rows of one matrix and sorted along
     # them: empty runs, duplicates, runs wider than a block (one run per
-    # block) and a single run
+    # block) and a single run; and each run summed as numpy sums it alone
     monkeypatch.setattr(density, "_BLOCK", block)
     rng = np.random.default_rng(8)
-    for lengths in ([0, 3, 0, 0, 5, 1, 0], [9], [0], [], [2, 7, 7, 1, 12, 0, 3]):
+    for lengths in ([0, 3, 0, 0, 5, 1, 0], [9], [0], [], [2, 7, 7, 1, 12, 0, 3],
+                    [130, 9, 130, 0, 9]):
         lengths = np.array(lengths, dtype=np.intp)
         values = rng.choice(np.geomspace(1e-3, 40.0, 6), int(lengths.sum()))  # many equal
         got = density._ascending(values, lengths)
@@ -887,6 +895,61 @@ def test_ascending_sorts_each_run_as_numpy_sorts_it_alone(monkeypatch, block):
         want = [np.sort(values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
         assert got.view(np.int64).tolist() == np.concatenate(
             [np.empty(0), *want]).view(np.int64).tolist()
+        sums = [np.sum(values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        assert density._row_sums(values, ends[:-1], lengths).tolist() == sums
+
+
+def test_tail_bounds_of_a_padded_block_are_the_sorted_terms_bounds():
+    # rows of 0 to 3 terms, of many equal amplitudes and of 40, padded
+    # with inf to the block's widest row: each point's bound is the sorted
+    # list's over the same splits (the point and _TAIL_AHEAD more), to the
+    # bit, whatever the padding
+    rng = np.random.default_rng(12)
+    rows = [[], [0.7], [0.2, 0.2], [0.05, 0.3, 1.1], [0.01] * 6 + [0.1] * 6 + [2.0],
+            np.sort(rng.uniform(0.001, 2.0, 40)).tolist()]
+    n = np.array([len(r) for r in rows], dtype=np.intp)
+    count, ahead = 4, density._TAIL_AHEAD
+    u = density._GRID[:count + ahead] * np.geomspace(0.5, 40.0, len(rows))[:, None]
+    for width in (n.max(), n.max() + 3):
+        block = np.full((len(rows), width), math.inf)
+        for i, r in enumerate(rows):
+            block[i, :len(r)] = r
+        got = density._tail_bounds(block, n, np.zeros(len(rows)), u, count)
+        for i, r in enumerate(rows):
+            want = [sorted_tail_bounds(np.array(r, dtype=float), u[i, j:j + ahead + 1])[0]
+                    for j in range(count)]
+            assert got[i].tolist() == want, i
+
+
+@pytest.mark.parametrize("block", [density._BLOCK, 40, 1])
+def test_stretch_bounds_each_row_as_it_bounds_it_alone(monkeypatch, block):
+    # a batch of rows with 0 to 4 and 6 top terms (100 equal amplitudes,
+    # none of them top at these points), equal amplitudes across and within
+    # components, and long rows, a run at a time within _BLOCK (one row per
+    # run at 1): each row's bounds are its own alone, bit for bit, and the
+    # sorted list's within the summation order of the terms left out
+    rng = np.random.default_rng(13)
+    moduli = [np.array([0.5]), np.array([2.0, 2.0, 3.0]), np.array([2.0, 50.0, 60.0]),
+              np.sort(rng.uniform(1.0, 80.0, 60)), np.array([400.0, 500.0]), np.full(100, 7.0)]
+    table = spectral_table(moduli)
+    rows = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [0, 0.5, 0.5, 0, 0, 0],
+                     [0, 0, 0, 0, 1.0, 0], [0.2, 0, 0, 3.0, 0, 0], [0, 2.0, 0, 1.0, 0.5, 0],
+                     [0, 0, 0, 0, 0, 1.0]])
+    engine = density._Rows.of(table, rows)
+    lo = np.array([0, 2, 5, 9, 1, 3, 0])
+    count, span = density._TAIL_WINDOW, density._TAIL_WINDOW + density._TAIL_AHEAD
+    monkeypatch.setattr(density, "_BLOCK", block)
+    u, got = density._stretch(engine, lo, count, span)
+    tops = density._top(engine, density._GRID[lo + span - 1] / np.sqrt(engine.sq))
+    assert np.diff(density._starts(tops)[engine.first]).tolist() == [1, 3, 4, 2, 4, 6, 0]
+    for i in range(rows.shape[0]):
+        alone, bounds = density._stretch(engine.take(np.array([i])), lo[i:i + 1], count, span)
+        assert np.array_equal(alone[0], u[i]) and got[i].tolist() == bounds[0].tolist()
+        r = np.sort(np.concatenate([s / m for s, m in zip(rows[i], moduli) if s]))
+        full = density._GRID[lo[i]:lo[i] + span] / math.sqrt(engine.sq[i])
+        want = [sorted_tail_bounds(r, full[j:j + density._TAIL_AHEAD + 1])[0]
+                for j in range(count)]
+        assert np.allclose(got[i], want, rtol=1e-12, atol=0.0)
 
 
 @st.composite

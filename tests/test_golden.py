@@ -38,7 +38,13 @@ call's Fourier inversions became one batched pass.  The race at n = 5 over
 three pairs that weight different characters (the odd psi_j for the
 first, chi1, chi3 and seven or six psi_j for the others) was pinned while each pair
 sampled its own zero sets, before a race call sampled the union of its
-pairs' characters once into one spectral table.
+pairs' characters once into one spectral table.  The mod4 reports at
+t_max = 3, 8 and 40 take the Fourier engine's few-term paths: every one
+redoes the tail search over the whole grid, the one zero below 3 is a
+row of fewer than 3 terms, and the four below 8 fall back to the grid
+point of least tail plus quadrature bound.  They were pinned before the
+tail search sorted its own padded blocks and the table's power sums
+became one memo.
 """
 from __future__ import annotations
 
@@ -82,6 +88,12 @@ GOLDEN = [
     (["race", "--n", "5", "--samples", "10000", "--seed", "0", "--pair", "one:minus_one",
       "--pair", "one:flip_even", "--pair", "power(1):flip_odd"],
      "2293ee21bbef15089f131559bf59581c8d81d314e79ff4ed7301193a890fc09b"),
+    (["mod4", "--t-max", "3"],
+     "5eb89f9a0d90229e7d3d6e02f7960014c94f766f17b0f5d62cda367d1b90e414"),
+    (["mod4", "--t-max", "8"],
+     "cc5bbaada21372f0fb75269237a317a734a9a64a1217e1e8b5d6a738b6803773"),
+    (["mod4", "--t-max", "40"],
+     "550b2c9fbbbbb76f490ccd86b460ad4b527087c831b8a00593905a0eb35352f0"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
      "22dba5d27aabc507ca63a58051daa97c8a8fa8f7b33eee3162b3a1635f956cf6"),
 ]
