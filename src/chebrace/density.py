@@ -1362,7 +1362,7 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
     negative mean is the ``complement`` of the mirrored race, so flipping
     the mean maps delta to 1 - delta identically.
 
-    The models go in blocks of at most _BLOCK entries (components of
+    The models go in blocks of at most _ROWS_BLOCK entries (components of
     nonzero scale), and each step of the engine is a few array operations
     over a block, its wider arrays taken a part at a time.  Every sum over
     a model's terms or components has that model's own length and order,

@@ -72,7 +72,6 @@ from .races import (
     STATUS_MATCH,
     STATUS_OPEN_QUESTION,
     STATUS_UNDEFINED,
-    _distinct,
     class_means,
     level_races,
     mean_table,
@@ -990,7 +989,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    # n = 10 takes 6.5-7.8 s and 142 MB (bench/scale.py tower); n = 11
+    # n = 10 takes 2.5-3.2 s and 141 MB (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
     if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
@@ -1019,7 +1018,8 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     scales = zeros.scales(table)
     del table
     size = np.abs(mean)
-    models, model_of = _distinct(row_of * (int(size.max(initial=0)) + 1) + size)
+    _, models, model_of = np.unique(row_of * (int(size.max(initial=0)) + 1) + size,
+                                    return_index=True, return_inverse=True)
     found = density_fourier_batch(zeros, scales,
                                   list(zip(row_of[models].tolist(), size[models].tolist())))
     estimates = [found[k] if m >= 0 else complement(found[k])

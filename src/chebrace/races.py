@@ -32,9 +32,11 @@ arrays.  Both ``z_values`` and ``pair_weights`` read the table's value ids
 (``characters.value_table``).  ``z_values`` reduces the order-weighted
 values of every class in one ``canonical_terms`` call.  ``pair_weights``
 takes the weights of many fused pairs in one pass: a difference depends
-only on its two ids, so only the distinct id pairs are reduced to
-canonical terms and evaluated, with the same float operations as
-``to_complex`` of a ``CycloInt`` in ``tests/oracles.py``.
+only on its two ids, so it evaluates the differences of every pair of
+the ids the call's labels take once, and gathers the weights from them
+(or, where those pairs outnumber the entries, evaluates each entry's
+own), with the same float operations as ``to_complex`` of a
+``CycloInt`` in ``tests/oracles.py``.
 
 This module stops at the exact data: means and weight rows.  The
 oscillation part over zero sets, the race model the density engines take,
@@ -194,41 +196,35 @@ def pair_weights(group: Group, labels: Sequence[ClassLabel],
     pairs x characters array in ``character_ids`` order.
 
     Each value is abs of the oracles' ``to_complex`` of the exact
-    difference, bit for bit.  Pairs go a chunk at a time, so temporaries stay
-    O(chunk x characters) beside the result, and each chunk reduces and
-    evaluates only its distinct (value id, value id) keys."""
+    difference, bit for bit.  A difference depends only on its two value
+    ids, so the u ids the labels take are numbered 0..u-1 and each entry's
+    key is (second id) * u + (first id).  When u^2 <= pairs x characters,
+    every one of the u^2 keys is evaluated once and the weights are a
+    gather from those values; otherwise (power pairs at large n, where u
+    nears 2^(n-2)) each entry's own difference is evaluated.  Pairs go a
+    chunk at a time, so no pairs x characters key array is ever held."""
     ids, exps, coeffs = value_table(group, labels)
-    base = exps.shape[0]
+    taken = np.flatnonzero(np.bincount(ids.ravel()))
+    number = np.zeros(exps.shape[0], dtype=np.int64)
+    number[taken] = np.arange(taken.size)
+    ids = number[ids]
+    exps, coeffs, u = exps[taken], coeffs[taken], taken.size
     out = np.empty((len(first), ids.shape[1]))
-    step = max(1, _CHUNK_ENTRIES // ids.shape[1])
-    for lo in range(0, len(out), step):
-        key = ids[second[lo:lo + step]] * base + ids[first[lo:lo + step]]
-        first_key, inverse = _distinct(key.ravel())
-        v2, v1 = np.divmod(key.ravel()[first_key], base)
+
+    def weights(key: np.ndarray) -> np.ndarray:
+        v2, v1 = np.divmod(key.ravel(), u)
         values = canonical_values(
             group.rotation_order,
             np.concatenate((exps[v2], exps[v1]), axis=1),
             np.concatenate((coeffs[v2], -coeffs[v1]), axis=1))
-        out[lo:lo + step] = np.abs(values)[inverse.reshape(key.shape)]
+        return np.abs(values).reshape(key.shape)
+
+    table = weights(np.arange(u * u)) if u * u <= out.size else None
+    step = max(1, _CHUNK_ENTRIES // ids.shape[1])
+    for lo in range(0, len(out), step):
+        key = ids[second[lo:lo + step]] * u + ids[first[lo:lo + step]]
+        out[lo:lo + step] = weights(key) if table is None else table[key]
     return out
-
-
-def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct value of the integer array key,
-    in ascending order of the values, and each entry's number among
-    them.
-
-    np.unique by hand: its int64 quicksort pages in about 0.4 MB of
-    vectorised sort kernel that no other step of a verb runs (the Fourier
-    engine's float64 sort is another kernel, about 0.3 MB, which a tower
-    call at n = 7 pays within its 42.2-42.5 MB peak RSS);
-    canonical_terms already runs the stable argsort."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    number = np.empty_like(order)
-    number[order] = np.cumsum(new) - 1
-    return order[new], number
 
 
 # -- closed-form means and published tables ------------------------------------

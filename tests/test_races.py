@@ -403,17 +403,59 @@ def _assert_batch_matches_per_pair_oracle(scen, specs):
         assert weights(spec).tolist() == row.tolist()
 
 
-@pytest.mark.parametrize("family,w", ((DIHEDRAL, +1), ("quaternion", +1),
-                                      ("quaternion", -1)))
+def _defined_pairs(scen, level):
+    labels = scen.group.level(level).class_labels()
+    specs = [RaceSpec(scen, level, labels[a], labels[b])
+             for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    return [spec for spec in specs if spec.is_defined()]
+
+
+TOWER_CASES = ((DIHEDRAL, +1), ("quaternion", +1), ("quaternion", -1))
+
+
+@pytest.mark.parametrize("family,w", TOWER_CASES)
 @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
 def test_pair_weights_match_the_per_pair_oracle_at_every_level(family, w, n):
     scen = _scen(family, n, w)
     for level in range(3, n + 1):
-        labels = scen.group.level(level).class_labels()
-        specs = [RaceSpec(scen, level, labels[a], labels[b])
-                 for a in range(len(labels)) for b in range(a + 1, len(labels))]
+        _assert_batch_matches_per_pair_oracle(scen, _defined_pairs(scen, level))
+
+
+@pytest.mark.parametrize("family,w", TOWER_CASES)
+@pytest.mark.parametrize("n", (5, 8))
+def test_pair_weights_gather_across_chunks(family, w, n, monkeypatch):
+    # seven pairs a chunk: the gather from the value table spans several
+    # chunks, and the top level's 55 or 2211 pairs leave a ragged last one
+    from chebrace import races
+
+    scen = _scen(family, n, w)
+    monkeypatch.setattr(races, "_CHUNK_ENTRIES", 7 * len(character_ids(scen.group)))
+    assert len(_defined_pairs(scen, n)) % 7
+    for level in range(3, n + 1):
+        _assert_batch_matches_per_pair_oracle(scen, _defined_pairs(scen, level))
+
+
+@pytest.mark.parametrize("chunk_pairs", (None, 1))
+def test_pair_weights_of_power_pairs_evaluate_each_entry(chunk_pairs, monkeypatch):
+    # power(1):power(3) takes 65 value ids and power(2):power(6) 33, against
+    # 67 characters at n = 8: u^2 exceeds pairs x characters, so each
+    # entry's own difference is evaluated, alone, together, and one pair a
+    # chunk
+    from chebrace import races
+    from chebrace.characters import value_table
+
+    scen = _scen("quaternion", 8, -1)
+    group = scen.group
+    if chunk_pairs is not None:
+        monkeypatch.setattr(races, "_CHUNK_ENTRIES",
+                            chunk_pairs * len(character_ids(group)))
+    pairs = ((power(1), power(3)), (power(2), power(6)))
+    for batch in ((pairs[0],), (pairs[1],), pairs):
+        labels = [lab for pair in batch for lab in pair]
+        u = np.unique(value_table(group, labels)[0]).size
+        assert u * u > len(batch) * len(character_ids(group))
         _assert_batch_matches_per_pair_oracle(
-            scen, [spec for spec in specs if spec.is_defined()])
+            scen, [RaceSpec(scen, 8, c1, c2) for c1, c2 in batch])
 
 
 def test_pair_weights_match_the_oracle_on_the_monotonicity_pair():
