@@ -64,14 +64,22 @@ The Monte Carlo kernel splits the pairs into chunks whose size depends only
 on the term count; chunk k draws from its own generator seeded by (salt,
 seed, k), so its noise does not depend on which worker thread runs it, and
 its indicator sums are exact (every antithetic indicator is 0, 1/2 or 1).
-Each indicator is decided by the sign of m + S or m - S, S being the row's
-float64 sum of r_j cos(2 pi u_j).  The kernel decides it in three tiers,
-given float32 cos within _COS32_ULPS units of 2^-24 (the tests check it).
-Tier 1 is one float32 BLAS dot per block of rows, S'_1, within a proven
-window W1 of S for any summation order (W plus gamma_n sum r_j, gamma_n
-~ n 2^-24).  Rows where some |m +- S'_1| <= W1 get tier 2, a float32 S'
-with a float64 row sum, within W ~ 2^-20 sum r_j of S; rows where some
-|m +- S'| <= W get tier 3, S itself.  The indicators, hence the estimate,
+A row of n terms reads ceil(n/2) 64-bit words of the generator's raw
+output, and term j takes the uniform u_j = k_j 2^-32 from the words'
+32-bit half k_j, low half first: one generator step per two terms, and no
+float64 uniforms.  Against uniforms on [0, 1), this grid of 2^32 points
+moves each angle by less than 2 pi 2^-32 (u_j = floor(2^32 U_j) 2^-32),
+so it moves delta by at most P(|m +- S| <= 2 pi 2^-32 sum r_j), far
+inside the 99% interval.  Each indicator is decided by the sign of m + S or
+m - S, S being the row's float64 sum of r_j cos(2 pi u_j).  The kernel
+decides it in three tiers, on the float32 cosines c_j of the angles
+fl32(fl32(k_j) fl32(2 pi 2^-32)), given float32 cos within _COS32_ULPS
+units of 2^-24 (the tests check it).  Tier 1 is one float32 BLAS dot per
+block of rows, S'_1, within a proven window W1 of S for any summation
+order (W plus gamma_n sum r_j, gamma_n ~ n 2^-24).  Rows where some
+|m +- S'_1| <= W1 get tier 2, a float32 S' with a float64 row sum, within
+W ~ 2^-19 sum r_j of S; rows where some |m +- S'| <= W get tier 3, S
+itself, from the same k_j.  The indicators, hence the estimate,
 are those of the float64 sums.  The estimate and its interval therefore
 depend only on (seed, samples), never on the worker count, the completion
 order, the block size, BLAS's summation order or thread count, or float32
@@ -100,10 +108,12 @@ from .zeros import ZeroSet
 _MC_SALT = 0x5CE9A813
 MIN_MC_SAMPLES = 10_000  # the Monte Carlo floor; the drivers check it up front
 _U = 2.0 ** -53  # unit roundoff
-# elements (1 MB of float64 and 0.5 MB of float32) drawn, transformed and
-# reduced at a time, so one block stays in a core's L2 cache between the
-# passes, and the generator's fixed cost per call is spread thin
+# elements (0.5 MB of generator words and 0.5 MB of float32) drawn,
+# transformed and reduced at a time, so one block stays in a core's L2
+# cache between the passes, and the generator's fixed cost per call is
+# spread thin
 _MC_BLOCK = 1 << 17
+_TURN = 2.0 * np.pi * 2.0 ** -32  # fl(2 pi) 2^-32: the angle of k / 2^32 turns
 # assumed bound on |float32 cos(x) - cos(x)| in units of 2^-24 for float32
 # x in [0, fl32(2 pi)]; the tests sweep it (numpy 2.4 on x86-64: 1.2)
 _COS32_ULPS = 8
@@ -153,7 +163,7 @@ def _mc_windows(terms: np.ndarray) -> tuple[float, float]:
     # |c_j| <= 1 + _COS32_ULPS 2^-24 and fl32(r) <= (1 + 2^-24) r, so
     # sum |c_j fl32(r_j)| <= bound
     slack = 1.0 + (_COS32_ULPS + 2) * 2.0 ** -24
-    window = (total * ((2.0 * np.pi + _COS32_ULPS + 4) * 2.0 ** -24 + 2 * n * _U)
+    window = (total * ((6.0 * np.pi + _COS32_ULPS + 4) * 2.0 ** -24 + 2 * n * _U)
               + n * 2.0 ** -149)
     if not float(terms.max()) * slack < _F32_MAX:
         window = math.inf
@@ -179,18 +189,33 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
     """Sums of the antithetic indicator y and of y^2, per mean, over one
     chunk of `take` pairs.
 
-    The chunk's uniforms are drawn block by block from its own generator,
-    which yields the same numbers as one (take, terms) draw.  The exact
-    S of a row is numpy's pairwise sum of r_j cos(2 pi u_j) in float64
-    over that row alone, so it does not depend on the block size.  Each
-    row's signs of m + S and m - S are decided in three tiers, each
-    computed only for the rows the one before leaves open.
+    The chunk's generator words are drawn block by block, one
+    ``random_raw`` call per block of ceil(n/2) words per row, which
+    yields the same words as one draw for the whole chunk.  Term j of a
+    row takes the uniform u_j = k_j 2^-32, k_j being the 32-bit half j of
+    the row's words, low half first; an odd row leaves its last half
+    unused, so no u_j depends on the block size.  The exact S of a row is
+    numpy's pairwise sum of r_j cos(2 pi u_j) in float64 over that row
+    alone, its angles fl(k_j fl(2 pi) 2^-32) = fl(fl(2 pi) u_j) (k_j and
+    u_j are exact in float64).  Each row's signs of m + S and m - S are
+    decided in three tiers, each computed only for the rows the one
+    before leaves open.
 
-    Every row first gets c_j = float32 cos of fl32(2 pi u_j).  Against
-    E = sum r_j cos(2 pi u_j), c_j is off by 2 pi 2^-24 for the rounded
-    angle and _COS32_ULPS 2^-24 for float32 cos (checked in the tests);
-    fl32(r_j) by 2^-24 r_j; and S by its float64 cos, products and n-term
-    sum, within 2^-52 r_j + n 2^-53 sum r.
+    Every row first gets c_j = float32 cos of the angle
+    a_j = fl32(fl32(k_j) fl32(2 pi 2^-32)): one conversion and one float32
+    multiply.  Each of its three roundings is relative and within 2^-24
+    (the constant's within 0.47 2^-24, and nothing underflows), so
+
+        |a_j - 2 pi u_j| <= 2 pi u_j ((1 + 2^-24)^3 - 1) < (6 pi + 2^-19) 2^-24,
+
+    and 0 <= a_j <= fl32(2 pi), which k_j = 2^32 - 1 reaches as fl32(k_j)
+    rounds up to 2^32 (the tests check both on a sweep of k).  Against
+    E = sum r_j cos(2 pi u_j), c_j is then off by (6 pi + 2^-19) 2^-24 for
+    the angle (cos is 1-Lipschitz; W below charges 6 pi 2^-24, its spare
+    units the rest) and _COS32_ULPS 2^-24 for float32 cos on
+    [0, fl32(2 pi)] (checked in the tests); fl32(r_j) by 2^-24 r_j; and S
+    by its float64 angle, cos, products and n-term sum, within
+    2^-52 r_j + n 2^-53 sum r.
 
     Tier 1 takes S'_1 = c . fl32(r), one float32 BLAS dot per row.  Any
     summation order, with or without fused multiply-adds, is within
@@ -216,7 +241,7 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
     Tier 2 takes S' = the float64 sum of the float32 products
     fl32(c_j fl32(r_j)), within
 
-        W = sum r_j [(2 pi + _COS32_ULPS + 4) 2^-24 + 2 n 2^-53] + n 2^-149
+        W = sum r_j [(6 pi + _COS32_ULPS + 4) 2^-24 + 2 n 2^-53] + n 2^-149
 
     of S: the terms above, 2^-24 for each float32 product, the float64
     sum, and float32 underflow; the spare 2 units cover the second-order
@@ -228,44 +253,50 @@ def _mc_chunk(terms: np.ndarray, means: np.ndarray, salt: int, seed: int,
     m + S and m - S have the signs of m + S' and m - S', and rounding keeps
     the sign of a sum, so each indicator is the one S gives.  Tier 3 sums
     the rows still open, exact ties m + S = 0 among them, again in float64
-    as above.  The sums are therefore those of the exact S, whatever order
-    BLAS sums in and however many threads it uses.  Runs on a worker
-    thread: numpy only, which releases the interpreter lock.
+    from their k_j as above.  The sums are therefore those of the exact S,
+    whatever order BLAS sums in and however many threads it uses.  Runs on
+    a worker thread: numpy only, which releases the interpreter lock.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([salt, seed, index]))
+    bits = np.random.default_rng(
+        np.random.SeedSequence([salt, seed, index])).bit_generator
     n = terms.size
+    words = (n + 1) // 2
     rows = min(max(1, _MC_BLOCK // n), take)
     terms32 = terms.astype(np.float32)
+    turn32 = np.float32(_TURN)
     window, window1 = _mc_windows(terms)
     abs_means = np.abs(means)
-    buf = np.empty((rows, n))
     fast = np.empty((rows, n), dtype=np.float32)
     s = np.empty(take)
     dot = window1 < math.inf
     opened = 0
     for start in range(0, take, rows):
-        block = buf[:min(rows, take - start)]
-        part = s[start:start + len(block)]
-        rng.random(out=block)
-        f = fast[:len(block)]
-        np.multiply(block, 2.0 * np.pi, out=f, casting="same_kind")
+        count = min(rows, take - start)
+        part = s[start:start + count]
+        # k_j is half j of the row's words read as little-endian 64-bit
+        # integers, low half first, whatever the host's byte order
+        k = (bits.random_raw(count * words).astype("<u8", copy=False)
+             .view("<u4").reshape(count, 2 * words)[:, :n])
+        f = fast[:count]
+        np.copyto(f, k, casting="unsafe")
+        np.multiply(f, turn32, out=f)
         np.cos(f, out=f)
         if dot:
             part[:] = f @ terms32
             near = _undecided(part, abs_means, window1)
             # the dot pays only while it decides most rows
             opened += near.size
-            dot = 2 * opened <= start + len(block)
+            dot = 2 * opened <= start + count
         else:
-            near = np.arange(len(block))
+            near = np.arange(count)
         if near.size:
-            products = f if near.size == len(block) else f[near]
+            products = f if near.size == count else f[near]
             np.multiply(products, terms32, out=products)
             part[near] = np.sum(products, axis=1, dtype=np.float64)
             near = near[_undecided(part[near], abs_means, window)]
         if near.size:
-            exact = block[near]
-            np.multiply(exact, 2.0 * np.pi, out=exact)
+            exact = k[near].astype(np.float64)
+            np.multiply(exact, _TURN, out=exact)
             np.cos(exact, out=exact)
             np.multiply(exact, terms, out=exact)
             part[near] = np.sum(exact, axis=1)

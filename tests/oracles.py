@@ -20,8 +20,12 @@ every pair of a call in one pass over the table's value ids: one
 (``complex_values``).  Tests require bit-equal weights.
 
 The two chunked Monte Carlo loops the shared kernel in ``chebrace.density``
-replaced: ``density_montecarlo``'s and ``monotonicity_experiment``'s.  Tests
-compare the kernel against them for bit-equal estimates and intervals.
+replaced: ``density_montecarlo``'s and ``monotonicity_experiment``'s, on
+the kernel's law: term j of a row takes the uniform u_j = k_j 2^-32 from
+the 32-bit halves of the row's generator words, low half first.  The
+halves are taken by arithmetic (``angle_words``), not by viewing the
+words' bytes, so a byte-order slip in the kernel fails.  Tests compare the
+kernel against them for bit-equal estimates and intervals.
 
 ``density_fourier``'s engine from before the Gauss-Legendre grid:
 QUADPACK's oscillatory-weighted adaptive quadrature over the full J0
@@ -287,6 +291,16 @@ def weights_per_pair(group: Group, c1: ClassLabel, c2: ClassLabel) -> list[float
                                            coeffs, count)]
 
 
+def angle_words(rng, rows: int, n: int) -> np.ndarray:
+    """The (rows, n) integers k of the next rows of ``rng``'s chunk, each
+    the uniform k 2^-32: a row takes ceil(n/2) generator words and term j
+    the 32-bit half j of them, low half first; an odd row's last half goes
+    unused."""
+    words = rng.bit_generator.random_raw(rows * ((n + 1) // 2)).reshape(rows, -1)
+    k = np.stack([words & 0xFFFFFFFF, words >> 32], axis=2).reshape(rows, -1)
+    return k[:, :n]
+
+
 def density_montecarlo_loop(model, samples: int, seed: int) -> DensityEstimate:
     """``density_montecarlo`` as one chunk at a time on one thread, each
     chunk drawn as a single (take, terms) array, in float64 throughout.
@@ -307,7 +321,7 @@ def density_montecarlo_loop(model, samples: int, seed: int) -> DensityEstimate:
     while done < n_pairs:
         take = min(chunk, n_pairs - done)
         rng = np.random.default_rng(np.random.SeedSequence([_MC_SALT, seed, index]))
-        u = rng.random((take, terms.size))
+        u = angle_words(rng, take, terms.size) * 2.0 ** -32
         x = mean + np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
         y = 0.5 * ((x > 0.0).astype(float) + ((2.0 * mean - x) > 0.0))
         s1 += float(y.sum())
@@ -336,7 +350,7 @@ def shared_mc_loop(terms: np.ndarray, level_means: Sequence[float], samples: int
         take = min(chunk, n_pairs - done)
         rng = np.random.default_rng(
             np.random.SeedSequence([_SHARED_MC_SALT, seed, index]))
-        u = rng.random((take, terms.size))
+        u = angle_words(rng, take, terms.size) * 2.0 ** -32
         s = np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
         # one shared noise draw decides every level: y = P(S > -m) symmetrized
         y = 0.5 * ((s[:, None] + m_vec[None, :] > 0.0).astype(float)

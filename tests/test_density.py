@@ -44,6 +44,7 @@ from chebrace.zeros import ZeroCountModel, ZeroSet, sample_zero_set
 
 import oracles
 from oracles import (
+    angle_words,
     assemble_race_model,
     column_moduli,
     density_fourier_quadpack,
@@ -322,12 +323,18 @@ def test_shared_mc_kernel_matches_monotonicity_loop(monkeypatch, n_terms, scale,
         assert _hex(cis) == _hex(want_cis), workers
 
 
-def _row_sums(terms, u):
-    """The exact S of each row of uniforms u, the tier-2 sum S' (float32
-    products, float64 sum) and the tier-1 float32 dot S'_1, as the kernel
-    forms them."""
-    exact = np.sum(np.cos(2.0 * np.pi * u) * terms, axis=1)
-    cos32 = np.cos((2.0 * np.pi * u).astype(np.float32))
+def _angles32(k):
+    """The float32 angles fl32(fl32(k) fl32(2 pi 2^-32)) the kernel forms
+    from the 32-bit integers k."""
+    return k.astype(np.uint32).astype(np.float32) * np.float32(density._TURN)
+
+
+def _row_sums(terms, k):
+    """The exact S of each row of uniforms k 2^-32, the tier-2 sum S'
+    (float32 products, float64 sum) and the tier-1 float32 dot S'_1, as the
+    kernel forms them."""
+    exact = np.sum(np.cos(2.0 * np.pi * (k * 2.0 ** -32)) * terms, axis=1)
+    cos32 = np.cos(_angles32(k))
     terms32 = terms.astype(np.float32)
     fast = np.sum(cos32 * terms32, axis=1, dtype=np.float64)
     dot = (cos32 @ terms32).astype(np.float64)
@@ -337,7 +344,7 @@ def _row_sums(terms, u):
 def _chunk_rows(terms, salt, seed, rows):
     """Row sums, as ``_row_sums``, for the first rows of chunk 0."""
     rng = np.random.default_rng(np.random.SeedSequence([salt, seed, 0]))
-    return _row_sums(terms, rng.random((rows, terms.size)))
+    return _row_sums(terms, angle_words(rng, rows, terms.size))
 
 
 def test_mc_kernel_recomputes_rows_the_float32_sum_cannot_decide(monkeypatch):
@@ -375,8 +382,9 @@ def test_float32_sums_lie_within_the_mc_windows(n, magnitude, spread, seed):
     # underflow; a block's worth of rows
     rng = np.random.default_rng(seed)
     terms = 10.0 ** (magnitude - spread * rng.random(n))
-    u = rng.random((min(16, max(1, (1 << 17) // n)), n))
-    exact, fast, dot = _row_sums(terms, u)
+    k = rng.integers(0, 1 << 32, (min(16, max(1, (1 << 17) // n)), n),
+                     dtype=np.uint64)
+    exact, fast, dot = _row_sums(terms, k)
     window, window1 = density._mc_windows(terms)
     assert window < window1 < math.inf
     assert np.all(np.abs(fast - exact) <= window)
@@ -435,35 +443,47 @@ def test_mc_kernel_decides_rows_the_float32_dot_leaves_open(monkeypatch):
             _hex([want.value, want.error_bound]), workers
 
 
-def test_mc_results_do_not_depend_on_the_block_size(monkeypatch):
-    model = _amplitude_model(1, 1000, 0.1, seed=1000)
-    terms = _amplitudes(3000, 0.1, seed=3000)
+# (model terms, shared terms, samples, shared pairs): even rows, the shared
+# draw in four chunks; odd rows, three chunks of 6967 pairs at 301 terms
+# and three of 2095 at 1001, where a 2^10-element block holds one row
+BLOCK_CASES = [(1000, 3000, 30_000, 2500), (301, 301, 30_000, 15_000),
+               (1001, 1001, 10_000, 5000)]
+
+
+@pytest.mark.parametrize("model_terms,shared_terms,samples,pairs", BLOCK_CASES)
+def test_mc_results_do_not_depend_on_the_block_size(
+        monkeypatch, model_terms, shared_terms, samples, pairs):
+    # nor on the worker count; an odd row leaves the last half of its last
+    # word unused, whatever the block holds
+    model = _amplitude_model(1, model_terms, 0.1, seed=model_terms)
+    terms = _amplitudes(shared_terms, 0.1, seed=shared_terms)
     level_means = [-2.0, 0.0, 0.5, 1.0, 3.0]
-    results = []
+    est = density_montecarlo_loop(model, samples, seed=4)
+    deltas, cis = shared_mc_loop(terms, level_means, 2 * pairs, 4)
+    want = _hex([est.value, est.error_bound, *deltas, *cis])
     for block in (1 << 10, 1 << 15, 1 << 17):
         monkeypatch.setattr(density, "_MC_BLOCK", block)
-        est = density_montecarlo(model, 30_000, seed=4)
-        deltas, cis = density._mc_race(terms, level_means, 2500, 4,
-                                       _SHARED_MC_SALT, 16)
-        results.append(_hex([est.value, est.error_bound, *deltas, *cis]))
-    assert results[0] == results[1] == results[2]
-    want = density_montecarlo_loop(model, 30_000, seed=4)
-    assert results[0][:2] == _hex([want.value, want.error_bound])
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(density, "_mc_workers", lambda n_chunks: workers)
+            est = density_montecarlo(model, samples, seed=4)
+            deltas, cis = density._mc_race(terms, level_means, pairs, 4,
+                                           _SHARED_MC_SALT, 16)
+            assert _hex([est.value, est.error_bound, *deltas, *cis]) == want, \
+                (block, workers)
 
 
 def test_mc_kernel_decides_exact_zero_sums_at_mean_zero(monkeypatch):
-    # half-turn angles and paired amplitudes make S exactly 0 on many rows;
-    # at mean 0 those rows score 0, the others 1/2
+    # half-turn angles (k in {0, 2^31}) and paired amplitudes make S
+    # exactly 0 on many rows; at mean 0 those rows score 0, the others 1/2
     real_rng = np.random.default_rng
 
     class HalfTurns:
         def __init__(self, seed):
-            self._rng = real_rng(seed)
+            self._bits = real_rng(seed).bit_generator
+            self.bit_generator = self
 
-        def random(self, size=None, out=None):
-            u = self._rng.random(size, out=out)
-            u[...] = 0.5 * (u >= 0.5)
-            return u
+        def random_raw(self, size=None):
+            return self._bits.random_raw(size) & np.uint64(0x8000000080000000)
 
     monkeypatch.setattr(np.random, "default_rng", HalfTurns)
     terms = np.repeat([0.75, 0.5, 0.375, 0.125], 2)
@@ -505,6 +525,56 @@ def test_float32_cos_error_behind_the_mc_window():
     x = np.append(bits, top).view(np.float32)
     err = np.abs(np.cos(x).astype(np.float64) - np.cos(x.astype(np.float64)))
     assert float(err.max()) <= density._COS32_ULPS * 2.0 ** -24 - 2.0 ** -52
+
+
+def test_mc_kernel_angles_lie_within_their_bound(monkeypatch):
+    # every float32 angle the kernel forms, read at its float32 cos call,
+    # is fl32(fl32(k) fl32(2 pi 2^-32)) for its half-word k, within
+    # 2 pi u ((1 + 2^-24)^3 - 1) of 2 pi u = 2 pi k 2^-32, and in
+    # [0, fl32(2 pi)], where the float32 cos sweep above runs; for the
+    # edge words and a strided sweep of [0, 2^32)
+    n = 1000
+    edges = [0, 1, (1 << 24) - 1, 1 << 24, (1 << 24) + 1, 1 << 31, (1 << 32) - 1]
+    k = np.concatenate([np.array(edges, dtype=np.uint64),
+                        np.arange(0, 1 << 32, 4093, dtype=np.uint64)])
+    take = -(-k.size // n)
+    k = np.append(k, np.zeros(take * n - k.size, dtype=np.uint64))
+    words = k[0::2] | (k[1::2] << np.uint64(32))
+
+    class Fed:
+        def __init__(self, seed):
+            self.bit_generator = self
+            self._at = 0
+
+        def random_raw(self, size=None):
+            self._at += size
+            return words[self._at - size:self._at]
+
+    cos = np.cos
+    angles = []
+
+    def captured_cos(x, *args, **kwargs):
+        if x.dtype == np.float32:
+            angles.append(x.ravel().copy())
+        return cos(x, *args, **kwargs)
+
+    terms = _amplitudes(n, 0.1, seed=n)
+    monkeypatch.setattr(np.random, "default_rng", Fed)
+    monkeypatch.setattr(np, "cos", captured_cos)
+    density._mc_chunk(terms, np.zeros(1), 0, 0, 0, take)
+    monkeypatch.undo()
+    theta = np.concatenate(angles)
+    assert theta.tobytes() == _angles32(k).tobytes()
+    # fl32(2^24 + 1) = 2^24, and fl32(2^32 - 1) = 2^32 gives fl32(2 pi)
+    at = dict(zip(edges, theta[:len(edges)].tolist()))
+    assert at[0] == 0.0 and at[1] == np.float32(density._TURN)
+    assert at[(1 << 24) + 1] == at[1 << 24] == np.float32(2.0 ** -7 * np.pi)
+    assert at[1 << 31] == np.float32(np.pi)
+    assert at[(1 << 32) - 1] == np.float32(2.0 * np.pi)
+    exact = 2.0 * np.pi * (k * 2.0 ** -32)
+    err = np.abs(theta.astype(np.float64) - exact)
+    assert np.all(err <= exact * ((1.0 + 2.0 ** -24) ** 3 - 1.0))
+    assert theta.min() == 0.0 and theta.max() == np.float32(2.0 * np.pi)
 
 
 def test_fourier_reports_integrand_evaluations(monkeypatch):

@@ -20,6 +20,13 @@ components, so noise_variance moved by 1 ulp (667.7101836016769 ->
 667.710183601677); no other field moved, and no other digest here.  The
 flags and a race config file naming every one of run_race's arguments must
 give that same race report.
+The monotonicity, sandwich, horizontal and both race digests (and so the
+race config digest) were re-taken when the Monte Carlo kernel took its
+uniforms k 2^-32 from the 32-bit halves of raw generator words rather
+than from float64 draws: the noise changed, so every Monte Carlo field
+moved (delta_mc, its interval, one_minus_delta_mc, abs_bias_gap_mc, the
+monotonicity levels, pairs and series) with the inequality strings
+printed from them; no other field moved, and no verdict or flag.
 So a refactor of the mean/weight engine, the Monte Carlo kernel or the
 Fourier grid that changes any integer, float or key of these reports fails
 here.  Regenerate a digest only for a change that is meant to alter the
@@ -80,14 +87,14 @@ GOLDEN = [
      "04b7836b7a6dd9e715e96a7c3f0172f0767bc81c12ec26e16fbd68725a35f58e"),
     (["monotonicity", "--family", "quaternion", "--n", "6", "--w", "-1",
       "--samples", "2000", "--seed", "0"],
-     "31fed261679dbb3be159ef295565348052b4b8fdba554fc0c60bf43583464c34"),
+     "4debde30ce6c973f0d2b493fb79aab515fb05869b7e50ead335cecd97bccf351"),
     (["sandwich", "--count", "2", "--samples", "10000", "--seed", "0"],
-     "7abc1d66a0c6b10fe2a0f07f68d8e57c82ca5f5c9eba269916e8cf16742932eb"),
+     "7fb0da1c23f4ad3de50f41673989eeacb927cd84b5b23b9c2e30cb96f1705b0f"),
     (["horizontal", "--f-values", "1,2", "--samples", "10000", "--seed", "0"],
-     "a19bc76ca6ce364c730c99beba2cbd35d1b4b03f8c4747685b58e9e4f9e36702"),
+     "d69d164c6dbf87f3b237f17b0aa6b4df0e5004dcc0b046e9fa0ca97acb0a9832"),
     (["race", "--n", "5", "--samples", "10000", "--seed", "0", "--pair", "one:minus_one",
       "--pair", "one:flip_even", "--pair", "power(1):flip_odd"],
-     "2293ee21bbef15089f131559bf59581c8d81d314e79ff4ed7301193a890fc09b"),
+     "fdcdfc9f9d694344a9da3a14b9acf0cef1a0d6d28a678b0bc5796d08e1b75210"),
     (["mod4", "--t-max", "3"],
      "5eb89f9a0d90229e7d3d6e02f7960014c94f766f17b0f5d62cda367d1b90e414"),
     (["mod4", "--t-max", "8"],
@@ -95,7 +102,7 @@ GOLDEN = [
     (["mod4", "--t-max", "40"],
      "550b2c9fbbbbb76f490ccd86b460ad4b527087c831b8a00593905a0eb35352f0"),
     (["race", "--n", "4", "--samples", "10000", "--seed", "0"],
-     "22dba5d27aabc507ca63a58051daa97c8a8fa8f7b33eee3162b3a1635f956cf6"),
+     "e03892989fdb45aaba7c476662f125311eef121d00de51156db926aa078bd782"),
 ]
 
 # the race flags above as a config file, with every default spelled out
