@@ -24,14 +24,12 @@ JSON record per call:
 * ``phases_s``: seconds inside the verb, split by the package functions the
   child wraps, and ``verb`` (all of ``cli.main``).  ``tower``: ``exact``
   (``level_races``, the call's race table with its means, and
-  ``RaceTable.weights``, its pairs x characters weight rows; ``level_data``
-  and ``pair_weights`` in checkouts from before the race table), ``zeros``
+  ``RaceTable.weights``, its pairs x characters weight rows), ``zeros``
   (``provision_zero_sets``, which samples the zero sets and builds the
   call's ``SpectralTable`` from them; its sums are taken inside the first
   inversions that need them), ``inversions`` (``density_fourier_batch``,
-  the call's one batch of inversions with their tail searches;
-  ``density_fourier``, once per inversion, in checkouts from before the
-  batch), three parts of it, ``t_max`` (``_t_max_and_tail``, the tail
+  the call's one batch of inversions with their tail searches), three
+  parts of it, ``t_max`` (``_t_max_and_tail``, the tail
   search), ``panels`` (``_panel_count``, the panel counts and their
   quadrature bounds) and ``grid`` (``_grid_integral``, the integrands at
   the nodes), and ``report`` (``report_json``).  Older tower records carry a
@@ -40,16 +38,15 @@ JSON record per call:
   ``table``: ``means`` (``mean_table``, one call per level and root
   number), ``rows`` (the rest of ``reproduce_table``: the report rows) and
   ``report``.  ``monotonicity``: ``means`` (``race_table``, once per
-  level; ``mean`` in checkouts from before the race table),
-  ``zeros`` (``provision_zero_sets``), ``model`` (``race_model`` and the
+  level), ``zeros`` (``provision_zero_sets``), ``model`` (``race_model`` and the
   first read of ``RaceModel.terms``, which lists the amplitudes), ``mc``
   (``_mc_race``, the shared Monte Carlo draw) and ``report``.  ``race``:
-  ``means`` (``race_table``, or ``mean``), ``zeros``
-  (``provision_zero_sets``), ``model``
-  (``race_model`` and ``RaceModel.terms``), ``fourier``
-  (``density_fourier``), ``mc`` (``density_montecarlo``) and ``report``;
-* ``inversions`` (``tower`` only): how many races of nonzero mean the
-  call inverted, one per distinct (|mean|, weight row);
+  ``means`` (``race_table``), ``zeros`` (``provision_zero_sets``),
+  ``model`` (``race_model`` and ``RaceModel.terms``), ``fourier``
+  (``density_fourier``, or ``density_fourier_batch`` in checkouts without
+  it), ``mc`` (``density_montecarlo``) and ``report``;
+* ``inversions`` (``tower`` only): how many inversions the call's batch
+  made, one per distinct (row index, |mean|) of nonzero mean it was handed;
 * ``i0e_values`` (``tower`` only): how many values the call handed the
   panel bound's exp(-x) I0(x) kernel (``density._i0e``);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
@@ -81,10 +78,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # cached property timed on its first read), a checkout with none of them
 # is an error, and a phase sums its entries
 PHASES = {
-    "tower": (("experiments", ("level_races", "level_data"), "exact"),
-              ("experiments", ("RaceTable.weights", "pair_weights"), "exact"),
+    "tower": (("experiments", ("level_races",), "exact"),
+              ("experiments", ("RaceTable.weights",), "exact"),
               ("experiments", ("provision_zero_sets",), "zeros"),
-              ("experiments", ("density_fourier_batch", "density_fourier"), "inversions"),
+              ("experiments", ("density_fourier_batch",), "inversions"),
               ("density", ("_t_max_and_tail",), "t_max"),
               ("density", ("_panel_count",), "panels"),
               ("density", ("_grid_integral",), "grid"),
@@ -92,17 +89,17 @@ PHASES = {
     "table": (("experiments", ("mean_table",), "means"),
               ("cli", ("reproduce_table",), "rows"),
               ("cli", ("report_json",), "report")),
-    "monotonicity": (("experiments", ("race_table", "mean"), "means"),
+    "monotonicity": (("experiments", ("race_table",), "means"),
                      ("experiments", ("provision_zero_sets",), "zeros"),
                      ("experiments", ("race_model",), "model"),
                      ("density", ("RaceModel.terms",), "model"),
                      ("experiments", ("_mc_race",), "mc"),
                      ("cli", ("report_json",), "report")),
-    "race": (("experiments", ("race_table", "mean"), "means"),
+    "race": (("experiments", ("race_table",), "means"),
              ("experiments", ("provision_zero_sets",), "zeros"),
              ("experiments", ("race_model",), "model"),
              ("density", ("RaceModel.terms",), "model"),
-             ("experiments", ("density_fourier",), "fourier"),
+             ("experiments", ("density_fourier", "density_fourier_batch"), "fourier"),
              ("experiments", ("density_montecarlo",), "mc"),
              ("cli", ("report_json",), "report")),
 }
@@ -134,23 +131,20 @@ def _child(argv: list[str]) -> None:
     import_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     modules = {"cli": cli, "density": density, "experiments": experiments}
     phases = {}
-    inverted = []
+    inversions = [0]
     i0e_values = [0]
-    i0e = getattr(density, "_i0e", None)  # scipy's, in checkouts from before it
+    i0e = density._i0e
 
     def counted_i0e(x):
         i0e_values[0] += x.size
         return i0e(x)
 
-    if i0e is not None:
-        density._i0e = counted_i0e
+    density._i0e = counted_i0e
 
     def count(name: str, args) -> None:
-        """Races of nonzero mean handed to the inversions."""
+        """The distinct (row index, |mean|) of nonzero mean in a batch."""
         if name == "density_fourier_batch":
-            inverted.extend(mean for _, mean in args[2] if mean)
-        elif name == "density_fourier" and args[0].mean:
-            inverted.append(args[0].mean)
+            inversions[0] += len({(i, abs(mean)) for i, mean in args[2] if mean})
 
     def timed(module, names: tuple[str, ...], phase: str) -> None:
         for name in names:
@@ -194,8 +188,8 @@ def _child(argv: list[str]) -> None:
     record = {"import_rss_mb": round(import_rss_mb, 1),
               "phases_s": {k: round(v, 4) for k, v in phases.items()}}
     if argv[0] == "tower":
-        record["inversions"] = len(inverted)
-        record["i0e_values"] = i0e_values[0] if i0e is not None else None
+        record["inversions"] = inversions[0]
+        record["i0e_values"] = i0e_values[0]
     record["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     print(json.dumps(record))
 

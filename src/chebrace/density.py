@@ -46,17 +46,20 @@ terms that reach a threshold at t_max.  The tail search visits a few grid
 points past a floor that no point below can meet, each bound split within
 two doublings of its point.
 
-The Fourier engine inverts a batch: rows of scales over one table, each
-with its mean (``density_fourier_batch``; ``density_fourier`` is the batch
-of one).  Each step is a few array operations over a block of rows: the
-top terms of every row counted by one search of the table's ascending
-bases, the rows' terms sorted and their prefix sums taken, both along
-padded rows, one pass per panel count tried over the rows still open,
-and the grid integrals by (panel count, series order), the head terms
-padded with r = 0, whose J0 is exactly 1.  Every sum over a row's terms or components
-has the length and order it has for the row alone (rows of one length are
-summed together, as the rows of a matrix), so each estimate is bit for bit
-the one its model gets alone, whatever else is in the batch.  A block
+The Fourier engine's one entry, ``density_fourier_batch``, takes a call's
+races as (row of scales over one table, integer mean) and decides which of
+them share an inversion: each distinct (row, |mean|) of nonzero mean is
+inverted once, a mean of zero is exactly 1/2, and a negative mean is the
+complement of its mirror.  Each step of an inversion is a few array
+operations over a block of rows: the top terms of every row counted by
+one search of the table's ascending bases, the rows' terms sorted and
+their prefix sums taken, both along padded rows, one pass per panel count
+tried over the rows still open, and the grid integrals by (panel count,
+series order), the head terms padded with r = 0, whose J0 is exactly 1.
+Every sum over a row's terms or components has the length and order it
+has for the row alone (rows of one length are summed together, as the
+rows of a matrix), so each estimate is bit for bit the one its race gets
+alone, whatever else is in the batch.  A block
 holds at most _ROWS_BLOCK components of nonzero scale and a working array
 at most _BLOCK values, which bounds memory and moves no estimate.
 
@@ -346,9 +349,7 @@ def density_montecarlo(model: RaceModel, samples: int, seed: int) -> DensityEsti
     n_pairs = samples // 2
     deltas, cis = _mc_race(terms, [float(model.mean)], n_pairs, seed,
                            _MC_SALT, 128)
-    value = float(deltas[0])
-    return DensityEstimate(min(max(value, 0.0), 1.0),
-                           float(cis[0]), 2 * n_pairs)
+    return DensityEstimate(float(deltas[0]), float(cis[0]), 2 * n_pairs)
 
 
 # Gil-Pelaez on a grid, and the constants of its error budget
@@ -1376,10 +1377,10 @@ def _invert(rows: _Rows, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
-                          models: Sequence[tuple[int, int]]) -> list[DensityEstimate]:
-    """P(X > 0) for each model (i, mean): the race of row i of scales over
-    this table against that mean, by Gil-Pelaez inversion of the
-    characteristic function.
+                          races: Sequence[tuple[int, int]]) -> list[DensityEstimate]:
+    """P(X > 0) for each race (i, mean): row i of scales over this table
+    against that integer mean, by Gil-Pelaez inversion of the
+    characteristic function; one estimate per race, in input order.
 
     delta = 1/2 + (1/pi) Integral_0^inf sin(mean*t) Phi(t) / t dt with
     Phi(t) = prod_j J0(r_j t), an entire integrand, integrated on [0, t_max]
@@ -1389,48 +1390,43 @@ def density_fourier_batch(table: SpectralTable, rows: np.ndarray,
     the spectral table.  The budget adds three proven parts: the bulk
     series remainder, the panels' Bernstein-ellipse bound, and the tail
     beyond t_max, which also picks t_max; and a first-order bound on
-    rounding.  A mean of zero short-circuits to exactly 1/2, and a
-    negative mean is the ``complement`` of the mirrored race, so flipping
-    the mean maps delta to 1 - delta identically.
+    rounding.
 
-    The models go in blocks of at most _ROWS_BLOCK entries (components of
-    nonzero scale), and each step of the engine is a few array operations
-    over a block, its wider arrays taken a part at a time.  Every sum over
-    a model's terms or components has that model's own length and order,
-    so each estimate is bit for bit the one the model gets alone, whatever
-    else is in the batch.
+    Races share inversions: each distinct (i, |mean|) of nonzero mean is
+    inverted once, in the order of its key i (max |mean| + 1) + |mean|.  A
+    mean of zero is exactly 1/2, and a negative mean is the ``complement``
+    of its mirror, so flipping the mean maps delta to 1 - delta
+    identically.  The inversions go in blocks of at most _ROWS_BLOCK
+    entries (components of nonzero scale), and each step of the engine is a
+    few array operations over a block, its wider arrays taken a part at a
+    time.  Every sum over a race's terms or components has that race's own
+    length and order, so each estimate is bit for bit the one the race gets
+    alone, whatever else is in the batch.
     """
-    return _fourier_batch(table, rows, models)
-
-
-def _fourier_batch(table: SpectralTable, rows: np.ndarray,
-                   models: Sequence[tuple[int, int]]) -> list[DensityEstimate]:
-    """Both public entries call this, so that the few-term warning names their caller."""
     rows = np.asarray(rows, dtype=float)
-    which = np.array([i for i, _ in models], dtype=np.intp)
+    which = np.array([i for i, _ in races], dtype=np.intp)
+    mean = np.array([m for _, m in races], dtype=np.int64)
     counts = ((rows != 0.0) @ table.sizes)[which]
     if not counts.all():
         raise ValueError("empty term list")
-    live = np.array([k for k, (_, mean) in enumerate(models) if mean != 0], dtype=np.intp)
+    live = np.flatnonzero(mean)
     if (counts[live] < 3).any():
         warnings.warn("fewer than 3 oscillation terms: the integrand decays "
-                      "slowly, and the tail bound is 1", stacklevel=3)
-    out = [DensityEstimate(0.5, 0.0, 0)] * len(models)
-    m = np.array([abs(float(models[k][1])) for k in live.tolist()])
-    entries = np.count_nonzero(rows, axis=1)[which[live]]
-    for lo, hi in _ranges(entries, _ROWS_BLOCK):
-        block = live[lo:hi]
-        values, budgets, nodes = _invert(_Rows.of(table, rows[which[block]]), m[lo:hi])
-        for k, value, budget, count in zip(block.tolist(), values.tolist(),
-                                           budgets.tolist(), nodes.tolist()):
-            est = DensityEstimate(value, budget, count)
-            out[k] = est if models[k][1] > 0 else complement(est)
+                      "slowly, and the tail bound is 1", stacklevel=2)
+    size = np.abs(mean)
+    keys = which * (int(size.max(initial=0)) + 1) + size
+    _, first, shared = np.unique(keys[live], return_index=True, return_inverse=True)
+    inverted = live[first]
+    found = []
+    for lo, hi in _ranges(np.count_nonzero(rows, axis=1)[which[inverted]], _ROWS_BLOCK):
+        block = inverted[lo:hi]
+        values, budgets, nodes = _invert(_Rows.of(table, rows[which[block]]),
+                                         size[block].astype(float))
+        found += map(DensityEstimate, values.tolist(), budgets.tolist(), nodes.tolist())
+    out = [DensityEstimate(0.5, 0.0, 0)] * len(races)
+    for k, j in zip(live.tolist(), shared.tolist()):
+        out[k] = found[j] if mean[k] > 0 else complement(found[j])
     return out
-
-
-def density_fourier(model: RaceModel) -> DensityEstimate:
-    """P(X > 0) for one race model: ``density_fourier_batch`` of one row."""
-    return _fourier_batch(model.table, model.row[None, :], [(0, model.mean)])[0]
 
 
 def complement(estimate: DensityEstimate) -> DensityEstimate:

@@ -45,8 +45,6 @@ from .density import (
     SpectralTable,
     _mc_race,
     clt_estimate,
-    complement,
-    density_fourier,
     density_fourier_batch,
     density_montecarlo,
     lower_bound,
@@ -355,18 +353,7 @@ def _tail_sigma(row: np.ndarray, table: SpectralTable) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _json_scalar(value):
-    """json's fallback for the numpy scalars and arrays it does not know."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_JSON_CONTAINERS = (dict, list, tuple, np.ndarray)
+_JSON_CONTAINERS = (dict, list, tuple)
 # exact types that are never containers: the quick test for a leaf
 _JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
 _DICT_ONLY = frozenset((dict,))
@@ -377,8 +364,7 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
     """Writes a container at nesting ``depth`` whose items hold no
     container.  json runs its C encoder only without ``indent``, so the
     indent goes into the item separator instead."""
-    return json.JSONEncoder(sort_keys=True, default=_json_scalar,
-                            separators=(",\n" + "  " * (depth + 1), ": "))
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
 
 
 def _leaves(items) -> bool:
@@ -387,7 +373,7 @@ def _leaves(items) -> bool:
 
 
 # one column of leaves per call, one item a line
-_COLUMN_ENCODER = json.JSONEncoder(default=_json_scalar, separators=("\n", ": "))
+_COLUMN_ENCODER = json.JSONEncoder(separators=("\n", ": "))
 # rows of a list of flat dicts encoded per pass: bounds the column temporaries
 _ROW_CHUNK = 1024
 
@@ -467,8 +453,6 @@ def _json(value, depth: int) -> str:
     dicts of leaves (a report's rows) is encoded column by column, a chunk
     of rows at a time (``_flat_rows``); other containers that hold
     containers are walked here."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     encoder = _json_encoder(depth)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return encoder.encode(value)
@@ -497,17 +481,16 @@ def _json(value, depth: int) -> str:
 
 
 def report_json(report: dict) -> str:
-    """The report as indented JSON with sorted keys, numpy values as plain
-    numbers and arrays as lists: the layout of ``json.dumps(report,
-    indent=2, sort_keys=True)``, byte for byte.  Rows lists of flat dicts
+    """The report as indented JSON with sorted keys: the layout of
+    ``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, and
+    the same TypeError for a value json does not know (a numpy int,
+    float32 or array among them).  Rows lists of flat dicts
     take the column path of ``_flat_rows``; the newline split there is exact
     because json escapes every newline inside a string."""
     return _json(report, 0) + "\n"
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, np.generic):
-        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -515,7 +498,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, _JSON_CONTAINERS):
-        return json.dumps(value, sort_keys=True, default=_json_scalar)
+        return json.dumps(value, sort_keys=True)
     return str(value)
 
 
@@ -623,7 +606,7 @@ def race_row(races: RaceTable, k: int, weight_row: np.ndarray,
     row["bias_factor"] = model.bias_factor
     row["n_terms"] = int(model.terms.size)
 
-    est_f = density_fourier(model)
+    [est_f] = density_fourier_batch(table, model.row[None, :], [(0, m)])
     row["delta_fourier"] = est_f.value
     row["delta_fourier_budget"] = est_f.error_bound
     est_mc = density_montecarlo(model, samples, mc_seed)
@@ -989,7 +972,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
-    # n = 10 takes 2.5-3.2 s and 141 MB (bench/scale.py tower); n = 11
+    # n = 10 takes 2.1-2.3 s and 141 MB on 2 vCPUs (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
     if not 3 <= n <= 10:
         raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
@@ -1001,10 +984,11 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     mean = races.means  # all defined at the top
     means = mean.tolist()
     # The zero sets are fixed for the call, so pairs with equal weight rows
-    # race the same oscillation part: one inversion per distinct
-    # (|mean|, weight row), all of them one batch over one spectral table
-    # with a component per weighted character.  Rows are grouped by their
-    # bytes (weights are abs values, so equal rows have equal bytes).
+    # race the same oscillation part: every pair goes to one batch over one
+    # spectral table with a component per weighted character, as (distinct
+    # row, mean), and the batch inverts each (row, |mean|) once.  Rows are
+    # grouped by their bytes (weights are abs values, so equal rows have
+    # equal bytes).
     table = races.weights()
     number: dict[bytes, int] = {}  # each distinct row's bytes, numbered as first met
     row_of = np.array([number.setdefault(row.tobytes(), len(number)) for row in table],
@@ -1017,13 +1001,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     zeros = provision_zero_sets(scen, weighted, seed)
     scales = zeros.scales(table)
     del table
-    size = np.abs(mean)
-    _, models, model_of = np.unique(row_of * (int(size.max(initial=0)) + 1) + size,
-                                    return_index=True, return_inverse=True)
-    found = density_fourier_batch(zeros, scales,
-                                  list(zip(row_of[models].tolist(), size[models].tolist())))
-    estimates = [found[k] if m >= 0 else complement(found[k])
-                 for m, k in zip(means, model_of.tolist())]
+    estimates = density_fourier_batch(zeros, scales, list(zip(row_of.tolist(), means)))
     # a mean-0 row needs no variance
     live = mean != 0
     factors = np.zeros(len(means))
@@ -1327,7 +1305,7 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     if not len(zs):
         raise ConfigError(empty)
     model = race_model(2, [2.0], SpectralTable.of({0: zs}))
-    est = density_fourier(model)
+    [est] = density_fourier_batch(model.table, model.row[None, :], [(0, model.mean)])
     return {
         "experiment": "mod4",
         "zero_source": zs.source,

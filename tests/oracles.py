@@ -27,6 +27,10 @@ halves are taken by arithmetic (``angle_words``), not by viewing the
 words' bytes, so a byte-order slip in the kernel fails.  Tests compare the
 kernel against them for bit-equal estimates and intervals.
 
+``density_fourier``, the one-model Fourier entry from before
+``density_fourier_batch`` became the package's only one: the batch of the
+model's one row.  Tests invert one model through it.
+
 ``density_fourier``'s engine from before the Gauss-Legendre grid:
 QUADPACK's oscillatory-weighted adaptive quadrature over the full J0
 product, with a series segment at 0 and the envelope tail.  Tests compare
@@ -149,7 +153,7 @@ from chebrace.density import (
     RaceModel,
     SpectralTable,
     complement,
-    density_fourier,
+    density_fourier_batch,
 )
 from chebrace import density
 from chebrace.experiments import _SHARED_MC_SALT, provision_zero_sets
@@ -398,6 +402,11 @@ def j0_product(x: np.ndarray) -> float:
     for c in reversed(_J0_SERIES[:-1]):
         series = series * z + c
     return float(np.prod(series) * np.prod(j0(x[~small]).astype(np.longdouble)))
+
+
+def density_fourier(model: RaceModel) -> DensityEstimate:
+    """P(X > 0) for one race model: the package's batch of its one row."""
+    return density_fourier_batch(model.table, model.row[None, :], [(0, model.mean)])[0]
 
 
 def density_fourier_quadpack(model, t_max: float | None = None,
@@ -735,25 +744,9 @@ def mean_table_per_pair(family: str, n: int, level: int,
 # -- report plumbing ----------------------------------------------------------
 
 
-def _native(value):
-    """Recursively convert numpy scalars/arrays so json emits plain types."""
-    if isinstance(value, dict):
-        return {k: _native(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_native(v) for v in value.tolist()]
-    return value
-
-
 def report_json_indent(report) -> str:
-    """The report as json's indent=2 encoder writes it, after a walk that
-    turns numpy scalars and arrays into plain values."""
-    return json.dumps(_native(report), indent=2, sort_keys=True) + "\n"
+    """The report as json's indent=2 encoder writes it."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # -- the cyclotomic ring ----------------------------------------------------

@@ -15,7 +15,7 @@ from chebrace.characters import (
     character_value,
     psi_id,
 )
-from chebrace.density import SpectralTable, density_fourier, density_montecarlo, race_model
+from chebrace.density import SpectralTable, density_montecarlo, race_model
 from chebrace.experiments import (
     horizontal_experiment,
     mod4_experiment,
@@ -40,6 +40,7 @@ from oracles import (
     character_table,
     conductor_discriminant,
     conductor_report,
+    density_fourier,
     density_fourier_quadpack,
     discriminant_exponent_tame,
     explicit_scenario,

@@ -21,7 +21,6 @@ from chebrace.density import (
     Z99,
     clt_estimate,
     complement,
-    density_fourier,
     density_montecarlo,
     lower_bound,
     q_factor,
@@ -47,6 +46,7 @@ from oracles import (
     angle_words,
     assemble_race_model,
     column_moduli,
+    density_fourier,
     density_fourier_quadpack,
     density_montecarlo_loop,
     engine_grid,
@@ -140,12 +140,9 @@ def test_fourier_matches_the_arccos_law_for_a_single_cosine():
 
 def test_few_term_warning_names_the_caller_of_the_public_entry():
     model = race_model(1, [1.0], SpectralTable.of({0: _zs("chi1", [math.sqrt(0.75)])}))
-    for call in (lambda: density_fourier(model),
-                 lambda: density.density_fourier_batch(model.table, model.row[None, :],
-                                                       [(0, 1)])):
-        with pytest.warns(UserWarning, match="fewer than 3") as record:
-            call()
-        assert [w.filename for w in record] == [__file__]
+    with pytest.warns(UserWarning, match="fewer than 3") as record:
+        density.density_fourier_batch(model.table, model.row[None, :], [(0, 1)])
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_fourier_and_montecarlo_agree_on_random_models():
@@ -758,6 +755,46 @@ def test_fourier_batch_takes_rows_without_head_terms():
     batch = density.density_fourier_batch
     alone = [_bits(batch(table, rows, [model])[0]) for model in models]
     assert [_bits(est) for est in batch(table, rows, models)] == alone
+
+
+def test_fourier_batch_inverts_each_row_and_abs_mean_once(monkeypatch):
+    # repeated rows, repeated |mean|, mirrored means and means of 0: one
+    # inversion per distinct (row, |mean|) of nonzero mean, in key order;
+    # a mirror is the complement bit for bit, a mean of 0 exactly 1/2, and
+    # every estimate is the one-row batch of its race (row 2 equals row 0
+    # but has its own index, so it has its own inversions)
+    table = spectral_table([np.full(400, 100.0), np.array([2.0, 2.5, 3.3, 5.0]),
+                            np.array([1.5, 4.0, 7.5, 9.0])])
+    rows = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 4.0], [2.0, 1.0, 0.0]])
+    races = [(0, 3), (1, 2), (0, -3), (1, 0), (0, 3), (2, 3), (1, -5), (1, 2),
+             (0, 0), (1, 5), (0, 1), (2, -3)]
+    inverted = []
+    real = density._invert
+
+    def recorded(engine_rows, m):
+        for r, mean in enumerate(m.tolist()):
+            at = engine_rows.owner == r
+            inverted.append((engine_rows.comp[at].tolist(),
+                             engine_rows.scale[at].tolist(), mean))
+        return real(engine_rows, m)
+
+    monkeypatch.setattr(density, "_invert", recorded)
+    found = density.density_fourier_batch(table, rows, races)
+    assert len(found) == len(races)
+    assert inverted == [(np.flatnonzero(rows[i]).tolist(), rows[i][rows[i] != 0].tolist(),
+                         float(m)) for i, m in sorted({(i, abs(m)) for i, m in races if m})]
+    inverted.clear()
+    alone = [density.density_fourier_batch(table, rows[i][None, :], [(0, m)])[0]
+             for i, m in races]
+    assert [_bits(est) for est in found] == [_bits(est) for est in alone]
+    by_race = dict(zip(races, found))
+    for (i, m), est in by_race.items():
+        if m == 0:
+            assert est == DensityEstimate(0.5, 0.0, 0)
+        elif m < 0:
+            assert _bits(est) == _bits(complement(by_race[i, -m]))
+            assert est.value.hex() == (1.0 - by_race[i, -m].value).hex()
+    assert _bits(by_race[2, 3]) == _bits(by_race[0, 3])
 
 
 @settings(max_examples=20, deadline=None)

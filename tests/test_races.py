@@ -44,7 +44,6 @@ from chebrace.races import (
 from chebrace.density import (
     RaceModel,
     SpectralTable,
-    density_fourier,
     density_montecarlo,
     race_model,
 )
@@ -55,6 +54,7 @@ from oracles import (
     b0,
     bias_factor,
     character_degree,
+    density_fourier,
     induce,
     induced_components,
     level_orders_by_induction,

@@ -35,9 +35,10 @@ ALLOWED: frozenset[str] = frozenset()
 # per-pair weight paths that the batch ``races.pair_weights`` replaced, the
 # ring operations of CycloInt beyond sums, the element-at-a-time group
 # operations, the tame-conductor layer over literal primes, and the
-# test-only character sums, and the per-character induction, central
+# test-only character sums, the per-character induction, central
 # orders, degrees, invariant dimensions, conductor exponents and log
-# conductors that the index-pair and array forms replaced
+# conductors that the index-pair and array forms replaced, and the
+# one-model Fourier entry, now the batch of one row
 ORACLE_ONLY = {
     "complex_values", "difference_terms",
     "neg", "sub", "scale", "mul", "conjugate", "promote", "compress",
@@ -50,7 +51,7 @@ ORACLE_ONLY = {
     "induce", "InducedDecomposition", "_psi_range", "central_order",
     "is_symplectic", "character_degree", "invariant_dimension",
     "conductor_exponent", "log_conductor",
-    "RaceSpec", "RaceUndefinedError", "mean",
+    "RaceSpec", "RaceUndefinedError", "mean", "density_fourier",
 }
 
 
