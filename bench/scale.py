@@ -32,27 +32,25 @@ JSON record per call:
   parts of it, ``t_max`` (``_t_max_and_tail``, the tail
   search), ``panels`` (``_panel_count``, the panel counts and their
   quadrature bounds) and ``grid`` (``_grid_integral``, the integrands at
-  the nodes), and ``report`` (``report_json``).  Older tower records carry a
-  ``table`` phase, which timed building the table from a list of zero
-  sets, or a ``rows`` phase, which timed a per-row model assembly.
-  ``table``: ``means`` (``mean_table``, one call per level and root
-  number), ``rows`` (the rest of ``reproduce_table``: the report rows) and
-  ``report``.  ``monotonicity``: ``means`` (``race_table``, once per
-  level), ``zeros`` (``provision_zero_sets``), ``model`` (``race_model`` and the
-  first read of ``RaceModel.terms``, which lists the amplitudes), ``mc``
+  the nodes), and ``report`` (``report_json``).  ``table``: ``means``
+  (``mean_table``, one call per level and root number), ``rows`` (the
+  rest of ``reproduce_table``: the report rows) and ``report``.
+  ``monotonicity``: ``means`` (``race_table``, once per level), ``zeros``
+  (``provision_zero_sets``), ``model`` (``race_model`` and the first read
+  of ``RaceModel.terms``, which lists the amplitudes), ``mc``
   (``_mc_race``, the shared Monte Carlo draw) and ``report``.  ``race``:
   ``means`` (``race_table``), ``zeros`` (``provision_zero_sets``),
   ``model`` (``race_model`` and ``RaceModel.terms``), ``fourier``
-  (``density_fourier``, or ``density_fourier_batch`` in checkouts without
-  it), ``mc`` (``density_montecarlo``) and ``report``;
+  (``density_fourier_batch``), ``mc`` (``density_montecarlo``) and
+  ``report``;
 * ``inversions`` (``tower`` only): how many inversions the call's batch
   made, one per distinct (row index, |mean|) of nonzero mean it was handed;
 * ``i0e_values`` (``tower`` only): how many values the call handed the
   panel bound's exp(-x) I0(x) kernel (``density._i0e``);
 * ``report_sha256``: the digest of the report, to compare two checkouts.
 
-The package is imported from ``src/`` beside this script, so the same
-script measures any checkout it is copied into.
+The package is imported from ``src/`` beside this script, so the script
+measures the checkout it lives in.
 """
 from __future__ import annotations
 
@@ -72,36 +70,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# per verb, the timed package functions as (module, names, phase), in the
-# order the record lists the phases; each entry times the first of its
-# names that the checkout has (a dotted name is an attribute of a class, a
-# cached property timed on its first read), a checkout with none of them
-# is an error, and a phase sums its entries
+# per verb, the timed package functions as (module, name, phase), in the
+# order the record lists the phases; a dotted name is an attribute of a
+# class (a cached property is timed on its first read), a name the
+# package lacks is an error, and a phase sums its entries
 PHASES = {
-    "tower": (("experiments", ("level_races",), "exact"),
-              ("experiments", ("RaceTable.weights",), "exact"),
-              ("experiments", ("provision_zero_sets",), "zeros"),
-              ("experiments", ("density_fourier_batch",), "inversions"),
-              ("density", ("_t_max_and_tail",), "t_max"),
-              ("density", ("_panel_count",), "panels"),
-              ("density", ("_grid_integral",), "grid"),
-              ("cli", ("report_json",), "report")),
-    "table": (("experiments", ("mean_table",), "means"),
-              ("cli", ("reproduce_table",), "rows"),
-              ("cli", ("report_json",), "report")),
-    "monotonicity": (("experiments", ("race_table",), "means"),
-                     ("experiments", ("provision_zero_sets",), "zeros"),
-                     ("experiments", ("race_model",), "model"),
-                     ("density", ("RaceModel.terms",), "model"),
-                     ("experiments", ("_mc_race",), "mc"),
-                     ("cli", ("report_json",), "report")),
-    "race": (("experiments", ("race_table",), "means"),
-             ("experiments", ("provision_zero_sets",), "zeros"),
-             ("experiments", ("race_model",), "model"),
-             ("density", ("RaceModel.terms",), "model"),
-             ("experiments", ("density_fourier", "density_fourier_batch"), "fourier"),
-             ("experiments", ("density_montecarlo",), "mc"),
-             ("cli", ("report_json",), "report")),
+    "tower": (("experiments", "level_races", "exact"),
+              ("experiments", "RaceTable.weights", "exact"),
+              ("experiments", "provision_zero_sets", "zeros"),
+              ("experiments", "density_fourier_batch", "inversions"),
+              ("density", "_t_max_and_tail", "t_max"),
+              ("density", "_panel_count", "panels"),
+              ("density", "_grid_integral", "grid"),
+              ("cli", "report_json", "report")),
+    "table": (("experiments", "mean_table", "means"),
+              ("cli", "reproduce_table", "rows"),
+              ("cli", "report_json", "report")),
+    "monotonicity": (("experiments", "race_table", "means"),
+                     ("experiments", "provision_zero_sets", "zeros"),
+                     ("experiments", "race_model", "model"),
+                     ("density", "RaceModel.terms", "model"),
+                     ("experiments", "_mc_race", "mc"),
+                     ("cli", "report_json", "report")),
+    "race": (("experiments", "race_table", "means"),
+             ("experiments", "provision_zero_sets", "zeros"),
+             ("experiments", "race_model", "model"),
+             ("density", "RaceModel.terms", "model"),
+             ("experiments", "density_fourier_batch", "fourier"),
+             ("experiments", "density_montecarlo", "mc"),
+             ("cli", "report_json", "report")),
 }
 DEFAULT_N = {"tower": [7, 8, 9, 10], "table": [7, 8, 9, 10],
              "monotonicity": [12, 14, 16, 18], "race": [12, 14, 16]}
@@ -146,14 +143,11 @@ def _child(argv: list[str]) -> None:
         if name == "density_fourier_batch":
             inversions[0] += len({(i, abs(mean)) for i, mean in args[2] if mean})
 
-    def timed(module, names: tuple[str, ...], phase: str) -> None:
-        for name in names:
-            owner, _, attr = name.rpartition(".")
-            owner = getattr(module, owner, None) if owner else module
-            if hasattr(owner, attr):
-                break
-        else:
-            raise SystemExit(f"{module.__name__} has none of {names}: the "
+    def timed(module, name: str, phase: str) -> None:
+        owner, _, attr = name.rpartition(".")
+        owner = getattr(module, owner, None) if owner else module
+        if not hasattr(owner, attr):
+            raise SystemExit(f"{module.__name__} has no {name}: the "
                              f"{phase} phase would read 0")
         fn = getattr(owner, attr)
         prop = fn if isinstance(fn, functools.cached_property) else None
@@ -173,9 +167,9 @@ def _child(argv: list[str]) -> None:
             wrapper.__set_name__(owner, attr)
         setattr(owner, attr, wrapper)
 
-    for module, names, phase in PHASES[argv[0]]:
+    for module, name, phase in PHASES[argv[0]]:
         phases.setdefault(phase, 0.0)
-        timed(modules[module], names, phase)
+        timed(modules[module], name, phase)
     out = io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out):

@@ -40,17 +40,6 @@ LOG5 = math.log(5.0)
 LOG7 = math.log(7.0)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def conductor_exponents(group: Group, generator: Element) -> np.ndarray:
     """Tame n(chi, p) = chi(1) - dim V^I for inertia <generator>, of every
     irreducible in ``character_ids`` order, as an int64 array.
@@ -80,19 +69,14 @@ def conductor_exponents(group: Group, generator: Element) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VirtualPrime:
-    """A ramified place: literal odd prime in explicit mode (p set), or a
-    pure log size in scaled mode (p None)."""
+    """A ramified place as the conductors read it: its log size, a positive
+    real, and a generator of its tame inertia.  Literal primes with factored
+    conductors belong to the oracles' ``RamifiedPrime``."""
 
-    p: int | None
     log_p: float
     inertia: Element
 
     def __post_init__(self) -> None:
-        if self.p is not None:
-            if not _is_odd_prime(self.p):
-                raise ValueError(f"explicit prime must be an odd prime, got {self.p}")
-            if not abs(self.log_p - math.log(self.p)) < 1e-9:
-                raise ValueError(f"log_p = {self.log_p!r} is not log({self.p})")
         if not self.log_p > 0.0:
             raise ValueError(f"log_p must be positive, got {self.log_p!r}")
 
@@ -177,8 +161,8 @@ def scenario_generator(family: str, n: int, w_axiom: int,
     log_p = (log_disc - exp5 * LOG5) / expp
     assert log_p >= LOG7 - 1e-9
     primes = (
-        VirtualPrime(5, LOG5, g5),
-        VirtualPrime(None, log_p, gp),
+        VirtualPrime(LOG5, g5),
+        VirtualPrime(log_p, gp),
     )
     return ArithmeticScenario(kind, w_axiom, primes, log_disc)
 
@@ -199,6 +183,6 @@ def horizontal_scenario(d_index: int, f_value: float, w_axiom: int) -> Arithmeti
     log_disc = sum((degrees * exps * log_p).tolist())
     return ArithmeticScenario(
         kind, w_axiom,
-        (VirtualPrime(None, log_p, gen),),
+        (VirtualPrime(log_p, gen),),
         log_disc,
     )

@@ -135,6 +135,12 @@ M0 = 1  # maximal symplectic central order under the strong axiom
 
 @dataclass(frozen=True)
 class DensityEstimate:
+    """A density delta in [0, 1] with its error bound: the Monte Carlo 99%
+    half-width or the Fourier budget.  ``samples_or_nodes`` counts the
+    work behind it: for Monte Carlo the samples drawn, twice the antithetic
+    pairs; for Fourier the Gauss-Legendre nodes, panels x 24 (a mirrored
+    race carries its mirror's); 0 for the exact 1/2 of a mean-0 race."""
+
     value: float
     error_bound: float
     samples_or_nodes: int

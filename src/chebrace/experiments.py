@@ -578,11 +578,11 @@ def parse_class_label(text: str) -> ClassLabel:
 
 
 def race_row(races: RaceTable, k: int, weight_row: np.ndarray,
-             table: SpectralTable, samples: int, mc_seed: int,
-             partition: tuple[int, int]) -> dict:
+             table: SpectralTable, samples: int, mc_seed: int) -> dict:
     """One fully populated report row for race k of the table, from its
-    weight row, the call's zero data and the (b1, b2) of the level's S/R
-    split that ``q_factor`` takes; an undefined race yields a status row."""
+    weight row and the call's zero data; ``q_factor`` takes the (b1, b2)
+    of the level's S/R split (``sr_partition``), which it reads below the
+    top level only.  An undefined race yields a status row."""
     scen = races.scenario
     kind, level = scen.kind, races.level
     c1, c2 = races.labels[races.first[k]], races.labels[races.second[k]]
@@ -613,7 +613,7 @@ def race_row(races: RaceTable, k: int, weight_row: np.ndarray,
     row["delta_mc"] = est_mc.value
     row["delta_mc_ci"] = est_mc.error_bound
 
-    q = q_factor(weight_row, level, kind.n, *partition)
+    q = q_factor(weight_row, level, kind.n, *sr_partition(scen.group, level))
     row["clt_estimate"], row["clt_error_budget"] = clt_estimate(
         model.bias_factor, model.variance)
     row["upper_one_minus_delta"] = upper_bound(model.bias_factor)
@@ -677,8 +677,6 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
         raise ConfigError(f"zero_files must be a list of paths, got {zero_files!r}")
     _check_int("min_zeros", min_zeros, 1)
 
-    if family == DIHEDRAL:
-        w_axiom = +1
     scen = scenario_generator(family, n, w_axiom, seed)
     from_files = bool(zero_files)
     sets = load_zero_sets(zero_files, scen.group)
@@ -714,15 +712,13 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
     # alone), in pair order, so a failure names the first pair's character
     table = (SpectralTable.of(sets) if from_files
              else provision_zero_sets(scen, wanted, seed, min_count=min_zeros))
-    partition = (2, 2) if level == n else sr_partition(scen.group, level)
-    rows = [race_row(races, k, weight_rows[k], table, samples,
-                     _child_seed(seed, k), partition)
+    rows = [race_row(races, k, weight_rows[k], table, samples, _child_seed(seed, k))
             for k in range(len(races.first))]
     return {
         "experiment": "race",
         "family": family,
         "n": n,
-        "w_axiom": w_axiom,
+        "w_axiom": scen.w_axiom,
         "level": level,
         "seed": seed,
         "samples": samples,
@@ -771,7 +767,7 @@ def load_zero_sets(paths: Iterable[str], group: Group) -> dict[int, ZeroSet]:
 
 def _h8_scenario(o: int) -> ArithmeticScenario:
     kind = GroupKind(QUATERNION, 3)
-    return ArithmeticScenario(kind, +1, (VirtualPrime(5, math.log(5.0), Element(1, 0)),),
+    return ArithmeticScenario(kind, +1, (VirtualPrime(math.log(5.0), Element(1, 0)),),
                               math.log(5.0) * 6, order_overrides=(("psi_1", o),))
 
 
@@ -861,8 +857,7 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
     """
     if table_id not in TABLE_IDS:
         raise ConfigError(f"table id must be one of {TABLE_IDS}, got {table_id!r}")
-    if not 3 <= n <= TABLE_MAX_N:
-        raise ConfigError(f"n must satisfy 3 <= n <= {TABLE_MAX_N}, got {n}")
+    _check_int("n", n, 3, TABLE_MAX_N)
     if table_id == "h8":
         return {"experiment": "h8-table", "rows": h8_table(),
                 "open_questions": 0}
@@ -925,9 +920,7 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         weight_row = races.weights()[0]
         table = provision_zero_sets(scen, np.flatnonzero(weight_row),
                                     _child_seed(seed, index), min_count=512)
-        # level 3 is the top, where b1 = b2 = 2
-        row = race_row(races, 0, weight_row, table, samples,
-                       _child_seed(seed, index, 1), (2, 2))
+        row = race_row(races, 0, weight_row, table, samples, _child_seed(seed, index, 1))
         log_a = float(scen.log_conductors[4])  # psi_1
         row["f"] = f
         row["log_conductor_psi"] = log_a
@@ -974,10 +967,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     are reported as computed, never asserted."""
     # n = 10 takes 2.1-2.3 s and 141 MB on 2 vCPUs (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
-    if not 3 <= n <= 10:
-        raise ConfigError(f"n must satisfy 3 <= n <= 10 for tractable models, got {n}")
-    if family == DIHEDRAL:
-        w_axiom = +1
+    _check_int("n", n, 3, 10)
     scen = scenario_generator(family, n, w_axiom, seed)
     races = level_races(scen, n)
     labels = races.labels
@@ -1018,7 +1008,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
         c1, c2 = labels[a], labels[b]
         claim = claims.get((tags[a], tags[b]))
         if claim is None:
-            claim = claims[tags[a], tags[b]] = expected_row(family, w_axiom, c1, c2)
+            claim = claims[tags[a], tags[b]] = expected_row(family, scen.w_axiom, c1, c2)
         row = {
             "c1": str(c1), "c2": str(c2),
             "mean_formula": m, "mean_published": pub,
@@ -1035,7 +1025,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
         rows.append(row)
     return {
         "experiment": "tabD" if family == DIHEDRAL else "tabQ",
-        "family": family, "n": n, "w_axiom": w_axiom, "seed": seed,
+        "family": family, "n": n, "w_axiom": scen.w_axiom, "seed": seed,
         "rows": rows,
         "all_published_rows_confirmed": confirmed,
     }
@@ -1086,14 +1076,11 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     shared noise sample set (the fused pair, hence the character weights
     and the zero data, are level-independent); verdict checks the claimed
     ordering over qualifying (i, j) pairs with CI separation."""
-    if family == DIHEDRAL:
-        w_axiom = +1
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not math.isfinite(epsilon):  # inf would print as invalid JSON
         raise ConfigError(f"epsilon must be finite, got {epsilon}")
-    if not 3 <= n <= 20:
-        raise ConfigError(f"n must satisfy 3 <= n <= 20, got {n}")
+    _check_int("n", n, 3, 20)
     if samples < 2:
         raise ConfigError(f"samples must be at least 2 (one antithetic pair), "
                           f"got {samples}")
@@ -1121,7 +1108,7 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     i_levels = [i for i in levels if i <= n * (1 + epsilon) / 2]
     j_levels = [j for j in levels if j >= n * (1 + 3 * epsilon) / 2]
     pairs = [(i, j) for i in i_levels for j in j_levels if i < j]
-    claim = MONOTONICITY_CLAIMS[(family, w_axiom)]
+    claim = MONOTONICITY_CLAIMS[(family, scen.w_axiom)]
     pair_rows = []
     outcomes = []
     idx = {i: k for k, i in enumerate(levels)}
@@ -1155,7 +1142,7 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
         verdict = "holds"
     report = {
         "experiment": "monotonicity",
-        "family": family, "n": n, "epsilon": epsilon, "w_axiom": w_axiom,
+        "family": family, "n": n, "epsilon": epsilon, "w_axiom": scen.w_axiom,
         "seed": seed, "samples": samples, "t_max": t_max,
         "quantity": claim["quantity"],
         "claimed_direction": claim["direction"],
@@ -1187,7 +1174,7 @@ def _rotation_tower_scenario(n: int, log_a_psi: float) -> ArithmeticScenario:
     two-dimensional character gets conductor exponent 2, so log A(psi) is
     uniform across the symplectic block."""
     log_p = log_a_psi / 2.0
-    vp = VirtualPrime(None, log_p, Element(1, 0))
+    vp = VirtualPrime(log_p, Element(1, 0))
     exp_disc = (1 << n) - 2  # (e-1)|G|/e at full rotation inertia
     return ArithmeticScenario(GroupKind(QUATERNION, n), +1, (vp,),
                               exp_disc * log_p)
@@ -1228,8 +1215,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
     """Tail-bound calibration: synthetic tower races aimed at bias factors
     in (1, 2.6); for each, the MC estimate of 1 - delta must lie between
     lower_bound and upper_bound with the pinned constants."""
-    if count < 1:
-        raise ConfigError(f"count must be at least 1, got {count}")
+    _check_int("count", count, 1)
     _check_mc_samples(samples)
     rows = []
     inside = 0
@@ -1251,7 +1237,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
         model = race_model(int(races.means[0]), weight_row, table)
         est = density_montecarlo(model, samples, _child_seed(seed, k, 1))
         one_minus = 1.0 - est.value
-        q = q_factor(weight_row, n, n, 2, 2)
+        q = q_factor(weight_row, n, n, *sr_partition(scen.group, n))
         lower = lower_bound(model.bias_factor, q)
         upper = upper_bound(model.bias_factor)
         row = {
@@ -1298,8 +1284,11 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
         zs = read_zero_file(zero_file)
         empty = f"zero file {zero_file} holds no ordinates"
     else:
-        zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
-                             character_id="chi4")
+        try:
+            zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
+                                 character_id="chi4")
+        except ValueError as exc:  # the horizon and zero count limits
+            raise ConfigError(f"chi4: {exc}") from exc
         empty = (f"t_max = {t_max} lies below every sampled zero of chi4: "
                  "the race has no oscillation terms")
     if not len(zs):

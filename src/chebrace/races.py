@@ -331,5 +331,5 @@ def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:
         w_axiom = +1
     return ArithmeticScenario(
         kind, w_axiom,
-        (VirtualPrime(5, math.log(5.0), Element(1, 0)),),
+        (VirtualPrime(math.log(5.0), Element(1, 0)),),
         log_disc=1.0)

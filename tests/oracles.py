@@ -83,6 +83,13 @@ components.  Tests compare the index pairs, ``races.level_orders``,
 ``ArithmeticScenario.central_orders`` and ``characters.sr_partition``
 against them.
 
+``zeros.sample_zero_set``'s proposal stream redrawn block by block: 4096
+exponential gaps at the majorant rate, then 4096 uniforms, the block's
+points t + cumsum(gaps) from the last point of the block before, and each
+point inside the horizon kept when u times the majorant lies below its
+local rate.  Tests require the sampler's ordinates to be these bit for bit
+over several blocks.
+
 ``report_json``'s expression from before it encoded each container of
 leaves in one call: the whole report converted to plain types, then
 json's indented encoder.  Tests require equal strings.
@@ -118,7 +125,6 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0
 
 from chebrace.arithmetic import (
-    _is_odd_prime,
     _random_nonidentity,
     ArithmeticScenario,
     VirtualPrime,
@@ -168,7 +174,7 @@ from chebrace.races import (
     level_data,
     pair_weights,
 )
-from chebrace.zeros import TWO_PI, ZeroCountModel, ZeroSet
+from chebrace.zeros import RATE_FLOOR, TWO_PI, _SAMPLE_SALT, ZeroCountModel, ZeroSet
 
 
 class RaceUndefinedError(ValueError):
@@ -1310,6 +1316,17 @@ def log_conductor(scenario: ArithmeticScenario, cid: str) -> float:
     )
 
 
+def _is_odd_prime(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
 @dataclass(frozen=True)
 class RamifiedPrime:
     p: int
@@ -1385,7 +1402,7 @@ def explicit_scenario(ram: RamificationData) -> ArithmeticScenario:
     disc = conductor_discriminant(group, ram)
     log_disc = sum(n * math.log(p) for p, n in disc.items())
     primes = tuple(
-        VirtualPrime(rp.p, math.log(rp.p), rp.inertia) for rp in ram.primes
+        VirtualPrime(math.log(rp.p), rp.inertia) for rp in ram.primes
     )
     return ArithmeticScenario(ram.kind, +1, primes, log_disc)
 
@@ -1466,6 +1483,28 @@ def zero_set_problem(ordinates: Sequence[float], t_max: float) -> str | None:
     if ordinates and ordinates[-1] > t_max:
         return f"ordinate {ordinates[-1]!r} exceeds T_max = {t_max!r}"
     return None
+
+
+def sampled_ordinates_by_block(model: ZeroCountModel, t_max: float,
+                               seed: int) -> tuple[np.ndarray, int]:
+    """``sample_zero_set``'s ordinates for (model, t_max, seed), drawn block
+    by block until a block's last point passes t_max, and the number of
+    blocks drawn."""
+    rng = np.random.default_rng(np.random.SeedSequence([_SAMPLE_SALT, seed]))
+    majorant = max(model.rate(t_max), RATE_FLOOR)
+    kept = []
+    t = 0.0
+    while True:
+        gaps = rng.standard_exponential(4096) / majorant
+        u = rng.random(4096)
+        pts = t + np.cumsum(gaps)
+        inside = pts <= t_max
+        rates = np.maximum((model.log_conductor + model.degree_factor
+                            * np.log(pts[inside] / TWO_PI)) / TWO_PI, RATE_FLOOR)
+        kept.append(pts[inside][u[inside] * majorant < rates])
+        if not inside[-1]:
+            return np.concatenate(kept), len(kept)
+        t = float(pts[-1])
 
 
 def same_zero_set(a: ZeroSet, b: ZeroSet) -> bool:

@@ -157,7 +157,7 @@ def test_vanishing_orders(family):
 
 def test_scenario_central_orders_and_overrides():
     kind = GroupKind(QUATERNION, 4)
-    vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
+    vp = VirtualPrime(math.log(5.0), Element(1, 0))
     scen = ArithmeticScenario(kind, -1, (vp,), 10.0)
     ids = character_ids(scen.group)
     assert dict(zip(ids, scen.central_orders.tolist())) == {
@@ -179,7 +179,7 @@ def test_scenario_central_orders_and_overrides():
 
 def test_dihedral_scenarios_reject_w_minus_one():
     kind = GroupKind(DIHEDRAL, 4)
-    vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
+    vp = VirtualPrime(math.log(5.0), Element(1, 0))
     with pytest.raises(ValueError, match="W = \\+1"):
         ArithmeticScenario(kind, -1, (vp,), 10.0)
 
@@ -187,7 +187,7 @@ def test_dihedral_scenarios_reject_w_minus_one():
 def test_scenario_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
     kind = GroupKind(QUATERNION, 4)
-    vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
+    vp = VirtualPrime(math.log(5.0), Element(1, 0))
     with pytest.raises(ValueError, match="w_axiom"):
         ArithmeticScenario(kind, 0, (vp,), 10.0)
     for log_disc in (0.0, -1.0, float("nan")):
@@ -197,15 +197,9 @@ def test_scenario_checks_raise_value_errors():
 
 def test_virtual_prime_validation():
     # raised, not asserted, so they also hold under python -O
-    with pytest.raises(ValueError, match="is not log"):
-        VirtualPrime(5, 0.0, Element(1, 0))  # log must be positive
-    with pytest.raises(ValueError, match="odd prime"):
-        VirtualPrime(4, math.log(4.0), Element(1, 0))  # not an odd prime
-    with pytest.raises(ValueError, match="is not log"):
-        VirtualPrime(5, math.log(7.0), Element(1, 0))  # log mismatch
     for log_p in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="log_p must be positive"):
-            VirtualPrime(None, log_p, Element(1, 0))
+            VirtualPrime(log_p, Element(1, 0))
 
 
 def test_explicit_scenario_log_disc_is_exact():

@@ -315,10 +315,13 @@ def _exit_code(argv) -> int:
 
 NAN_ZERO_FILE = "# character: psi_1\n1.5\nnan\n"
 ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
+DIR = "{dir}"  # stands for a directory
 
 
 @pytest.mark.parametrize("argv,config,message", [
     (["race"], {"n": "4"}, "n must be an integer, got '4'"),
+    (["race"], ["n", 4], "config must be a JSON object"),
+    (["race", "--config", DIR], None, "cannot read config"),
     (["race"], {"experiment": "race"}, "unknown config keys: ['experiment']"),
     (["race"], {"epsilon": 0.1}, "unknown config keys: ['epsilon']"),
     (["race"], {"f_values": [1, 2]}, "unknown config keys: ['f_values']"),
@@ -336,6 +339,9 @@ ZF = "{zero_file}"  # stands for a zero file holding a nan ordinate
      "seed must be a non-negative integer, got -1"),
     (["horizontal", "--seed", "-2"], None,
      "seed must be a non-negative integer, got -2"),
+    (["tower", "--seed", "abc"], None,
+     "argument --seed: seed must be a non-negative integer, got 'abc'"),
+    (["horizontal", "--f-values", "1,x"], None, "bad --f-values"),
     (["race", "--seed", "-1"], None,
      "seed must be a non-negative integer, got -1"),
     (["race", "--nodes", "2000"], None, "unrecognized arguments: --nodes 2000"),
@@ -347,7 +353,7 @@ def test_bad_race_and_mod4_inputs_exit_2(argv, config, message, tmp_path,
                                          capsys):
     zero_file = tmp_path / "nan.txt"
     zero_file.write_text(NAN_ZERO_FILE)
-    argv = [a.replace(ZF, str(zero_file)) for a in argv]
+    argv = [a.replace(ZF, str(zero_file)).replace(DIR, str(tmp_path)) for a in argv]
     if config is not None:
         path = tmp_path / "race.json"
         path.write_text(json.dumps(config).replace(ZF, str(zero_file)))

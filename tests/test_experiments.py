@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chebrace import cli, density, experiments
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids, sr_partition
-from chebrace.density import DensityEstimate, SpectralTable
+from chebrace.density import DensityEstimate, SpectralTable, q_factor
 from chebrace.experiments import (
     EXACTLY_HALF,
     EXTREME_TOWARD_0,
@@ -415,8 +415,7 @@ def test_race_row_fields_and_flags():
     scen = scenario_generator(QUATERNION, 3, -1, seed=11)
     races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
     zeros = provision_zero_sets(scen, [4], seed=11)  # psi_1
-    row = race_row(races, 0, races.weights()[0], zeros, samples=10000, mc_seed=1,
-                   partition=(2, 2))
+    row = race_row(races, 0, races.weights()[0], zeros, samples=10000, mc_seed=1)
     assert row["status"] == "match"
     assert row["mean_formula"] == row["mean_published"] == -4
     assert row["n_terms"] == zeros.sizes[0] == zeros.moduli.size
@@ -431,19 +430,31 @@ def test_race_row_fields_and_flags():
 def test_race_row_undefined_and_half_pairs():
     scen = scenario_generator(DIHEDRAL, 4, +1, seed=3)
     flips = race_table(scen, 3, [FLIP_EVEN, FLIP_ODD], [0], [1])
-    below = race_row(flips, 0, flips.weights()[0], SpectralTable.of({}), 10000, 0,
-                     sr_partition(scen.group, 3))
+    below = race_row(flips, 0, flips.weights()[0], SpectralTable.of({}), 10000, 0)
     assert below["status"] == "undefined"
     assert "reason" in below and "mean_formula" not in below
     # defined at the top, mean 0
     races = race_table(scen, 4, [FLIP_EVEN, FLIP_ODD], [0], [1])
     needed = [1, 2, 3, 4, 6]  # chi1, chi2, chi3, psi_1, psi_3
     zeros = provision_zero_sets(scen, needed, seed=3)
-    row = race_row(races, 0, races.weights()[0], zeros, 10000, 0, (2, 2))
+    row = race_row(races, 0, races.weights()[0], zeros, 10000, 0)
     assert row["mean_formula"] == 0
     assert row["delta_fourier"] == 0.5
     assert row["delta_mc"] == 0.5
     assert row["flags"]["half_exact"]["ok"]
+
+
+def test_race_row_reads_its_levels_sr_split():
+    # below the top, q takes the level's (b1, b2) from sr_partition, not
+    # the (2, 2) quoted beside the towers
+    scen = scenario_generator(QUATERNION, 4, -1, seed=6)
+    races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
+    weight_row = races.weights()[0]
+    zeros = provision_zero_sets(scen, np.flatnonzero(weight_row), seed=6)
+    row = race_row(races, 0, weight_row, zeros, 10000, 0)
+    split = sr_partition(scen.group, 3)
+    assert split == (1, 2)
+    assert row["q"] == q_factor(weight_row, 3, 4, *split) != q_factor(weight_row, 3, 4, 2, 2)
 
 
 def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
@@ -457,8 +468,7 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
                         source="file", log_conductor=None)
     races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
     weight_row = races.weights()[0]
-    row = race_row(races, 0, weight_row, SpectralTable.of({4: file_like}), 10000, 2,
-                   (2, 2))
+    row = race_row(races, 0, weight_row, SpectralTable.of({4: file_like}), 10000, 2)
     assert row["truncation_shift_bound"] is None
     # with the sampled log conductor in its header, a file gives the
     # synthetic set's bound bit for bit
@@ -467,9 +477,8 @@ def test_race_row_file_backed_sets_have_no_truncation_bound(tmp_path):
     with_header = load_zero_file(str(path))
     assert with_header.source == "file"
     assert with_header.log_conductor == synthetic.log_conductor
-    want = race_row(races, 0, weight_row, zeros, 10000, 2, (2, 2))
-    got = race_row(races, 0, weight_row, SpectralTable.of({4: with_header}), 10000, 2,
-                   (2, 2))
+    want = race_row(races, 0, weight_row, zeros, 10000, 2)
+    got = race_row(races, 0, weight_row, SpectralTable.of({4: with_header}), 10000, 2)
     assert want["truncation_shift_bound"] is not None
     assert got["truncation_shift_bound"] == want["truncation_shift_bound"]
 
@@ -855,6 +864,12 @@ def test_mod4_experiment_synthetic_and_file(tmp_path):
         mod4_experiment(zero_file=str(tmp_path / "missing.txt"))
 
 
+@pytest.mark.parametrize("t_max", [0.5, 2.0 ** 21])
+def test_mod4_horizon_out_of_range_is_a_config_error(t_max):
+    with pytest.raises(ConfigError, match="chi4: need 1 <= t_max <= 2\\^20"):
+        mod4_experiment(t_max=t_max)
+
+
 # -- configuration -------------------------------------------------------------------
 
 
@@ -887,6 +902,17 @@ def test_config_validation_messages():
     # every other default is valid
     report = run_race(pairs=((ONE, MINUS_ONE),), samples=10000)
     assert (report["n"], report["zero_source"]) == (3, "synthetic")
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: reproduce_table("esp-q", n=5.0), "n"),
+    (lambda: tower_experiment(QUATERNION, 5.0, -1, 0), "n"),
+    (lambda: monotonicity_experiment(QUATERNION, 5.0, 0.1, -1, 0), "n"),
+    (lambda: sandwich_experiment(count=True), "count"),
+], ids=["table", "tower", "monotonicity", "sandwich"])
+def test_driver_counts_must_be_integers(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 def test_config_from_dict(tmp_path):

@@ -270,7 +270,7 @@ def test_quaternion_mean_depends_on_w_only_through_central_classes():
 
 def test_order_8_symbolic_means_through_order_overrides():
     kind = GroupKind("quaternion", 3)
-    vp = VirtualPrime(5, math.log(5.0), Element(1, 0))
+    vp = VirtualPrime(math.log(5.0), Element(1, 0))
     for o in (0, 1, 2):
         scen = ArithmeticScenario(kind, +1, (vp,), 6.0 * math.log(5.0),
                                   order_overrides=(("psi_1", o),))

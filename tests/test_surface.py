@@ -17,6 +17,7 @@ must stay so.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import io
 import tokenize
 from collections import defaultdict
@@ -37,8 +38,9 @@ ALLOWED: frozenset[str] = frozenset()
 # operations, the tame-conductor layer over literal primes, and the
 # test-only character sums, the per-character induction, central
 # orders, degrees, invariant dimensions, conductor exponents and log
-# conductors that the index-pair and array forms replaced, and the
-# one-model Fourier entry, now the batch of one row
+# conductors that the index-pair and array forms replaced, the
+# one-model Fourier entry, now the batch of one row, and the odd-prime
+# test that only the literal primes need
 ORACLE_ONLY = {
     "complex_values", "difference_terms",
     "neg", "sub", "scale", "mul", "conjugate", "promote", "compress",
@@ -51,7 +53,7 @@ ORACLE_ONLY = {
     "induce", "InducedDecomposition", "_psi_range", "central_order",
     "is_symplectic", "character_degree", "invariant_dimension",
     "conductor_exponent", "log_conductor",
-    "RaceSpec", "RaceUndefinedError", "mean", "density_fourier",
+    "RaceSpec", "RaceUndefinedError", "mean", "density_fourier", "_is_odd_prime",
 }
 
 
@@ -136,6 +138,24 @@ def test_every_dataclass_field_is_read():
     unread = _unread_fields()
     assert not unread, ("dataclass fields nothing reads; delete them, or keep "
                         f"what only the tests check in tests/oracles.py: {unread}")
+
+
+def test_bench_scale_phases_name_package_functions():
+    # bench/scale.py refuses a phase whose function is gone; resolve every
+    # name here so that a rename fails now and not at the next re-record
+    spec = importlib.util.spec_from_file_location(
+        "bench_scale", SRC.parent.parent / "bench" / "scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    missing = []
+    for verb, entries in scale.PHASES.items():
+        for module, name, phase in entries:
+            owner = importlib.import_module(f"chebrace.{module}")
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{verb} {phase}: chebrace.{module}.{name}")
+    assert not missing, missing
 
 
 def test_moved_names_live_only_in_the_oracles():

@@ -28,6 +28,7 @@ from oracles import (
     partial_inverse_sum,
     partial_inverse_tolerance,
     same_zero_set,
+    sampled_ordinates_by_block,
     zero_set_problem,
 )
 
@@ -101,6 +102,21 @@ def test_sampled_ordinates_are_strictly_increasing_and_bounded():
     assert np.all(arr > 0.0)
     assert np.all(np.diff(arr) > 0.0)
     assert arr[-1] <= 40.0
+
+
+def test_sampler_continues_across_proposal_blocks():
+    # about 19,600 proposals at the majorant rate, so five blocks of 4096:
+    # each block after the first starts from the last point of the one before
+    model = ZeroCountModel(50.0, 2)
+    t_max = 2000.0
+    zs = sample_zero_set(model, t_max, 11)
+    want, blocks = sampled_ordinates_by_block(model, t_max, 11)
+    assert blocks == 5
+    assert zs.ordinates.tobytes() == want.tobytes()
+    g = zs.ordinates
+    assert g[0] > 0.0 and g[-1] <= t_max and np.all(np.diff(g) > 0.0)
+    expected = expected_zero_count(model, t_max)
+    assert abs(g.size - expected) <= 5.0 * math.sqrt(expected), (g.size, expected)
 
 
 def test_b0_one_sided_and_two_sided():
@@ -258,11 +274,13 @@ def test_zero_file_parse_errors(tmp_path):
         load("# T_max: 10\n1.0\n1.0\n")
 
 
-def test_zero_file_header_forms(tmp_path):
+@pytest.mark.parametrize("comments", [
+    "# a plain comment without separator\n",
+    "# note\n\n",  # a one-word comment and a blank line
+])
+def test_zero_file_header_forms(comments, tmp_path):
     path = tmp_path / "zeros.txt"
-    path.write_text("# a plain comment without separator\n"
-                    "# character: chi2\n"
-                    "1.0\n2.5\n7.25\n")
+    path.write_text(comments + "# character: chi2\n" + "1.0\n2.5\n7.25\n")
     zs = load_zero_file(str(path))
     # T_max defaults to the last ordinate when the header is absent
     assert zs.t_max == 7.25
