@@ -83,6 +83,14 @@ class VirtualPrime:
 
 @dataclass(frozen=True)
 class ArithmeticScenario:
+    """A simulated extension: its group, the symplectic root number axiom
+    W, its ramified places and its discriminant size.
+
+    W is decided here and nowhere else.  It must be the integer 1 or -1 (a
+    bool is not one), and a dihedral scenario stores W = +1 whatever it is
+    given: that family has no symplectic characters, so W is vacuous there
+    and both values give the same scenario."""
+
     kind: GroupKind
     w_axiom: int
     primes: tuple[VirtualPrime, ...]
@@ -90,10 +98,10 @@ class ArithmeticScenario:
     order_overrides: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.w_axiom not in (+1, -1):
-            raise ValueError(f"w_axiom must be +1 or -1, got {self.w_axiom!r}")
-        if self.kind.family == DIHEDRAL and self.w_axiom != +1:
-            raise ValueError("dihedral scenarios carry W = +1 vacuously")
+        if type(self.w_axiom) is not int or self.w_axiom not in (+1, -1):
+            raise ValueError(f"w_axiom must be the integer 1 or -1, got {self.w_axiom!r}")
+        if self.kind.family == DIHEDRAL:
+            object.__setattr__(self, "w_axiom", +1)
         if not self.log_disc > 0.0:
             raise ValueError(f"log_disc must be positive, got {self.log_disc!r}")
 
@@ -141,11 +149,11 @@ def scenario_generator(family: str, n: int, w_axiom: int,
 
     The lower end is clamped up when the draw could force log p below log 7,
     which keeps the virtual prime larger than the literal 5; the clamp stays
-    inside the nominal bracket for every n >= 3.
+    inside the nominal bracket for every n >= 3.  The draws depend on the
+    family, n and seed only; ``ArithmeticScenario`` checks W and stores it
+    (as +1 for the dihedral family).
     """
     kind = GroupKind(family, n)  # rejects n < 3 and n > 20
-    if family == DIHEDRAL:
-        w_axiom = +1
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE9A811, seed]))
     group = Group(kind)
     g5 = _random_nonidentity(rng, group)

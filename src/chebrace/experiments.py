@@ -128,10 +128,11 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _check_mc_samples(samples) -> None:
-    """density_montecarlo's floor and an even count (the kernel draws
-    samples // 2 antithetic pairs), checked before any work is done."""
-    _check_int("samples", samples, MIN_MC_SAMPLES)
+def _check_mc_samples(samples, floor: int = MIN_MC_SAMPLES) -> None:
+    """density_montecarlo's floor, or the caller's, and an even count (the
+    kernel draws samples // 2 antithetic pairs), checked before any work is
+    done."""
+    _check_int("samples", samples, floor)
     if samples % 2:
         raise ConfigError(f"samples must be even (antithetic pairs), got {samples}")
 
@@ -254,10 +255,12 @@ _CLAIMS_BY_TAGS = {key: {rec["tags"]: rec for rec in claims}
 
 
 def expected_row(family: str, w_axiom: int, c1: ClassLabel, c2: ClassLabel) -> dict:
-    """Claims-data record for the base-field race (c1, c2), a copy."""
-    key = (family, +1 if family == DIHEDRAL else w_axiom)
+    """Claims-data record for the base-field race (c1, c2), a copy, from
+    the published table of (family, w_axiom).  Pass the W a scenario
+    stored: the dihedral table is keyed on W = +1 alone."""
+    key = (family, w_axiom)
     tags = pair_tags(c1, c2)
-    rec = _CLAIMS_BY_TAGS[key].get(tags)
+    rec = _CLAIMS_BY_TAGS.get(key, {}).get(tags)
     if rec is None:
         raise InternalInconsistencyError(f"no published claim row for {tags} in {key}")
     return dict(rec)
@@ -282,6 +285,21 @@ def classify_pair(mean_value: int, level: int) -> str:
 # ---------------------------------------------------------------------------
 # zero-set provisioning
 # ---------------------------------------------------------------------------
+
+
+def _family_scenario(family: str, n: int, n_max: int, w_axiom: int,
+                     seed: int) -> ArithmeticScenario:
+    """The scenario of a family driver, its inputs checked before any work
+    is done: the family, 3 <= n <= n_max, the seed, and W, which the
+    scenario itself checks."""
+    if family not in (DIHEDRAL, QUATERNION):
+        raise ConfigError(f"family must be dihedral or quaternion, got {family!r}")
+    _check_int("n", n, 3, n_max)
+    check_seed(seed)
+    try:
+        return scenario_generator(family, n, w_axiom, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _child_seed(*path: int) -> int:
@@ -659,25 +677,19 @@ def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
     one level (default: the top).  Zero data comes from the files when any
     are given, otherwise it is sampled.  Every argument is checked, type
     included, before any work is done."""
-    if family not in (DIHEDRAL, QUATERNION):
-        raise ConfigError(f"family must be dihedral or quaternion, got {family!r}")
-    _check_int("n", n, 3, 20)
-    if not _is_int(w_axiom) or w_axiom not in (+1, -1):
-        raise ConfigError(f"w_axiom must be +1 or -1, got {w_axiom!r}")
+    scen = _family_scenario(family, n, 20, w_axiom, seed)
     if level is not None:
         _check_int("level", level, 3, n)
     if isinstance(pairs, str) or not all(
             isinstance(p, (tuple, list)) and len(p) == 2
             and all(isinstance(c, ClassLabel) for c in p) for p in pairs):
         raise ConfigError(f"pairs must be class label pairs, got {pairs!r}")
-    check_seed(seed)
     _check_mc_samples(samples)
     if isinstance(zero_files, str) or not all(
             isinstance(path, str) for path in zero_files):
         raise ConfigError(f"zero_files must be a list of paths, got {zero_files!r}")
     _check_int("min_zeros", min_zeros, 1)
 
-    scen = scenario_generator(family, n, w_axiom, seed)
     from_files = bool(zero_files)
     sets = load_zero_sets(zero_files, scen.group)
     paths = dict(zip(sets, zero_files))  # load_zero_sets keeps file order
@@ -862,10 +874,10 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
         return {"experiment": "h8-table", "rows": h8_table(),
                 "open_questions": 0}
     family = QUATERNION if table_id == "esp-q" else DIHEDRAL
-    w_values = (+1, -1) if family == QUATERNION else (+1,)
     rows: list[dict] = []
     open_questions = 0
-    for w_axiom in w_values:
+    # one table per W the published claims hold for the family
+    for w_axiom in [w for fam, w in TABLE_CLAIMS if fam == family]:
         for level in range(3, n + 1):
             races, printed = mean_table(family, n, level, w_axiom)
             # report values per column: object arrays of Python ints, None
@@ -905,17 +917,22 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
     >= 2 f^3 and at least 512 expected zeros per character; checks the
     W-controlled side of 1/2 and that |delta - 1/2| decreases along f."""
     fs = list(f_values)
-    if not fs or any(f <= 0 for f in fs) or any(b <= a for a, b in zip(fs, fs[1:])):
+    for f in fs:
+        _check_int("f_values entry", f, 1)
+    if not fs or any(b <= a for a, b in zip(fs, fs[1:])):
         raise ConfigError("f_values must be positive and strictly increasing")
     if not 2 * fs[-1] ** 3 <= sys.float_info.max:
         raise ConfigError("f_values must keep log A(psi) = 2 f^3 within "
                           "float range")
-    if w_axiom not in (+1, -1):
-        raise ConfigError("w_axiom must be +1 or -1")
+    check_seed(seed)
     _check_mc_samples(samples)
+    try:
+        scenarios = [horizontal_scenario(index, float(f), w_axiom)
+                     for index, f in enumerate(fs)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
-    for index, f in enumerate(fs):
-        scen = horizontal_scenario(index, float(f), w_axiom)
+    for index, (f, scen) in enumerate(zip(fs, scenarios)):
         races = race_table(scen, 3, [ONE, MINUS_ONE], [0], [1])
         weight_row = races.weights()[0]
         table = provision_zero_sets(scen, np.flatnonzero(weight_row),
@@ -927,10 +944,10 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
         row["flags"]["conductor_large"] = _flag(
             log_a >= 2.0 * f ** 3,
             f"log A(psi) = {log_a!r} >= 2 f^3 = {2.0 * f ** 3!r}")
-        expected_sign = 1 if w_axiom == +1 else -1
-        side_ok = (row["delta_fourier"] - 0.5) * expected_sign > 0
+        # W = +1 pushes delta above 1/2, W = -1 below
+        side_ok = (row["delta_fourier"] - 0.5) * w_axiom > 0
         row["flags"]["w_controlled_side"] = _flag(
-            side_ok, f"sign(delta - 1/2) == {expected_sign:+d} for W = {w_axiom:+d}")
+            side_ok, f"sign(delta - 1/2) == {w_axiom:+d} for W = {w_axiom:+d}")
         row["abs_bias_gap"] = abs(row["delta_fourier"] - 0.5)
         row["abs_bias_gap_mc"] = abs(row["delta_mc"] - 0.5)
         row["pass"] = all(fl["ok"] for fl in row["flags"].values())
@@ -967,8 +984,7 @@ def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
     are reported as computed, never asserted."""
     # n = 10 takes 2.1-2.3 s and 141 MB on 2 vCPUs (bench/scale.py tower); n = 11
     # would hold a pairs x characters weight table of 545 MB
-    _check_int("n", n, 3, 10)
-    scen = scenario_generator(family, n, w_axiom, seed)
+    scen = _family_scenario(family, n, 10, w_axiom, seed)
     races = level_races(scen, n)
     labels = races.labels
     mean = races.means  # all defined at the top
@@ -1076,17 +1092,14 @@ def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
     shared noise sample set (the fused pair, hence the character weights
     and the zero data, are level-independent); verdict checks the claimed
     ordering over qualifying (i, j) pairs with CI separation."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise ConfigError(f"epsilon must be a number, got {epsilon!r}")
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not math.isfinite(epsilon):  # inf would print as invalid JSON
         raise ConfigError(f"epsilon must be finite, got {epsilon}")
-    _check_int("n", n, 3, 20)
-    if samples < 2:
-        raise ConfigError(f"samples must be at least 2 (one antithetic pair), "
-                          f"got {samples}")
-    if samples % 2:
-        raise ConfigError(f"samples must be even (antithetic pairs), got {samples}")
-    scen = scenario_generator(family, n, w_axiom, seed)
+    scen = _family_scenario(family, n, 20, w_axiom, seed)
+    _check_mc_samples(samples, 2)  # one antithetic pair
     levels = list(range(3, n + 1))
     races = [race_table(scen, i, [ONE, MINUS_ONE], [0], [1]) for i in levels]
     means = {i: int(r.means[0]) for i, r in zip(levels, races)}
@@ -1216,6 +1229,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
     in (1, 2.6); for each, the MC estimate of 1 - delta must lie between
     lower_bound and upper_bound with the pinned constants."""
     _check_int("count", count, 1)
+    check_seed(seed)
     _check_mc_samples(samples)
     rows = []
     inside = 0

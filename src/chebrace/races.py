@@ -50,10 +50,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .arithmetic import ArithmeticScenario
+from .arithmetic import ArithmeticScenario, VirtualPrime
 from .characters import character_count, induction_pairs, value_table
 from .cyclotomic import canonical_terms, canonical_values
-from .groups import DIHEDRAL, ClassLabel, Group, GroupKind
+from .groups import DIHEDRAL, ClassLabel, Element, Group, GroupKind
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -308,7 +308,10 @@ def mean_table(family: str, n: int, level: int,
     published mean of each pair alongside, read only where the race is
     defined; the undefined pair is kept, never skipped.  Every defined
     mean is checked against the closed form; a disagreement raises
-    InternalInconsistencyError.  Both printed means are ``class_means``."""
+    InternalInconsistencyError.  Both printed means are ``class_means``.
+    W is read as the table's scenario stores it, so a dihedral table reads
+    W = +1 whatever it is given, and a W other than the integer 1 or -1 is
+    a ValueError."""
     races = level_races(_table_scenario(GroupKind(family, n), w_axiom), level)
     closed = class_means(races, race_mean_closed_form)
     bad = np.flatnonzero(races.defined & (closed != races.means))
@@ -324,11 +327,6 @@ def mean_table(family: str, n: int, level: int,
 def _table_scenario(kind: GroupKind, w_axiom: int) -> ArithmeticScenario:
     """Minimal scenario carrying only the family and root-number axiom, used
     for mean tables where conductor sizes are irrelevant."""
-    from .arithmetic import VirtualPrime
-    from .groups import Element
-
-    if kind.family == DIHEDRAL:
-        w_axiom = +1
     return ArithmeticScenario(
         kind, w_axiom,
         (VirtualPrime(math.log(5.0), Element(1, 0)),),

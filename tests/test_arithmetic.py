@@ -177,19 +177,24 @@ def test_scenario_central_orders_and_overrides():
                         central_order(sc, cid) for cid in character_ids(sc.group)]
 
 
-def test_dihedral_scenarios_reject_w_minus_one():
+def test_dihedral_scenarios_store_w_plus_one():
+    # W is vacuous for the dihedral family: -1 is stored as +1
     kind = GroupKind(DIHEDRAL, 4)
     vp = VirtualPrime(math.log(5.0), Element(1, 0))
-    with pytest.raises(ValueError, match="W = \\+1"):
-        ArithmeticScenario(kind, -1, (vp,), 10.0)
+    scen = ArithmeticScenario(kind, -1, (vp,), 10.0)
+    assert scen.w_axiom == 1
+    assert scen == ArithmeticScenario(kind, +1, (vp,), 10.0)
+    assert scenario_generator(DIHEDRAL, 5, -1, 3) == scenario_generator(DIHEDRAL, 5, +1, 3)
 
 
 def test_scenario_checks_raise_value_errors():
     # raised, not asserted, so they also hold under python -O
     kind = GroupKind(QUATERNION, 4)
     vp = VirtualPrime(math.log(5.0), Element(1, 0))
-    with pytest.raises(ValueError, match="w_axiom"):
-        ArithmeticScenario(kind, 0, (vp,), 10.0)
+    for family in (QUATERNION, DIHEDRAL):
+        for w in (0, 2, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="w_axiom must be the integer 1 or -1"):
+                ArithmeticScenario(GroupKind(family, 4), w, (vp,), 10.0)
     for log_disc in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="log_disc"):
             ArithmeticScenario(kind, -1, (vp,), log_disc)

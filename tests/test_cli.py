@@ -197,9 +197,9 @@ def test_mean_self_check_failure_exits_3(monkeypatch, capsys):
     (["monotonicity", "--n", "2"], "n must satisfy 3 <= n <= 20, got 2"),
     (["monotonicity", "--n", "21"], "n must satisfy 3 <= n <= 20, got 21"),
     (["monotonicity", "--n", "4", "--samples", "0"],
-     "samples must be at least 2 (one antithetic pair), got 0"),
+     "samples must be at least 2, got 0"),
     (["monotonicity", "--n", "4", "--samples", "-7"],
-     "samples must be at least 2 (one antithetic pair), got -7"),
+     "samples must be at least 2, got -7"),
     # the kernel draws samples // 2 antithetic pairs: an odd count would be
     # reported but not drawn
     (["race", "--n", "3", "--pair", "one:minus_one", "--samples", "10001"],
@@ -305,6 +305,21 @@ def test_monotonicity_smallest_sample_count(capsys):
     assert payload["samples"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tower", "--family", "dihedral", "--n", "4", "--seed", "3"],
+    ["monotonicity", "--family", "dihedral", "--n", "6", "--samples", "200",
+     "--seed", "2"],
+], ids=["tower", "monotonicity"])
+def test_dihedral_reports_ignore_w(argv, capsys):
+    # W is vacuous for the dihedral family: --w -1 reports W = +1, byte for byte
+    reports = []
+    for w in ("1", "-1"):
+        assert cli.main(argv + ["--w", w]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["w_axiom"] == 1
+
+
 def _exit_code(argv) -> int:
     """cli.main's return value, or the code argparse exits with."""
     try:
@@ -330,6 +345,7 @@ DIR = "{dir}"  # stands for a directory
     (["race"], {"zero_source": "synthetic"},
      "unknown config keys: ['zero_source']"),
     (["race"], {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    (["race"], {"w_axiom": True}, "w_axiom must be the integer 1 or -1, got True"),
     (["race"], {"fourier_nodes": 2000}, "unknown config keys: ['fourier_nodes']"),
     (["race"], {"zero_files": [ZF]}, "non-finite ordinate 'nan'"),
     (["race"], {"min_zeros": 1_000_000_000},

@@ -118,11 +118,9 @@ def test_claims_cover_every_class_pair():
 def test_expected_row_rejects_unknown_tag_pairs():
     with pytest.raises(InternalInconsistencyError):
         expected_row(QUATERNION, +1, ONE, ONE)
-
-
-def test_dihedral_claims_ignore_w():
-    assert expected_row(DIHEDRAL, -1, ONE, MINUS_ONE) == \
-        expected_row(DIHEDRAL, +1, ONE, MINUS_ONE)
+    # the claims key on the W a scenario stores, +1 for the dihedral family
+    with pytest.raises(InternalInconsistencyError):
+        expected_row(DIHEDRAL, -1, ONE, MINUS_ONE)
 
 
 def test_classify_pair_edges():
@@ -885,6 +883,7 @@ def test_config_validation_messages():
         (dict(n="4"), "n must be an integer"),
         (dict(w_axiom=0), "w_axiom"),
         (dict(w_axiom="-1"), "w_axiom"),
+        (dict(w_axiom=True), "w_axiom must be the integer 1 or -1, got True"),
         (dict(level=2), "level"),
         (dict(n=4, level=5), "level"),
         (dict(pairs=[("one", "minus_one")]), "pairs"),
@@ -912,6 +911,43 @@ def test_config_validation_messages():
 ], ids=["table", "tower", "monotonicity", "sandwich"])
 def test_driver_counts_must_be_integers(call, name):
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+_W_ERROR = "^w_axiom must be the integer 1 or -1, got "
+_FAMILY_ERROR = "^family must be dihedral or quaternion, got 'foo'"
+_SEED_ERROR = "^seed must be a non-negative integer, got -1"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: tower_experiment(QUATERNION, 3, True, 0), _W_ERROR + "True"),
+    (lambda: tower_experiment(QUATERNION, 3, 2, 0), _W_ERROR + "2"),
+    (lambda: tower_experiment("foo", 3, -1, 0), _FAMILY_ERROR),
+    (lambda: tower_experiment(QUATERNION, 3, -1, -1), _SEED_ERROR),
+    (lambda: monotonicity_experiment(QUATERNION, 4, 0.1, True, 0, samples=4),
+     _W_ERROR + "True"),
+    (lambda: monotonicity_experiment(QUATERNION, 4, 0.1, 2, 0, samples=4),
+     _W_ERROR + "2"),
+    (lambda: monotonicity_experiment("foo", 4, 0.1, -1, 0, samples=4), _FAMILY_ERROR),
+    (lambda: monotonicity_experiment(QUATERNION, 4, 0.1, -1, -1, samples=4),
+     _SEED_ERROR),
+    (lambda: monotonicity_experiment(QUATERNION, 4, 0.1, -1, 0, samples=4.0),
+     "^samples must be an integer, got 4.0"),
+    (lambda: monotonicity_experiment(QUATERNION, 4, "x", -1, 0, samples=4),
+     "^epsilon must be a number, got 'x'"),
+    (lambda: monotonicity_experiment(QUATERNION, 4, True, -1, 0, samples=4),
+     "^epsilon must be a number, got True"),
+    (lambda: horizontal_experiment([1], True, 0, samples=10000), _W_ERROR + "True"),
+    (lambda: horizontal_experiment(["a"], -1, 0), "^f_values entry must be an integer, got 'a'"),
+    (lambda: horizontal_experiment([1], -1, -1, samples=10000), _SEED_ERROR),
+    (lambda: sandwich_experiment(count=1, seed=-1, samples=10000), _SEED_ERROR),
+], ids=["tower-w-true", "tower-w-2", "tower-family", "tower-seed",
+        "monotonicity-w-true", "monotonicity-w-2", "monotonicity-family",
+        "monotonicity-seed", "monotonicity-samples-float", "monotonicity-epsilon-str",
+        "monotonicity-epsilon-bool", "horizontal-w-true", "horizontal-f-str",
+        "horizontal-seed", "sandwich-seed"])
+def test_driver_inputs_are_config_errors(call, message):
+    with pytest.raises(ConfigError, match=message):
         call()
 
 
