@@ -3,8 +3,9 @@
 Each driver reads the exact data of its races (integer means, character
 weight rows) as a ``races.RaceTable`` of its pairs, one per level, and
 composes it with synthetic or file-backed zero sets and the two density
-estimators, then emits a plain-dict report whose JSON/CSV rendering is
-byte-identical for identical (config, seed).  Expected qualitative
+estimators, then returns a plain-dict report whose JSON/CSV rendering
+(``cli.write_report``) is byte-identical for identical (config, seed).
+Expected qualitative
 outcomes for the published race tables live here as data
 (TABLE_CLAIMS, MONOTONICITY_CLAIMS) so that drivers and acceptance checks
 read one source of truth; the published order-8 rows are resolved per
@@ -17,10 +18,6 @@ worker threads, and each chunk's draws depend on its seed alone.
 """
 from __future__ import annotations
 
-import csv
-import functools
-import io
-import json
 import math
 import sys
 from typing import Iterable, Sequence
@@ -126,6 +123,16 @@ def check_seed(seed) -> None:
     """SeedSequence takes non-negative integers only."""
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_t_max(t_max) -> None:
+    """sample_zero_set's horizon range, checked before any work is done."""
+    if isinstance(t_max, bool) or not isinstance(t_max, (int, float)):
+        raise ConfigError(f"t_max must be a number, got {t_max!r}")
+    if not t_max >= 1.0:
+        raise ConfigError(f"--t-max must be at least 1, got {t_max}")
+    if not t_max <= HORIZON_LIMIT:
+        raise ConfigError(f"--t-max must be at most 2^20 = 1048576, got {t_max}")
 
 
 def _check_mc_samples(samples, floor: int = MIN_MC_SAMPLES) -> None:
@@ -367,215 +374,12 @@ def _tail_sigma(row: np.ndarray, table: SpectralTable) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# generic per-pair race rows
 # ---------------------------------------------------------------------------
-
-
-_JSON_CONTAINERS = (dict, list, tuple)
-# exact types that are never containers: the quick test for a leaf
-_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
-_DICT_ONLY = frozenset((dict,))
-
-
-@functools.cache
-def _json_encoder(depth: int) -> json.JSONEncoder:
-    """Writes a container at nesting ``depth`` whose items hold no
-    container.  json runs its C encoder only without ``indent``, so the
-    indent goes into the item separator instead."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
-
-
-def _leaves(items) -> bool:
-    return (_JSON_LEAVES.issuperset(map(type, items))
-            or not any(isinstance(v, _JSON_CONTAINERS) for v in items))
-
-
-# one column of leaves per call, one item a line
-_COLUMN_ENCODER = json.JSONEncoder(separators=("\n", ": "))
-# rows of a list of flat dicts encoded per pass: bounds the column temporaries
-_ROW_CHUNK = 1024
-
-
-def _row_block(order: list[str], values: list[list], count: int, depth: int,
-               row_sep: str) -> str:
-    """``count`` rows with the sorted keys ``order`` and the leaf columns
-    ``values``, as dicts at nesting ``depth`` joined by ``row_sep``: one
-    encoder call per column and one join."""
-    if not order:
-        return row_sep.join(["{}"] * count)
-    indent = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth + "}"
-    keys = [_COLUMN_ENCODER.encode(k) + ": " for k in order]
-    # what follows each column's value: the next key, or the row's close
-    # and the next row's first key
-    after = ["," + indent + k for k in keys[1:]]
-    after.append(close + row_sep + "{" + indent + keys[0])
-    width = 2 * len(order)
-    parts = [""] * (width * count)
-    for j, column in enumerate(values):
-        parts[2 * j::width] = _COLUMN_ENCODER.encode(column)[1:-1].split("\n")
-        parts[2 * j + 1::width] = [after[j]] * count
-    parts[-1] = close
-    return "{" + indent + keys[0] + "".join(parts)
-
-
-def _flat_rows(rows: Sequence[dict], depth: int) -> str | None:
-    """The dicts ``rows``, items of a list at nesting ``depth``, joined as
-    ``_json`` joins them, encoded a column at a time; None unless every row
-    is a dict with str keys and leaf values.
-
-    Rows are grouped by their key tuple, and each group is one
-    ``_row_block``.  A column is one encoder call with a newline between
-    items; an encoded leaf holds no raw newline (strings escape it), so
-    splitting at the newlines gives back each item's text exactly.  With
-    more than one group, each group's rows are joined by NUL, which no
-    encoded text holds either, and split apart to go back in row order."""
-    if not _DICT_ONLY.issuperset(map(type, rows)):
-        return None
-    keysets = list(map(tuple, rows))
-    groups: dict[tuple, Sequence[int]] = dict.fromkeys(keysets)
-    if len(groups) == 1:
-        groups[keysets[0]] = range(len(rows))
-    else:
-        for keys in groups:
-            groups[keys] = []
-        for i, keys in enumerate(keysets):
-            groups[keys].append(i)
-    blocks = []
-    for keys, where in groups.items():
-        if not all(type(k) is str for k in keys):
-            return None
-        members = rows if len(groups) == 1 else [rows[i] for i in where]
-        order = sorted(keys)
-        values = [[row[k] for row in members] for k in order]
-        if not all(map(_leaves, values)):
-            return None
-        blocks.append((order, values, where))
-    row_sep = ",\n" + "  " * (depth + 1)
-    if len(blocks) == 1:
-        order, values, where = blocks[0]
-        return _row_block(order, values, len(where), depth + 1, row_sep)
-    texts = [""] * len(rows)
-    for order, values, where in blocks:
-        block = _row_block(order, values, len(where), depth + 1, "\0")
-        for i, text in zip(where, block.split("\0")):
-            texts[i] = text
-    return row_sep.join(texts)
-
-
-def _json(value, depth: int) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it
-    out at nesting ``depth``.  String escapes leave no newline in the
-    encoder's output but its separators' ones, so a container of leaves is
-    one encoder call plus the newlines inside its brackets.  A list of
-    dicts of leaves (a report's rows) is encoded column by column, a chunk
-    of rows at a time (``_flat_rows``); other containers that hold
-    containers are walked here."""
-    encoder = _json_encoder(depth)
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return encoder.encode(value)
-    items = value.values() if isinstance(value, dict) else value
-    inner = "\n" + "  " * (depth + 1)
-    if _leaves(items):
-        text = encoder.encode(value)
-        opening, body, closing = text[0], text[1:-1], text[-1]
-    elif isinstance(value, dict):
-        # encoding {key: 0} gives json's own key check and key text
-        body = ("," + inner).join(
-            encoder.encode({k: 0})[1:-4] + ": " + _json(v, depth + 1)
-            for k, v in sorted(value.items()))
-        opening, closing = "{", "}"
-    else:
-        chunks = []
-        for lo in range(0, len(value), _ROW_CHUNK):
-            chunk = value[lo:lo + _ROW_CHUNK]
-            text = _flat_rows(chunk, depth)
-            if text is None:
-                text = ("," + inner).join(_json(v, depth + 1) for v in chunk)
-            chunks.append(text)
-        body = ("," + inner).join(chunks)
-        opening, closing = "[", "]"
-    return "".join((opening, inner, body, "\n", "  " * depth, closing))
-
-
-def report_json(report: dict) -> str:
-    """The report as indented JSON with sorted keys: the layout of
-    ``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, and
-    the same TypeError for a value json does not know (a numpy int,
-    float32 or array among them).  Rows lists of flat dicts
-    take the column path of ``_flat_rows``; the newline split there is exact
-    because json escapes every newline inside a string."""
-    return _json(report, 0) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, _JSON_CONTAINERS):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
-
-
-def _csv(header: list, rows: Iterable[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def report_rows_csv(rows: list[dict]) -> str:
-    """Flatten dict rows to CSV with a stable sorted header union."""
-    header: list[str] = sorted({k for row in rows for k in row})
-    return _csv(header, ([_csv_cell(row.get(k)) for k in header] for row in rows))
-
-
-def report_csv(report: dict) -> str:
-    """The report's row list as CSV: its ``rows``, or the ``levels`` of a
-    monotonicity report.  A report with neither, or with no rows, is a
-    ConfigError: CSV has nothing else to hold."""
-    rows = report.get("rows", report.get("levels"))
-    if not rows:
-        raise ConfigError(f"the {report.get('experiment', 'report')} report has "
-                          "no rows to write as CSV")
-    return report_rows_csv(rows)
-
-
-def series_csv(series: dict) -> str:
-    return _csv([series["x"], series["y"]],
-                ([_csv_cell(x), _csv_cell(y)] for x, y in series["points"]))
-
-
-def write_report(report: dict, out_path: str, fmt: str) -> list[str]:
-    """Write the report (json or csv rows); plot-ready series, when present,
-    always lands beside the main file as CSV.  Returns the written paths."""
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {fmt!r}")
-    text = report_json(report) if fmt == "json" else report_csv(report)
-    written = [out_path]
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if "series" in report:
-            written.append(out_path + ".series.csv")
-            with open(written[-1], "w", encoding="utf-8") as fh:
-                fh.write(series_csv(report["series"]))
-    except OSError as exc:  # a missing directory, a directory, a full disk
-        raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}") from exc
-    return written
 
 
 def _flag(ok: bool, inequality: str) -> dict:
     return {"ok": bool(ok), "inequality": inequality}
-
-
-# ---------------------------------------------------------------------------
-# generic per-pair race rows
-# ---------------------------------------------------------------------------
 
 
 def parse_class_label(text: str) -> ClassLabel:
@@ -668,7 +472,7 @@ def race_row(races: RaceTable, k: int, weight_row: np.ndarray,
     return row
 
 
-def run_race(*, family: str = QUATERNION, n: int = 3, w_axiom: int = -1,
+def run_race(*, family: str = QUATERNION, n: int = 4, w_axiom: int = -1,
              level: int | None = None,
              pairs: Sequence[tuple[ClassLabel, ClassLabel]] = (),
              seed: int = 0, samples: int = 100_000,
@@ -911,8 +715,8 @@ def reproduce_table(table_id: str, n: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
-                          samples: int = 100_000) -> dict:
+def horizontal_experiment(f_values: Iterable[int] = (1, 2, 3, 4), w_axiom: int = -1,
+                          seed: int = 0, samples: int = 100_000) -> dict:
     """Order-8 (C1, C-1) race for one scenario per f, with log A(psi)
     >= 2 f^3 and at least 512 expected zeros per character; checks the
     W-controlled side of 1/2 and that |delta - 1/2| decreases along f."""
@@ -978,7 +782,8 @@ def horizontal_experiment(f_values: Iterable[int], w_axiom: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def tower_experiment(family: str, n: int, w_axiom: int, seed: int) -> dict:
+def tower_experiment(family: str = QUATERNION, n: int = 5, w_axiom: int = -1,
+                     seed: int = 0) -> dict:
     """Classify every base-field class pair and compare against the
     published table rows; rows the published table leaves undetermined
     are reported as computed, never asserted."""
@@ -1085,13 +890,14 @@ def _check_claim(row: dict, claim: dict, est) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def monotonicity_experiment(family: str, n: int, epsilon: float, w_axiom: int,
-                            seed: int, samples: int = 40_000,
+def monotonicity_experiment(family: str = DIHEDRAL, n: int = 12, epsilon: float = 0.1,
+                            w_axiom: int = 1, seed: int = 0, samples: int = 40_000,
                             t_max: float = 32.0) -> dict:
     """delta at every level for the (C1, C-1) relative race, from one
     shared noise sample set (the fused pair, hence the character weights
     and the zero data, are level-independent); verdict checks the claimed
     ordering over qualifying (i, j) pairs with CI separation."""
+    check_t_max(t_max)
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
         raise ConfigError(f"epsilon must be a number, got {epsilon!r}")
     if not epsilon > 0:
@@ -1228,6 +1034,7 @@ def sandwich_experiment(count: int = 100, seed: int = 0,
     """Tail-bound calibration: synthetic tower races aimed at bias factors
     in (1, 2.6); for each, the MC estimate of 1 - delta must lie between
     lower_bound and upper_bound with the pinned constants."""
+    check_t_max(t_max)
     _check_int("count", count, 1)
     check_seed(seed)
     _check_mc_samples(samples)
@@ -1292,17 +1099,20 @@ def mod4_experiment(zero_file: str | None = None, seed: int = 0,
     mod 4: mean +2, one weight-2 character.  With a real ordinate table
     for that character the density is comparable to the published
     Rubinstein-Sarnak value; with synthetic ordinates the difference is
-    reported for calibration only.  Never gates a build.
+    reported for calibration only.  Never gates a build.  Every argument
+    is checked before any work is done.
     """
+    check_seed(seed)
+    if zero_file is not None and not isinstance(zero_file, str):
+        raise ConfigError(f"zero_file must be a path or None, got {zero_file!r}")
     if zero_file is not None:
         zs = read_zero_file(zero_file)
         empty = f"zero file {zero_file} holds no ordinates"
     else:
-        try:
-            zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
-                                 character_id="chi4")
-        except ValueError as exc:  # the horizon and zero count limits
-            raise ConfigError(f"chi4: {exc}") from exc
+        # within 2^20, chi4 expects about 2^21 zeros, far below the count limit
+        check_t_max(t_max)
+        zs = sample_zero_set(ZeroCountModel(math.log(4.0), 1), t_max, seed,
+                             character_id="chi4")
         empty = (f"t_max = {t_max} lies below every sampled zero of chi4: "
                  "the race has no oscillation terms")
     if not len(zs):

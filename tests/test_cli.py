@@ -1,6 +1,8 @@
 """End-to-end command-line checks: exit codes, output routing, file round trips."""
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 from chebrace import cli, experiments, zeros
 from chebrace.experiments import InternalInconsistencyError
+from chebrace.groups import MINUS_ONE, ONE
 
 
 def test_table_h8_stdout_json(capsys):
@@ -527,10 +530,74 @@ def test_parser_is_built_once_and_parses_afresh(capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert cli.main(["table", "--id", "h8"]) == 0
     assert capsys.readouterr().out == first
-    # an appended flag leaves the shared default list empty for the next call
+    # an appended flag starts a fresh list on each parse, and a flag left
+    # out is absent, so no parse sees an earlier one's pairs
     parser = cli.build_parser()
-    assert parser.parse_args(["race", "--pair", "one:minus_one"]).pair == ["one:minus_one"]
-    assert parser.parse_args(["race"]).pair == []
+    assert parser.parse_args(["race", "--pair", "one:minus_one"]).pairs == ["one:minus_one"]
+    assert parser.parse_args(["race", "--pair", "one:flip_even"]).pairs == ["one:flip_even"]
+    assert not hasattr(parser.parse_args(["race"]), "pairs")
+
+
+# each driver verb: its required flags, the dests they set, and its driver
+DRIVER_VERBS = [
+    ("table", ["--id", "h8"], {"table_id"}, "reproduce_table"),
+    ("race", [], set(), "run_race"),
+    ("horizontal", [], set(), "horizontal_experiment"),
+    ("tower", [], set(), "tower_experiment"),
+    ("monotonicity", [], set(), "monotonicity_experiment"),
+    ("sandwich", [], set(), "sandwich_experiment"),
+    ("mod4", [], set(), "mod4_experiment"),
+]
+# flags that choose where and how the report is written, not what it holds
+OUTPUT_DESTS = {"help", "out", "format", "config"}
+
+
+@pytest.mark.parametrize("verb,required,dests,driver", DRIVER_VERBS,
+                         ids=[v[0] for v in DRIVER_VERBS])
+def test_driver_flags_have_no_defaults_and_name_driver_parameters(
+        verb, required, dests, driver):
+    # a flag left out takes its driver's default: the parse holds none of
+    # the driver's arguments but the required ones
+    params = set(inspect.signature(getattr(experiments, driver)).parameters)
+    parser = cli.build_parser()
+    assert set(vars(parser.parse_args([verb, *required]))) & params == dests
+    [verbs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in verbs.choices[verb]._actions} - OUTPUT_DESTS
+    assert flags and flags <= params, flags - params
+
+
+STUB_REPORT = {"experiment": "stub", "rows": [{"a": 1}]}
+
+
+@pytest.mark.parametrize("argv,kwargs", [
+    (["table", "--id", "h8"], {"table_id": "h8"}),
+    (["race"], {}),
+    (["race", "--pair", "one:minus_one", "--w", "1"],
+     {"pairs": [(ONE, MINUS_ONE)], "w_axiom": 1}),
+    (["horizontal", "--f-values", "1,2"], {"f_values": (1, 2)}),
+    (["tower", "--n", "6"], {"n": 6}),
+    (["monotonicity", "--t-max", "16"], {"t_max": 16.0}),
+    (["sandwich", "--seed", "3"], {"seed": 3}),
+    (["mod4"], {}),
+], ids=["table", "race", "race-flags", "horizontal", "tower", "monotonicity",
+        "sandwich", "mod4"])
+def test_verbs_call_the_driver_bound_when_they_run(argv, kwargs, monkeypatch, capsys):
+    # the parser is built (and cached) before the driver is patched, as
+    # bench/scale.py and the benchmark's tracer patch it; the verb passes
+    # the flags given and no others
+    parser = cli.build_parser()
+    calls = []
+
+    def stub(**given):
+        calls.append(given)
+        return STUB_REPORT
+
+    driver = {verb: name for verb, _, _, name in DRIVER_VERBS}[argv[0]]
+    monkeypatch.setattr(cli, driver, stub)
+    assert cli.main(argv) == 0
+    assert cli.build_parser() is parser
+    assert calls == [kwargs]
+    assert json.loads(capsys.readouterr().out) == STUB_REPORT
 
 
 def test_monotonicity_csv_writes_its_levels(tmp_path, capsys):

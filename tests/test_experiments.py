@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebrace import cli, density, experiments
+from chebrace.cli import report_json, report_rows_csv, series_csv, write_report
 from chebrace.arithmetic import scenario_generator
 from chebrace.characters import character_ids, sr_partition
 from chebrace.density import DensityEstimate, SpectralTable, q_factor
@@ -36,14 +37,10 @@ from chebrace.experiments import (
     parse_class_label,
     provision_zero_sets,
     race_row,
-    report_json,
-    report_rows_csv,
     reproduce_table,
     run_race,
     sandwich_experiment,
-    series_csv,
     tower_experiment,
-    write_report,
 )
 from chebrace.groups import (
     DIHEDRAL,
@@ -288,12 +285,12 @@ def _flat_row_lists(draw):
 
 def _with_row_chunk(chunk: int, fn):
     """``fn()`` with the writer taking ``chunk`` rows per pass."""
-    saved = experiments._ROW_CHUNK
-    experiments._ROW_CHUNK = chunk
+    saved = cli._ROW_CHUNK
+    cli._ROW_CHUNK = chunk
     try:
         return fn()
     finally:
-        experiments._ROW_CHUNK = saved
+        cli._ROW_CHUNK = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,15 +334,15 @@ def test_report_rows_take_the_column_path(make, keysets, monkeypatch):
     rows = report["rows"]
     assert len({tuple(sorted(row)) for row in rows}) == keysets
     columns = _CountingEncoder(separators=("\n", ": "))
-    monkeypatch.setattr(experiments, "_COLUMN_ENCODER", columns)
+    monkeypatch.setattr(cli, "_COLUMN_ENCODER", columns)
     walked = []
-    walk = experiments._json
+    walk = cli._json
 
     def counted(value, depth):
         walked.append(depth)
         return walk(value, depth)
 
-    monkeypatch.setattr(experiments, "_json", counted)
+    monkeypatch.setattr(cli, "_json", counted)
     assert report_json(report) == report_json_indent(report)
     keys = sum(len(k) for k in {tuple(sorted(row)) for row in rows})
     assert columns.calls == 2 * keys
@@ -354,9 +351,9 @@ def test_report_rows_take_the_column_path(make, keysets, monkeypatch):
 
 def test_report_csv_needs_a_row_list(tmp_path):
     with pytest.raises(ConfigError, match="mod4 report has no rows"):
-        experiments.report_csv({"experiment": "mod4", "delta_fourier": 0.5})
+        cli.report_csv({"experiment": "mod4", "delta_fourier": 0.5})
     levels = [{"level": 3, "delta_mc": 0.5}, {"level": 4, "delta_mc": 0.25}]
-    assert experiments.report_csv({"levels": levels}) == report_rows_csv(levels)
+    assert cli.report_csv({"levels": levels}) == report_rows_csv(levels)
     out = tmp_path / "none.csv"
     with pytest.raises(ConfigError, match="no rows"):
         write_report({"experiment": "race", "rows": []}, str(out), "csv")
@@ -864,7 +861,8 @@ def test_mod4_experiment_synthetic_and_file(tmp_path):
 
 @pytest.mark.parametrize("t_max", [0.5, 2.0 ** 21])
 def test_mod4_horizon_out_of_range_is_a_config_error(t_max):
-    with pytest.raises(ConfigError, match="chi4: need 1 <= t_max <= 2\\^20"):
+    # check_t_max refuses the horizon before any sampling
+    with pytest.raises(ConfigError, match="^--t-max must be at (least 1|most 2\\^20 = 1048576), got "):
         mod4_experiment(t_max=t_max)
 
 
@@ -900,7 +898,7 @@ def test_config_validation_messages():
         assert needle in str(err.value), (kwargs, str(err.value))
     # every other default is valid
     report = run_race(pairs=((ONE, MINUS_ONE),), samples=10000)
-    assert (report["n"], report["zero_source"]) == (3, "synthetic")
+    assert (report["n"], report["zero_source"]) == (4, "synthetic")
 
 
 @pytest.mark.parametrize("call,name", [
@@ -917,6 +915,7 @@ def test_driver_counts_must_be_integers(call, name):
 _W_ERROR = "^w_axiom must be the integer 1 or -1, got "
 _FAMILY_ERROR = "^family must be dihedral or quaternion, got 'foo'"
 _SEED_ERROR = "^seed must be a non-negative integer, got -1"
+_T_MAX_ERROR = "^t_max must be a number, got 'x'"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -941,11 +940,21 @@ _SEED_ERROR = "^seed must be a non-negative integer, got -1"
     (lambda: horizontal_experiment(["a"], -1, 0), "^f_values entry must be an integer, got 'a'"),
     (lambda: horizontal_experiment([1], -1, -1, samples=10000), _SEED_ERROR),
     (lambda: sandwich_experiment(count=1, seed=-1, samples=10000), _SEED_ERROR),
+    (lambda: monotonicity_experiment(QUATERNION, 4, 0.1, -1, 0, samples=4, t_max="x"),
+     _T_MAX_ERROR),
+    (lambda: sandwich_experiment(count=1, samples=10000, t_max="x"), _T_MAX_ERROR),
+    (lambda: mod4_experiment(t_max="x"), _T_MAX_ERROR),
+    (lambda: mod4_experiment(seed=-1), _SEED_ERROR),
+    (lambda: mod4_experiment(seed=1.5), "^seed must be a non-negative integer, got 1.5"),
+    # a file descriptor would read stdin
+    (lambda: mod4_experiment(zero_file=0), "^zero_file must be a path or None, got 0"),
 ], ids=["tower-w-true", "tower-w-2", "tower-family", "tower-seed",
         "monotonicity-w-true", "monotonicity-w-2", "monotonicity-family",
         "monotonicity-seed", "monotonicity-samples-float", "monotonicity-epsilon-str",
         "monotonicity-epsilon-bool", "horizontal-w-true", "horizontal-f-str",
-        "horizontal-seed", "sandwich-seed"])
+        "horizontal-seed", "sandwich-seed", "monotonicity-t-max-str",
+        "sandwich-t-max-str", "mod4-t-max-str", "mod4-seed", "mod4-seed-float",
+        "mod4-zero-file-fd"])
 def test_driver_inputs_are_config_errors(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
